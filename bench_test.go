@@ -20,6 +20,7 @@ import (
 	"p2pbackup/internal/maintenance"
 	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/monitor"
+	"p2pbackup/internal/redundancy"
 	"p2pbackup/internal/rng"
 	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
@@ -311,7 +312,13 @@ func BenchmarkChurnRound(b *testing.B) {
 // never entered) and under the adaptive default (one policy evaluation
 // per archive per day plus the grow/shrink traffic it decides). The
 // fixed arm must match BenchmarkChurnRound within noise; the adaptive
-// arm's delta is the whole subsystem's runtime bill.
+// arm's delta is the whole subsystem's runtime bill: ~1 042 evaluations
+// a round (25 000 archives / eval 24) and the placements they cause.
+// On the 2-core reference box that is 16.3 ms fixed against 26.7 ms
+// adaptive, 1.6x — about 10 us per evaluation, 4 of them the sizing
+// (BenchmarkAdaptiveTarget). It was 10x (173 ms, BENCH_10) while
+// Adaptive.Target scanned n linearly and recomputed every Lgamma at
+// every step; a ratio far above 2x now means the kernel has regressed.
 func BenchmarkAdaptiveChurnRound(b *testing.B) {
 	for _, policy := range []string{"fixed", "adaptive"} {
 		b.Run("policy="+policy, func(b *testing.B) {
@@ -333,6 +340,51 @@ func BenchmarkAdaptiveChurnRound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDurability measures the binomial tail behind every adaptive
+// decision at the paper's full shape — Durability(256, 148, p), 109
+// terms — over the availabilities the harness's
+// redundancy.durability_us probe uses. Allocation-free: the ln i! table
+// is built once, at package initialisation.
+func BenchmarkDurability(b *testing.B) {
+	tail := func(i int) float64 { return redundancy.Durability(256, 148, 0.50+0.05*float64(i%10)) }
+	if a := testing.AllocsPerRun(100, func() { sinkFloat += tail(3) }); a != 0 {
+		b.Fatalf("Durability allocates %v objects per call, want 0", a)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkFloat += tail(i)
+	}
+}
+
+// BenchmarkAdaptiveTarget measures one adaptive sizing decision: the
+// default policy bound at the paper's shape (128, 148, 256), a
+// full-size archive, availability 0.50...0.95 — the harness's
+// redundancy.target_us probe. One decision is MinBlocksFor's bisection
+// of [148, 256]: about eight tails, none of them allocating.
+func BenchmarkAdaptiveTarget(b *testing.B) {
+	pol, err := redundancy.Parse("adaptive")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pol, err = pol.Bind(128, 148, 256); err != nil {
+		b.Fatal(err)
+	}
+	target := func(i int) int {
+		return pol.Target(redundancy.Observation{Round: 2160, Current: 256, DataBlocks: 128,
+			Availability: 0.50 + 0.05*float64(i%10)})
+	}
+	if a := testing.AllocsPerRun(100, func() { sinkFloat += float64(target(7)) }); a != 0 {
+		b.Fatalf("Target allocates %v objects per call, want 0", a)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkFloat += float64(target(i))
+	}
+}
+
+// sinkFloat keeps the kernels above from being optimised away.
+var sinkFloat float64
 
 // BenchmarkShardedChurnRound measures the sharded engine's scaling
 // curve: steady-state rounds under the paper's churn mix at large

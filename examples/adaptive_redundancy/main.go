@@ -76,10 +76,7 @@ func main() {
 	// least k' = 148 stay visible with five-nines probability?
 	fmt.Println("\nthe sizing curve (n holding >= k'=148 visible at five nines):")
 	for _, p := range []float64{0.95, 0.9, 0.86, 0.8, 0.7} {
-		n := 148
-		for n < 256 && redundancy.Durability(n, 148, p) < 0.99999 {
-			n++
-		}
+		n := redundancy.MinBlocksFor(148, 256, 148, p, redundancy.DefaultTargetDurability)
 		fmt.Printf("  availability %.2f -> n(t) = %d\n", p, n)
 	}
 

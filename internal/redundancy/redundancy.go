@@ -13,9 +13,11 @@
 // shrink — retire surplus placements, releasing peer storage. The
 // estimate behind the decision is the binomial tail Durability(n, k',
 // p): the probability the archive holds at least k' available blocks,
-// so the configured repair cushion k'-k stays intact at every n(t); the
-// upload cost of a grow decision is priced by
-// costmodel.ParityUploadCost.
+// so the configured repair cushion k'-k stays intact at every n(t).
+// MinBlocksFor turns the tail into a size — the smallest n that holds a
+// target probability, found by a bisection that returns exactly what a
+// scan over n would — and the upload cost of a grow decision is priced
+// by costmodel.ParityUploadCost.
 //
 // Policies resolve through a spec-string registry mirroring
 // selection.Register/Parse:
@@ -83,8 +85,8 @@ type Policy interface {
 // Durability returns the probability that an archive of n blocks, each
 // independently available with probability p, has at least k blocks
 // available — the binomial decode probability behind every adaptive
-// decision. Computed in log space (math.Lgamma), stable for any n the
-// simulator uses.
+// decision. Computed in log space from a table of ln i! (math.Lgamma
+// beyond it), stable for any n the simulator uses.
 func Durability(n, k int, p float64) float64 {
 	if k <= 0 {
 		return 1
@@ -95,19 +97,91 @@ func Durability(n, k int, p float64) float64 {
 	if p >= 1 {
 		return 1
 	}
-	lp := math.Log(p)
-	lq := math.Log1p(-p)
-	lgn, _ := math.Lgamma(float64(n + 1))
+	return binomTail(n, k, math.Log(p), math.Log1p(-p))
+}
+
+// binomTail is Durability's sum for 0 < k <= n and 0 < p < 1, given
+// lp = ln p and lq = ln(1-p). The term expression and the summation
+// order are pinned bit for bit by the tests: every golden digest of an
+// adaptive run depends on them.
+func binomTail(n, k int, lp, lq float64) float64 {
+	lgn := lnFact(n)
 	sum := 0.0
 	for i := k; i <= n; i++ {
-		lgi, _ := math.Lgamma(float64(i + 1))
-		lgni, _ := math.Lgamma(float64(n - i + 1))
-		sum += math.Exp(lgn - lgi - lgni + float64(i)*lp + float64(n-i)*lq)
+		sum += math.Exp(lgn - lnFact(i) - lnFact(n-i) + float64(i)*lp + float64(n-i)*lq)
 	}
 	if sum > 1 {
 		return 1
 	}
 	return sum
+}
+
+// lnFactTable holds ln i! = Lgamma(i+1) for every i up to twice the
+// paper's n = 256, as math.Lgamma returns it. Built once at package
+// initialisation and never written again, so concurrent simulations
+// share it without synchronisation.
+var lnFactTable = func() (t [513]float64) {
+	for i := range t {
+		t[i], _ = math.Lgamma(float64(i + 1))
+	}
+	return t
+}()
+
+// lnFact returns ln i! for i >= 0.
+func lnFact(i int) float64 {
+	if i < len(lnFactTable) {
+		return lnFactTable[i]
+	}
+	v, _ := math.Lgamma(float64(i + 1))
+	return v
+}
+
+// tailSlack is how far under a target a computed tail of up to n blocks
+// must sit before every computed tail of fewer blocks is certain to sit
+// under the target too. The tail's rounding error grows like n ln n
+// ulps — 4e-13 at n = 256 — and the tests hold it, and the
+// non-monotonicity it causes, to a small fraction of this.
+func tailSlack(n int) float64 { return 4e-12 * float64(n) }
+
+// MinBlocksFor returns the smallest n in [lo, hi] with Durability(n, k,
+// p) >= target, or hi when no n below hi reaches it — exactly what
+// scanning n = lo, lo+1, ... would return, for any arguments but one, in
+// O(log(hi-lo)) evaluations of the tail. The one: the scan would take a
+// NaN p for a perfect availability; it is no measurement at all, and
+// sizes to hi.
+//
+// Bisection finds the scan's answer because the tail is monotone in n —
+// the exact tail, that is: the computed one wobbles by a few 1e-13 where
+// it saturates near 1, and the scan stops at the first n its computed
+// value clears. So the bisection brackets where the tail clears target
+// minus tailSlack, below which no computed value can clear target, and
+// the scan runs from there: one step, unless target is within the slack
+// of 1.
+func MinBlocksFor(lo, hi, k int, p, target float64) int {
+	if math.IsNaN(p) {
+		return max(lo, hi)
+	}
+	lp, lq := math.Log(p), math.Log1p(-p) // once per decision, not per n
+	tail := func(n int) float64 {
+		if k <= 0 || n < k || p <= 0 || p >= 1 {
+			return Durability(n, k, p) // 0 or 1 without a sum
+		}
+		return binomTail(n, k, lp, lq)
+	}
+	slack := tailSlack(max(hi, 0))
+	n, top := lo, hi
+	for n < top {
+		mid := n + (top-n)/2
+		if tail(mid) < target-slack {
+			n = mid + 1
+		} else {
+			top = mid
+		}
+	}
+	for n < hi && tail(n) < target {
+		n++
+	}
+	return n
 }
 
 // EffectiveThreshold maps an archive's target block count to its repair
@@ -287,17 +361,18 @@ func (a Adaptive) Initial(k, n int) int {
 
 // Target implements Policy: the smallest n(t) in [Min, Max] holding at
 // least k' available blocks with probability TargetDurability at the
-// observed availability, with shrink hysteresis. On an unbound policy
-// (no recorded k') the sizing falls back to the decode bound k.
+// observed availability, with shrink hysteresis. Without a measurement
+// to size from — a policy that was never bound to a code shape, or a
+// non-finite availability — the target stays where it is.
 func (a Adaptive) Target(obs Observation) int {
+	if a.kprime == 0 || math.IsNaN(obs.Availability) || math.IsInf(obs.Availability, 0) {
+		return obs.Current
+	}
 	thr := a.kprime
 	if thr < obs.DataBlocks {
 		thr = obs.DataBlocks
 	}
-	need := a.Min
-	for need < a.Max && Durability(need, thr, obs.Availability) < a.TargetDurability {
-		need++
-	}
+	need := MinBlocksFor(a.Min, a.Max, thr, obs.Availability, a.TargetDurability)
 	if need > obs.Current {
 		return need // grow immediately: durability is at stake
 	}

@@ -54,7 +54,6 @@ type redunState struct {
 	eval   int64 // per-archive evaluation cadence (rounds)
 	window int64 // monitored-uptime window (AcceptHorizon)
 	sample int   // partners probed per evaluation
-	buf    []overlay.PeerID
 }
 
 // newRedunState builds the per-archive arrays at the policy's initial
@@ -69,7 +68,6 @@ func newRedunState(cfg Config) *redunState {
 		eval:   cfg.Redundancy.EvalEvery(),
 		window: cfg.AcceptHorizon,
 		sample: cfg.Redundancy.SamplePeers(),
-		buf:    make([]overlay.PeerID, 0, cfg.TotalBlocks),
 	}
 	initial := cfg.Redundancy.Initial(cfg.DataBlocks, cfg.TotalBlocks)
 	thr := redundancy.EffectiveThreshold(cfg.DataBlocks, cfg.RepairThreshold, cfg.TotalBlocks, initial)
@@ -127,8 +125,7 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 	if !s.maint.Included(id) || s.maint.Repairing(id) {
 		return
 	}
-	hosts := s.led.Hosts(id, rs.buf[:0])
-	nh := len(hosts)
+	nh := s.led.Alive(id)
 	if nh == 0 {
 		return
 	}
@@ -139,13 +136,13 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 	// is shard-count invariant).
 	var p float64
 	if nh <= rs.sample {
-		for _, h := range hosts {
-			p += s.hist[h].Uptime(round, rs.window)
+		for i := 0; i < nh; i++ {
+			p += s.hist[s.hostAt(id, i)].Uptime(round, rs.window)
 		}
 		p /= float64(nh)
 	} else {
 		for i := 0; i < rs.sample; i++ {
-			p += s.hist[hosts[rs.r.Intn(nh)]].Uptime(round, rs.window)
+			p += s.hist[s.hostAt(id, rs.r.Intn(nh))].Uptime(round, rs.window)
 		}
 		p /= float64(rs.sample)
 	}
@@ -191,6 +188,16 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 	}
 }
 
+// hostAt returns the host of id's i-th placement, for an index the
+// engine derived from the ledger's own Alive count.
+func (s *Simulation) hostAt(id overlay.PeerID, i int) overlay.PeerID {
+	host, err := s.led.HostAt(id, i)
+	if err != nil {
+		panic(err) // ledger indexes are engine-controlled
+	}
+	return host
+}
+
 // shrinkArchive retires surplus placements until the archive holds at
 // most nt blocks: offline hosts first (their blocks are the least
 // useful), then from the placement list's end. Dropping frees host
@@ -199,11 +206,7 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 // coherent.
 func (s *Simulation) shrinkArchive(id overlay.PeerID, nt int) {
 	for i := s.led.Alive(id) - 1; i >= 0 && s.led.Alive(id) > nt; i-- {
-		host, err := s.led.HostAt(id, i)
-		if err != nil {
-			panic(err) // ledger indexes are engine-controlled
-		}
-		if !s.led.Online(host) {
+		if !s.led.Online(s.hostAt(id, i)) {
 			if err := s.led.DropPlacementAt(id, i); err != nil {
 				panic(err)
 			}
