@@ -51,7 +51,16 @@ func PackFiles(entries []FileEntry) ([]byte, error) {
 	}
 	sorted := append([]FileEntry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
+	// Size the buffer once instead of doubling up to the archive: per
+	// entry the content rounded up to tar's 512-byte blocks and three
+	// header blocks (ustar, plus a PAX header and its records when the
+	// mtime has sub-second precision), then the two-block end marker.
+	total := 2 * 512
+	for _, e := range sorted {
+		total += (len(e.Data)+511)&^511 + 3*512
+	}
 	var buf bytes.Buffer
+	buf.Grow(total)
 	tw := tar.NewWriter(&buf)
 	for _, e := range sorted {
 		if e.Path == "" {
@@ -79,7 +88,8 @@ func PackFiles(entries []FileEntry) ([]byte, error) {
 
 // UnpackFiles parses a tar stream produced by PackFiles.
 func UnpackFiles(archive []byte) ([]FileEntry, error) {
-	tr := tar.NewReader(bytes.NewReader(archive))
+	r := bytes.NewReader(archive)
+	tr := tar.NewReader(r)
 	var out []FileEntry
 	for {
 		hdr, err := tr.Next()
@@ -92,8 +102,13 @@ func UnpackFiles(archive []byte) ([]FileEntry, error) {
 		if hdr.Typeflag != tar.TypeReg {
 			continue
 		}
-		data, err := io.ReadAll(tr)
-		if err != nil {
+		// The content must still be ahead in the archive, so a lying
+		// header cannot force an allocation larger than its input.
+		if hdr.Size < 0 || hdr.Size > int64(r.Len()) {
+			return nil, fmt.Errorf("backup: tar entry %q claims %d bytes, %d remain", hdr.Name, hdr.Size, r.Len())
+		}
+		data := make([]byte, hdr.Size)
+		if _, err := io.ReadFull(tr, data); err != nil {
 			return nil, fmt.Errorf("backup: tar content %q: %w", hdr.Name, err)
 		}
 		out = append(out, FileEntry{

@@ -1,10 +1,12 @@
 package backup
 
 import (
+	"archive/tar"
 	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -55,6 +57,59 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 				t.Fatalf("%s content mismatch", e.Path)
 			}
 		}
+	}
+}
+
+func TestPackSizesBufferOnce(t *testing.T) {
+	// Nanosecond mtimes force a PAX header per entry, the largest
+	// per-entry overhead PackFiles' estimate has to cover. A buffer that
+	// had to double on the way would end with far more slack than the
+	// estimate's own.
+	mtime := time.Date(2026, 6, 10, 12, 0, 0, 123456789, time.UTC)
+	var entries []FileEntry
+	for i := 0; i < 64; i++ {
+		entries = append(entries, FileEntry{
+			Path:    filepath.Join("dir", string(rune('a'+i%26)), "file"+string(rune('0'+i%10))+string(rune('a'+i/10))),
+			Mode:    0o644,
+			ModTime: mtime,
+			Data:    bytes.Repeat([]byte{byte(i)}, 1000*i+1),
+		})
+	}
+	packed, err := PackFiles(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slack := cap(packed) - len(packed); slack > 512*len(entries) {
+		t.Fatalf("packed %d bytes into a %d-byte buffer: it grew past the one-shot estimate", len(packed), cap(packed))
+	}
+	got, err := UnpackFiles(packed)
+	if err != nil || len(got) != len(entries) {
+		t.Fatalf("UnpackFiles = %d entries, %v; want %d", len(got), err, len(entries))
+	}
+}
+
+func TestUnpackRejectsOversizedHeader(t *testing.T) {
+	// A header claiming a terabyte over a few bytes of content must be
+	// refused before anything of that size is allocated.
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	if err := tw.WriteHeader(&tar.Header{Name: "huge", Mode: 0o644, Size: 1 << 40, Format: tar.FormatPAX}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.Write([]byte("not a terabyte")); err != nil {
+		t.Fatal(err)
+	}
+	// No Close: the writer would refuse the short entry; the bytes
+	// written so far are the malformed archive.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnpackFiles(buf.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("UnpackFiles accepted an entry larger than the archive")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("UnpackFiles allocated %d bytes before rejecting a %d-byte archive", got, buf.Len())
 	}
 }
 

@@ -16,6 +16,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -26,13 +27,11 @@ import (
 
 // Common errors.
 var (
-	ErrInvalidParams    = errors.New("erasure: k must be >= 1, m >= 0, and k+m <= 256")
-	ErrTooFewShards     = errors.New("erasure: too few shards to reconstruct")
-	ErrShardCount       = errors.New("erasure: wrong number of shards")
-	ErrShardSize        = errors.New("erasure: shards must be non-empty and all the same size")
-	ErrShortData        = errors.New("erasure: data too short")
-	ErrVerifyFailed     = errors.New("erasure: parity verification failed")
-	ErrReconstructSpace = errors.New("erasure: missing shard slot has wrong capacity")
+	ErrInvalidParams = errors.New("erasure: k must be >= 1, m >= 0, and k+m <= 256")
+	ErrTooFewShards  = errors.New("erasure: too few shards to reconstruct")
+	ErrShardCount    = errors.New("erasure: wrong number of shards")
+	ErrShardSize     = errors.New("erasure: shards must be non-empty and all the same size")
+	ErrShortData     = errors.New("erasure: data too short")
 )
 
 // MatrixKind selects the parity construction.
@@ -46,6 +45,8 @@ const (
 	Cauchy
 )
 
+// String returns the construction's lower-case name, the form CLI flags
+// and manifests spell it in.
 func (k MatrixKind) String() string {
 	switch k {
 	case Vandermonde:
@@ -164,16 +165,25 @@ func (e *Encoder) Encode(shards [][]byte) error {
 	if e.m == 0 {
 		return nil
 	}
-	for r := 0; r < e.m; r++ {
-		out := shards[e.k+r]
-		row := e.parity.Row(r)
-		gf256.MulSlice(row[0], shards[0], out)
-		for c := 1; c < e.k; c++ {
-			gf256.MulAddSlice(row[c], shards[c], out)
-		}
-	}
+	gf256.MulRows(e.parityRows(), shards[:e.k], shards[e.k:])
 	return nil
 }
+
+// parityRows returns views of the m parity rows of the encoding matrix,
+// the coefficient rows of an encode.
+func (e *Encoder) parityRows() [][]byte {
+	rows := make([][]byte, e.m)
+	for r := range rows {
+		rows[r] = e.parity.Row(r)
+	}
+	return rows
+}
+
+// verifyChunk is the number of bytes of each shard Verify recomputes
+// and compares at a time: large enough to amortise the kernel's table
+// builds, small enough that the scratch parity is m chunks and not m
+// shards and that a mismatch is found without encoding the rest.
+const verifyChunk = 8 << 10
 
 // Verify recomputes parity from the data shards and reports whether the
 // stored parity shards match.
@@ -185,16 +195,22 @@ func (e *Encoder) Verify(shards [][]byte) (bool, error) {
 	if e.m == 0 {
 		return true, nil
 	}
-	buf := make([]byte, size)
-	for r := 0; r < e.m; r++ {
-		row := e.parity.Row(r)
-		gf256.MulSlice(row[0], shards[0], buf)
-		for c := 1; c < e.k; c++ {
-			gf256.MulAddSlice(row[c], shards[c], buf)
+	rows := e.parityRows()
+	n := min(size, verifyChunk)
+	backing := make([]byte, e.m*n)
+	scratch := make([][]byte, e.m)
+	in := make([][]byte, e.k)
+	for off := 0; off < size; off += n {
+		end := min(off+n, size)
+		for c := range in {
+			in[c] = shards[c][off:end]
 		}
-		stored := shards[e.k+r]
-		for i := range buf {
-			if buf[i] != stored[i] {
+		for r := range scratch {
+			scratch[r] = backing[r*n : r*n+end-off]
+		}
+		gf256.MulRows(rows, in, scratch)
+		for r, want := range scratch {
+			if !bytes.Equal(want, shards[e.k+r][off:end]) {
 				return false, nil
 			}
 		}
@@ -255,40 +271,34 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly bool) error {
 		if err != nil {
 			return err
 		}
-		// Recover each missing data shard d: shard[d] = dec.Row(d) . survivors
+		// Each missing data shard d is dec.Row(d) . survivors.
 		in := make([][]byte, e.k)
 		for i, r := range rows {
 			in[i] = shards[r]
 		}
-		for d := 0; d < e.k; d++ {
-			if len(shards[d]) > 0 {
-				continue
-			}
-			out := ensureShard(&shards[d], size)
-			row := dec.Row(d)
-			gf256.MulSlice(row[0], in[0], out)
-			for c := 1; c < e.k; c++ {
-				gf256.MulAddSlice(row[c], in[c], out)
-			}
-		}
+		fillMissing(shards[:e.k], dec, in, size)
 	}
 
 	if dataOnly {
 		return nil
 	}
 	// All data shards now present; recompute any missing parity.
-	for p := e.k; p < e.k+e.m; p++ {
-		if len(shards[p]) > 0 {
-			continue
-		}
-		out := ensureShard(&shards[p], size)
-		row := e.parity.Row(p - e.k)
-		gf256.MulSlice(row[0], shards[0], out)
-		for c := 1; c < e.k; c++ {
-			gf256.MulAddSlice(row[c], shards[c], out)
+	fillMissing(shards[e.k:], e.parity, shards[:e.k], size)
+	return nil
+}
+
+// fillMissing computes every missing (nil or empty) shard of slots, the
+// i-th of which is row i of coef applied to in, allocating it unless
+// the slot's capacity already holds size bytes.
+func fillMissing(slots [][]byte, coef *gf256.Matrix, in [][]byte, size int) {
+	var rows, out [][]byte
+	for i := range slots {
+		if len(slots[i]) == 0 {
+			rows = append(rows, coef.Row(i))
+			out = append(out, ensureShard(&slots[i], size))
 		}
 	}
-	return nil
+	gf256.MulRows(rows, in, out)
 }
 
 func ensureShard(s *[]byte, size int) []byte {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -399,5 +400,67 @@ func TestAccessors(t *testing.T) {
 	}
 	if MatrixKind(9).String() == "" {
 		t.Fatal("unknown kind must still format")
+	}
+}
+
+func TestEncodeAllocations(t *testing.T) {
+	// Encode builds one slice of coefficient-row views and nothing that
+	// scales with the shard: the kernel's accumulator and tables are
+	// fixed-size and live on its stack.
+	e, _ := New(16, 16)
+	rng := rand.New(rand.NewSource(11))
+	var counts []float64
+	for _, size := range []int{4 << 10, 384 << 10} {
+		shards := randomShards(rng, 16, 16, size)
+		counts = append(counts, testing.AllocsPerRun(3, func() {
+			if err := e.Encode(shards); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != 1 || counts[1] != 1 {
+		t.Fatalf("Encode allocations per call at 4 KiB, 384 KiB shards = %v, want 1 at both", counts)
+	}
+}
+
+func TestVerifyChunked(t *testing.T) {
+	// Shards spanning several verify chunks plus a ragged tail: a
+	// mismatch must be found wherever it sits, and the scratch parity
+	// must be chunks, not whole shards.
+	const k, m = 3, 2
+	size := 40*verifyChunk + 5
+	e, _ := New(k, m)
+	rng := rand.New(rand.NewSource(12))
+	shards := randomShards(rng, k, m, size)
+	if err := e.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	verify := func() bool {
+		t.Helper()
+		ok, err := e.Verify(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if !verify() {
+		t.Fatal("Verify rejects freshly encoded shards")
+	}
+	for _, at := range []struct{ shard, pos int }{
+		{k, 0}, {k + 1, verifyChunk - 1}, {k, verifyChunk}, {k + 1, size - 1}, {0, size - 1}, {k - 1, 17 * verifyChunk},
+	} {
+		shards[at.shard][at.pos] ^= 0x10
+		if verify() {
+			t.Errorf("Verify misses a flipped bit in shard %d at byte %d", at.shard, at.pos)
+		}
+		shards[at.shard][at.pos] ^= 0x10
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	verify()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*m*verifyChunk) {
+		t.Errorf("Verify allocated %d bytes for %d-byte shards, want a few %d-byte chunks", got, size, verifyChunk)
 	}
 }

@@ -3,12 +3,20 @@
 // The field is realised as GF(2)[x]/(x^8 + x^4 + x^3 + x^2 + 1), i.e. the
 // irreducible polynomial 0x11D used by most Reed-Solomon deployments
 // (CCSDS, QR codes, and the original Reed-Solomon paper's construction
-// over a binary extension field). Multiplication and division run on
-// precomputed log/exp tables; bulk slice kernels are provided for the
-// erasure coder's hot loops.
+// over a binary extension field).
 //
-// All operations are constant-size table lookups; the package allocates
-// nothing after init.
+// Three layers share the field. Scalar Mul, Div, Inv, Pow and Exp/Log
+// run on log/exp tables built at init. The slice kernels MulSlice,
+// MulAddSlice and AddSlice apply one coefficient to one slice through a
+// row of the 64 KiB product table; Matrix is built on them. MulRows is
+// the erasure coder's hot loop: a whole coefficient-matrix-times-shards
+// product, through tables it builds per call that yield eight output
+// rows per lookup (see its doc comment).
+//
+// Only the Matrix functions that return a new Matrix allocate. The
+// shared tables are read-only after init and MulRows keeps its
+// accumulator and tables on its own stack, so everything but writes to
+// one Matrix or slice is safe for concurrent use.
 package gf256
 
 // Poly is the irreducible polynomial defining the field, with the x^8
@@ -132,7 +140,7 @@ func MulSlice(c byte, src, dst []byte) {
 }
 
 // MulAddSlice sets dst[i] ^= c * src[i] for all i: a fused
-// multiply-accumulate, the inner kernel of Reed-Solomon encoding.
+// multiply-accumulate, the row operation of Matrix.Mul and Invert.
 // dst and src must have the same length and must not alias unless equal.
 func MulAddSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
