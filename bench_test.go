@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"p2pbackup/internal/churn"
@@ -20,6 +21,7 @@ import (
 	"p2pbackup/internal/maintenance"
 	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/monitor"
+	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/redundancy"
 	"p2pbackup/internal/rng"
 	"p2pbackup/internal/selection"
@@ -35,6 +37,24 @@ func TestMain(m *testing.M) {
 		os.Exit(experiments.WorkerMain(os.Stdin, os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
+}
+
+// liveHeap returns the heap in use after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// bytesPerPeer is the live heap a warmed-up simulation of the given
+// size holds beyond base (liveHeap before sim.New), per peer. Benchmarks
+// report it as B/peer, so a change to any per-slot structure shows next
+// to the time it buys or costs. It collects: take it before
+// b.ResetTimer and report it after, since ResetTimer drops reported
+// metrics.
+func bytesPerPeer(base uint64, peers int) float64 {
+	return float64(liveHeap()-base) / float64(peers)
 }
 
 // benchConfig is the smoke preset shortened further for benchmarking.
@@ -288,10 +308,21 @@ func BenchmarkQuiescentRound(b *testing.B) {
 // capacity growth. (The pre-PR-5 500-round warmup sat in the cheaper
 // ramp-up regime; BENCH_4 and BENCH_5 churn-round numbers are not
 // directly comparable for that reason on top of the engine changes.)
+//
+// B/peer is the live heap per slot after the warmup. Parent → PR 16 on
+// the 2-core reference box at -benchtime 2000x: 15.0 → 12.8 ms/op,
+// 23809 → 8000 B/peer, 0 allocs/op on both and 1655 → 5362 B/op. The
+// bytes are candidate pools: a repair that stalls below k keeps
+// gathering candidates until it can decode, so its pool grows to 3 and
+// then 6 KiB (less than one such allocation per round), where the
+// parent had a 6 KiB pool and a 5 KiB dedup map reserved for every
+// slot; the parent's own bytes were a few history rings growing to
+// 24 KiB, which now grow to 8.
 func BenchmarkChurnRound(b *testing.B) {
 	cfg := sim.DefaultConfig() // the paper's 25,000 peers
 	const warmup = 2600
 	cfg.Rounds = int64(b.N) + warmup
+	base := liveHeap()
 	s, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -299,8 +330,10 @@ func BenchmarkChurnRound(b *testing.B) {
 	for i := 0; i < warmup; i++ {
 		s.StepRound()
 	}
+	perPeer := bytesPerPeer(base, cfg.NumPeers)
 	b.ReportAllocs()
 	b.ResetTimer()
+	b.ReportMetric(perPeer, "B/peer")
 	for s.StepRound() {
 	}
 }
@@ -931,10 +964,14 @@ func BenchmarkViewScore(b *testing.B) {
 }
 
 // BenchmarkMaintainerStep measures one maintenance step for a peer in
-// repair (pool building plus placement).
+// repair (pool building plus placement). B/peer is the live heap per
+// slot of the 600-peer smoke population it steps in: 19215 before
+// PR 16, 6115 since (the step itself is the 4-5 ns trigger check on
+// either side).
 func BenchmarkMaintainerStep(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Rounds = 500
+	base := liveHeap()
 	s, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -942,12 +979,79 @@ func BenchmarkMaintainerStep(b *testing.B) {
 	s.Run()
 	m := s.Maintainer()
 	r := rng.New(9)
+	perPeer := bytesPerPeer(base, cfg.NumPeers)
 	b.ResetTimer()
+	b.ReportMetric(perPeer, "B/peer")
 	for i := 0; i < b.N; i++ {
 		// Steps on a healthy peer measure the trigger check; the mix of
 		// peers includes repairing ones.
 		m.Step(r, 0)
 		_ = maintenance.OutcomeNone
+	}
+}
+
+// poolBenchEnv is a maintenance.Env over a population of equally old
+// peers: every online non-partner is an acceptable candidate, and
+// acceptance draws nothing.
+type poolBenchEnv struct{ n int }
+
+func (e poolBenchEnv) View(overlay.PeerID) selection.View {
+	return selection.View{Observed: selection.Observed{Age: 10000}}
+}
+func (e poolBenchEnv) SampleCandidate(r *rng.Rand) overlay.PeerID {
+	return overlay.PeerID(r.Intn(e.n))
+}
+func (e poolBenchEnv) Round() int64 { return 0 }
+
+// BenchmarkRefreshPool measures one candidate-pool refresh at the
+// paper's parameters (n = 256, 128 draws per round) with the pool
+// already holding 0, 64 or 255 candidates: the owner's archive is
+// undecodable, so a Step is exactly one refresh — prune the pool, then
+// 128 draws that are each rejected: as the owner itself, an offline
+// peer or a partner, and one draw in five at 64 and one in two at 255
+// as pooled already. That last rejection was a map lookup per draw
+// until PR 16 and is one word of a mark array since. Parent → PR 16 on
+// the 2-core reference box, -benchtime 20000x, medians of 3: pooled=0
+// 2.12 → 1.65, pooled=64 3.14 → 1.85, pooled=255 3.52 → 1.80 µs/op,
+// 0 allocs/op.
+func BenchmarkRefreshPool(b *testing.B) {
+	for _, pooled := range []int{0, 64, 255} {
+		b.Run(fmt.Sprintf("pooled=%d", pooled), func(b *testing.B) {
+			params := maintenance.Params{
+				TotalBlocks: 256, DataBlocks: 128, RepairThreshold: 148,
+				PoolSamplePerRound: 128, UploadBudgetPerRound: 128, DropOffline: true,
+			}
+			const owner, hosts = 0, 256
+			peers := 1 + hosts + pooled
+			led := overlay.NewLedger(peers, 384)
+			m := maintenance.New(params, led, overlay.NewTable(peers),
+				selection.Adapt(selection.AgeBased{L: 2160}), poolBenchEnv{n: peers})
+			r := rng.New(9)
+			// Upload onto the hosts alone, then take the archive below k
+			// and let the candidates in.
+			for id := 1 + hosts; id < peers; id++ {
+				led.SetOnline(overlay.PeerID(id), false)
+			}
+			for !m.Included(owner) {
+				m.Step(r, owner)
+			}
+			for id := 1; id <= hosts; id++ {
+				led.SetOnline(overlay.PeerID(id), id > 140)
+			}
+			for id := 1 + hosts; id < peers; id++ {
+				led.SetOnline(overlay.PeerID(id), true)
+			}
+			for i := 0; m.PoolSize(owner) < pooled; i++ {
+				if m.Step(r, owner).Outcome != maintenance.OutcomeStalled || i > 10000 {
+					b.Fatalf("pool stuck at %d of %d candidates", m.PoolSize(owner), pooled)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Step(r, owner)
+			}
+		})
 	}
 }
 

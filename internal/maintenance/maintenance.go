@@ -28,7 +28,16 @@
 //
 // The Maintainer operates on the overlay.Ledger and is driven by the
 // simulation engine, which decides which peers act each round and in
-// what order. It is not safe for concurrent use.
+// what order. It is not safe for concurrent use, except as plan.go's
+// contract for PlanStep allows.
+//
+// Memory: per-slot state is a few dozen bytes (peerState). The
+// candidate pool — up to n accepted partners waiting for a block — is
+// held in a buffer the slot owns only while the pool is non-empty,
+// drawn from and returned to a bounded cache (pool.go), and pool
+// membership is deduplicated by a per-step mark array shared with the
+// partner test, not by a per-slot map; oracle_test.go keeps that map as
+// the reference the marks are tested against.
 //
 // Paper mapping (in the style of internal/selection):
 //
@@ -132,6 +141,8 @@ const (
 
 var outcomeNames = [...]string{"none", "repaired", "initial-done", "stalled", "canceled"}
 
+// String names the outcome as probes and logs print it ("repaired",
+// "stalled", ...); an unknown value prints as Outcome(n).
 func (o Outcome) String() string {
 	if int(o) < len(outcomeNames) {
 		return outcomeNames[o]
@@ -242,8 +253,12 @@ type peerState struct {
 	uploaded  int   // blocks placed in the current episode
 	dropped   int   // placements written off at the decode point
 	epStart   int64 // round the current repair episode triggered
-	pool      []poolEntry
-	inPool    map[overlay.PeerID]uint32 // id -> gen, for dedup
+	// pool holds the accepted candidates of the episode in flight that
+	// have not received a block yet. Its buffer comes from the
+	// Maintainer's poolCache when refreshPool needs room and goes back
+	// as soon as a step, or the episode, leaves the pool empty: a slot
+	// holds a buffer only while it holds candidates.
+	pool []poolEntry
 }
 
 // Maintainer runs the maintenance protocol for every slot.
@@ -270,17 +285,22 @@ type Maintainer struct {
 	xfer   Transfers  // nil: the historical instant-placement path
 	rd     Redundancy // nil: fixed per-run redundancy (the paper)
 
-	// Partner-mark epochs: refreshPool stamps the acting owner's
-	// current partners into a per-slot epoch array, turning the former
-	// O(owner degree) Ledger.HasPlacement scan — the dominant cost of a
-	// churn round — into one array compare per check. A fresh epoch per
+	// Mark epochs: refreshPool stamps the acting owner's current
+	// partners into a per-slot epoch array, turning the former O(owner
+	// degree) Ledger.HasPlacement scan — the dominant cost of a churn
+	// round — into one array compare per check. A fresh epoch per
 	// refreshPool call invalidates all previous marks at once; place
 	// refreshes the mark when a block lands so the same step's later
-	// eligibility checks see the new partner. The marks track partners
-	// only — pool membership is deduplicated by each slot's inPool map.
-	markEpoch   uint64
-	partnerMark []uint64
-	hostBuf     []overlay.PeerID // scratch for Ledger.Hosts
+	// eligibility checks see the new partner. The same array
+	// deduplicates pool membership (see markSet).
+	//
+	// The marks and the host scratch live in a Workspace: own for Step,
+	// one per planning worker for PlanStep (see plan.go).
+	own Workspace
+
+	// pools recycles candidate-pool buffers: a slot holds one only
+	// while its pool holds candidates.
+	pools poolCache
 
 	// Score memo, enabled by the engine (EnableScoreCache): pure policy
 	// scores are cached per (slot, round) so a candidate probed by many
@@ -306,13 +326,14 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		panic("maintenance: ledger and table sizes differ")
 	}
 	m := &Maintainer{
-		params:      params,
-		led:         led,
-		tab:         tab,
-		pol:         pol,
-		env:         env,
-		peers:       make([]peerState, led.NumPeers()),
-		partnerMark: make([]uint64, led.NumPeers()),
+		params: params,
+		led:    led,
+		tab:    tab,
+		pol:    pol,
+		env:    env,
+		peers:  make([]peerState, led.NumPeers()),
+		own:    Workspace{View: env.View, memoize: true, marks: newMarkSet(led.NumPeers())},
+		pools:  poolCache{limit: max(minFreePools, led.NumPeers()/256)},
 	}
 	for i := range m.peers {
 		m.peers[i].armed = true
@@ -429,8 +450,10 @@ func (m *Maintainer) WarmScoreRange(ctx selection.Context, from, to overlay.Peer
 }
 
 // scoreOf returns the policy score of candidate c with view v, through
-// the (slot, round) memo when enabled.
-func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, v selection.View) float64 {
+// the (slot, round) memo when enabled. A miss is stored only when store
+// is set: concurrent planners may read a warmed entry but must not race
+// on writing one.
+func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, v selection.View, store bool) float64 {
 	if m.scoreKey == nil {
 		return m.pol.Score(ctx, v)
 	}
@@ -439,8 +462,10 @@ func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, v selectio
 		return m.scoreVal[c]
 	}
 	s := m.pol.Score(ctx, v)
-	m.scoreKey[c] = key
-	m.scoreVal[c] = s
+	if store {
+		m.scoreKey[c] = key
+		m.scoreVal[c] = s
+	}
 	return s
 }
 
@@ -511,26 +536,32 @@ func (m *Maintainer) EpisodeStart(id overlay.PeerID) int64 { return m.peers[id].
 // PoolSize returns the current candidate pool size (tests/diagnostics).
 func (m *Maintainer) PoolSize(id overlay.PeerID) int { return len(m.peers[id].pool) }
 
+// PoolCap returns the capacity of the buffer behind the slot's candidate
+// pool: zero unless the pool holds candidates, which is the only time a
+// slot has a buffer (tests/diagnostics).
+func (m *Maintainer) PoolCap(id overlay.PeerID) int { return cap(m.peers[id].pool) }
+
 // SetUnmetered marks a slot as quota-exempt (observer peers).
 func (m *Maintainer) SetUnmetered(id overlay.PeerID, v bool) { m.peers[id].unmetered = v }
 
 // Reset returns a slot to the fresh state (used when a peer dies and
 // the slot is reused). The caller is responsible for the ledger-side
 // cleanup (RemovePeer). The unmetered flag persists: it is a property
-// of the slot. Pool capacity is kept — the replacement occupant's first
-// episode reuses it allocation-free.
+// of the slot. A pool buffer the departed occupant's episode held goes
+// back to the cache.
 func (m *Maintainer) Reset(id overlay.PeerID) {
 	p := &m.peers[id]
+	p.lossCheck = false // any pending check belonged to the old occupant
+	m.abandonArchive(p)
+	m.Arm(id) // the fresh occupant has an initial upload pending
+}
+
+// abandonArchive returns a slot to the state of a peer with nothing
+// uploaded: not included, no outage, no episode in flight.
+func (m *Maintainer) abandonArchive(p *peerState) {
 	p.included = false
 	p.outage = false
-	p.lossCheck = false // any pending check belonged to the old occupant
-	p.st = stateIdle
-	p.waited = 0
-	p.uploaded = 0
-	p.dropped = 0
-	p.pool = p.pool[:0]
-	clear(p.inPool)
-	m.Arm(id) // the fresh occupant has an initial upload pending
+	m.finishEpisode(p)
 }
 
 // LostArchive reports whether an included peer's archive has become
@@ -545,15 +576,8 @@ func (m *Maintainer) LostArchive(id overlay.PeerID) bool {
 func (m *Maintainer) ResetArchive(id overlay.PeerID) {
 	m.led.DropOwner(id)
 	p := &m.peers[id]
-	p.included = false
-	p.outage = false
 	p.lossCheck = false
-	p.st = stateIdle
-	p.waited = 0
-	p.uploaded = 0
-	p.dropped = 0
-	p.pool = p.pool[:0]
-	clear(p.inPool)
+	m.abandonArchive(p)
 	m.Arm(id) // the re-encoded archive needs a full upload
 }
 
@@ -573,6 +597,13 @@ func (m *Maintainer) WantsStep(id overlay.PeerID) bool {
 // Step runs one round of maintenance for an online peer.
 func (m *Maintainer) Step(r *rng.Rand, id overlay.PeerID) StepResult {
 	p := &m.peers[id]
+	res := m.step(r, id, p)
+	m.releaseEmptyPool(p)
+	return res
+}
+
+// step is Step's state machine.
+func (m *Maintainer) step(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
 	if !p.included {
 		// Initial (or post-loss) upload: straight to Uploading.
 		if p.st == stateIdle {
@@ -607,7 +638,7 @@ func (m *Maintainer) stepTriggered(r *rng.Rand, id overlay.PeerID, p *peerState)
 	}
 	// Candidate gathering continues even while stalled; partners found
 	// now shorten the upload phase.
-	m.refreshPool(r, id, p)
+	m.refreshPool(r, id, p, &m.own)
 	if visible < m.params.DataBlocks {
 		res := StepResult{Outcome: OutcomeStalled}
 		if !p.outage {
@@ -664,7 +695,7 @@ func (m *Maintainer) freeQuota(c overlay.PeerID) int {
 // stepUpload pushes blocks to the best-ranked online pool members until
 // the archive holds n placed blocks.
 func (m *Maintainer) stepUpload(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
-	m.refreshPool(r, id, p)
+	m.refreshPool(r, id, p, &m.own)
 	if m.xfer != nil && !p.unmetered {
 		return m.stepUploadTransfers(id, p)
 	}
@@ -679,7 +710,7 @@ func (m *Maintainer) stepUpload(r *rng.Rand, id overlay.PeerID, p *peerState) St
 		e.placeable = m.tab.Current(e.ref) &&
 			m.led.Online(e.ref.ID) &&
 			(p.unmetered || m.freeQuota(e.ref.ID) >= 1) &&
-			m.partnerMark[e.ref.ID] != m.markEpoch
+			!m.own.marks.isPartner(e.ref.ID)
 	}
 	deficit := m.targetBlocks(id) - m.led.Alive(id)
 	budget := m.params.UploadBudgetPerRound
@@ -722,7 +753,7 @@ func (m *Maintainer) stepUploadTransfers(id overlay.PeerID, p *peerState) StepRe
 		e.placeable = m.tab.Current(e.ref) &&
 			m.led.Online(e.ref.ID) &&
 			m.freeQuota(e.ref.ID) >= 1 &&
-			m.partnerMark[e.ref.ID] != m.markEpoch
+			!m.own.marks.isPartner(e.ref.ID)
 	}
 	deficit := m.targetBlocks(id) - m.led.Alive(id) - m.xfer.Inflight(id)
 	slots := m.xfer.UploadSlots(id)
@@ -734,7 +765,7 @@ func (m *Maintainer) stepUploadTransfers(id overlay.PeerID, p *peerState) StepRe
 		m.xfer.BeginUpload(id, m.tab.Ref(best))
 		// The host holds a reservation now; later picks in this step
 		// must see it as booked.
-		m.partnerMark[best] = m.markEpoch
+		m.own.marks.setPartner(best)
 		deficit--
 		slots--
 	}
@@ -773,14 +804,28 @@ func (m *Maintainer) DeliverUpload(owner, host overlay.PeerID) (StepResult, bool
 	return res, true
 }
 
-// finishEpisode clears episode state and releases the pool.
+// finishEpisode clears episode state and drops whatever the pool holds.
 func (m *Maintainer) finishEpisode(p *peerState) {
 	p.st = stateIdle
 	p.waited = 0
 	p.uploaded = 0
 	p.dropped = 0
 	p.pool = p.pool[:0]
-	clear(p.inPool)
+	m.releaseEmptyPool(p)
+}
+
+// releaseEmptyPool hands the slot's pool buffer back to the cache when
+// the pool holds no candidate. Step and PlanStep end with it: an upload
+// step usually places on every candidate it accepted, so a buffer
+// serves one step and is back in the cache — still warm — for the next
+// owner's, and only a pool with candidates left over (offline since,
+// over the upload budget, waiting out a stall or a transfer slot) keeps
+// one across rounds.
+func (m *Maintainer) releaseEmptyPool(p *peerState) {
+	if p.pool != nil && len(p.pool) == 0 {
+		m.pools.put(p.pool)
+		p.pool = nil
+	}
 }
 
 func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.PeerID) {
@@ -797,67 +842,74 @@ func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.Peer
 	}
 	// The host is a partner now; later placements in the same step must
 	// see it through the current mark epoch.
-	m.partnerMark[host] = m.markEpoch
+	m.own.marks.setPartner(host)
 }
 
 // refreshPool prunes dead/ineligible entries and samples new candidates
 // up to the per-round budget. Offline candidates are NOT pruned: they
-// agreed to the partnership and become placeable when they return.
+// agreed to the partnership and become placeable when they return. It
+// is the one pool procedure behind Step (ws is the Maintainer's own
+// scratch) and PlanStep (ws is the planning worker's, whose view and
+// score accessors store nothing), so both sample and accept draw for
+// draw alike.
 //
-// It opens a fresh partner-mark epoch for the acting owner: the owner's
-// current partners are stamped once (O(degree)), and every subsequent
-// "is this peer already a partner" check here and in takeBestPlaceable
-// is one array compare — replacing the O(degree) HasPlacement scan per
+// It opens a fresh mark epoch for the acting owner: the owner's current
+// partners are stamped once (O(degree)), and every subsequent "is this
+// peer already a partner" check here and in takeBestPlaceable is one
+// array compare — replacing the O(degree) HasPlacement scan per
 // candidate that used to dominate churn-round profiles, with identical
 // outcomes (and therefore identical rng draw order).
-func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState) {
-	m.markEpoch++
-	epoch := m.markEpoch
-	m.hostBuf = m.led.Hosts(id, m.hostBuf[:0])
-	for _, h := range m.hostBuf {
-		m.partnerMark[h] = epoch
+//
+// Pool membership is deduplicated by marks of the same epoch, stamped on
+// every entry that survives the prune and every candidate accepted
+// after it. That is exact: the prune drops every entry whose generation
+// is no longer current before sampling starts and a generation cannot
+// change inside a step, so "already pooled under its current identity"
+// is the same as "survived the prune or accepted since".
+func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace) {
+	marks := &ws.marks
+	marks.open()
+	ws.hostBuf = m.led.Hosts(id, ws.hostBuf[:0])
+	for _, h := range ws.hostBuf {
+		marks.setPartner(h)
 	}
 	if m.xfer != nil && !p.unmetered {
 		// Hosts of in-flight uploads are partners-to-be: they hold a
 		// quota reservation and must not be booked a second time while
 		// the first block is still on the wire.
-		m.hostBuf = m.xfer.PendingHosts(id, m.hostBuf[:0])
-		for _, h := range m.hostBuf {
-			m.partnerMark[h] = epoch
+		ws.hostBuf = m.xfer.PendingHosts(id, ws.hostBuf[:0])
+		for _, h := range ws.hostBuf {
+			marks.setPartner(h)
 		}
 	}
 
 	// Prune entries that can never be used again.
 	valid := p.pool[:0]
 	for _, e := range p.pool {
-		if !m.tab.Current(e.ref) || m.partnerMark[e.ref.ID] == epoch {
-			delete(p.inPool, e.ref.ID)
+		if !m.tab.Current(e.ref) || marks.isPartner(e.ref.ID) {
 			continue
 		}
+		marks.setPooled(e.ref.ID)
 		valid = append(valid, e)
 	}
 	p.pool = valid
 
-	if len(p.pool) >= m.params.TotalBlocks {
-		return // pool is as large as any conceivable deficit
+	// The most this round can add is the sampling budget, up to the
+	// pool's hard cap (as large as any conceivable deficit). Making room
+	// for it here is the only place a pool buffer is acquired or grown.
+	room := min(m.params.PoolSamplePerRound, m.params.TotalBlocks-len(p.pool))
+	if room <= 0 {
+		return
 	}
-	if cap(p.pool) < m.params.TotalBlocks {
-		// One-shot full-capacity allocation: a pool never holds more
-		// than TotalBlocks entries, the capacity survives episode resets
-		// and occupant replacement, so every slot pays this once —
-		// incremental append growth would instead realloc a handful of
-		// times per slot, spread over the whole run.
-		np := make([]poolEntry, len(p.pool), m.params.TotalBlocks)
-		copy(np, p.pool)
-		p.pool = np
-	}
-	if p.inPool == nil {
-		// Sized to the pool's hard cap so steady-state assigns never
-		// grow the table (the dedup map lives as long as the slot).
-		p.inPool = make(map[overlay.PeerID]uint32, m.params.TotalBlocks)
+	if cap(p.pool)-len(p.pool) < room {
+		// At least doubled, so that a pool that accumulates over rounds
+		// (metered uploads take a few candidates at a time) settles
+		// within two growths.
+		want := max(len(p.pool)+room, 2*cap(p.pool))
+		p.pool = m.pools.grow(p.pool, min(want, m.params.TotalBlocks))
 	}
 	ctx := selection.Context{Round: m.env.Round()}
-	ownerView := m.env.View(id)
+	ownerView := ws.View(id)
 	for tries := 0; tries < m.params.PoolSamplePerRound && len(p.pool) < m.params.TotalBlocks; tries++ {
 		c := m.env.SampleCandidate(r)
 		if c == overlay.NoPeer || c == id {
@@ -866,21 +918,18 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState) {
 		if !m.led.Online(c) {
 			continue // cannot negotiate with an offline peer
 		}
-		if gen, ok := p.inPool[c]; ok && gen == m.tab.Gen(c) {
-			continue // already pooled
+		if marks.taken(c) {
+			continue // already pooled, or a partner: one block per partner per archive
 		}
 		if !p.unmetered && m.freeQuota(c) < 1 {
 			continue
 		}
-		if m.partnerMark[c] == epoch {
-			continue // one block per partner per archive
-		}
-		candView := m.env.View(c)
+		candView := ws.View(c)
 		if !selection.AgreeCtx(r, m.pol, ctx, ownerView, candView) {
 			continue
 		}
-		p.inPool[c] = m.tab.Gen(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, candView)})
+		marks.setPooled(c)
+		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, candView, ws.memoize)})
 	}
 }
 
@@ -911,6 +960,5 @@ func (m *Maintainer) takeBestPlaceable(id overlay.PeerID, p *peerState) overlay.
 	last := len(p.pool) - 1
 	p.pool[bestIdx] = p.pool[last]
 	p.pool = p.pool[:last]
-	delete(p.inPool, chosen)
 	return chosen
 }

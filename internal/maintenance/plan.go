@@ -28,9 +28,11 @@ package maintenance
 // goroutine per disjoint owner set, each with its own Workspace and its
 // own rng stream. It writes only owner-local state (the owner's
 // peerState and pool) and Workspace-local scratch; it never touches the
-// Maintainer's shared markEpoch/partnerMark/hostBuf, and it reads the
-// score memo without storing misses. ApplyPlan must run on a single
-// goroutine.
+// Maintainer's own Workspace, and it reads the score memo without
+// storing misses. The one shared structure it reaches is the pool-buffer
+// cache (a planned step takes a buffer to pool candidates in and returns
+// it once the pool is empty), which is synchronised. ApplyPlan must run
+// on a single goroutine.
 
 import (
 	"fmt"
@@ -77,10 +79,9 @@ type PlanResult struct {
 	OpEnd     int32
 }
 
-// Workspace is one plan-phase worker's scratch: its own partner-mark
-// epochs (the shared Maintainer arrays would race across workers), its
-// op log and results, and the read-only view accessor the engine
-// supplies.
+// Workspace is one plan-phase worker's scratch: its own mark epochs (the
+// Maintainer's would race across workers), its op log and results, and
+// the read-only view accessor the engine supplies.
 type Workspace struct {
 	// View describes a peer for the selection policy without mutating
 	// any shared memo (the engine's v3 accessor reads its view cache but
@@ -92,18 +93,17 @@ type Workspace struct {
 	Ops     []PlannedOp
 	Results []PlanResult
 
-	markEpoch   uint64
-	partnerMark []uint64
-	hostBuf     []overlay.PeerID
+	marks   markSet
+	hostBuf []overlay.PeerID
+	// memoize lets score-memo misses be stored: set only on the
+	// Maintainer's own Workspace, which Step uses single-threaded.
+	memoize bool
 }
 
 // NewWorkspace returns a Workspace for a population of n slots using
 // the given read-only view accessor.
 func NewWorkspace(n int, view func(id overlay.PeerID) selection.View) *Workspace {
-	return &Workspace{
-		View:        view,
-		partnerMark: make([]uint64, n),
-	}
+	return &Workspace{View: view, marks: newMarkSet(n)}
 }
 
 // Reset clears the op log and results for a new round. Mark epochs
@@ -111,15 +111,6 @@ func NewWorkspace(n int, view func(id overlay.PeerID) selection.View) *Workspace
 func (ws *Workspace) Reset() {
 	ws.Ops = ws.Ops[:0]
 	ws.Results = ws.Results[:0]
-}
-
-// scoreOfRO is scoreOf without the memo store: concurrent planners may
-// read a warmed entry but must not race on writing misses.
-func (m *Maintainer) scoreOfRO(ctx selection.Context, c overlay.PeerID, v selection.View) float64 {
-	if m.scoreKey != nil && m.scoreKey[c] == ctx.Round+1 {
-		return m.scoreVal[c]
-	}
-	return m.pol.Score(ctx, v)
 }
 
 // PlanStep plans one round of maintenance for an online owner against
@@ -155,6 +146,7 @@ func (m *Maintainer) PlanStep(r *rng.Rand, id overlay.PeerID, ws *Workspace) {
 			panic(fmt.Sprintf("maintenance: bad state %d", p.st))
 		}
 	}
+	m.releaseEmptyPool(p)
 	pr.OpEnd = int32(len(ws.Ops))
 	ws.Results = append(ws.Results, pr)
 }
@@ -170,7 +162,7 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 		pr.Res = StepResult{Outcome: OutcomeCanceled}
 		return
 	}
-	m.planRefreshPool(r, id, p, ws)
+	m.refreshPool(r, id, p, ws)
 	if visible < m.params.DataBlocks {
 		pr.Res = StepResult{Outcome: OutcomeStalled}
 		if !p.outage {
@@ -216,10 +208,11 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 	m.planUpload(r, id, p, ws, pr, alive)
 }
 
-// planUpload mirrors stepUpload against the frozen round state. alive
+// planUpload mirrors stepUpload against the frozen round state (the
+// pool refresh is the same refreshPool, on the worker's scratch). alive
 // is the owner's live block count net of drops planned this step.
 func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace, pr *PlanResult, alive int) {
-	m.planRefreshPool(r, id, p, ws)
+	m.refreshPool(r, id, p, ws)
 	if m.xfer != nil && !p.unmetered {
 		m.planUploadTransfers(id, p, ws, alive)
 		return // OutcomeNone; transfer completions finish episodes
@@ -229,7 +222,7 @@ func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws
 		e.placeable = m.tab.Current(e.ref) &&
 			m.led.Online(e.ref.ID) &&
 			(p.unmetered || m.freeQuota(e.ref.ID) >= 1) &&
-			ws.partnerMark[e.ref.ID] != ws.markEpoch
+			!ws.marks.isPartner(e.ref.ID)
 	}
 	deficit := m.targetBlocks(id) - alive
 	budget := m.params.UploadBudgetPerRound
@@ -242,7 +235,7 @@ func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws
 			break
 		}
 		ws.Ops = append(ws.Ops, PlannedOp{Kind: OpPlace, Host: best})
-		ws.partnerMark[best] = ws.markEpoch
+		ws.marks.setPartner(best)
 		p.uploaded++
 		deficit--
 		budget--
@@ -263,7 +256,7 @@ func (m *Maintainer) planUploadTransfers(id overlay.PeerID, p *peerState, ws *Wo
 		e.placeable = m.tab.Current(e.ref) &&
 			m.led.Online(e.ref.ID) &&
 			m.freeQuota(e.ref.ID) >= 1 &&
-			ws.partnerMark[e.ref.ID] != ws.markEpoch
+			!ws.marks.isPartner(e.ref.ID)
 	}
 	deficit := m.targetBlocks(id) - alive - m.xfer.Inflight(id)
 	slots := m.xfer.UploadSlots(id)
@@ -273,77 +266,9 @@ func (m *Maintainer) planUploadTransfers(id overlay.PeerID, p *peerState, ws *Wo
 			break
 		}
 		ws.Ops = append(ws.Ops, PlannedOp{Kind: OpBeginUpload, Host: best})
-		ws.partnerMark[best] = ws.markEpoch
+		ws.marks.setPartner(best)
 		deficit--
 		slots--
-	}
-}
-
-// planRefreshPool mirrors refreshPool using the Workspace's own
-// partner-mark epochs, the frozen ledger/scheduler state and the
-// read-only view accessor. Sampling and acceptance draw from r exactly
-// as refreshPool does, so the per-slot draw sequence is reproducible.
-func (m *Maintainer) planRefreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace) {
-	ws.markEpoch++
-	epoch := ws.markEpoch
-	ws.hostBuf = m.led.Hosts(id, ws.hostBuf[:0])
-	for _, h := range ws.hostBuf {
-		ws.partnerMark[h] = epoch
-	}
-	if m.xfer != nil && !p.unmetered {
-		ws.hostBuf = m.xfer.PendingHosts(id, ws.hostBuf[:0])
-		for _, h := range ws.hostBuf {
-			ws.partnerMark[h] = epoch
-		}
-	}
-
-	// Prune entries that can never be used again.
-	valid := p.pool[:0]
-	for _, e := range p.pool {
-		if !m.tab.Current(e.ref) || ws.partnerMark[e.ref.ID] == epoch {
-			delete(p.inPool, e.ref.ID)
-			continue
-		}
-		valid = append(valid, e)
-	}
-	p.pool = valid
-
-	if len(p.pool) >= m.params.TotalBlocks {
-		return // pool is as large as any conceivable deficit
-	}
-	if cap(p.pool) < m.params.TotalBlocks {
-		np := make([]poolEntry, len(p.pool), m.params.TotalBlocks)
-		copy(np, p.pool)
-		p.pool = np
-	}
-	if p.inPool == nil {
-		p.inPool = make(map[overlay.PeerID]uint32, m.params.TotalBlocks)
-	}
-	ctx := selection.Context{Round: m.env.Round()}
-	ownerView := ws.View(id)
-	for tries := 0; tries < m.params.PoolSamplePerRound && len(p.pool) < m.params.TotalBlocks; tries++ {
-		c := m.env.SampleCandidate(r)
-		if c == overlay.NoPeer || c == id {
-			continue
-		}
-		if !m.led.Online(c) {
-			continue // cannot negotiate with an offline peer
-		}
-		if gen, ok := p.inPool[c]; ok && gen == m.tab.Gen(c) {
-			continue // already pooled
-		}
-		if !p.unmetered && m.freeQuota(c) < 1 {
-			continue
-		}
-		if ws.partnerMark[c] == epoch {
-			continue // one block per partner per archive
-		}
-		candView := ws.View(c)
-		if !selection.AgreeCtx(r, m.pol, ctx, ownerView, candView) {
-			continue
-		}
-		p.inPool[c] = m.tab.Gen(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOfRO(ctx, c, candView)})
 	}
 }
 
@@ -411,14 +336,7 @@ func (m *Maintainer) ApplyPlan(ws *Workspace, pr *PlanResult) StepResult {
 // together are exactly ResetArchive.
 func (m *Maintainer) ResetArchiveLocal(id overlay.PeerID) {
 	p := &m.peers[id]
-	p.included = false
-	p.outage = false
 	p.lossCheck = false
-	p.st = stateIdle
-	p.waited = 0
-	p.uploaded = 0
-	p.dropped = 0
-	p.pool = p.pool[:0]
-	clear(p.inPool)
+	m.abandonArchive(p)
 	p.armed = true // the re-encoded archive needs a full upload
 }

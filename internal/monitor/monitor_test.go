@@ -170,17 +170,29 @@ func TestIntervalHistoryRedundantAndSameRound(t *testing.T) {
 	if h.Transitions() != 1 {
 		t.Fatalf("Transitions = %d, want 1", h.Transitions())
 	}
-	// Same-round flip replaces.
+	// A same-round flip back cancels the transition it follows: the
+	// stored states keep alternating instead of leaving (0,on) (10,on).
 	_ = h.RecordTransition(10, false)
 	_ = h.RecordTransition(10, true)
-	if h.Transitions() != 2 {
-		t.Fatalf("Transitions = %d, want 2 after same-round replace", h.Transitions())
+	if h.Transitions() != 1 {
+		t.Fatalf("Transitions = %d, want 1 after a same-round flip back", h.Transitions())
 	}
 	if on, _ := h.OnlineAt(10); !on {
 		t.Fatal("same-round replacement must win")
 	}
+	// The cancelled record still counts for ordering.
 	if err := h.RecordTransition(3, false); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("out of order accepted: %v", err)
+	}
+	if err := h.RecordTransition(9, false); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("record before a cancelled same-round flip accepted: %v", err)
+	}
+	// The initial state has no predecessor and is rewritten in place.
+	h = NewIntervalHistory(100)
+	_ = h.RecordTransition(4, false)
+	_ = h.RecordTransition(4, true)
+	if on, known := h.OnlineAt(4); h.Transitions() != 1 || !known || !on {
+		t.Fatalf("initial same-round flip: %d transitions, OnlineAt(4) = (%v,%v)", h.Transitions(), on, known)
 	}
 }
 

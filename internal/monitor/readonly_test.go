@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"p2pbackup/internal/rng"
 )
@@ -95,34 +97,86 @@ func (h *naiveHistory) onlineAt(round int64) (bool, bool) {
 	return false, false
 }
 
+// checkPacked asserts the invariants the packed ring layout relies on:
+// stored rounds strictly increase, states alternate, and every prefix
+// sum is the online time the preceding transitions add up to.
+func checkPacked(t *testing.T, h *IntervalHistory) {
+	t.Helper()
+	for i := 1; i < h.n; i++ {
+		prev, cur := h.at(i-1), h.at(i)
+		if cur.off <= prev.off {
+			t.Fatalf("transition %d at offset %d does not follow %d", i, cur.off, prev.off)
+		}
+		if cur.online() == prev.online() {
+			t.Fatalf("transitions %d and %d both say online=%v", i-1, i, cur.online())
+		}
+		want := prev.onBefore()
+		if prev.online() {
+			want += int64(cur.off - prev.off)
+		}
+		if cur.onBefore() != want {
+			t.Fatalf("transition %d: prefix %d, want %d", i, cur.onBefore(), want)
+		}
+	}
+}
+
 // TestIntervalHistoryMatchesNaive drives the prefix-summed
 // IntervalHistory and the naive reference through randomized
-// record/reset/query schedules and demands bit-identical uptimes —
+// record/reset/query schedules and demands bit-identical answers —
 // including interleaved queries, which no longer prune and so must
-// never perturb later answers.
+// never perturb later answers. The schedules cover what the packed
+// 8-byte layout could get wrong: bursts of same-round flips (a flip back
+// drops the entry it cancels), histories whose offsets run up to the
+// 31-bit guard (every third trial jumps there; a record past it must
+// fail with ErrSpan and leave the history as it was), and Reset reusing
+// a grown ring under a new start round.
 func TestIntervalHistoryMatchesNaive(t *testing.T) {
 	r := rng.New(1234)
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		window := int64(8 + r.Intn(200))
 		iv := NewIntervalHistory(window)
 		ref := &naiveHistory{window: window}
+		nearGuard := trial%3 == 2
 
 		round := int64(r.Intn(50))
 		online := r.Bool(0.5)
+		record := func(step int) {
+			err := iv.RecordTransition(round, online)
+			if ref.began && round-ref.start > maxSpan && ref.trans[len(ref.trans)-1].online != online {
+				if !errors.Is(err, ErrSpan) {
+					t.Fatalf("trial %d step %d: record %d rounds after the start: %v, want ErrSpan",
+						trial, step, round-ref.start, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			ref.record(round, online)
+		}
 		for step := 0; step < 300; step++ {
 			switch {
-			case r.Bool(0.02): // occupant replaced
+			case r.Bool(0.02): // occupant replaced; the ring keeps its capacity
+				grown := len(iv.buf)
 				iv.Reset()
 				ref.reset()
+				if len(iv.buf) != grown {
+					t.Fatalf("trial %d step %d: Reset changed the ring from %d to %d entries", trial, step, grown, len(iv.buf))
+				}
 				round += int64(r.Intn(30))
 				online = r.Bool(0.5)
 			case r.Bool(0.5): // session transition (sometimes same-round)
-				if err := iv.RecordTransition(round, online); err != nil {
-					t.Fatal(err)
-				}
-				ref.record(round, online)
+				record(step)
 				online = !online
+				for r.Bool(0.15) { // a burst of flips within the round
+					record(step)
+					online = !online
+				}
 				round += int64(r.Intn(12))
+				if nearGuard && ref.began && len(ref.trans) == 1 {
+					// Leave the rest of the schedule straddling the guard.
+					round = ref.start + maxSpan - int64(r.Intn(600))
+				}
 			default: // query at an arbitrary horizon, including the far future
 				now := round + int64(r.Intn(40))
 				n := int64(1 + r.Intn(int(window)+40))
@@ -136,13 +190,65 @@ func TestIntervalHistoryMatchesNaive(t *testing.T) {
 				// The reference never prunes; the production history may
 				// have forgotten rounds before its stored span. A pruned
 				// answer must only ever degrade to unknown, never to a
-				// wrong state.
+				// wrong state — and inside the window it must not degrade.
 				if gotKnown && (gotOn != wantOn || !wantKnown) {
 					t.Fatalf("trial %d step %d: OnlineAt(%d) = (%v,%v), naive (%v,%v)",
 						trial, step, probe, gotOn, gotKnown, wantOn, wantKnown)
 				}
+				if wantKnown && !gotKnown && ref.began && probe >= ref.trans[len(ref.trans)-1].round-window {
+					t.Fatalf("trial %d step %d: OnlineAt(%d) unknown inside the window", trial, step, probe)
+				}
 			}
+			checkPacked(t, iv)
 		}
+	}
+}
+
+// TestIntervalHistorySpanGuard pins the packed layout's limit: the last
+// representable round is recorded and answered exactly, one round more
+// is an error that changes nothing, and a Reset starts a new span.
+func TestIntervalHistorySpanGuard(t *testing.T) {
+	const start = int64(1000)
+	h := NewIntervalHistory(1 << 40) // never prunes: the prefix sum reaches the guard too
+	if err := h.RecordTransition(start, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RecordTransition(start+maxSpan+1, false); !errors.Is(err, ErrSpan) {
+		t.Fatalf("record past the guard: %v, want ErrSpan", err)
+	}
+	if err := h.RecordTransition(start+maxSpan, false); err != nil {
+		t.Fatalf("record at the guard: %v", err)
+	}
+	if got := h.at(1).onBefore(); got != maxSpan {
+		t.Fatalf("prefix at the guard = %d, want %d", got, int64(maxSpan))
+	}
+	if got := h.Uptime(start+maxSpan+10, maxSpan+10); got != float64(maxSpan)/float64(maxSpan+10) {
+		t.Fatalf("Uptime across the guard = %v", got)
+	}
+	if on, known := h.OnlineAt(start + maxSpan - 1); !known || !on {
+		t.Fatalf("OnlineAt just before the guard = (%v,%v)", on, known)
+	}
+	if err := h.RecordTransition(start+maxSpan+5, true); !errors.Is(err, ErrSpan) {
+		t.Fatalf("record past the guard: %v, want ErrSpan", err)
+	}
+	if h.Transitions() != 2 {
+		t.Fatalf("refused records left %d transitions, want 2", h.Transitions())
+	}
+	h.Reset()
+	if err := h.RecordTransition(start+maxSpan+5, true); err != nil {
+		t.Fatalf("record after Reset: %v", err)
+	}
+	if since, ok := h.ObservedSince(); !ok || since != start+maxSpan+5 {
+		t.Fatalf("ObservedSince after Reset = (%d,%v)", since, ok)
+	}
+}
+
+// TestTransitionSize holds the ring entry at 8 bytes: at paper scale the
+// rings hold 6.4 million entries, and the 24-byte layout this replaced
+// was a quarter of the simulator's heap.
+func TestTransitionSize(t *testing.T) {
+	if got := unsafe.Sizeof(transition{}); got != 8 {
+		t.Fatalf("transition is %d bytes, want 8", got)
 	}
 }
 

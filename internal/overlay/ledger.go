@@ -46,13 +46,38 @@ var (
 )
 
 // placement is one block stored by owner on host, with the index of the
-// mirror entry in the host's reverse list. unmetered marks observer
-// placements that do not consume the host's quota.
+// mirror entry in the host's reverse list. The index shares its word
+// with the unmetered flag (observer placements that do not consume the
+// host's quota), which keeps the entry at 8 bytes: a paper-scale run
+// holds 6.4 million of them. A reverse list is bounded by the quota plus
+// the observer count, far below the 31 bits left for the index.
 type placement struct {
-	host      PeerID
-	hostIdx   int32
-	unmetered bool
+	host PeerID
+	rev  uint32 // unmeteredBit | index in the host's reverse list
 }
+
+// unmeteredBit flags an observer placement inside placement.rev.
+const unmeteredBit = 1 << 31
+
+func newPlacement(host PeerID, hostIdx int32, unmetered bool) placement {
+	p := placement{host: host, rev: uint32(hostIdx)}
+	if unmetered {
+		p.rev |= unmeteredBit
+	}
+	return p
+}
+
+// hostIdx returns the index of the mirror entry in the host's reverse
+// list.
+func (p placement) hostIdx() int32 { return int32(p.rev &^ unmeteredBit) }
+
+// unmetered reports whether the placement is exempt from the host's
+// quota.
+func (p placement) unmetered() bool { return p.rev&unmeteredBit != 0 }
+
+// setHostIdx repoints the placement at a moved mirror entry, keeping
+// the unmetered flag.
+func (p *placement) setHostIdx(idx int32) { p.rev = p.rev&unmeteredBit | uint32(idx) }
 
 // hostEntry mirrors a placement from the host's perspective.
 type hostEntry struct {
@@ -218,7 +243,7 @@ func (l *Ledger) place(owner, host PeerID, unmetered bool) error {
 	}
 	fwdIdx := int32(len(l.fwd[owner]))
 	revIdx := int32(len(l.rev[host]))
-	l.fwd[owner] = append(l.fwd[owner], placement{host: host, hostIdx: revIdx, unmetered: unmetered})
+	l.fwd[owner] = append(l.fwd[owner], newPlacement(host, revIdx, unmetered))
 	l.rev[host] = append(l.rev[host], hostEntry{owner: owner, ownerIdx: fwdIdx})
 	if !unmetered {
 		l.metered[host]++
@@ -251,7 +276,7 @@ func (l *Ledger) removeFwdAt(owner PeerID, idx int32) {
 	if idx != last {
 		moved := list[last]
 		list[idx] = moved
-		l.rev[moved.host][moved.hostIdx].ownerIdx = idx
+		l.rev[moved.host][moved.hostIdx()].ownerIdx = idx
 	}
 	l.fwd[owner] = list[:last]
 }
@@ -264,7 +289,7 @@ func (l *Ledger) removeRevAt(host PeerID, idx int32) {
 	if idx != last {
 		moved := list[last]
 		list[idx] = moved
-		l.fwd[moved.owner][moved.ownerIdx].hostIdx = idx
+		l.fwd[moved.owner][moved.ownerIdx].setHostIdx(idx)
 	}
 	l.rev[host] = list[:last]
 }
@@ -280,9 +305,9 @@ func (l *Ledger) DropPlacementAt(owner PeerID, idx int) error {
 		return fmt.Errorf("%w: owner %d idx %d", ErrBadPlacement, owner, idx)
 	}
 	p := l.fwd[owner][idx]
-	l.removeRevAt(p.host, p.hostIdx)
+	l.removeRevAt(p.host, p.hostIdx())
 	l.removeFwdAt(owner, int32(idx))
-	if !p.unmetered {
+	if !p.unmetered() {
 		l.metered[p.host]--
 	}
 	l.noteAliveDec(owner)
@@ -367,8 +392,8 @@ func (l *Ledger) DropOwner(owner PeerID) {
 	crossAlive := l.watcher != nil && l.aliveThr > 0 && int32(len(l.fwd[owner])) >= l.aliveThr
 	crossVis := l.watcher != nil && l.visThr > 0 && l.visible[owner] >= l.visThr
 	for _, p := range l.fwd[owner] {
-		l.removeRevAt(p.host, p.hostIdx)
-		if !p.unmetered {
+		l.removeRevAt(p.host, p.hostIdx())
+		if !p.unmetered() {
 			l.metered[p.host]--
 		}
 	}
@@ -494,17 +519,17 @@ func (l *Ledger) CheckConsistency() error {
 			if err := l.check(p.host); err != nil {
 				return fmt.Errorf("owner %d placement %d: %w", owner, i, err)
 			}
-			if int(p.hostIdx) >= len(l.rev[p.host]) {
-				return fmt.Errorf("owner %d placement %d: hostIdx %d out of range", owner, i, p.hostIdx)
+			if int(p.hostIdx()) >= len(l.rev[p.host]) {
+				return fmt.Errorf("owner %d placement %d: hostIdx %d out of range", owner, i, p.hostIdx())
 			}
-			mirror := l.rev[p.host][p.hostIdx]
+			mirror := l.rev[p.host][p.hostIdx()]
 			if mirror.owner != PeerID(owner) || int(mirror.ownerIdx) != i {
 				return fmt.Errorf("owner %d placement %d: mirror mismatch (%d,%d)", owner, i, mirror.owner, mirror.ownerIdx)
 			}
 			if l.online[p.host] {
 				vis++
 			}
-			if !p.unmetered {
+			if !p.unmetered() {
 				meterRecount[p.host]++
 			}
 		}
@@ -524,8 +549,8 @@ func (l *Ledger) CheckConsistency() error {
 				return fmt.Errorf("host %d entry %d: ownerIdx %d out of range", host, i, e.ownerIdx)
 			}
 			mirror := l.fwd[e.owner][e.ownerIdx]
-			if mirror.host != PeerID(host) || int(mirror.hostIdx) != i {
-				return fmt.Errorf("host %d entry %d: mirror mismatch (%d,%d)", host, i, mirror.host, mirror.hostIdx)
+			if mirror.host != PeerID(host) || int(mirror.hostIdx()) != i {
+				return fmt.Errorf("host %d entry %d: mirror mismatch (%d,%d)", host, i, mirror.host, mirror.hostIdx())
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"p2pbackup/internal/rng"
 )
@@ -370,4 +371,53 @@ func TestTableGenerations(t *testing.T) {
 		}()
 		NewTable(0)
 	}()
+}
+
+// TestAdjacencyEntrySizes holds both adjacency entries at 8 bytes: a
+// paper-scale run reserves 256 placements and 384 host entries per
+// slot, so every byte here is 16 MB there.
+func TestAdjacencyEntrySizes(t *testing.T) {
+	if got := unsafe.Sizeof(placement{}); got != 8 {
+		t.Errorf("placement is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(hostEntry{}); got != 8 {
+		t.Errorf("hostEntry is %d bytes, want 8", got)
+	}
+}
+
+// TestUnmeteredFlagSurvivesBackpatch moves an observer placement's
+// mirror entry around the host's reverse list: the flag packed beside
+// the index must come through every backpatch, or the host's quota
+// accounting drifts when the placement is finally dropped.
+func TestUnmeteredFlagSurvivesBackpatch(t *testing.T) {
+	l := NewLedger(6, 4)
+	l.SetStrict(true)
+	const host, observer = PeerID(0), PeerID(5)
+	for owner := PeerID(1); owner <= 3; owner++ {
+		if err := l.Place(owner, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.PlaceUnmetered(observer, host); err != nil {
+		t.Fatal(err)
+	}
+	// Each drop swap-removes the last reverse entry — the observer's,
+	// then whatever took its place — into the freed index.
+	for owner := PeerID(1); owner <= 3; owner++ {
+		if err := l.DropPlacementAt(owner, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.CheckConsistency(); err != nil {
+			t.Fatalf("after owner %d's drop: %v", owner, err)
+		}
+	}
+	if got := l.MeteredHosted(host); got != 0 {
+		t.Fatalf("host meters %d blocks with only the observer's left", got)
+	}
+	if err := l.DropPlacementAt(observer, 0); err != nil {
+		t.Fatal(err)
+	}
+	if l.MeteredHosted(host) != 0 || l.Hosted(host) != 0 || l.FreeQuota(host) != 4 {
+		t.Fatalf("host ends with %d hosted, %d metered, %d free", l.Hosted(host), l.MeteredHosted(host), l.FreeQuota(host))
+	}
 }

@@ -165,8 +165,8 @@ type Simulation struct {
 	// example the last 90 days"). Maintained by the engine on every
 	// session transition; consumes no randomness. Reset when the slot's
 	// occupant is replaced — observations belong to identities, not
-	// slots.
-	hist []*monitor.IntervalHistory
+	// slots. Held by value in one array: views point into it.
+	hist []monitor.IntervalHistory
 
 	// Event-driven core: each population slot has one authoritative
 	// wake time (sched, the earliest of its death/category/toggle
@@ -217,7 +217,7 @@ func New(cfg Config) (*Simulation, error) {
 		col:      metrics.NewCollector(cfg.Profiles.Len(), cfg.SampleEvery, cfg.Warmup),
 		peers:    make([]peer, cfg.NumPeers),
 		obsSpecs: cfg.Observers,
-		hist:     make([]*monitor.IntervalHistory, cfg.NumPeers),
+		hist:     make([]monitor.IntervalHistory, cfg.NumPeers),
 		cal:      newCalendar(),
 		sched:    make([]int64, cfg.NumPeers),
 		curQ:     newVisitQueue(cfg.NumPeers),
@@ -234,7 +234,7 @@ func New(cfg Config) (*Simulation, error) {
 		s.sched[i] = never
 	}
 	for i := range s.hist {
-		s.hist[i] = monitor.NewIntervalHistory(cfg.AcceptHorizon)
+		s.hist[i] = *monitor.NewIntervalHistory(cfg.AcceptHorizon)
 	}
 	names := make([]string, len(cfg.Observers))
 	for i, o := range cfg.Observers {
@@ -585,7 +585,7 @@ func (s *Simulation) materializeView(id overlay.PeerID) selection.View {
 		remaining = p.death - s.round
 	}
 	v := selection.View{
-		Observed: selection.Observed{Age: s.round - p.join, History: s.hist[id]},
+		Observed: selection.Observed{Age: s.round - p.join, History: &s.hist[id]},
 		Oracle:   selection.Oracle{Availability: p.avail, Remaining: remaining},
 	}
 	s.viewKey[id] = key

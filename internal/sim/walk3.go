@@ -189,7 +189,7 @@ func (s *Simulation) viewRO(id overlay.PeerID) selection.View {
 		remaining = p.death - s.round
 	}
 	return selection.View{
-		Observed: selection.Observed{Age: s.round - p.join, History: s.hist[id]},
+		Observed: selection.Observed{Age: s.round - p.join, History: &s.hist[id]},
 		Oracle:   selection.Oracle{Availability: p.avail, Remaining: remaining},
 	}
 }
