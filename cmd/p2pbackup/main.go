@@ -58,7 +58,7 @@ func usage() {
 	os.Exit(2)
 }
 
-func cmdBackup(args []string) error {
+func cmdBackup(args []string) (err error) {
 	fs := flag.NewFlagSet("backup", flag.ExitOnError)
 	src := fs.String("src", "", "directory to back up")
 	repo := fs.String("repo", "", "repository directory")
@@ -76,34 +76,42 @@ func cmdBackup(args []string) error {
 	if *peers < params.Total() {
 		return fmt.Errorf("need at least n=%d peers for one block per peer, got %d", params.Total(), *peers)
 	}
-	entries, err := backup.CollectDir(*src)
-	if err != nil {
-		return err
-	}
-	plaintext, err := backup.PackFiles(entries)
-	if err != nil {
-		return err
-	}
 	identity, err := backup.NewIdentity()
 	if err != nil {
 		return err
 	}
-	blocks, manifest, err := backup.EncodeArchive(params, identity, plaintext, *src)
-	if err != nil {
-		return err
-	}
+	// Blocks reach the peers while the source is still being read, so a
+	// backup that fails takes back what it stored (best effort): without
+	// a master block naming them the blocks are nobody's.
+	var undo []func()
+	defer func() {
+		if err != nil {
+			for _, remove := range undo {
+				remove()
+			}
+		}
+	}()
 	// Distribute: block i goes to peer i (one block per partner).
 	partners := map[int][]string{}
-	for i, block := range blocks {
+	manifest, files, size, err := backup.EncodeDir(params, identity, *src, *src, func(i int, block []byte) error {
 		peerDir := filepath.Join(*repo, fmt.Sprintf("peer-%03d", i%*peers))
 		st, err := storage.OpenDiskStore(peerDir, 0)
 		if err != nil {
 			return err
 		}
-		if _, err := st.Put(block); err != nil {
+		held := st.Len()
+		id, err := st.Put(block)
+		if err != nil {
 			return err
 		}
+		if st.Len() > held { // not a block the peer already had
+			undo = append(undo, func() { _ = st.Delete(id) })
+		}
 		partners[0] = append(partners[0], filepath.Base(peerDir))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	mb := &backup.MasterBlock{Manifests: []*backup.Manifest{manifest}, Partners: partners}
 	raw, err := backup.MarshalMasterBlock(mb)
@@ -117,7 +125,7 @@ func cmdBackup(args []string) error {
 		return err
 	}
 	fmt.Printf("backed up %d files (%d bytes) as %d blocks over %d peers; tolerate %d peer losses\n",
-		len(entries), len(plaintext), len(blocks), *peers, params.ParityBlocks)
+		files, size, params.Total(), *peers, params.ParityBlocks)
 	return nil
 }
 
@@ -133,8 +141,12 @@ func cmdRestore(args []string) error {
 	if err != nil {
 		return err
 	}
+	stores := openStores(*repo)
 	for idx, manifest := range mb.Manifests {
-		blocks, found := gatherBlocks(*repo, manifest)
+		// k intact blocks are all a restore needs, data blocks first.
+		blocks, found := manifest.Gather(manifest.Params.DataBlocks, func(_ int, id storage.BlockID) []byte {
+			return findBlock(stores, id)
+		})
 		plaintext, err := backup.DecodeArchive(manifest, identity, blocks)
 		if err != nil {
 			return fmt.Errorf("archive %d (%d/%d blocks found): %w", idx, found, manifest.Params.Total(), err)
@@ -163,9 +175,16 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
+	stores := openStores(*repo)
 	exit := error(nil)
 	for idx, manifest := range mb.Manifests {
-		_, found := gatherBlocks(*repo, manifest)
+		// One block at a time: each is read and re-hashed, none is kept.
+		found := 0
+		for _, id := range manifest.BlockIDs {
+			if findBlock(stores, id) != nil {
+				found++
+			}
+		}
 		need := manifest.Params.DataBlocks
 		status := "OK"
 		if found < need {
@@ -196,10 +215,8 @@ func loadRepo(repo string) (*backup.Identity, *backup.MasterBlock, error) {
 	return identity, mb, nil
 }
 
-// gatherBlocks scans every peer store for the manifest's blocks.
-func gatherBlocks(repo string, manifest *backup.Manifest) ([][]byte, int) {
-	blocks := make([][]byte, manifest.Params.Total())
-	found := 0
+// openStores opens every peer store of the repository that can be.
+func openStores(repo string) []storage.Store {
 	peerDirs, _ := filepath.Glob(filepath.Join(repo, "peer-*"))
 	var stores []storage.Store
 	for _, dir := range peerDirs {
@@ -207,16 +224,18 @@ func gatherBlocks(repo string, manifest *backup.Manifest) ([][]byte, int) {
 			stores = append(stores, st)
 		}
 	}
-	for i, id := range manifest.BlockIDs {
-		for _, st := range stores {
-			if data, err := st.Get(id); err == nil {
-				blocks[i] = data
-				found++
-				break
-			}
+	return stores
+}
+
+// findBlock returns the block from the first store that holds it
+// intact (Get re-hashes what it reads), or nil.
+func findBlock(stores []storage.Store, id storage.BlockID) []byte {
+	for _, st := range stores {
+		if data, err := st.Get(id); err == nil {
+			return data
 		}
 	}
-	return blocks, found
+	return nil
 }
 
 func writeIdentity(path string, id *backup.Identity) error {

@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -9,6 +10,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 )
 
 // Archive confidentiality (paper section 2.2.1): each archive is
@@ -53,8 +56,17 @@ func subKeys(key []byte) (encKey, macKey []byte) {
 	return he.Sum(nil), hm.Sum(nil)
 }
 
-// Seal encrypts-and-authenticates plaintext under the session key.
-func Seal(key, plaintext []byte) ([]byte, error) {
+// sealer is the encrypt-then-MAC loop, as a writer: what is written to
+// it leaves on dst as iv || ciphertext, and Close appends the tag.
+type sealer struct {
+	dst    io.Writer
+	stream cipher.Stream
+	mac    hash.Hash
+	buf    []byte // ciphertext of the chunk in hand
+}
+
+// newSealer starts a sealed stream on dst under the session key and iv.
+func newSealer(dst io.Writer, key, iv []byte) (*sealer, error) {
 	if len(key) != SessionKeySize {
 		return nil, fmt.Errorf("backup: session key must be %d bytes, got %d", SessionKeySize, len(key))
 	}
@@ -63,20 +75,70 @@ func Seal(key, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, ivSize+len(plaintext)+tagSize)
-	iv := out[:ivSize]
+	s := &sealer{
+		dst:    dst,
+		stream: cipher.NewCTR(block, iv),
+		mac:    hmac.New(sha256.New, macKey),
+		buf:    make([]byte, 32<<10),
+	}
+	s.mac.Write(iv)
+	_, err = dst.Write(iv)
+	return s, err
+}
+
+func (s *sealer) Write(p []byte) (int, error) {
+	for done := 0; done < len(p); {
+		out := s.buf[:min(len(s.buf), len(p)-done)]
+		s.stream.XORKeyStream(out, p[done:done+len(out)])
+		s.mac.Write(out)
+		if _, err := s.dst.Write(out); err != nil {
+			return done, err
+		}
+		done += len(out)
+	}
+	return len(p), nil
+}
+
+func (s *sealer) Close() error {
+	_, err := s.dst.Write(s.mac.Sum(nil))
+	return err
+}
+
+func newIV() ([]byte, error) {
+	iv := make([]byte, ivSize)
 	if _, err := rand.Read(iv); err != nil {
+		return nil, fmt.Errorf("backup: iv: %w", err)
+	}
+	return iv, nil
+}
+
+// Seal encrypts-and-authenticates plaintext under the session key.
+func Seal(key, plaintext []byte) ([]byte, error) {
+	iv, err := newIV()
+	if err != nil {
 		return nil, err
 	}
-	cipher.NewCTR(block, iv).XORKeyStream(out[ivSize:ivSize+len(plaintext)], plaintext)
-	mac := hmac.New(sha256.New, macKey)
-	mac.Write(out[:ivSize+len(plaintext)])
-	copy(out[ivSize+len(plaintext):], mac.Sum(nil))
-	return out, nil
+	return seal(key, iv, plaintext)
+}
+
+func seal(key, iv, plaintext []byte) ([]byte, error) {
+	out := bytes.NewBuffer(make([]byte, 0, sealOverhead+len(plaintext)))
+	s, err := newSealer(out, key, iv)
+	if err != nil {
+		return nil, err
+	}
+	s.Write(plaintext) // a bytes.Buffer takes every write
+	s.Close()
+	return out.Bytes(), nil
 }
 
 // Open verifies and decrypts a Seal output.
-func Open(key, sealed []byte) ([]byte, error) {
+func Open(key, sealed []byte) ([]byte, error) { return open(key, sealed, false) }
+
+// open is Open, decrypting into a buffer of its own or, inPlace, into
+// the ciphertext's own bytes, sealed[ivSize:len(sealed)-tagSize], which
+// it returns. Nothing is written before the tag has verified.
+func open(key, sealed []byte, inPlace bool) ([]byte, error) {
 	if len(key) != SessionKeySize {
 		return nil, fmt.Errorf("backup: session key must be %d bytes, got %d", SessionKeySize, len(key))
 	}
@@ -95,7 +157,10 @@ func Open(key, sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	plaintext := make([]byte, len(body)-ivSize)
+	plaintext := body[ivSize:]
+	if !inPlace {
+		plaintext = make([]byte, len(body)-ivSize)
+	}
 	cipher.NewCTR(block, body[:ivSize]).XORKeyStream(plaintext, body[ivSize:])
 	return plaintext, nil
 }

@@ -1,10 +1,13 @@
 package backup
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 
 	"p2pbackup/internal/erasure"
 	"p2pbackup/internal/storage"
@@ -54,47 +57,171 @@ type Manifest struct {
 // parity shards, hash every block. It returns the n blocks (index ->
 // content) and the manifest.
 func EncodeArchive(params Params, owner *Identity, plaintext []byte, description string) ([][]byte, *Manifest, error) {
-	if err := params.Validate(); err != nil {
+	var blocks [][]byte // put is called with block 0, 1, ... n-1
+	m, err := encodeFresh(params, owner, int64(len(plaintext)),
+		func(w io.Writer) error { _, err := w.Write(plaintext); return err },
+		description,
+		func(_ int, block []byte) error { blocks = append(blocks, bytes.Clone(block)); return nil })
+	if err != nil {
 		return nil, nil, err
 	}
-	if len(plaintext) == 0 {
-		return nil, nil, ErrEmptyArchive
+	return blocks, m, nil
+}
+
+// EncodeDir runs the same pipeline over the regular files under root
+// without ever holding them: the tree is listed, the tar stream sized
+// by a dry run, and then each file is read once, straight through tar,
+// cipher, MAC and hashes into the data shard it falls in. put receives
+// the archive's blocks in index order, data blocks 0..k-1 as they fill
+// and the parity blocks after the last file; the block is only valid
+// during the call. What EncodeDir holds is the parity and one batch of data shards
+// (see erasure.Stream). It returns the manifest, the number of files
+// and the size of the plaintext archive.
+//
+// A file that has vanished, shrunk or grown since the listing fails the
+// backup with ErrSourceChanged, as does any error put returns; blocks
+// handed to put before that belong to no archive.
+func EncodeDir(params Params, owner *Identity, root, description string, put func(i int, block []byte) error) (m *Manifest, files int, size int64, err error) {
+	list, err := listDir(root)
+	if err != nil {
+		return nil, 0, 0, err
 	}
+	if size, err = tarSize(list); err != nil {
+		return nil, 0, 0, err
+	}
+	m, err = encodeFresh(params, owner, size,
+		func(w io.Writer) error { return writeTar(w, list, fromDisk()) },
+		description, put)
+	return m, len(list), size, err
+}
+
+// encodeFresh is encodeStream under a session key and iv drawn here.
+func encodeFresh(params Params, owner *Identity, size int64, body func(io.Writer) error, description string, put func(i int, block []byte) error) (*Manifest, error) {
 	key, err := NewSessionKey()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sealed, err := Seal(key, plaintext)
+	iv, err := newIV()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	return encodeStream(params, owner, key, iv, size, body, description, put)
+}
+
+// encodeStream is the one encoder: body must write exactly size bytes of
+// plaintext archive, which are sealed under key and iv, hashed, cut into
+// data shards and folded into the parity as they pass; every finished
+// block is hashed into the manifest and handed to put.
+func encodeStream(params Params, owner *Identity, key, iv []byte, size int64, body func(io.Writer) error, description string, put func(i int, block []byte) error) (*Manifest, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if size <= 0 {
+		return nil, ErrEmptyArchive
+	}
+	if size > math.MaxInt-sealOverhead {
+		return nil, fmt.Errorf("backup: archive of %d bytes is too large", size)
 	}
 	enc, err := erasure.New(params.DataBlocks, params.ParityBlocks)
 	if err != nil {
-		return nil, nil, err
-	}
-	shards, err := enc.Split(sealed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := enc.Encode(shards); err != nil {
-		return nil, nil, err
-	}
-	wrapped, err := WrapKey(owner.Public(), key)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := &Manifest{
-		ID:          sha256.Sum256(sealed),
-		SealedSize:  len(sealed),
+		SealedSize:  int(size) + sealOverhead,
 		Params:      params,
-		BlockIDs:    make([]storage.BlockID, len(shards)),
-		WrappedKey:  wrapped,
+		BlockIDs:    make([]storage.BlockID, params.Total()),
 		Description: description,
 	}
-	for i, s := range shards {
-		m.BlockIDs[i] = storage.IDOf(s)
+	stream, err := enc.NewStream(m.shardSize())
+	if err != nil {
+		return nil, err
 	}
-	return shards, m, nil
+	emit := func(i int, block []byte) error {
+		m.BlockIDs[i] = storage.IDOf(block)
+		return put(i, block)
+	}
+	id := sha256.New()
+	shards := &shardWriter{stream: stream, last: params.DataBlocks - 1, left: m.SealedSize, emit: emit}
+	sealed, err := newSealer(io.MultiWriter(id, shards), key, iv)
+	if err != nil {
+		return nil, err
+	}
+	if err := body(sealed); err != nil {
+		return nil, err
+	}
+	if err := sealed.Close(); err != nil {
+		return nil, err
+	}
+	if err := shards.finish(); err != nil {
+		return nil, err
+	}
+	if err := stream.Parity(emit); err != nil {
+		return nil, err
+	}
+	id.Sum(m.ID[:0])
+	if m.WrappedKey, err = WrapKey(owner.Public(), key); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// shardWriter cuts the sealed stream into the archive's data shards:
+// shard i is bytes i*S..(i+1)*S-1 of it, the tail padded with zeros.
+type shardWriter struct {
+	stream *erasure.Stream
+	cur    []byte // the shard being filled, nil before the first byte
+	fill   int    // bytes of cur written
+	index  int    // cur's index
+	last   int    // index of the last data shard
+	left   int    // sealed bytes still to come
+	emit   func(i int, shard []byte) error
+}
+
+func (w *shardWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		return 0, fmt.Errorf("backup: archive stream is longer than the %d bytes announced", w.left)
+	}
+	w.left -= len(p)
+	for rest := p; len(rest) > 0; {
+		if w.fill == len(w.cur) {
+			if err := w.advance(); err != nil {
+				return 0, err
+			}
+		}
+		n := copy(w.cur[w.fill:], rest)
+		w.fill += n
+		rest = rest[n:]
+	}
+	return len(p), nil
+}
+
+// advance emits the shard in hand, if any, and takes up the next.
+func (w *shardWriter) advance() error {
+	if w.cur != nil {
+		if err := w.emit(w.index, w.cur); err != nil {
+			return err
+		}
+		w.index++
+	}
+	w.cur, w.fill = w.stream.Next(), 0
+	return nil
+}
+
+// finish pads the shard in hand with zeros and emits it and the
+// all-padding shards a short archive leaves after it.
+func (w *shardWriter) finish() error {
+	if w.left != 0 || w.cur == nil {
+		return fmt.Errorf("backup: archive stream ended %d bytes short of what was announced", w.left)
+	}
+	for {
+		clear(w.cur[w.fill:])
+		if w.index == w.last {
+			return w.emit(w.index, w.cur)
+		}
+		if err := w.advance(); err != nil {
+			return err
+		}
+	}
 }
 
 // Restore errors.
@@ -104,61 +231,87 @@ var (
 	ErrManifest     = errors.New("backup: invalid manifest")
 )
 
+// shardSize is the length of every block of the archive: the sealed
+// size over k, rounded up.
+func (m *Manifest) shardSize() int { return (m.SealedSize-1)/m.Params.DataBlocks + 1 }
+
+// Gather collects up to limit of the archive's blocks in index order,
+// which is data blocks first, so that an intact archive is read without
+// a decode. fetch is asked for block i and returns its content, or nil
+// when it cannot be had intact, in which case the next index is tried.
+// It returns the blocks by index, absent ones nil, and how many it got.
+func (m *Manifest) Gather(limit int, fetch func(i int, id storage.BlockID) []byte) (blocks [][]byte, found int) {
+	blocks = make([][]byte, len(m.BlockIDs))
+	for i, id := range m.BlockIDs {
+		if found == limit {
+			break
+		}
+		if blocks[i] = fetch(i, id); blocks[i] != nil {
+			found++
+		}
+	}
+	return blocks, found
+}
+
 // DecodeArchive reverses EncodeArchive: blocks[i] must be the archive's
 // i-th block or nil if unavailable; any k present blocks suffice. The
-// owner's identity unwraps the session key.
+// owner's identity unwraps the session key. The plaintext is returned
+// only after every block id, the archive hash and the MAC have checked
+// out, and it costs one buffer of k blocks beyond the blocks passed in:
+// the data shards are copied or reconstructed into it where they
+// belong, and it is hashed, authenticated and decrypted where it lies.
 func DecodeArchive(m *Manifest, owner *Identity, blocks [][]byte) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	k, size := m.Params.DataBlocks, m.shardSize()
 	if len(blocks) != m.Params.Total() {
 		return nil, fmt.Errorf("%w: got %d block slots, want %d", ErrManifest, len(blocks), m.Params.Total())
 	}
+	// The sealed size comes from outside; nothing is allocated from it
+	// until k blocks of exactly the length it implies are in hand.
 	present := 0
 	for i, b := range blocks {
 		if len(b) == 0 {
-			blocks[i] = nil
 			continue
+		}
+		if len(b) != size {
+			return nil, fmt.Errorf("%w: block %d has %d bytes, a sealed size of %d makes it %d", ErrManifest, i, len(b), m.SealedSize, size)
 		}
 		if storage.IDOf(b) != m.BlockIDs[i] {
 			return nil, fmt.Errorf("%w: block %d", ErrBlockHash, i)
 		}
 		present++
 	}
-	if present < m.Params.DataBlocks {
-		return nil, fmt.Errorf("%w: %d of %d, need %d", ErrTooFewBlocks, present, m.Params.Total(), m.Params.DataBlocks)
+	if present < k {
+		return nil, fmt.Errorf("%w: %d of %d, need %d", ErrTooFewBlocks, present, m.Params.Total(), k)
 	}
-	enc, err := erasure.New(m.Params.DataBlocks, m.Params.ParityBlocks)
+	enc, err := erasure.New(k, m.Params.ParityBlocks)
 	if err != nil {
 		return nil, err
 	}
-	if err := enc.ReconstructData(blocks); err != nil {
+	// Data shard i lives at buf[i*size:]: a present one is copied there,
+	// a missing one is an empty slot with that capacity, which
+	// ReconstructData fills in place.
+	buf := make([]byte, k*size)
+	shards := make([][]byte, len(blocks))
+	copy(shards[k:], blocks[k:])
+	for i := range shards[:k] {
+		slot := buf[i*size : (i+1)*size]
+		shards[i] = slot[:copy(slot, blocks[i])]
+	}
+	if err := enc.ReconstructData(shards); err != nil {
 		return nil, err
 	}
-	var sealedBuf []byte
-	{
-		// Join drops the padding using the recorded sealed size.
-		w := &fixedWriter{buf: make([]byte, 0, m.SealedSize)}
-		if err := enc.Join(w, blocks, m.SealedSize); err != nil {
-			return nil, err
-		}
-		sealedBuf = w.buf
-	}
-	if sha256.Sum256(sealedBuf) != m.ID {
+	sealed := buf[:m.SealedSize]
+	if sha256.Sum256(sealed) != m.ID {
 		return nil, fmt.Errorf("%w: archive hash mismatch", ErrManifest)
 	}
 	key, err := UnwrapKey(owner, m.WrappedKey)
 	if err != nil {
 		return nil, err
 	}
-	return Open(key, sealedBuf)
-}
-
-type fixedWriter struct{ buf []byte }
-
-func (w *fixedWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
+	return open(key, sealed, true)
 }
 
 // Validate sanity-checks a manifest.

@@ -464,3 +464,95 @@ func TestVerifyChunked(t *testing.T) {
 		t.Errorf("Verify allocated %d bytes for %d-byte shards, want a few %d-byte chunks", got, size, verifyChunk)
 	}
 }
+
+func TestStreamMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	allKinds(t, func(t *testing.T, kind MatrixKind) {
+		// k below, at and past one batch and two; m below and past eight.
+		for _, sh := range []struct{ k, m int }{{1, 1}, {3, 9}, {16, 8}, {17, 3}, {33, 20}, {5, 0}} {
+			for _, size := range []int{1, 100, 8192 + 7} {
+				e, err := NewKind(sh.k, sh.m, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := randomShards(rng, sh.k, sh.m, size)
+				if err := e.Encode(want); err != nil {
+					t.Fatal(err)
+				}
+				s, err := e.NewStream(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range want[:sh.k] {
+					copy(s.Next(), d)
+				}
+				next := sh.k
+				err = s.Parity(func(i int, p []byte) error {
+					if i != next {
+						t.Fatalf("%d+%d: parity shard %d emitted, want %d", sh.k, sh.m, i, next)
+					}
+					next++
+					if !bytes.Equal(p, want[i]) {
+						t.Fatalf("%d+%d size %d: streamed parity shard %d differs from Encode", sh.k, sh.m, size, i)
+					}
+					return nil
+				})
+				if err != nil || next != sh.k+sh.m {
+					t.Fatalf("%d+%d: Parity emitted up to %d, %v", sh.k, sh.m, next, err)
+				}
+			}
+		}
+	})
+}
+
+func TestStreamMisuse(t *testing.T) {
+	e, _ := New(3, 2)
+	if _, err := e.NewStream(0); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("NewStream(0) err = %v, want ErrShardSize", err)
+	}
+	s, err := e.NewStream(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Next()
+	s.Next()
+	none := func(int, []byte) error { t.Fatal("parity emitted from two of three data shards"); return nil }
+	if err := s.Parity(none); !errors.Is(err, ErrTooFewShards) {
+		t.Fatalf("Parity after 2 of 3 shards: err = %v, want ErrTooFewShards", err)
+	}
+	s.Next()
+	stop := errors.New("stop")
+	calls := 0
+	if err := s.Parity(func(int, []byte) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("Parity = %v after %d calls, want the emit error after 1", err, calls)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a fourth Next of three did not panic")
+		}
+	}()
+	s.Next()
+}
+
+// A Stream holds the parity and one batch of data shards, nothing that
+// grows with k.
+func TestStreamAllocations(t *testing.T) {
+	const k, m, size = 128, 128, 4096
+	e, _ := New(k, m)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := e.NewStream(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		s.Next()[0] = byte(i)
+	}
+	if err := s.Parity(func(int, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64((m+17)*size); got > limit {
+		t.Fatalf("streaming %d+%d shards of %d bytes allocated %d bytes, want at most %d (the parity and one batch)", k, m, size, got, limit)
+	}
+}

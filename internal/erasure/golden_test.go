@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"p2pbackup/internal/gf256"
 )
 
 // parityGolden pins the on-disk format: the SHA-256 over all parity
@@ -63,7 +65,10 @@ func goldenShards(k, m, size int) [][]byte {
 	return shards
 }
 
-func TestParityGolden(t *testing.T) {
+// eachGolden calls check with every golden case: its name, an encoder
+// and the seeded shards, parity still zero. check returns the parity
+// shards it computed, whose digest eachGolden compares with the table.
+func eachGolden(t *testing.T, check func(name string, e *Encoder, shards [][]byte) [][]byte) {
 	shapes := []struct{ k, m int }{{4, 4}, {5, 3}, {128, 128}}
 	sizes := []int{1, 13, 4096, 8192 + 5}
 	seen := 0
@@ -75,12 +80,8 @@ func TestParityGolden(t *testing.T) {
 			}
 			for _, size := range sizes {
 				name := fmt.Sprintf("%v/%d+%d/%d", kind, sh.k, sh.m, size)
-				shards := goldenShards(sh.k, sh.m, size)
-				if err := e.Encode(shards); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
 				h := sha256.New()
-				for _, p := range shards[sh.k:] {
+				for _, p := range check(name, e, goldenShards(sh.k, sh.m, size)) {
 					h.Write(p)
 				}
 				got := hex.EncodeToString(h.Sum(nil))
@@ -98,4 +99,50 @@ func TestParityGolden(t *testing.T) {
 	if seen != len(parityGolden) {
 		t.Errorf("checked %d digests, table has %d", seen, len(parityGolden))
 	}
+}
+
+func TestParityGolden(t *testing.T) {
+	eachGolden(t, func(name string, e *Encoder, shards [][]byte) [][]byte {
+		if err := e.Encode(shards); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return shards[e.k:]
+	})
+}
+
+// TestParityGoldenAccumulated reproduces the same digests from parity
+// built up column by column: the accumulating kernel fed 1, 3, 4, 16
+// and k data shards at a time, and a Stream.
+func TestParityGoldenAccumulated(t *testing.T) {
+	for _, batch := range []int{1, 3, 4, gf256.AccBatch, 0} {
+		eachGolden(t, func(name string, e *Encoder, shards [][]byte) [][]byte {
+			step := batch
+			if step == 0 {
+				step = e.k
+			}
+			acc := gf256.NewAcc(e.m, len(shards[0]))
+			for c0 := 0; c0 < e.k; c0 += step {
+				acc.MulAdd(e.parityRows(), c0, shards[c0:min(c0+step, e.k)])
+			}
+			acc.Rows(0, shards[e.k:])
+			return shards[e.k:]
+		})
+	}
+	eachGolden(t, func(name string, e *Encoder, shards [][]byte) [][]byte {
+		s, err := e.NewStream(len(shards[0]))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, d := range shards[:e.k] {
+			copy(s.Next(), d)
+		}
+		err = s.Parity(func(i int, p []byte) error {
+			copy(shards[i], p)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return shards[e.k:]
+	})
 }

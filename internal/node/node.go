@@ -370,28 +370,30 @@ func (n *Node) publishMaster() error {
 	return nil
 }
 
-// fetchBlocks retrieves the blocks of an archive from their holders;
-// missing or corrupt blocks come back nil.
-func (n *Node) fetchBlocks(idx int) ([][]byte, int) {
-	m := n.manifests[idx]
-	blocks := make([][]byte, m.Params.Total())
-	got := 0
-	for i, holder := range n.placements[idx] {
-		resp, err := n.cfg.Transport.Call(holder, p2pnet.GetBlock{From: n.cfg.Name, Key: m.BlockIDs[i]})
-		if err != nil {
-			continue
-		}
-		bd, ok := resp.(p2pnet.BlockData)
-		if !ok || !bd.Found {
-			continue
-		}
-		if storage.IDOf(bd.Data) != m.BlockIDs[i] {
-			continue // corrupted; hash check failed
-		}
-		blocks[i] = bd.Data
-		got++
+// getBlock asks holder for a block and returns it if it arrives and
+// hashes to its id, else nil.
+func getBlock(t p2pnet.Transport, from, holder string, id storage.BlockID) []byte {
+	resp, err := t.Call(holder, p2pnet.GetBlock{From: from, Key: id})
+	if err != nil {
+		return nil
 	}
-	return blocks, got
+	bd, ok := resp.(p2pnet.BlockData)
+	if !ok || !bd.Found || storage.IDOf(bd.Data) != id {
+		return nil
+	}
+	return bd.Data
+}
+
+// fetchBlocks retrieves up to limit blocks of an archive from their
+// holders, data blocks first; missing or corrupt blocks come back nil.
+func (n *Node) fetchBlocks(idx, limit int) ([][]byte, int) {
+	return n.manifests[idx].Gather(limit, func(i int, id storage.BlockID) []byte {
+		holder, placed := n.placements[idx][i]
+		if !placed {
+			return nil
+		}
+		return getBlock(n.cfg.Transport, n.cfg.Name, holder, id)
+	})
 }
 
 // Restore fetches and decodes an owned archive back into file entries.
@@ -399,7 +401,9 @@ func (n *Node) Restore(idx int) ([]backup.FileEntry, error) {
 	if idx < 0 || idx >= len(n.manifests) {
 		return nil, ErrNoArchive
 	}
-	blocks, got := n.fetchBlocks(idx)
+	// Any k blocks restore the archive; MaintainTick, which re-places
+	// every missing block, is the caller that needs them all.
+	blocks, got := n.fetchBlocks(idx, n.manifests[idx].Params.DataBlocks)
 	if got < n.manifests[idx].Params.DataBlocks {
 		return nil, fmt.Errorf("%w: only %d of %d blocks reachable",
 			ErrRestore, got, n.manifests[idx].Params.Total())
@@ -461,7 +465,7 @@ func (n *Node) MaintainTick(idx int) (RepairReport, error) {
 	}
 	rep.Triggered = true
 
-	blocks, got := n.fetchBlocks(idx)
+	blocks, got := n.fetchBlocks(idx, m.Params.Total())
 	if got < m.Params.DataBlocks {
 		return rep, fmt.Errorf("%w: repair needs %d blocks, reached %d",
 			ErrRestore, m.Params.DataBlocks, got)
@@ -581,23 +585,14 @@ func RecoverFromNetwork(name string, identity *backup.Identity, transport p2pnet
 	}
 	var out [][]backup.FileEntry
 	for idx, m := range mb.Manifests {
-		blocks := make([][]byte, m.Params.Total())
-		got := 0
-		for i, id := range m.BlockIDs {
+		blocks, got := m.Gather(m.Params.DataBlocks, func(_ int, id storage.BlockID) []byte {
 			for _, holder := range mb.Partners[idx] {
-				resp, err := transport.Call(holder, p2pnet.GetBlock{From: name, Key: id})
-				if err != nil {
-					continue
+				if data := getBlock(transport, name, holder, id); data != nil {
+					return data
 				}
-				bd, ok := resp.(p2pnet.BlockData)
-				if !ok || !bd.Found || storage.IDOf(bd.Data) != id {
-					continue
-				}
-				blocks[i] = bd.Data
-				got++
-				break
 			}
-		}
+			return nil
+		})
 		if got < m.Params.DataBlocks {
 			return nil, fmt.Errorf("%w: archive %d: %d of %d blocks", ErrRestore, idx, got, m.Params.Total())
 		}

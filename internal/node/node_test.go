@@ -383,3 +383,49 @@ func TestDirectory(t *testing.T) {
 		t.Fatal("removed peer still present")
 	}
 }
+
+// A restore needs k blocks and asks for no more: the data blocks when
+// they can be had, the next in line for each that cannot.
+func TestRestoreFetchesKBlocks(t *testing.T) {
+	c := newCluster(t, 12, smallParams)
+	owner := c.nodes[0]
+	files := testFiles("k-blocks")
+	idx, err := owner.Backup(files, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreCalls := func() (int64, error) {
+		before, _ := c.transport.Stats()
+		got, err := owner.Restore(idx)
+		after, _ := c.transport.Stats()
+		if err == nil && !entriesEqual(got, files) {
+			t.Fatal("restored files differ")
+		}
+		return after - before, err
+	}
+	if calls, err := restoreCalls(); err != nil || calls != 4 {
+		t.Fatalf("intact archive: %d calls, %v; want the 4 data blocks", calls, err)
+	}
+
+	// Data block 1 rots on its holder: one more call fetches parity block 4.
+	holder := owner.placements[idx][1]
+	for _, nd := range c.nodes {
+		if nd.Name() == holder {
+			if err := nd.cfg.Store.(*storage.MemStore).Corrupt(owner.manifests[idx].BlockIDs[1], 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if calls, err := restoreCalls(); err != nil || calls != 5 {
+		t.Fatalf("one corrupt data block: %d calls, %v; want 5", calls, err)
+	}
+
+	// Four more holders gone leaves k-1 good blocks: every block is
+	// asked for and the restore fails.
+	for _, i := range []int{0, 5, 6, 7} {
+		c.transport.SetPartitioned(owner.placements[idx][i], true)
+	}
+	if calls, err := restoreCalls(); !errors.Is(err, ErrRestore) || calls != 8 {
+		t.Fatalf("k-1 good blocks: %d calls, %v; want 8 and ErrRestore", calls, err)
+	}
+}
