@@ -1024,11 +1024,12 @@ func BenchmarkUptime(b *testing.B) {
 	})
 }
 
-// BenchmarkViewScore measures the view-construction + Score hot path
-// of the candidate-probing loop: a monitored-availability policy
-// scoring candidates whose histories carry realistic transition
-// counts. With the prefix-summed Uptime this is O(log transitions)
-// per call and allocation-free.
+// BenchmarkViewScore measures what the candidate loop pays for a
+// candidate it accepts when the score memo has no entry for it: a View
+// built on the spot (nothing caches one) and one Score, here the
+// costliest registered — monitored availability over histories with
+// realistic transition counts. With the prefix-summed Uptime this is
+// O(log transitions) per call and allocation-free.
 func BenchmarkViewScore(b *testing.B) {
 	pol, err := selection.Parse("monitored-availability:720")
 	if err != nil {
@@ -1082,37 +1083,81 @@ func BenchmarkMaintainerStep(b *testing.B) {
 	}
 }
 
-// poolBenchEnv is a maintenance.Env over a population of equally old
-// peers: every online non-partner is an acceptable candidate, and
-// acceptance draws nothing.
-type poolBenchEnv struct{ n int }
+// poolBenchEnv is a maintenance.Env over n candidate slots with the
+// given ages (nil: all equally old, so every online non-partner is an
+// acceptable candidate and acceptance draws nothing).
+type poolBenchEnv struct {
+	n    int
+	ages []int64
+}
 
-func (e poolBenchEnv) View(overlay.PeerID) selection.View {
-	return selection.View{Observed: selection.Observed{Age: 10000}}
+func (e poolBenchEnv) Age(id overlay.PeerID) int64 {
+	if e.ages == nil {
+		return 10000
+	}
+	return e.ages[id]
 }
-func (e poolBenchEnv) SampleCandidate(r *rng.Rand) overlay.PeerID {
-	return overlay.PeerID(r.Intn(e.n))
+func (e poolBenchEnv) View(id overlay.PeerID) selection.View {
+	return selection.View{Observed: selection.Observed{Age: e.Age(id)}}
 }
-func (e poolBenchEnv) Round() int64 { return 0 }
+func (e poolBenchEnv) Population() int { return e.n }
+func (e poolBenchEnv) Round() int64    { return 0 }
+
+// poolBenchXfer is a maintenance.Transfers with quota reserved on some
+// hosts and nothing in flight from the benchmark's owner.
+type poolBenchXfer struct{ reserved []int32 }
+
+func (x poolBenchXfer) BeginUpload(overlay.PeerID, overlay.Ref) {}
+func (x poolBenchXfer) Inflight(overlay.PeerID) int             { return 0 }
+func (x poolBenchXfer) UploadSlots(overlay.PeerID) int          { return 4 }
+func (x poolBenchXfer) Reserved(host overlay.PeerID) int        { return int(x.reserved[host]) }
+func (x poolBenchXfer) PendingHosts(_ overlay.PeerID, buf []overlay.PeerID) []overlay.PeerID {
+	return buf
+}
 
 // BenchmarkRefreshPool measures one candidate-pool refresh at the
-// paper's parameters (n = 256, 128 draws per round) with the pool
-// already holding 0, 64 or 255 candidates: the owner's archive is
-// undecodable, so a Step is exactly one refresh — prune the pool, then
-// 128 draws that are each rejected: as the owner itself, an offline
-// peer or a partner, and one draw in five at 64 and one in two at 255
-// as pooled already. That last rejection was a map lookup per draw
-// until PR 16 and is one word of a mark array since. Parent → PR 16 on
-// the 2-core reference box, -benchtime 20000x, medians of 3: pooled=0
-// 2.12 → 1.65, pooled=64 3.14 → 1.85, pooled=255 3.52 → 1.80 µs/op,
-// 0 allocs/op.
+// paper's parameters (n = 256, 128 draws per round).
+//
+// pooled=N: the pool already holds 0, 64 or 255 candidates and the
+// owner's archive is undecodable, so a Step is exactly one refresh —
+// prune the pool, then 128 draws that the draw-free screen rejects every
+// one of: as the owner itself, an offline peer or a partner, and one
+// draw in five at 64 and one in two at 255 as pooled already. That last
+// rejection was a map lookup per draw until PR 16 and is one word of a
+// mark array since. Parent → PR 16 on the 2-core reference box,
+// -benchtime 20000x, medians of 3: pooled=0 2.12 → 1.65, pooled=64
+// 3.14 → 1.85, pooled=255 3.52 → 1.80 µs/op, 0 allocs/op.
+//
+// accepting: what the screen lets through. The owner holds a full
+// archive on 256 of the slots and one slot in three is offline; every
+// iteration empties its pool (Reset) and refreshes it once (the Step
+// finds no block missing and places nothing), so of 128 draws some are
+// screened out, the rest negotiate — under "age" by the paper's
+// acceptance function, over ages on both sides of L, under "random"
+// with no negotiation at all — and the accepted are scored and pooled.
+// Instant and metered (quota reservations subtracted per candidate), in
+// a cache-resident population and a paper-scale one. ns/draw is the
+// whole iteration over its 128 draws; pooled/op (metered only: there the
+// pool outlives the step) says how many of them were accepted. Parent
+// (per candidate: SampleCandidate, then a View each for AgreeCtx to
+// compare — no memo in front of this Env's) → PR 19 (one predicate, two
+// ages; a View only to score the accepted), 2-core reference box,
+// -benchtime 20000x, medians of 3, ns/draw:
+//
+//	age     slots=600    instant 37.2 → 27.5   transfers 35.7 → 30.9
+//	age     slots=25000  instant 50.8 → 39.0   transfers 53.5 → 43.8
+//	random  slots=600    instant 28.5 → 20.8   transfers 28.7 → 24.2
+//	random  slots=25000  instant 37.1 → 24.2   transfers 38.3 → 28.7
+//
+// (pooled=N in the same runs: 1.96 → 2.02, 2.11 → 1.85, 2.29 → 2.06
+// µs/op.) 0 allocs/op throughout.
 func BenchmarkRefreshPool(b *testing.B) {
+	params := maintenance.Params{
+		TotalBlocks: 256, DataBlocks: 128, RepairThreshold: 148,
+		PoolSamplePerRound: 128, UploadBudgetPerRound: 128, DropOffline: true,
+	}
 	for _, pooled := range []int{0, 64, 255} {
 		b.Run(fmt.Sprintf("pooled=%d", pooled), func(b *testing.B) {
-			params := maintenance.Params{
-				TotalBlocks: 256, DataBlocks: 128, RepairThreshold: 148,
-				PoolSamplePerRound: 128, UploadBudgetPerRound: 128, DropOffline: true,
-			}
 			const owner, hosts = 0, 256
 			peers := 1 + hosts + pooled
 			led := overlay.NewLedger(peers, 384)
@@ -1144,6 +1189,59 @@ func BenchmarkRefreshPool(b *testing.B) {
 				m.Step(r, owner)
 			}
 		})
+	}
+	for _, spec := range []string{"age", "random"} {
+		for _, slots := range []int{600, 25000} {
+			for _, transfers := range []bool{false, true} {
+				mode := "instant"
+				if transfers {
+					mode = "transfers"
+				}
+				b.Run(fmt.Sprintf("accepting/policy=%s/slots=%d/%s", spec, slots, mode), func(b *testing.B) {
+					pol, err := selection.Parse(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					const owner = 0
+					env := poolBenchEnv{n: slots, ages: make([]int64, slots)}
+					xfer := poolBenchXfer{reserved: make([]int32, slots)}
+					for i := range env.ages {
+						env.ages[i] = int64(i * 37 % 5000)
+						xfer.reserved[i] = int32(i % 4)
+					}
+					env.ages[owner] = 1080 // L/2: it refuses the young, the old refuse it
+					led := overlay.NewLedger(slots, 384)
+					m := maintenance.New(params, led, overlay.NewTable(slots), pol, env)
+					r := rng.New(9)
+					for !m.Included(owner) {
+						m.Step(r, owner)
+					}
+					if transfers {
+						m.SetTransfers(xfer)
+					}
+					for id := 1; id < slots; id += 3 {
+						led.SetOnline(overlay.PeerID(id), false)
+					}
+					pooled := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						// A fresh occupant's first step on an archive that
+						// is already whole: one refresh, no placement.
+						m.Reset(owner)
+						m.Step(r, owner)
+						pooled += m.PoolSize(owner)
+					}
+					draws := float64(b.N * params.PoolSamplePerRound)
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/draws, "ns/draw")
+					if transfers {
+						// An instant step that finds the archive whole ends
+						// the episode, and with it the pool it just filled.
+						b.ReportMetric(float64(pooled)/float64(b.N), "pooled/op")
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -31,6 +31,15 @@
 // what order. It is not safe for concurrent use, except as plan.go's
 // contract for PlanStep allows.
 //
+// Candidate gathering (refreshPool) is where a run spends most of its
+// time, so its sampling loop is flat: it draws from Env.Population
+// itself, screens a candidate on the ledger's and the step's arrays
+// alone (online, quota left, not a partner, not pooled), negotiates on
+// two ages when the policy declares that enough (selection.AgeAccepter;
+// through selection.AgreeCtx on Views otherwise) and builds a View only
+// to score a candidate it has accepted. The loop it replaced lives on
+// in oracle_test.go as the reference it must match draw for draw.
+//
 // Memory: per-slot state is a few dozen bytes (peerState). The
 // candidate pool — up to n accepted partners waiting for a block — is
 // held in a buffer the slot owns only while the pool is non-empty,
@@ -167,15 +176,20 @@ type StepResult struct {
 }
 
 // Env supplies the Maintainer with information owned by the simulation
-// engine: peer views for the selection policy, candidate sampling, and
-// the current round.
+// engine: what the selection policy may know about a peer, who can be
+// drawn as a candidate, and the current round. View and Age are called
+// from concurrent PlanSteps and must not write shared state.
 type Env interface {
 	// View describes a peer for the selection policy, split into
 	// observable and oracle knowledge.
 	View(id overlay.PeerID) selection.View
-	// SampleCandidate draws a random potential partner, or NoPeer if
-	// none can be drawn.
-	SampleCandidate(r *rng.Rand) overlay.PeerID
+	// Age returns View(id).Observed.Age: all that a policy with
+	// age-keyed acceptance (selection.AgeAccepter) reads of a candidate
+	// before it is accepted.
+	Age(id overlay.PeerID) int64
+	// Population returns how many slots can be drawn as candidates:
+	// refreshPool samples uniformly from [0, Population()).
+	Population() int
 	// Round returns the current round, the "now" of windowed
 	// availability queries.
 	Round() int64
@@ -285,6 +299,12 @@ type Maintainer struct {
 	xfer   Transfers  // nil: the historical instant-placement path
 	rd     Redundancy // nil: fixed per-run redundancy (the paper)
 
+	// How refreshPool negotiates, resolved from the policy's capabilities
+	// once: acceptsAll skips acceptance, a non-nil byAge evaluates it on
+	// two ages, anything else goes through selection.AgreeCtx on Views.
+	acceptsAll bool
+	byAge      selection.AgeAccepter
+
 	// Mark epochs: refreshPool stamps the acting owner's current
 	// partners into a per-slot epoch array, turning the former O(owner
 	// degree) Ledger.HasPlacement scan — the dominant cost of a churn
@@ -332,9 +352,11 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		pol:    pol,
 		env:    env,
 		peers:  make([]peerState, led.NumPeers()),
-		own:    Workspace{View: env.View, memoize: true, marks: newMarkSet(led.NumPeers())},
+		own:    Workspace{memoize: true, marks: newMarkSet(led.NumPeers())},
 		pools:  poolCache{limit: max(minFreePools, led.NumPeers()/256)},
 	}
+	m.acceptsAll = selection.AcceptsAll(pol)
+	m.byAge, _ = pol.(selection.AgeAccepter)
 	for i := range m.peers {
 		m.peers[i].armed = true
 	}
@@ -423,9 +445,8 @@ func (m *Maintainer) InvalidateScore(id overlay.PeerID) {
 }
 
 // WarmScoreRange precomputes the per-round score memo for the slots in
-// [from, to), reading each slot's view through the supplied accessor.
-// A no-op when the score cache is disabled (stateful policies must be
-// re-evaluated per call and cannot be warmed).
+// [from, to). A no-op when the score cache is disabled (stateful
+// policies must be re-evaluated per call and cannot be warmed).
 //
 // Concurrency contract: the simulation engine's sharded warm phase
 // calls WarmScoreRange from one goroutine per disjoint slot range, so
@@ -435,7 +456,7 @@ func (m *Maintainer) InvalidateScore(id overlay.PeerID) {
 // the cache in the first place), which is the only case the memo
 // exists for. Warming computes exactly the values the lazy scoreOf
 // misses would, so it never changes a trajectory.
-func (m *Maintainer) WarmScoreRange(ctx selection.Context, from, to overlay.PeerID, view func(overlay.PeerID) selection.View) {
+func (m *Maintainer) WarmScoreRange(ctx selection.Context, from, to overlay.PeerID) {
 	if m.scoreKey == nil {
 		return
 	}
@@ -444,25 +465,22 @@ func (m *Maintainer) WarmScoreRange(ctx selection.Context, from, to overlay.Peer
 		if m.scoreKey[c] == key {
 			continue
 		}
-		m.scoreVal[c] = m.pol.Score(ctx, view(c))
+		m.scoreVal[c] = m.pol.Score(ctx, m.env.View(c))
 		m.scoreKey[c] = key
 	}
 }
 
-// scoreOf returns the policy score of candidate c with view v, through
-// the (slot, round) memo when enabled. A miss is stored only when store
-// is set: concurrent planners may read a warmed entry but must not race
-// on writing one.
-func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, v selection.View, store bool) float64 {
-	if m.scoreKey == nil {
-		return m.pol.Score(ctx, v)
-	}
+// scoreOf returns the policy score of candidate c, through the (slot,
+// round) memo when enabled; only a miss builds the candidate's view. A
+// miss is stored only when store is set: concurrent planners may read a
+// warmed entry but must not race on writing one.
+func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, store bool) float64 {
 	key := ctx.Round + 1
-	if m.scoreKey[c] == key {
+	if m.scoreKey != nil && m.scoreKey[c] == key {
 		return m.scoreVal[c]
 	}
-	s := m.pol.Score(ctx, v)
-	if store {
+	s := m.pol.Score(ctx, m.env.View(c))
+	if m.scoreKey != nil && store {
 		m.scoreKey[c] = key
 		m.scoreVal[c] = s
 	}
@@ -849,9 +867,8 @@ func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.Peer
 // up to the per-round budget. Offline candidates are NOT pruned: they
 // agreed to the partnership and become placeable when they return. It
 // is the one pool procedure behind Step (ws is the Maintainer's own
-// scratch) and PlanStep (ws is the planning worker's, whose view and
-// score accessors store nothing), so both sample and accept draw for
-// draw alike.
+// scratch) and PlanStep (ws is the planning worker's, which stores no
+// score-memo miss), so both sample and accept draw for draw alike.
 //
 // It opens a fresh mark epoch for the acting owner: the owner's current
 // partners are stamped once (O(degree)), and every subsequent "is this
@@ -908,28 +925,61 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 		want := max(len(p.pool)+room, 2*cap(p.pool))
 		p.pool = m.pools.grow(p.pool, min(want, m.params.TotalBlocks))
 	}
+
+	// The candidate loop is the hottest code of a campaign and most of
+	// what it draws is turned away by the draw-free screen (offline, out
+	// of quota, already taken), so the screen reads three arrays and
+	// nothing else; only what passes it is negotiated, and only what is
+	// accepted is looked at as a View, to be scored.
 	ctx := selection.Context{Round: m.env.Round()}
-	ownerView := ws.View(id)
+	population := m.env.Population()
+	reserving := m.xfer != nil && !p.unmetered
+	var ownerAge int64
+	var ownerView selection.View
+	switch {
+	case m.acceptsAll:
+	case m.byAge != nil:
+		ownerAge = m.env.Age(id)
+	default:
+		ownerView = m.env.View(id)
+	}
 	for tries := 0; tries < m.params.PoolSamplePerRound && len(p.pool) < m.params.TotalBlocks; tries++ {
-		c := m.env.SampleCandidate(r)
-		if c == overlay.NoPeer || c == id {
+		c := overlay.PeerID(r.Intn(population))
+		if c == id {
 			continue
 		}
-		if !m.led.Online(c) {
-			continue // cannot negotiate with an offline peer
+		// Cannot negotiate with an offline peer, nor (metered) with one
+		// that has no room: its ledger quota, net of what in-flight
+		// uploads have reserved.
+		if p.unmetered {
+			if !m.led.Online(c) {
+				continue
+			}
+		} else if !m.led.CanHost(c) || reserving && m.freeQuota(c) < 1 {
+			continue
 		}
 		if marks.taken(c) {
 			continue // already pooled, or a partner: one block per partner per archive
 		}
-		if !p.unmetered && m.freeQuota(c) < 1 {
-			continue
-		}
-		candView := ws.View(c)
-		if !selection.AgreeCtx(r, m.pol, ctx, ownerView, candView) {
-			continue
+		// Both sides must accept: selection.AgreeCtx, on the two ages
+		// when that is all the policy reads.
+		switch {
+		case m.acceptsAll:
+		case m.byAge != nil:
+			candAge := m.env.Age(c)
+			if pr := m.byAge.AcceptProbByAge(ownerAge, candAge); pr < 1 && !r.Bool(pr) {
+				continue
+			}
+			if pr := m.byAge.AcceptProbByAge(candAge, ownerAge); pr < 1 && !r.Bool(pr) {
+				continue
+			}
+		default:
+			if !selection.AgreeCtx(r, m.pol, ctx, ownerView, m.env.View(c)) {
+				continue
+			}
 		}
 		marks.setPooled(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, candView, ws.memoize)})
+		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, ws.memoize)})
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"p2pbackup/internal/selection"
 )
 
-// fakeEnv is a minimal maintenance.Env: static ages, uniform sampling
-// over the first n slots, a fixed round.
+// fakeEnv is a minimal maintenance.Env: static ages, the first n slots
+// as candidates, a fixed round.
 type fakeEnv struct {
 	ages  []int64
 	n     int
@@ -20,9 +20,9 @@ func (f *fakeEnv) View(id overlay.PeerID) selection.View {
 	return selection.View{Observed: selection.Observed{Age: f.ages[id]}}
 }
 
-func (f *fakeEnv) SampleCandidate(r *rng.Rand) overlay.PeerID {
-	return overlay.PeerID(r.Intn(f.n))
-}
+func (f *fakeEnv) Age(id overlay.PeerID) int64 { return f.ages[id] }
+
+func (f *fakeEnv) Population() int { return f.n }
 
 func (f *fakeEnv) Round() int64 { return f.round }
 

@@ -39,7 +39,6 @@ import (
 
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
-	"p2pbackup/internal/selection"
 )
 
 // OpKind discriminates a PlannedOp.
@@ -80,14 +79,8 @@ type PlanResult struct {
 }
 
 // Workspace is one plan-phase worker's scratch: its own mark epochs (the
-// Maintainer's would race across workers), its op log and results, and
-// the read-only view accessor the engine supplies.
+// Maintainer's would race across workers), its op log and results.
 type Workspace struct {
-	// View describes a peer for the selection policy without mutating
-	// any shared memo (the engine's v3 accessor reads its view cache but
-	// never stores misses from the plan phase).
-	View func(id overlay.PeerID) selection.View
-
 	// Ops and Results accumulate this worker's planned steps in owner
 	// order; ApplyPlan consumes them in the same order.
 	Ops     []PlannedOp
@@ -100,10 +93,9 @@ type Workspace struct {
 	memoize bool
 }
 
-// NewWorkspace returns a Workspace for a population of n slots using
-// the given read-only view accessor.
-func NewWorkspace(n int, view func(id overlay.PeerID) selection.View) *Workspace {
-	return &Workspace{View: view, marks: newMarkSet(n)}
+// NewWorkspace returns a Workspace for a population of n slots.
+func NewWorkspace(n int) *Workspace {
+	return &Workspace{marks: newMarkSet(n)}
 }
 
 // Reset clears the op log and results for a new round. Mark epochs

@@ -7,6 +7,7 @@ import (
 
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
+	"p2pbackup/internal/selection"
 )
 
 // TestPoolEntrySize bounds the candidate-pool entry: every slot holds a
@@ -165,4 +166,49 @@ func TestPoolCacheConcurrentUse(t *testing.T) {
 	if len(c.free) > c.limit {
 		t.Fatalf("cache holds %d buffers, limit %d", len(c.free), c.limit)
 	}
+}
+
+// TestRefreshPoolAcceptingAllocatesNothing pins the candidate loop's
+// allocation count at zero on a refresh that negotiates with candidates,
+// accepts some and scores them, under the paper's policy (age-keyed
+// acceptance) and under one that goes through Views: neither an age nor
+// a View may reach the heap.
+func TestRefreshPoolAcceptingAllocatesNothing(t *testing.T) {
+	for _, pol := range []selection.Policy{
+		mustParse(t, "age:L=100"),
+		selection.Adapt(selection.AgeBased{L: 100}),
+	} {
+		const peers = 64
+		led := overlay.NewLedger(peers, 64)
+		env := &fakeEnv{ages: make([]int64, peers), n: peers}
+		for i := range env.ages {
+			env.ages[i] = int64(3 * i)
+		}
+		m := New(testParams(), led, overlay.NewTable(peers), pol, env)
+		r := rng.New(3)
+		owner := overlay.PeerID(20)
+		p := &m.peers[owner]
+		m.refreshPool(r, owner, p, &m.own) // takes the pool buffer
+		accepted := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			p.pool = p.pool[:0]
+			m.refreshPool(r, owner, p, &m.own)
+			accepted += len(p.pool)
+		})
+		if accepted == 0 {
+			t.Fatalf("%s: no candidate accepted: the refreshes exercised nothing", pol.Name())
+		}
+		if allocs != 0 {
+			t.Errorf("%s: an accepting refresh allocates %v times, want 0", pol.Name(), allocs)
+		}
+	}
+}
+
+func mustParse(t *testing.T, spec string) selection.Policy {
+	t.Helper()
+	pol, err := selection.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
 }

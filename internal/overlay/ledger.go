@@ -205,8 +205,15 @@ func (l *Ledger) NumPeers() int { return len(l.fwd) }
 // Quota returns the per-host block quota.
 func (l *Ledger) Quota() int32 { return l.quota }
 
+// valid is the read side's bounds test. The per-candidate queries
+// (Online, CanHost, FreeQuota, Visible, Alive) answer false or zero for
+// an id outside the ledger through it instead of through check, whose
+// error construction would keep them from inlining into the sampling
+// loop.
+func (l *Ledger) valid(id PeerID) bool { return uint(id) < uint(len(l.fwd)) }
+
 func (l *Ledger) check(id PeerID) error {
-	if id < 0 || int(id) >= len(l.fwd) {
+	if !l.valid(id) {
 		return fmt.Errorf("%w: %d", ErrBadPeer, id)
 	}
 	return nil
@@ -356,11 +363,14 @@ func (l *Ledger) SetOnline(host PeerID, online bool) {
 }
 
 // Online reports a host's session state.
-func (l *Ledger) Online(host PeerID) bool {
-	if l.check(host) != nil {
-		return false
-	}
-	return l.online[host]
+func (l *Ledger) Online(host PeerID) bool { return l.valid(host) && l.online[host] }
+
+// CanHost reports whether the host could be handed a metered block right
+// now: it is online and has free quota (Online && FreeQuota >= 1). It is
+// the draw-free screen of the maintenance candidate loop, which asks it
+// of every peer it draws.
+func (l *Ledger) CanHost(host PeerID) bool {
+	return l.valid(host) && l.online[host] && l.metered[host] < l.quota
 }
 
 // RemoveHost deletes every block the host stores (its disk vanished):
@@ -419,7 +429,7 @@ func (l *Ledger) RemovePeer(id PeerID) {
 // (Dead hosts' placements are removed eagerly, so this is the owner's
 // current degree.)
 func (l *Ledger) Alive(owner PeerID) int {
-	if l.check(owner) != nil {
+	if !l.valid(owner) {
 		return 0
 	}
 	return len(l.fwd[owner])
@@ -429,7 +439,7 @@ func (l *Ledger) Alive(owner PeerID) int {
 // alive and online - the quantity the repair threshold is compared
 // against.
 func (l *Ledger) Visible(owner PeerID) int {
-	if l.check(owner) != nil {
+	if !l.valid(owner) {
 		return 0
 	}
 	return int(l.visible[owner])
@@ -454,14 +464,10 @@ func (l *Ledger) MeteredHosted(host PeerID) int {
 
 // FreeQuota returns how many more metered blocks the host can accept.
 func (l *Ledger) FreeQuota(host PeerID) int {
-	if l.check(host) != nil {
+	if !l.valid(host) {
 		return 0
 	}
-	f := int(l.quota - l.metered[host])
-	if f < 0 {
-		return 0
-	}
-	return f
+	return max(int(l.quota-l.metered[host]), 0)
 }
 
 // Hosts returns the hosts of owner's placements, appended to buf (reuse

@@ -24,6 +24,7 @@ func FuzzParse(f *testing.F) {
 		"age:L=",
 		"age:L=abc",
 		"age:L=2160,L=2160",
+		"age:L=7",
 		"estimator",
 		"no-such-strategy",
 		"age:unknown=1",
@@ -52,6 +53,21 @@ func FuzzParse(f *testing.F) {
 		if _, err := ParseWith(spec, Defaults{Horizon: 48}); err != nil &&
 			!strings.Contains(err.Error(), "horizon") {
 			t.Fatalf("ParseWith(%q) diverged from Parse: %v", spec, err)
+		}
+		// A policy that declares age-keyed acceptance computes it from
+		// the two ages alone, whatever else the Views carry. The ages
+		// come from the spec's own bytes, so a fuzzed horizon meets ages
+		// on both sides of it.
+		if byAge, ok := pol.(AgeAccepter); ok {
+			var a, b int64
+			for i := 0; i < len(spec); i++ {
+				a, b = b*31+int64(spec[i])-'5', a
+			}
+			va := View{Observed: Observed{Age: a}, Oracle: Oracle{Availability: 0.5, Remaining: b}}
+			vb := View{Observed: Observed{Age: b}, Oracle: Oracle{Remaining: a}}
+			if got, want := pol.AcceptProb(Context{Round: a ^ b}, va, vb), byAge.AcceptProbByAge(a, b); got != want {
+				t.Fatalf("%q: AcceptProb(ages %d, %d) = %v, AcceptProbByAge %v", spec, a, b, got, want)
+			}
 		}
 	})
 }

@@ -24,10 +24,18 @@
 // in spec.go (Register, Parse); the PeerInfo/Strategy/ByName surface
 // below predates the split and is kept as deprecated adapters.
 //
+// A Policy may declare what a caller is allowed to assume about it,
+// through optional methods: AlwaysAccepts (acceptance is constantly
+// one: AcceptsAll), PureScore (Score may be memoised: HasPureScore) and
+// AgeAccepter (AcceptProb reads the two observed ages and nothing
+// else, and can be evaluated from them). A policy declaring none is
+// taken at its most general: AgreeCtx on Views, every call evaluated.
+//
 // Paper mapping:
 //
 //	§3.2 acceptance function f(p1,p2)   AcceptanceFunction
-//	§3.2 rank by age, capped at L       the "age" spec (agePolicy)
+//	§3.2 rank by age, capped at L       the "age" spec (agePolicy; its
+//	                                    acceptance is age-keyed: AgeAccepter)
 //	§4.1 baseline comparisons           "random", the oracles,
 //	                                    "youngest-first" specs
 //	§2.1 lifetime estimation            "estimator:*" specs ranking by

@@ -125,6 +125,22 @@ func HasPureScore(v any) bool {
 	return ok && ps.PureScore()
 }
 
+// AgeAccepter is the optional capability a Policy implements to declare
+// that its AcceptProb reads nothing but the two observed ages — not the
+// Context, not a History, not the Oracle — by offering the same function
+// on the ages alone:
+//
+//	AcceptProbByAge(a.Observed.Age, r.Observed.Age) == AcceptProb(ctx, a, r)
+//
+// bit for bit, for every ctx and every a, r. A caller negotiating many
+// candidates (maintenance's sampling loop) then asks its environment for
+// an age per candidate instead of building two Views per negotiated
+// pair. AgreeCtx does not use it: it stays the reference definition of
+// an agreement.
+type AgeAccepter interface {
+	AcceptProbByAge(acceptor, requester int64) float64
+}
+
 // AgreeCtx draws both directions of a partnership under a Policy: the
 // owner must accept the candidate and the candidate must accept the
 // owner. Acceptance probabilities of exactly one are short-circuited

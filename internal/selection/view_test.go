@@ -253,3 +253,71 @@ func TestEstimatorRankedScoresByEstimator(t *testing.T) {
 		}
 	}
 }
+
+// loudHistory is a history a policy with age-keyed acceptance must
+// never consult.
+type loudHistory struct{ t *testing.T }
+
+func (h loudHistory) Uptime(int64, int64) float64 {
+	h.t.Error("an age-keyed AcceptProb queried the history")
+	return 0.5
+}
+
+func (h loudHistory) ObservedSince() (int64, bool) {
+	h.t.Error("an age-keyed AcceptProb queried the history")
+	return 0, true
+}
+
+// TestAgeAccepterMatchesAcceptProb holds every registered policy that
+// declares age-keyed acceptance to its word: AcceptProbByAge on two ages
+// is AcceptProb on any two Views carrying those ages, bit for bit,
+// whatever the round and whatever History and Oracle the Views hold.
+func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
+	ages := []int64{-1 << 40, -5, -1, 0, 1, 2, 23, 24, 25, 47, 48, 49, 1000, 2159, 2160, 2161, 1 << 40}
+	dressings := []func(age int64) View{
+		ageView,
+		func(age int64) View {
+			return View{Observed: Observed{Age: age, History: loudHistory{t}}, Oracle: Oracle{Availability: 0.25, Remaining: 3}}
+		},
+		func(age int64) View {
+			return View{Observed: Observed{Age: age, History: monitor.NewIntervalHistory(10)}, Oracle: Oracle{Availability: 1, Remaining: -age}}
+		},
+	}
+	declared := 0
+	for _, spec := range append(Names(), "age:L=24", "age:L=1") {
+		for _, d := range []Defaults{{}, {Horizon: 48}} {
+			pol, err := ParseWith(spec, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byAge, ok := pol.(AgeAccepter)
+			if !ok {
+				continue
+			}
+			declared++
+			if AcceptsAll(pol) {
+				t.Errorf("%s declares both constant and age-keyed acceptance", pol.Name())
+			}
+			for _, a := range ages {
+				for _, b := range ages {
+					want := byAge.AcceptProbByAge(a, b)
+					for i, da := range dressings {
+						db := dressings[(i+1)%len(dressings)]
+						for _, round := range []int64{0, 12345} {
+							if got := pol.AcceptProb(Context{Round: round}, da(a), db(b)); got != want {
+								t.Fatalf("%s: AcceptProb(ages %d, %d) = %v at round %d, AcceptProbByAge %v",
+									pol.Name(), a, b, got, round, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if declared == 0 {
+		t.Fatal("no registered policy declares age-keyed acceptance: the paper's does")
+	}
+	if _, ok := Adapt(AgeBased{L: 5}).(AgeAccepter); ok {
+		t.Fatal("an adapted legacy strategy cannot vouch for what its AcceptProb reads")
+	}
+}

@@ -79,8 +79,8 @@ func TestSlotFootprint(t *testing.T) {
 	t.Logf("  history headers           %8d B", unsafe.Sizeof(monitor.IntervalHistory{}))
 	t.Logf("  candidate pools           %8.0f B  (%d episodes in flight, 24 B per entry of capacity)",
 		per(24*pooled), episodes)
-	t.Logf("  peer record, timers, memos %7d B",
-		unsafe.Sizeof(peer{})+unsafe.Sizeof(s.sched[0])+unsafe.Sizeof(s.viewVal[0])+unsafe.Sizeof(s.viewKey[0]))
+	t.Logf("  peer record, timer, score memo %3d B",
+		unsafe.Sizeof(peer{})+unsafe.Sizeof(s.sched[0])+16)
 }
 
 // TestPoolBuffersFollowEpisodesV3 runs v3 populations at Shards = 4 and

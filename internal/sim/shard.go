@@ -167,14 +167,13 @@ func (s *Simulation) applyHistOps() {
 }
 
 // warmWorthwhile reports whether this round's maintenance phase is
-// expected to probe enough distinct candidates that materialising
-// every population slot's view (and pure-policy score) up front beats
-// lazy per-probe misses. The trigger reads only canonical state that
-// is identical at every shard count (the actor set is collected by the
-// sequential walk), so the warm decision itself cannot make S=k
-// diverge from S=1 — and warming is invisible anyway: it consumes no
-// randomness and writes only memo entries the lazy path would compute
-// to the same values.
+// expected to pool enough distinct candidates that computing every
+// population slot's pure-policy score up front beats lazy per-candidate
+// misses. The trigger reads only canonical state that is identical at
+// every shard count (the actor set is collected by the sequential
+// walk), so the warm decision itself cannot make S=k diverge from S=1 —
+// and warming is invisible anyway: it consumes no randomness and writes
+// only memo entries the lazy path would compute to the same values.
 func (s *Simulation) warmWorthwhile() bool {
 	return s.warmWorthwhileN(len(s.actors))
 }
@@ -185,11 +184,11 @@ func (s *Simulation) warmWorthwhileN(actors int) bool {
 	return actors*s.cfg.PoolSamplePerRound >= s.cfg.NumPeers/2
 }
 
-// warmCaches materialises the per-round view memo (and, when the score
-// cache is enabled, the score memo) for every population slot, one
-// shard per worker. Safe because the peer, history and oracle state a
-// view reads is frozen between the churn walk and the maintenance
-// phase, and each worker writes only its own shard's memo entries.
+// warmCaches fills the per-round score memo (when the policy's score is
+// pure, else nothing) for every population slot, one shard per worker.
+// Safe because the peer, history and oracle state a score reads is
+// frozen between the churn walk and the maintenance phase, and each
+// worker writes only its own shard's memo entries.
 func (s *Simulation) warmCaches() {
 	sh := s.shards
 	ctx := selection.Context{Round: s.round}
@@ -202,13 +201,7 @@ func (s *Simulation) warmCaches() {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for id := lo; id < hi; id++ {
-				s.materializeView(overlay.PeerID(id))
-			}
-			// The views for [lo, hi) were materialised by this same
-			// worker just above, so the accessor is a pure memo read.
-			s.maint.WarmScoreRange(ctx, overlay.PeerID(lo), overlay.PeerID(hi),
-				func(id overlay.PeerID) selection.View { return s.viewVal[id] })
+			s.maint.WarmScoreRange(ctx, overlay.PeerID(lo), overlay.PeerID(hi))
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -62,12 +62,14 @@
 // Attachment order is preserved within every kind, so each probe sees
 // its subscribed events in exactly the order the engine emits them.
 //
-// The engine also keeps per-round caches off the measurement path: a
-// slot's selection.View (and, in the Maintainer, its pure policy
-// score) is materialised at most once per round regardless of how many
-// repairing peers probe it, invalidated on occupant replacement and
-// session flips. Caches hold no randomness and change no results —
-// ARCHITECTURE.md's "Hot path & caching" section has the full
+// The engine also keeps one per-round cache off the measurement path:
+// a slot's pure policy score (in the Maintainer) is computed at most
+// once per round regardless of how many repairing peers pool it,
+// invalidated on occupant replacement and session flips. It holds no
+// randomness and changes no results. A slot's selection.View is not
+// cached — building one is two loads and a subtraction, and the
+// candidate loop asks for an age (simEnv.Age) far more often than for a
+// view. ARCHITECTURE.md's "Hot path & caching" section has the full
 // inventory.
 package sim
 
@@ -149,16 +151,6 @@ type Simulation struct {
 	// its subscribed events in exactly the order the engine emits them.
 	dispatch [numProbeEvents][]Probe
 
-	// View/score epoch cache: each population slot's selection.View is
-	// materialised at most once per round (viewKey holds round+1, 0 =
-	// invalid) no matter how many repairing peers probe it; the policy
-	// score memo lives next to the policy in the Maintainer. Both are
-	// invalidated when a slot's occupant is replaced; score additionally
-	// on session flips (a flip mutates the monitored history a pure
-	// score may read).
-	viewVal []selection.View
-	viewKey []int64
-
 	// hist is the monitoring substrate: one availability history per
 	// population slot over the last AcceptHorizon rounds (the paper's
 	// "any peer can query the availability of any other peer ... for
@@ -223,8 +215,6 @@ func New(cfg Config) (*Simulation, error) {
 		curQ:     newVisitQueue(cfg.NumPeers),
 		nextQ:    newVisitQueue(cfg.NumPeers),
 		walkPos:  math.MaxInt32,
-		viewVal:  make([]selection.View, cfg.NumPeers),
-		viewKey:  make([]int64, cfg.NumPeers),
 	}
 	// Preallocate the adjacency at its steady-state high-water mark so
 	// the placement hot path never grows a slice: n blocks per owner,
@@ -489,11 +479,9 @@ func (s *Simulation) setOnline(round int64, id overlay.PeerID, p *peer, online b
 	}
 }
 
-// invalidateSlot drops a population slot's cached view and score when
-// its occupant is replaced: the cached values described the departed
-// peer.
+// invalidateSlot drops a population slot's cached score when its
+// occupant is replaced: the cached value described the departed peer.
 func (s *Simulation) invalidateSlot(id overlay.PeerID) {
-	s.viewKey[id] = 0
 	s.maint.InvalidateScore(id)
 }
 
@@ -550,11 +538,9 @@ func (steadyHistory) ObservedSince() (round int64, ok bool) { return 0, true }
 
 // View implements maintenance.Env: observable knowledge (age, monitored
 // availability history) split from the oracle ground truth only the
-// oracle baselines read. Population views are memoised per (slot,
-// round): the view of a candidate probed by many repairing peers in one
-// round is built once. The memo needs no flip invalidation — the view
-// holds the history by reference — and occupant replacement drops it
-// via invalidateSlot.
+// oracle baselines read. It writes nothing, so the sequential Step and
+// concurrent PlanSteps share it; what it reads is frozen between the
+// churn walk and the end of the maintenance phase.
 func (e *simEnv) View(id overlay.PeerID) selection.View {
 	s := (*Simulation)(e)
 	if int(id) >= s.cfg.NumPeers {
@@ -565,43 +551,33 @@ func (e *simEnv) View(id overlay.PeerID) selection.View {
 			Oracle:   selection.Oracle{Availability: 1, Remaining: never},
 		}
 	}
-	return s.materializeView(id)
-}
-
-// materializeView fills (or returns) the per-round view memo entry of
-// a population slot. Besides the lazy miss path of simEnv.View it is
-// the unit of the sharded engine's parallel warm phase, which calls it
-// for disjoint slot ranges — safe because it writes only the slot's
-// own memo entry and reads state that is frozen between the churn walk
-// and the maintenance phase.
-func (s *Simulation) materializeView(id overlay.PeerID) selection.View {
-	key := s.round + 1
-	if s.viewKey[id] == key {
-		return s.viewVal[id]
-	}
 	p := &s.peers[id]
 	remaining := int64(never)
 	if p.death != never {
 		remaining = p.death - s.round
 	}
-	v := selection.View{
+	return selection.View{
 		Observed: selection.Observed{Age: s.round - p.join, History: &s.hist[id]},
 		Oracle:   selection.Oracle{Availability: p.avail, Remaining: remaining},
 	}
-	s.viewKey[id] = key
-	s.viewVal[id] = v
-	return v
+}
+
+// Age implements maintenance.Env: View(id).Observed.Age and nothing else.
+func (e *simEnv) Age(id overlay.PeerID) int64 {
+	s := (*Simulation)(e)
+	if int(id) >= s.cfg.NumPeers {
+		return s.obsSpecs[int(id)-s.cfg.NumPeers].Age
+	}
+	return s.round - s.peers[id].join
 }
 
 // Round implements maintenance.Env.
 func (e *simEnv) Round() int64 { return (*Simulation)(e).round }
 
-// SampleCandidate implements maintenance.Env: uniform over the regular
-// population (observers are invisible as candidates, per the paper).
-func (e *simEnv) SampleCandidate(r *rng.Rand) overlay.PeerID {
-	s := (*Simulation)(e)
-	return overlay.PeerID(r.Intn(s.cfg.NumPeers))
-}
+// Population implements maintenance.Env: candidates are drawn from the
+// regular population (observers are invisible as candidates, per the
+// paper).
+func (e *simEnv) Population() int { return (*Simulation)(e).cfg.NumPeers }
 
 // Run executes the configured number of rounds and returns the result.
 func (s *Simulation) Run() *Result {
@@ -755,11 +731,11 @@ func (s *Simulation) stepRound() {
 	s.phaseLap(&s.phases.Evaluation, &pt)
 
 	// Sharded warm phase: when the actor set will probe a large
-	// fraction of the population, materialise every slot's view (and
-	// pure-policy score) in parallel before maintenance reads them
-	// through the per-round memos. Consumes no randomness and computes
-	// exactly the values the lazy miss paths would, so it is invisible
-	// to trajectories at any shard count.
+	// fraction of the population, compute every slot's pure-policy
+	// score in parallel before maintenance reads it through the
+	// per-round memo. Consumes no randomness and computes exactly the
+	// values the lazy miss path would, so it is invisible to
+	// trajectories at any shard count.
 	if s.shards != nil && s.warmWorthwhile() {
 		s.warmCaches()
 	}

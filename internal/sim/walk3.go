@@ -63,7 +63,6 @@ import (
 	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
-	"p2pbackup/internal/selection"
 )
 
 // v3SlotStreamBase is the rng.Derive index base of the per-slot
@@ -163,35 +162,9 @@ func newV3State(s *Simulation) *v3State {
 	}
 	slots := cfg.NumPeers + len(cfg.Observers)
 	for i := range v3.workers {
-		v3.workers[i].ws = maintenance.NewWorkspace(slots, s.viewRO)
+		v3.workers[i].ws = maintenance.NewWorkspace(slots)
 	}
 	return v3
-}
-
-// viewRO is the plan phase's read-only view accessor: a warmed memo
-// entry is returned as-is, a miss builds the view without storing it —
-// concurrent planners must not race on the memo arrays. The values are
-// exactly what simEnv.View would produce.
-func (s *Simulation) viewRO(id overlay.PeerID) selection.View {
-	if int(id) >= s.cfg.NumPeers {
-		spec := s.obsSpecs[int(id)-s.cfg.NumPeers]
-		return selection.View{
-			Observed: selection.Observed{Age: spec.Age, History: steadyHistory{}},
-			Oracle:   selection.Oracle{Availability: 1, Remaining: never},
-		}
-	}
-	if s.viewKey[id] == s.round+1 {
-		return s.viewVal[id]
-	}
-	p := &s.peers[id]
-	remaining := int64(never)
-	if p.death != never {
-		remaining = p.death - s.round
-	}
-	return selection.View{
-		Observed: selection.Observed{Age: s.round - p.join, History: &s.hist[id]},
-		Oracle:   selection.Oracle{Availability: p.avail, Remaining: remaining},
-	}
 }
 
 // stepRoundV3 advances one round under the v3 engine. Phase order
