@@ -423,18 +423,22 @@ func BenchmarkAdaptiveTarget(b *testing.B) {
 // sinkFloat keeps the kernels above from being optimised away.
 var sinkFloat float64
 
-// BenchmarkShardedChurnRound measures the sharded engine's scaling
-// curve: steady-state rounds under the paper's churn mix at large
-// populations, across shard counts. The code shape is thin (32/16,
-// short horizon) so the 1M-peer population fits in CI memory; the
-// short warmup still clears the shortened monitoring window. S=1 is
-// the sequential baseline — the sharded engine guarantees bit-equal
-// results at every S, so the deltas here are pure speedup. The 1M
-// populations are skipped under -short (bench smoke runs them at 1x
-// only on full runs).
+// BenchmarkShardedChurnRound measures what a second core buys: steady-
+// state rounds under the paper's churn mix at large populations, on one
+// shard (the walk and the plan on the calling goroutine) and on one
+// shard per available CPU. The code shape is thin (32/16, short
+// horizon) so the 1M-peer population fits in CI memory; the short
+// warmup still clears the shortened monitoring window. Results are
+// bit-equal at every shard count, so the deltas are pure speedup — on a
+// single-core runner the two rows are the same row. The 1M populations
+// are skipped under -short.
 func BenchmarkShardedChurnRound(b *testing.B) {
+	shardCounts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		shardCounts = append(shardCounts, p)
+	}
 	for _, peers := range []int{100000, 1000000} {
-		for _, shards := range []int{1, 2, 4, 8} {
+		for _, shards := range shardCounts {
 			b.Run(fmt.Sprintf("peers=%d/shards=%d", peers, shards), func(b *testing.B) {
 				if testing.Short() && peers > 100000 {
 					b.Skip("1M-peer population skipped with -short")
@@ -462,56 +466,6 @@ func BenchmarkShardedChurnRound(b *testing.B) {
 				for s.StepRound() {
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkWalkV3ChurnRound measures the v3 engine (shard-local walk +
-// deterministic merge, -walk=v3) against the v1 walk on the same thin
-// large-population shapes as BenchmarkShardedChurnRound. Under v1 the
-// walk and maintenance phases are sequential whatever the shard count;
-// v3 shards both, so walk=v3 at S>1 is where the 100k/1M curves bend
-// on multi-core machines (on a single-core runner the S>1 rows mostly
-// measure merge overhead — snapshots record gomaxprocs for exactly
-// this reason). v1 and v3 trajectories are intentionally not
-// draw-compatible, so this compares engine generations, not bit-equal
-// runs. The 1M populations are skipped under -short.
-func BenchmarkWalkV3ChurnRound(b *testing.B) {
-	for _, peers := range []int{100000, 1000000} {
-		for _, walk := range []string{sim.WalkV1, sim.WalkV3} {
-			for _, shards := range []int{1, 2, 4, 8} {
-				if walk == sim.WalkV1 && shards > 1 {
-					continue // v1's walk is sequential; S>1 is covered by BenchmarkShardedChurnRound
-				}
-				b.Run(fmt.Sprintf("peers=%d/walk=%s/shards=%d", peers, walk, shards), func(b *testing.B) {
-					if testing.Short() && peers > 100000 {
-						b.Skip("1M-peer population skipped with -short")
-					}
-					cfg := sim.DefaultConfig()
-					cfg.NumPeers = peers
-					cfg.TotalBlocks = 32
-					cfg.DataBlocks = 16
-					cfg.RepairThreshold = 20
-					cfg.Quota = 96
-					cfg.PoolSamplePerRound = 32
-					cfg.AcceptHorizon = 72
-					cfg.Walk = walk
-					cfg.Shards = shards
-					const warmup = 120 // past the shortened monitoring window
-					cfg.Rounds = int64(b.N) + warmup
-					s, err := sim.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for i := 0; i < warmup; i++ {
-						s.StepRound()
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for s.StepRound() {
-					}
-				})
-			}
 		}
 	}
 }

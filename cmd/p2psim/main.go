@@ -55,25 +55,17 @@
 // shrank archives, the final report includes a redundancy line with
 // the parity traffic and its upload cost on the paper's DSL link.
 //
-// -shards runs every simulation's shardable phases (availability
-// history application, selection cache warming, final accounting) on
-// that many workers. Results are bit-identical at every shard count —
-// it is purely a speed knob, composing with -parallel, which runs
-// whole variants concurrently; prefer -parallel while the campaign has
-// more variants than cores, -shards when a few big runs dominate.
-//
-// -walk selects the engine generation: v1 (default) is the canonical
-// sequential churn walk whose trajectories the original goldens pin;
-// v3 shards the walk and the maintenance phase themselves (per-slot
-// rng streams, effect-log merge at the round barrier) and carries its
-// own versioned trajectory — bit-identical at every -shards value,
-// but not draw-compatible with v1. Use v3 with -shards N to bend the
-// big-population round times on multi-core machines.
+// -shards runs every simulation's churn walk and maintenance plan on
+// that many workers (per-slot rng streams, effect-log merge at the
+// round barrier). Results are bit-identical at every shard count — it
+// is purely a speed knob, composing with -parallel, which runs whole
+// variants concurrently; prefer -parallel while the campaign has more
+// variants than cores, -shards when a few big runs dominate.
 //
 // -phasetimes collects per-phase wall time (walk / merge /
 // maintenance / transfer-drain / evaluation) in every run and prints
 // the campaign-wide breakdown at exit — the first stop when deciding
-// whether -shards/-walk=v3 would pay on a given workload.
+// whether -shards would pay on a given workload.
 //
 // Scales: smoke (600 peers, 20k rounds), default (2,500 peers, 50k
 // rounds), paper (25,000 peers, 50k rounds - slow). The replay
@@ -149,8 +141,7 @@ func run() int {
 	strategy := flag.String("strategy", "", "partner-selection strategy spec, e.g. age:L=2160, estimator:pareto, monitored-availability:720 (default: the paper's age strategy)")
 	bandwidth := flag.String("bandwidth", "", "bandwidth class spec: "+strings.Join(transfer.Presets(), " ")+", or name:prop:up/down[:inflight];... (default: the paper's instant placement)")
 	redundancySpec := flag.String("redundancy", "", "redundancy policy spec: fixed, or adaptive:min=M,max=M2,target=P[,hysteresis=H,eval=E,sample=S] (default: the paper's fixed n per archive)")
-	shards := flag.Int("shards", 0, "per-simulation shard workers for the engine's parallel phases; 0 or 1 = sequential, results are identical at every value")
-	walk := flag.String("walk", "", "engine generation: v1 (canonical sequential walk, the default) or v3 (shard-local walk + deterministic merge; own versioned trajectory, identical at every -shards value)")
+	shards := flag.Int("shards", 0, "per-simulation shard workers for the churn walk and the maintenance plan; 0 or 1 = one goroutine, results are identical at every value")
 	phasetimes := flag.Bool("phasetimes", false, "collect per-phase wall time (walk/merge/maintenance/transfer-drain/evaluation) and print the campaign-wide breakdown at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole campaign to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
@@ -207,7 +198,6 @@ func run() int {
 		Bandwidth:    *bandwidth,
 		Redundancy:   *redundancySpec,
 		Shards:       *shards,
-		Walk:         *walk,
 		PhaseTimes:   *phasetimes,
 	}
 	if *resume != "" && *procs <= 0 {

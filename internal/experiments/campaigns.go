@@ -53,13 +53,12 @@ func FocalCampaign(cfg sim.Config) Campaign {
 	}}}
 }
 
-// setStrategySpec points a variant config at a strategy spec,
-// clearing every other strategy field: a base config's Policy or
-// Strategy must not leak into a campaign that sweeps the strategy
-// (Policy would silently win over StrategySpec in Validate).
+// setStrategySpec points a variant config at a strategy spec, clearing
+// the base config's Policy: it must not leak into a campaign that
+// sweeps the strategy (Policy would silently win over StrategySpec in
+// Validate).
 func setStrategySpec(c *sim.Config, spec string) {
 	c.Policy = nil
-	c.Strategy = nil
 	c.StrategySpec = spec
 }
 

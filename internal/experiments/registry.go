@@ -49,19 +49,13 @@ type Options struct {
 	// provisioning. The fixed-vs-adaptive campaign sweeps the policy
 	// itself, using this spec as its adaptive arm when it names one.
 	Redundancy string
-	// Shards sets sim.Config.Shards on every variant: 0 or 1 keeps the
-	// sequential engine, >= 2 runs each simulation's shardable phases on
-	// that many workers. Results are bit-identical at every value (the
-	// sharded engine's equivalence guarantee), so this is purely a
-	// speed/parallelism knob, composing with Parallelism, which runs
-	// whole variants concurrently.
+	// Shards sets sim.Config.Shards on every variant: 0 or 1 runs each
+	// simulation on one goroutine, >= 2 runs its churn walk and
+	// maintenance plan on that many workers. Results are bit-identical
+	// at every value (the engine's determinism invariant), so this is
+	// purely a speed/parallelism knob, composing with Parallelism, which
+	// runs whole variants concurrently.
 	Shards int
-	// Walk selects the engine generation on every variant: "" or
-	// sim.WalkV1 keeps the canonical sequential churn walk, sim.WalkV3
-	// runs the shard-local walk + deterministic merge engine (its own
-	// versioned trajectory, bit-identical at every shard count; see
-	// internal/sim/walk3.go).
-	Walk string
 	// PhaseTimes turns on per-phase wall-time accounting in every
 	// variant's sim.Result (walk / merge / maintenance / transfer-drain
 	// / evaluation), for the CLI's -phasetimes report.
@@ -147,7 +141,6 @@ func (o Options) spec(kind string) CampaignSpec {
 		Bandwidth:    o.Bandwidth,
 		Redundancy:   o.Redundancy,
 		Shards:       o.Shards,
-		Walk:         o.Walk,
 		PhaseTimes:   o.PhaseTimes,
 		TracePath:    o.TracePath,
 	}
@@ -283,7 +276,6 @@ func baseFor(opts Options) (sim.Config, error) {
 	}
 	cfg.Seed = opts.Seed
 	cfg.Shards = opts.Shards
-	cfg.Walk = opts.Walk
 	cfg.PhaseTimes = opts.PhaseTimes
 	if opts.StrategySpec != "" {
 		// Parse eagerly so a typo fails before any simulation runs.

@@ -29,13 +29,12 @@ type CampaignSpec struct {
 	Scale Scale `json:"scale,omitempty"`
 	// Seed is the base seed; zero means 1, matching RunCtx.
 	Seed uint64 `json:"seed,omitempty"`
-	// StrategySpec, Bandwidth, Redundancy, Shards, Walk and PhaseTimes
-	// mirror the Options fields of the same names.
+	// StrategySpec, Bandwidth, Redundancy, Shards and PhaseTimes mirror
+	// the Options fields of the same names.
 	StrategySpec string `json:"strategy,omitempty"`
 	Bandwidth    string `json:"bandwidth,omitempty"`
 	Redundancy   string `json:"redundancy,omitempty"`
 	Shards       int    `json:"shards,omitempty"`
-	Walk         string `json:"walk,omitempty"`
 	PhaseTimes   bool   `json:"phase_times,omitempty"`
 	// TracePath names the churn trace file for the replay, estimator and
 	// fixed-vs-adaptive kinds. The supervisor materialises internally
@@ -109,7 +108,6 @@ func (s CampaignSpec) options() Options {
 		Bandwidth:    s.Bandwidth,
 		Redundancy:   s.Redundancy,
 		Shards:       s.Shards,
-		Walk:         s.Walk,
 		PhaseTimes:   s.PhaseTimes,
 	}
 }

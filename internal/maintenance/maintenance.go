@@ -28,8 +28,10 @@
 //
 // The Maintainer operates on the overlay.Ledger and is driven by the
 // simulation engine, which decides which peers act each round and in
-// what order. It is not safe for concurrent use, except as plan.go's
-// contract for PlanStep allows.
+// what order. A round of maintenance is decided against the frozen
+// round state (PlanStep) and then carried out (ApplyPlan); plan.go has
+// the state machine and the contract that lets owners plan concurrently.
+// Nothing else here is safe for concurrent use.
 //
 // Candidate gathering (refreshPool) is where a run spends most of its
 // time, so its sampling loop is flat: it draws from Env.Population
@@ -50,7 +52,7 @@
 //
 // Paper mapping (in the style of internal/selection):
 //
-//	§2.2.2 "maintenance"        Step, the monitor→repair transition
+//	§2.2.2 "maintenance"        PlanStep, the monitor→repair transition
 //	§2.2.3 repair threshold k'  Params.RepairThreshold (trigger: visible < k')
 //	§2.2.4 bandwidth bound      Params.UploadBudgetPerRound (d≈128 blocks ≈ 1 round on DSL)
 //	§3.2   simulated protocol   the state machine (stateIdle → stateTriggered → stateUploading)
@@ -195,8 +197,8 @@ type Env interface {
 	Round() int64
 }
 
-// Transfers is the bandwidth-scheduling hook (PR 6): when installed
-// via SetTransfers, stepUpload enqueues block transfers instead of
+// Transfers is the bandwidth-scheduling hook: when installed via
+// SetTransfers, an upload step enqueues block transfers instead of
 // placing instantly, and the engine lands them later through
 // DeliverUpload. The implementation (the simulation engine's transfer
 // scheduler) owns all timing; the Maintainer only respects the
@@ -246,7 +248,7 @@ const (
 )
 
 // poolEntry is an accepted candidate waiting to receive a block.
-// placeable is a per-step scratch flag: stepUpload computes each
+// placeable is a per-step scratch flag: planUpload computes each
 // entry's eligibility once per step, so the per-placement max-score
 // scans are pure slice walks.
 type poolEntry struct {
@@ -315,7 +317,7 @@ type Maintainer struct {
 	// deduplicates pool membership (see markSet).
 	//
 	// The marks and the host scratch live in a Workspace: own for Step,
-	// one per planning worker for PlanStep (see plan.go).
+	// one per planning worker otherwise (see plan.go).
 	own Workspace
 
 	// pools recycles candidate-pool buffers: a slot holds one only
@@ -352,7 +354,7 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		pol:    pol,
 		env:    env,
 		peers:  make([]peerState, led.NumPeers()),
-		own:    Workspace{memoize: true, marks: newMarkSet(led.NumPeers())},
+		own:    Workspace{SolePlanner: true, marks: newMarkSet(led.NumPeers())},
 		pools:  poolCache{limit: max(minFreePools, led.NumPeers()/256)},
 	}
 	m.acceptsAll = selection.AcceptsAll(pol)
@@ -444,36 +446,10 @@ func (m *Maintainer) InvalidateScore(id overlay.PeerID) {
 	}
 }
 
-// WarmScoreRange precomputes the per-round score memo for the slots in
-// [from, to). A no-op when the score cache is disabled (stateful
-// policies must be re-evaluated per call and cannot be warmed).
-//
-// Concurrency contract: the simulation engine's sharded warm phase
-// calls WarmScoreRange from one goroutine per disjoint slot range, so
-// the method writes only the memo entries of its own range and the
-// policy's Score must be safe for concurrent calls — guaranteed for
-// policies declaring selection.HasPureScore (purity is what enabled
-// the cache in the first place), which is the only case the memo
-// exists for. Warming computes exactly the values the lazy scoreOf
-// misses would, so it never changes a trajectory.
-func (m *Maintainer) WarmScoreRange(ctx selection.Context, from, to overlay.PeerID) {
-	if m.scoreKey == nil {
-		return
-	}
-	key := ctx.Round + 1
-	for c := from; c < to; c++ {
-		if m.scoreKey[c] == key {
-			continue
-		}
-		m.scoreVal[c] = m.pol.Score(ctx, m.env.View(c))
-		m.scoreKey[c] = key
-	}
-}
-
 // scoreOf returns the policy score of candidate c, through the (slot,
 // round) memo when enabled; only a miss builds the candidate's view. A
-// miss is stored only when store is set: concurrent planners may read a
-// warmed entry but must not race on writing one.
+// miss is stored only when store is set: concurrent planners may read
+// an entry but must not race on writing one.
 func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, store bool) float64 {
 	key := ctx.Round + 1
 	if m.scoreKey != nil && m.scoreKey[c] == key {
@@ -612,92 +588,6 @@ func (m *Maintainer) WantsStep(id overlay.PeerID) bool {
 	return m.led.Visible(id) < m.params.RepairThreshold
 }
 
-// Step runs one round of maintenance for an online peer.
-func (m *Maintainer) Step(r *rng.Rand, id overlay.PeerID) StepResult {
-	p := &m.peers[id]
-	res := m.step(r, id, p)
-	m.releaseEmptyPool(p)
-	return res
-}
-
-// step is Step's state machine.
-func (m *Maintainer) step(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
-	if !p.included {
-		// Initial (or post-loss) upload: straight to Uploading.
-		if p.st == stateIdle {
-			p.epStart = m.env.Round()
-		}
-		p.st = stateUploading
-		return m.stepUpload(r, id, p)
-	}
-	switch p.st {
-	case stateIdle:
-		if m.led.Visible(id) >= m.threshold(id) {
-			return StepResult{Outcome: OutcomeNone}
-		}
-		p.st = stateTriggered
-		p.epStart = m.env.Round()
-		fallthrough
-	case stateTriggered:
-		return m.stepTriggered(r, id, p)
-	case stateUploading:
-		return m.stepUpload(r, id, p)
-	default:
-		panic(fmt.Sprintf("maintenance: bad state %d", p.st))
-	}
-}
-
-// stepTriggered gathers candidates while waiting for the decode point.
-func (m *Maintainer) stepTriggered(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
-	visible := m.led.Visible(id)
-	if m.params.CancelOnRecover && visible >= m.threshold(id) {
-		m.finishEpisode(p)
-		return StepResult{Outcome: OutcomeCanceled}
-	}
-	// Candidate gathering continues even while stalled; partners found
-	// now shorten the upload phase.
-	m.refreshPool(r, id, p, &m.own)
-	if visible < m.params.DataBlocks {
-		res := StepResult{Outcome: OutcomeStalled}
-		if !p.outage {
-			p.outage = true
-			res.OutageStarted = true
-		}
-		return res
-	}
-	p.outage = false // decodable again; any new outage is a fresh event
-	if p.waited < m.params.RepairDelay {
-		// Deliberately hold the repair: partners may come back, letting
-		// CancelOnRecover avoid the whole episode.
-		p.waited++
-		return StepResult{Outcome: OutcomeNone}
-	}
-	// Decode point: download k blocks, re-encode, write off partners
-	// considered gone.
-	if m.params.DropOffline {
-		for i := m.led.Alive(id) - 1; i >= 0; i-- {
-			host, err := m.led.HostAt(id, i)
-			if err != nil {
-				panic(err) // ledger indexes are engine-controlled
-			}
-			if !m.led.Online(host) {
-				if err := m.led.DropPlacementAt(id, i); err != nil {
-					panic(err)
-				}
-				p.dropped++
-			}
-		}
-	}
-	if m.led.Alive(id) >= m.targetBlocks(id) {
-		// Nothing to upload (possible with DropOffline=false when only
-		// offline partners pushed us under the threshold).
-		m.finishEpisode(p)
-		return StepResult{Outcome: OutcomeCanceled}
-	}
-	p.st = stateUploading
-	return m.stepUpload(r, id, p)
-}
-
 // freeQuota returns the host quota available for a new placement or
 // transfer reservation toward c: the ledger's free quota net of units
 // already promised to in-flight uploads. Without a transfer scheduler
@@ -708,86 +598,6 @@ func (m *Maintainer) freeQuota(c overlay.PeerID) int {
 		free -= m.xfer.Reserved(c)
 	}
 	return free
-}
-
-// stepUpload pushes blocks to the best-ranked online pool members until
-// the archive holds n placed blocks.
-func (m *Maintainer) stepUpload(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
-	m.refreshPool(r, id, p, &m.own)
-	if m.xfer != nil && !p.unmetered {
-		return m.stepUploadTransfers(id, p)
-	}
-	// Compute each pool entry's eligibility once: within this step the
-	// owner is the only actor, so liveness, session state and quota of
-	// non-partner pool members cannot change — only hosts the owner
-	// places on do, and those leave the pool (and gain a partner mark)
-	// at that moment. takeBestPlaceable's per-placement scans then read
-	// one precomputed flag per entry instead of four ledger lookups.
-	for i := range p.pool {
-		e := &p.pool[i]
-		e.placeable = m.tab.Current(e.ref) &&
-			m.led.Online(e.ref.ID) &&
-			(p.unmetered || m.freeQuota(e.ref.ID) >= 1) &&
-			!m.own.marks.isPartner(e.ref.ID)
-	}
-	deficit := m.targetBlocks(id) - m.led.Alive(id)
-	budget := m.params.UploadBudgetPerRound
-	if budget <= 0 {
-		budget = deficit // unlimited
-	}
-	for deficit > 0 && budget > 0 {
-		best := m.takeBestPlaceable(id, p)
-		if best == overlay.NoPeer {
-			break
-		}
-		m.place(id, p, best)
-		p.uploaded++
-		deficit--
-		budget--
-	}
-	if deficit > 0 {
-		return StepResult{Outcome: OutcomeNone} // keep going next round
-	}
-	res := StepResult{Uploaded: p.uploaded, Dropped: p.dropped}
-	if p.included {
-		res.Outcome = OutcomeRepaired
-	} else {
-		res.Outcome = OutcomeInitialDone
-		p.included = true
-	}
-	m.finishEpisode(p)
-	return res
-}
-
-// stepUploadTransfers is stepUpload's bandwidth-scheduled body: instead
-// of placing blocks it enqueues transfers to the best-ranked placeable
-// pool members, bounded by the remaining deficit (net of blocks already
-// on the wire) and the class's concurrency headroom. The episode
-// completes when the engine lands the last block through DeliverUpload,
-// never here, so the step outcome is always OutcomeNone.
-func (m *Maintainer) stepUploadTransfers(id overlay.PeerID, p *peerState) StepResult {
-	for i := range p.pool {
-		e := &p.pool[i]
-		e.placeable = m.tab.Current(e.ref) &&
-			m.led.Online(e.ref.ID) &&
-			m.freeQuota(e.ref.ID) >= 1 &&
-			!m.own.marks.isPartner(e.ref.ID)
-	}
-	deficit := m.targetBlocks(id) - m.led.Alive(id) - m.xfer.Inflight(id)
-	slots := m.xfer.UploadSlots(id)
-	for deficit > 0 && slots > 0 {
-		best := m.takeBestPlaceable(id, p)
-		if best == overlay.NoPeer {
-			break
-		}
-		m.xfer.BeginUpload(id, m.tab.Ref(best))
-		// The host holds a reservation now; later picks in this step
-		// must see it as booked.
-		m.own.marks.setPartner(best)
-		deficit--
-		slots--
-	}
-	return StepResult{Outcome: OutcomeNone}
 }
 
 // DeliverUpload lands one in-flight block from owner on host: the
@@ -811,15 +621,19 @@ func (m *Maintainer) DeliverUpload(owner, host overlay.PeerID) (StepResult, bool
 	if m.led.Alive(owner) < m.targetBlocks(owner) {
 		return StepResult{}, false
 	}
-	res := StepResult{Uploaded: p.uploaded, Dropped: p.dropped}
-	if p.included {
-		res.Outcome = OutcomeRepaired
-	} else {
+	return m.completeEpisode(p), true
+}
+
+// completeEpisode closes an episode whose last block has landed and
+// reports it: a repair, or the upload that makes the peer included.
+func (m *Maintainer) completeEpisode(p *peerState) StepResult {
+	res := StepResult{Outcome: OutcomeRepaired, Uploaded: p.uploaded, Dropped: p.dropped}
+	if !p.included {
 		res.Outcome = OutcomeInitialDone
 		p.included = true
 	}
 	m.finishEpisode(p)
-	return res, true
+	return res
 }
 
 // finishEpisode clears episode state and drops whatever the pool holds.
@@ -833,7 +647,7 @@ func (m *Maintainer) finishEpisode(p *peerState) {
 }
 
 // releaseEmptyPool hands the slot's pool buffer back to the cache when
-// the pool holds no candidate. Step and PlanStep end with it: an upload
+// the pool holds no candidate. PlanStep ends with it: an upload
 // step usually places on every candidate it accepted, so a buffer
 // serves one step and is back in the cache — still warm — for the next
 // owner's, and only a pool with candidates left over (offline since,
@@ -854,21 +668,17 @@ func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.Peer
 		err = m.led.Place(owner, host)
 	}
 	if err != nil {
-		// takeBestPlaceable validated quota and liveness within this
-		// same single-threaded step; failure is a bug.
+		// The plan validated liveness and ApplyPlan re-checked quota just
+		// now, on the one applying goroutine; failure is a bug.
 		panic(fmt.Sprintf("maintenance: placement %d->%d failed: %v", owner, host, err))
 	}
-	// The host is a partner now; later placements in the same step must
-	// see it through the current mark epoch.
-	m.own.marks.setPartner(host)
 }
 
 // refreshPool prunes dead/ineligible entries and samples new candidates
 // up to the per-round budget. Offline candidates are NOT pruned: they
-// agreed to the partnership and become placeable when they return. It
-// is the one pool procedure behind Step (ws is the Maintainer's own
-// scratch) and PlanStep (ws is the planning worker's, which stores no
-// score-memo miss), so both sample and accept draw for draw alike.
+// agreed to the partnership and become placeable when they return. ws
+// is the planner's scratch; only a sole planner's stores score-memo
+// misses.
 //
 // It opens a fresh mark epoch for the acting owner: the owner's current
 // partners are stamped once (O(degree)), and every subsequent "is this
@@ -979,14 +789,14 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 			}
 		}
 		marks.setPooled(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, ws.memoize)})
+		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, ws.SolePlanner)})
 	}
 }
 
 // takeBestPlaceable removes and returns the highest-scored pool entry
 // that can receive a block right now (alive, online, quota available,
 // not yet a partner), or NoPeer if none qualifies. Eligibility comes
-// from the placeable flags stepUpload — its sole caller — precomputed
+// from the placeable flags planUpload — its sole caller — precomputed
 // for this step; the tie-breaking scan order (first entry in current
 // pool order wins among equal scores, swap-remove on take) is
 // load-bearing for reproducibility and must not change.

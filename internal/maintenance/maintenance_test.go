@@ -418,17 +418,21 @@ func TestQuotaRespected(t *testing.T) {
 	}
 }
 
+// TestUnmeteredObserverBypassesQuota: an observer's planned placement on
+// a host with no free quota lands. The population is so small that the
+// observer cannot complete without three hosts that are full — planning
+// marks them placeable for a quota-exempt owner, and the apply's quota
+// re-check must exempt it too.
 func TestUnmeteredObserverBypassesQuota(t *testing.T) {
-	led := overlay.NewLedger(10, 1)
-	tab := overlay.NewTable(10)
-	env := &fakeEnv{ages: make([]int64, 10), n: 9} // observers sample only peers 0..8
+	led := overlay.NewLedger(6, 1)
+	tab := overlay.NewTable(6)
+	env := &fakeEnv{ages: make([]int64, 6), n: 5} // observers sample only peers 0..4
 	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
 		DropOffline: true, CancelOnRecover: true}
 	m := New(p, led, tab, selection.Adapt(selection.Random{}), env)
-	m.SetUnmetered(9, true)
+	m.SetUnmetered(5, true)
 	r := rng.New(6)
-	// Saturate every host's quota with peer 0's backup... quota 1 means
-	// 4 hosts get one block each.
+	// Peer 0's backup takes the one unit of quota of each of peers 1..4.
 	var res StepResult
 	for i := 0; i < 100 && res.Outcome != OutcomeInitialDone; i++ {
 		res = m.Step(r, 0)
@@ -436,13 +440,18 @@ func TestUnmeteredObserverBypassesQuota(t *testing.T) {
 	if res.Outcome != OutcomeInitialDone {
 		t.Fatal("metered peer stuck")
 	}
-	// The observer (slot 9) can still place everywhere.
+	for h := overlay.PeerID(1); h <= 4; h++ {
+		if led.FreeQuota(h) != 0 {
+			t.Fatalf("host %d still has quota: the observer would not need a full host", h)
+		}
+	}
+	// The observer (slot 5) needs four of the five, three of them full.
 	res = StepResult{}
 	for i := 0; i < 100 && res.Outcome != OutcomeInitialDone; i++ {
-		res = m.Step(r, 9)
+		res = m.Step(r, 5)
 	}
-	if res.Outcome != OutcomeInitialDone {
-		t.Fatal("unmetered observer blocked by quota")
+	if res.Outcome != OutcomeInitialDone || led.Alive(5) != 4 {
+		t.Fatalf("unmetered observer blocked by quota: %v with %d of 4 blocks placed", res.Outcome, led.Alive(5))
 	}
 	if err := led.CheckConsistency(); err != nil {
 		t.Fatal(err)

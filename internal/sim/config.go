@@ -38,24 +38,20 @@ type Config struct {
 	Rounds int64
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed uint64
-	// Shards is the worker count of the sharded engine: the slot space
-	// is partitioned into Shards contiguous ranges and the engine's
-	// draw-free phases (availability-history application, view/score
-	// cache warming, the final inclusion scan) fan out across them,
-	// merged back deterministically. Results are bit-identical at every
-	// value — see the v2 rng-order invariant in the package comment. 0
-	// or 1 runs the historical sequential path; values above the slot
-	// count are allowed (the excess shards own empty ranges).
+	// Shards is the engine's worker count: the slot space is partitioned
+	// into Shards contiguous ranges, and the churn walk and the
+	// maintenance plan run one goroutine per range, merged back
+	// deterministically. Results are bit-identical at every value — see
+	// the determinism invariant in the package comment. 0 or 1 runs
+	// everything on the calling goroutine; values above the slot count
+	// are allowed (the excess shards own empty ranges).
 	Shards int
-	// Walk selects the engine's walk/maintenance execution mode. WalkV1
-	// (the default; "" normalises to it) is the historical sequential
-	// walk whose rng-order invariant pins every pre-v3 golden. WalkV3
-	// runs the churn walk and the maintenance planning phase
-	// shard-locally on per-slot derived rng streams with a deterministic
-	// cross-shard effect merge at the round barrier: results are
-	// bit-identical at every Shards value *within v3*, but draw order —
-	// and therefore the digest — differs from v1 by construction. See
-	// the "v3 walk" comment in walk3.go for the invariant.
+	// Walk is vestigial: there is one engine. "" and "v3" (what that
+	// engine was called while it had a rival) are accepted and mean
+	// nothing; any other value is an error. Nothing reads it.
+	//
+	// Deprecated: kept only because bench/ sets it by name; to be
+	// deleted by the PR that next edits bench/.
 	Walk string
 
 	// TotalBlocks (n), DataBlocks (k): erasure-code shape. Paper: 256/128.
@@ -109,20 +105,15 @@ type Config struct {
 	Avail churn.AvailabilityModel
 	// Policy picks partners on the observable/oracle knowledge split.
 	// Default: the paper's age-based rule with L = AcceptHorizon.
-	// Takes precedence over StrategySpec and Strategy.
+	// Takes precedence over StrategySpec. A policy whose Score is not
+	// declared pure (selection.HasPureScore) runs only at Shards <= 1,
+	// where one planner evaluates scores in canonical actor order.
 	Policy selection.Policy
 	// StrategySpec names the partner-selection policy as a spec string
 	// ("age:L=2160", "estimator:pareto", "monitored-availability:720";
 	// see selection.Parse). Specs omitting a horizon default to
-	// AcceptHorizon. Ignored when Policy is set; mutually exclusive
-	// with Strategy.
+	// AcceptHorizon. Ignored when Policy is set.
 	StrategySpec string
-	// Strategy picks partners through the legacy flat-PeerInfo
-	// interface.
-	//
-	// Deprecated: set Policy or StrategySpec; a non-nil Strategy is
-	// lifted with selection.Adapt.
-	Strategy selection.Strategy
 
 	// DropOffline: repairs abandon currently offline partners (default
 	// true; see DESIGN.md section 4).
@@ -188,18 +179,6 @@ type Config struct {
 	ProgressEvery int64
 }
 
-// Walk mode names for Config.Walk.
-const (
-	// WalkV1 is the historical sequential walk (the default): one
-	// canonical rng stream, the v1 rng-order invariant, every pre-v3
-	// golden digest bit-identical.
-	WalkV1 = "v1"
-	// WalkV3 is the shard-parallel walk: per-slot derived rng streams,
-	// shard-local walk and maintenance planning, deterministic effect
-	// merge. Digests are pinned separately from v1.
-	WalkV3 = "v3"
-)
-
 // DefaultConfig returns the paper's parameters at full scale.
 func DefaultConfig() Config {
 	return Config{
@@ -247,18 +226,11 @@ func (c Config) Validate() (Config, error) {
 		c.Avail = churn.DefaultSessionModel()
 	}
 	if c.Policy == nil {
-		switch {
-		case c.Strategy != nil && c.StrategySpec != "":
-			return c, fmt.Errorf("sim: Strategy and StrategySpec are mutually exclusive (set one)")
-		case c.Strategy != nil:
-			c.Policy = selection.Adapt(c.Strategy)
-		default:
-			pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
-			if err != nil {
-				return c, fmt.Errorf("sim: %w", err)
-			}
-			c.Policy = pol
+		pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
+		if err != nil {
+			return c, fmt.Errorf("sim: %w", err)
 		}
+		c.Policy = pol
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = churn.Day
@@ -306,23 +278,11 @@ func (c Config) Validate() (Config, error) {
 	if c.Shards < 0 {
 		return c, fmt.Errorf("sim: Shards = %d must be >= 0", c.Shards)
 	}
-	switch c.Walk {
-	case "":
-		c.Walk = WalkV1
-	case WalkV1, WalkV3:
-	default:
-		return c, fmt.Errorf("sim: unknown walk mode %q (want %q or %q)", c.Walk, WalkV1, WalkV3)
+	if c.Walk != "" && c.Walk != "v3" {
+		return c, fmt.Errorf("sim: Walk = %q: the walk modes were collapsed into one engine (PR 21); leave Walk empty", c.Walk)
 	}
-	if c.Walk == WalkV3 {
-		// Guard against silent mode drift: every option the v3 path does
-		// not support is rejected by name rather than silently falling
-		// back to v1 semantics.
-		if c.Strategy != nil {
-			return c, fmt.Errorf("sim: Walk = %q does not support the deprecated Strategy option (set Policy or StrategySpec)", WalkV3)
-		}
-		if !selection.HasPureScore(c.Policy) {
-			return c, fmt.Errorf("sim: Walk = %q requires a policy with a pure Score (selection.HasPureScore); the shard-local planner evaluates scores concurrently", WalkV3)
-		}
+	if c.Shards >= 2 && !selection.HasPureScore(c.Policy) {
+		return c, fmt.Errorf("sim: policy %q has no pure Score (selection.HasPureScore) and Shards = %d: concurrent planners would evaluate it in no fixed order; run it at Shards <= 1", c.Policy.Name(), c.Shards)
 	}
 	if c.NumPeers < 2 {
 		return c, fmt.Errorf("sim: NumPeers = %d too small", c.NumPeers)

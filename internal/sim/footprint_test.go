@@ -2,11 +2,16 @@ package sim
 
 import (
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
+	"p2pbackup/internal/churn"
 	"p2pbackup/internal/monitor"
 	"p2pbackup/internal/overlay"
+	"p2pbackup/internal/rng"
+	"p2pbackup/internal/selection"
 	"p2pbackup/internal/transfer"
 )
 
@@ -81,9 +86,173 @@ func TestSlotFootprint(t *testing.T) {
 		per(24*pooled), episodes)
 	t.Logf("  peer record, timer, score memo %3d B",
 		unsafe.Sizeof(peer{})+unsafe.Sizeof(s.sched[0])+16)
+	t.Logf("  slot rng stream           %8d B", unsafe.Sizeof(s.streams[0]))
 }
 
-// TestPoolBuffersFollowEpisodesV3 runs v3 populations at Shards = 4 and
+// TestInitialUploadAllocation holds the rounds in which a whole
+// population uploads at once — every slot an actor, millions of planned
+// ops, a pool buffer per owner — to what they must allocate: one op log
+// sized once (4 B an op, at most 129 ops an owner here) and a bounded
+// cache of pool buffers, not a log regrown by append nor a 3 KiB buffer
+// held by every owner from its plan to its apply (which read 3.4 KiB a
+// peer). After that a round allocates only what grows with the data, and
+// the collector has no reason to run.
+func TestInitialUploadAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 5000 peers")
+	}
+	cfg := DefaultConfig()
+	cfg.NumPeers = 5000
+	cfg.Rounds = 110
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start, uploaded, end runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&start)
+	for i := 0; i < 10; i++ {
+		s.StepRound()
+	}
+	runtime.ReadMemStats(&uploaded)
+	included := 0
+	for id := 0; id < cfg.NumPeers; id++ {
+		if s.maint.Included(overlay.PeerID(id)) {
+			included++
+		}
+	}
+	if included < cfg.NumPeers/2 {
+		t.Fatalf("%d of %d peers uploaded in ten rounds: the run exercised nothing", included, cfg.NumPeers)
+	}
+	for s.StepRound() {
+	}
+	runtime.ReadMemStats(&end)
+	perPeer := (uploaded.TotalAlloc - start.TotalAlloc) / uint64(cfg.NumPeers)
+	t.Logf("initial upload: %d B allocated per peer; rounds 10-110: %d objects a round; %d GC cycles",
+		perPeer, (end.Mallocs-uploaded.Mallocs)/100, end.NumGC-start.NumGC)
+	if perPeer > 768 {
+		t.Errorf("the initial upload allocated %d B per peer, want at most 768", perPeer)
+	}
+	if perRound := (end.Mallocs - uploaded.Mallocs) / 100; perRound > 8 {
+		t.Errorf("rounds 10-110 allocated %d objects a round, want under 8 (histories and samples growing)", perRound)
+	}
+	if end.NumGC != start.NumGC {
+		t.Errorf("%d GC cycles in 110 rounds of a %d-peer run, want none", end.NumGC-start.NumGC, cfg.NumPeers)
+	}
+}
+
+// callers records which goroutines called in, by runtime.Stack's header.
+type callers struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (c *callers) here() {
+	var buf [32]byte
+	id := string(buf[:runtime.Stack(buf[:], false)])
+	id = id[:strings.IndexByte(id, '[')]
+	c.mu.Lock()
+	c.seen[id]++
+	c.mu.Unlock()
+}
+
+// spyAvail is the default session model, reporting the walk's goroutine.
+type spyAvail struct {
+	churn.AvailabilityModel
+	walk *callers
+}
+
+func (a spyAvail) SessionLength(r *rng.Rand, avail float64, online bool) int64 {
+	a.walk.here()
+	return a.AvailabilityModel.SessionLength(r, avail, online)
+}
+
+// spyPolicy is the age policy behind the bare Policy interface — no
+// capability markers, so it runs on one shard only — reporting the
+// planner's goroutine.
+type spyPolicy struct {
+	selection.Policy
+	plan *callers
+}
+
+func (p spyPolicy) Score(ctx selection.Context, v selection.View) float64 {
+	p.plan.here()
+	return p.Policy.Score(ctx, v)
+}
+
+// TestOneShardRunsOnTheCaller: at one shard the walk and the plan run on
+// the goroutine that called StepRound — no fan-out to pay for, and the
+// reason a policy without a pure Score is deterministic there. At two
+// shards the walk leaves it.
+func TestOneShardRunsOnTheCaller(t *testing.T) {
+	run := func(shards int, spyPlan bool) (walk, plan, me *callers) {
+		walk, plan, me = &callers{seen: map[string]int{}}, &callers{seen: map[string]int{}}, &callers{seen: map[string]int{}}
+		cfg := digestConfig()
+		cfg.Shards = shards
+		cfg.Avail = spyAvail{churn.DefaultSessionModel(), walk}
+		if spyPlan {
+			pol, err := selection.ParseWith("age", selection.Defaults{Horizon: cfg.AcceptHorizon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Policy = spyPolicy{pol, plan}
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		me.here()
+		for s.StepRound() {
+		}
+		return walk, plan, me
+	}
+	walk, plan, me := run(1, true)
+	for name, c := range map[string]*callers{"walk": walk, "plan": plan} {
+		if len(c.seen) != 1 {
+			t.Errorf("one shard: the %s ran on %d goroutines, want the caller's alone", name, len(c.seen))
+		}
+		for id := range me.seen {
+			if c.seen[id] == 0 {
+				t.Errorf("one shard: the %s never ran on the calling goroutine", name)
+			}
+		}
+	}
+	if walk, _, me := run(2, false); len(walk.seen) < 2 {
+		t.Errorf("two shards: the walk ran on %d goroutine(s) (caller %v): the spy sees no fan-out", len(walk.seen), me.seen)
+	}
+}
+
+// completionProbe checks, when a round reports its first completed
+// upload — the first plan has just been applied, every other still
+// waits — that no owner about to report one holds a pool buffer: a plan
+// that completes hands its leftover candidates back at plan time.
+type completionProbe struct {
+	BaseProbe
+	s         *Simulation
+	round     int64
+	held      []bool
+	completed int
+	stillHeld int
+}
+
+func (p *completionProbe) ProbeEvents() EventSet { return EventRepair }
+
+func (p *completionProbe) OnRepair(e RepairEvent) {
+	p.completed++
+	if e.Round != p.round || p.held == nil {
+		p.round = e.Round
+		p.held = make([]bool, p.s.cfg.NumPeers)
+		for id := range p.held {
+			p.held[id] = p.s.maint.PoolCap(overlay.PeerID(id)) > 0
+		}
+		return
+	}
+	if p.held[e.Peer] {
+		p.stillHeld++
+	}
+}
+
+// TestPoolBuffersFollowEpisodesV3 runs populations at Shards = 4 and
 // checks after every round that a slot holds a candidate-pool buffer
 // only inside an episode and only while its pool holds candidates.
 // Buffers are taken and returned inside concurrent PlanSteps, slots
@@ -104,17 +273,21 @@ func TestPoolBuffersFollowEpisodesV3(t *testing.T) {
 			cfg := digestConfig()
 			cfg.NumPeers = 1200
 			cfg.Rounds = 160
-			cfg.Walk = WalkV3
 			cfg.Shards = 4
 			cfg.Bandwidth = tc.bandwidth
 			cfg.Shocks = []ShockSpec{
 				{Name: "blackout", Round: 60, Fraction: 0.6, Outage: 24},
 				{Name: "regional-kill", Rate: 0.02, Fraction: 0.3, Regions: 4, Kill: true},
 			}
+			completions := &completionProbe{}
+			if tc.bandwidth == nil { // metered uploads complete in the transfer drain
+				cfg.Probes = []Probe{completions}
+			}
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			completions.s = s
 			slots := cfg.NumPeers + len(cfg.Observers)
 			held := 0
 			for s.StepRound() {
@@ -131,6 +304,10 @@ func TestPoolBuffersFollowEpisodesV3(t *testing.T) {
 			}
 			if held == 0 {
 				t.Fatal("no slot ever held a pool buffer: the run exercised nothing")
+			}
+			if tc.bandwidth == nil && (completions.completed < cfg.NumPeers || completions.stillHeld > 0) {
+				t.Fatalf("%d of %d completing owners held a pool buffer between their plan and its apply",
+					completions.stillHeld, completions.completed)
 			}
 		})
 	}

@@ -9,18 +9,17 @@ import "time"
 // trajectory — it only reads the clock at phase boundaries.
 type PhaseTimes struct {
 	// Walk covers the churn phases: shocks, restore demand, replay
-	// application and the walk itself (parallel under -walk=v3).
+	// application and the walk itself (one goroutine per shard).
 	Walk time.Duration
-	// Merge covers the round barrier: the deferred history-op
-	// application under v1 sharding, the cross-shard effect merge under
-	// v3.
+	// Merge covers the round barrier: the canonical merge of the walk's
+	// effect logs.
 	Merge time.Duration
 	// TransferDrain covers due transfer completions (bandwidth mode).
 	TransferDrain time.Duration
 	// Evaluation covers the adaptive-redundancy evaluation phase.
 	Evaluation time.Duration
-	// Maintenance covers cache warming, the maintenance phase (plan and
-	// apply under v3), observer actions and round-end accounting.
+	// Maintenance covers the maintenance phase (plan and apply),
+	// observer actions and round-end accounting.
 	Maintenance time.Duration
 }
 

@@ -2,14 +2,14 @@ package sim
 
 // Adaptive redundancy: the engine-side state and round phase behind
 // Config.Redundancy. A static policy (fixed, the default) allocates
-// nothing here and the engine is literally the pre-adaptive engine; an
-// adaptive policy gets a per-archive target array, a derived scratch
-// rng stream, and one evaluation phase per round.
+// nothing here and draws nothing; an adaptive policy gets a per-archive
+// target array, a derived scratch rng stream, and one evaluation phase
+// per round.
 //
 // The rng rule: every draw an evaluation makes (partner subsampling)
 // comes from a stream derived via rng.Derive(seed, redunStreamIndex),
-// never from the engine's canonical stream s.r. The phase runs after
-// the churn walk's history barrier and before the maintenance shuffle,
+// never from the canonical stream s.r or a slot's. The phase runs after
+// the walk's merge and before the maintenance plan, on one goroutine,
 // touches the ledger only through deterministic drops, and iterates
 // slots in ascending order — so adaptive runs are bit-identical at
 // every shard count, and fixed runs never see the stream at all.
@@ -21,8 +21,8 @@ import (
 )
 
 // redunStreamIndex is the rng.Derive index of the redundancy scratch
-// stream ("REDUNDAN" in ASCII). Shard scratch streams derive from small
-// integer indexes (0..Shards-1), so any value >= 2^32 cannot collide.
+// stream ("REDUNDAN" in ASCII), far outside the slot streams' index
+// range [slotStreamBase, slotStreamBase + NumPeers).
 const redunStreamIndex uint64 = 0x5245_4455_4e44_414e
 
 // redunEstGain is the per-evaluation EWMA gain of the availability
@@ -44,7 +44,7 @@ type redunState struct {
 	r   *rng.Rand // derived scratch stream; see the package rule above
 	// target and thr hold each population slot's current n(t) and the
 	// effective repair threshold it implies (cached because the
-	// maintenance hook reads it on every Step).
+	// maintenance hook reads it on every step).
 	target []int32
 	thr    []int32
 	// est holds each slot's smoothed availability estimate (the EWMA of

@@ -4,63 +4,28 @@ import (
 	"strings"
 	"testing"
 
-	"p2pbackup/internal/churn"
 	"p2pbackup/internal/redundancy"
 )
 
 // TestFixedModeGoldenDigests is the adaptive layer's degenerate-mode
-// equivalence gate (the PR-6 instant-mode test's sibling): explicitly
-// configuring the fixed redundancy policy must reproduce the
-// pre-adaptive engine's probe streams bit for bit — same goldens as
+// equivalence gate (the instant-mode test's sibling): explicitly
+// configuring the fixed redundancy policy must reproduce the engine's
+// default probe streams bit for bit — same goldens as
 // TestGoldenScenarioDigests, rng draw order untouched, the redundancy
 // phase never entered.
 func TestFixedModeGoldenDigests(t *testing.T) {
-	shockCfg := digestConfig()
-	shockCfg.Shocks = []ShockSpec{
-		{Name: "blackout", Round: 120, Fraction: 0.5, Outage: 24},
-		{Name: "regional-kill", Rate: 0.01, Fraction: 0.3, Regions: 4, Kill: true},
-	}
-	diurnalCfg := digestConfig()
-	diurnalCfg.Avail = churn.DefaultDiurnalModel(0.6)
-
-	cases := []struct {
-		name string
-		cfg  Config
-		want uint64
-	}{
-		{"iid", digestConfig(), 0xb0298adf8abb6acd},
-		{"diurnal", diurnalCfg, 0xc1c1ef64a949edb6},
-		{"shock", shockCfg, 0x27e7bdc89614a401},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.RedundancySpec = "fixed"
-			got := digestRun(t, tc.cfg)
-			if got != tc.want {
-				t.Errorf("fixed-mode digest = %#x, want %#x (redundancy gate leaked into the legacy path)", got, tc.want)
+	for _, sc := range goldenScenarios(t)[:3] {
+		t.Run(sc.name, func(t *testing.T) {
+			sc.cfg.RedundancySpec = "fixed"
+			if got := digestRun(t, sc.cfg); got != sc.pinned {
+				t.Errorf("fixed-mode digest = %#x, want %#x (redundancy gate leaked into the fixed path)", got, sc.pinned)
 			}
 		})
 	}
-
 	t.Run("replay", func(t *testing.T) {
-		rec := digestConfig()
-		rec.RecordTrace = true
-		rec.Observers = nil
-		rec.RedundancySpec = "fixed"
-		s, err := New(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := s.Run().Trace
-
-		rep := digestConfig()
-		rep.Observers = nil
-		rep.Replay = trace
-		rep.StrategySpec = "monitored-availability"
-		rep.RedundancySpec = "fixed"
-		const want uint64 = 0x069cd8d20f8f8853
-		if got := digestRun(t, rep); got != want {
-			t.Errorf("fixed-mode replay digest = %#x, want %#x", got, want)
+		rep := replayScenario(t, func(c *Config) { c.RedundancySpec = "fixed" })
+		if got := digestRun(t, rep); got != goldenReplay {
+			t.Errorf("fixed-mode replay digest = %#x, want %#x", got, goldenReplay)
 		}
 	})
 }

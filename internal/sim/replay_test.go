@@ -137,7 +137,7 @@ func TestReplayPairedStrategies(t *testing.T) {
 	src, _ := recordedRun(t)
 	run := func(s selection.Strategy) *Result {
 		cfg := replayConfig(t, src)
-		cfg.Strategy = s
+		cfg.Policy = selection.Adapt(s)
 		sim, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -110,7 +110,7 @@ func (s *Simulation) stepShocks(round int64) {
 				if p.death <= round {
 					continue // already departing this round
 				}
-				p.death = round // replaced by the churn phase below
+				p.death = round // replaced by this round's walk
 				s.scheduleEarlier(overlay.PeerID(id), round)
 				victims++
 				continue
@@ -118,7 +118,7 @@ func (s *Simulation) stepShocks(round int64) {
 			if !p.online {
 				continue // a power cut cannot take down an offline peer
 			}
-			s.setOnline(round, overlay.PeerID(id), p, false)
+			s.setOnline(nil, round, overlay.PeerID(id), p, false)
 			p.toggle = addClamped(round, sp.Outage)
 			// The outage usually pushes the toggle later than the wake
 			// already scheduled; the stale wake resolves as a spurious
@@ -231,18 +231,10 @@ func (s *Simulation) applyReplay(round int64) {
 		p := &s.peers[id]
 		switch e.Kind {
 		case churn.EvLeave:
-			dead := s.peerEvent(round, id)
-			for _, pr := range s.dispatch[evDeath] {
-				pr.OnDeath(dead)
-			}
-			s.emitChurn(round, id, churn.EvLeave, int(p.profile))
+			s.effect(nil, round, effect{kind: effDeath, id: int32(id), prof: p.profile, cat: p.cat})
 			s.deaths++
 			s.catPop[p.cat]--
-			s.led.RemovePeer(id)
 			s.tab.Bump(id)
-			if s.xfer != nil {
-				s.xferAbortAll(round, id)
-			}
 			s.maint.Reset(id)
 		case churn.EvJoin:
 			prof := int(e.Profile)
@@ -265,19 +257,18 @@ func (s *Simulation) applyReplay(round int64) {
 			p.toggle = never // sessions come from the trace
 			p.online = false
 			s.led.SetOnline(id, false)
-			s.resetHistory(id) // fresh identity: observations start over
-			s.invalidateSlot(id)
+			s.hist[id].Reset() // fresh identity: observations start over
 			s.recordSession(round, id, false)
 			s.emitChurn(round, id, churn.EvJoin, prof)
 		case churn.EvOnline:
 			if !p.online {
-				s.setOnline(round, id, p, true)
+				s.setOnline(nil, round, id, p, true)
 			} else {
 				s.emitChurn(round, id, churn.EvOnline, int(p.profile))
 			}
 		case churn.EvOffline:
 			if p.online {
-				s.setOnline(round, id, p, false)
+				s.setOnline(nil, round, id, p, false)
 			} else {
 				s.emitChurn(round, id, churn.EvOffline, int(p.profile))
 			}

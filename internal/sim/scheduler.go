@@ -16,12 +16,10 @@ package sim
 //     events, so they can never perturb a trajectory.
 //
 //   - visitQueue: a binary min-heap of slot ids with O(1) membership
-//     dedupe, ordering the round's walk. The engine keeps two (current
-//     round and next round) and swaps them each round. Popping in
-//     ascending slot order is what preserves the historical scan
-//     engine's rng draw order: due events drain in ascending slot id
-//     within a round, exactly as the full-population loop visited
-//     them.
+//     dedupe, collecting visit requests until a round freezes its walk
+//     set by popping them all, in ascending slot order — the order the
+//     walk set is partitioned across shards in and the order the merge
+//     applies effects in.
 
 // calBuckets is the calendar width in rounds: events within this
 // horizon land directly in their round's bucket; events further out

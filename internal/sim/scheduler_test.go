@@ -96,13 +96,12 @@ func TestQuiescentPopulationIdles(t *testing.T) {
 			t.Fatalf("peer %d still armed in quiescence", id)
 		}
 	}
-	if !s.nextQ.empty() {
-		t.Fatalf("next-round walk queue has %d entries in quiescence", len(s.nextQ.q))
+	if !s.visitQ.empty() {
+		t.Fatalf("next-round walk queue has %d entries in quiescence", len(s.visitQ.q))
 	}
-	before := len(s.actors)
 	s.StepRound()
-	if len(s.actors) != 0 || before != 0 {
-		t.Fatalf("quiescent round produced %d actors", len(s.actors))
+	if n := len(s.workers[0].actors); n != 0 {
+		t.Fatalf("quiescent round produced %d actors", n)
 	}
 }
 

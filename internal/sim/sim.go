@@ -24,23 +24,32 @@
 // promotions, peers with active maintenance work — not to NumPeers: a
 // quiescent round costs tens of nanoseconds at any population size.
 //
-// # The rng-order invariant
+// # The determinism invariant
 //
-// Reproducibility pins the engine to the draw order of the historical
-// full-population scan, and every engine change must preserve it: due
-// events drain in ascending slot id within a round; each visit runs
-// the per-slot body in scan order (death, else category promotion,
-// then toggle, then the loss check, then actor collection); a state
-// change caused at walk position j is observed by slot i's checks this
-// round iff i > j; and spurious wakes, stale loss flags and
-// armed-but-idle visits consume no randomness and emit no events. The
-// golden digests in determinism_test.go hold the engine to the scan
-// engine's event stream bit for bit under iid, diurnal, shock and
-// replay churn. This invariant governs the default (v1) walk; the v3
-// engine (Config.Walk = WalkV3, see walk3.go) instead derives one rng
-// stream per slot and merges cross-shard effects deterministically at
-// the round barrier, trading v1 draw compatibility for a parallel walk
-// under its own versioned digest set.
+// A trajectory is a pure function of the config: bit-identical at every
+// Config.Shards value, on every machine, under any goroutine schedule.
+// Three rules make it so (walk.go has the round; ARCHITECTURE.md's
+// "Determinism invariant" section has the argument):
+//
+//   - randomness is per slot: slot i draws every churn and maintenance
+//     decision from its own stream, rng.Derive(Seed, slotStreamBase+i),
+//     so its draw sequence depends only on its own event history;
+//   - the walk is slot-local and its shared effects merge canonically:
+//     a visit mutates only state its slot owns and logs everything else
+//     (ledger membership and session flips, transfer aborts, redundancy
+//     resets, probe events), and the merge applies the logs in ascending
+//     slot order at the round barrier — so a threshold crossing caused
+//     mid-walk is acted on next round, never the same one;
+//   - maintenance is planned against the frozen post-merge state and
+//     applied in ascending slot order, re-checking only host quota (see
+//     maintenance/plan.go).
+//
+// The sequential phases around the walk — shocks, restore demand,
+// replay, the initial population in New, observers — draw from the
+// run's canonical stream and apply their effects at once. Spurious
+// wakes, stale loss flags and armed-but-idle visits consume no
+// randomness and emit no events. At one shard the walk and the plan run
+// on the calling goroutine; the code path is the same.
 //
 // # Measurement
 //
@@ -63,9 +72,9 @@
 // its subscribed events in exactly the order the engine emits them.
 //
 // The engine also keeps one per-round cache off the measurement path:
-// a slot's pure policy score (in the Maintainer) is computed at most
-// once per round regardless of how many repairing peers pool it,
-// invalidated on occupant replacement and session flips. It holds no
+// at one shard a slot's pure policy score (in the Maintainer) is
+// computed at most once per round regardless of how many repairing
+// peers pool it, invalidated on occupant replacement and session flips. It holds no
 // randomness and changes no results. A slot's selection.View is not
 // cached — building one is two loads and a subtraction, and the
 // candidate loop asks for an age (simEnv.Age) far more often than for a
@@ -165,29 +174,20 @@ type Simulation struct {
 	// timers) tracked in the calendar bucket queue, and each round's
 	// walk visits — in ascending slot order — the union of the slots
 	// with due timers, the maintenance active set, and the slots
-	// flagged for an archive-loss check. walkPos is the slot currently
-	// being visited: a visit request at or before it lands in nextQ
-	// (the next round's walk), one beyond it in curQ, reproducing
-	// exactly what the historical full-population scan saw at each loop
-	// position.
-	cal     *calendar
-	sched   []int64 // per slot: next wake round (never = no timer)
-	curQ    *visitQueue
-	nextQ   *visitQueue
-	walkPos int32
-	due     []int32 // scratch: calendar drain output
+	// flagged for an archive-loss check. visitQ collects visit requests
+	// until the round's walk set is frozen from it; a request made after
+	// the freeze is for the next round's walk.
+	cal    *calendar
+	sched  []int64 // per slot: next wake round (never = no timer)
+	visitQ *visitQueue
+	due    []int32 // scratch: calendar drain output
+	visits []int32 // scratch: the round's frozen walk set, ascending
 
-	actors []overlay.PeerID // scratch: peers acting this round
-
-	// shards is the sharded-engine state (Config.Shards >= 2): the
-	// draw-free phases fan out across slot-partitioned workers under
-	// the v2 rng-order invariant (see shard.go). nil runs the
-	// historical sequential path.
-	shards *shardState
-
-	// v3 is the shard-parallel walk/maintenance engine state
-	// (Config.Walk = WalkV3, see walk3.go). nil runs the v1 walk.
-	v3 *v3State
+	// streams holds one derived rng stream per population slot, by
+	// value in one contiguous array; workers is one accumulator per
+	// shard (see walk.go).
+	streams []rng.Rand
+	workers []worker
 
 	// phases accumulates the per-phase wall-time breakdown; recording
 	// is active only when Config.PhaseTimes is set (see phasetime.go).
@@ -212,9 +212,9 @@ func New(cfg Config) (*Simulation, error) {
 		hist:     make([]monitor.IntervalHistory, cfg.NumPeers),
 		cal:      newCalendar(),
 		sched:    make([]int64, cfg.NumPeers),
-		curQ:     newVisitQueue(cfg.NumPeers),
-		nextQ:    newVisitQueue(cfg.NumPeers),
-		walkPos:  math.MaxInt32,
+		visitQ:   newVisitQueue(cfg.NumPeers),
+		streams:  make([]rng.Rand, cfg.NumPeers),
+		workers:  make([]worker, max(cfg.Shards, 1)),
 	}
 	// Preallocate the adjacency at its steady-state high-water mark so
 	// the placement hot path never grows a slice: n blocks per owner,
@@ -225,7 +225,14 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	for i := range s.hist {
 		s.hist[i] = *monitor.NewIntervalHistory(cfg.AcceptHorizon)
+		s.streams[i].Reseed(rng.Derive(cfg.Seed, slotStreamBase+uint64(i)))
 	}
+	for i := range s.workers {
+		s.workers[i].ws = maintenance.NewWorkspace(slots)
+	}
+	// The sole planner may store score-memo misses; concurrent planners
+	// would race on them.
+	s.workers[0].ws.SolePlanner = len(s.workers) == 1
 	names := make([]string, len(cfg.Observers))
 	for i, o := range cfg.Observers {
 		names[i] = o.Name
@@ -262,31 +269,16 @@ func New(cfg Config) (*Simulation, error) {
 	s.maint.SetWake(s.requestVisit)
 	s.maint.EnableScoreCache() // no-op unless the policy's Score is pure
 	if cfg.Redundancy != nil && !cfg.Redundancy.Static() {
-		// A static policy allocates nothing: the engine stays literally
-		// the pre-adaptive engine, draw for draw (TestFixedModeGoldenDigests
-		// pins this).
+		// A static policy allocates nothing and draws nothing: fixed-n
+		// runs never see the redundancy stream
+		// (TestFixedModeGoldenDigests pins this).
 		s.redun = newRedunState(cfg)
 		s.maint.SetRedundancy((*simRedun)(s))
-	}
-	if cfg.Shards >= 2 {
-		s.shards = newShardState(cfg)
-	}
-	if cfg.Walk == WalkV3 {
-		if s.shards == nil {
-			// v3 runs the sharded code path (warm, inclusion scan, range
-			// partitioning) even at a single shard, so S=1 and S=k execute
-			// identical code.
-			one := cfg
-			one.Shards = 1
-			s.shards = newShardState(one)
-		}
-		s.v3 = newV3State(s)
 	}
 	s.phases = &PhaseTimes{}
 
 	if cfg.Bandwidth != nil || len(cfg.Restores) > 0 {
-		// The transfer machinery exists only when asked for; without it
-		// the engine is literally the pre-transfer engine. Restore-only
+		// The transfer machinery exists only when asked for. Restore-only
 		// configs schedule downloads against the degenerate instant mix.
 		params := cfg.Bandwidth
 		if params == nil {
@@ -327,14 +319,13 @@ func New(cfg Config) (*Simulation, error) {
 		}
 	} else {
 		for id := range s.peers {
-			s.initPeer(overlay.PeerID(id), 0, -1)
+			s.initPeer(nil, overlay.PeerID(id), 0, -1, s.r)
 			s.catPop[metrics.Newcomer]++
 			s.scheduleEarlier(overlay.PeerID(id), s.nextWake(&s.peers[id]))
 		}
 	}
 	// Every slot starts armed (initial upload pending), so the first
-	// round's walk visits the whole population once; walkPos is past
-	// the end, so the requests land in the queue round 0 drains.
+	// round's walk visits the whole population once.
 	for id := 0; id < cfg.NumPeers; id++ {
 		s.requestVisit(overlay.PeerID(id))
 	}
@@ -345,18 +336,13 @@ func New(cfg Config) (*Simulation, error) {
 }
 
 // requestVisit asks the walk to visit a population slot: this round if
-// the walk has not yet passed it, next round otherwise. Observer slots
+// its walk set is not yet frozen, next round otherwise. Observer slots
 // are ignored — they are polled in their own phase. This is also the
 // Maintainer's wake hook, so arming a slot (a ledger threshold
 // crossing, a death reset) schedules its visit automatically.
 func (s *Simulation) requestVisit(id overlay.PeerID) {
-	if int(id) >= s.cfg.NumPeers {
-		return
-	}
-	if int32(id) > s.walkPos {
-		s.curQ.push(int32(id))
-	} else {
-		s.nextQ.push(int32(id))
+	if int(id) < s.cfg.NumPeers {
+		s.visitQ.push(int32(id))
 	}
 }
 
@@ -392,60 +378,9 @@ func (s *Simulation) nextWake(p *peer) int64 {
 	return next
 }
 
-// rescheduleAfterVisit recomputes a slot's wake time from its timers
-// after its due events were processed. Anything still (or again) due
-// is deferred to the next round, exactly as the scan engine's one
-// check per slot per round did.
-func (s *Simulation) rescheduleAfterVisit(id overlay.PeerID, round int64) {
-	next := s.nextWake(&s.peers[id])
-	if next <= round {
-		next = round + 1
-	}
-	s.sched[id] = next
-	if next < s.cfg.Rounds {
-		s.cal.push(int32(id), next)
-	}
-}
-
 // observerSlot maps observer index to its ledger slot.
 func (s *Simulation) observerSlot(i int) overlay.PeerID {
 	return overlay.PeerID(s.cfg.NumPeers + i)
-}
-
-// initPeer (re)initialises a population slot at the given join round
-// with the given profile (pass -1 to sample one): fresh lifetime and
-// availability session.
-func (s *Simulation) initPeer(id overlay.PeerID, round int64, profile int) {
-	p := &s.peers[id]
-	prof := profile
-	if prof < 0 {
-		prof = s.cfg.Profiles.SampleIndex(s.r)
-	}
-	p.profile = int32(prof)
-	p.avail = s.cfg.Profiles.Profile(prof).Availability
-	if s.xfer != nil {
-		// Bandwidth class is an identity property like the profile; with
-		// a single class SampleIndex consumes no randomness, so instant
-		// and restore-only configs keep the historical draw order.
-		s.xfer.sched.AssignClass(id, s.xfer.sched.Params().SampleIndex(s.r))
-	}
-	p.join = round
-	p.cat = metrics.Newcomer
-	p.catChange = addClamped(round, metrics.CategoryBound(metrics.Newcomer))
-	life := s.cfg.Profiles.SampleLifetime(s.r, prof)
-	p.death = addClamped(round, life)
-	p.online = s.r.Bool(p.avail)
-	s.led.SetOnline(id, p.online)
-	s.resetHistory(id) // fresh identity: observations start over
-	s.invalidateSlot(id)
-	s.recordSession(round, id, p.online)
-	p.toggle = addClamped(round, churn.SessionLengthAt(s.cfg.Avail, s.r, p.avail, p.online, round))
-	s.emitChurn(round, id, churn.EvJoin, prof)
-	if p.online {
-		s.emitChurn(round, id, churn.EvOnline, prof)
-	} else {
-		s.emitChurn(round, id, churn.EvOffline, prof)
-	}
 }
 
 // emitChurn dispatches a churn event to every subscribed probe.
@@ -453,63 +388,6 @@ func (s *Simulation) emitChurn(round int64, id overlay.PeerID, kind churn.EventK
 	for _, p := range s.dispatch[evChurn] {
 		p.OnChurn(ChurnEvent{Round: round, Peer: int(id), Kind: kind, Profile: profile})
 	}
-}
-
-// setOnline flips a population peer's session state, updating the
-// ledger and the monitoring history and emitting the churn event.
-func (s *Simulation) setOnline(round int64, id overlay.PeerID, p *peer, online bool) {
-	p.online = online
-	s.led.SetOnline(id, online)
-	s.recordSession(round, id, online)
-	s.maint.InvalidateScore(id) // the flip mutated the monitored history
-	kind := churn.EvOffline
-	if online {
-		kind = churn.EvOnline
-	}
-	s.emitChurn(round, id, kind, int(p.profile))
-	if s.xfer != nil {
-		// Session flips interrupt the flows they carry: offline suspends
-		// every transfer touching the peer, online resumes those whose
-		// other endpoint is up. Consumes no randomness.
-		if online {
-			s.xferResume(round, id)
-		} else {
-			s.xferSuspend(round, id)
-		}
-	}
-}
-
-// invalidateSlot drops a population slot's cached score when its
-// occupant is replaced: the cached value described the departed peer.
-func (s *Simulation) invalidateSlot(id overlay.PeerID) {
-	s.maint.InvalidateScore(id)
-}
-
-// recordSession feeds a session transition into the slot's availability
-// history. Rounds advance monotonically under engine control, so a
-// record failure is a bug. While the sharded engine's churn phases run,
-// the mutation is logged instead and applied — per-slot order intact —
-// at the post-walk barrier; nothing reads a population history between
-// here and there, so the deferral is invisible.
-func (s *Simulation) recordSession(round int64, id overlay.PeerID, online bool) {
-	if s.shards != nil && s.shards.logging {
-		s.logHistOp(histOp{round: round, slot: int32(id), kind: histOpRecord, online: online})
-		return
-	}
-	if err := s.hist[id].RecordTransition(round, online); err != nil {
-		panic(err)
-	}
-}
-
-// resetHistory clears the slot's availability history when its
-// occupant is replaced (observations belong to identities, not slots),
-// deferring through the sharded engine's op log like recordSession.
-func (s *Simulation) resetHistory(id overlay.PeerID) {
-	if s.shards != nil && s.shards.logging {
-		s.logHistOp(histOp{slot: int32(id), kind: histOpReset})
-		return
-	}
-	s.hist[id].Reset()
 }
 
 // peerEvent builds the probe payload for a population peer.
@@ -538,9 +416,9 @@ func (steadyHistory) ObservedSince() (round int64, ok bool) { return 0, true }
 
 // View implements maintenance.Env: observable knowledge (age, monitored
 // availability history) split from the oracle ground truth only the
-// oracle baselines read. It writes nothing, so the sequential Step and
-// concurrent PlanSteps share it; what it reads is frozen between the
-// churn walk and the end of the maintenance phase.
+// oracle baselines read. It writes nothing, so concurrent PlanSteps
+// share it; what it reads is frozen between the churn walk and the end
+// of the maintenance phase.
 func (e *simEnv) View(id overlay.PeerID) selection.View {
 	s := (*Simulation)(e)
 	if int(id) >= s.cfg.NumPeers {
@@ -624,7 +502,12 @@ func (s *Simulation) runContext(ctx context.Context) (*Result, error) {
 			s.cfg.Progress(s.round + 1)
 		}
 	}
-	included := s.countIncluded()
+	included := 0
+	for id := range s.peers {
+		if s.maint.Included(overlay.PeerID(id)) {
+			included++
+		}
+	}
 	res := &Result{
 		Config:          s.cfg,
 		Collector:       s.col,
@@ -639,248 +522,6 @@ func (s *Simulation) runContext(ctx context.Context) (*Result, error) {
 		res.Phases = s.phases
 	}
 	return res, nil
-}
-
-// stepRound advances one round: shocks first, then churn events (from
-// the calendar queue or the replay script) interleaved with active-set
-// checks in ascending slot order, then maintenance actions in random
-// order, then accounting.
-//
-// The walk replaces the historical full-population scan. Invariant
-// (load-bearing for reproducibility): the rng draw order of the scan
-// is preserved exactly. Due timed events drain in ascending slot id
-// within a round; each visited slot runs the same per-slot body the
-// scan ran (death, else category change, then toggle, then the
-// archive-loss check, then actor collection); and a state change
-// caused by slot j is observed by slot i's checks this round iff
-// i > j — requestVisit's walkPos routing — exactly as the scan's
-// single left-to-right pass saw it. Slots with no due timer, no
-// pending loss check and no active maintenance work are never touched,
-// which is what makes a quiescent round O(events) instead of
-// O(NumPeers).
-func (s *Simulation) stepRound() {
-	if s.v3 != nil {
-		s.stepRoundV3()
-		return
-	}
-	round := s.round
-	pt := s.phaseStart()
-	s.actors = s.actors[:0]
-	s.curQ, s.nextQ = s.nextQ, s.curQ
-	s.walkPos = -1
-	if s.shards != nil {
-		// The churn phases log availability-history mutations instead of
-		// applying them; the log drains at the post-walk barrier below.
-		s.shards.logging = true
-	}
-
-	// Phase 0: correlated-failure shocks, so this round's churn and
-	// maintenance already see the damage; then restore demand (a flash
-	// crowd typically follows a shock by a few rounds).
-	if len(s.cfg.Shocks) > 0 {
-		s.stepShocks(round)
-	}
-	if s.xfer != nil && len(s.cfg.Restores) > 0 {
-		s.stepRestores(round)
-	}
-
-	// Phase 1: churn events and actor collection. In replay mode the
-	// trace is the sole source of membership and session transitions;
-	// the walk below then only promotes categories and collects actors.
-	if s.replay != nil {
-		s.applyReplay(round)
-	}
-	s.due = s.cal.drain(round, s.sched, s.due[:0])
-	for _, slot := range s.due {
-		s.curQ.push(slot)
-	}
-	for !s.curQ.empty() {
-		id := s.curQ.pop()
-		s.walkPos = id
-		s.visitSlot(round, overlay.PeerID(id))
-	}
-	s.walkPos = math.MaxInt32
-	s.phaseLap(&s.phases.Walk, &pt)
-
-	// Sharded barrier: apply the walk's deferred history mutations, one
-	// worker per shard. Must complete before anything reads a history —
-	// the earliest readers are the warm phase and the maintenance
-	// phase's candidate views.
-	if s.shards != nil {
-		s.applyHistOps()
-	}
-	s.phaseLap(&s.phases.Merge, &pt)
-
-	// Phase 1.5: due transfer completions, after the churn walk so a
-	// same-round death or offline event wins over the completion (the
-	// transfer aborted or suspended before it could land), before the
-	// maintenance phase so delivered blocks count toward this round's
-	// deficits. Consumes no randomness.
-	if s.xfer != nil {
-		s.stepTransfers(round)
-	}
-	s.phaseLap(&s.phases.TransferDrain, &pt)
-
-	// Phase 1.6: adaptive redundancy evaluation, after the history
-	// barrier (it reads monitored uptimes) and before the maintenance
-	// shuffle (a grow decision arms its slot for next round's walk).
-	// Draws only from the derived scratch stream, never from s.r.
-	if s.redun != nil {
-		s.stepRedundancy(round)
-	}
-	s.phaseLap(&s.phases.Evaluation, &pt)
-
-	// Sharded warm phase: when the actor set will probe a large
-	// fraction of the population, compute every slot's pure-policy
-	// score in parallel before maintenance reads it through the
-	// per-round memo. Consumes no randomness and computes exactly the
-	// values the lazy miss path would, so it is invisible to
-	// trajectories at any shard count.
-	if s.shards != nil && s.warmWorthwhile() {
-		s.warmCaches()
-	}
-
-	// Phase 2: maintenance in random order (the paper randomises peer
-	// execution order each round).
-	s.r.Shuffle(len(s.actors), func(i, j int) {
-		s.actors[i], s.actors[j] = s.actors[j], s.actors[i]
-	})
-	for _, id := range s.actors {
-		res := s.maint.Step(s.r, id)
-		s.emitMaintOutcome(round, id, res)
-	}
-
-	// Observers act after the population (they contend with nobody).
-	for i := range s.obsSpecs {
-		id := s.observerSlot(i)
-		if s.maint.LostArchive(id) {
-			s.maint.ResetArchive(id)
-		}
-		if s.maint.WantsStep(id) {
-			res := s.maint.Step(s.r, id)
-			switch res.Outcome {
-			case maintenance.OutcomeRepaired, maintenance.OutcomeInitialDone:
-				ev := ObserverRepairEvent{Round: round, Observer: i, Name: s.obsSpecs[i].Name}
-				for _, pr := range s.dispatch[evObserverRepair] {
-					pr.OnObserverRepair(ev)
-				}
-			}
-		}
-	}
-
-	// Phase 3: accounting.
-	end := RoundEndEvent{Round: round, Population: s.catPop}
-	if s.redun != nil {
-		end.MeanRedundancy = float64(s.redun.sum) / float64(s.cfg.NumPeers)
-	}
-	for _, pr := range s.dispatch[evRoundEnd] {
-		pr.OnRoundEnd(end)
-	}
-	s.phaseLap(&s.phases.Maintenance, &pt)
-}
-
-// visitSlot runs the per-slot round body for one walked slot: due
-// timed events first (mirroring the scan engine's body statement for
-// statement, so the rng stream is bit-identical), then the pending
-// archive-loss check, then active-set maintenance bookkeeping. A slot
-// woken spuriously (its timer moved later after scheduling) finds
-// nothing due, consumes no randomness, and is simply rescheduled.
-func (s *Simulation) visitSlot(round int64, id overlay.PeerID) {
-	p := &s.peers[id]
-	if s.sched[id] == round {
-		if s.replay != nil {
-			if round >= p.catChange {
-				s.promote(p)
-			}
-		} else {
-			if round >= p.death {
-				s.replacePeer(id, p, round)
-			} else if round >= p.catChange {
-				s.promote(p)
-			}
-			if round >= p.toggle {
-				// The session draw must stay ahead of the churn emit so
-				// the rng stream matches the historical inline flip.
-				next := addClamped(round, churn.SessionLengthAt(s.cfg.Avail, s.r, p.avail, !p.online, round))
-				s.setOnline(round, id, p, !p.online)
-				p.toggle = next
-			}
-		}
-		s.rescheduleAfterVisit(id, round)
-	}
-
-	// Permanent-loss detection is objective (the data is gone) and
-	// does not require the owner to be online. The outage that
-	// preceded it has been counted when the owner observed it. The
-	// flag is only a candidate marker set at the alive<k crossing;
-	// LostArchive is the verdict.
-	if s.maint.TakeLossCheck(id) && s.maint.LostArchive(id) {
-		if s.xfer != nil {
-			// The in-flight blocks (and any restore) belong to the
-			// abandoned archive; transfers the slot merely hosts live on.
-			s.xferAbortOwner(round, id)
-		}
-		s.maint.ResetArchive(id)
-		// The re-encoded archive is a fresh object: its redundancy target
-		// restarts at the policy's initial value.
-		s.redunReset(id)
-		ev := s.peerEvent(round, id)
-		for _, pr := range s.dispatch[evHardLoss] {
-			pr.OnHardLoss(ev)
-		}
-	}
-
-	if s.maint.Armed(id) {
-		if !s.maint.WantsStep(id) {
-			s.maint.Disarm(id)
-		} else {
-			if p.online {
-				s.actors = append(s.actors, id)
-			}
-			// Armed slots are re-visited every round until their work
-			// drains, like the scan engine's per-round WantsStep poll —
-			// but only for the active set.
-			s.nextQ.push(int32(id))
-		}
-	}
-}
-
-// promote moves a peer up one age category.
-func (s *Simulation) promote(p *peer) {
-	s.catPop[p.cat]--
-	p.cat++
-	s.catPop[p.cat]++
-	p.catChange = addClamped(p.join, metrics.CategoryBound(p.cat))
-}
-
-// replacePeer handles a departure: blocks vanish, the slot is reused by
-// a fresh age-0 peer (the paper replaces departures immediately). The
-// replacement inherits the departed peer's profile so the population
-// proportions stay exactly stationary, unless the config asks for
-// resampling.
-func (s *Simulation) replacePeer(id overlay.PeerID, p *peer, round int64) {
-	dead := s.peerEvent(round, id)
-	for _, pr := range s.dispatch[evDeath] {
-		pr.OnDeath(dead)
-	}
-	s.emitChurn(round, id, churn.EvLeave, int(p.profile))
-	s.deaths++
-	s.catPop[p.cat]--
-	s.catPop[metrics.Newcomer]++
-	s.led.RemovePeer(id)
-	s.tab.Bump(id)
-	if s.xfer != nil {
-		// Death kills every transfer the peer touched, before the slot's
-		// maintenance state resets and a fresh identity takes it over.
-		s.xferAbortAll(round, id)
-	}
-	s.maint.Reset(id)
-	s.redunReset(id)
-	profile := int(p.profile)
-	if s.cfg.ResampleProfileOnReplace {
-		profile = -1
-	}
-	s.initPeer(id, round, profile)
 }
 
 // StepRound advances the simulation by a single round, up to the

@@ -416,8 +416,8 @@ func TestStrategySwap(t *testing.T) {
 }
 
 func TestStrategySwapLegacyByName(t *testing.T) {
-	// The deprecated ByName adapters must still drive the engine
-	// through Config.Strategy. Note that Adapt unwraps ByName's
+	// The deprecated ByName adapters must still drive the engine,
+	// lifted into Config.Policy. Note that Adapt unwraps ByName's
 	// round-tripped policies, so monitored-availability here still
 	// reaches the engine's monitoring substrate — the no-history
 	// fallback only applies to Strategy implementations consuming
@@ -434,7 +434,7 @@ func TestStrategySwapLegacyByName(t *testing.T) {
 		cfg.DataBlocks = 4
 		cfg.RepairThreshold = 5
 		cfg.Quota = 24
-		cfg.Strategy = strat
+		cfg.Policy = selection.Adapt(strat)
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -466,14 +466,9 @@ func TestConfigStrategyResolution(t *testing.T) {
 	if _, err = cfg.Validate(); err == nil {
 		t.Fatal("bad spec accepted")
 	}
-	// Strategy and StrategySpec are mutually exclusive.
+	// A Policy wins over the spec; a legacy Strategy is lifted into one.
 	cfg.StrategySpec = "age"
-	cfg.Strategy = selection.AgeBased{L: 9}
-	if _, err = cfg.Validate(); err == nil {
-		t.Fatal("Strategy+StrategySpec accepted")
-	}
-	// Legacy Strategy alone is lifted.
-	cfg.StrategySpec = ""
+	cfg.Policy = selection.Adapt(selection.AgeBased{L: 9})
 	if v, err = cfg.Validate(); err != nil || v.Policy.Name() != "age(L=9)" {
 		t.Fatalf("adapted policy = %v (%v)", v.Policy, err)
 	}

@@ -3,46 +3,24 @@ package sim
 import (
 	"testing"
 
-	"p2pbackup/internal/churn"
 	"p2pbackup/internal/transfer"
 )
 
 // TestInstantModeGoldenDigests is the degenerate-mode equivalence
 // satellite: attaching the transfer subsystem in instant mode (one
-// class, infinite rates) must reproduce the pre-transfer engine's
+// class, infinite rates) must reproduce the transfer-free engine's
 // probe streams bit for bit — same digests as
 // TestGoldenScenarioDigests, rng draw order untouched.
 func TestInstantModeGoldenDigests(t *testing.T) {
-	instant := func() *transfer.Params {
-		p, err := transfer.Parse("instant")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	instant, err := transfer.Parse("instant")
+	if err != nil {
+		t.Fatal(err)
 	}
-	shockCfg := digestConfig()
-	shockCfg.Shocks = []ShockSpec{
-		{Name: "blackout", Round: 120, Fraction: 0.5, Outage: 24},
-		{Name: "regional-kill", Rate: 0.01, Fraction: 0.3, Regions: 4, Kill: true},
-	}
-	diurnalCfg := digestConfig()
-	diurnalCfg.Avail = churn.DefaultDiurnalModel(0.6)
-
-	cases := []struct {
-		name string
-		cfg  Config
-		want uint64
-	}{
-		{"iid", digestConfig(), 0xb0298adf8abb6acd},
-		{"diurnal", diurnalCfg, 0xc1c1ef64a949edb6},
-		{"shock", shockCfg, 0x27e7bdc89614a401},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Bandwidth = instant()
-			got := digestRun(t, tc.cfg)
-			if got != tc.want {
-				t.Errorf("instant-mode digest = %#x, want %#x (transfer gate leaked into the legacy path)", got, tc.want)
+	for _, sc := range goldenScenarios(t)[:3] {
+		t.Run(sc.name, func(t *testing.T) {
+			sc.cfg.Bandwidth = instant
+			if got := digestRun(t, sc.cfg); got != sc.pinned {
+				t.Errorf("instant-mode digest = %#x, want %#x (transfer gate leaked into the instant path)", got, sc.pinned)
 			}
 		})
 	}

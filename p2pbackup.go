@@ -285,8 +285,8 @@ func StrategyNames() []string { return selection.Names() }
 // Strategy decides partnerships and ranks candidates from a flat
 // PeerInfo.
 //
-// Deprecated: implement Policy (see selection.Adapt for lifting legacy
-// implementations); SimConfig still accepts Strategy values.
+// Deprecated: implement Policy; SimConfig takes a legacy implementation
+// as Policy: AdaptStrategy(s).
 type Strategy = selection.Strategy
 
 // PeerInfo describes a peer to a legacy Strategy.

@@ -63,7 +63,7 @@ type Snapshot struct {
 
 func main() {
 	out := flag.String("out", "BENCH_10.json", "output JSON file")
-	bench := flag.String("bench", "BenchmarkQuiescentRound|BenchmarkChurnRound|BenchmarkAdaptiveChurnRound|BenchmarkShardedChurnRound|BenchmarkWalkV3ChurnRound|BenchmarkSimRound|BenchmarkTransferRound|BenchmarkFlashCrowdRound|BenchmarkLedgerSessionFlip|BenchmarkMaintainerStep|BenchmarkUptime|BenchmarkViewScore|BenchmarkSupervisedVariant|BenchmarkInProcessVariant",
+	bench := flag.String("bench", "BenchmarkQuiescentRound|BenchmarkChurnRound|BenchmarkAdaptiveChurnRound|BenchmarkShardedChurnRound|BenchmarkSimRound|BenchmarkTransferRound|BenchmarkFlashCrowdRound|BenchmarkLedgerSessionFlip|BenchmarkMaintainerStep|BenchmarkUptime|BenchmarkViewScore|BenchmarkSupervisedVariant|BenchmarkInProcessVariant",
 		"benchmark regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "200x", "go test -benchtime value (fixed counts keep snapshots comparable)")
 	pkg := flag.String("pkg", ".", "package to benchmark")
