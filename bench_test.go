@@ -89,150 +89,29 @@ func BenchmarkTableRepairCost(b *testing.B) {
 	}
 }
 
-// BenchmarkFig1RepairsByThreshold regenerates figure 1 (and the repair
-// half of the sweep): average repairs per 1000 peer-rounds by repair
-// threshold and age category.
-func BenchmarkFig1RepairsByThreshold(b *testing.B) {
-	cfg := benchConfig(b)
-	thresholds := []int{132, 148, 164, 180} // the sweep's corners
-	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.RunThresholdSweep(cfg, thresholds, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range sweep.Points {
-				b.Logf("threshold %d: repairs/1k = %.3g %.3g %.3g %.3g",
-					p.Threshold, p.RepairRate[0], p.RepairRate[1], p.RepairRate[2], p.RepairRate[3])
+// BenchmarkExperiment regenerates the paper's figures and the
+// single-knob ablations the way cmd/p2psim does: by id, through the
+// experiment registry, at the smoke preset, writing no files. fig1 is
+// the threshold sweep figures 1 and 2 are both drawn from (repairs and
+// lost archives per 1000 peer-rounds by threshold and age category),
+// fig3 the focal run behind figures 3 and 4 (observer repairs,
+// cumulative losses); the first iteration logs each summary.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range []string{"fig1", "fig3", "ablation-strategy", "ablation-availability", "ablation-delay", "ablation-horizon"} {
+		b.Run(id, func(b *testing.B) {
+			opts := experiments.Options{Scale: experiments.ScaleSmoke, Seed: 1, Parallelism: 2}
+			for i := 0; i < b.N; i++ {
+				sums, err := experiments.RunCtx(context.Background(), id, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					for _, s := range sums {
+						b.Logf("%s\n%s", s.Name, s.Text)
+					}
+				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig2LossesByThreshold regenerates figure 2: lost archives
-// per 1000 peer-rounds by threshold and category (same runs as
-// figure 1; benchmarked separately so the loss path is visible in
-// profiles).
-func BenchmarkFig2LossesByThreshold(b *testing.B) {
-	cfg := benchConfig(b)
-	thresholds := []int{132, 156, 180}
-	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.RunThresholdSweep(cfg, thresholds, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range sweep.Points {
-				b.Logf("threshold %d: losses/1k = %.4g %.4g %.4g %.4g",
-					p.Threshold, p.LossRate[0], p.LossRate[1], p.LossRate[2], p.LossRate[3])
-			}
-		}
-	}
-}
-
-// BenchmarkFig3ObserverRepairs regenerates figure 3: cumulative repairs
-// of the five fixed-age observers at threshold 148.
-func BenchmarkFig3ObserverRepairs(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		focal, err := experiments.RunFocal(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for j, name := range focal.ObserverNames {
-				b.Logf("observer %-9s cumulative repairs = %d", name, focal.ObserverCounts[j])
-			}
-		}
-	}
-}
-
-// BenchmarkFig4CumulativeLosses regenerates figure 4: cumulative lost
-// archives per peer by age category over the run.
-func BenchmarkFig4CumulativeLosses(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		focal, err := experiments.RunFocal(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-				_, last := focal.LossSeries[c].Last()
-				b.Logf("cumulative losses/peer [%s] = %.3f", c, last)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationStrategies compares the selection strategies (A1).
-func BenchmarkAblationStrategies(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.Rounds = 4000
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunStrategyAblation(cfg, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range res.Points {
-				b.Logf("%-20s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationAvailabilityModel compares session churn against
-// per-round Bernoulli churn (A2).
-func BenchmarkAblationAvailabilityModel(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.Rounds = 4000
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAvailabilityAblation(cfg, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range res.Points {
-				b.Logf("%-10s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationRepairDelay sweeps the repair-delay knob (A4, the
-// paper's future-work item).
-func BenchmarkAblationRepairDelay(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.Rounds = 4000
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunRepairDelayAblation(cfg, []int{0, 24}, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range res.Points {
-				b.Logf("%-10s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationHorizon sweeps the acceptance horizon L (A3).
-func BenchmarkAblationHorizon(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.Rounds = 4000
-	horizons := []int64{30 * churn.Day, 90 * churn.Day, 180 * churn.Day}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunHorizonAblation(cfg, horizons, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range res.Points {
-				b.Logf("%-8s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
-			}
-		}
+		})
 	}
 }
 
@@ -310,7 +189,7 @@ func BenchmarkQuiescentRound(b *testing.B) {
 // measures the true steady state — including its zero-allocation
 // property (b.ReportAllocs), which shorter warmups mask with one-time
 // capacity growth. (The pre-PR-5 500-round warmup sat in the cheaper
-// ramp-up regime; BENCH_4 and BENCH_5 churn-round numbers are not
+// ramp-up regime; the PR 4 and PR 5 churn-round numbers are not
 // directly comparable for that reason on top of the engine changes.)
 //
 // B/peer is the live heap per slot after the warmup. Parent → PR 16 on
@@ -353,7 +232,7 @@ func BenchmarkChurnRound(b *testing.B) {
 // a round (25 000 archives / eval 24) and the placements they cause.
 // On the 2-core reference box that is 16.3 ms fixed against 26.7 ms
 // adaptive, 1.6x — about 10 us per evaluation, 4 of them the sizing
-// (BenchmarkAdaptiveTarget). It was 10x (173 ms, BENCH_10) while
+// (BenchmarkAdaptiveTarget). It was 10x (173 ms at PR 10) while
 // Adaptive.Target scanned n linearly and recomputed every Lgamma at
 // every step; a ratio far above 2x now means the kernel has regressed.
 func BenchmarkAdaptiveChurnRound(b *testing.B) {
@@ -978,38 +857,6 @@ func BenchmarkUptime(b *testing.B) {
 	})
 }
 
-// BenchmarkViewScore measures what the candidate loop pays for a
-// candidate it accepts when the score memo has no entry for it: a View
-// built on the spot (nothing caches one) and one Score, here the
-// costliest registered — monitored availability over histories with
-// realistic transition counts. With the prefix-summed Uptime this is
-// O(log transitions) per call and allocation-free.
-func BenchmarkViewScore(b *testing.B) {
-	pol, err := selection.Parse("monitored-availability:720")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, transitions := range []int{32, 256} {
-		hists := make([]*monitor.IntervalHistory, 64)
-		for i := range hists {
-			hists[i] = uptimeHistory(b, transitions)
-		}
-		b.Run(fmt.Sprintf("transitions=%d", transitions), func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := selection.Context{Round: 2160}
-			acc := 0.0
-			for i := 0; i < b.N; i++ {
-				v := selection.View{
-					Observed: selection.Observed{Age: int64(i % 5000), History: hists[i%len(hists)]},
-					Oracle:   selection.Oracle{Availability: 0.7, Remaining: 9000},
-				}
-				acc += pol.Score(ctx, v)
-			}
-			_ = acc
-		})
-	}
-}
-
 // BenchmarkMaintainerStep measures one maintenance step for a peer in
 // repair (pool building plus placement). B/peer is the live heap per
 // slot of the 600-peer smoke population it steps in: 19215 before
@@ -1069,6 +916,12 @@ func (x poolBenchXfer) PendingHosts(_ overlay.PeerID, buf []overlay.PeerID) []ov
 	return buf
 }
 
+// viewsOnly hides a policy's optional capabilities: embedding the
+// interface promotes Name, AcceptProb and Score and nothing else, so a
+// Maintainer takes the policy at its most general — negotiation on
+// Views, every call evaluated.
+type viewsOnly struct{ selection.Policy }
+
 // BenchmarkRefreshPool measures one candidate-pool refresh at the
 // paper's parameters (n = 256, 128 draws per round).
 //
@@ -1115,8 +968,11 @@ func BenchmarkRefreshPool(b *testing.B) {
 			const owner, hosts = 0, 256
 			peers := 1 + hosts + pooled
 			led := overlay.NewLedger(peers, 384)
-			m := maintenance.New(params, led, overlay.NewTable(peers),
-				selection.Adapt(selection.AgeBased{L: 2160}), poolBenchEnv{n: peers})
+			age, err := selection.Parse("age:L=2160")
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := maintenance.New(params, led, overlay.NewTable(peers), viewsOnly{age}, poolBenchEnv{n: peers})
 			r := rng.New(9)
 			// Upload onto the hosts alone, then take the archive below k
 			// and let the candidates in.

@@ -204,6 +204,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "p2psim: -resume needs -procs")
 		return 1
 	}
+	if *variantTimeout != 0 && *procs <= 0 {
+		fmt.Fprintln(os.Stderr, "p2psim: -variant-timeout needs -procs")
+		return 1
+	}
 	if *procs > 0 {
 		opts.Procs = *procs
 		opts.VariantTimeout = *variantTimeout

@@ -42,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer nd.Close()
-		dir.Register(name, p2pbackup.PeerInfo{Age: age})
+		dir.Register(name, age)
 		nodes = append(nodes, nd)
 	}
 	owner := nodes[0]

@@ -339,7 +339,7 @@ func collectRows(ctx context.Context, r Runner, c Campaign, sink func(Event)) ([
 	return rows, nil
 }
 
-// progressSink adapts the legacy progress-callback style to the event
+// progressSink adapts the plain-text progress callback to the event
 // stream: heartbeats pass through, completed rows are formatted by
 // rowMsg.
 func progressSink(progress func(string), rowMsg func(Row) string) func(Event) {

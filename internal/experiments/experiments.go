@@ -14,14 +14,14 @@
 // results with TSV emitters; new scenario sweeps should follow that
 // pattern rather than hand-rolling drivers.
 //
-// The RunThresholdSweep/RunFocal/Run*Ablation functions and the
-// string-id registry's Run are retained as thin compatibility wrappers
-// over the Runner; prefer RunCtx or Runner.Run directly in new code so
-// campaigns inherit cancellation and streaming for free.
+// Every built-in campaign is declared once, in the campaign table
+// (table.go). RunCtx (the string-id registry cmd/p2psim drives),
+// CampaignSpec.Build (what a supervised worker rebuilds) and Names all
+// read it: there is one way to run a campaign by id, and Runner.Run is
+// the way to run one you built.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -95,28 +95,7 @@ type ThresholdPoint struct {
 // ThresholdSweep holds figure 1 (repair rates) and figure 2 (loss
 // rates); the paper derives both from the same runs.
 type ThresholdSweep struct {
-	Scale  Scale
 	Points []ThresholdPoint
-}
-
-// RunThresholdSweep executes one simulation per threshold. Seeds are
-// derived from cfg.Seed and the threshold so points are independently
-// reproducible. progress (optional) receives one message per finished
-// point.
-//
-// Deprecated: compatibility wrapper. Use ThresholdCampaign with a
-// Runner (and ThresholdSweepFromRows) for cancellation and typed
-// events.
-func RunThresholdSweep(cfg sim.Config, thresholds []int, parallelism int, progress func(string)) (*ThresholdSweep, error) {
-	camp, err := ThresholdCampaign(cfg, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := collectRows(context.Background(), Runner{Parallelism: parallelism}, camp, progressSink(progress, thresholdDoneMessage))
-	if err != nil {
-		return nil, err
-	}
-	return ThresholdSweepFromRows(rows), nil
 }
 
 // WriteRepairTSV emits figure 1: threshold vs repair rate per category.
@@ -168,7 +147,6 @@ func (s *ThresholdSweep) writeTSV(w io.Writer, what string, get func(ThresholdPo
 // per-category cumulative loss series (figure 4) from the paper's focal
 // configuration (threshold 148, five observers).
 type FocalResult struct {
-	Scale          Scale
 	ObserverNames  []string
 	ObserverCounts []int64
 	ObserverSeries []*stats.Series
@@ -176,19 +154,6 @@ type FocalResult struct {
 	Repairs        int64
 	Losses         int64
 	Deaths         int64
-}
-
-// RunFocal executes the threshold-148 run with the paper's observers.
-//
-// Deprecated: compatibility wrapper. Use FocalCampaign with a Runner
-// (and FocalFromRow) for cancellation and typed events.
-func RunFocal(cfg sim.Config, progress func(string)) (*FocalResult, error) {
-	r := Runner{Parallelism: 1, RoundEvents: progress != nil}
-	rows, err := collectRows(context.Background(), r, FocalCampaign(cfg), progressSink(progress, nil))
-	if err != nil {
-		return nil, err
-	}
-	return FocalFromRow(rows[0]), nil
 }
 
 // WriteObserverTSV emits figure 3: cumulative repairs per observer over
@@ -265,47 +230,6 @@ type AblationResult struct {
 	Points []AblationPoint
 }
 
-// runAblationCampaign executes an ablation campaign with the legacy
-// progress-callback interface.
-func runAblationCampaign(c Campaign, parallelism int, progress func(string)) (*AblationResult, error) {
-	rows, err := collectRows(context.Background(), Runner{Parallelism: parallelism}, c, progressSink(progress, doneMessage(c.Name)))
-	if err != nil {
-		return nil, err
-	}
-	return AblationFromRows(c.Name, rows), nil
-}
-
-// RunStrategyAblation compares partner-selection strategies (A1 in
-// DESIGN.md) at the focal threshold.
-//
-// Deprecated: compatibility wrapper over StrategyCampaign + Runner.
-func RunStrategyAblation(cfg sim.Config, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(StrategyCampaign(cfg), parallelism, progress)
-}
-
-// RunAvailabilityAblation compares availability models (A2).
-//
-// Deprecated: compatibility wrapper over AvailabilityCampaign + Runner.
-func RunAvailabilityAblation(cfg sim.Config, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(AvailabilityCampaign(cfg), parallelism, progress)
-}
-
-// RunRepairDelayAblation sweeps the repair-delay knob (the paper's
-// future-work item: hold a triggered repair so temporarily offline
-// partners can return and cancel it).
-//
-// Deprecated: compatibility wrapper over RepairDelayCampaign + Runner.
-func RunRepairDelayAblation(cfg sim.Config, delays []int, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(RepairDelayCampaign(cfg, delays), parallelism, progress)
-}
-
-// RunHorizonAblation sweeps the acceptance horizon L (A3).
-//
-// Deprecated: compatibility wrapper over HorizonCampaign + Runner.
-func RunHorizonAblation(cfg sim.Config, horizons []int64, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(HorizonCampaign(cfg, horizons), parallelism, progress)
-}
-
 // WriteTSV emits the ablation comparison.
 func (a *AblationResult) WriteTSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# ablation: %s\n#variant\trepairs\tlosses\tdeaths\tuploaded_blocks\tshocks\tshock_losses", a.Name); err != nil {
@@ -344,4 +268,44 @@ func (a *AblationResult) WriteTSV(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// reportThreshold reports figures 1 and 2 from one threshold sweep.
+func reportThreshold(_ string, rows []Row) (report, error) {
+	sweep := ThresholdSweepFromRows(rows)
+	text := "threshold\trepairs/1k(newcomer,young,old,elder)\tlosses/1k(newcomer,young,old,elder)\n"
+	for _, p := range sweep.Points {
+		text += fmt.Sprintf("%d\t%.3g %.3g %.3g %.3g\t%.3g %.3g %.3g %.3g\n",
+			p.Threshold,
+			p.RepairRate[0], p.RepairRate[1], p.RepairRate[2], p.RepairRate[3],
+			p.LossRate[0], p.LossRate[1], p.LossRate[2], p.LossRate[3])
+	}
+	return report{name: "fig1+fig2", emit: []func(io.Writer) error{sweep.WriteRepairTSV, sweep.WriteLossTSV}, text: text}, nil
+}
+
+// reportFocal reports figures 3 and 4 from the focal run.
+func reportFocal(_ string, rows []Row) (report, error) {
+	if len(rows) == 0 {
+		return report{}, fmt.Errorf("experiments: focal run failed; no rows to report")
+	}
+	focal := FocalFromRow(rows[0])
+	text := "observer\tcumulative repairs\n"
+	for i, n := range focal.ObserverNames {
+		text += fmt.Sprintf("%s\t%d\n", n, focal.ObserverCounts[i])
+	}
+	for c := 0; c < len(focal.LossSeries); c++ {
+		_, last := focal.LossSeries[c].Last()
+		text += fmt.Sprintf("losses/peer[%s]\t%.3f\n", focal.LossSeries[c].Name(), last)
+	}
+	return report{name: "fig3+fig4", emit: []func(io.Writer) error{focal.WriteObserverTSV, focal.WriteLossSeriesTSV}, text: text}, nil
+}
+
+// reportAblation reports a labelled comparison of variants.
+func reportAblation(campaign string, rows []Row) (report, error) {
+	res := AblationFromRows(campaign, rows)
+	text := fmt.Sprintf("%-24s %10s %8s %8s\n", "variant", "repairs", "losses", "deaths")
+	for _, p := range res.Points {
+		text += fmt.Sprintf("%-24s %10d %8d %8d\n", p.Label, p.Repairs, p.Losses, p.Deaths)
+	}
+	return report{name: res.Name, emit: []func(io.Writer) error{res.WriteTSV}, text: text}, nil
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -25,6 +28,61 @@ func microConfig() sim.Config {
 	cfg.AcceptHorizon = 48
 	cfg.Seed = 3
 	return cfg
+}
+
+// thresholdSweep runs a threshold campaign over the Runner.
+func thresholdSweep(cfg sim.Config, thresholds []int, parallelism int) (*ThresholdSweep, error) {
+	camp, err := ThresholdCampaign(cfg, thresholds)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), camp)
+	if err != nil {
+		return nil, err
+	}
+	return ThresholdSweepFromRows(rows), nil
+}
+
+// runAblation runs an ablation campaign over the Runner.
+func runAblation(t *testing.T, camp Campaign) *AblationResult {
+	t.Helper()
+	rows, err := Runner{Parallelism: 2}.Run(context.Background(), camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AblationFromRows(camp.Name, rows)
+}
+
+// runShrunk runs experiment id the way RunCtx does — table entry, spec,
+// driver, report — on a spec that tweak has shrunk: RunCtx itself only
+// knows the scale presets, the smallest of which takes seconds a run.
+func runShrunk(id string, opts Options, tweak func(*CampaignSpec)) ([]Summary, error) {
+	c := campaignByID(id)
+	if c == nil {
+		return nil, fmt.Errorf("no experiment %q", id)
+	}
+	spec := c.spec(opts)
+	tweak(&spec)
+	return c.run(context.Background(), opts, spec)
+}
+
+// readSummaryFile returns the named data file of a one-summary run.
+func readSummaryFile(t *testing.T, sums []Summary, name string) string {
+	t.Helper()
+	if len(sums) != 1 {
+		t.Fatalf("summaries = %+v", sums)
+	}
+	for _, f := range sums[0].Files {
+		if filepath.Base(f) == name {
+			raw, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(raw)
+		}
+	}
+	t.Fatalf("no %s among %v", name, sums[0].Files)
+	return ""
 }
 
 func TestBaseConfigScales(t *testing.T) {
@@ -61,7 +119,7 @@ func TestPaperThresholds(t *testing.T) {
 
 func TestRunThresholdSweep(t *testing.T) {
 	cfg := microConfig()
-	sweep, err := RunThresholdSweep(cfg, []int{9, 11, 13}, 2, nil)
+	sweep, err := thresholdSweep(cfg, []int{9, 11, 13}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,22 +149,22 @@ func TestRunThresholdSweep(t *testing.T) {
 			t.Fatalf("header wrong: %s", lines[1])
 		}
 	}
-	if _, err := RunThresholdSweep(cfg, nil, 1, nil); err == nil {
+	if _, err := thresholdSweep(cfg, nil, 1); err == nil {
 		t.Fatal("empty thresholds accepted")
 	}
 	// Invalid threshold propagates the sim error.
-	if _, err := RunThresholdSweep(cfg, []int{999}, 1, nil); err == nil {
+	if _, err := thresholdSweep(cfg, []int{999}, 1); err == nil {
 		t.Fatal("invalid threshold accepted")
 	}
 }
 
 func TestSweepDeterminism(t *testing.T) {
 	cfg := microConfig()
-	a, err := RunThresholdSweep(cfg, []int{10, 12}, 2, nil)
+	a, err := thresholdSweep(cfg, []int{10, 12}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunThresholdSweep(cfg, []int{10, 12}, 1, nil) // different parallelism
+	b, err := thresholdSweep(cfg, []int{10, 12}, 1) // different parallelism
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,37 +176,35 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 func TestRunFocal(t *testing.T) {
-	cfg := microConfig()
-	// Focal pins threshold 148; adjust the code shape to make it valid.
-	// The population must supply n=256 simultaneously online partners:
-	// with ~65% mean availability that needs several hundred peers.
-	cfg.TotalBlocks = 256
-	cfg.DataBlocks = 128
-	cfg.Quota = 384
-	cfg.NumPeers = 600
-	cfg.Rounds = 240
+	// Focal pins threshold 148, so the code shape stays the paper's, and
+	// the population must supply n=256 simultaneously online partners:
+	// with ~65% mean availability that needs smoke's several hundred
+	// peers. Only the run is cut short.
 	var msgs []string
-	focal, err := RunFocal(cfg, func(m string) { msgs = append(msgs, m) })
+	opts := Options{
+		Scale:    ScaleSmoke,
+		Seed:     3,
+		OutDir:   t.TempDir(),
+		Progress: func(m string) { msgs = append(msgs, m) },
+	}
+	sums, err := runShrunk("fig3", opts, func(s *CampaignSpec) {
+		s.Overrides = &ConfigOverrides{Rounds: 240}
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(focal.ObserverNames) != 5 {
-		t.Fatalf("observers = %v", focal.ObserverNames)
 	}
 	if len(msgs) == 0 {
 		t.Fatal("no progress messages")
 	}
-	var obs, loss strings.Builder
-	if err := focal.WriteObserverTSV(&obs); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"elder", "senior", "adult", "teenager", "baby"} {
+		if !strings.Contains(sums[0].Text, name+"\t") {
+			t.Fatalf("summary misses observer %s:\n%s", name, sums[0].Text)
+		}
 	}
-	if err := focal.WriteLossSeriesTSV(&loss); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(obs.String(), "baby") {
+	if !strings.Contains(readSummaryFile(t, sums, "fig3_observer_repairs.tsv"), "baby") {
 		t.Fatal("observer TSV missing baby")
 	}
-	lines := strings.Split(strings.TrimSpace(loss.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(readSummaryFile(t, sums, "fig4_cumulative_losses.tsv")), "\n")
 	// comment + header + one row per sampled day (240 rounds / 24 = 10).
 	if len(lines) != 2+10 {
 		t.Fatalf("loss TSV has %d lines", len(lines))
@@ -158,25 +214,16 @@ func TestRunFocal(t *testing.T) {
 func TestAblations(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	strat, err := RunStrategyAblation(cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	strat := runAblation(t, StrategyCampaign(cfg))
 	if len(strat.Points) != len(selection.Names()) {
 		t.Fatalf("strategy variants = %d, want one per registered spec (%d)",
 			len(strat.Points), len(selection.Names()))
 	}
-	avail, err := RunAvailabilityAblation(cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	avail := runAblation(t, AvailabilityCampaign(cfg))
 	if len(avail.Points) != 2 {
 		t.Fatalf("availability variants = %d", len(avail.Points))
 	}
-	horizon, err := RunHorizonAblation(cfg, []int64{24, 48, 96}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	horizon := runAblation(t, HorizonCampaign(cfg, []int64{24, 48, 96}))
 	if len(horizon.Points) != 3 {
 		t.Fatalf("horizon variants = %d", len(horizon.Points))
 	}
@@ -194,7 +241,7 @@ func TestAblations(t *testing.T) {
 
 func TestRegistryCostModel(t *testing.T) {
 	dir := t.TempDir()
-	sums, err := Run("costmodel", Options{OutDir: dir})
+	sums, err := RunCtx(context.Background(), "costmodel", Options{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +257,7 @@ func TestRegistryCostModel(t *testing.T) {
 }
 
 func TestRegistryUnknown(t *testing.T) {
-	if _, err := Run("nope", Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), "nope", Options{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Names()) == 0 {
@@ -222,7 +269,7 @@ func TestCategoriesCoverMicroRun(t *testing.T) {
 	// Sanity: the micro run is too short for elders; rates must come
 	// back zero, not NaN.
 	cfg := microConfig()
-	sweep, err := RunThresholdSweep(cfg, []int{10}, 1, nil)
+	sweep, err := thresholdSweep(cfg, []int{10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

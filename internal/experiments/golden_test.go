@@ -149,25 +149,3 @@ func TestGoldenRepairDelayAblation(t *testing.T) {
 		{"delay=2h", 52, 26, 1978},
 	})
 }
-
-// TestGoldenWrappersAgree: the deprecated compatibility wrappers are
-// thin shims over the Runner, so they must return exactly what the
-// campaign path returns.
-func TestGoldenWrappersAgree(t *testing.T) {
-	cfg := microConfig()
-	cfg.Rounds = 200
-	old, err := RunStrategyAblation(cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Runner{Parallelism: 2}.Run(context.Background(), StrategyCampaign(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu := AblationFromRows("strategy", rows)
-	for i := range old.Points {
-		if old.Points[i] != neu.Points[i] {
-			t.Fatalf("wrapper point %d differs: %+v vs %+v", i, old.Points[i], neu.Points[i])
-		}
-	}
-}

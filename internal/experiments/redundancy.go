@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -166,82 +165,23 @@ func (r *RedundancyResult) WriteTSV(w io.Writer) error {
 	return nil
 }
 
-// redundancyAdaptiveSpec picks the campaign's adaptive arm: the -redundancy
-// override when it names an adaptive policy, the default otherwise.
-func redundancyAdaptiveSpec(opts Options) string {
-	if opts.Redundancy != "" {
-		if pol, err := redundancy.Parse(opts.Redundancy); err == nil && !pol.Static() {
-			return opts.Redundancy
+// redundancyAdaptiveSpec picks the campaign's adaptive arm: the
+// -redundancy override when it names an adaptive policy, the default
+// otherwise.
+func redundancyAdaptiveSpec(override string) string {
+	if override != "" {
+		if pol, err := redundancy.Parse(override); err == nil && !pol.Static() {
+			return override
 		}
 	}
 	return "adaptive"
 }
 
-// runRedundancy executes the fixed-vs-adaptive experiment. Its replay
-// block replays opts.TracePath when given; otherwise it records a trace
-// internally (same scheme as ablation-estimator: churn does not depend
-// on the redundancy policy, and the recording seed derives from the
-// base seed so the experiment stays a deterministic function of
-// (scale, seed)).
-func runRedundancy(ctx context.Context, opts Options) ([]Summary, error) {
-	spec := opts.spec("fixed-vs-adaptive")
-	var trace *churn.Trace
-	if opts.TracePath != "" {
-		t, err := churn.ReadTraceFile(opts.TracePath)
-		if err != nil {
-			return nil, err
-		}
-		trace = t
-	} else {
-		cfg, err := baseFor(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Seed = cfg.Seed*15485863 + 101
-		if cfg.Rounds > estimatorTraceRounds {
-			cfg.Rounds = estimatorTraceRounds
-		}
-		cfg.RecordTrace = true
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("recording %d-round churn trace for the replay block", cfg.Rounds))
-		}
-		s, err := sim.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		trace = res.Trace
-		if opts.supervised() {
-			path, cleanup, err := materializeTraceFile(trace, "p2psim-redundancy")
-			if err != nil {
-				return nil, err
-			}
-			defer cleanup()
-			spec.TracePath = path
-		}
-	}
-
-	cfg, err := baseFor(opts)
+// reportRedundancy reports the fixed-vs-adaptive comparison.
+func reportRedundancy(campaign string, rows []Row) (report, error) {
+	res, err := RedundancyFromRows(campaign, rows)
 	if err != nil {
-		return nil, err
-	}
-	camp := RedundancyCampaign(cfg, trace, redundancyAdaptiveSpec(opts))
-	rows, err := opts.collect(ctx, opts.runner(), camp, spec, opts.sink(doneMessage(camp.Name)))
-	if err != nil {
-		return nil, err
-	}
-	res, err := RedundancyFromRows(camp.Name, rows)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	if p, err := writeFile(opts, "scenario_redundancy.tsv", res.WriteTSV); err != nil {
-		return nil, err
-	} else if p != "" {
-		files = append(files, p)
+		return report{}, err
 	}
 	text := fmt.Sprintf("%-20s %9s %7s %7s %9s %7s %6s/%-6s %12s\n",
 		"variant", "overhead", "mean_n", "hard", "outages", "grows", "shrink", "parity", "cost_h")
@@ -250,5 +190,5 @@ func runRedundancy(ctx context.Context, opts Options) ([]Summary, error) {
 			p.Label, p.Overhead, p.MeanRedundancy, p.HardLosses, p.Outages,
 			p.Grows, p.Shrinks, p.ParityAdded, p.ParityCostHours)
 	}
-	return []Summary{{Name: res.Name, Files: files, Text: text}}, nil
+	return report{name: res.Name, emit: []func(io.Writer) error{res.WriteTSV}, text: text}, nil
 }

@@ -161,11 +161,11 @@ func TestOptionsRedundancyValidatesEagerly(t *testing.T) {
 	if _, err := RunCtx(context.Background(), "fig1", Options{Redundancy: "bogus:x"}); err == nil {
 		t.Fatal("bad redundancy spec accepted")
 	}
-	if got := redundancyAdaptiveSpec(Options{Redundancy: "adaptive:target=0.95"}); got != "adaptive:target=0.95" {
+	if got := redundancyAdaptiveSpec("adaptive:target=0.95"); got != "adaptive:target=0.95" {
 		t.Fatalf("adaptive arm = %q, want the override", got)
 	}
 	// A fixed (static) override cannot serve as the adaptive arm.
-	if got := redundancyAdaptiveSpec(Options{Redundancy: "fixed"}); got != "adaptive" {
+	if got := redundancyAdaptiveSpec("fixed"); got != "adaptive" {
 		t.Fatalf("adaptive arm = %q, want default", got)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -116,7 +117,7 @@ func TestRegistryReplayEndToEnd(t *testing.T) {
 	if err := churn.WriteTraceFile(path, recordTrace(t, 300)); err != nil {
 		t.Fatal(err)
 	}
-	sums, err := Run("replay", Options{OutDir: dir, TracePath: path})
+	sums, err := RunCtx(context.Background(), "replay", Options{OutDir: dir, TracePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +133,10 @@ func TestRegistryReplayEndToEnd(t *testing.T) {
 }
 
 func TestRegistryReplayNeedsTrace(t *testing.T) {
-	if _, err := Run("replay", Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), "replay", Options{}); err == nil {
 		t.Fatal("replay without -trace accepted")
 	}
-	if _, err := Run("replay", Options{TracePath: "/does/not/exist.csv"}); err == nil {
+	if _, err := RunCtx(context.Background(), "replay", Options{TracePath: "/does/not/exist.csv"}); err == nil {
 		t.Fatal("replay with missing trace accepted")
 	}
 }
@@ -150,16 +151,18 @@ func TestRegistryScenarioNames(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated wrapper coverage (kept from PR 1): the thin compatibility
-// shims must return exactly what the campaign path returns.
+// The registry's driver is a wrapper too: table entry, spec, Runner,
+// report. What it writes must be exactly what the campaign path gives.
 
 func TestWrapperThresholdSweepAgrees(t *testing.T) {
-	cfg := microConfig()
-	old, err := RunThresholdSweep(cfg, []int{9, 13}, 2, nil)
+	spec := microSpec()
+	spec.Kind, spec.Delays, spec.Thresholds = "threshold", nil, []int{9, 13}
+	sums, err := runShrunk("fig1", Options{Scale: spec.Scale, Seed: spec.Seed, Parallelism: 2, OutDir: t.TempDir()},
+		func(s *CampaignSpec) { s.Thresholds, s.Overrides = spec.Thresholds, spec.Overrides })
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp, err := ThresholdCampaign(cfg, []int{9, 13})
+	camp, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,22 +170,36 @@ func TestWrapperThresholdSweepAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	neu := ThresholdSweepFromRows(rows)
-	if !reflect.DeepEqual(old.Points, neu.Points) {
-		t.Fatalf("wrapper sweep differs:\n%+v\n%+v", old.Points, neu.Points)
+	sweep := ThresholdSweepFromRows(rows)
+	if len(sweep.Points) != 2 || sweep.Points[0].Repairs == 0 {
+		t.Fatalf("campaign path points = %+v", sweep.Points)
+	}
+	sameTSV(t, sums, "fig1_repairs_by_threshold.tsv", sweep.WriteRepairTSV)
+	sameTSV(t, sums, "fig2_losses_by_threshold.tsv", sweep.WriteLossTSV)
+}
+
+// sameTSV requires the registry's data file to hold what emit writes.
+func sameTSV(t *testing.T, sums []Summary, file string, emit func(io.Writer) error) {
+	t.Helper()
+	var want strings.Builder
+	if err := emit(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSummaryFile(t, sums, file); got != want.String() || got == "" {
+		t.Fatalf("registry %s differs from the campaign path:\n%s\n%s", file, got, want.String())
 	}
 }
 
 func TestWrapperFocalAgrees(t *testing.T) {
 	// The focal campaign pins threshold 148, which needs the paper's
-	// archive shape.
-	cfg := microConfig()
-	cfg.TotalBlocks = 256
-	cfg.DataBlocks = 128
-	cfg.Quota = 384
-	cfg.NumPeers = 600
-	cfg.Rounds = 150
-	old, err := RunFocal(cfg, nil)
+	// archive shape: smoke's 600 peers, cut to 150 rounds.
+	ov := &ConfigOverrides{Rounds: 150}
+	sums, err := runShrunk("fig3", Options{Scale: ScaleSmoke, Seed: 3, OutDir: t.TempDir()},
+		func(s *CampaignSpec) { s.Overrides = ov })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := CampaignSpec{Scale: ScaleSmoke, Seed: 3, Overrides: ov}.baseConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,26 +207,28 @@ func TestWrapperFocalAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	neu := FocalFromRow(rows[0])
-	if old.Repairs != neu.Repairs || old.Losses != neu.Losses || old.Deaths != neu.Deaths ||
-		!reflect.DeepEqual(old.ObserverCounts, neu.ObserverCounts) {
-		t.Fatalf("wrapper focal differs:\n%+v\n%+v", old, neu)
-	}
+	focal := FocalFromRow(rows[0])
+	sameTSV(t, sums, "fig3_observer_repairs.tsv", focal.WriteObserverTSV)
+	sameTSV(t, sums, "fig4_cumulative_losses.tsv", focal.WriteLossSeriesTSV)
 }
 
 func TestWrapperRegistryRunAgrees(t *testing.T) {
-	// Run is a background-context shim over RunCtx; both must produce
-	// the same summary text for a deterministic experiment.
-	a, err := Run("costmodel", Options{})
+	// RunCtx is lookup, spec, run: both must produce the same summary
+	// as the table entry run directly, under either id of a shared entry.
+	a, err := RunCtx(context.Background(), "costmodel", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCtx(context.Background(), "costmodel", Options{})
+	c := campaignByID("costmodel")
+	b, err := c.run(context.Background(), Options{}, c.spec(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Run != RunCtx:\n%+v\n%+v", a, b)
+		t.Fatalf("RunCtx != table entry run:\n%+v\n%+v", a, b)
+	}
+	if campaignByID("fig1") != campaignByID("fig2") || campaignByID("fig3") != campaignByID("fig4") {
+		t.Fatal("figures drawn from the same runs must share a table entry")
 	}
 }
 

@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
 	"p2pbackup/internal/churn"
+	"p2pbackup/internal/redundancy"
+	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
+	"p2pbackup/internal/transfer"
 )
 
 // CampaignSpec is the JSON-able recipe for a built-in campaign: enough
@@ -20,10 +24,8 @@ import (
 // JSON result snapshot (internal/metrics), is what makes a supervised
 // campaign's output byte-identical to the in-process run.
 type CampaignSpec struct {
-	// Kind names the campaign constructor: "threshold", "focal",
-	// "strategy", "availability", "repair-delay", "horizon", "diurnal",
-	// "blackout", "replay", "estimator", "transfer-baseline",
-	// "flashcrowd", "uplink-sweep" or "fixed-vs-adaptive".
+	// Kind names the campaign: a kind of the campaign table (table.go),
+	// e.g. "threshold", "repair-delay" or "fixed-vs-adaptive".
 	Kind string `json:"kind"`
 	// Scale is the population/duration preset (see BaseConfig).
 	Scale Scale `json:"scale,omitempty"`
@@ -41,7 +43,7 @@ type CampaignSpec struct {
 	// recorded traces to a temp file so workers replay the same churn.
 	TracePath string `json:"trace_path,omitempty"`
 	// Per-kind sweep parameters; empty slices select each campaign's
-	// registry defaults.
+	// defaults from the campaign table.
 	Thresholds []int     `json:"thresholds,omitempty"`
 	Delays     []int     `json:"delays,omitempty"`
 	Horizons   []int64   `json:"horizons,omitempty"`
@@ -99,101 +101,69 @@ func (o *ConfigOverrides) apply(cfg *sim.Config) {
 	}
 }
 
-// options projects the spec back onto the Options fields baseFor reads.
-func (s CampaignSpec) options() Options {
-	return Options{
-		Scale:        s.Scale,
-		Seed:         s.Seed,
-		StrategySpec: s.StrategySpec,
-		Bandwidth:    s.Bandwidth,
-		Redundancy:   s.Redundancy,
-		Shards:       s.Shards,
-		PhaseTimes:   s.PhaseTimes,
+// baseConfig is what every variant starts from: the scale preset, the
+// shared knobs (parsed eagerly: a typo fails before any run), overrides.
+func (s CampaignSpec) baseConfig() (sim.Config, error) {
+	cfg, err := BaseConfig(s.Scale)
+	if err != nil {
+		return cfg, err
 	}
+	cfg.Seed = cmp.Or(s.Seed, 1) // zero means 1, as in RunCtx
+	cfg.Shards = s.Shards
+	cfg.PhaseTimes = s.PhaseTimes
+	if s.StrategySpec != "" {
+		if _, err := selection.ParseWith(s.StrategySpec, selection.Defaults{Horizon: cfg.AcceptHorizon}); err != nil {
+			return cfg, err
+		}
+		cfg.StrategySpec = s.StrategySpec
+	}
+	if s.Bandwidth != "" {
+		bw, err := transfer.Parse(s.Bandwidth)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Bandwidth = bw
+	}
+	if s.Redundancy != "" {
+		if _, err := redundancy.Parse(s.Redundancy); err != nil {
+			return cfg, err
+		}
+		cfg.RedundancySpec = s.Redundancy
+	}
+	s.Overrides.apply(&cfg)
+	return cfg, nil
 }
 
 // Build materialises the campaign the spec describes, exactly as the
-// registry would: scale preset, option overrides, then the kind's
-// constructor with the spec's sweep parameters (or the registry
-// defaults when absent).
+// registry does: the base config, then the campaign table's constructor
+// for the kind, with the spec's sweep lists (or the table's defaults)
+// and the trace TracePath names.
 func (s CampaignSpec) Build() (Campaign, error) {
-	opts := s.options()
-	if opts.Seed == 0 {
-		opts.Seed = 1
+	c := campaignByKind(s.Kind)
+	if c == nil {
+		return Campaign{}, fmt.Errorf("experiments: unknown campaign spec kind %q", s.Kind)
 	}
-	cfg, err := baseFor(opts)
+	return s.build(c, nil)
+}
+
+// build is Build for a resolved table entry, with the campaign's trace
+// already in hand; a nil trace is read from TracePath.
+func (s CampaignSpec) build(c *campaign, trace *churn.Trace) (Campaign, error) {
+	if c.trace && trace == nil {
+		if s.TracePath == "" {
+			return Campaign{}, fmt.Errorf("experiments: %s needs a churn trace (-trace FILE; generate one with 'tracegen gen')", c.ids[0])
+		}
+		var err error
+		if trace, err = churn.ReadTraceFile(s.TracePath); err != nil {
+			return Campaign{}, err
+		}
+	}
+	cfg, err := s.baseConfig()
 	if err != nil {
 		return Campaign{}, err
 	}
-	s.Overrides.apply(&cfg)
-
-	readTrace := func() (*churn.Trace, error) {
-		if s.TracePath == "" {
-			return nil, fmt.Errorf("experiments: spec kind %q needs a trace_path", s.Kind)
-		}
-		return churn.ReadTraceFile(s.TracePath)
-	}
-
-	switch s.Kind {
-	case "threshold":
-		th := s.Thresholds
-		if len(th) == 0 {
-			th = PaperThresholds()
-		}
-		return ThresholdCampaign(cfg, th)
-	case "focal":
-		return FocalCampaign(cfg), nil
-	case "strategy":
-		return StrategyCampaign(cfg), nil
-	case "availability":
-		return AvailabilityCampaign(cfg), nil
-	case "repair-delay":
-		d := s.Delays
-		if len(d) == 0 {
-			d = []int{0, 6, 24, 72}
-		}
-		return RepairDelayCampaign(cfg, d), nil
-	case "horizon":
-		h := s.Horizons
-		if len(h) == 0 {
-			h = []int64{30 * churn.Day, 90 * churn.Day, 180 * churn.Day}
-		}
-		return HorizonCampaign(cfg, h), nil
-	case "diurnal":
-		a := s.Amplitudes
-		if len(a) == 0 {
-			a = []float64{0, 0.3, 0.6, 0.9}
-		}
-		return DiurnalCampaign(cfg, a), nil
-	case "blackout":
-		return BlackoutCampaign(cfg), nil
-	case "replay":
-		trace, err := readTrace()
-		if err != nil {
-			return Campaign{}, err
-		}
-		return ReplayCampaign(cfg, trace), nil
-	case "estimator":
-		trace, err := readTrace()
-		if err != nil {
-			return Campaign{}, err
-		}
-		return EstimatorCampaign(cfg, trace), nil
-	case "transfer-baseline":
-		return TransferBaselineCampaign(cfg), nil
-	case "flashcrowd":
-		return FlashCrowdCampaign(cfg), nil
-	case "uplink-sweep":
-		return UplinkSweepCampaign(cfg), nil
-	case "fixed-vs-adaptive":
-		trace, err := readTrace()
-		if err != nil {
-			return Campaign{}, err
-		}
-		return RedundancyCampaign(cfg, trace, redundancyAdaptiveSpec(opts)), nil
-	default:
-		return Campaign{}, fmt.Errorf("experiments: unknown campaign spec kind %q", s.Kind)
-	}
+	c.fillSweep(&s)
+	return c.build(cfg, &s, trace)
 }
 
 // Fingerprint identifies the spec for checkpoint journaling: resuming

@@ -1,0 +1,375 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
+
+	"p2pbackup/internal/churn"
+	"p2pbackup/internal/costmodel"
+	"p2pbackup/internal/sim"
+)
+
+// campaign is one row of the campaign table: everything the registry
+// (RunCtx, Names), CampaignSpec.Build and the reports know about one
+// built-in campaign, stated once. Adding a campaign is one entry here
+// plus its constructor and, when no existing one fits, its report.
+type campaign struct {
+	// ids are the experiment ids; figures drawn from the same runs share
+	// one entry.
+	ids []string
+	// kind is the CampaignSpec.Kind, hashed into journal fingerprints: it
+	// never changes. Empty (with no build): a table without simulations.
+	kind string
+	// sweep holds the default sweep lists, taken where a spec leaves its
+	// own empty; no other field of it is read.
+	sweep CampaignSpec
+	// trace: build replays a churn trace, which the spec names (-trace).
+	// With a record the spec need not: the registry records one.
+	trace  bool
+	record *traceRecording
+	build  func(cfg sim.Config, s *CampaignSpec, trace *churn.Trace) (Campaign, error)
+	// rowMsg formats a finished row for Options.Progress; nil picks
+	// doneMessage under the campaign's name.
+	rowMsg func(Row) string
+	// files names the TSVs that report's emitters write, in order; report
+	// gets the campaign's name and rows (zero without a build).
+	files  []string
+	report func(campaign string, rows []Row) (report, error)
+}
+
+// traceRecording derives the recording run from the base seed
+// (seed*mult + add: churn depends on neither strategy nor redundancy
+// policy, so the experiment stays a function of scale and seed) and
+// names the temp file supervised workers read: it is in the fingerprint.
+type traceRecording struct {
+	mult, add uint64
+	prefix    string
+}
+
+// report is a Summary's Name and Text and an emitter per campaign file.
+type report struct {
+	name, text string
+	emit       []func(w io.Writer) error
+}
+
+// fixed adapts a constructor that takes nothing but the base config.
+func fixed(build func(sim.Config) Campaign) func(sim.Config, *CampaignSpec, *churn.Trace) (Campaign, error) {
+	return func(cfg sim.Config, _ *CampaignSpec, _ *churn.Trace) (Campaign, error) { return build(cfg), nil }
+}
+
+// plain is the shape most campaigns share: one id, one TSV, a
+// constructor that takes nothing but the base config.
+func plain(id, kind, file string, build func(sim.Config) Campaign, rep func(string, []Row) (report, error)) campaign {
+	return campaign{ids: []string{id}, kind: kind, build: fixed(build), files: []string{file}, report: rep}
+}
+
+// campaigns is the campaign table, in Names() and "all" order.
+var campaigns = []campaign{
+	{ids: []string{"costmodel"}, files: []string{"table_repair_cost.tsv"}, report: reportCostModel},
+	{
+		ids:  []string{"fig1", "fig2"},
+		kind: "threshold",
+		// No default sweep: an empty Thresholds means the paper's and stays
+		// empty in the spec, as the fingerprints of journals on disk have it.
+		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
+			return ThresholdCampaign(cfg, orDefault(s.Thresholds, PaperThresholds()))
+		},
+		rowMsg: thresholdDoneMessage,
+		files:  []string{"fig1_repairs_by_threshold.tsv", "fig2_losses_by_threshold.tsv"},
+		report: reportThreshold,
+	},
+	{
+		ids:    []string{"fig3", "fig4"},
+		kind:   "focal",
+		build:  fixed(FocalCampaign),
+		files:  []string{"fig3_observer_repairs.tsv", "fig4_cumulative_losses.tsv"},
+		report: reportFocal,
+	},
+	plain("ablation-strategy", "strategy", "ablation_strategy.tsv", StrategyCampaign, reportAblation),
+	plain("ablation-availability", "availability", "ablation_availability.tsv", AvailabilityCampaign, reportAblation),
+	{
+		ids:   []string{"ablation-horizon"},
+		kind:  "horizon",
+		sweep: CampaignSpec{Horizons: []int64{30 * churn.Day, 90 * churn.Day, 180 * churn.Day}},
+		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
+			return HorizonCampaign(cfg, s.Horizons), nil
+		},
+		files:  []string{"ablation_horizon.tsv"},
+		report: reportAblation,
+	},
+	{
+		ids:   []string{"ablation-delay"},
+		kind:  "repair-delay",
+		sweep: CampaignSpec{Delays: []int{0, 6, 24, 72}},
+		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
+			return RepairDelayCampaign(cfg, s.Delays), nil
+		},
+		files:  []string{"ablation_delay.tsv"},
+		report: reportAblation,
+	},
+	{
+		ids:    []string{"ablation-estimator"},
+		kind:   "estimator",
+		trace:  true,
+		record: &traceRecording{mult: 7349981, add: 17, prefix: "p2psim-estimator"},
+		build: func(cfg sim.Config, _ *CampaignSpec, trace *churn.Trace) (Campaign, error) {
+			return EstimatorCampaign(cfg, trace), nil
+		},
+		files:  []string{"ablation_estimator.tsv"},
+		report: reportAblation,
+	},
+	{
+		ids:   []string{"diurnal"},
+		kind:  "diurnal",
+		sweep: CampaignSpec{Amplitudes: []float64{0, 0.3, 0.6, 0.9}},
+		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
+			return DiurnalCampaign(cfg, s.Amplitudes), nil
+		},
+		files:  []string{"scenario_diurnal.tsv"},
+		report: reportAblation,
+	},
+	plain("blackout", "blackout", "scenario_blackout.tsv", BlackoutCampaign, reportAblation),
+	{
+		ids:   []string{"replay"},
+		kind:  "replay",
+		trace: true,
+		build: func(cfg sim.Config, _ *CampaignSpec, trace *churn.Trace) (Campaign, error) {
+			return ReplayCampaign(cfg, trace), nil
+		},
+		files:  []string{"scenario_replay.tsv"},
+		report: reportAblation,
+	},
+	plain("transfer-baseline", "transfer-baseline", "scenario_transfer_baseline.tsv", TransferBaselineCampaign, reportTransfer),
+	plain("flashcrowd", "flashcrowd", "scenario_flashcrowd.tsv", FlashCrowdCampaign, reportTransfer),
+	plain("uplink-sweep", "uplink-sweep", "scenario_uplink_sweep.tsv", UplinkSweepCampaign, reportTransfer),
+	{
+		ids:    []string{"fixed-vs-adaptive"},
+		kind:   "fixed-vs-adaptive",
+		trace:  true,
+		record: &traceRecording{mult: 15485863, add: 101, prefix: "p2psim-redundancy"},
+		build: func(cfg sim.Config, s *CampaignSpec, trace *churn.Trace) (Campaign, error) {
+			return RedundancyCampaign(cfg, trace, redundancyAdaptiveSpec(s.Redundancy)), nil
+		},
+		files:  []string{"scenario_redundancy.tsv"},
+		report: reportRedundancy,
+	},
+}
+
+// campaignByID resolves an experiment id.
+func campaignByID(id string) *campaign {
+	for i := range campaigns {
+		if slices.Contains(campaigns[i].ids, id) {
+			return &campaigns[i]
+		}
+	}
+	return nil
+}
+
+// campaignByKind resolves a CampaignSpec.Kind.
+func campaignByKind(kind string) *campaign {
+	for i := range campaigns {
+		if kind != "" && campaigns[i].kind == kind {
+			return &campaigns[i]
+		}
+	}
+	return nil
+}
+
+// orDefault is have, or def when have is empty.
+func orDefault[T any](have, def []T) []T {
+	if len(have) == 0 {
+		return def
+	}
+	return have
+}
+
+// fillSweep defaults every sweep list the spec leaves empty.
+func (c *campaign) fillSweep(s *CampaignSpec) {
+	s.Thresholds = orDefault(s.Thresholds, c.sweep.Thresholds)
+	s.Delays = orDefault(s.Delays, c.sweep.Delays)
+	s.Horizons = orDefault(s.Horizons, c.sweep.Horizons)
+	s.Amplitudes = orDefault(s.Amplitudes, c.sweep.Amplitudes)
+}
+
+// spec is what RunCtx runs the campaign under: opts' knobs, default sweep.
+func (c *campaign) spec(o Options) CampaignSpec {
+	s := CampaignSpec{
+		Kind:         c.kind,
+		Scale:        o.Scale,
+		Seed:         o.Seed,
+		StrategySpec: o.StrategySpec,
+		Bandwidth:    o.Bandwidth,
+		Redundancy:   o.Redundancy,
+		Shards:       o.Shards,
+		PhaseTimes:   o.PhaseTimes,
+		TracePath:    o.TracePath,
+	}
+	c.fillSweep(&s)
+	return s
+}
+
+// maxRecordedTraceRounds caps an internally recorded trace: long enough
+// for elders to exist, short enough to stay cheap at every scale.
+const maxRecordedTraceRounds = 10000
+
+// recordTrace runs the campaign's strategy-neutral recording simulation.
+func (c *campaign) recordTrace(ctx context.Context, opts Options, spec CampaignSpec) (*churn.Trace, error) {
+	cfg, err := spec.baseConfig()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Seed = cfg.Seed*c.record.mult + c.record.add
+	if cfg.Rounds > maxRecordedTraceRounds {
+		cfg.Rounds = maxRecordedTraceRounds
+	}
+	cfg.RecordTrace = true
+	if opts.Progress != nil {
+		opts.Progress(fmt.Sprintf("recording %d-round churn trace for the replay block", cfg.Rounds))
+	}
+	s, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.RunContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return res.Trace, nil
+}
+
+// run executes the campaign under spec, in-process or supervised as opts
+// says, and reports it: data files under opts.OutDir, the summary back.
+func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]Summary, error) {
+	var name string
+	var rows []Row
+	if c.build != nil {
+		var trace *churn.Trace
+		if c.record != nil && spec.TracePath == "" {
+			var err error
+			if trace, err = c.recordTrace(ctx, opts, spec); err != nil {
+				return nil, err
+			}
+			if opts.supervised() {
+				// Workers rebuild the campaign from the spec: hand them
+				// the recorded churn as a file.
+				path, cleanup, err := materializeTraceFile(trace, c.record.prefix)
+				if err != nil {
+					return nil, err
+				}
+				defer cleanup()
+				spec.TracePath = path
+			}
+		}
+		camp, err := spec.build(c, trace)
+		if err != nil {
+			return nil, err
+		}
+		// A one-run campaign reports progress by round heartbeats, the
+		// others by a message per finished row.
+		r, msg := Runner{Parallelism: opts.Parallelism}, c.rowMsg
+		switch {
+		case len(camp.Variants) == 1:
+			r.RoundEvents, msg = opts.Progress != nil || opts.Events != nil, nil
+		case msg == nil:
+			msg = doneMessage(camp.Name)
+		}
+		if rows, err = opts.collect(ctx, r, camp, spec, opts.sink(msg)); err != nil {
+			return nil, err
+		}
+		name = camp.Name
+	}
+	rep, err := c.report(name, rows)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for i := 0; opts.OutDir != "" && i < len(rep.emit); i++ {
+		path := filepath.Join(opts.OutDir, c.files[i])
+		if err := writeFile(path, rep.emit[i]); err != nil {
+			return nil, err
+		}
+		files = append(files, path)
+	}
+	return []Summary{{Name: rep.name, Files: files, Text: rep.text}}, nil
+}
+
+// materializeTraceFile writes an internally recorded churn trace to a
+// temp JSONL file so worker processes replay exactly the same churn
+// the parent recorded (the JSONL round trip is lossless — see
+// internal/churn's fuzz tests). The final name is derived from the
+// trace content, not a random suffix: the path lands in the campaign
+// spec, and the spec's fingerprint keys the checkpoint journal — a
+// re-recorded (deterministic) trace must map to the same fingerprint
+// or -resume would re-run every variant of trace-backed campaigns.
+// The caller removes it after the campaign.
+func materializeTraceFile(trace *churn.Trace, prefix string) (string, func(), error) {
+	f, err := os.CreateTemp("", prefix+"-*.jsonl")
+	if err != nil {
+		return "", nil, err
+	}
+	tmp := f.Name()
+	f.Close()
+	if err := churn.WriteTraceFile(tmp, trace); err != nil {
+		os.Remove(tmp)
+		return "", nil, err
+	}
+	raw, err := os.ReadFile(tmp)
+	if err != nil {
+		os.Remove(tmp)
+		return "", nil, err
+	}
+	sum := sha256.Sum256(raw)
+	path := filepath.Join(os.TempDir(), fmt.Sprintf("%s-%s.jsonl", prefix, hex.EncodeToString(sum[:8])))
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return "", nil, err
+	}
+	return path, func() { os.Remove(path) }, nil
+}
+
+// writeFile writes one data file, whole or not at all.
+func writeFile(path string, emit func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := emit(&buf); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// reportCostModel reports the section 2.2.4 repair-cost table; it has
+// no campaign behind it.
+func reportCostModel(string, []Row) (report, error) {
+	rows, err := costmodel.PaperTable()
+	if err != nil {
+		return report{}, err
+	}
+	emit := func(w io.Writer) error {
+		if _, err := fmt.Fprintln(w, "#case\tdownload_s\tupload_s\ttotal_min\trepairs_per_day"); err != nil {
+			return err
+		}
+		for _, r := range rows {
+			if _, err := fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.1f\t%.1f\n",
+				r.Label, r.Cost.Download.Seconds(), r.Cost.Upload.Seconds(),
+				r.Cost.Total().Minutes(), r.RepairsPerDay); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	text := ""
+	for _, r := range rows {
+		text += fmt.Sprintf("%-26s total %.1f min (%.0fs down + %.0fs up), max %.1f repairs/day\n",
+			r.Label, r.Cost.Total().Minutes(), r.Cost.Download.Seconds(), r.Cost.Upload.Seconds(), r.RepairsPerDay)
+	}
+	return report{name: "costmodel", emit: []func(io.Writer) error{emit}, text: text}, nil
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -180,25 +179,10 @@ func (r *TransferResult) WriteTSV(w io.Writer) error {
 	return nil
 }
 
-// runTransfer executes a transfer campaign through the registry: like
-// runAblation, but the summary carries TTB/TTR columns.
-func runTransfer(ctx context.Context, opts Options, filename string, spec CampaignSpec, build func(sim.Config) Campaign) ([]Summary, error) {
-	cfg, err := baseFor(opts)
-	if err != nil {
-		return nil, err
-	}
-	camp := build(cfg)
-	rows, err := opts.collect(ctx, opts.runner(), camp, spec, opts.sink(doneMessage(camp.Name)))
-	if err != nil {
-		return nil, err
-	}
-	res := TransferFromRows(camp.Name, rows)
-	var files []string
-	if p, err := writeFile(opts, filename, res.WriteTSV); err != nil {
-		return nil, err
-	} else if p != "" {
-		files = append(files, p)
-	}
+// reportTransfer reports a transfer campaign: like reportAblation, but
+// the summary carries TTB/TTR columns.
+func reportTransfer(campaign string, rows []Row) (report, error) {
+	res := TransferFromRows(campaign, rows)
 	text := fmt.Sprintf("%-16s %8s %7s  %-24s %-24s %6s\n",
 		"variant", "repairs", "losses", "ttb mean/p95 (n)", "ttr mean/p95 (n)", "failed")
 	for _, p := range res.Points {
@@ -206,7 +190,7 @@ func runTransfer(ctx context.Context, opts Options, filename string, spec Campai
 			p.Label, p.Repairs, p.Losses,
 			formatDurations(p.TTB), formatDurations(p.TTR), p.RestoresFailed)
 	}
-	return []Summary{{Name: res.Name, Files: files, Text: text}}, nil
+	return report{name: res.Name, emit: []func(io.Writer) error{res.WriteTSV}, text: text}, nil
 }
 
 // formatDurations renders a DurationSummary for the text summary.

@@ -334,8 +334,7 @@ type Maintainer struct {
 
 // New returns a Maintainer over the ledger's slots. It panics on
 // invalid params (programmer error; validate user input with
-// Params.Validate first). Legacy selection.Strategy values are lifted
-// with selection.Adapt before being passed here.
+// Params.Validate first).
 //
 // New registers the Maintainer as the ledger's Watcher (thresholds:
 // RepairThreshold for visibility, DataBlocks for archive loss) and

@@ -45,7 +45,7 @@ func harness(t *testing.T, peers int, params Params) (*Maintainer, *overlay.Ledg
 	led.SetStrict(true)
 	tab := overlay.NewTable(peers)
 	env := &fakeEnv{ages: make([]int64, peers), n: peers}
-	m := New(params, led, tab, selection.Adapt(selection.AgeBased{L: 100}), env)
+	m := New(params, led, tab, mustParse(t, "age:L=100"), env)
 	return m, led, tab, rng.New(7)
 }
 
@@ -352,7 +352,7 @@ func TestOldestFirstSelection(t *testing.T) {
 	}
 	env := &fakeEnv{ages: ages, n: 40}
 	p := testParams()
-	m := New(p, led, tab, selection.Adapt(selection.AgeBased{L: 100}), env)
+	m := New(p, led, tab, mustParse(t, "age:L=100"), env)
 	r := rng.New(3)
 	// Owner is peer 0 (age 0). Elders accept newcomers with probability
 	// 1/L = 1/100, so sampling needs patience; pool building handles it.
@@ -382,8 +382,9 @@ func TestOldestFirstSelection(t *testing.T) {
 		t.Log("warning: no elders chosen; acceptable only if none entered the pool")
 	}
 	// Stronger check: rank a synthetic pool directly.
-	if (selection.AgeBased{L: 100}).Score(selection.PeerInfo{Age: 100}) <=
-		(selection.AgeBased{L: 100}).Score(selection.PeerInfo{Age: 0}) {
+	age := mustParse(t, "age:L=100")
+	if age.Score(selection.Context{}, selection.View{Observed: selection.Observed{Age: 100}}) <=
+		age.Score(selection.Context{}, selection.View{}) {
 		t.Fatal("age strategy must rank elders above newcomers")
 	}
 }
@@ -395,7 +396,7 @@ func TestQuotaRespected(t *testing.T) {
 	env := &fakeEnv{ages: make([]int64, 10), n: 10}
 	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
 		DropOffline: true, CancelOnRecover: true}
-	m := New(p, led, tab, selection.Adapt(selection.Random{}), env)
+	m := New(p, led, tab, mustParse(t, "random"), env)
 	r := rng.New(5)
 	// 4 owners each place 4 blocks: demand 16 <= capacity 9*2=18 per
 	// owner's view; complete all.
@@ -429,7 +430,7 @@ func TestUnmeteredObserverBypassesQuota(t *testing.T) {
 	env := &fakeEnv{ages: make([]int64, 6), n: 5} // observers sample only peers 0..4
 	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
 		DropOffline: true, CancelOnRecover: true}
-	m := New(p, led, tab, selection.Adapt(selection.Random{}), env)
+	m := New(p, led, tab, mustParse(t, "random"), env)
 	m.SetUnmetered(5, true)
 	r := rng.New(6)
 	// Peer 0's backup takes the one unit of quota of each of peers 1..4.
@@ -547,7 +548,7 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 			t.Fatal("New with invalid params must panic")
 		}
 	}()
-	New(bad, led, tab, selection.Adapt(selection.Random{}), env)
+	New(bad, led, tab, mustParse(t, "random"), env)
 }
 
 func TestNewPanicsOnSizeMismatch(t *testing.T) {
@@ -559,5 +560,5 @@ func TestNewPanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("New with mismatched sizes must panic")
 		}
 	}()
-	New(testParams(), led, tab, selection.Adapt(selection.Random{}), env)
+	New(testParams(), led, tab, mustParse(t, "random"), env)
 }

@@ -373,11 +373,20 @@ func twin(pol selection.Policy) selection.Policy {
 	return pol
 }
 
+// viewsOnly hides a policy's optional capabilities: embedding the
+// interface promotes Name, AcceptProb and Score and nothing else, so a
+// Maintainer takes the policy at its most general — AgreeCtx on Views,
+// every call evaluated. Around the paper's policy it is the one
+// age-accepting policy that does not offer AgeAccepter.
+type viewsOnly struct{ selection.Policy }
+
 // oraclePolicies lists what the oracles negotiate with: every registered
-// spec, an adapted legacy Strategy, the stateful policy.
+// spec, the paper's policy through Views only, the stateful policy. The
+// views-only row keeps the name it had when an adapted legacy Strategy
+// filled it: its subtest names are in the tier-1 floor.
 func oraclePolicies(t *testing.T) map[string]func() selection.Policy {
 	policies := map[string]func() selection.Policy{
-		"legacy-age": func() selection.Policy { return selection.Adapt(selection.AgeBased{L: 100}) },
+		"legacy-age": func() selection.Policy { return viewsOnly{mustParse(t, "age:L=100")} },
 		"stateful":   func() selection.Policy { return &moodyPolicy{} },
 	}
 	for _, spec := range selection.Names() {
@@ -764,7 +773,7 @@ func runPoolOracle(t *testing.T, seed uint64, pol selection.Policy, planned, tra
 // TestPoolDedupMatchesMapOracle runs the oracle over instant and metered
 // placement, through Step and through PlanStep + ApplyPlan, and checks
 // that the runs reached the cases the marks could get wrong. The twelve
-// seeds negotiate through Views (an adapted legacy Strategy); every
+// seeds negotiate through Views (the age policy behind viewsOnly); every
 // other policy then gets a world each.
 func TestPoolDedupMatchesMapOracle(t *testing.T) {
 	for _, tc := range []struct {

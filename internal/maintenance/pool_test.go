@@ -176,7 +176,7 @@ func TestPoolCacheConcurrentUse(t *testing.T) {
 func TestRefreshPoolAcceptingAllocatesNothing(t *testing.T) {
 	for _, pol := range []selection.Policy{
 		mustParse(t, "age:L=100"),
-		selection.Adapt(selection.AgeBased{L: 100}),
+		viewsOnly{mustParse(t, "age:L=100")},
 	} {
 		const peers = 64
 		led := overlay.NewLedger(peers, 64)

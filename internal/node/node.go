@@ -29,44 +29,46 @@ import (
 
 // Directory is the membership view a node selects partners from. The
 // paper assumes a monitoring service that reports peer ages; here the
-// directory plays that role.
+// directory plays that role: it records one observed age per peer.
 type Directory struct {
-	mu    sync.RWMutex
-	peers map[string]selection.PeerInfo
+	mu   sync.RWMutex
+	ages map[string]int64
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{peers: make(map[string]selection.PeerInfo)}
+	return &Directory{ages: make(map[string]int64)}
 }
 
-// Register announces a peer (or updates its info).
-func (d *Directory) Register(name string, info selection.PeerInfo) {
+// Register announces a peer with its observed age in rounds (or
+// updates the age of a known one).
+func (d *Directory) Register(name string, age int64) {
 	d.mu.Lock()
-	d.peers[name] = info
+	d.ages[name] = age
 	d.mu.Unlock()
 }
 
 // Remove withdraws a peer.
 func (d *Directory) Remove(name string) {
 	d.mu.Lock()
-	delete(d.peers, name)
+	delete(d.ages, name)
 	d.mu.Unlock()
 }
 
-// Info returns a peer's registered info.
-func (d *Directory) Info(name string) (selection.PeerInfo, bool) {
+// View returns what the directory knows about a peer: its observed age,
+// with no monitored history and no oracle knowledge.
+func (d *Directory) View(name string) (selection.View, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	info, ok := d.peers[name]
-	return info, ok
+	age, ok := d.ages[name]
+	return selection.View{Observed: selection.Observed{Age: age}}, ok
 }
 
 // Names lists registered peers, sorted for determinism.
 func (d *Directory) Names() []string {
 	d.mu.RLock()
-	out := make([]string, 0, len(d.peers))
-	for n := range d.peers {
+	out := make([]string, 0, len(d.ages))
+	for n := range d.ages {
 		out = append(out, n)
 	}
 	d.mu.RUnlock()
@@ -78,7 +80,7 @@ func (d *Directory) Names() []string {
 func (d *Directory) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.peers)
+	return len(d.ages)
 }
 
 // Config assembles a node.
@@ -98,9 +100,9 @@ type Config struct {
 	Params backup.Params
 	// RepairThreshold is k' on visible blocks (default: scaled 148/256).
 	RepairThreshold int
-	// Strategy ranks and accepts partners (default: AgeBased with the
-	// paper's 90-day horizon in hours).
-	Strategy selection.Strategy
+	// Policy ranks and accepts partners (default: the paper's age
+	// policy with its 90-day horizon in hours).
+	Policy selection.Policy
 	// ChallengesPerBlock precomputed audits per placed block (default 16).
 	ChallengesPerBlock int
 	// Identity is the owner key pair; generated (RSA-2048) when nil.
@@ -160,8 +162,11 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: threshold %d outside [k=%d, n=%d]",
 			cfg.RepairThreshold, cfg.Params.DataBlocks, cfg.Params.Total())
 	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = selection.AgeBased{L: 90 * 24}
+	if cfg.Policy == nil {
+		var err error
+		if cfg.Policy, err = selection.ParseWith("age", selection.Defaults{Horizon: 90 * 24}); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.ChallengesPerBlock <= 0 {
 		cfg.ChallengesPerBlock = 16
@@ -215,10 +220,10 @@ func (n *Node) handle(from string, req p2pnet.Message) p2pnet.Message {
 	case p2pnet.StoreBlock:
 		// The acceptance function gives every requester a chance
 		// proportional to its age standing (never zero).
-		if info, ok := n.cfg.Directory.Info(from); ok {
-			self := selection.PeerInfo{Age: n.cfg.Age}
+		if requester, ok := n.cfg.Directory.View(from); ok {
+			self := selection.View{Observed: selection.Observed{Age: n.cfg.Age}}
 			n.rmu.Lock()
-			accept := n.r.Bool(n.cfg.Strategy.AcceptProb(self, info))
+			accept := n.r.Bool(n.cfg.Policy.AcceptProb(selection.Context{}, self, requester))
 			n.rmu.Unlock()
 			if !accept {
 				return p2pnet.StoreResult{OK: false, Reason: "partnership declined"}
@@ -259,7 +264,7 @@ func (n *Node) handle(from string, req p2pnet.Message) p2pnet.Message {
 }
 
 // rankedCandidates returns directory peers (excluding self and given
-// exclusions) ordered by the strategy score, ties shuffled.
+// exclusions) ordered by the policy score, ties shuffled.
 func (n *Node) rankedCandidates(exclude map[string]bool) []string {
 	names := n.cfg.Directory.Names()
 	type cand struct {
@@ -271,8 +276,8 @@ func (n *Node) rankedCandidates(exclude map[string]bool) []string {
 		if name == n.cfg.Name || exclude[name] {
 			continue
 		}
-		info, _ := n.cfg.Directory.Info(name)
-		cands = append(cands, cand{name: name, score: n.cfg.Strategy.Score(info)})
+		view, _ := n.cfg.Directory.View(name)
+		cands = append(cands, cand{name: name, score: n.cfg.Policy.Score(selection.Context{}, view)})
 	}
 	n.rmu.Lock()
 	n.r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })

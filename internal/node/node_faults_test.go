@@ -6,7 +6,6 @@ import (
 
 	"p2pbackup/internal/backup"
 	"p2pbackup/internal/p2pnet"
-	"p2pbackup/internal/selection"
 	"p2pbackup/internal/storage"
 )
 
@@ -69,7 +68,7 @@ func TestHostQuotaRefusesStores(t *testing.T) {
 			Store:     storage.NewMemStore(quota),
 			Directory: dir,
 			Params:    smallParams,
-			Strategy:  selection.Random{},
+			Policy:    policy(t, "random"),
 			Identity:  fastIdentity(t),
 			Seed:      1,
 		})
@@ -77,7 +76,7 @@ func TestHostQuotaRefusesStores(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nd.Close() })
-		dir.Register(name, selection.PeerInfo{})
+		dir.Register(name, 0)
 		return nd
 	}
 	owner := mk("owner", 0)
@@ -198,7 +197,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			Store:     storage.NewMemStore(0),
 			Directory: dir,
 			Params:    params,
-			Strategy:  selection.Random{},
+			Policy:    policy(t, "random"),
 			Identity:  fastIdentity(t),
 			Seed:      uint64(i),
 		})
@@ -206,7 +205,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nd.Close() })
-		dir.Register(name, selection.PeerInfo{})
+		dir.Register(name, 0)
 		nodes = append(nodes, nd)
 	}
 	owner := nodes[0]

@@ -33,6 +33,16 @@ func fastIdentity(t *testing.T) *backup.Identity {
 	return &backup.Identity{Private: key}
 }
 
+// policy resolves a partner-selection spec.
+func policy(t *testing.T, spec string) selection.Policy {
+	t.Helper()
+	pol, err := selection.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
 func newCluster(t *testing.T, n int, params backup.Params) *cluster {
 	t.Helper()
 	c := &cluster{
@@ -52,14 +62,14 @@ func newCluster(t *testing.T, n int, params backup.Params) *cluster {
 			Directory:       c.dir,
 			Params:          params,
 			RepairThreshold: 6,
-			Strategy:        selection.Random{}, // deterministic acceptance for tests
+			Policy:          policy(t, "random"), // deterministic acceptance for tests
 			Identity:        fastIdentity(t),
 			Seed:            uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.dir.Register(name, selection.PeerInfo{Age: age})
+		c.dir.Register(name, age)
 		c.nodes = append(c.nodes, nd)
 	}
 	t.Cleanup(func() {
@@ -299,7 +309,7 @@ func TestAgeBasedPlacementPrefersElders(t *testing.T) {
 		Store:     storage.NewMemStore(0),
 		Directory: dir,
 		Params:    smallParams,
-		Strategy:  selection.AgeBased{L: 10 * 7 * 24}, // cap at 10 weeks
+		Policy:    policy(t, "age:L=1680"), // cap at 10 weeks
 		Identity:  fastIdentity(t),
 		Seed:      99,
 	})
@@ -307,7 +317,7 @@ func TestAgeBasedPlacementPrefersElders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer owner.Close()
-	dir.Register("owner", selection.PeerInfo{Age: 0})
+	dir.Register("owner", 0)
 	idx, err := owner.Backup(testFiles("elders"), "")
 	if err != nil {
 		t.Fatal(err)
@@ -316,9 +326,9 @@ func TestAgeBasedPlacementPrefersElders(t *testing.T) {
 	// of age is capped; peers 10..19 all tie at the cap).
 	youngest := int64(1 << 62)
 	for _, holder := range owner.placements[idx] {
-		info, _ := dir.Info(holder)
-		if info.Age < youngest {
-			youngest = info.Age
+		view, _ := dir.View(holder)
+		if view.Observed.Age < youngest {
+			youngest = view.Observed.Age
 		}
 	}
 	// Acceptance is probabilistic (elders decline newborns often), so
@@ -366,20 +376,20 @@ func TestValidationErrors(t *testing.T) {
 
 func TestDirectory(t *testing.T) {
 	d := NewDirectory()
-	d.Register("a", selection.PeerInfo{Age: 1})
-	d.Register("b", selection.PeerInfo{Age: 2})
+	d.Register("a", 1)
+	d.Register("b", 2)
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d", d.Len())
 	}
-	if info, ok := d.Info("a"); !ok || info.Age != 1 {
-		t.Fatal("Info wrong")
+	if view, ok := d.View("a"); !ok || view.Observed.Age != 1 {
+		t.Fatal("View wrong")
 	}
 	names := d.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names = %v", names)
 	}
 	d.Remove("a")
-	if _, ok := d.Info("a"); ok {
+	if _, ok := d.View("a"); ok {
 		t.Fatal("removed peer still present")
 	}
 }

@@ -1,15 +1,15 @@
 package selection
 
-// Native Policy implementations. The five ports of the legacy
-// strategies read only the knowledge class they are entitled to —
+// The Policy implementations. The paper's strategy and its four
+// baselines read only the knowledge class they are entitled to —
 // age-based, random and youngest-first touch View.Observed exclusively,
 // the two oracles read View.Oracle — making the epistemic status of
 // every baseline explicit in code rather than in comments. The
-// estimator-backed and monitored-availability policies are the new
-// implementable strategies the redesign exists for: they rank by a
-// lifetime.Estimator applied to observed age (Dell'Amico et al.;
-// Skowron & Rzadca rank peers the same way) or by the monitored
-// availability window the paper's secure-monitoring substrate provides.
+// estimator-backed and monitored-availability policies are the other
+// implementable strategies: they rank by a lifetime.Estimator applied
+// to observed age (Dell'Amico et al.; Skowron & Rzadca rank peers the
+// same way) or by the monitored availability window the paper's
+// secure-monitoring substrate provides.
 
 import (
 	"fmt"
@@ -18,11 +18,11 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Observable baselines (ports of the legacy strategies)
+// Observable baselines
 
-// agePolicy is the paper's strategy on the new surface: probabilistic
-// acceptance via the acceptance function with horizon L, ranking by
-// observed age capped at L.
+// agePolicy is the paper's strategy: probabilistic acceptance via the
+// acceptance function with horizon L, ranking by observed age capped
+// at L.
 type agePolicy struct{ L int64 }
 
 func (a agePolicy) Name() string { return fmt.Sprintf("age(L=%d)", a.L) }
@@ -51,7 +51,9 @@ func (a agePolicy) Score(_ Context, candidate View) float64 {
 	return float64(age)
 }
 
-// randomPolicy accepts everyone and ranks uniformly.
+// randomPolicy accepts everyone and ranks uniformly (pool order,
+// already random, decides): the placement a system with no lifetime
+// information would do.
 type randomPolicy struct{}
 
 func (randomPolicy) Name() string                           { return "random" }
@@ -60,7 +62,8 @@ func (randomPolicy) Score(Context, View) float64            { return 0 }
 func (randomPolicy) AlwaysAccepts() bool                    { return true }
 func (randomPolicy) PureScore() bool                        { return true }
 
-// youngestPolicy ranks youngest first: the adversarial baseline.
+// youngestPolicy ranks youngest first: the adversarial baseline. If the
+// age signal carries information, it must perform WORSE than random.
 type youngestPolicy struct{}
 
 func (youngestPolicy) Name() string                           { return "youngest-first" }
@@ -72,7 +75,8 @@ func (youngestPolicy) PureScore() bool                        { return true }
 // ---------------------------------------------------------------------------
 // Oracle baselines (the only policies that may read View.Oracle)
 
-// availOraclePolicy ranks by true availability: unimplementable.
+// availOraclePolicy ranks by true availability: an unimplementable
+// upper bound that ignores lifetimes.
 type availOraclePolicy struct{}
 
 func (availOraclePolicy) Name() string                           { return "availability-oracle" }
@@ -82,7 +86,9 @@ func (availOraclePolicy) AlwaysAccepts() bool                    { return true }
 func (availOraclePolicy) PureScore() bool                        { return true }
 
 // lifetimeOraclePolicy ranks by true remaining lifetime, the quantity
-// every observable strategy merely estimates.
+// every observable strategy merely estimates. Its gap to the age policy
+// measures how much the estimate loses; its gap to random measures how
+// much lifetime-aware placement can possibly win.
 type lifetimeOraclePolicy struct{}
 
 func (lifetimeOraclePolicy) Name() string                           { return "lifetime-oracle" }

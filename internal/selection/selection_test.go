@@ -1,7 +1,6 @@
 package selection
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -75,23 +74,33 @@ func TestAcceptanceFunctionPanicsOnBadHorizon(t *testing.T) {
 	AcceptanceFunction(1, 2, 0)
 }
 
+// mustParse resolves a spec with the test horizon as default.
+func mustParse(t *testing.T, spec string) Policy {
+	t.Helper()
+	pol, err := ParseWith(spec, Defaults{Horizon: testL})
+	if err != nil {
+		t.Fatalf("ParseWith(%q): %v", spec, err)
+	}
+	return pol
+}
+
 func TestAgeBasedStrategy(t *testing.T) {
-	s := AgeBased{L: testL}
-	if s.Name() == "" {
-		t.Fatal("Name empty")
+	s := mustParse(t, "age")
+	if s.Name() != "age(L=2160)" {
+		t.Fatalf("Name = %q", s.Name())
 	}
 	// Score is capped age.
-	if s.Score(PeerInfo{Age: 100}) != 100 {
+	if s.Score(Context{}, ageView(100)) != 100 {
 		t.Fatal("score below cap must equal age")
 	}
-	if s.Score(PeerInfo{Age: testL * 10}) != testL {
+	if s.Score(Context{}, ageView(testL*10)) != testL {
 		t.Fatal("score must cap at L")
 	}
-	if s.Score(PeerInfo{Age: -3}) != 0 {
+	if s.Score(Context{}, ageView(-3)) != 0 {
 		t.Fatal("negative age must score 0")
 	}
 	// AcceptProb wires through the acceptance function.
-	got := s.AcceptProb(PeerInfo{Age: testL}, PeerInfo{Age: 0})
+	got := s.AcceptProb(Context{}, ageView(testL), ageView(0))
 	if math.Abs(got-1.0/testL) > 1e-15 {
 		t.Fatalf("AcceptProb = %v, want 1/L", got)
 	}
@@ -99,15 +108,14 @@ func TestAgeBasedStrategy(t *testing.T) {
 
 func TestAgreeMutual(t *testing.T) {
 	r := rng.New(1)
-	s := AgeBased{L: testL}
-	elder := PeerInfo{Age: testL}
-	newborn := PeerInfo{Age: 0}
+	s := mustParse(t, "age")
+	elder, newborn := ageView(testL), ageView(0)
 	// A newborn owner asking an elder candidate: the elder rarely
 	// agrees (probability 1/L each trial).
 	agreed := 0
 	const trials = 200000
 	for i := 0; i < trials; i++ {
-		if Agree(r, s, newborn, elder) {
+		if AgreeCtx(r, s, Context{}, newborn, elder) {
 			agreed++
 		}
 	}
@@ -118,59 +126,43 @@ func TestAgreeMutual(t *testing.T) {
 	}
 	// Two elders always agree.
 	for i := 0; i < 100; i++ {
-		if !Agree(r, s, elder, elder) {
+		if !AgreeCtx(r, s, Context{}, elder, elder) {
 			t.Fatal("elders must always agree")
 		}
 	}
 }
 
 func TestRandomStrategy(t *testing.T) {
-	s := Random{}
-	if s.AcceptProb(PeerInfo{}, PeerInfo{}) != 1 {
+	s := mustParse(t, "random")
+	if s.AcceptProb(Context{}, View{}, View{}) != 1 {
 		t.Fatal("random must accept everyone")
 	}
-	if s.Score(PeerInfo{Age: 5}) != s.Score(PeerInfo{Age: 50000}) {
+	if s.Score(Context{}, ageView(5)) != s.Score(Context{}, ageView(50000)) {
 		t.Fatal("random score must be constant")
 	}
 }
 
 func TestOracleStrategies(t *testing.T) {
-	a := AvailabilityOracle{}
-	if a.Score(PeerInfo{Availability: 0.9}) <= a.Score(PeerInfo{Availability: 0.3}) {
+	a := mustParse(t, "availability-oracle")
+	avail := func(p float64) View { return View{Oracle: Oracle{Availability: p}} }
+	if a.Score(Context{}, avail(0.9)) <= a.Score(Context{}, avail(0.3)) {
 		t.Fatal("availability oracle must prefer higher availability")
 	}
-	l := LifetimeOracle{}
-	if l.Score(PeerInfo{Remaining: 5000}) <= l.Score(PeerInfo{Remaining: 10}) {
+	l := mustParse(t, "lifetime-oracle")
+	remaining := func(n int64) View { return View{Oracle: Oracle{Remaining: n}} }
+	if l.Score(Context{}, remaining(5000)) <= l.Score(Context{}, remaining(10)) {
 		t.Fatal("lifetime oracle must prefer longer remaining lifetime")
 	}
-	y := YoungestFirst{}
-	if y.Score(PeerInfo{Age: 10}) <= y.Score(PeerInfo{Age: 1000}) {
+	y := mustParse(t, "youngest-first")
+	if y.Score(Context{}, ageView(10)) <= y.Score(Context{}, ageView(1000)) {
 		t.Fatal("youngest-first must prefer younger")
 	}
-	for _, s := range []Strategy{a, l, y} {
-		if s.AcceptProb(PeerInfo{}, PeerInfo{}) != 1 {
+	for _, s := range []Policy{a, l, y} {
+		if s.AcceptProb(Context{}, View{}, View{}) != 1 {
 			t.Fatalf("%s must accept everyone", s.Name())
 		}
 		if s.Name() == "" {
 			t.Fatal("empty name")
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range Names() {
-		s, err := ByName(name, testL)
-		if err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-		if s == nil {
-			t.Errorf("ByName(%q) returned nil", name)
-		}
-	}
-	if s, err := ByName("", testL); err != nil || s.Name() != (AgeBased{L: testL}).Name() {
-		t.Fatalf("default strategy = %v, %v", s, err)
-	}
-	if _, err := ByName("bogus", testL); !errors.Is(err, ErrUnknownStrategy) {
-		t.Fatal("bogus strategy accepted")
 	}
 }

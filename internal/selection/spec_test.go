@@ -102,54 +102,6 @@ func TestParseRejectsBadParameters(t *testing.T) {
 	}
 }
 
-func TestByNameRoutesThroughParser(t *testing.T) {
-	// Historical names resolve to their historical concrete types, with
-	// the horizon applied to the age strategy.
-	s, err := ByName("age", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab, ok := s.(AgeBased); !ok || ab.L != 99 {
-		t.Fatalf("ByName(age, 99) = %#v", s)
-	}
-	if s, err = ByName("", 99); err != nil {
-		t.Fatal(err)
-	} else if ab, ok := s.(AgeBased); !ok || ab.L != 99 {
-		t.Fatalf("ByName(\"\", 99) = %#v", s)
-	}
-	for name, want := range map[string]any{
-		"random":              Random{},
-		"availability-oracle": AvailabilityOracle{},
-		"lifetime-oracle":     LifetimeOracle{},
-		"youngest-first":      YoungestFirst{},
-	} {
-		s, err := ByName(name, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s != want {
-			t.Fatalf("ByName(%q) = %#v, want %#v", name, s, want)
-		}
-	}
-	// The horizon argument now reaches every parameterisable spec, not
-	// just age.
-	if s, err = ByName("monitored-availability", 77); err != nil {
-		t.Fatal(err)
-	} else if s.Name() != "monitored-availability(W=77)" {
-		t.Fatalf("ByName(monitored-availability, 77) = %q", s.Name())
-	}
-	// Full specs and their parameter validation flow through too.
-	if _, err = ByName("age:L=7", 99); err != nil {
-		t.Fatal(err)
-	}
-	if _, err = ByName("random:L=7", 99); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("ByName(random:L=7) = %v, want ErrBadSpec", err)
-	}
-	if _, err = ByName("nope", 99); !errors.Is(err, ErrUnknownStrategy) {
-		t.Fatalf("ByName(nope) = %v, want ErrUnknownStrategy", err)
-	}
-}
-
 func TestNamesCoverRegistry(t *testing.T) {
 	names := Names()
 	// The historical five stay first, in their historical order: the

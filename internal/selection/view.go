@@ -1,8 +1,8 @@
 package selection
 
-// This file is the redesigned selection API: an explicit split between
-// what an implementable protocol can OBSERVE about a peer and what only
-// the simulator's ORACLE knows, plus the Policy interface strategies
+// This file is the selection API: an explicit split between what an
+// implementable protocol can OBSERVE about a peer and what only the
+// simulator's ORACLE knows, plus the Policy interface strategies
 // implement against that split.
 //
 // Paper mapping:
@@ -16,10 +16,6 @@ package selection
 //	                                     sim engine
 //	§3.2 acceptance + ranking            Policy.AcceptProb, Policy.Score
 //	§4.1 oracle baselines                Oracle.Availability/Remaining
-//
-// The legacy PeerInfo/Strategy surface in selection.go remains as
-// deprecated adapters (Adapt, AsStrategy) so existing callers keep
-// working bit-identically.
 
 import "p2pbackup/internal/rng"
 
@@ -41,8 +37,8 @@ type Observed struct {
 	// Age is the number of rounds since the peer joined the system.
 	Age int64
 	// History answers availability window queries for this peer; nil
-	// when no monitoring substrate is attached (e.g. views built from
-	// the deprecated PeerInfo adapter).
+	// when no monitoring substrate is attached (e.g. the live node's
+	// directory, which records ages only).
 	History AvailabilityHistory
 }
 
@@ -82,9 +78,9 @@ type Context struct {
 	Round int64
 }
 
-// Policy is the redesigned strategy interface: it decides partnerships
-// and ranks candidates from a View, with the Context supplying the
-// current round for window queries.
+// Policy is the strategy interface: it decides partnerships and ranks
+// candidates from a View, with the Context supplying the current round
+// for window queries.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -96,32 +92,32 @@ type Policy interface {
 	Score(ctx Context, candidate View) float64
 }
 
-// alwaysAccepter is the optional marker a Policy or Strategy implements
-// to declare AcceptProb constantly one, letting Agree/AgreeCtx skip the
-// acceptance evaluation entirely.
+// alwaysAccepter is the optional marker a Policy implements to declare
+// AcceptProb constantly one, letting AgreeCtx skip the acceptance
+// evaluation entirely.
 type alwaysAccepter interface{ AlwaysAccepts() bool }
 
-// AcceptsAll reports whether a policy or strategy declares (via an
+// AcceptsAll reports whether a policy declares (via an
 // `AlwaysAccepts() bool` method) that it accepts every partnership.
-func AcceptsAll(v any) bool {
-	aa, ok := v.(alwaysAccepter)
+func AcceptsAll(p Policy) bool {
+	aa, ok := p.(alwaysAccepter)
 	return ok && aa.AlwaysAccepts()
 }
 
-// pureScorer is the optional marker a Policy or Strategy implements to
-// declare its Score a pure function of its arguments: no internal
-// state, no randomness, no reads beyond the Context and View. Pure
-// scores may be memoised per (peer, round) by the caller; every policy
-// shipped by this package is pure and declares it.
+// pureScorer is the optional marker a Policy implements to declare its
+// Score a pure function of its arguments: no internal state, no
+// randomness, no reads beyond the Context and View. Pure scores may be
+// memoised per (peer, round) by the caller; every policy shipped by
+// this package is pure and declares it.
 type pureScorer interface{ PureScore() bool }
 
-// HasPureScore reports whether a policy or strategy declares (via a
+// HasPureScore reports whether a policy declares (via a
 // `PureScore() bool` method) that Score is a pure function of
 // (Context, View). Callers use it to gate score caching; policies
 // without the marker are conservatively treated as stateful and
 // re-evaluated on every call.
-func HasPureScore(v any) bool {
-	ps, ok := v.(pureScorer)
+func HasPureScore(p Policy) bool {
+	ps, ok := p.(pureScorer)
 	return ok && ps.PureScore()
 }
 
@@ -155,91 +151,4 @@ func AgreeCtx(r *rng.Rand, p Policy, ctx Context, owner, candidate View) bool {
 	}
 	pr := p.AcceptProb(ctx, candidate, owner)
 	return pr >= 1 || r.Bool(pr)
-}
-
-// ---------------------------------------------------------------------------
-// Adapters between the legacy Strategy surface and Policy.
-
-// legacyPolicy lifts a deprecated Strategy into a Policy by collapsing
-// the View back into the flat PeerInfo it expects.
-type legacyPolicy struct{ s Strategy }
-
-// Adapt lifts a legacy Strategy into a Policy. The strategy sees a
-// PeerInfo carrying both knowledge classes, exactly as before the
-// observable/oracle split, so adapted strategies behave bit-identically
-// to the pre-redesign engine.
-func Adapt(s Strategy) Policy {
-	if ap, ok := s.(policyStrategy); ok {
-		return ap.p // unwrap a round-tripped policy
-	}
-	return legacyPolicy{s: s}
-}
-
-// Name implements Policy.
-func (l legacyPolicy) Name() string { return l.s.Name() }
-
-// AcceptProb implements Policy via the wrapped strategy.
-func (l legacyPolicy) AcceptProb(_ Context, acceptor, requester View) float64 {
-	return l.s.AcceptProb(flatten(acceptor), flatten(requester))
-}
-
-// Score implements Policy via the wrapped strategy.
-func (l legacyPolicy) Score(_ Context, candidate View) float64 {
-	return l.s.Score(flatten(candidate))
-}
-
-// AlwaysAccepts forwards the wrapped strategy's marker.
-func (l legacyPolicy) AlwaysAccepts() bool { return AcceptsAll(l.s) }
-
-// PureScore forwards the wrapped strategy's marker.
-func (l legacyPolicy) PureScore() bool { return HasPureScore(l.s) }
-
-// flatten collapses a View into the legacy PeerInfo.
-func flatten(v View) PeerInfo {
-	return PeerInfo{
-		Age:          v.Observed.Age,
-		Availability: v.Oracle.Availability,
-		Remaining:    v.Oracle.Remaining,
-	}
-}
-
-// policyStrategy projects a Policy onto the deprecated Strategy
-// interface for legacy call sites. The View it synthesises has no
-// monitoring history and a zero Context, so window-query strategies
-// degrade to their no-history fallback there.
-type policyStrategy struct{ p Policy }
-
-// AsStrategy projects a Policy onto the deprecated Strategy interface.
-func AsStrategy(p Policy) Strategy {
-	if lp, ok := p.(legacyPolicy); ok {
-		return lp.s // unwrap a round-tripped strategy
-	}
-	return policyStrategy{p: p}
-}
-
-// Name implements Strategy.
-func (a policyStrategy) Name() string { return a.p.Name() }
-
-// AcceptProb implements Strategy via the wrapped policy.
-func (a policyStrategy) AcceptProb(acceptor, requester PeerInfo) float64 {
-	return a.p.AcceptProb(Context{}, inflate(acceptor), inflate(requester))
-}
-
-// Score implements Strategy via the wrapped policy.
-func (a policyStrategy) Score(candidate PeerInfo) float64 {
-	return a.p.Score(Context{}, inflate(candidate))
-}
-
-// AlwaysAccepts forwards the wrapped policy's marker.
-func (a policyStrategy) AlwaysAccepts() bool { return AcceptsAll(a.p) }
-
-// PureScore forwards the wrapped policy's marker.
-func (a policyStrategy) PureScore() bool { return HasPureScore(a.p) }
-
-// inflate spreads a legacy PeerInfo over the View knowledge split.
-func inflate(i PeerInfo) View {
-	return View{
-		Observed: Observed{Age: i.Age},
-		Oracle:   Oracle{Availability: i.Availability, Remaining: i.Remaining},
-	}
 }

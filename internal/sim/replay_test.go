@@ -135,17 +135,21 @@ func TestReplayPreservesPopulationShape(t *testing.T) {
 // death sequences while producing their own maintenance outcomes.
 func TestReplayPairedStrategies(t *testing.T) {
 	src, _ := recordedRun(t)
-	run := func(s selection.Strategy) *Result {
+	run := func(spec string) *Result {
 		cfg := replayConfig(t, src)
-		cfg.Policy = selection.Adapt(s)
+		pol, err := selection.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = pol
 		sim, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sim.Run()
 	}
-	age := run(selection.AgeBased{L: 48})
-	random := run(selection.Random{})
+	age := run("age:L=48")
+	random := run("random")
 	if age.Deaths != random.Deaths {
 		t.Fatalf("paired runs diverged in churn: %d vs %d deaths", age.Deaths, random.Deaths)
 	}

@@ -416,14 +416,12 @@ func TestStrategySwap(t *testing.T) {
 }
 
 func TestStrategySwapLegacyByName(t *testing.T) {
-	// The deprecated ByName adapters must still drive the engine,
-	// lifted into Config.Policy. Note that Adapt unwraps ByName's
-	// round-tripped policies, so monitored-availability here still
-	// reaches the engine's monitoring substrate — the no-history
-	// fallback only applies to Strategy implementations consuming
-	// PeerInfo directly (e.g. the live node's directory).
+	// A policy resolved by the caller (its own default horizon, not the
+	// config's) and bound as Config.Policy must drive the engine like a
+	// StrategySpec does; monitored-availability bound this way still
+	// reaches the engine's monitoring substrate.
 	for _, name := range []string{"age", "random", "monitored-availability"} {
-		strat, err := selection.ByName(name, 48)
+		pol, err := selection.ParseWith(name, selection.Defaults{Horizon: 48})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +432,7 @@ func TestStrategySwapLegacyByName(t *testing.T) {
 		cfg.DataBlocks = 4
 		cfg.RepairThreshold = 5
 		cfg.Quota = 24
-		cfg.Policy = selection.Adapt(strat)
+		cfg.Policy = pol
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -466,11 +464,13 @@ func TestConfigStrategyResolution(t *testing.T) {
 	if _, err = cfg.Validate(); err == nil {
 		t.Fatal("bad spec accepted")
 	}
-	// A Policy wins over the spec; a legacy Strategy is lifted into one.
+	// A Policy wins over the spec.
 	cfg.StrategySpec = "age"
-	cfg.Policy = selection.Adapt(selection.AgeBased{L: 9})
+	if cfg.Policy, err = selection.Parse("age:L=9"); err != nil {
+		t.Fatal(err)
+	}
 	if v, err = cfg.Validate(); err != nil || v.Policy.Name() != "age(L=9)" {
-		t.Fatalf("adapted policy = %v (%v)", v.Policy, err)
+		t.Fatalf("bound policy = %v (%v)", v.Policy, err)
 	}
 }
 

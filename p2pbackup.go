@@ -15,7 +15,7 @@
 //     25,000-peer populations with the paper's four behaviour profiles,
 //     repair-threshold sweeps (figures 1-2), fixed-age observers
 //     (figure 3) and cumulative loss tracking (figure 4). See
-//     DefaultSimConfig, NewSimulation and RunExperiment.
+//     DefaultSimConfig, NewSimulation and RunExperimentContext.
 //
 // This root package is a facade: it re-exports the stable surface of
 // the internal packages so downstream code has one import.
@@ -112,26 +112,17 @@ func FocalCampaign(cfg SimConfig) Campaign { return experiments.FocalCampaign(cf
 // StrategyCampaign compares every partner-selection strategy.
 func StrategyCampaign(cfg SimConfig) Campaign { return experiments.StrategyCampaign(cfg) }
 
-// ExperimentOptions configures RunExperiment.
+// ExperimentOptions configures RunExperimentContext.
 type ExperimentOptions = experiments.Options
 
 // ExperimentSummary reports an experiment's outputs.
 type ExperimentSummary = experiments.Summary
 
-// RunExperiment regenerates a paper table or figure by id: "fig1",
-// "fig2", "fig3", "fig4", "costmodel", "ablation-strategy",
-// "ablation-availability", "ablation-horizon", "ablation-delay",
-// "ablation-estimator", the scenario campaigns "diurnal", "blackout"
-// and "replay" (needs Options.TracePath), or "all".
-//
-// Deprecated: wrapper over RunExperimentContext with a background
-// context; it cannot be cancelled.
-func RunExperiment(name string, opts ExperimentOptions) ([]ExperimentSummary, error) {
-	return experiments.Run(name, opts)
-}
-
-// RunExperimentContext is RunExperiment with cancellation: the campaign
-// stops cleanly, including in-flight simulations, when ctx is done.
+// RunExperimentContext regenerates a paper table or figure by id (see
+// ExperimentNames: "fig1" ... "fig4", "costmodel", the ablations, the
+// scenario campaigns — "replay" needs Options.TracePath — or "all").
+// The campaign stops cleanly, including in-flight simulations, when ctx
+// is done.
 func RunExperimentContext(ctx context.Context, name string, opts ExperimentOptions) ([]ExperimentSummary, error) {
 	return experiments.RunCtx(ctx, name, opts)
 }
@@ -281,35 +272,6 @@ func RegisterStrategy(name string, b StrategyBuilder) { selection.Register(name,
 
 // StrategyNames lists the registered strategy spec names.
 func StrategyNames() []string { return selection.Names() }
-
-// Strategy decides partnerships and ranks candidates from a flat
-// PeerInfo.
-//
-// Deprecated: implement Policy; SimConfig takes a legacy implementation
-// as Policy: AdaptStrategy(s).
-type Strategy = selection.Strategy
-
-// PeerInfo describes a peer to a legacy Strategy.
-//
-// Deprecated: new code consumes View.
-type PeerInfo = selection.PeerInfo
-
-// AdaptStrategy lifts a legacy Strategy into a Policy.
-func AdaptStrategy(s Strategy) Policy { return selection.Adapt(s) }
-
-// AgeBasedStrategy is the paper's acceptance rule with horizon L (in
-// rounds) on the legacy surface.
-//
-// Deprecated: use ParseStrategy("age:L=...") for the Policy surface.
-func AgeBasedStrategy(horizon int64) Strategy { return selection.AgeBased{L: horizon} }
-
-// StrategyByName resolves a strategy spec name onto the legacy Strategy
-// surface; horizon is the default for specs that take one.
-//
-// Deprecated: use ParseStrategy.
-func StrategyByName(name string, horizon int64) (Strategy, error) {
-	return selection.ByName(name, horizon)
-}
 
 // AcceptanceFunction evaluates the paper's f(p1, p2) for acceptor age
 // s1, requester age s2 and horizon L, all in rounds.

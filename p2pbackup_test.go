@@ -2,6 +2,7 @@ package p2pbackup
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -65,11 +66,13 @@ func TestFacadeAcceptance(t *testing.T) {
 	if AcceptanceFunction(0, 100, 2160) != 1 {
 		t.Fatal("older requester must always be accepted")
 	}
-	s, err := StrategyByName("age", 2160)
+	s, err := ParseStrategy("age:L=2160")
 	if err != nil || s == nil {
 		t.Fatal(err)
 	}
-	if AgeBasedStrategy(2160).Score(PeerInfo{Age: 50}) != 50 {
+	var fifty View
+	fifty.Observed.Age = 50
+	if s.Score(SelectionContext{}, fifty) != 50 {
 		t.Fatal("age strategy score wrong")
 	}
 }
@@ -103,7 +106,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(ExperimentNames()) < 5 {
 		t.Fatal("experiment registry too small")
 	}
-	sums, err := RunExperiment("costmodel", ExperimentOptions{OutDir: t.TempDir()})
+	sums, err := RunExperimentContext(context.Background(), "costmodel", ExperimentOptions{OutDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestFacadeLiveBackup(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nd.Close()
-		dir.Register(name, PeerInfo{Age: int64(i) * 24})
+		dir.Register(name, int64(i)*24)
 		nodes = append(nodes, nd)
 	}
 	files := []FileEntry{{Path: "x.txt", Mode: 0o644, ModTime: time.Now(), Data: []byte("facade")}}

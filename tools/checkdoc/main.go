@@ -5,11 +5,14 @@
 // Usage:
 //
 //	go run ./tools/checkdoc internal/churn internal/sim
+//	go run ./tools/checkdoc -census > SURFACE.txt   (from the module root)
 //
 // Rules (a deliberately small subset of revive's exported rule, with no
 // dependency): every exported top-level type, function, method, and
 // every exported const/var (or its enclosing declaration group) must
 // carry a doc comment. _test.go files are skipped.
+//
+// -census instead prints the module's surface: see census.
 package main
 
 import (
@@ -24,8 +27,15 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: checkdoc DIR [DIR...]")
+		fmt.Fprintln(os.Stderr, "usage: checkdoc DIR [DIR...] | checkdoc -census")
 		os.Exit(2)
+	}
+	if os.Args[1] == "-census" {
+		if err := census(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "checkdoc:", err)
+			os.Exit(2)
+		}
+		return
 	}
 	bad := 0
 	for _, dir := range os.Args[1:] {
@@ -63,19 +73,48 @@ func check(dir string) ([]string, error) {
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Name.IsExported() && d.Doc == nil && receiverExported(d) {
-						report(d.Pos(), funcKind(d), d.Name.Name)
+			exportedDecls(file, func(id *ast.Ident, what string, documented bool) {
+				if !documented {
+					report(id.Pos(), what, id.Name)
+				}
+			})
+		}
+	}
+	return missing, nil
+}
+
+// exportedDecls visits every exported top-level identifier of a file —
+// functions, methods on exported receivers, types, constants and
+// variables — with whether a doc comment covers it: its own or, for
+// const/var/type, its declaration group's.
+func exportedDecls(file *ast.File, visit func(id *ast.Ident, what string, documented bool)) {
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() && receiverExported(d) {
+				what := "function"
+				if d.Recv != nil {
+					what = "method"
+				}
+				visit(d.Name, what, d.Doc != nil)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						visit(s.Name, "type", d.Doc != nil || s.Doc != nil)
 					}
-				case *ast.GenDecl:
-					checkGenDecl(d, report)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							visit(n, strings.ToLower(d.Tok.String()), d.Doc != nil || s.Doc != nil || s.Comment != nil)
+						}
+					}
 				}
 			}
 		}
 	}
-	return missing, nil
 }
 
 // receiverExported reports whether a method's receiver type is itself
@@ -95,41 +134,6 @@ func receiverExported(d *ast.FuncDecl) bool {
 			return tt.IsExported()
 		default:
 			return true
-		}
-	}
-}
-
-// funcKind labels a FuncDecl for the report.
-func funcKind(d *ast.FuncDecl) string {
-	if d.Recv != nil {
-		return "method"
-	}
-	return "function"
-}
-
-// checkGenDecl handles const/var/type declarations. A doc comment on
-// the declaration group covers every spec inside it; otherwise each
-// exported spec needs its own.
-func checkGenDecl(d *ast.GenDecl, report func(token.Pos, string, string)) {
-	if d.Tok != token.CONST && d.Tok != token.VAR && d.Tok != token.TYPE {
-		return
-	}
-	groupDoc := d.Doc != nil
-	for _, spec := range d.Specs {
-		switch s := spec.(type) {
-		case *ast.TypeSpec:
-			if s.Name.IsExported() && !groupDoc && s.Doc == nil {
-				report(s.Pos(), "type", s.Name.Name)
-			}
-		case *ast.ValueSpec:
-			if groupDoc || s.Doc != nil || s.Comment != nil {
-				continue
-			}
-			for _, n := range s.Names {
-				if n.IsExported() {
-					report(n.Pos(), strings.ToLower(d.Tok.String()), n.Name)
-				}
-			}
 		}
 	}
 }
