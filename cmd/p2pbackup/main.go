@@ -18,10 +18,13 @@ package main
 
 import (
 	"crypto/rsa"
+	"crypto/sha256"
 	"crypto/x509"
 	"encoding/pem"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -80,9 +83,9 @@ func cmdBackup(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	// Blocks reach the peers while the source is still being read, so a
-	// backup that fails takes back what it stored (best effort): without
-	// a master block naming them the blocks are nobody's.
+	// Blocks reach the peers a stripe at a time while the source is still
+	// being read, so a backup that fails takes back what it stored (best
+	// effort): without a master block naming them the blocks are nobody's.
 	var undo []func()
 	defer func() {
 		if err != nil {
@@ -92,26 +95,45 @@ func cmdBackup(args []string) (err error) {
 		}
 	}()
 	// Distribute: block i goes to peer i (one block per partner).
-	partners := map[int][]string{}
-	manifest, files, size, err := backup.EncodeDir(params, identity, *src, *src, func(i int, block []byte) error {
-		peerDir := filepath.Join(*repo, fmt.Sprintf("peer-%03d", i%*peers))
-		st, err := storage.OpenDiskStore(peerDir, 0)
-		if err != nil {
-			return err
+	type placement struct {
+		store *storage.DiskStore
+		block storage.BlockWriter
+	}
+	placed := make([]placement, params.Total())
+	manifest, files, size, err := backup.EncodeDir(params, identity, *src, *src, func(i int, chunk []byte) error {
+		p := &placed[i]
+		if p.block == nil {
+			st, err := storage.OpenDiskStore(filepath.Join(*repo, fmt.Sprintf("peer-%03d", i%*peers)), 0)
+			if err != nil {
+				return err
+			}
+			w, err := st.NewWriter()
+			if err != nil {
+				return err
+			}
+			p.store, p.block = st, w
+			undo = append(undo, w.Abort)
 		}
-		held := st.Len()
-		id, err := st.Put(block)
-		if err != nil {
-			return err
-		}
-		if st.Len() > held { // not a block the peer already had
-			undo = append(undo, func() { _ = st.Delete(id) })
-		}
-		partners[0] = append(partners[0], filepath.Base(peerDir))
-		return nil
+		_, err := p.block.Write(chunk)
+		return err
 	})
 	if err != nil {
 		return err
+	}
+	partners := map[int][]string{}
+	for i, p := range placed {
+		held := p.store.Len()
+		id, err := p.block.Commit()
+		if err != nil {
+			return err
+		}
+		if id != manifest.BlockIDs[i] {
+			return fmt.Errorf("block %d was stored as %s, the manifest names it %s", i, id, manifest.BlockIDs[i])
+		}
+		if p.store.Len() > held { // not a block the peer already had
+			undo = append(undo, func() { _ = p.store.Delete(id) })
+		}
+		partners[0] = append(partners[0], filepath.Base(p.store.Root()))
 	}
 	mb := &backup.MasterBlock{Manifests: []*backup.Manifest{manifest}, Partners: partners}
 	raw, err := backup.MarshalMasterBlock(mb)
@@ -141,25 +163,28 @@ func cmdRestore(args []string) error {
 	if err != nil {
 		return err
 	}
-	stores := openStores(*repo)
+	return restore(identity, mb, openStores(*repo), *dst)
+}
+
+// restore writes the files of every archive the master block lists under
+// dst, from the blocks the stores hold.
+func restore(identity *backup.Identity, mb *backup.MasterBlock, stores []storage.Store, dst string) error {
+	buf := make([]byte, verifyBuffer)
 	for idx, manifest := range mb.Manifests {
-		// k intact blocks are all a restore needs, data blocks first.
-		blocks, found := manifest.Gather(manifest.Params.DataBlocks, func(_ int, id storage.BlockID) []byte {
-			return findBlock(stores, id)
+		// k intact blocks are all a restore needs, data blocks first; they
+		// are read a stripe at a time, and files appear in dst only once
+		// the whole archive has proved authentic.
+		files, found, err := backup.DecodeDir(manifest, identity, dst, func(_ int, id storage.BlockID) io.ReaderAt {
+			if st := findBlock(stores, id, buf); st != nil {
+				return blockReader{st, id}
+			}
+			return nil
 		})
-		plaintext, err := backup.DecodeArchive(manifest, identity, blocks)
 		if err != nil {
 			return fmt.Errorf("archive %d (%d/%d blocks found): %w", idx, found, manifest.Params.Total(), err)
 		}
-		entries, err := backup.UnpackFiles(plaintext)
-		if err != nil {
-			return err
-		}
-		if err := backup.WriteDir(*dst, entries); err != nil {
-			return err
-		}
 		fmt.Printf("archive %d: restored %d files from %d/%d blocks\n",
-			idx, len(entries), found, manifest.Params.Total())
+			idx, files, found, manifest.Params.Total())
 	}
 	return nil
 }
@@ -176,12 +201,13 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	stores := openStores(*repo)
+	buf := make([]byte, verifyBuffer)
 	exit := error(nil)
 	for idx, manifest := range mb.Manifests {
-		// One block at a time: each is read and re-hashed, none is kept.
+		// One block at a time: each is re-hashed through buf, none is kept.
 		found := 0
 		for _, id := range manifest.BlockIDs {
-			if findBlock(stores, id) != nil {
+			if findBlock(stores, id, buf) != nil {
 				found++
 			}
 		}
@@ -227,16 +253,35 @@ func openStores(repo string) []storage.Store {
 	return stores
 }
 
-// findBlock returns the block from the first store that holds it
-// intact (Get re-hashes what it reads), or nil.
-func findBlock(stores []storage.Store, id storage.BlockID) []byte {
+// verifyBuffer is the buffer a block is re-hashed through.
+const verifyBuffer = 128 << 10
+
+// findBlock returns the first store that holds the block intact, or nil:
+// a block that no longer hashes to its name counts as absent. The block
+// is read through buf and never held.
+func findBlock(stores []storage.Store, id storage.BlockID, buf []byte) storage.Store {
 	for _, st := range stores {
-		if data, err := st.Get(id); err == nil {
-			return data
+		if !st.Has(id) {
+			continue
+		}
+		h := sha256.New()
+		if _, err := io.CopyBuffer(h, io.NewSectionReader(blockReader{st, id}, 0, math.MaxInt64), buf); err != nil {
+			continue
+		}
+		if storage.BlockID(h.Sum(nil)) == id {
+			return st
 		}
 	}
 	return nil
 }
+
+// blockReader reads one block of a store by range.
+type blockReader struct {
+	store storage.Store
+	id    storage.BlockID
+}
+
+func (b blockReader) ReadAt(p []byte, off int64) (int, error) { return b.store.ReadAt(b.id, p, off) }
 
 func writeIdentity(path string, id *backup.Identity) error {
 	der := x509.MarshalPKCS1PrivateKey(id.Private)

@@ -9,17 +9,22 @@
 // Restore is the exact reverse: fetch any k blocks of each archive,
 // reconstruct, verify, decrypt, unpack.
 //
-// Every stage exists once, as a stream: a tar writer, an
-// encrypt-then-MAC writer and a writer that cuts what reaches it into
-// data shards and keeps the parity (erasure.Stream). EncodeDir chains
-// them from the files on disk to a put callback, so a backup holds the
-// parity and one batch of shards, never the archive; PackFiles, Seal
-// and EncodeArchive run the same stages over bytes already in memory.
-// Restore is deliberately not a stream to disk: DecodeArchive rebuilds
-// the sealed archive in one buffer, checks every block id, the archive
-// hash and the MAC over it, and only then decrypts that buffer in place
-// and lets UnpackFiles hand out slices of it. No plaintext byte exists,
-// let alone reaches a file, before the whole archive is authentic.
+// Every stage exists once, as a stream: a tar writer, a writer that
+// encrypts what reaches it into stripes, tags each and cuts it into the
+// chunks of the archive's blocks (stripeWriter over erasure.Stream), and
+// on the way back a reader that puts a stripe together from any k
+// blocks, checks its tag and decrypts it (stripeReader) under a tar
+// reader. EncodeDir chains the first three from the files on disk to a
+// put callback, DecodeDir the last two from ranged reads of stored
+// blocks to files, so that a backup and a restore each hold one stripe,
+// never the archive; PackFiles, EncodeArchive, DecodeArchive and
+// UnpackFiles run the same stages over bytes already in memory.
+//
+// Nothing unauthenticated becomes visible: no plaintext byte exists
+// before the tag of its stripe has verified, and DecodeDir writes into a
+// staging directory, so that no file appears under its name before the
+// last stripe, the stripe count and the hash of the whole sealed stream
+// have checked out.
 package backup
 
 import (
@@ -34,6 +39,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"p2pbackup/internal/storage"
 )
 
 // Archive packaging errors.
@@ -287,25 +294,197 @@ func CollectDir(root string) ([]FileEntry, error) {
 	return out, nil
 }
 
+// safeJoin returns where the entry named path (slash-separated, relative)
+// lies under root, or ErrUnsafePath if that is not under root.
+func safeJoin(root, path string) (string, error) {
+	clean := filepath.Clean(filepath.FromSlash(path))
+	up := ".." + string(filepath.Separator)
+	if clean == ".." || strings.HasPrefix(clean, up) || filepath.IsAbs(clean) {
+		return "", fmt.Errorf("%w: %q", ErrUnsafePath, path)
+	}
+	return filepath.Join(root, clean), nil
+}
+
+// writeFile creates the file at path, directories included, with what an
+// entry records of it: content, mode and modification time. buf is the
+// buffer to copy through, if content needs one.
+func writeFile(path string, mode fs.FileMode, modTime time.Time, content io.Reader, buf []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	if mode = mode.Perm(); mode == 0 {
+		mode = 0o644
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, mode)
+	if err != nil {
+		return err
+	}
+	// Behind a plain Writer, or the file's ReadFrom would copy through a
+	// buffer of its own making.
+	if _, err := io.CopyBuffer(struct{ io.Writer }{f}, content, buf); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Chtimes(path, time.Time{}, modTime) // a zero time leaves that time alone
+}
+
 // WriteDir materialises entries under root, refusing paths that escape
 // it.
 func WriteDir(root string, entries []FileEntry) error {
 	for _, e := range entries {
-		clean := filepath.Clean(filepath.FromSlash(e.Path))
-		if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
-			return fmt.Errorf("%w: %q", ErrUnsafePath, e.Path)
-		}
-		dst := filepath.Join(root, clean)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		dst, err := safeJoin(root, e.Path)
+		if err != nil {
 			return err
 		}
-		mode := e.Mode.Perm()
-		if mode == 0 {
-			mode = 0o644
-		}
-		if err := os.WriteFile(dst, e.Data, mode); err != nil {
+		if err := writeFile(dst, e.Mode, e.ModTime, bytes.NewReader(e.Data), nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// unpackTo is UnpackFiles and WriteDir for a tar stream that is not held:
+// every regular file of it is written under root as it passes. It returns
+// the number of files.
+func unpackTo(r io.Reader, root string) (files int, err error) {
+	tr := tar.NewReader(r)
+	buf := make([]byte, 128<<10)
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return files, fmt.Errorf("backup: tar read: %w", err)
+		}
+		if hdr.Typeflag != tar.TypeReg {
+			continue
+		}
+		dst, err := safeJoin(root, hdr.Name)
+		if err != nil {
+			return files, err
+		}
+		if err := writeFile(dst, fs.FileMode(hdr.Mode), hdr.ModTime, tr, buf); err != nil {
+			return files, fmt.Errorf("backup: restore %q: %w", hdr.Name, err)
+		}
+		files++
+	}
+	if files == 0 {
+		return 0, ErrEmptyArchive
+	}
+	return files, nil
+}
+
+// publish moves everything under from to the same place under to:
+// directories that exist there are merged, files replace what is there.
+func publish(from, to string) error {
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		src, dst := filepath.Join(from, e.Name()), filepath.Join(to, e.Name())
+		if info, err := os.Stat(dst); e.IsDir() && err == nil && info.IsDir() {
+			if err := publish(src, dst); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := os.Rename(src, dst); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DecodeDir restores the archive's files under dst, creating it if need
+// be, without ever holding the archive. fetch is asked for the archive's
+// blocks in index order, which is data blocks first, until k were had:
+// for block i it returns a reader of the block's bytes, or nil when the
+// block cannot be had intact, in which case the next index is tried. The
+// k blocks are then read a stripe at a time, and what DecodeDir holds is
+// one stripe (a version 1 archive, which has no stripes, is decoded in
+// memory). It returns the number of files restored and of blocks read.
+//
+// The files are written into a staging directory inside dst and moved to
+// their names only when the whole archive has proved authentic. After
+// any error, be it too few blocks, a block that changed under the read
+// or a tree that cannot be written, the staging directory is gone and
+// dst is as it was found.
+func DecodeDir(m *Manifest, owner *Identity, dst string, fetch func(i int, id storage.BlockID) io.ReaderAt) (files, blocks int, err error) {
+	if err := m.Validate(); err != nil {
+		return 0, 0, err
+	}
+	readers := make([]io.ReaderAt, len(m.BlockIDs))
+	blocks = m.pick(m.Params.DataBlocks, func(i int, id storage.BlockID) bool {
+		readers[i] = fetch(i, id)
+		return readers[i] != nil
+	})
+	if blocks < m.Params.DataBlocks {
+		return 0, blocks, fmt.Errorf("%w: %d of %d, need %d", ErrTooFewBlocks, blocks, m.Params.Total(), m.Params.DataBlocks)
+	}
+	var plaintext io.Reader
+	if m.Version < 2 {
+		plaintext, err = readV1(m, owner, readers)
+	} else {
+		plaintext, err = newStripeReader(m, owner, readers)
+	}
+	if err != nil {
+		return 0, blocks, err
+	}
+
+	_, statErr := os.Stat(dst)
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return 0, blocks, err
+	}
+	staging, err := os.MkdirTemp(dst, ".p2pbackup-restore-*")
+	if err != nil {
+		return 0, blocks, err
+	}
+	defer func() {
+		os.RemoveAll(staging)
+		if err != nil && errors.Is(statErr, fs.ErrNotExist) {
+			os.Remove(dst) // made here, and still empty
+		}
+	}()
+	if files, err = unpackTo(plaintext, staging); err != nil {
+		return 0, blocks, err
+	}
+	// Whatever follows the tar stream's end, up to the reader's own end,
+	// where it compares the stream that passed with the manifest.
+	if _, err = io.Copy(io.Discard, plaintext); err != nil {
+		return 0, blocks, err
+	}
+	if err = publish(staging, dst); err != nil {
+		return 0, blocks, err
+	}
+	return files, blocks, nil
+}
+
+// readV1 decodes a version 1 archive, whose blocks must be read whole,
+// and returns a reader of its plaintext.
+func readV1(m *Manifest, owner *Identity, readers []io.ReaderAt) (io.Reader, error) {
+	size, err := m.blockSize()
+	if err != nil {
+		return nil, err
+	}
+	blocks := make([][]byte, len(readers))
+	for i, r := range readers {
+		if r == nil {
+			continue
+		}
+		// The size is the manifest's word: read what is there, up to one
+		// byte more than that, and let DecodeArchive compare.
+		if blocks[i], err = io.ReadAll(io.NewSectionReader(r, 0, int64(size)+1)); err != nil {
+			return nil, fmt.Errorf("backup: block %d: %w", i, err)
+		}
+	}
+	plaintext, err := DecodeArchive(m, owner, blocks)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.NewReader(plaintext), nil
 }

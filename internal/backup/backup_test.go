@@ -153,6 +153,10 @@ func TestCollectWriteDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(src, "sub", "b.txt"), []byte("beta"), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	then := time.Date(2019, 3, 4, 5, 6, 7, 0, time.UTC)
+	if err := os.Chtimes(filepath.Join(src, "sub", "b.txt"), then, then); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := CollectDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +169,24 @@ func TestCollectWriteDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		got, err := os.ReadFile(filepath.Join(dst, filepath.FromSlash(e.Path)))
+		path := filepath.Join(dst, filepath.FromSlash(e.Path))
+		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, e.Data) {
 			t.Fatalf("%s content mismatch after restore", e.Path)
 		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().Perm() != e.Mode || !info.ModTime().Truncate(time.Second).Equal(e.ModTime.Truncate(time.Second)) {
+			t.Fatalf("%s restored as %v modified %v, was %v modified %v", e.Path, info.Mode().Perm(), info.ModTime(), e.Mode, e.ModTime)
+		}
+	}
+	if info, _ := os.Stat(filepath.Join(dst, "sub", "b.txt")); !info.ModTime().Equal(then) {
+		t.Fatalf("sub/b.txt restored with modification time %v, want %v", info.ModTime(), then)
 	}
 	// Empty dir fails.
 	if _, err := CollectDir(t.TempDir()); !errors.Is(err, ErrEmptyArchive) {
@@ -181,12 +196,59 @@ func TestCollectWriteDir(t *testing.T) {
 
 func TestWriteDirRejectsEscapes(t *testing.T) {
 	dst := t.TempDir()
-	for _, p := range []string{"../evil", "/abs/path", "a/../../evil"} {
+	for _, p := range []string{"../evil", "/abs/path", "a/../../evil", "..", "a/../.."} {
 		err := WriteDir(dst, []FileEntry{{Path: p, Data: []byte("x")}})
 		if !errors.Is(err, ErrUnsafePath) {
 			t.Fatalf("path %q: err = %v, want ErrUnsafePath", p, err)
 		}
 	}
+}
+
+// Names that merely begin with two dots are names like any other: what a
+// backup accepts, every way back must accept too.
+func TestDotDotNamesRoundTrip(t *testing.T) {
+	id := testIdentity(t)
+	files := map[string][]byte{
+		"..cache/x":    []byte("cached"),
+		"..hidden":     []byte("hidden"),
+		"a/..b/...":    []byte("dots"),
+		"plain/..rc.d": nil,
+	}
+	src := writeTree(t, files)
+	check := func(how, dst string) {
+		t.Helper()
+		for name, want := range files {
+			got, err := os.ReadFile(filepath.Join(dst, filepath.FromSlash(name)))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s came back as %q, %v", how, name, got, err)
+			}
+		}
+	}
+
+	entries, err := CollectDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	if err := WriteDir(dst, entries); err != nil {
+		t.Fatalf("WriteDir: %v", err)
+	}
+	check("WriteDir", dst)
+
+	params := Params{DataBlocks: 2, ParityBlocks: 1}
+	blocks := make([][]byte, params.Total())
+	m, _, _, err := EncodeDir(params, id, src, "", func(i int, chunk []byte) error {
+		blocks[i] = append(blocks[i], chunk...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst = t.TempDir()
+	if _, _, err := DecodeDir(m, id, dst, readersOf(blocks)); err != nil {
+		t.Fatalf("DecodeDir: %v", err)
+	}
+	check("DecodeDir", dst)
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {

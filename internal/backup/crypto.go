@@ -1,7 +1,6 @@
 package backup
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -10,8 +9,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash"
-	"io"
 )
 
 // Archive confidentiality (paper section 2.2.1): each archive is
@@ -20,9 +17,12 @@ import (
 // master block, so possession of the private key is necessary and
 // sufficient to restore.
 //
-// The construction is AES-256-CTR with an HMAC-SHA256 tag
+// The construction is AES-256-CTR with HMAC-SHA256 tags
 // (encrypt-then-MAC); the session key is split into independent
-// encryption and MAC subkeys.
+// encryption and MAC subkeys. Seal and Open put one tag over the whole
+// of what they are given, which is also how a version 1 archive is
+// sealed; an archive written today carries one tag per stripe (see
+// stripe.go), so that it can be opened a stripe at a time.
 
 // SessionKeySize is the session key length in bytes.
 const SessionKeySize = 32
@@ -32,7 +32,7 @@ const (
 	tagSize = sha256.Size
 )
 
-// Sealed-layout: iv || ciphertext || tag.
+// Seal's layout: iv || ciphertext || tag.
 const sealOverhead = ivSize + tagSize
 
 // ErrDecrypt reports an authentication failure (wrong key or tampered
@@ -56,52 +56,15 @@ func subKeys(key []byte) (encKey, macKey []byte) {
 	return he.Sum(nil), hm.Sum(nil)
 }
 
-// sealer is the encrypt-then-MAC loop, as a writer: what is written to
-// it leaves on dst as iv || ciphertext, and Close appends the tag.
-type sealer struct {
-	dst    io.Writer
-	stream cipher.Stream
-	mac    hash.Hash
-	buf    []byte // ciphertext of the chunk in hand
-}
-
-// newSealer starts a sealed stream on dst under the session key and iv.
-func newSealer(dst io.Writer, key, iv []byte) (*sealer, error) {
+// sessionCipher returns what a session key stands for: the block cipher
+// under its encryption subkey, and its MAC subkey.
+func sessionCipher(key []byte) (cipher.Block, []byte, error) {
 	if len(key) != SessionKeySize {
-		return nil, fmt.Errorf("backup: session key must be %d bytes, got %d", SessionKeySize, len(key))
+		return nil, nil, fmt.Errorf("backup: session key must be %d bytes, got %d", SessionKeySize, len(key))
 	}
 	encKey, macKey := subKeys(key)
 	block, err := aes.NewCipher(encKey)
-	if err != nil {
-		return nil, err
-	}
-	s := &sealer{
-		dst:    dst,
-		stream: cipher.NewCTR(block, iv),
-		mac:    hmac.New(sha256.New, macKey),
-		buf:    make([]byte, 32<<10),
-	}
-	s.mac.Write(iv)
-	_, err = dst.Write(iv)
-	return s, err
-}
-
-func (s *sealer) Write(p []byte) (int, error) {
-	for done := 0; done < len(p); {
-		out := s.buf[:min(len(s.buf), len(p)-done)]
-		s.stream.XORKeyStream(out, p[done:done+len(out)])
-		s.mac.Write(out)
-		if _, err := s.dst.Write(out); err != nil {
-			return done, err
-		}
-		done += len(out)
-	}
-	return len(p), nil
-}
-
-func (s *sealer) Close() error {
-	_, err := s.dst.Write(s.mac.Sum(nil))
-	return err
+	return block, macKey, err
 }
 
 func newIV() ([]byte, error) {
@@ -122,14 +85,18 @@ func Seal(key, plaintext []byte) ([]byte, error) {
 }
 
 func seal(key, iv, plaintext []byte) ([]byte, error) {
-	out := bytes.NewBuffer(make([]byte, 0, sealOverhead+len(plaintext)))
-	s, err := newSealer(out, key, iv)
+	block, macKey, err := sessionCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	s.Write(plaintext) // a bytes.Buffer takes every write
-	s.Close()
-	return out.Bytes(), nil
+	out := make([]byte, sealOverhead+len(plaintext))
+	body := out[:ivSize+len(plaintext)]
+	copy(body, iv)
+	cipher.NewCTR(block, iv).XORKeyStream(body[ivSize:], plaintext)
+	mac := hmac.New(sha256.New, macKey)
+	mac.Write(body)
+	mac.Sum(body) // the tag, into the rest of out
+	return out, nil
 }
 
 // Open verifies and decrypts a Seal output.
@@ -139,23 +106,19 @@ func Open(key, sealed []byte) ([]byte, error) { return open(key, sealed, false) 
 // the ciphertext's own bytes, sealed[ivSize:len(sealed)-tagSize], which
 // it returns. Nothing is written before the tag has verified.
 func open(key, sealed []byte, inPlace bool) ([]byte, error) {
-	if len(key) != SessionKeySize {
-		return nil, fmt.Errorf("backup: session key must be %d bytes, got %d", SessionKeySize, len(key))
+	block, macKey, err := sessionCipher(key)
+	if err != nil {
+		return nil, err
 	}
 	if len(sealed) < sealOverhead {
 		return nil, ErrDecrypt
 	}
-	encKey, macKey := subKeys(key)
 	body := sealed[:len(sealed)-tagSize]
 	tag := sealed[len(sealed)-tagSize:]
 	mac := hmac.New(sha256.New, macKey)
 	mac.Write(body)
 	if !hmac.Equal(tag, mac.Sum(nil)) {
 		return nil, ErrDecrypt
-	}
-	block, err := aes.NewCipher(encKey)
-	if err != nil {
-		return nil, err
 	}
 	plaintext := body[ivSize:]
 	if !inPlace {

@@ -86,11 +86,27 @@ func within(archive, data []byte) bool {
 	return off < uintptr(len(archive)) && len(data) <= len(archive)-int(off)
 }
 
-// fuzzArchive is the archive FuzzDecodeArchive decodes: a 3+2 encode of
-// a fixed plaintext under a fixed key and iv for the owner whose key
-// pair is committed as testdata/fuzz_identity.pem, so that the corpus'
-// manifests, which wrap that session key for that owner, stay valid.
-func fuzzArchive(tb testing.TB) (id *Identity, plaintext []byte, blocks [][]byte, m *Manifest) {
+// fuzzArchives are the archives FuzzDecodeArchive decodes, both 3+2 and
+// under one fixed session key for the owner whose key pair is committed
+// as testdata/fuzz_identity.pem, so that the corpus' manifests, which wrap
+// that session key for that owner, stay valid. v1 is a version 1 archive
+// of forty bytes, encoded by the oracle into the blocks the corpus'
+// version 1 manifests name; v2 is a striped archive of three stripes and
+// a little; replay holds the blocks of a second striped archive of the
+// same owner, under the same key even, for stripes to be replayed from.
+type fuzzArchives struct {
+	id     *Identity
+	v1, v2 fuzzArchive
+	replay [][]byte
+}
+
+type fuzzArchive struct {
+	plaintext []byte
+	blocks    [][]byte
+	m         *Manifest
+}
+
+func loadFuzzArchives(tb testing.TB) *fuzzArchives {
 	raw, err := os.ReadFile("testdata/fuzz_identity.pem")
 	if err != nil {
 		tb.Fatal(err)
@@ -99,19 +115,35 @@ func fuzzArchive(tb testing.TB) (id *Identity, plaintext []byte, blocks [][]byte
 	if block == nil {
 		tb.Fatal("testdata/fuzz_identity.pem holds no PEM block")
 	}
-	key, err := x509.ParsePKCS1PrivateKey(block.Bytes)
+	private, err := x509.ParsePKCS1PrivateKey(block.Bytes)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	id = &Identity{Private: key}
-	plaintext = []byte("forty bytes of archive, give or take one")
-	m, err = encodeStream(Params{DataBlocks: 3, ParityBlocks: 2}, id, testBytes(41, SessionKeySize), testBytes(42, ivSize),
-		int64(len(plaintext)), func(w io.Writer) error { _, err := w.Write(plaintext); return err }, "fuzz",
-		func(_ int, b []byte) error { blocks = append(blocks, bytes.Clone(b)); return nil })
+	f := &fuzzArchives{id: &Identity{Private: private}}
+	params := Params{DataBlocks: 3, ParityBlocks: 2}
+	key := testBytes(41, SessionKeySize)
+	wrapped, err := WrapKey(f.id.Public(), key)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return id, plaintext, blocks, m
+
+	f.v1.plaintext = []byte("forty bytes of archive, give or take one")
+	f.v1.blocks, f.v1.m = encodeRef(tb, params, key, testBytes(42, ivSize), f.v1.plaintext)
+	f.v1.m.WrappedKey = wrapped
+
+	striped := func(iv []byte) fuzzArchive {
+		a := fuzzArchive{plaintext: testBytes(uint64(iv[0]), 3*3*stripeChunk+1234), blocks: make([][]byte, params.Total())}
+		a.m, err = encodeStream(params, f.id, key, iv, int64(len(a.plaintext)),
+			func(w io.Writer) error { _, err := w.Write(a.plaintext); return err }, "fuzz",
+			func(i int, chunk []byte) error { a.blocks[i] = append(a.blocks[i], chunk...); return nil })
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return a
+	}
+	f.v2 = striped(testBytes(43, ivSize))
+	f.replay = striped(testBytes(44, ivSize)).blocks
+	return f
 }
 
 // fuzzBlocks fills n block slots as shape says, byte i for slot i (zero
@@ -146,35 +178,80 @@ func fuzzBlocks(real [][]byte, n int, shape []byte) [][]byte {
 	return blocks
 }
 
+// fuzzStripes moves the stripes of a striped archive's blocks about as
+// the three bytes of op say, the same way in every block, as someone
+// would who holds the blocks and not the key: op[0] picks what is done
+// to stripes op[1] and op[2] (cut the last one off, swap the two, take
+// the first from the archive replay, or repeat it after the last).
+func fuzzStripes(real, replay [][]byte, op []byte) [][]byte {
+	if len(op) < 3 || len(real[0]) <= stripeChunk {
+		return real
+	}
+	stripes := (len(real[0])-1)/stripeChunk + 1
+	a, b := int(op[1])%stripes, int(op[2])%stripes
+	out := make([][]byte, len(real))
+	for i, block := range real {
+		var chunks [][]byte
+		for off := 0; off < len(block); off += stripeChunk {
+			chunks = append(chunks, block[off:min(off+stripeChunk, len(block))])
+		}
+		switch op[0] {
+		case 1:
+			chunks = chunks[:stripes-1]
+		case 2:
+			chunks[a], chunks[b] = chunks[b], chunks[a]
+		case 3:
+			chunks[a] = replay[i][a*stripeChunk : min((a+1)*stripeChunk, len(replay[i]))]
+		case 4:
+			chunks = append(chunks, chunks[a])
+		}
+		for _, c := range chunks {
+			out[i] = append(out[i], c...)
+		}
+	}
+	return out
+}
+
 // FuzzDecodeArchive parses fuzzed bytes as a manifest, as a master block
-// from an untrusted partner would deliver it, and decodes the real
-// archive's blocks, bent as shape says, under it. The decode must fail
-// or return the original plaintext, and whatever it does it must not
-// allocate more than the blocks it was given and a fixed allowance: no
-// number in a manifest sizes a buffer on its own word. The seeds are the
-// committed corpus under testdata/fuzz/FuzzDecodeArchive.
+// from an untrusted partner would deliver it, and decodes under it the
+// blocks of the real archive of the manifest's version, bent as shape
+// says: one byte per block slot (fuzzBlocks), then three for the stripes
+// of a striped archive (fuzzStripes). The decode must fail or return the
+// original plaintext, and whatever it does it must not allocate more than
+// the blocks it was given and a fixed allowance, which is far more than a
+// stripe at 3+2: no number in a manifest sizes a buffer on its own word.
+// The seeds are the committed corpus under testdata/fuzz/FuzzDecodeArchive;
+// those named v2-* carry manifests forged to match the moved stripes
+// (block ids, sealed size and stripe count all agree with the blocks), so
+// that nothing but the stripe tags stands between them and a plaintext.
 func FuzzDecodeArchive(f *testing.F) {
-	id, plaintext, real, _ := fuzzArchive(f)
+	real := loadFuzzArchives(f)
 	f.Fuzz(func(t *testing.T, manifest, shape []byte) {
 		m, err := UnmarshalManifest(manifest)
 		if err != nil {
 			return
 		}
-		blocks := fuzzBlocks(real, m.Params.Total(), shape)
+		n := m.Params.Total()
+		from := real.v1
+		if m.Version == 2 {
+			from = real.v2
+			from.blocks = fuzzStripes(from.blocks, real.replay, shape[min(n, len(shape)):])
+		}
+		blocks := fuzzBlocks(from.blocks, n, shape)
 		given := uint64(len(manifest))
 		for _, b := range blocks {
 			given += uint64(len(b))
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := DecodeArchive(m, id, blocks)
+		got, err := DecodeArchive(m, real.id, blocks)
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > given+1<<20 {
-			t.Fatalf("allocated %d bytes over %d bytes of manifest and blocks (sealed size %d, %d+%d)",
-				alloc, given, m.SealedSize, m.Params.DataBlocks, m.Params.ParityBlocks)
+			t.Fatalf("allocated %d bytes over %d bytes of manifest and blocks (version %d, sealed size %d, %d+%d)",
+				alloc, given, m.Version, m.SealedSize, m.Params.DataBlocks, m.Params.ParityBlocks)
 		}
-		if err == nil && !bytes.Equal(got, plaintext) {
-			t.Fatalf("decoded %q without an error, want %q", got, plaintext)
+		if err == nil && !bytes.Equal(got, from.plaintext) {
+			t.Fatalf("decoded %d bytes without an error that are not the version %d archive's plaintext", len(got), m.Version)
 		}
 	})
 }

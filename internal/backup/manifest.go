@@ -43,9 +43,16 @@ func (a ArchiveID) String() string { return fmt.Sprintf("%x", a[:8]) }
 // Manifest describes one encoded archive: what to fetch and how to
 // verify and decode it. Manifests are metadata (the paper stores them
 // with extra redundancy); they contain no secrets beyond file shape.
+//
+// Version 2, the only one written, lays the archive out in stripes (see
+// stripe.go) and records how many. A manifest without a version is
+// version 1, which stays readable: block i is the i-th k-th of the
+// sealed archive, whole, and Stripes is zero.
 type Manifest struct {
+	Version     int               `json:"version,omitempty"`
 	ID          ArchiveID         `json:"id"`
 	SealedSize  int               `json:"sealed_size"`
+	Stripes     int               `json:"stripes,omitempty"`
 	Params      Params            `json:"params"`
 	BlockIDs    []storage.BlockID `json:"block_ids"` // index -> content hash
 	WrappedKey  []byte            `json:"wrapped_key"`
@@ -53,15 +60,22 @@ type Manifest struct {
 }
 
 // EncodeArchive runs the paper's backup pipeline on plaintext archive
-// bytes: seal under a fresh session key, split into k shards, add m
-// parity shards, hash every block. It returns the n blocks (index ->
-// content) and the manifest.
+// bytes: seal under a fresh session key, cut into stripes of k chunks,
+// add m parity chunks to each, hash every block. It returns the n blocks
+// (index -> content) and the manifest.
 func EncodeArchive(params Params, owner *Identity, plaintext []byte, description string) ([][]byte, *Manifest, error) {
-	var blocks [][]byte // put is called with block 0, 1, ... n-1
+	if err := params.Validate(); err != nil {
+		return nil, nil, err
+	}
+	lay, _ := planLayout(params.DataBlocks, int64(len(plaintext)))
+	blocks := make([][]byte, params.Total())
+	for i := range blocks {
+		blocks[i] = make([]byte, 0, lay.blockSize())
+	}
 	m, err := encodeFresh(params, owner, int64(len(plaintext)),
 		func(w io.Writer) error { _, err := w.Write(plaintext); return err },
 		description,
-		func(_ int, block []byte) error { blocks = append(blocks, bytes.Clone(block)); return nil })
+		func(i int, chunk []byte) error { blocks[i] = append(blocks[i], chunk...); return nil })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,17 +85,16 @@ func EncodeArchive(params Params, owner *Identity, plaintext []byte, description
 // EncodeDir runs the same pipeline over the regular files under root
 // without ever holding them: the tree is listed, the tar stream sized
 // by a dry run, and then each file is read once, straight through tar,
-// cipher, MAC and hashes into the data shard it falls in. put receives
-// the archive's blocks in index order, data blocks 0..k-1 as they fill
-// and the parity blocks after the last file; the block is only valid
-// during the call. What EncodeDir holds is the parity and one batch of data shards
-// (see erasure.Stream). It returns the manifest, the number of files
-// and the size of the plaintext archive.
+// cipher and hashes into the stripe it falls in. Whenever a stripe is
+// full, put receives its n chunks in block order: the bytes to append to
+// block 0, to block 1 and so on, each only valid during the call. What
+// EncodeDir holds is one stripe, data and parity. It returns the
+// manifest, the number of files and the size of the plaintext archive.
 //
 // A file that has vanished, shrunk or grown since the listing fails the
-// backup with ErrSourceChanged, as does any error put returns; blocks
-// handed to put before that belong to no archive.
-func EncodeDir(params Params, owner *Identity, root, description string, put func(i int, block []byte) error) (m *Manifest, files int, size int64, err error) {
+// backup with ErrSourceChanged, as does any error put returns; what was
+// handed to put before that belongs to no archive.
+func EncodeDir(params Params, owner *Identity, root, description string, put func(i int, chunk []byte) error) (m *Manifest, files int, size int64, err error) {
 	list, err := listDir(root)
 	if err != nil {
 		return nil, 0, 0, err
@@ -96,7 +109,7 @@ func EncodeDir(params Params, owner *Identity, root, description string, put fun
 }
 
 // encodeFresh is encodeStream under a session key and iv drawn here.
-func encodeFresh(params Params, owner *Identity, size int64, body func(io.Writer) error, description string, put func(i int, block []byte) error) (*Manifest, error) {
+func encodeFresh(params Params, owner *Identity, size int64, body func(io.Writer) error, description string, put func(i int, chunk []byte) error) (*Manifest, error) {
 	key, err := NewSessionKey()
 	if err != nil {
 		return nil, err
@@ -109,119 +122,41 @@ func encodeFresh(params Params, owner *Identity, size int64, body func(io.Writer
 }
 
 // encodeStream is the one encoder: body must write exactly size bytes of
-// plaintext archive, which are sealed under key and iv, hashed, cut into
-// data shards and folded into the parity as they pass; every finished
-// block is hashed into the manifest and handed to put.
-func encodeStream(params Params, owner *Identity, key, iv []byte, size int64, body func(io.Writer) error, description string, put func(i int, block []byte) error) (*Manifest, error) {
+// plaintext archive, which are sealed under key and iv and leave through
+// put a stripe at a time (see stripeWriter); the manifest describes what
+// passed.
+func encodeStream(params Params, owner *Identity, key, iv []byte, size int64, body func(io.Writer) error, description string, put func(i int, chunk []byte) error) (*Manifest, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if size <= 0 {
 		return nil, ErrEmptyArchive
 	}
-	if size > math.MaxInt-sealOverhead {
+	lay, sealed := planLayout(params.DataBlocks, size)
+	if sealed > math.MaxInt || sealed < size {
 		return nil, fmt.Errorf("backup: archive of %d bytes is too large", size)
 	}
-	enc, err := erasure.New(params.DataBlocks, params.ParityBlocks)
-	if err != nil {
-		return nil, err
-	}
 	m := &Manifest{
-		SealedSize:  int(size) + sealOverhead,
+		Version:     2,
+		SealedSize:  int(sealed),
 		Params:      params,
 		BlockIDs:    make([]storage.BlockID, params.Total()),
 		Description: description,
 	}
-	stream, err := enc.NewStream(m.shardSize())
+	w, err := newStripeWriter(params, key, iv, lay, put)
 	if err != nil {
 		return nil, err
 	}
-	emit := func(i int, block []byte) error {
-		m.BlockIDs[i] = storage.IDOf(block)
-		return put(i, block)
-	}
-	id := sha256.New()
-	shards := &shardWriter{stream: stream, last: params.DataBlocks - 1, left: m.SealedSize, emit: emit}
-	sealed, err := newSealer(io.MultiWriter(id, shards), key, iv)
-	if err != nil {
+	if err := body(w); err != nil {
 		return nil, err
 	}
-	if err := body(sealed); err != nil {
+	if err := w.finish(m); err != nil {
 		return nil, err
 	}
-	if err := sealed.Close(); err != nil {
-		return nil, err
-	}
-	if err := shards.finish(); err != nil {
-		return nil, err
-	}
-	if err := stream.Parity(emit); err != nil {
-		return nil, err
-	}
-	id.Sum(m.ID[:0])
 	if m.WrappedKey, err = WrapKey(owner.Public(), key); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// shardWriter cuts the sealed stream into the archive's data shards:
-// shard i is bytes i*S..(i+1)*S-1 of it, the tail padded with zeros.
-type shardWriter struct {
-	stream *erasure.Stream
-	cur    []byte // the shard being filled, nil before the first byte
-	fill   int    // bytes of cur written
-	index  int    // cur's index
-	last   int    // index of the last data shard
-	left   int    // sealed bytes still to come
-	emit   func(i int, shard []byte) error
-}
-
-func (w *shardWriter) Write(p []byte) (int, error) {
-	if len(p) > w.left {
-		return 0, fmt.Errorf("backup: archive stream is longer than the %d bytes announced", w.left)
-	}
-	w.left -= len(p)
-	for rest := p; len(rest) > 0; {
-		if w.fill == len(w.cur) {
-			if err := w.advance(); err != nil {
-				return 0, err
-			}
-		}
-		n := copy(w.cur[w.fill:], rest)
-		w.fill += n
-		rest = rest[n:]
-	}
-	return len(p), nil
-}
-
-// advance emits the shard in hand, if any, and takes up the next.
-func (w *shardWriter) advance() error {
-	if w.cur != nil {
-		if err := w.emit(w.index, w.cur); err != nil {
-			return err
-		}
-		w.index++
-	}
-	w.cur, w.fill = w.stream.Next(), 0
-	return nil
-}
-
-// finish pads the shard in hand with zeros and emits it and the
-// all-padding shards a short archive leaves after it.
-func (w *shardWriter) finish() error {
-	if w.left != 0 || w.cur == nil {
-		return fmt.Errorf("backup: archive stream ended %d bytes short of what was announced", w.left)
-	}
-	for {
-		clear(w.cur[w.fill:])
-		if w.index == w.last {
-			return w.emit(w.index, w.cur)
-		}
-		if err := w.advance(); err != nil {
-			return err
-		}
-	}
 }
 
 // Restore errors.
@@ -231,9 +166,29 @@ var (
 	ErrManifest     = errors.New("backup: invalid manifest")
 )
 
-// shardSize is the length of every block of the archive: the sealed
-// size over k, rounded up.
-func (m *Manifest) shardSize() int { return (m.SealedSize-1)/m.Params.DataBlocks + 1 }
+// blockSize is the length of every block of the archive: for version 1
+// the sealed size over k, rounded up.
+func (m *Manifest) blockSize() (int, error) {
+	if m.Version < 2 {
+		return (m.SealedSize-1)/m.Params.DataBlocks + 1, nil
+	}
+	lay, err := m.layout()
+	return lay.blockSize(), err
+}
+
+// pick asks have for the archive's blocks in index order, which is data
+// blocks first, until limit of them were had, and returns how many were.
+func (m *Manifest) pick(limit int, have func(i int, id storage.BlockID) bool) (found int) {
+	for i, id := range m.BlockIDs {
+		if found == limit {
+			break
+		}
+		if have(i, id) {
+			found++
+		}
+	}
+	return found
+}
 
 // Gather collects up to limit of the archive's blocks in index order,
 // which is data blocks first, so that an intact archive is read without
@@ -242,29 +197,28 @@ func (m *Manifest) shardSize() int { return (m.SealedSize-1)/m.Params.DataBlocks
 // It returns the blocks by index, absent ones nil, and how many it got.
 func (m *Manifest) Gather(limit int, fetch func(i int, id storage.BlockID) []byte) (blocks [][]byte, found int) {
 	blocks = make([][]byte, len(m.BlockIDs))
-	for i, id := range m.BlockIDs {
-		if found == limit {
-			break
-		}
-		if blocks[i] = fetch(i, id); blocks[i] != nil {
-			found++
-		}
-	}
+	found = m.pick(limit, func(i int, id storage.BlockID) bool {
+		blocks[i] = fetch(i, id)
+		return blocks[i] != nil
+	})
 	return blocks, found
 }
 
 // DecodeArchive reverses EncodeArchive: blocks[i] must be the archive's
 // i-th block or nil if unavailable; any k present blocks suffice. The
 // owner's identity unwraps the session key. The plaintext is returned
-// only after every block id, the archive hash and the MAC have checked
-// out, and it costs one buffer of k blocks beyond the blocks passed in:
-// the data shards are copied or reconstructed into it where they
-// belong, and it is hashed, authenticated and decrypted where it lies.
+// only after every block id, every tag and the archive hash have checked
+// out, and it costs one buffer of the archive's size (and one stripe)
+// beyond the blocks passed in.
 func DecodeArchive(m *Manifest, owner *Identity, blocks [][]byte) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	k, size := m.Params.DataBlocks, m.shardSize()
+	k := m.Params.DataBlocks
+	size, err := m.blockSize()
+	if err != nil {
+		return nil, err
+	}
 	if len(blocks) != m.Params.Total() {
 		return nil, fmt.Errorf("%w: got %d block slots, want %d", ErrManifest, len(blocks), m.Params.Total())
 	}
@@ -286,6 +240,35 @@ func DecodeArchive(m *Manifest, owner *Identity, blocks [][]byte) ([]byte, error
 	if present < k {
 		return nil, fmt.Errorf("%w: %d of %d, need %d", ErrTooFewBlocks, present, m.Params.Total(), k)
 	}
+	if m.Version < 2 {
+		return decodeV1(m, owner, blocks, size)
+	}
+	readers := make([]io.ReaderAt, len(blocks))
+	m.pick(k, func(i int, _ storage.BlockID) bool {
+		if len(blocks[i]) == 0 {
+			return false
+		}
+		readers[i] = bytes.NewReader(blocks[i])
+		return true
+	})
+	r, err := newStripeReader(m, owner, readers)
+	if err != nil {
+		return nil, err
+	}
+	// Room for the read that finds the end, so that the buffer is made once.
+	plaintext := bytes.NewBuffer(make([]byte, 0, k*size+bytes.MinRead))
+	if _, err := plaintext.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return plaintext.Bytes(), nil
+}
+
+// decodeV1 decodes a version 1 archive from blocks of size bytes that
+// DecodeArchive has checked: the data shards are copied or reconstructed
+// into one buffer where they belong, and it is hashed, authenticated and
+// decrypted where it lies.
+func decodeV1(m *Manifest, owner *Identity, blocks [][]byte, size int) ([]byte, error) {
+	k := m.Params.DataBlocks
 	enc, err := erasure.New(k, m.Params.ParityBlocks)
 	if err != nil {
 		return nil, err
@@ -328,7 +311,15 @@ func (m *Manifest) Validate() error {
 	if len(m.WrappedKey) == 0 {
 		return fmt.Errorf("%w: missing wrapped key", ErrManifest)
 	}
-	return nil
+	switch m.Version {
+	case 0: // version 1, written before manifests carried one
+		return nil
+	case 2:
+		_, err := m.layout()
+		return err
+	default:
+		return fmt.Errorf("%w: unsupported manifest version %d", ErrManifest, m.Version)
+	}
 }
 
 // Marshal serialises the manifest.

@@ -20,9 +20,10 @@ import (
 	"p2pbackup/internal/storage"
 )
 
-// sealRef is Seal as it was before the pipeline streamed, under a given
-// iv: one XORKeyStream and one MAC over one buffer. It shares nothing
-// with sealer but subKeys.
+// sealRef is Seal written out once more, under a given iv: one
+// XORKeyStream and one MAC over one buffer. It and encodeRef are the
+// version 1 oracle: what an archive was before it was cut into stripes,
+// and what the plaintext a striped archive decodes to is held to.
 func sealRef(key, iv, plaintext []byte) []byte {
 	encKey, macKey := subKeys(key)
 	block, err := aes.NewCipher(encKey)
@@ -38,9 +39,10 @@ func sealRef(key, iv, plaintext []byte) []byte {
 	return out
 }
 
-// encodeRef is EncodeArchive as it was: the whole sealed archive, Split's
-// copy of it, Encode over all n shards.
-func encodeRef(t *testing.T, params Params, key, iv, plaintext []byte) ([][]byte, *Manifest) {
+// encodeRef is EncodeArchive as it was for version 1: the whole sealed
+// archive, Split's copy of it, Encode over all n shards. The manifest
+// lacks the wrapped key.
+func encodeRef(t testing.TB, params Params, key, iv, plaintext []byte) ([][]byte, *Manifest) {
 	t.Helper()
 	sealed := sealRef(key, iv, plaintext)
 	enc, err := erasure.New(params.DataBlocks, params.ParityBlocks)
@@ -96,78 +98,6 @@ func TestSealMatchesOneShot(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("size %d: sealed into a buffer of %d for %d bytes", size, cap(got), len(got))
-		}
-	}
-}
-
-// The streamed encoder must produce, block for block and field for
-// field, what Seal + Split + Encode produced: blocks are content
-// addressed, so one differing byte orphans a repository.
-func TestStreamedEncodeMatchesBuffered(t *testing.T) {
-	id := testIdentity(t)
-	key, iv := testBytes(3, SessionKeySize), testBytes(4, ivSize)
-	type shape struct {
-		params Params
-		sizes  []int
-	}
-	var small []int // every alignment of tag, shard boundary and padding
-	for n := 1; n <= 300; n++ {
-		small = append(small, n)
-	}
-	const k, s = 128, 64
-	shapes := []shape{
-		{Params{DataBlocks: 4, ParityBlocks: 4}, small},
-		{Params{DataBlocks: 5, ParityBlocks: 3}, small},
-		{DefaultParams(), []int{
-			1,        // 49 sealed bytes: shards of one byte, 79 of them all padding
-			s - 1, s, // around one shard
-			k*s - sealOverhead - 1,      // one byte of padding
-			k*s - sealOverhead,          // no padding
-			k*s - sealOverhead + 1,      // shards one byte longer, the last nearly empty
-			(k-1)*s + 16 - sealOverhead, // the tag straddles the last shard boundary
-			16*s - sealOverhead, 17 * s, // around the first batch of shards
-			k * 9000,                          // shards longer than a kernel chunk
-			k*(32<<10) + 12345 - sealOverhead, // shards longer than the sealer's buffer
-		}},
-	}
-	for _, sh := range shapes {
-		for _, size := range sh.sizes {
-			name := fmt.Sprintf("%d+%d/%d", sh.params.DataBlocks, sh.params.ParityBlocks, size)
-			plaintext := testBytes(uint64(size), size)
-			want, wantM := encodeRef(t, sh.params, key, iv, plaintext)
-			next := 0
-			m, err := encodeStream(sh.params, id, key, iv, int64(size),
-				func(w io.Writer) error { return writeInPieces(w, plaintext) }, "described",
-				func(i int, block []byte) error {
-					if i != next {
-						t.Fatalf("%s: block %d put, want %d", name, i, next)
-					}
-					next++
-					if !bytes.Equal(block, want[i]) {
-						t.Fatalf("%s: block %d differs from the buffered encode", name, i)
-					}
-					return nil
-				})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if next != sh.params.Total() {
-				t.Fatalf("%s: %d blocks put, want %d", name, next, sh.params.Total())
-			}
-			if m.ID != wantM.ID || m.SealedSize != wantM.SealedSize || m.Params != wantM.Params || m.Description != "described" {
-				t.Fatalf("%s: manifest %v/%d/%v, want %v/%d/%v", name, m.ID, m.SealedSize, m.Params, wantM.ID, wantM.SealedSize, wantM.Params)
-			}
-			for i := range wantM.BlockIDs {
-				if m.BlockIDs[i] != wantM.BlockIDs[i] {
-					t.Fatalf("%s: block id %d differs", name, i)
-				}
-			}
-			if got, err := UnwrapKey(id, m.WrappedKey); err != nil || !bytes.Equal(got, key) {
-				t.Fatalf("%s: wrapped key does not unwrap to the session key: %v", name, err)
-			}
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
 		}
 	}
 }
@@ -233,8 +163,8 @@ func TestEncodeDirMatchesCollectPack(t *testing.T) {
 	}
 	params := Params{DataBlocks: 6, ParityBlocks: 3}
 	blocks := make([][]byte, params.Total())
-	m, files, size, err := EncodeDir(params, id, root, "tree", func(i int, block []byte) error {
-		blocks[i] = bytes.Clone(block)
+	m, files, size, err := EncodeDir(params, id, root, "tree", func(i int, chunk []byte) error {
+		blocks[i] = append(blocks[i], chunk...)
 		return nil
 	})
 	if err != nil {
@@ -258,7 +188,7 @@ func TestEncodeDirMatchesCollectPack(t *testing.T) {
 
 // A file that changes between the listing and its read must fail the
 // backup by name: its size is already in the tar header and in the
-// shard size.
+// sealed size.
 func TestEncodeDirSourceChanges(t *testing.T) {
 	id := testIdentity(t)
 	cases := map[string]func(path string) error{
@@ -269,15 +199,15 @@ func TestEncodeDirSourceChanges(t *testing.T) {
 	for name, change := range cases {
 		t.Run(name, func(t *testing.T) {
 			root := writeTree(t, map[string][]byte{
-				"a-first.bin": testBytes(9, 8000),
+				"a-first.bin": testBytes(9, 40_000),
 				"z-last.txt":  testBytes(10, 100),
 			})
 			victim := filepath.Join(root, "z-last.txt")
 			puts := 0
-			// The first data shard fills while a-first.bin streams, long
-			// before z-last.txt is opened.
+			// The first stripe of four 8 KiB chunks fills while a-first.bin
+			// streams, long before z-last.txt is opened.
 			_, _, _, err := EncodeDir(Params{DataBlocks: 4, ParityBlocks: 4}, id, root, "", func(i int, _ []byte) error {
-				if puts++; i == 0 {
+				if puts++; puts == 1 {
 					return change(victim)
 				}
 				return nil
@@ -285,8 +215,8 @@ func TestEncodeDirSourceChanges(t *testing.T) {
 			if !errors.Is(err, ErrSourceChanged) || !strings.Contains(err.Error(), "z-last.txt") {
 				t.Fatalf("err = %v, want ErrSourceChanged naming z-last.txt", err)
 			}
-			if puts == 0 || puts >= 8 {
-				t.Fatalf("%d blocks were put before the failure, want some and not all", puts)
+			if puts != 8 {
+				t.Fatalf("%d chunks were put before the failure, want the first stripe's 8 of 16", puts)
 			}
 		})
 	}
@@ -305,30 +235,51 @@ func appendTo(path string, data []byte) error {
 }
 
 // The sealed size is read from a master block that came from somewhere
-// else; it must never size an allocation on its own word.
+// else; it must never size an allocation on its own word, in a manifest
+// of either version.
 func TestDecodeArchiveRejectsLyingSealedSize(t *testing.T) {
 	id := testIdentity(t)
-	blocks, m, err := EncodeArchive(Params{DataBlocks: 4, ParityBlocks: 4}, id, []byte("eleven byte"), "")
+	params := Params{DataBlocks: 4, ParityBlocks: 4}
+	plaintext := []byte("eleven byte")
+	blocks, m, err := EncodeArchive(params, id, plaintext, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := m.SealedSize // 59: four shards of 15
-	for _, lie := range []int{1 << 46, 1<<63 - 1, 1, 56, 61, honest - 1, honest + 1} {
-		m.SealedSize = lie
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeArchive(m, id, append([][]byte(nil), blocks...))
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrManifest) {
-			t.Fatalf("sealed size %d for %d: err = %v, want ErrManifest", lie, honest, err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Fatalf("sealed size %d: allocated %d bytes before refusing", lie, got)
-		}
-	}
-	m.SealedSize = honest
-	if _, err := DecodeArchive(m, id, blocks); err != nil {
+	key, err := UnwrapKey(id, m.WrappedKey)
+	if err != nil {
 		t.Fatal(err)
+	}
+	v1Blocks, v1 := encodeRef(t, params, key, testBytes(12, ivSize), plaintext)
+	v1.WrappedKey = m.WrappedKey
+	for _, c := range []struct {
+		m      *Manifest
+		blocks [][]byte
+	}{{m, blocks}, {v1, v1Blocks}} {
+		m, blocks := c.m, c.blocks
+		honest := m.SealedSize // 59 in both versions: four shards of 15
+		if honest != 59 {
+			t.Fatalf("version %d seals 11 bytes to %d, want 59", m.Version, honest)
+		}
+		for _, lie := range []int{1 << 46, 1<<63 - 1, 1, 56, 61, honest - 1, honest + 1} {
+			m.SealedSize = lie
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := DecodeArchive(m, id, append([][]byte(nil), blocks...))
+			runtime.ReadMemStats(&after)
+			// A striped archive whose size is off by less than a chunk's
+			// rounding still has blocks of the right length: its one
+			// stripe's tag is then looked for in the wrong place.
+			if !errors.Is(err, ErrManifest) && !(m.Version == 2 && errors.Is(err, ErrDecrypt)) || got != nil {
+				t.Fatalf("version %d, sealed size %d for %d: err = %v, want ErrManifest", m.Version, lie, honest, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("version %d, sealed size %d: allocated %d bytes before refusing", m.Version, lie, got)
+			}
+		}
+		m.SealedSize = honest
+		if got, err := DecodeArchive(m, id, blocks); err != nil || !bytes.Equal(got, plaintext) {
+			t.Fatalf("version %d, honest again: %q, %v", m.Version, got, err)
+		}
 	}
 }
 
@@ -410,64 +361,114 @@ func TestUnpackFilesSlicesTheArchive(t *testing.T) {
 	}
 }
 
-// TotalAlloc pins on the live data path at the paper's shape: a backup
-// holds the parity and a batch of shards, a restore one sealed buffer.
-// Before the pipeline streamed these read 5.1 and 4.1 times the archive.
+// blockFiles keeps an archive's blocks in files, as a repository would,
+// so that a test measuring what the pipeline holds does not hold them
+// itself.
+type blockFiles []*os.File
+
+func newBlockFiles(t testing.TB, n int) blockFiles {
+	t.Helper()
+	dir := t.TempDir()
+	files := make(blockFiles, n)
+	for i := range files {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("block-%03d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		files[i] = f
+	}
+	return files
+}
+
+// What the live data path holds at the paper's shape is one stripe and
+// does not grow with the archive: the live heap, sampled at every stripe
+// of a 16 MiB tree in both directions, stays under 8 MiB. Before the
+// archive was cut into stripes a backup held the parity (1.1 times the
+// archive) and a restore one sealed buffer next to k blocks (2 times).
 func TestLivePathAllocations(t *testing.T) {
 	id := testIdentity(t)
+	const limit = 8 << 20
+	sums := map[string][sha256.Size]byte{}
 	files := map[string][]byte{}
 	for i := 0; i < 16; i++ {
-		files[fmt.Sprintf("dir%d/file%02d.bin", i%3, i)] = testBytes(uint64(20+i), 1<<20)
+		name := fmt.Sprintf("dir%d/file%02d.bin", i%3, i)
+		files[name] = testBytes(uint64(20+i), 1<<20)
+		sums[name] = sha256.Sum256(files[name])
 	}
 	root := writeTree(t, files)
-	measure := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+	files = nil
+
+	var base runtime.MemStats
+	peak := uint64(0)
+	start := func() {
+		runtime.GC()
+		runtime.ReadMemStats(&base)
+		peak = 0
 	}
+	sample := func() {
+		var now runtime.MemStats
+		runtime.ReadMemStats(&now)
+		if now.HeapAlloc > base.HeapAlloc {
+			peak = max(peak, now.HeapAlloc-base.HeapAlloc)
+		}
+	}
+
+	stored := newBlockFiles(t, 256)
+	start()
+	m, _, _, err := EncodeDir(DefaultParams(), id, root, "", func(i int, chunk []byte) error {
+		if i == 0 {
+			sample()
+		}
+		_, err := stored[i].Write(chunk)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stripes < 16 {
+		t.Fatalf("%d stripes: the tree is too small to tell a stripe from the archive", m.Stripes)
+	}
+	if peak > limit {
+		t.Errorf("backing up %d sealed bytes in %d stripes held %d bytes of heap, want at most %d", m.SealedSize, m.Stripes, peak, limit)
+	}
+	t.Logf("backup: %d stripes, peak live heap %d KiB", m.Stripes, peak>>10)
 
 	// The restore's worst case: only the parity blocks survive.
-	parity := make([][]byte, 256)
-	var stored *Manifest
-	encode := measure(func() {
-		var err error
-		stored, _, _, err = EncodeDir(DefaultParams(), id, root, "", func(i int, block []byte) error {
-			if i >= 128 {
-				parity[i] = bytes.Clone(block)
-			}
+	dst := t.TempDir()
+	start()
+	restored, blocks, err := DecodeDir(m, id, dst, func(i int, _ storage.BlockID) io.ReaderAt {
+		if i < 128 {
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		if i == 128 {
+			return sampledReader{stored[i], sample}
+		}
+		return stored[i]
 	})
-	// The parity kept here is the caller's, as a store's copy would be.
-	encode -= uint64(128 * stored.shardSize())
-	if limit := uint64(stored.SealedSize) * 16 / 10; encode > limit {
-		t.Errorf("backing up %d sealed bytes allocated %d, want at most %d (1.6x)", stored.SealedSize, encode, limit)
+	if err != nil || restored != len(sums) || blocks != 128 {
+		t.Fatalf("DecodeDir = %d files from %d blocks, %v", restored, blocks, err)
 	}
+	if peak > limit {
+		t.Errorf("restoring %d sealed bytes in %d stripes held %d bytes of heap, want at most %d", m.SealedSize, m.Stripes, peak, limit)
+	}
+	t.Logf("restore: peak live heap %d KiB", peak>>10)
+	for name, want := range sums {
+		data, err := os.ReadFile(filepath.Join(dst, filepath.FromSlash(name)))
+		if err != nil || sha256.Sum256(data) != want {
+			t.Fatalf("%s restored with other content (%v)", name, err)
+		}
+	}
+}
 
-	var entries []FileEntry
-	decode := measure(func() {
-		plaintext, err := DecodeArchive(stored, id, parity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if entries, err = UnpackFiles(plaintext); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if limit := uint64(stored.SealedSize) * 12 / 10; decode > limit {
-		t.Errorf("restoring %d sealed bytes allocated %d beyond the blocks passed in, want at most %d (1.2x)", stored.SealedSize, decode, limit)
-	}
-	for _, e := range entries {
-		if !bytes.Equal(e.Data, files[e.Path]) {
-			t.Fatalf("%s restored with other content", e.Path)
-		}
-	}
-	if len(entries) != len(files) {
-		t.Fatalf("restored %d files, want %d", len(entries), len(files))
-	}
+// sampledReader calls sample before every read: once per stripe, when it
+// is one of the k blocks a stripeReader reads.
+type sampledReader struct {
+	io.ReaderAt
+	sample func()
+}
+
+func (r sampledReader) ReadAt(p []byte, off int64) (int, error) {
+	r.sample()
+	return r.ReaderAt.ReadAt(p, off)
 }

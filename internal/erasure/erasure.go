@@ -15,10 +15,10 @@
 // exactly the any-k-of-n recovery property.
 //
 // Encode, Verify and Reconstruct work on a full set of n shards in
-// memory. Stream encodes data shards as they come into being, for a
-// backup that must not hold its archive: it keeps the parity (in
-// gf256.Acc's packed form, the parity's own size) and one batch of
-// data shards, and produces the same parity bytes as Encode.
+// memory. Stream encodes an archive one stripe (one chunk of every
+// shard) at a time, for a backup that must not hold its archive, and
+// produces the same parity bytes as Encode; ReconstructData over the
+// chunks of one stripe is its counterpart on the way back.
 package erasure
 
 import (
@@ -185,82 +185,61 @@ func (e *Encoder) parityRows() [][]byte {
 	return rows
 }
 
-// Stream computes the parity of data shards that come into being one
-// after another, so that a caller encoding a stream never holds more
-// than gf256.AccBatch of them: fill the buffer Next returns, do with it
-// what must be done (hash it, store it), ask for the next, and after
-// the k-th call Parity. The parity lives in a gf256.Acc, which is the
-// size of the m parity shards, until Parity writes it out a few shards
-// at a time into the same buffers the data shards passed through.
-// A Stream is not safe for concurrent use.
+// Stream encodes an archive one stripe at a time, for a backup that must
+// not hold it: a stripe is one chunk of every shard, and its k data
+// chunks lie one after another in the buffer Data returns. Fill that,
+// call Encode, store the n chunks it returns, fill the next. A Stream
+// holds one stripe, data and parity, and nothing that grows with the
+// archive; it is not safe for concurrent use.
 type Stream struct {
 	k      int
+	chunk  int      // the longest chunk a stripe may have
 	rows   [][]byte // the parity rows
-	acc    *gf256.Acc
-	bufs   [][]byte // the current batch of data shards, then the parity in turn
-	next   int      // data shards handed out
-	folded int      // data shards already in acc
+	data   []byte   // the k data chunks of the stripe in hand
+	parity []byte   // its m parity chunks
+	shards [][]byte // what Encode returns: views of data and parity
 }
 
-// NewStream returns a Stream over shards of shardSize bytes.
-func (e *Encoder) NewStream(shardSize int) (*Stream, error) {
-	if shardSize <= 0 {
+// NewStream returns a Stream over stripes whose chunks have at most chunk
+// bytes.
+func (e *Encoder) NewStream(chunk int) (*Stream, error) {
+	if chunk <= 0 {
 		return nil, ErrShardSize
 	}
-	s := &Stream{
-		k:    e.k,
-		rows: e.parityRows(),
-		acc:  gf256.NewAcc(e.m, shardSize),
-		bufs: make([][]byte, min(gf256.AccBatch, e.k)),
-	}
-	backing := make([]byte, len(s.bufs)*shardSize)
-	for i := range s.bufs {
-		s.bufs[i] = backing[i*shardSize : (i+1)*shardSize]
-	}
-	return s, nil
+	return &Stream{
+		k:      e.k,
+		chunk:  chunk,
+		rows:   e.parityRows(),
+		data:   make([]byte, e.k*chunk),
+		parity: make([]byte, e.m*chunk),
+		shards: make([][]byte, e.k+e.m),
+	}, nil
 }
 
-// Next returns the buffer of the next data shard, holding whatever an
-// earlier shard left in it, for the caller to overwrite in full. It
-// stays the caller's until the next call of Next or Parity, and panics
-// when all k data shards have been handed out.
-func (s *Stream) Next() []byte {
-	if s.next == s.k {
-		panic("erasure: Stream.Next after the last data shard")
-	}
-	if s.next-s.folded == len(s.bufs) {
-		s.fold()
-	}
-	s.next++
-	return s.bufs[s.next-s.folded-1]
-}
+// Data returns the buffer of the stripe's data: for a stripe of c-byte
+// chunks, data chunk i is Data()[i*c : (i+1)*c]. It holds whatever the
+// last stripe left in it.
+func (s *Stream) Data() []byte { return s.data }
 
-// fold adds the shards handed out since the last fold to the parity.
-func (s *Stream) fold() {
-	s.acc.MulAdd(s.rows, s.folded, s.bufs[:s.next-s.folded])
-	s.folded = s.next
-}
-
-// Parity calls emit with every parity shard in turn, i being its index
-// k..k+m-1 among the archive's shards; the shard is only valid during
-// the call. It stops at the first error emit returns, and fails with
-// ErrTooFewShards unless Next has handed out all k data shards. The
-// Stream is spent afterwards.
-func (s *Stream) Parity(emit func(i int, shard []byte) error) error {
-	if s.next != s.k {
-		return fmt.Errorf("%w: %d of %d data shards streamed", ErrTooFewShards, s.next, s.k)
+// Encode computes the parity of the stripe whose k data chunks of c bytes
+// each are the first k*c bytes of Data, and returns the stripe's n chunks
+// by shard index, data chunks first. They are views of the Stream's
+// buffers and stay valid until Data is written to or Encode called again.
+// The parity bytes are those Encoder.Encode computes for whole shards at
+// the same byte positions.
+func (s *Stream) Encode(c int) ([][]byte, error) {
+	if c <= 0 || c > s.chunk {
+		return nil, fmt.Errorf("%w: a stripe of %d-byte chunks in a stream made for %d", ErrShardSize, c, s.chunk)
 	}
-	s.fold()
-	for r0 := 0; r0 < len(s.rows); r0 += len(s.bufs) {
-		out := s.bufs[:min(len(s.bufs), len(s.rows)-r0)]
-		s.acc.Rows(r0, out)
-		for j, shard := range out {
-			if err := emit(s.k+r0+j, shard); err != nil {
-				return err
-			}
+	for i := range s.shards {
+		if i < s.k {
+			s.shards[i] = s.data[i*c : (i+1)*c]
+		} else {
+			s.shards[i] = s.parity[(i-s.k)*c : (i-s.k+1)*c]
 		}
 	}
-	return nil
+	gf256.MulRows(s.rows, s.shards[:s.k], s.shards[s.k:])
+	return s.shards, nil
 }
 
 // verifyChunk is the number of bytes of each shard Verify recomputes

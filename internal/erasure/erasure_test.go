@@ -465,10 +465,50 @@ func TestVerifyChunked(t *testing.T) {
 	}
 }
 
+// encodeByStripes computes the parity of shards' data through a Stream,
+// stripes of chunk bytes per shard and a shorter last one, and returns
+// the parity shards it put together.
+func encodeByStripes(t testing.TB, e *Encoder, shards [][]byte, chunk int) [][]byte {
+	t.Helper()
+	size := len(shards[0])
+	s, err := e.NewStream(min(chunk, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parity := make([][]byte, e.m)
+	for off := 0; off < size; off += chunk {
+		c := min(chunk, size-off)
+		for i, d := range shards[:e.k] {
+			copy(s.Data()[i*c:], d[off:off+c])
+		}
+		chunks, err := s.Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != e.k+e.m {
+			t.Fatalf("Encode returned %d chunks, want %d", len(chunks), e.k+e.m)
+		}
+		for i, ch := range chunks {
+			if len(ch) != c {
+				t.Fatalf("chunk %d has %d bytes, want %d", i, len(ch), c)
+			}
+			if i < e.k && !bytes.Equal(ch, shards[i][off:off+c]) {
+				t.Fatalf("data chunk %d at %d is not what was written to Data", i, off)
+			}
+			if i >= e.k {
+				parity[i-e.k] = append(parity[i-e.k], ch...)
+			}
+		}
+	}
+	return parity
+}
+
 func TestStreamMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	allKinds(t, func(t *testing.T, kind MatrixKind) {
-		// k below, at and past one batch and two; m below and past eight.
+		// m below and past the kernel's eight rows, k below and past its
+		// four columns; stripes shorter than, equal to and longer than
+		// the shard, and a ragged last one.
 		for _, sh := range []struct{ k, m int }{{1, 1}, {3, 9}, {16, 8}, {17, 3}, {33, 20}, {5, 0}} {
 			for _, size := range []int{1, 100, 8192 + 7} {
 				e, err := NewKind(sh.k, sh.m, kind)
@@ -479,26 +519,15 @@ func TestStreamMatchesEncode(t *testing.T) {
 				if err := e.Encode(want); err != nil {
 					t.Fatal(err)
 				}
-				s, err := e.NewStream(size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, d := range want[:sh.k] {
-					copy(s.Next(), d)
-				}
-				next := sh.k
-				err = s.Parity(func(i int, p []byte) error {
-					if i != next {
-						t.Fatalf("%d+%d: parity shard %d emitted, want %d", sh.k, sh.m, i, next)
+				for _, chunk := range []int{1, 7, 100, 4096, 8192, 1 << 20} {
+					if size/chunk > 200 {
+						continue
 					}
-					next++
-					if !bytes.Equal(p, want[i]) {
-						t.Fatalf("%d+%d size %d: streamed parity shard %d differs from Encode", sh.k, sh.m, size, i)
+					for r, p := range encodeByStripes(t, e, want, chunk) {
+						if !bytes.Equal(p, want[sh.k+r]) {
+							t.Fatalf("%d+%d size %d in stripes of %d: parity shard %d differs from Encode", sh.k, sh.m, size, chunk, sh.k+r)
+						}
 					}
-					return nil
-				})
-				if err != nil || next != sh.k+sh.m {
-					t.Fatalf("%d+%d: Parity emitted up to %d, %v", sh.k, sh.m, next, err)
 				}
 			}
 		}
@@ -514,45 +543,41 @@ func TestStreamMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Next()
-	s.Next()
-	none := func(int, []byte) error { t.Fatal("parity emitted from two of three data shards"); return nil }
-	if err := s.Parity(none); !errors.Is(err, ErrTooFewShards) {
-		t.Fatalf("Parity after 2 of 3 shards: err = %v, want ErrTooFewShards", err)
+	if len(s.Data()) != 3*4 {
+		t.Fatalf("Data is %d bytes, want k chunks of 4", len(s.Data()))
 	}
-	s.Next()
-	stop := errors.New("stop")
-	calls := 0
-	if err := s.Parity(func(int, []byte) error { calls++; return stop }); err != stop || calls != 1 {
-		t.Fatalf("Parity = %v after %d calls, want the emit error after 1", err, calls)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a fourth Next of three did not panic")
+	for _, c := range []int{0, -1, 5} {
+		if _, err := s.Encode(c); !errors.Is(err, ErrShardSize) {
+			t.Fatalf("Encode(%d) in a stream of 4-byte chunks: err = %v, want ErrShardSize", c, err)
 		}
-	}()
-	s.Next()
+	}
+	if chunks, err := s.Encode(4); err != nil || len(chunks) != 5 {
+		t.Fatalf("Encode(4) = %d chunks, %v", len(chunks), err)
+	}
 }
 
-// A Stream holds the parity and one batch of data shards, nothing that
-// grows with k.
+// A Stream holds one stripe of n chunks, and a stripe encoded allocates
+// nothing.
 func TestStreamAllocations(t *testing.T) {
-	const k, m, size = 128, 128, 4096
+	const k, m, chunk = 128, 128, 4096
 	e, _ := New(k, m)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := e.NewStream(size)
+	s, err := e.NewStream(chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		s.Next()[0] = byte(i)
-	}
-	if err := s.Parity(func(int, []byte) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64((m+17)*size); got > limit {
-		t.Fatalf("streaming %d+%d shards of %d bytes allocated %d bytes, want at most %d (the parity and one batch)", k, m, size, got, limit)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64((k+m+4)*chunk); got > limit {
+		t.Fatalf("a stream of %d+%d chunks of %d bytes allocated %d bytes, want at most %d (one stripe)", k, m, chunk, got, limit)
+	}
+	for _, c := range []int{chunk, 100} {
+		if n := testing.AllocsPerRun(3, func() {
+			if _, err := s.Encode(c); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("Encode(%d) allocates %v times per stripe, want 0", c, n)
+		}
 	}
 }

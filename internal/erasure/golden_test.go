@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
-
-	"p2pbackup/internal/gf256"
 )
 
 // parityGolden pins the on-disk format: the SHA-256 over all parity
@@ -111,38 +109,17 @@ func TestParityGolden(t *testing.T) {
 }
 
 // TestParityGoldenAccumulated reproduces the same digests from parity
-// built up column by column: the accumulating kernel fed 1, 3, 4, 16
-// and k data shards at a time, and a Stream.
+// put together a stripe at a time by a Stream: every shard cut into 2, 3,
+// 5 and 16 stripes, into stripes of the kernel's 8 KiB chunk (what an
+// archive's blocks are written in), and left as one.
 func TestParityGoldenAccumulated(t *testing.T) {
-	for _, batch := range []int{1, 3, 4, gf256.AccBatch, 0} {
+	for _, stripes := range []int{2, 3, 5, 16, 0, 1} {
 		eachGolden(t, func(name string, e *Encoder, shards [][]byte) [][]byte {
-			step := batch
-			if step == 0 {
-				step = e.k
+			chunk := 8 << 10
+			if stripes > 0 {
+				chunk = (len(shards[0])-1)/stripes + 1
 			}
-			acc := gf256.NewAcc(e.m, len(shards[0]))
-			for c0 := 0; c0 < e.k; c0 += step {
-				acc.MulAdd(e.parityRows(), c0, shards[c0:min(c0+step, e.k)])
-			}
-			acc.Rows(0, shards[e.k:])
-			return shards[e.k:]
+			return encodeByStripes(t, e, shards, chunk)
 		})
 	}
-	eachGolden(t, func(name string, e *Encoder, shards [][]byte) [][]byte {
-		s, err := e.NewStream(len(shards[0]))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, d := range shards[:e.k] {
-			copy(s.Next(), d)
-		}
-		err = s.Parity(func(i int, p []byte) error {
-			copy(shards[i], p)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return shards[e.k:]
-	})
 }

@@ -11,16 +11,12 @@
 // row of the 64 KiB product table; Matrix is built on them. MulRows is
 // the erasure coder's hot loop: a whole coefficient-matrix-times-shards
 // product, through tables it builds per call that yield eight output
-// rows per lookup (see its doc comment). Acc is the same product for a
-// caller that has the source shards a few at a time: the same loop
-// adding into an accumulator that persists between calls, in the
-// kernel's packed form, so the output rows cost their own size and are
-// written once at the end.
+// rows per lookup (see its doc comment).
 //
-// Only NewAcc and the Matrix functions that return a new Matrix
-// allocate. The shared tables are read-only after init and MulRows
-// keeps its accumulator and tables on its own stack, so everything but
-// writes to one Matrix, slice or Acc is safe for concurrent use.
+// Only the Matrix functions that return a new Matrix allocate. The
+// shared tables are read-only after init and MulRows keeps its
+// accumulator and tables on its own stack, so everything but writes to
+// one Matrix or slice is safe for concurrent use.
 package gf256
 
 // Poly is the irreducible polynomial defining the field, with the x^8

@@ -13,15 +13,6 @@ const (
 	// tables stay in L1; the tables are rebuilt per chunk, which costs
 	// about a tenth of the lookups they serve.
 	chunkLen = 8 << 10
-	// AccBatch is the number of source shards a caller that produces
-	// them one at a time should hand to Acc.MulAdd together. Every call
-	// reads and writes the whole accumulator once, traffic MulRows does
-	// not have, so the batch trades speed for the caller's buffer: on
-	// the 2-core reference box, 128 rows over 128 shards of 384 KiB take
-	// 0.24 s in MulRows' fold and 0.40, 0.32, 0.28 and 0.26 s in batches
-	// of 8, 16, 32 and all 128. Sixteen shards are an eighth of the
-	// archive at the paper's k = 128.
-	AccBatch = 16
 )
 
 // MulRows computes the matrix-times-shards product out[r] = sum over c
@@ -68,71 +59,6 @@ func MulRows(coef [][]byte, in, out [][]byte) {
 			for j := range rows {
 				scatter(out[r0+j][off:], acc, uint(8*j))
 			}
-		}
-	}
-}
-
-// Acc is a MulRows product under construction, for a caller that has
-// the source shards one after another and not all at once: columns are
-// added with MulAdd in any order and grouping, and the finished rows
-// are read with Rows. It keeps the sums the way the kernel computes
-// them, eight rows to a uint64, so it occupies exactly the bytes of the
-// rows it stands for (rounded up to a multiple of eight rows) and no
-// output shard exists before Rows writes it.
-type Acc struct {
-	rows, size int
-	// words holds row group g (rows 8g..8g+7, one per byte lane) at
-	// words[g*size : (g+1)*size].
-	words []uint64
-}
-
-// NewAcc returns the zero product of rows output rows over shards of
-// size bytes.
-func NewAcc(rows, size int) *Acc {
-	groups := (rows + rowGroup - 1) / rowGroup
-	return &Acc{rows: rows, size: size, words: make([]uint64, groups*size)}
-}
-
-// MulAdd adds, to every row r, the sum over j of coef[r][c0+j] * in[j]:
-// the shards of in are columns c0, c0+1, ... of the product. coef must
-// have one row per output row, each reaching column c0+len(in)-1, and
-// every shard must have the accumulator's size, else MulAdd panics. It
-// is MulRows' loop without the clearing before and the scatter after.
-func (a *Acc) MulAdd(coef [][]byte, c0 int, in [][]byte) {
-	if len(coef) != a.rows {
-		panic("gf256: Acc.MulAdd row count mismatch")
-	}
-	checkShards(in, a.size)
-	for _, row := range coef {
-		if len(row) < c0+len(in) {
-			panic("gf256: Acc.MulAdd column count mismatch")
-		}
-	}
-	var tabs [colGroup][256]uint64
-	for off := 0; off < a.size; off += chunkLen {
-		n := min(chunkLen, a.size-off)
-		for r0 := 0; r0 < a.rows; r0 += rowGroup {
-			lo := r0/rowGroup*a.size + off
-			fold(a.words[lo:lo+n], &tabs, coef[r0:min(r0+rowGroup, a.rows)], c0, in, off)
-		}
-	}
-}
-
-// Rows writes rows r0, r0+1, ... of the product to out, one per shard;
-// eight rows starting at a multiple of eight read one row group once.
-// The rows must exist and every shard of out must have the
-// accumulator's size, else Rows panics.
-func (a *Acc) Rows(r0 int, out [][]byte) {
-	if r0 < 0 || r0+len(out) > a.rows {
-		panic("gf256: Acc.Rows range mismatch")
-	}
-	checkShards(out, a.size)
-	for off := 0; off < a.size; off += chunkLen {
-		n := min(chunkLen, a.size-off)
-		for j, o := range out {
-			r := r0 + j
-			lo := r/rowGroup*a.size + off
-			scatter(o[off:], a.words[lo:lo+n], uint(8*(r%rowGroup)))
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,9 +13,9 @@ import (
 
 // DiskStore is an on-disk content-addressed Store. Blocks live under
 // root/xx/<hex id> where xx is the first id byte, written atomically
-// (temp file + rename) so crashes never leave half blocks under their
-// final name. The index is rebuilt by scanning on open. It is safe for
-// concurrent use.
+// (a temp file in root, fsync, rename) so crashes never leave half
+// blocks under their final name. The index is rebuilt by scanning on
+// open. It is safe for concurrent use.
 type DiskStore struct {
 	root  string
 	mu    sync.RWMutex
@@ -71,44 +73,123 @@ func (s *DiskStore) path(id BlockID) string {
 // Put implements Store.
 func (s *DiskStore) Put(data []byte) (BlockID, error) {
 	id := IDOf(data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sizes[id]; ok {
+	if s.Has(id) {
 		return id, nil
 	}
-	if s.quota > 0 && s.used+int64(len(data)) > s.quota {
-		return BlockID{}, fmt.Errorf("%w: %d + %d > %d", ErrQuota, s.used, len(data), s.quota)
-	}
-	final := s.path(id)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return BlockID{}, err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(final), id.String()+".*.tmp")
+	w, err := s.newWriter(nil) // the id is known: nothing to hash
 	if err != nil {
 		return BlockID{}, err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if _, err := w.Write(data); err != nil {
+		w.Abort()
 		return BlockID{}, err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := w.install(id); err != nil {
 		return BlockID{}, err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return BlockID{}, err
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return BlockID{}, err
-	}
-	s.sizes[id] = int64(len(data))
-	s.used += int64(len(data))
 	return id, nil
+}
+
+// diskWriter is a block on its way into a DiskStore: a temp file in the
+// store's root until install renames it to the block's name.
+type diskWriter struct {
+	s    *DiskStore
+	f    *os.File  // nil once spent
+	hash hash.Hash // of what was written; nil when the caller knows the id
+	n    int64
+}
+
+// NewWriter implements Store.
+func (s *DiskStore) NewWriter() (BlockWriter, error) { return s.newWriter(sha256.New()) }
+
+func (s *DiskStore) newWriter(h hash.Hash) (*diskWriter, error) {
+	f, err := os.CreateTemp(s.root, "incoming.*.tmp")
+	if err != nil {
+		return nil, err
+	}
+	return &diskWriter{s: s, f: f, hash: h}, nil
+}
+
+func (w *diskWriter) Write(p []byte) (int, error) {
+	if w.f == nil {
+		return 0, errWriterSpent
+	}
+	if err := w.s.admits(w.n + int64(len(p))); err != nil {
+		return 0, err
+	}
+	n, err := w.f.Write(p)
+	if w.hash != nil {
+		w.hash.Write(p[:n])
+	}
+	w.n += int64(n)
+	return n, err
+}
+
+func (w *diskWriter) Commit() (id BlockID, err error) {
+	if w.f == nil {
+		return id, errWriterSpent
+	}
+	w.hash.Sum(id[:0])
+	return id, w.install(id)
+}
+
+func (w *diskWriter) Abort() {
+	if w.f != nil {
+		w.f.Close()
+		os.Remove(w.f.Name())
+		w.f = nil
+	}
+}
+
+// install makes what was written the block id, unless the store has it
+// already. The temp file is gone afterwards either way.
+func (w *diskWriter) install(id BlockID) error {
+	s := w.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.sizes[id]; ok {
+		w.Abort()
+		return nil
+	}
+	if err := s.admitsLocked(w.n); err != nil {
+		w.Abort()
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		w.Abort()
+		return err
+	}
+	tmp := w.f.Name()
+	err := w.f.Close()
+	w.f = nil
+	final := s.path(id)
+	if err == nil {
+		err = os.MkdirAll(filepath.Dir(final), 0o755)
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	s.sizes[id] = w.n
+	s.used += w.n
+	return nil
+}
+
+// admits reports ErrQuota if n more bytes would exceed the quota.
+func (s *DiskStore) admits(n int64) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.admitsLocked(n)
+}
+
+func (s *DiskStore) admitsLocked(n int64) error {
+	if s.quota > 0 && s.used+n > s.quota {
+		return fmt.Errorf("%w: %d + %d > %d", ErrQuota, s.used, n, s.quota)
+	}
+	return nil
 }
 
 // Get implements Store; content is re-hashed on every read.
@@ -130,6 +211,22 @@ func (s *DiskStore) Get(id BlockID) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrCorrupted, id)
 	}
 	return data, nil
+}
+
+// ReadAt implements Store: one pread of the block's file.
+func (s *DiskStore) ReadAt(id BlockID, p []byte, off int64) (int, error) {
+	if !s.Has(id) {
+		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	f, err := os.Open(s.path(id))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+		}
+		return 0, err
+	}
+	defer f.Close()
+	return f.ReadAt(p, off)
 }
 
 // Has implements Store.

@@ -13,10 +13,12 @@
 package storage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -56,8 +58,16 @@ type Store interface {
 	// Put stores data and returns its id. Storing the same content
 	// twice is idempotent.
 	Put(data []byte) (BlockID, error)
+	// NewWriter starts a block that arrives piece by piece.
+	NewWriter() (BlockWriter, error)
 	// Get returns the block's content, verifying integrity.
 	Get(id BlockID) ([]byte, error)
+	// ReadAt reads len(p) bytes of the block starting at byte off, the
+	// way an io.ReaderAt does: a read that reaches the block's end
+	// returns what there was and io.EOF. It verifies nothing, so
+	// whoever reads a block by range vouches for the bytes some other
+	// way (a hash over all of them, a MAC over what they decode to).
+	ReadAt(id BlockID, p []byte, off int64) (int, error)
 	// Has reports whether the block is present (without reading it).
 	Has(id BlockID) bool
 	// Delete removes a block; deleting an absent block is not an error.
@@ -69,6 +79,23 @@ type Store interface {
 	// IDs lists stored block ids (sorted, for determinism).
 	IDs() []BlockID
 }
+
+// BlockWriter stores a block whose content comes into being piece by
+// piece, for a producer that never holds the whole of it. The content is
+// hashed as it is written; nothing is visible in the store before Commit
+// and nothing is left behind after Abort. A BlockWriter is not safe for
+// concurrent use.
+type BlockWriter interface {
+	io.Writer
+	// Commit stores what was written as one block and returns its id,
+	// the hash of it. Like Put it is idempotent for content the store
+	// already has. The writer is spent afterwards, also after an error.
+	Commit() (BlockID, error)
+	// Abort discards what was written. After Commit it does nothing.
+	Abort()
+}
+
+var errWriterSpent = errors.New("storage: block writer used after Commit or Abort")
 
 // ---------------------------------------------------------------------------
 // MemStore
@@ -118,6 +145,45 @@ func (m *MemStore) Get(id BlockID) ([]byte, error) {
 	}
 	return out, nil
 }
+
+// ReadAt implements Store.
+func (m *MemStore) ReadAt(id BlockID, p []byte, off int64) (int, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	data, ok := m.data[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return bytes.NewReader(data).ReadAt(p, off)
+}
+
+// memWriter collects the block in memory; Commit is Put.
+type memWriter struct {
+	m    *MemStore // nil once spent
+	data []byte
+}
+
+// NewWriter implements Store.
+func (m *MemStore) NewWriter() (BlockWriter, error) { return &memWriter{m: m}, nil }
+
+func (w *memWriter) Write(p []byte) (int, error) {
+	if w.m == nil {
+		return 0, errWriterSpent
+	}
+	w.data = append(w.data, p...)
+	return len(p), nil
+}
+
+func (w *memWriter) Commit() (BlockID, error) {
+	if w.m == nil {
+		return BlockID{}, errWriterSpent
+	}
+	m := w.m
+	w.m = nil
+	return m.Put(w.data)
+}
+
+func (w *memWriter) Abort() { w.m, w.data = nil, nil }
 
 // Has implements Store.
 func (m *MemStore) Has(id BlockID) bool {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -255,4 +256,138 @@ func TestMemStoreConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// filesUnder lists the regular files below a store's root.
+func filesUnder(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			files = append(files, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func TestWriterCommitsWhatPutWould(t *testing.T) {
+	testStores(t, func(t *testing.T, s Store) {
+		data := bytes.Repeat([]byte("stripe by stripe "), 1000)
+		w, err := s.NewWriter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); off += 777 {
+			if _, err := w.Write(data[off:min(off+777, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+			if s.Len() != 0 {
+				t.Fatal("a block is visible before Commit")
+			}
+		}
+		id, err := w.Commit()
+		if err != nil || id != IDOf(data) {
+			t.Fatalf("Commit = %s, %v; want the content hash", id, err)
+		}
+		if got, err := s.Get(id); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get after Commit: %v", err)
+		}
+		if s.Len() != 1 || s.UsedBytes() != int64(len(data)) {
+			t.Fatalf("after Commit: %d blocks, %d bytes", s.Len(), s.UsedBytes())
+		}
+		w.Abort() // after Commit: nothing
+		if !s.Has(id) {
+			t.Fatal("Abort after Commit removed the block")
+		}
+		if _, err := w.Write([]byte("x")); err == nil {
+			t.Fatal("Write after Commit accepted")
+		}
+		if _, err := w.Commit(); err == nil {
+			t.Fatal("second Commit accepted")
+		}
+
+		// The same content again, streamed or put, is the same block.
+		w, _ = s.NewWriter()
+		w.Write(data)
+		if again, err := w.Commit(); err != nil || again != id || s.Len() != 1 {
+			t.Fatalf("recommit: %s, %v, %d blocks", again, err, s.Len())
+		}
+		if _, err := s.Put(data); err != nil || s.Len() != 1 {
+			t.Fatalf("Put of committed content: %v, %d blocks", err, s.Len())
+		}
+	})
+}
+
+func TestWriterAbortAndQuotaLeaveNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDiskStore(dir, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := s.NewWriter()
+	w.Write(make([]byte, 60))
+	if len(filesUnder(t, dir)) != 1 {
+		t.Fatal("the block in flight is not one temp file")
+	}
+	w.Abort()
+	w.Abort()
+	if left := filesUnder(t, dir); len(left) != 0 || s.Len() != 0 || s.UsedBytes() != 0 {
+		t.Fatalf("Abort left %v, %d blocks", left, s.Len())
+	}
+
+	// Two writers that each fit and together do not: the second to
+	// commit is refused, and so is a write past the quota.
+	a, _ := s.NewWriter()
+	b, _ := s.NewWriter()
+	a.Write(bytes.Repeat([]byte{1}, 60))
+	b.Write(bytes.Repeat([]byte{2}, 60))
+	if _, err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Commit(); !errors.Is(err, ErrQuota) {
+		t.Fatalf("commit past the quota: err = %v, want ErrQuota", err)
+	}
+	c, _ := s.NewWriter()
+	if _, err := c.Write(make([]byte, 41)); !errors.Is(err, ErrQuota) {
+		t.Fatalf("write past the quota: err = %v, want ErrQuota", err)
+	}
+	c.Abort()
+	if left := filesUnder(t, dir); len(left) != 1 || s.Len() != 1 || s.UsedBytes() != 60 {
+		t.Fatalf("after the refusals: files %v, %d blocks, %d bytes", left, s.Len(), s.UsedBytes())
+	}
+	// A reopened store does not take a writer's leftovers for blocks.
+	w, _ = s.NewWriter()
+	w.Write([]byte("crashed here"))
+	if again, err := OpenDiskStore(dir, 0); err != nil || again.Len() != 1 {
+		t.Fatalf("reopened with a block in flight: %d blocks, %v", again.Len(), err)
+	}
+	w.Abort()
+}
+
+func TestReadAt(t *testing.T) {
+	testStores(t, func(t *testing.T, s Store) {
+		data := []byte("0123456789abcdef")
+		id, err := s.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			off, n int
+			want   string
+			eof    bool
+		}{{0, 4, "0123", false}, {6, 10, "6789abcdef", false}, {12, 8, "cdef", true}, {16, 1, "", true}, {99, 1, "", true}, {3, 0, "", false}} {
+			p := make([]byte, c.n)
+			n, err := s.ReadAt(id, p, int64(c.off))
+			if string(p[:n]) != c.want || (err == io.EOF) != c.eof || (err != nil && err != io.EOF) {
+				t.Fatalf("ReadAt(%d bytes at %d) = %q, %v; want %q, eof %v", c.n, c.off, p[:n], err, c.want, c.eof)
+			}
+		}
+		if _, err := s.ReadAt(IDOf([]byte("nope")), make([]byte, 1), 0); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("ReadAt of a missing block: err = %v, want ErrNotFound", err)
+		}
+	})
 }
