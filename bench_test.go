@@ -74,9 +74,8 @@ func benchConfig(b *testing.B) sim.Config {
 	return cfg
 }
 
-// BenchmarkTableRepairCost regenerates the section 2.2.4 cost table
-// (T2 in DESIGN.md): the 77-minute worst-case repair and its
-// feasibility bounds.
+// BenchmarkTableRepairCost regenerates the section 2.2.4 cost table:
+// the 77-minute worst-case repair and its feasibility bounds.
 func BenchmarkTableRepairCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := costmodel.PaperTable()
@@ -1121,9 +1120,9 @@ func p2prun(cfg sim.Config) (*sim.Result, error) {
 
 func ExampleAcceptanceFunction() {
 	// An elder (90 days) accepting a newborn: the floor 1/L.
-	fmt.Printf("%.6f\n", AcceptanceFunction(90*24, 0, 90*24))
+	fmt.Printf("%.6f\n", selection.AcceptanceFunction(90*24, 0, 90*24))
 	// A newborn always accepts an elder.
-	fmt.Printf("%.0f\n", AcceptanceFunction(0, 90*24, 90*24))
+	fmt.Printf("%.0f\n", selection.AcceptanceFunction(0, 90*24, 90*24))
 	// Output:
 	// 0.000463
 	// 1

@@ -11,28 +11,31 @@ import (
 	"log"
 	"time"
 
-	p2pbackup "p2pbackup"
+	"p2pbackup/internal/backup"
+	"p2pbackup/internal/node"
+	"p2pbackup/internal/p2pnet"
+	"p2pbackup/internal/storage"
 )
 
 func main() {
-	transport := p2pbackup.NewInMemTransport(2026)
-	dir := p2pbackup.NewDirectory()
-	params := p2pbackup.ArchiveParams{DataBlocks: 6, ParityBlocks: 6}
+	transport := p2pnet.NewInMemTransport(2026)
+	dir := node.NewDirectory()
+	params := backup.Params{DataBlocks: 6, ParityBlocks: 6}
 
 	// Ages descend with the index so peer-00, our backup owner, is the
 	// oldest (13 weeks, past the 90-day horizon): every candidate
 	// accepts an elder requester (f = 1), exactly the regime the paper
 	// rewards long-term users with. A fresh peer would be declined by
 	// elders most of the time and have to settle for young partners.
-	var nodes []*p2pbackup.Node
+	var nodes []*node.Node
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("peer-%02d", i)
 		age := int64(20-i) * 7 * 24
-		nd, err := p2pbackup.NewNode(p2pbackup.NodeConfig{
+		nd, err := node.New(node.Config{
 			Name:            name,
 			Age:             age,
 			Transport:       transport,
-			Store:           p2pbackup.NewMemStore(0),
+			Store:           storage.NewMemStore(0),
 			Directory:       dir,
 			Params:          params,
 			RepairThreshold: 9, // repair when fewer than 9 of 12 blocks respond
@@ -47,7 +50,7 @@ func main() {
 	}
 	owner := nodes[0]
 
-	files := []p2pbackup.FileEntry{
+	files := []backup.FileEntry{
 		{Path: "documents/thesis.tex", Mode: 0o644, ModTime: time.Now(), Data: bytes.Repeat([]byte("important work "), 2000)},
 		{Path: "photos/family.raw", Mode: 0o600, ModTime: time.Now(), Data: bytes.Repeat([]byte{0xCA, 0xFE}, 15000)},
 	}
@@ -89,7 +92,7 @@ func main() {
 
 	// Disaster 3: the owner's machine burns down. All that's left is
 	// the private key; the master block and blocks live on partners.
-	archives, err := p2pbackup.RecoverFromNetwork(owner.Name(), owner.Identity(), transport, dir.Names())
+	archives, err := node.RecoverFromNetwork(owner.Name(), owner.Identity(), transport, dir.Names())
 	if err != nil {
 		log.Fatal(err)
 	}

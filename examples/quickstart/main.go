@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	p2pbackup "p2pbackup"
-
 	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/sim"
 )
@@ -20,7 +18,7 @@ import (
 // uploadHistogram is a custom probe: it buckets repair events by blocks
 // uploaded, a measurement the built-in collector does not keep.
 type uploadHistogram struct {
-	p2pbackup.BaseProbe
+	sim.BaseProbe
 	sessions int64
 	buckets  [5]int64 // <16, <32, <64, <128, >=128 blocks
 }
@@ -43,19 +41,20 @@ func (h *uploadHistogram) OnRepair(e sim.RepairEvent) {
 func (h *uploadHistogram) OnChurn(e sim.ChurnEvent) { h.sessions++ }
 
 func main() {
-	cfg := p2pbackup.DefaultSimConfig()
+	cfg := sim.DefaultConfig()
 	// Scale down from the paper's 25,000 peers x 5.7 years to seconds
 	// of wall clock; all protocol parameters stay at paper values.
 	cfg.NumPeers = 600
 	cfg.Rounds = 6000 // 250 days of hourly rounds
-	cfg.Observers = p2pbackup.PaperObservers()
+	cfg.Observers = sim.PaperObservers()
 	hist := &uploadHistogram{}
-	cfg.Probes = []p2pbackup.Probe{hist}
+	cfg.Probes = []sim.Probe{hist}
 
-	res, err := p2pbackup.RunSimulation(cfg)
+	s, err := sim.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := s.Run()
 
 	fmt.Printf("simulated %d peers for %d rounds (%.0f days)\n",
 		cfg.NumPeers, cfg.Rounds, float64(cfg.Rounds)/24)

@@ -19,13 +19,14 @@ import (
 	"fmt"
 	"log"
 
-	p2pbackup "p2pbackup"
+	"p2pbackup/internal/experiments"
+	"p2pbackup/internal/sim"
 )
 
 // smallConfig keeps every run in the seconds range while preserving the
 // paper's protocol structure.
-func smallConfig() p2pbackup.SimConfig {
-	cfg := p2pbackup.DefaultSimConfig()
+func smallConfig() sim.Config {
+	cfg := sim.DefaultConfig()
 	cfg.NumPeers = 300
 	cfg.Rounds = 3000 // 125 days of hourly rounds
 	cfg.TotalBlocks = 32
@@ -36,8 +37,8 @@ func smallConfig() p2pbackup.SimConfig {
 	return cfg
 }
 
-func runCampaign(c p2pbackup.Campaign) []p2pbackup.CampaignRow {
-	rows, err := p2pbackup.Runner{}.Run(context.Background(), c)
+func runCampaign(c experiments.Campaign) []experiments.Row {
+	rows, err := experiments.Runner{}.Run(context.Background(), c)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 	// 1. Diurnal amplitude sweep.
 	fmt.Println("diurnal availability (day/night cycle amplitude):")
 	fmt.Printf("  %-10s %8s %8s %8s\n", "variant", "repairs", "losses", "deaths")
-	for _, row := range runCampaign(p2pbackup.DiurnalCampaign(smallConfig(), []float64{0, 0.4, 0.8})) {
+	for _, row := range runCampaign(experiments.DiurnalCampaign(smallConfig(), []float64{0, 0.4, 0.8})) {
 		fmt.Printf("  %-10s %8d %8d %8d\n", row.Name,
 			row.Result.Collector.TotalRepairs(), row.Result.Collector.TotalLosses(), row.Result.Deaths)
 	}
@@ -56,7 +57,7 @@ func main() {
 	// 2. Correlated-failure scenarios.
 	fmt.Println("\ncorrelated failures (shocks vs baseline):")
 	fmt.Printf("  %-18s %8s %8s %7s %12s\n", "variant", "repairs", "losses", "shocks", "shock-losses")
-	for _, row := range runCampaign(p2pbackup.BlackoutCampaign(smallConfig())) {
+	for _, row := range runCampaign(experiments.BlackoutCampaign(smallConfig())) {
 		col := row.Result.Collector
 		fmt.Printf("  %-18s %8d %8d %7d %12d\n", row.Name,
 			col.TotalRepairs(), col.TotalLosses(), col.TotalShocks(), col.ShockAttributedLosses())
@@ -66,15 +67,16 @@ func main() {
 	// selection strategy through the identical churn sequence.
 	rec := smallConfig()
 	rec.RecordTrace = true
-	res, err := p2pbackup.RunSimulation(rec)
+	s, err := sim.New(rec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := s.Run()
 	trace := res.Trace
 	fmt.Printf("\ntrace replay (%d churn events, %d departures, every strategy on the same churn):\n",
 		len(trace.Events), res.Deaths)
 	fmt.Printf("  %-22s %8s %8s %8s\n", "strategy", "repairs", "losses", "deaths")
-	for _, row := range runCampaign(p2pbackup.ReplayCampaign(smallConfig(), trace)) {
+	for _, row := range runCampaign(experiments.ReplayCampaign(smallConfig(), trace)) {
 		fmt.Printf("  %-22s %8d %8d %8d\n", row.Name,
 			row.Result.Collector.TotalRepairs(), row.Result.Collector.TotalLosses(), row.Result.Deaths)
 	}

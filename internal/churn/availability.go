@@ -63,7 +63,8 @@ func (m SessionModel) SessionLength(r *rng.Rand, availability float64, online bo
 // BernoulliModel reproduces independent per-round coin flips: run
 // lengths of a Bernoulli(a) sequence are geometric, so online sessions
 // are Geometric(1-a) and offline sessions Geometric(a). Provided for
-// the availability-model ablation (A2 in DESIGN.md).
+// the availability-model ablation (the ablation-availability
+// experiment).
 type BernoulliModel struct{}
 
 // Name implements AvailabilityModel.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestPaperProfiles(t *testing.T) {
-	// This test pins the paper's profile table (T3 in DESIGN.md).
+	// This test pins the paper's behaviour-profile table (§4.1.1).
 	ps := PaperProfiles()
 	if ps.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", ps.Len())

@@ -128,7 +128,7 @@ func (m DiurnalModel) SessionLengthAt(r *rng.Rand, availability float64, online 
 
 // Validate checks the model parameters.
 func (m DiurnalModel) Validate() error {
-	if m.Amplitude < 0 || m.Amplitude > 1 {
+	if !(m.Amplitude >= 0 && m.Amplitude <= 1) { // negated, so NaN fails too
 		return fmt.Errorf("churn: diurnal amplitude %v outside [0,1]", m.Amplitude)
 	}
 	if m.Period < 0 {

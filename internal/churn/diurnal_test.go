@@ -108,6 +108,12 @@ func TestDiurnalModelByName(t *testing.T) {
 	if _, err := ModelByName("diurnal:1.5"); err == nil {
 		t.Fatal("out-of-range amplitude accepted")
 	}
+	// NaN fails every comparison a range check can make.
+	for _, name := range []string{"diurnal:NaN", "diurnal:+Inf", "diurnal:-Inf"} {
+		if _, err := ModelByName(name); err == nil {
+			t.Errorf("ModelByName(%q) accepted a non-finite amplitude", name)
+		}
+	}
 }
 
 func TestDiurnalValidate(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPaperNumbers(t *testing.T) {
-	// Pins the section 2.2.4 arithmetic (T2 in DESIGN.md).
+	// Pins the section 2.2.4 arithmetic.
 	link := DSL2009()
 	code := PaperCode()
 	if code.BlockBytes() != 1*MB {

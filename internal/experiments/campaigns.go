@@ -78,13 +78,14 @@ func ablationCampaign(cfg sim.Config, name string, labels []string, mutate func(
 	return c
 }
 
-// StrategyCampaign compares every registered partner-selection strategy
-// (A1 in DESIGN.md) on identical populations. Variants resolve through
-// the spec registry (sim.Config.StrategySpec), so estimator-backed and
-// monitored-availability strategies get the engine's monitoring
-// substrate; specs omitting a horizon inherit the config's
-// AcceptHorizon. Registration order is stable (the historical five
-// first), keeping the index-derived variant seeds reproducible.
+// StrategyCampaign compares every partner-selection strategy (the
+// ablation-strategy experiment) on identical populations. Variants
+// resolve through their spec strings (sim.Config.StrategySpec), so
+// estimator-backed and monitored-availability strategies get the
+// engine's monitoring substrate; specs omitting a horizon inherit the
+// config's AcceptHorizon. selection.Names keeps its table order (the
+// historical five first), keeping the index-derived variant seeds
+// reproducible.
 func StrategyCampaign(cfg sim.Config) Campaign {
 	names := selection.Names()
 	return ablationCampaign(cfg, "strategy", names, func(c *sim.Config, i int) {

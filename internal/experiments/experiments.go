@@ -1,6 +1,6 @@
 // Package experiments defines the runnable experiments that regenerate
 // every table and figure of the paper's evaluation, plus the ablations
-// called out in DESIGN.md.
+// and scenario campaigns README lists.
 //
 // The execution surface is the Campaign/Runner pair: a Campaign is a
 // declarative batch — one base sim.Config and a list of Variants, each
@@ -35,7 +35,7 @@ type Scale string
 
 // Scale presets. All keep the paper's intensive parameters (n, k,
 // quota, thresholds, profile mix) and shrink the population and/or
-// duration; EXPERIMENTS.md records which preset produced which numbers.
+// duration; README lists each preset's population.
 const (
 	// ScaleSmoke: 600 peers, 20,000 rounds (~2.3 years): minutes for a
 	// full sweep on a laptop; elders exist.

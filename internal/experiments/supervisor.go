@@ -617,21 +617,3 @@ func readJournal(path string) (entries []*journalEntry, skipped int, err error) 
 	}
 	return entries, skipped, sc.Err()
 }
-
-// ReadJournalStatus summarises a checkpoint journal for CLI reporting:
-// per-status variant counts keyed by campaign name.
-func ReadJournalStatus(path string) (ok, failed int, err error) {
-	entries, _, err := readJournal(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, e := range entries {
-		switch e.Status {
-		case "ok":
-			ok++
-		case "failed":
-			failed++
-		}
-	}
-	return ok, failed, nil
-}

@@ -247,11 +247,15 @@ func TestSupervisedExhaustedRetries(t *testing.T) {
 		t.Errorf("missing or wrong failure summary: %q", summary)
 	}
 
-	ok, failedN, err := ReadJournalStatus(journal)
+	entries, _, err := readJournal(journal)
 	if err != nil {
-		t.Fatalf("ReadJournalStatus: %v", err)
+		t.Fatalf("readJournal: %v", err)
 	}
-	if ok != 3 || failedN != 1 {
+	status := map[string]int{}
+	for _, e := range entries {
+		status[e.Status]++
+	}
+	if ok, failedN := status["ok"], status["failed"]; ok != 3 || failedN != 1 {
 		t.Errorf("journal status ok=%d failed=%d, want 3/1", ok, failedN)
 	}
 }

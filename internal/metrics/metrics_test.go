@@ -7,7 +7,7 @@ import (
 )
 
 func TestCategoryBounds(t *testing.T) {
-	// Pins the paper's age-category table (T4 in DESIGN.md).
+	// Pins the paper's age-category table (§4.2.1).
 	cases := []struct {
 		age  int64
 		want Category
@@ -180,7 +180,7 @@ func TestCollectorPanicsOnBadParams(t *testing.T) {
 }
 
 func TestObserverTracker(t *testing.T) {
-	// Pins the paper's observer table (T5 in DESIGN.md).
+	// Pins the paper's fixed-age observer table (§4.2.2).
 	names := []string{"elder", "senior", "adult", "teenager", "baby"}
 	tr := NewObserverTracker(names)
 	if tr.Len() != 5 {

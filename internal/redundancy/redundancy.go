@@ -19,8 +19,8 @@
 // scan over n would — and the upload cost of a grow decision is priced
 // by costmodel.ParityUploadCost.
 //
-// Policies resolve through a spec-string registry mirroring
-// selection.Register/Parse:
+// Policies resolve through Parse, in the spec-string grammar selection
+// shares (package spec):
 //
 //	fixed                                       the inert paper behaviour
 //	adaptive                                    defaults: min=k', max=n, target=0.99999

@@ -3,6 +3,7 @@ package redundancy
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -270,24 +271,15 @@ func TestAdaptiveTarget(t *testing.T) {
 	}
 }
 
+// TestRegisterPanics is the static table's sanity check: every entry has
+// a builder and a name that is non-empty, unique and free of parameter
+// syntax, or the grammar could not reach it.
 func TestRegisterPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty name":  func() { Register("", func(*SpecParams) (Policy, error) { return Fixed{}, nil }) },
-		"nil builder": func() { Register("x-test-nil", nil) },
-		"param syntax": func() {
-			Register("bad=name", func(*SpecParams) (Policy, error) { return Fixed{}, nil })
-		},
-		"duplicate": func() {
-			Register("fixed", func(*SpecParams) (Policy, error) { return Fixed{}, nil })
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register %s did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	seen := map[string]bool{}
+	for i, e := range table {
+		if e.Name == "" || e.Build == nil || strings.ContainsAny(e.Name, "=, ") || seen[e.Name] {
+			t.Errorf("table[%d] = %q: empty, duplicate, builderless or holding parameter syntax", i, e.Name)
+		}
+		seen[e.Name] = true
 	}
 }

@@ -1,232 +1,45 @@
 package redundancy
 
-// Spec-string registry, mirroring selection.Register/Parse: every
-// redundancy policy the campaigns and the CLI can name resolves through
-// Parse. A spec is NAME[:PARAMS]; PARAMS is a comma-separated list of
-// key=value pairs, or one bare value for the policy's primary parameter
-// (adaptive's target durability). Unknown names wrap ErrUnknownPolicy;
-// unknown or malformed parameters wrap ErrBadSpec.
+// Spec strings: every redundancy policy the campaigns and the CLI can
+// name resolves through Parse, in the NAME[:PARAMS] grammar of package
+// spec that selection's strategies share. PARAMS is a comma-separated
+// list of key=value pairs, or one bare value for the policy's primary
+// parameter (adaptive's target durability). Unknown names wrap
+// ErrUnknownPolicy; unknown or malformed parameters wrap ErrBadSpec.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+
+	"p2pbackup/internal/spec"
 )
 
-// ErrUnknownPolicy reports a spec whose name is not registered.
+// ErrUnknownPolicy reports a spec whose name is not known.
 var ErrUnknownPolicy = errors.New("redundancy: unknown policy")
 
 // ErrBadSpec reports a recognised policy given malformed, unknown or
 // misplaced parameters.
 var ErrBadSpec = errors.New("redundancy: bad policy spec")
 
-// SpecParams gives a Builder typed access to a spec's parameters. Every
-// accessor consumes its key; Parse rejects the spec if any parameter is
-// left unconsumed, so policies cannot silently ignore arguments.
-type SpecParams struct {
-	name string
-	kv   map[string]string
-	used map[string]bool
-	err  error
-}
-
-// fail records the first parameter error.
-func (p *SpecParams) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-// lookup consumes key (or, when primary, the bare positional value).
-func (p *SpecParams) lookup(key string, primary bool) (string, bool) {
-	if v, ok := p.kv[key]; ok {
-		p.used[key] = true
-		return v, ok
-	}
-	if primary {
-		if v, ok := p.kv[""]; ok {
-			p.used[""] = true
-			return v, ok
-		}
-	}
-	return "", false
-}
-
-// Int returns the named integer parameter, or def when absent.
-func (p *SpecParams) Int(key string, def int) int {
-	s, ok := p.lookup(key, false)
-	if !ok {
-		return def
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		p.fail(fmt.Errorf("%w: %s: parameter %s=%q is not an integer", ErrBadSpec, p.name, key, s))
-		return def
-	}
-	return v
-}
-
-// Int64 returns the named 64-bit integer parameter, or def when absent.
-func (p *SpecParams) Int64(key string, def int64) int64 {
-	s, ok := p.lookup(key, false)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		p.fail(fmt.Errorf("%w: %s: parameter %s=%q is not an integer", ErrBadSpec, p.name, key, s))
-		return def
-	}
-	return v
-}
-
-// FloatPrimary returns the named float parameter, also accepting the
-// spec's bare positional value ("adaptive:0.95"), or def when absent.
-func (p *SpecParams) FloatPrimary(key string, def float64) float64 {
-	s, ok := p.lookup(key, true)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		p.fail(fmt.Errorf("%w: %s: parameter %s=%q is not a number", ErrBadSpec, p.name, key, s))
-		return def
-	}
-	return v
-}
-
-// Builder constructs a Policy from a parsed spec.
-type Builder func(p *SpecParams) (Policy, error)
-
-// registry preserves registration order: Names feeds campaign variant
-// lists, whose seeds are index-derived, so order is part of the
-// reproducibility contract (same discipline as selection's registry).
-var (
-	registryNames []string
-	registry      = map[string]Builder{}
-)
-
-// Register adds a policy spec name to the registry. Names may not
-// contain parameter syntax. Register panics on duplicates or empty
-// names; it is meant for init-time use and is not safe to call
-// concurrently with Parse.
-func Register(name string, b Builder) {
-	if name == "" || b == nil {
-		panic("redundancy: Register with empty name or nil builder")
-	}
-	if strings.ContainsAny(name, "=, ") {
-		panic(fmt.Sprintf("redundancy: Register name %q contains parameter syntax", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("redundancy: duplicate policy %q", name))
-	}
-	registryNames = append(registryNames, name)
-	registry[name] = b
-}
-
-// Names lists the registered spec names in registration order (the
-// built-ins first).
-func Names() []string {
-	return append([]string(nil), registryNames...)
-}
+// Names lists the policy spec names in table order (fixed first).
+func Names() []string { return spec.Names(table) }
 
 // Parse resolves a redundancy policy spec. The empty spec is "fixed",
 // the paper's behaviour. The returned policy still needs Bind against
 // the concrete code shape (sim.Config.Validate does this).
-func Parse(spec string) (Policy, error) {
-	if spec == "" {
-		spec = "fixed"
+func Parse(s string) (Policy, error) {
+	if s == "" {
+		s = "fixed"
 	}
-	name, params, err := splitSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	kv, err := parseParams(name, params)
-	if err != nil {
-		return nil, err
-	}
-	sp := &SpecParams{name: name, kv: kv, used: make(map[string]bool, len(kv))}
-	pol, err := registry[name](sp)
-	if err != nil {
-		return nil, err
-	}
-	if sp.err != nil {
-		return nil, sp.err
-	}
-	var unused []string
-	for k := range kv {
-		if !sp.used[k] {
-			if k == "" {
-				k = "(positional value)"
-			}
-			unused = append(unused, k)
-		}
-	}
-	if len(unused) > 0 {
-		sort.Strings(unused)
-		return nil, fmt.Errorf("%w: %s does not take parameter(s) %s",
-			ErrBadSpec, name, strings.Join(unused, ", "))
-	}
-	return pol, nil
+	return spec.Parse(s, table, struct{}{}, ErrUnknownPolicy, ErrBadSpec)
 }
 
-// splitSpec finds the longest registered name that is the whole spec or
-// a prefix of it followed by ':'; the remainder is the parameter list.
-func splitSpec(spec string) (name, params string, err error) {
-	if _, ok := registry[spec]; ok {
-		return spec, "", nil
-	}
-	best := -1
-	for i := len(spec) - 1; i > 0; i-- {
-		if spec[i] != ':' {
-			continue
-		}
-		if _, ok := registry[spec[:i]]; ok {
-			best = i
-			break
-		}
-	}
-	if best < 0 {
-		return "", "", fmt.Errorf("%w: %q (want one of %v)", ErrUnknownPolicy, spec, Names())
-	}
-	return spec[:best], spec[best+1:], nil
-}
-
-// parseParams splits "k1=v1,k2=v2" (or one bare value) into a map; the
-// bare value is stored under the empty key.
-func parseParams(name, params string) (map[string]string, error) {
-	kv := map[string]string{}
-	if params == "" {
-		return kv, nil
-	}
-	for _, part := range strings.Split(params, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, fmt.Errorf("%w: %s: empty parameter", ErrBadSpec, name)
-		}
-		k, v, found := strings.Cut(part, "=")
-		if !found {
-			k, v = "", part
-		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("%w: %s: duplicate parameter %q", ErrBadSpec, name, part)
-		}
-		if found && (k == "" || v == "") {
-			return nil, fmt.Errorf("%w: %s: malformed parameter %q", ErrBadSpec, name, part)
-		}
-		kv[k] = v
-	}
-	if _, bare := kv[""]; bare && len(kv) > 1 {
-		return nil, fmt.Errorf("%w: %s: positional value mixed with keyed parameters", ErrBadSpec, name)
-	}
-	return kv, nil
-}
-
-func init() {
-	Register("fixed", func(p *SpecParams) (Policy, error) { return Fixed{}, nil })
-	Register("adaptive", func(p *SpecParams) (Policy, error) {
+// table is every policy spec, in order: Names feeds campaign variant
+// lists, whose seeds are index-derived, so order is part of the
+// reproducibility contract. Append; never reorder.
+var table = []spec.Entry[struct{}, Policy]{
+	{Name: "fixed", Build: func(*spec.Params, struct{}) (Policy, error) { return Fixed{}, nil }},
+	{Name: "adaptive", Build: func(p *spec.Params, _ struct{}) (Policy, error) {
 		a := Adaptive{
 			Min:              p.Int("min", 0),
 			Max:              p.Int("max", 0),
@@ -256,5 +69,5 @@ func init() {
 			return nil, fmt.Errorf("%w: adaptive: sample=%d must be >= 1", ErrBadSpec, a.Sample)
 		}
 		return a, nil
-	})
+	}},
 }

@@ -21,8 +21,8 @@
 //
 // The package's surface is the observable/oracle knowledge split in
 // view.go (View, Context, Policy), the policies in policies.go and the
-// spec-string registry in spec.go (Register, Parse): every strategy has
-// one implementation, reached by its spec name.
+// spec-string table in spec.go (Parse, Names): every strategy has one
+// implementation, reached by its spec name.
 //
 // A Policy may declare what a caller is allowed to assume about it,
 // through optional methods: AlwaysAccepts (acceptance is constantly

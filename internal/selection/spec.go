@@ -1,9 +1,8 @@
 package selection
 
-// Spec-string registry: every strategy point the campaigns and the CLI
-// can name resolves through Parse, mirroring churn.ModelByName's
-// "name[:params]" grammar ("diurnal:0.25") but with an extensible
-// registry and keyed parameters:
+// Spec strings: every strategy point the campaigns and the CLI can name
+// resolves through Parse, in the NAME[:PARAMS] grammar of package spec
+// that redundancy's policies share:
 //
 //	age                     paper strategy, L = default horizon
 //	age:L=2160              paper strategy, explicit horizon in rounds
@@ -12,23 +11,20 @@ package selection
 //	estimator:empirical:n=256
 //	monitored-availability:720   rank by monitored uptime, 720-round window
 //
-// A spec is NAME[:PARAMS]; registered names may themselves contain
-// colons (Parse matches the longest registered name first), and PARAMS
-// is a comma-separated list of key=value pairs, or one bare value for
-// the strategy's primary parameter. Unknown names wrap
+// Names may themselves contain colons (the longest known name wins), and
+// PARAMS is a comma-separated list of key=value pairs, or one bare value
+// for the strategy's primary parameter. Unknown names wrap
 // ErrUnknownStrategy; unknown or malformed parameters wrap ErrBadSpec.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/lifetime"
 	"p2pbackup/internal/rng"
+	"p2pbackup/internal/spec"
 )
 
 // ErrBadSpec reports a recognised strategy given malformed, unknown or
@@ -55,207 +51,22 @@ func (d Defaults) horizon() int64 {
 	return DefaultHorizon
 }
 
-// SpecParams gives a Builder typed access to a spec's parameters. Every
-// accessor consumes its key; Parse rejects the spec if any parameter is
-// left unconsumed, so strategies cannot silently ignore arguments.
-type SpecParams struct {
-	// Defaults carries the caller's fallbacks (ParseWith).
-	Defaults Defaults
-	name     string
-	kv       map[string]string
-	used     map[string]bool
-	err      error
-}
-
-// fail records the first parameter error.
-func (p *SpecParams) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-// lookup consumes key (or, when primary, the bare positional value).
-func (p *SpecParams) lookup(key string, primary bool) (string, bool) {
-	if v, ok := p.kv[key]; ok {
-		p.used[key] = true
-		return v, ok
-	}
-	if primary {
-		if v, ok := p.kv[""]; ok {
-			p.used[""] = true
-			return v, ok
-		}
-	}
-	return "", false
-}
-
-// Int64 returns the named integer parameter, or def when absent.
-func (p *SpecParams) Int64(key string, def int64) int64 {
-	return p.int64(key, def, false)
-}
-
-// Int64Primary is Int64 that also accepts the spec's bare positional
-// value ("monitored-availability:720").
-func (p *SpecParams) Int64Primary(key string, def int64) int64 {
-	return p.int64(key, def, true)
-}
-
-func (p *SpecParams) int64(key string, def int64, primary bool) int64 {
-	s, ok := p.lookup(key, primary)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		p.fail(fmt.Errorf("%w: %s: parameter %s=%q is not an integer", ErrBadSpec, p.name, key, s))
-		return def
-	}
-	return v
-}
-
-// Float returns the named float parameter, or def when absent.
-func (p *SpecParams) Float(key string, def float64) float64 {
-	s, ok := p.lookup(key, false)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		p.fail(fmt.Errorf("%w: %s: parameter %s=%q is not a number", ErrBadSpec, p.name, key, s))
-		return def
-	}
-	return v
-}
-
-// Builder constructs a Policy from a parsed spec.
-type Builder func(p *SpecParams) (Policy, error)
-
-// registry preserves registration order: Names feeds the strategy
-// campaigns, whose variant seeds are index-derived, so order is part of
-// the reproducibility contract.
-var (
-	registryNames []string
-	registry      = map[string]Builder{}
-)
-
-// Register adds a strategy spec name to the registry. Names may contain
-// colons ("estimator:pareto") but not parameter syntax. Register panics
-// on duplicates or empty names; it is meant for init-time use and is
-// not safe to call concurrently with Parse.
-func Register(name string, b Builder) {
-	if name == "" || b == nil {
-		panic("selection: Register with empty name or nil builder")
-	}
-	if strings.ContainsAny(name, "=, ") {
-		panic(fmt.Sprintf("selection: Register name %q contains parameter syntax", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("selection: duplicate strategy %q", name))
-	}
-	registryNames = append(registryNames, name)
-	registry[name] = b
-}
-
-// Names lists the registered spec names in registration order (the
-// built-ins first, in their historical order).
-func Names() []string {
-	return append([]string(nil), registryNames...)
-}
+// Names lists the strategy spec names in table order (the historical
+// five first).
+func Names() []string { return spec.Names(table) }
 
 // Parse resolves a strategy spec with paper defaults (90-day horizon).
-func Parse(spec string) (Policy, error) {
-	return ParseWith(spec, Defaults{})
+func Parse(s string) (Policy, error) {
+	return ParseWith(s, Defaults{})
 }
 
 // ParseWith resolves a strategy spec, using d for parameters the spec
 // omits. The empty spec is the paper's age strategy.
-func ParseWith(spec string, d Defaults) (Policy, error) {
-	if spec == "" {
-		spec = "age"
+func ParseWith(s string, d Defaults) (Policy, error) {
+	if s == "" {
+		s = "age"
 	}
-	name, params, err := splitSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	kv, err := parseParams(name, params)
-	if err != nil {
-		return nil, err
-	}
-	sp := &SpecParams{Defaults: d, name: name, kv: kv, used: make(map[string]bool, len(kv))}
-	pol, err := registry[name](sp)
-	if err != nil {
-		return nil, err
-	}
-	if sp.err != nil {
-		return nil, sp.err
-	}
-	var unused []string
-	for k := range kv {
-		if !sp.used[k] {
-			if k == "" {
-				k = "(positional value)"
-			}
-			unused = append(unused, k)
-		}
-	}
-	if len(unused) > 0 {
-		sort.Strings(unused)
-		return nil, fmt.Errorf("%w: %s does not take parameter(s) %s",
-			ErrBadSpec, name, strings.Join(unused, ", "))
-	}
-	return pol, nil
-}
-
-// splitSpec finds the longest registered name that is the whole spec or
-// a prefix of it followed by ':'; the remainder is the parameter list.
-func splitSpec(spec string) (name, params string, err error) {
-	if _, ok := registry[spec]; ok {
-		return spec, "", nil
-	}
-	best := -1
-	for i := len(spec) - 1; i > 0; i-- {
-		if spec[i] != ':' {
-			continue
-		}
-		if _, ok := registry[spec[:i]]; ok {
-			best = i
-			break
-		}
-	}
-	if best < 0 {
-		return "", "", fmt.Errorf("%w: %q (want one of %v)", ErrUnknownStrategy, spec, Names())
-	}
-	return spec[:best], spec[best+1:], nil
-}
-
-// parseParams splits "k1=v1,k2=v2" (or one bare value) into a map; the
-// bare value is stored under the empty key.
-func parseParams(name, params string) (map[string]string, error) {
-	kv := map[string]string{}
-	if params == "" {
-		return kv, nil
-	}
-	for _, part := range strings.Split(params, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, fmt.Errorf("%w: %s: empty parameter", ErrBadSpec, name)
-		}
-		k, v, found := strings.Cut(part, "=")
-		if !found {
-			k, v = "", part
-		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("%w: %s: duplicate parameter %q", ErrBadSpec, name, part)
-		}
-		if found && (k == "" || v == "") {
-			return nil, fmt.Errorf("%w: %s: malformed parameter %q", ErrBadSpec, name, part)
-		}
-		kv[k] = v
-	}
-	if _, bare := kv[""]; bare && len(kv) > 1 {
-		return nil, fmt.Errorf("%w: %s: positional value mixed with keyed parameters", ErrBadSpec, name)
-	}
-	return kv, nil
+	return spec.Parse(s, table, d, ErrUnknownStrategy, ErrBadSpec)
 }
 
 // ---------------------------------------------------------------------------
@@ -301,26 +112,29 @@ func defaultEmpiricalSamples(n int) []float64 {
 	return out
 }
 
-func init() {
-	Register("age", func(p *SpecParams) (Policy, error) {
-		l := p.Int64Primary("L", p.Defaults.horizon())
+// table is every strategy spec, in order: Names feeds the strategy
+// campaigns, whose variant seeds are index-derived, so order is part of
+// the reproducibility contract. Append; never reorder.
+var table = []spec.Entry[Defaults, Policy]{
+	{Name: "age", Build: func(p *spec.Params, d Defaults) (Policy, error) {
+		l := p.Int64Primary("L", d.horizon())
 		if l <= 0 {
 			return nil, fmt.Errorf("%w: age: horizon L=%d must be positive", ErrBadSpec, l)
 		}
 		return agePolicy{L: l}, nil
-	})
-	Register("random", func(p *SpecParams) (Policy, error) { return randomPolicy{}, nil })
-	Register("availability-oracle", func(p *SpecParams) (Policy, error) { return availOraclePolicy{}, nil })
-	Register("lifetime-oracle", func(p *SpecParams) (Policy, error) { return lifetimeOraclePolicy{}, nil })
-	Register("youngest-first", func(p *SpecParams) (Policy, error) { return youngestPolicy{}, nil })
-	Register("estimator:age", func(p *SpecParams) (Policy, error) {
-		l := p.Int64Primary("L", p.Defaults.horizon())
+	}},
+	{Name: "random", Build: func(*spec.Params, Defaults) (Policy, error) { return randomPolicy{}, nil }},
+	{Name: "availability-oracle", Build: func(*spec.Params, Defaults) (Policy, error) { return availOraclePolicy{}, nil }},
+	{Name: "lifetime-oracle", Build: func(*spec.Params, Defaults) (Policy, error) { return lifetimeOraclePolicy{}, nil }},
+	{Name: "youngest-first", Build: func(*spec.Params, Defaults) (Policy, error) { return youngestPolicy{}, nil }},
+	{Name: "estimator:age", Build: func(p *spec.Params, d Defaults) (Policy, error) {
+		l := p.Int64Primary("L", d.horizon())
 		if l <= 0 {
 			return nil, fmt.Errorf("%w: estimator:age: horizon L=%d must be positive", ErrBadSpec, l)
 		}
 		return EstimatorRanked{Est: lifetime.AgeRank{Horizon: float64(l)}, Label: "estimator:age"}, nil
-	})
-	Register("estimator:pareto", func(p *SpecParams) (Policy, error) {
+	}},
+	{Name: "estimator:pareto", Build: func(p *spec.Params, _ Defaults) (Policy, error) {
 		alpha := p.Float("alpha", DefaultParetoAlpha)
 		xm := p.Float("xm", DefaultParetoXm)
 		// Negated comparisons so NaN parameters fail too.
@@ -329,8 +143,8 @@ func init() {
 				ErrBadSpec, alpha, xm)
 		}
 		return EstimatorRanked{Est: lifetime.ParetoModel{Xm: xm, Alpha: alpha}, Label: "estimator:pareto"}, nil
-	})
-	Register("estimator:empirical", func(p *SpecParams) (Policy, error) {
+	}},
+	{Name: "estimator:empirical", Build: func(p *spec.Params, _ Defaults) (Policy, error) {
 		const maxSamples = 1 << 16 // bounds parse-time sampling work and memory
 		n := p.Int64Primary("n", DefaultEmpiricalSamples)
 		if n < 2 || n > maxSamples {
@@ -342,12 +156,12 @@ func init() {
 			return nil, fmt.Errorf("selection: estimator:empirical: %w", err)
 		}
 		return EstimatorRanked{Est: model, Label: "estimator:empirical"}, nil
-	})
-	Register("monitored-availability", func(p *SpecParams) (Policy, error) {
-		w := p.Int64Primary("W", p.Defaults.horizon())
+	}},
+	{Name: "monitored-availability", Build: func(p *spec.Params, d Defaults) (Policy, error) {
+		w := p.Int64Primary("W", d.horizon())
 		if w <= 0 {
 			return nil, fmt.Errorf("%w: monitored-availability: window W=%d must be positive", ErrBadSpec, w)
 		}
 		return MonitoredAvailability{Window: w}, nil
-	})
+	}},
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"p2pbackup/internal/lifetime"
+	"p2pbackup/internal/spec"
 )
 
 func TestParseBuiltins(t *testing.T) {
@@ -117,6 +118,15 @@ func TestNamesCoverRegistry(t *testing.T) {
 			t.Fatalf("Names() = %v missing %q", names, want)
 		}
 	}
+	// Every entry has a builder and a name that is non-empty, unique and
+	// free of parameter syntax, or the grammar could not reach it.
+	seen := map[string]bool{}
+	for i, e := range table {
+		if e.Name == "" || e.Build == nil || strings.ContainsAny(e.Name, "=, ") || seen[e.Name] {
+			t.Errorf("table[%d] = %q: empty, duplicate, builderless or holding parameter syntax", i, e.Name)
+		}
+		seen[e.Name] = true
+	}
 	for _, n := range names {
 		if _, err := Parse(n); err != nil {
 			t.Errorf("registered name %q does not parse bare: %v", n, err)
@@ -125,11 +135,15 @@ func TestNamesCoverRegistry(t *testing.T) {
 }
 
 func TestRegisterCustomSpec(t *testing.T) {
-	// Registering and parsing a custom strategy, with parameters.
-	Register("test:constant", func(p *SpecParams) (Policy, error) {
+	// A custom strategy with parameters is one more table entry. It stays
+	// appended: FuzzParse, which runs after the tests, seeds from Names().
+	table = append(table, spec.Entry[Defaults, Policy]{Name: "test:constant", Build: func(p *spec.Params, _ Defaults) (Policy, error) {
 		c := p.Float("c", 1)
 		return EstimatorRanked{Est: lifetime.AgeRank{Horizon: c}, Label: "test:constant"}, nil
-	})
+	}})
+	if names := Names(); names[len(names)-1] != "test:constant" {
+		t.Fatalf("Names() = %v, want the appended entry last", names)
+	}
 	pol, err := Parse("test:constant:c=5")
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +154,11 @@ func TestRegisterCustomSpec(t *testing.T) {
 	if _, err := Parse("test:constant:d=5"); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("unknown custom parameter accepted: %v", err)
 	}
-	// Duplicate registration panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register("test:constant", func(p *SpecParams) (Policy, error) { return nil, nil })
+	// The longest name wins: "test:constant" is not "test" with a
+	// parameter, and an unknown prefix stays unknown.
+	if _, err := Parse("test:c=5"); !errors.Is(err, ErrUnknownStrategy) {
+		t.Fatalf("Parse(test:c=5) = %v, want ErrUnknownStrategy", err)
+	}
 }
 
 func TestEstimatorSpecsAreDeterministic(t *testing.T) {

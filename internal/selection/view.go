@@ -54,7 +54,9 @@ func (o Observed) Uptime(now, window int64) (uptime float64, ok bool) {
 // Oracle is ground truth only the simulator knows: the peer's true
 // long-run availability and its true remaining lifetime. Implementable
 // strategies must not read it; the oracle baselines exist precisely to
-// bound what perfect knowledge would buy (DESIGN.md A1).
+// bound what perfect knowledge would buy (the ablation-strategy
+// experiment; ARCHITECTURE.md, "The selection knowledge split and spec
+// grammar").
 type Oracle struct {
 	// Availability is the peer's true long-run online fraction.
 	Availability float64

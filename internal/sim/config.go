@@ -116,7 +116,8 @@ type Config struct {
 	StrategySpec string
 
 	// DropOffline: repairs abandon currently offline partners (default
-	// true; see DESIGN.md section 4).
+	// true; see ARCHITECTURE.md, "internal/maintenance — the repair
+	// protocol").
 	DropOffline bool
 	// CancelOnRecover: pending repairs abort if visibility recovers
 	// (default true).

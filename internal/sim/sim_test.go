@@ -56,7 +56,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	// Pins the paper's parameter tables (T1 in DESIGN.md).
+	// Pins the paper's simulation parameters (§3.1, §3.2).
 	cfg := DefaultConfig()
 	if cfg.NumPeers != 25000 {
 		t.Errorf("NumPeers = %d, want 25000", cfg.NumPeers)
@@ -79,7 +79,7 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 }
 
 func TestPaperObservers(t *testing.T) {
-	// Pins the observer table (T5 in DESIGN.md).
+	// Pins the paper's fixed-age observer table (§4.2.2).
 	obs := PaperObservers()
 	want := []struct {
 		name string

@@ -1,6 +1,9 @@
 package transfer
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParse throws arbitrary class-spec strings at the bandwidth
 // parser (the CLI's -bandwidth flag). Every input must either produce
@@ -45,6 +48,22 @@ func FuzzParse(f *testing.F) {
 		}
 		if _, err := Parse(spec); err != nil {
 			t.Fatalf("Parse(%q) succeeded then failed: %v", spec, err)
+		}
+		// Accepted means usable: finite shares in [0, 1] summing to 1 and
+		// finite non-negative rates. A share is positive unless it
+		// underflowed beside a vastly larger one (5e-324 next to 1e308),
+		// which leaves a class that is never drawn.
+		sum, positive := 0.0, false
+		for _, c := range p.Classes {
+			if !(c.Proportion >= 0 && c.Proportion <= 1) || !(c.Up >= 0) || !(c.Down >= 0) ||
+				math.IsInf(c.Up, 1) || math.IsInf(c.Down, 1) {
+				t.Fatalf("Parse(%q) accepted class %+v", spec, c)
+			}
+			sum += c.Proportion
+			positive = positive || c.Proportion > 0
+		}
+		if !positive || math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("Parse(%q) accepted shares summing to %v", spec, sum)
 		}
 	})
 }

@@ -41,6 +41,7 @@ package transfer
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -134,6 +135,19 @@ func (p *Params) Validate() (*Params, error) {
 			return nil, fmt.Errorf("transfer: class %q has negative inflight cap %d", c.Name, c.MaxInflight)
 		}
 		total += c.Proportion
+	}
+	// NaN passes every comparison above and +Inf the sign checks, and
+	// either would leave NaN or zero shares behind, as would finite
+	// proportions whose sum overflows.
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for _, c := range out.Classes {
+		if !finite(c.Proportion) || !finite(c.Up) || !finite(c.Down) {
+			return nil, fmt.Errorf("transfer: class %q has a non-finite proportion or rate (prop=%v up=%v down=%v)",
+				c.Name, c.Proportion, c.Up, c.Down)
+		}
+	}
+	if !finite(total) {
+		return nil, fmt.Errorf("transfer: class proportions sum to %v", total)
 	}
 	for i := range out.Classes {
 		out.Classes[i].Proportion /= total

@@ -1,17 +1,33 @@
 package p2pbackup
 
+// The TestFacade* tests pin what README's entry points promise, through
+// the packages README names: a simulation run, the paper's defaults,
+// the RS round trip, the acceptance function, the Pareto fit, the
+// 77-minute repair, the experiment registry, a live
+// backup/restore/recover, and the time units.
+
 import (
 	"bytes"
 	"context"
 	"testing"
 	"time"
 
+	"p2pbackup/internal/backup"
 	"p2pbackup/internal/churn"
+	"p2pbackup/internal/costmodel"
+	"p2pbackup/internal/erasure"
+	"p2pbackup/internal/experiments"
+	"p2pbackup/internal/lifetime"
 	"p2pbackup/internal/metrics"
+	"p2pbackup/internal/node"
+	"p2pbackup/internal/p2pnet"
+	"p2pbackup/internal/selection"
+	"p2pbackup/internal/sim"
+	"p2pbackup/internal/storage"
 )
 
 func TestFacadeSimulation(t *testing.T) {
-	cfg := DefaultSimConfig()
+	cfg := sim.DefaultConfig()
 	cfg.NumPeers = 120
 	cfg.Rounds = 200
 	cfg.TotalBlocks = 16
@@ -20,36 +36,37 @@ func TestFacadeSimulation(t *testing.T) {
 	cfg.Quota = 48
 	cfg.PoolSamplePerRound = 32
 	cfg.AcceptHorizon = 48
-	res, err := RunSimulation(cfg)
+	s, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalIncluded == 0 {
+	if res := s.Run(); res.FinalIncluded == 0 {
 		t.Fatal("nobody included")
 	}
 }
 
 func TestFacadeDefaultsMatchPaper(t *testing.T) {
-	cfg := DefaultSimConfig()
+	cfg := sim.DefaultConfig()
 	if cfg.NumPeers != 25000 || cfg.TotalBlocks != 256 || cfg.RepairThreshold != 148 {
 		t.Fatalf("paper defaults wrong: %+v", cfg)
 	}
-	obs := PaperObservers()
+	obs := sim.PaperObservers()
 	if len(obs) != 5 {
 		t.Fatal("observer table wrong")
 	}
-	profiles := PaperProfiles()
+	profiles := churn.PaperProfiles()
 	if profiles.Len() != 4 {
 		t.Fatal("profile table wrong")
 	}
 }
 
 func TestFacadeEncoder(t *testing.T) {
-	enc, err := NewEncoder(4, 2)
+	enc, err := erasure.New(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := enc.Split([]byte("facade data round trip"))
+	data := []byte("facade data round trip")
+	shards, err := enc.Split(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,40 +77,46 @@ func TestFacadeEncoder(t *testing.T) {
 	if err := enc.Reconstruct(shards); err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	if err := enc.Join(&out, shards, len(data)); err != nil || !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("round trip = %q, %v", out.Bytes(), err)
+	}
 }
 
 func TestFacadeAcceptance(t *testing.T) {
-	if AcceptanceFunction(0, 100, 2160) != 1 {
+	if selection.AcceptanceFunction(0, 100, 2160) != 1 {
 		t.Fatal("older requester must always be accepted")
 	}
-	s, err := ParseStrategy("age:L=2160")
+	s, err := selection.Parse("age:L=2160")
 	if err != nil || s == nil {
 		t.Fatal(err)
 	}
-	var fifty View
+	var fifty selection.View
 	fifty.Observed.Age = 50
-	if s.Score(SelectionContext{}, fifty) != 50 {
+	if s.Score(selection.Context{}, fifty) != 50 {
 		t.Fatal("age strategy score wrong")
 	}
 }
 
 func TestFacadeLifetime(t *testing.T) {
 	samples := []float64{100, 150, 220, 400, 800, 1600, 130, 170, 260, 520}
-	m, err := FitParetoLifetimes(samples)
+	m, err := lifetime.FitPareto(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Alpha <= 0 || m.Xm != 100 {
 		t.Fatalf("fit = %+v", m)
 	}
-	est := AgeRank{Horizon: 90 * 24}
+	est := lifetime.AgeRank{Horizon: 90 * 24}
 	if est.ExpectedRemaining(100) != 100 {
 		t.Fatal("AgeRank wrong")
 	}
 }
 
 func TestFacadeCostModel(t *testing.T) {
-	cost, err := RepairCostEstimate(128)
+	// Section 2.2.4: replacing half of a paper-shaped archive over the
+	// reference DSL link.
+	cost, err := costmodel.EstimateRepair(costmodel.DSL2009(), costmodel.PaperCode(), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +126,10 @@ func TestFacadeCostModel(t *testing.T) {
 }
 
 func TestFacadeExperimentRegistry(t *testing.T) {
-	if len(ExperimentNames()) < 5 {
+	if len(experiments.Names()) < 5 {
 		t.Fatal("experiment registry too small")
 	}
-	sums, err := RunExperimentContext(context.Background(), "costmodel", ExperimentOptions{OutDir: t.TempDir()})
+	sums, err := experiments.RunCtx(context.Background(), "costmodel", experiments.Options{OutDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +139,18 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 }
 
 func TestFacadeLiveBackup(t *testing.T) {
-	transport := NewInMemTransport(7)
-	dir := NewDirectory()
-	var nodes []*Node
+	transport := p2pnet.NewInMemTransport(7)
+	dir := node.NewDirectory()
+	var nodes []*node.Node
 	for i := 0; i < 10; i++ {
 		name := string(rune('a' + i))
-		nd, err := NewNode(NodeConfig{
+		nd, err := node.New(node.Config{
 			Name:      name,
 			Age:       int64(i) * 24,
 			Transport: transport,
-			Store:     NewMemStore(0),
+			Store:     storage.NewMemStore(0),
 			Directory: dir,
-			Params:    ArchiveParams{DataBlocks: 3, ParityBlocks: 3},
+			Params:    backup.Params{DataBlocks: 3, ParityBlocks: 3},
 			Seed:      uint64(i),
 		})
 		if err != nil {
@@ -137,7 +160,7 @@ func TestFacadeLiveBackup(t *testing.T) {
 		dir.Register(name, int64(i)*24)
 		nodes = append(nodes, nd)
 	}
-	files := []FileEntry{{Path: "x.txt", Mode: 0o644, ModTime: time.Now(), Data: []byte("facade")}}
+	files := []backup.FileEntry{{Path: "x.txt", Mode: 0o644, ModTime: time.Now(), Data: []byte("facade")}}
 	idx, err := nodes[0].Backup(files, "facade test")
 	if err != nil {
 		t.Fatal(err)
@@ -147,20 +170,20 @@ func TestFacadeLiveBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || !bytes.Equal(got[0].Data, files[0].Data) {
-		t.Fatal("facade restore mismatch")
+		t.Fatal("restore mismatch")
 	}
-	// Total-loss recovery through the facade.
-	archives, err := RecoverFromNetwork(nodes[0].Name(), nodes[0].Identity(), transport, dir.Names())
+	// Total-loss recovery: only the identity survives.
+	archives, err := node.RecoverFromNetwork(nodes[0].Name(), nodes[0].Identity(), transport, dir.Names())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(archives) != 1 {
+	if len(archives) != 1 || !bytes.Equal(archives[0][0].Data, files[0].Data) {
 		t.Fatal("recovery failed")
 	}
 }
 
 func TestFacadeTimeUnitsAgree(t *testing.T) {
-	// The facade speaks rounds; one day is 24 rounds everywhere.
+	// Every package speaks rounds; one day is 24 rounds everywhere.
 	if churn.Day != 24 || metrics.CategoryOf(3*churn.Month) != metrics.Young {
 		t.Fatal("time unit drift")
 	}
