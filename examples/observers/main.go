@@ -39,20 +39,20 @@ func main() {
 			}
 		}
 	}
-	focal := experiments.FocalFromRow(*row)
+	obs := row.Result.Observers
 
 	fmt.Printf("\ncumulative repairs after %.0f days (paper's figure 3 ordering):\n",
 		float64(cfg.Rounds)/24)
-	for i, name := range focal.ObserverNames {
+	for i, name := range obs.Names() {
 		age := sim.PaperObservers()[i].Age
-		fmt.Printf("  %-9s (age %6d h): %5d repairs\n", name, age, focal.ObserverCounts[i])
+		fmt.Printf("  %-9s (age %6d h): %5d repairs\n", name, age, obs.Count(i))
 	}
 	fmt.Println("\nthe baby (1 hour) can only recruit young - mostly erratic -")
 	fmt.Println("partners, so it repairs constantly; the elder (3 months) is")
 	fmt.Println("accepted by everyone and keeps stable partners for months.")
 
 	// Show the first few points of the baby's cumulative curve.
-	baby := focal.ObserverSeries[len(focal.ObserverSeries)-1]
+	baby := obs.Series(obs.Len() - 1)
 	fmt.Println("\nbaby observer cumulative-repair curve (day, count):")
 	for i := 0; i < baby.Len() && i < 10; i++ {
 		x, y := baby.At(i)

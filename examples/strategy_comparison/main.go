@@ -44,14 +44,19 @@ func main() {
 	}
 	// Rows stream in completion order; present them in variant order.
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	res := experiments.AblationFromRows(campaign.Name, rows)
 
 	fmt.Printf("\n%-22s %9s %8s %10s %12s %12s\n",
 		"strategy", "repairs", "losses", "uploads", "newcomer/1k", "old/1k")
-	for _, p := range res.Points {
+	for _, row := range rows {
+		col := row.Result.Collector
+		var uploads int64
+		for c := metrics.Category(0); c < metrics.NumCategories; c++ {
+			uploads += col.Counts(c).BlocksUploaded
+		}
 		fmt.Printf("%-22s %9d %8d %10d %12.3f %12.3f\n",
-			p.Label, p.Repairs, p.Losses, p.Uploaded,
-			p.RepairRate[metrics.Newcomer], p.RepairRate[metrics.Old])
+			row.Name, col.TotalRepairs(), col.TotalLosses(), uploads,
+			col.RepairRatePer1000(metrics.Newcomer, row.Config.CountInitialAsRepair),
+			col.RepairRatePer1000(metrics.Old, row.Config.CountInitialAsRepair))
 	}
 
 	fmt.Println("\nreading the table:")

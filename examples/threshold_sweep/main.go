@@ -13,6 +13,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"sort"
 
 	"p2pbackup/internal/experiments"
 	"p2pbackup/internal/metrics"
@@ -48,22 +49,25 @@ func main() {
 			}
 		}
 	}
-	sweep := experiments.ThresholdSweepFromRows(rows)
+	// Rows stream in completion order; present them by threshold.
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Config.RepairThreshold < rows[j].Config.RepairThreshold })
 
 	fmt.Println("\nfigure 1 (repairs per 1000 peer-rounds):")
 	fmt.Printf("%9s %10s %10s %10s %10s\n", "threshold", "newcomer", "young", "old", "elder")
-	for _, p := range sweep.Points {
-		fmt.Printf("%9d %10.3f %10.3f %10.3f %10.3f\n", p.Threshold,
-			p.RepairRate[metrics.Newcomer], p.RepairRate[metrics.Young],
-			p.RepairRate[metrics.Old], p.RepairRate[metrics.Elder])
+	for _, row := range rows {
+		col, initial := row.Result.Collector, row.Config.CountInitialAsRepair
+		fmt.Printf("%9d %10.3f %10.3f %10.3f %10.3f\n", row.Config.RepairThreshold,
+			col.RepairRatePer1000(metrics.Newcomer, initial), col.RepairRatePer1000(metrics.Young, initial),
+			col.RepairRatePer1000(metrics.Old, initial), col.RepairRatePer1000(metrics.Elder, initial))
 	}
 
 	fmt.Println("\nfigure 2 (lost archives per 1000 peer-rounds):")
 	fmt.Printf("%9s %10s %10s %10s %10s\n", "threshold", "newcomer", "young", "old", "elder")
-	for _, p := range sweep.Points {
-		fmt.Printf("%9d %10.4f %10.4f %10.4f %10.4f\n", p.Threshold,
-			p.LossRate[metrics.Newcomer], p.LossRate[metrics.Young],
-			p.LossRate[metrics.Old], p.LossRate[metrics.Elder])
+	for _, row := range rows {
+		col := row.Result.Collector
+		fmt.Printf("%9d %10.4f %10.4f %10.4f %10.4f\n", row.Config.RepairThreshold,
+			col.LossRatePer1000(metrics.Newcomer), col.LossRatePer1000(metrics.Young),
+			col.LossRatePer1000(metrics.Old), col.LossRatePer1000(metrics.Elder))
 	}
 
 	fmt.Println("\nexpect: repairs rise with the threshold (newcomers worst);")

@@ -6,15 +6,14 @@ import (
 	"sort"
 
 	"p2pbackup/internal/churn"
-	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
 )
 
-// This file declares the paper's evaluation campaigns as Variant lists
-// and the converters that turn Runner rows back into the typed,
-// plot-ready results. Adding a scenario means adding a constructor
-// here — the Runner supplies execution, cancellation and streaming.
+// This file declares the paper's evaluation campaigns as Variant lists.
+// Adding a scenario means adding a constructor here and an entry, with
+// its columns, to the campaign table — the Runner supplies execution,
+// cancellation and streaming, and one writer prints every table.
 
 // ThresholdCampaign is the figures 1/2 sweep: one run per repair
 // threshold, each with a seed derived from the base seed and the
@@ -93,8 +92,8 @@ func StrategyCampaign(cfg sim.Config) Campaign {
 	})
 }
 
-// AvailabilityCampaign compares availability models (A2).
-func AvailabilityCampaign(cfg sim.Config) Campaign {
+// availabilityCampaign compares availability models (A2).
+func availabilityCampaign(cfg sim.Config) Campaign {
 	labels := []string{"session", "bernoulli"}
 	return ablationCampaign(cfg, "availability-model", labels, func(c *sim.Config, i int) {
 		m, err := churn.ModelByName(labels[i])
@@ -105,9 +104,9 @@ func AvailabilityCampaign(cfg sim.Config) Campaign {
 	})
 }
 
-// RepairDelayCampaign sweeps the repair-delay knob (the paper's
+// repairDelayCampaign sweeps the repair-delay knob (the paper's
 // future-work item).
-func RepairDelayCampaign(cfg sim.Config, delays []int) Campaign {
+func repairDelayCampaign(cfg sim.Config, delays []int) Campaign {
 	labels := make([]string, len(delays))
 	for i, d := range delays {
 		labels[i] = fmt.Sprintf("delay=%dh", d)
@@ -185,7 +184,7 @@ func ReplayCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 	return c
 }
 
-// EstimatorCampaign is the observable-knowledge ranking ablation: age
+// estimatorCampaign is the observable-knowledge ranking ablation: age
 // ranking against the estimator-backed rankings (Pareto, empirical) and
 // monitored-availability ranking, each under i.i.d. profile churn, a
 // diurnal day/night cycle, and — when a trace is supplied — replayed
@@ -193,22 +192,16 @@ func ReplayCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 // age is equivalent to ranking by any heavy-tailed lifetime estimate;
 // this campaign is the experiment that tests the claim where its
 // i.i.d. heavy-tail assumptions hold and where they do not.
-func EstimatorCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
+func estimatorCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 	strategies := []string{"age", "estimator:pareto", "estimator:empirical", "monitored-availability"}
-	type variant struct {
-		label  string
-		mutate func(c *sim.Config)
-	}
-	var variants []variant
+	var labels []string
+	var mutates []func(c *sim.Config)
 	addBlock := func(block string, apply func(c *sim.Config)) {
 		for _, spec := range strategies {
-			spec := spec
-			variants = append(variants, variant{
-				label: block + "/" + spec,
-				mutate: func(c *sim.Config) {
-					setStrategySpec(c, spec)
-					apply(c)
-				},
+			labels = append(labels, block+"/"+spec)
+			mutates = append(mutates, func(c *sim.Config) {
+				setStrategySpec(c, spec)
+				apply(c)
 			})
 		}
 	}
@@ -225,17 +218,13 @@ func EstimatorCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 			}
 		})
 	}
-	labels := make([]string, len(variants))
-	for i, v := range variants {
-		labels[i] = v.label
-	}
 	return ablationCampaign(cfg, "estimator", labels, func(c *sim.Config, i int) {
-		variants[i].mutate(c)
+		mutates[i](c)
 	})
 }
 
-// HorizonCampaign sweeps the acceptance horizon L (A3).
-func HorizonCampaign(cfg sim.Config, horizons []int64) Campaign {
+// horizonCampaign sweeps the acceptance horizon L (A3).
+func horizonCampaign(cfg sim.Config, horizons []int64) Campaign {
 	labels := make([]string, len(horizons))
 	for i, h := range horizons {
 		labels[i] = fmt.Sprintf("L=%dd", h/churn.Day)
@@ -244,72 +233,6 @@ func HorizonCampaign(cfg sim.Config, horizons []int64) Campaign {
 		c.AcceptHorizon = horizons[i]
 		setStrategySpec(c, fmt.Sprintf("age:L=%d", horizons[i]))
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Row converters: Runner output -> typed experiment results.
-
-// ThresholdSweepFromRows converts a ThresholdCampaign's rows, sorted by
-// threshold.
-func ThresholdSweepFromRows(rows []Row) *ThresholdSweep {
-	points := make([]ThresholdPoint, 0, len(rows))
-	for _, row := range rows {
-		p := ThresholdPoint{
-			Threshold: row.Config.RepairThreshold,
-			Repairs:   row.Result.Collector.TotalRepairs(),
-			Losses:    row.Result.Collector.TotalLosses(),
-			Deaths:    row.Result.Deaths,
-		}
-		for cat := metrics.Category(0); cat < metrics.NumCategories; cat++ {
-			p.RepairRate[cat] = row.Result.Collector.RepairRatePer1000(cat, row.Config.CountInitialAsRepair)
-			p.LossRate[cat] = row.Result.Collector.LossRatePer1000(cat)
-		}
-		points = append(points, p)
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Threshold < points[j].Threshold })
-	return &ThresholdSweep{Points: points}
-}
-
-// FocalFromRow converts a FocalCampaign's single row.
-func FocalFromRow(row Row) *FocalResult {
-	res := row.Result
-	out := &FocalResult{
-		ObserverNames: res.Observers.Names(),
-		Repairs:       res.Collector.TotalRepairs(),
-		Losses:        res.Collector.TotalLosses(),
-		Deaths:        res.Deaths,
-	}
-	for i := 0; i < res.Observers.Len(); i++ {
-		out.ObserverCounts = append(out.ObserverCounts, res.Observers.Count(i))
-		out.ObserverSeries = append(out.ObserverSeries, res.Observers.Series(i))
-	}
-	for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-		out.LossSeries[c] = res.Collector.LossSeries(c)
-	}
-	return out
-}
-
-// AblationFromRows converts an ablation campaign's rows, in variant
-// order.
-func AblationFromRows(name string, rows []Row) *AblationResult {
-	points := make([]AblationPoint, 0, len(rows))
-	for _, row := range rows {
-		p := AblationPoint{
-			Label:       row.Name,
-			Repairs:     row.Result.Collector.TotalRepairs(),
-			Losses:      row.Result.Collector.TotalLosses(),
-			Deaths:      row.Result.Deaths,
-			Shocks:      row.Result.Collector.TotalShocks(),
-			ShockLosses: row.Result.Collector.ShockAttributedLosses(),
-		}
-		for cat := metrics.Category(0); cat < metrics.NumCategories; cat++ {
-			p.RepairRate[cat] = row.Result.Collector.RepairRatePer1000(cat, row.Config.CountInitialAsRepair)
-			p.LossRate[cat] = row.Result.Collector.LossRatePer1000(cat)
-			p.Uploaded += row.Result.Collector.Counts(cat).BlocksUploaded
-		}
-		points = append(points, p)
-	}
-	return &AblationResult{Name: name, Points: points}
 }
 
 // ---------------------------------------------------------------------------
@@ -338,25 +261,6 @@ func collectRows(ctx context.Context, r Runner, c Campaign, sink func(Event)) ([
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
 	return rows, nil
-}
-
-// progressSink adapts the plain-text progress callback to the event
-// stream: heartbeats pass through, completed rows are formatted by
-// rowMsg.
-func progressSink(progress func(string), rowMsg func(Row) string) func(Event) {
-	if progress == nil {
-		return nil
-	}
-	return func(ev Event) {
-		switch ev.Kind {
-		case EventProgress:
-			progress(ev.Message)
-		case EventRow:
-			if rowMsg != nil {
-				progress(rowMsg(*ev.Row))
-			}
-		}
-	}
 }
 
 // doneMessage formats the historical "<campaign> <variant> done" row

@@ -9,25 +9,27 @@
 // context.Context cancellation, delivering a typed Event stream
 // (progress heartbeats, completed rows, a terminal done event). The
 // paper's evaluation is expressed as campaign constructors
-// (ThresholdCampaign, FocalCampaign, StrategyCampaign, ...) plus row
-// converters (ThresholdSweepFromRows, ...) that produce plot-ready
-// results with TSV emitters; new scenario sweeps should follow that
-// pattern rather than hand-rolling drivers.
+// (ThresholdCampaign, FocalCampaign, StrategyCampaign, ...); a run's
+// outcome is its Row, which callers read directly.
 //
 // Every built-in campaign is declared once, in the campaign table
-// (table.go). RunCtx (the string-id registry cmd/p2psim drives),
-// CampaignSpec.Build (what a supervised worker rebuilds) and Names all
-// read it: there is one way to run a campaign by id, and Runner.Run is
-// the way to run one you built.
+// (table.go): its constructor, and the data files it writes, each a
+// list of columns a row is printed through. RunCtx (the string-id
+// registry cmd/p2psim drives), CampaignSpec.Build (what a supervised
+// worker rebuilds) and Names all read it: there is one way to run a
+// campaign by id, one writer for every TSV, and Runner.Run is the way
+// to run a campaign you built.
 package experiments
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"io"
+	"slices"
+	"strings"
 
 	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/sim"
-	"p2pbackup/internal/stats"
 )
 
 // Scale selects a simulation size preset.
@@ -68,9 +70,9 @@ func BaseConfig(scale Scale) (sim.Config, error) {
 // Scales lists the preset names.
 func Scales() []string { return []string{string(ScaleSmoke), string(ScaleDefault), string(ScalePaper)} }
 
-// PaperThresholds returns the sweep of figure 1/2: 132 to 180 in steps
+// paperThresholds returns the sweep of figure 1/2: 132 to 180 in steps
 // of 4.
-func PaperThresholds() []int {
+func paperThresholds() []int {
 	var ts []int
 	for t := 132; t <= 180; t += 4 {
 		ts = append(ts, t)
@@ -79,233 +81,140 @@ func PaperThresholds() []int {
 }
 
 // ---------------------------------------------------------------------------
-// Figures 1 and 2: threshold sweep
+// Columns and summaries shared by the figure and ablation tables. Each
+// reads a Row directly: there is no result type between a run and its
+// TSV line.
 
-// ThresholdPoint is one sweep point: per-category repair and loss rates
-// at a repair threshold.
-type ThresholdPoint struct {
-	Threshold  int
-	RepairRate [metrics.NumCategories]float64 // per 1000 peer-rounds
-	LossRate   [metrics.NumCategories]float64 // per 1000 peer-rounds
-	Repairs    int64
-	Losses     int64
-	Deaths     int64
+// repairRate and lossRate are a row's rates per 1000 peer-rounds in one
+// age category.
+func repairRate(r Row, c metrics.Category) float64 {
+	return r.Result.Collector.RepairRatePer1000(c, r.Config.CountInitialAsRepair)
 }
 
-// ThresholdSweep holds figure 1 (repair rates) and figure 2 (loss
-// rates); the paper derives both from the same runs.
-type ThresholdSweep struct {
-	Points []ThresholdPoint
-}
+func lossRate(r Row, c metrics.Category) float64 { return r.Result.Collector.LossRatePer1000(c) }
 
-// WriteRepairTSV emits figure 1: threshold vs repair rate per category.
-func (s *ThresholdSweep) WriteRepairTSV(w io.Writer) error {
-	return s.writeTSV(w, "repairs_per_1000_peer_rounds", func(p ThresholdPoint, c metrics.Category) float64 {
-		return p.RepairRate[c]
-	})
-}
-
-// WriteLossTSV emits figure 2: threshold vs loss rate per category.
-func (s *ThresholdSweep) WriteLossTSV(w io.Writer) error {
-	return s.writeTSV(w, "losses_per_1000_peer_rounds", func(p ThresholdPoint, c metrics.Category) float64 {
-		return p.LossRate[c]
-	})
-}
-
-func (s *ThresholdSweep) writeTSV(w io.Writer, what string, get func(ThresholdPoint, metrics.Category) float64) error {
-	if _, err := fmt.Fprintf(w, "# %s by repair threshold\n#threshold", what); err != nil {
-		return err
+// uploadedBlocks is a row's maintenance traffic: blocks uploaded, all
+// categories.
+func uploadedBlocks(r Row) int64 {
+	var n int64
+	for c := metrics.Category(0); c < metrics.NumCategories; c++ {
+		n += r.Result.Collector.Counts(c).BlocksUploaded
 	}
-	for _, n := range metrics.CategoryNames() {
-		if _, err := fmt.Fprintf(w, "\t%s", n); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%d", p.Threshold); err != nil {
-			return err
-		}
-		for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-			if _, err := fmt.Fprintf(w, "\t%.6g", get(p, c)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n
 }
 
-// ---------------------------------------------------------------------------
-// Figures 3 and 4: focal run at threshold 148
-
-// FocalResult carries the observer series (figure 3) and the
-// per-category cumulative loss series (figure 4) from the paper's focal
-// configuration (threshold 148, five observers).
-type FocalResult struct {
-	ObserverNames  []string
-	ObserverCounts []int64
-	ObserverSeries []*stats.Series
-	LossSeries     [metrics.NumCategories]*stats.Series
-	Repairs        int64
-	Losses         int64
-	Deaths         int64
+// perCategory expands rate into one column per age category, headed
+// prefix plus the category's name.
+func perCategory(prefix string, rate func(Row, metrics.Category) float64) []column {
+	var cols []column
+	for c, name := range metrics.CategoryNames() {
+		cols = append(cols, column{prefix + name, "%.6g", func(r Row) any { return rate(r, metrics.Category(c)) }})
+	}
+	return cols
 }
 
-// WriteObserverTSV emits figure 3: cumulative repairs per observer over
-// days (step series; one row per repair event).
-func (f *FocalResult) WriteObserverTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# cumulative repairs per observer\n#observer\tday\tcumulative_repairs"); err != nil {
-		return err
+// The columns most tables open with.
+var (
+	variantCol = column{"variant", "%s", func(r Row) any { return r.Name }}
+	repairsCol = column{"repairs", "%d", func(r Row) any { return r.Result.Collector.TotalRepairs() }}
+	lossesCol  = column{"losses", "%d", func(r Row) any { return r.Result.Collector.TotalLosses() }}
+	deathsCol  = column{"deaths", "%d", func(r Row) any { return r.Result.Deaths }}
+)
+
+// thresholdTable is figure 1 or 2: one line per repair threshold, the
+// rate per age category.
+func thresholdTable(file, what string, rate func(Row, metrics.Category) float64) table {
+	threshold := column{"threshold", "%d", func(r Row) any { return r.Config.RepairThreshold }}
+	return table{file: file, comment: what + " by repair threshold", columns: append([]column{threshold}, perCategory("", rate)...)}
+}
+
+// byThreshold orders the rows of a threshold sweep.
+func byThreshold(a, b Row) int {
+	return cmp.Compare(a.Config.RepairThreshold, b.Config.RepairThreshold)
+}
+
+// thresholdText summarises figures 1 and 2.
+func thresholdText(rows []Row) (string, error) {
+	text := "threshold\trepairs/1k(newcomer,young,old,elder)\tlosses/1k(newcomer,young,old,elder)\n"
+	for _, r := range rows {
+		text += fmt.Sprintf("%d\t%.3g %.3g %.3g %.3g\t%.3g %.3g %.3g %.3g\n",
+			r.Config.RepairThreshold,
+			repairRate(r, 0), repairRate(r, 1), repairRate(r, 2), repairRate(r, 3),
+			lossRate(r, 0), lossRate(r, 1), lossRate(r, 2), lossRate(r, 3))
 	}
-	for i, name := range f.ObserverNames {
-		s := f.ObserverSeries[i]
+	return text, nil
+}
+
+// writeObserverSeries emits figure 3 from the focal run: cumulative
+// repairs per observer over days (a step series, one line per repair).
+func writeObserverSeries(b *bytes.Buffer, rows []Row) error {
+	obs := rows[0].Result.Observers
+	b.WriteString("#observer\tday\tcumulative_repairs\n")
+	for i, name := range obs.Names() {
+		s := obs.Series(i)
 		for j := 0; j < s.Len(); j++ {
 			x, y := s.At(j)
-			if _, err := fmt.Fprintf(w, "%s\t%.4f\t%.0f\n", name, x, y); err != nil {
-				return err
-			}
+			fmt.Fprintf(b, "%s\t%.4f\t%.0f\n", name, x, y)
 		}
 	}
 	return nil
 }
 
-// WriteLossSeriesTSV emits figure 4: cumulative lost archives per peer
-// by category over days.
-func (f *FocalResult) WriteLossSeriesTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# cumulative lost archives per peer\n#day"); err != nil {
-		return err
-	}
-	for _, n := range metrics.CategoryNames() {
-		if _, err := fmt.Fprintf(w, "\t%s", n); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	n := f.LossSeries[0].Len()
-	for i := 0; i < n; i++ {
-		day, _ := f.LossSeries[0].At(i)
-		if _, err := fmt.Fprintf(w, "%.2f", day); err != nil {
-			return err
-		}
+// writeLossSeries emits figure 4 from the focal run: cumulative lost
+// archives per peer, a line per sampled day, a column per category.
+func writeLossSeries(b *bytes.Buffer, rows []Row) error {
+	col := rows[0].Result.Collector
+	b.WriteString("#day\t" + strings.Join(metrics.CategoryNames(), "\t") + "\n")
+	for i := 0; i < col.LossSeries(0).Len(); i++ {
+		day, _ := col.LossSeries(0).At(i)
+		fmt.Fprintf(b, "%.2f", day)
 		for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-			_, y := f.LossSeries[c].At(i)
-			if _, err := fmt.Fprintf(w, "\t%.6g", y); err != nil {
-				return err
-			}
+			_, y := col.LossSeries(c).At(i)
+			fmt.Fprintf(b, "\t%.6g", y)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		b.WriteByte('\n')
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Ablations
-
-// AblationPoint is one variant's aggregate outcome.
-type AblationPoint struct {
-	Label      string
-	RepairRate [metrics.NumCategories]float64
-	LossRate   [metrics.NumCategories]float64
-	Repairs    int64
-	Losses     int64
-	Deaths     int64
-	Uploaded   int64 // total blocks uploaded (maintenance traffic)
-	// Correlated-failure attribution (zero for shock-free variants).
-	Shocks      int64 // shocks fired during the run
-	ShockLosses int64 // losses within metrics.ShockAttributionWindow of a shock
-}
-
-// AblationResult is a labelled comparison of variants.
-type AblationResult struct {
-	Name   string
-	Points []AblationPoint
-}
-
-// WriteTSV emits the ablation comparison.
-func (a *AblationResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# ablation: %s\n#variant\trepairs\tlosses\tdeaths\tuploaded_blocks\tshocks\tshock_losses", a.Name); err != nil {
-		return err
-	}
-	for _, n := range metrics.CategoryNames() {
-		if _, err := fmt.Fprintf(w, "\trepair_rate_%s", n); err != nil {
-			return err
-		}
-	}
-	for _, n := range metrics.CategoryNames() {
-		if _, err := fmt.Fprintf(w, "\tloss_rate_%s", n); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for _, p := range a.Points {
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d",
-			p.Label, p.Repairs, p.Losses, p.Deaths, p.Uploaded, p.Shocks, p.ShockLosses); err != nil {
-			return err
-		}
-		for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-			if _, err := fmt.Fprintf(w, "\t%.6g", p.RepairRate[c]); err != nil {
-				return err
-			}
-		}
-		for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-			if _, err := fmt.Fprintf(w, "\t%.6g", p.LossRate[c]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reportThreshold reports figures 1 and 2 from one threshold sweep.
-func reportThreshold(_ string, rows []Row) (report, error) {
-	sweep := ThresholdSweepFromRows(rows)
-	text := "threshold\trepairs/1k(newcomer,young,old,elder)\tlosses/1k(newcomer,young,old,elder)\n"
-	for _, p := range sweep.Points {
-		text += fmt.Sprintf("%d\t%.3g %.3g %.3g %.3g\t%.3g %.3g %.3g %.3g\n",
-			p.Threshold,
-			p.RepairRate[0], p.RepairRate[1], p.RepairRate[2], p.RepairRate[3],
-			p.LossRate[0], p.LossRate[1], p.LossRate[2], p.LossRate[3])
-	}
-	return report{name: "fig1+fig2", emit: []func(io.Writer) error{sweep.WriteRepairTSV, sweep.WriteLossTSV}, text: text}, nil
-}
-
-// reportFocal reports figures 3 and 4 from the focal run.
-func reportFocal(_ string, rows []Row) (report, error) {
+// focalText summarises figures 3 and 4.
+func focalText(rows []Row) (string, error) {
 	if len(rows) == 0 {
-		return report{}, fmt.Errorf("experiments: focal run failed; no rows to report")
+		return "", fmt.Errorf("experiments: focal run failed; no rows to report")
 	}
-	focal := FocalFromRow(rows[0])
+	res := rows[0].Result
 	text := "observer\tcumulative repairs\n"
-	for i, n := range focal.ObserverNames {
-		text += fmt.Sprintf("%s\t%d\n", n, focal.ObserverCounts[i])
+	for i, n := range res.Observers.Names() {
+		text += fmt.Sprintf("%s\t%d\n", n, res.Observers.Count(i))
 	}
-	for c := 0; c < len(focal.LossSeries); c++ {
-		_, last := focal.LossSeries[c].Last()
-		text += fmt.Sprintf("losses/peer[%s]\t%.3f\n", focal.LossSeries[c].Name(), last)
+	for c := metrics.Category(0); c < metrics.NumCategories; c++ {
+		s := res.Collector.LossSeries(c)
+		_, last := s.Last()
+		text += fmt.Sprintf("losses/peer[%s]\t%.3f\n", s.Name(), last)
 	}
-	return report{name: "fig3+fig4", emit: []func(io.Writer) error{focal.WriteObserverTSV, focal.WriteLossSeriesTSV}, text: text}, nil
+	return text, nil
 }
 
-// reportAblation reports a labelled comparison of variants.
-func reportAblation(campaign string, rows []Row) (report, error) {
-	res := AblationFromRows(campaign, rows)
+// ablationTable is an ablation's data file: a line per variant with its
+// counters, correlated-failure attribution (zero for shock-free
+// variants) and per-category rates.
+func ablationTable(file, campaign string) []table {
+	return []table{{file: file, comment: "ablation: " + campaign, columns: slices.Concat(
+		[]column{variantCol, repairsCol, lossesCol, deathsCol,
+			{"uploaded_blocks", "%d", func(r Row) any { return uploadedBlocks(r) }},
+			{"shocks", "%d", func(r Row) any { return r.Result.Collector.TotalShocks() }},
+			{"shock_losses", "%d", func(r Row) any { return r.Result.Collector.ShockAttributedLosses() }},
+		},
+		perCategory("repair_rate_", repairRate),
+		perCategory("loss_rate_", lossRate))}}
+}
+
+// ablationText summarises a labelled comparison of variants.
+func ablationText(rows []Row) (string, error) {
 	text := fmt.Sprintf("%-24s %10s %8s %8s\n", "variant", "repairs", "losses", "deaths")
-	for _, p := range res.Points {
-		text += fmt.Sprintf("%-24s %10d %8d %8d\n", p.Label, p.Repairs, p.Losses, p.Deaths)
+	for _, r := range rows {
+		col := r.Result.Collector
+		text += fmt.Sprintf("%-24s %10d %8d %8d\n", r.Name, col.TotalRepairs(), col.TotalLosses(), r.Result.Deaths)
 	}
-	return report{name: res.Name, emit: []func(io.Writer) error{res.WriteTSV}, text: text}, nil
+	return text, nil
 }

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,26 +35,64 @@ func microConfig() sim.Config {
 }
 
 // thresholdSweep runs a threshold campaign over the Runner.
-func thresholdSweep(cfg sim.Config, thresholds []int, parallelism int) (*ThresholdSweep, error) {
+func thresholdSweep(cfg sim.Config, thresholds []int, parallelism int) ([]Row, error) {
 	camp, err := ThresholdCampaign(cfg, thresholds)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), camp)
-	if err != nil {
-		return nil, err
-	}
-	return ThresholdSweepFromRows(rows), nil
+	return Runner{Parallelism: parallelism}.Run(context.Background(), camp)
 }
 
 // runAblation runs an ablation campaign over the Runner.
-func runAblation(t *testing.T, camp Campaign) *AblationResult {
+func runAblation(t *testing.T, camp Campaign) []Row {
 	t.Helper()
 	rows, err := Runner{Parallelism: 2}.Run(context.Background(), camp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AblationFromRows(camp.Name, rows)
+	return rows
+}
+
+// renderTables renders experiment id's data files from rows as the
+// registry writes them, ordered as its entry orders them: file name ->
+// contents.
+func renderTables(t *testing.T, id string, rows []Row) map[string]string {
+	t.Helper()
+	c := campaignByID(id)
+	if c.order != nil {
+		rows = slices.Clone(rows)
+		slices.SortStableFunc(rows, c.order)
+	}
+	out := map[string]string{}
+	for _, tb := range c.tables {
+		var b bytes.Buffer
+		if err := tb.write(&b, rows); err != nil {
+			t.Fatal(err)
+		}
+		out[tb.file] = b.String()
+	}
+	return out
+}
+
+// sameTables fails unless two row sets render to identical data files.
+func sameTables(t *testing.T, id string, a, b []Row) {
+	t.Helper()
+	ta, tb := renderTables(t, id, a), renderTables(t, id, b)
+	if !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("%s: data files differ:\n%v\n%v", id, ta, tb)
+	}
+}
+
+// dataLine is row i's line of the table in file, label column dropped:
+// the variant's outcome, comparable across variants.
+func dataLine(t *testing.T, id, file string, rows []Row, i int) string {
+	t.Helper()
+	lines := strings.Split(renderTables(t, id, rows)[file], "\n")
+	for len(lines) > 0 && strings.HasPrefix(lines[0], "#") {
+		lines = lines[1:]
+	}
+	_, outcome, _ := strings.Cut(lines[i], "\t")
+	return outcome
 }
 
 // runShrunk runs experiment id the way RunCtx does — table entry, spec,
@@ -108,7 +150,7 @@ func TestBaseConfigScales(t *testing.T) {
 }
 
 func TestPaperThresholds(t *testing.T) {
-	ts := PaperThresholds()
+	ts := paperThresholds()
 	if ts[0] != 132 || ts[len(ts)-1] != 180 {
 		t.Fatalf("thresholds = %v", ts)
 	}
@@ -119,34 +161,30 @@ func TestPaperThresholds(t *testing.T) {
 
 func TestRunThresholdSweep(t *testing.T) {
 	cfg := microConfig()
-	sweep, err := thresholdSweep(cfg, []int{9, 11, 13}, 2)
+	rows, err := thresholdSweep(cfg, []int{9, 11, 13}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sweep.Points) != 3 {
-		t.Fatalf("%d points", len(sweep.Points))
+	if len(rows) != 3 {
+		t.Fatalf("%d rows", len(rows))
 	}
-	// Points sorted by threshold.
-	for i := 1; i < len(sweep.Points); i++ {
-		if sweep.Points[i].Threshold <= sweep.Points[i-1].Threshold {
-			t.Fatal("points not sorted")
-		}
-	}
-	// TSV emitters produce headers and one row per point.
-	var repair, loss strings.Builder
-	if err := sweep.WriteRepairTSV(&repair); err != nil {
-		t.Fatal(err)
-	}
-	if err := sweep.WriteLossTSV(&loss); err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []string{repair.String(), loss.String()} {
+	// The tables hold headers and one line per threshold, sorted.
+	for file, out := range renderTables(t, "fig1", rows) {
 		lines := strings.Split(strings.TrimSpace(out), "\n")
 		if len(lines) != 2+3 { // comment + header + 3 points
-			t.Fatalf("TSV has %d lines:\n%s", len(lines), out)
+			t.Fatalf("%s has %d lines:\n%s", file, len(lines), out)
 		}
 		if !strings.Contains(lines[1], "newcomer\tyoung\told\telder") {
 			t.Fatalf("header wrong: %s", lines[1])
+		}
+		prev := -1
+		for _, line := range lines[2:] {
+			field, _, _ := strings.Cut(line, "\t")
+			if th, err := strconv.Atoi(field); err != nil || th <= prev {
+				t.Fatalf("%s: lines not sorted by threshold:\n%s", file, out)
+			} else {
+				prev = th
+			}
 		}
 	}
 	if _, err := thresholdSweep(cfg, nil, 1); err == nil {
@@ -168,11 +206,7 @@ func TestSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("point %d differs across parallelism: %+v vs %+v", i, a.Points[i], b.Points[i])
-		}
-	}
+	sameTables(t, "fig1", a, b)
 }
 
 func TestRunFocal(t *testing.T) {
@@ -215,26 +249,22 @@ func TestAblations(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
 	strat := runAblation(t, StrategyCampaign(cfg))
-	if len(strat.Points) != len(selection.Names()) {
+	if len(strat) != len(selection.Names()) {
 		t.Fatalf("strategy variants = %d, want one per registered spec (%d)",
-			len(strat.Points), len(selection.Names()))
+			len(strat), len(selection.Names()))
 	}
-	avail := runAblation(t, AvailabilityCampaign(cfg))
-	if len(avail.Points) != 2 {
-		t.Fatalf("availability variants = %d", len(avail.Points))
+	avail := runAblation(t, availabilityCampaign(cfg))
+	if len(avail) != 2 {
+		t.Fatalf("availability variants = %d", len(avail))
 	}
-	horizon := runAblation(t, HorizonCampaign(cfg, []int64{24, 48, 96}))
-	if len(horizon.Points) != 3 {
-		t.Fatalf("horizon variants = %d", len(horizon.Points))
+	horizon := runAblation(t, horizonCampaign(cfg, []int64{24, 48, 96}))
+	if len(horizon) != 3 {
+		t.Fatalf("horizon variants = %d", len(horizon))
 	}
-	if horizon.Points[0].Label != "L=1d" {
-		t.Fatalf("label = %q", horizon.Points[0].Label)
+	if horizon[0].Name != "L=1d" {
+		t.Fatalf("label = %q", horizon[0].Name)
 	}
-	var sb strings.Builder
-	if err := strat.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "lifetime-oracle") {
+	if !strings.Contains(renderTables(t, "ablation-strategy", strat)["ablation_strategy.tsv"], "lifetime-oracle") {
 		t.Fatal("ablation TSV missing variant")
 	}
 }
@@ -269,15 +299,15 @@ func TestCategoriesCoverMicroRun(t *testing.T) {
 	// Sanity: the micro run is too short for elders; rates must come
 	// back zero, not NaN.
 	cfg := microConfig()
-	sweep, err := thresholdSweep(cfg, []int{10}, 1)
+	rows, err := thresholdSweep(cfg, []int{10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sweep.Points[0]
-	if p.RepairRate[metrics.Elder] != 0 || p.LossRate[metrics.Elder] != 0 {
-		t.Fatalf("elder rates in a %d-round run: %+v", cfg.Rounds, p)
+	r := rows[0]
+	if repairRate(r, metrics.Elder) != 0 || lossRate(r, metrics.Elder) != 0 {
+		t.Fatalf("elder rates in a %d-round run: %v, %v", cfg.Rounds, repairRate(r, metrics.Elder), lossRate(r, metrics.Elder))
 	}
-	if p.RepairRate[metrics.Newcomer] <= 0 {
+	if repairRate(r, metrics.Newcomer) <= 0 {
 		t.Fatal("newcomers never repaired in a churny micro run")
 	}
 	_ = churn.Day

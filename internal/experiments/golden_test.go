@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -20,16 +21,16 @@ type goldenCounts struct {
 	uploaded int64
 }
 
-func checkAblationGolden(t *testing.T, res *AblationResult, want []goldenCounts) {
+func checkAblationGolden(t *testing.T, name string, rows []Row, want []goldenCounts) {
 	t.Helper()
-	if len(res.Points) != len(want) {
-		t.Fatalf("%s: %d points, want %d", res.Name, len(res.Points), len(want))
+	if len(rows) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, len(rows), len(want))
 	}
 	for i, w := range want {
-		p := res.Points[i]
-		if p.Label != w.label || p.Repairs != w.repairs || p.Losses != w.losses || p.Uploaded != w.uploaded {
-			t.Errorf("%s[%d] = {%s %d %d %d}, want {%s %d %d %d}",
-				res.Name, i, p.Label, p.Repairs, p.Losses, p.Uploaded, w.label, w.repairs, w.losses, w.uploaded)
+		r, col := rows[i], rows[i].Result.Collector
+		if r.Name != w.label || col.TotalRepairs() != w.repairs || col.TotalLosses() != w.losses || uploadedBlocks(r) != w.uploaded {
+			t.Errorf("%s[%d] = {%s %d %d %d}, want {%s %d %d %d}", name, i,
+				r.Name, col.TotalRepairs(), col.TotalLosses(), uploadedBlocks(r), w.label, w.repairs, w.losses, w.uploaded)
 		}
 	}
 }
@@ -44,7 +45,7 @@ func TestGoldenThresholdSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := ThresholdSweepFromRows(rows)
+	slices.SortStableFunc(rows, byThreshold)
 	want := []struct {
 		threshold       int
 		repairs, losses int64
@@ -56,10 +57,11 @@ func TestGoldenThresholdSweep(t *testing.T) {
 		{13, 995, 1, 36.5, 0.03333333333333333},
 	}
 	for i, w := range want {
-		p := sweep.Points[i]
-		if p.Threshold != w.threshold || p.Repairs != w.repairs || p.Losses != w.losses ||
-			p.RepairRate[0] != w.newcomerRepair || p.LossRate[0] != w.newcomerLoss {
-			t.Errorf("threshold %d = %+v, want %+v", w.threshold, p, w)
+		r, col := rows[i], rows[i].Result.Collector
+		if r.Config.RepairThreshold != w.threshold || col.TotalRepairs() != w.repairs || col.TotalLosses() != w.losses ||
+			repairRate(r, 0) != w.newcomerRepair || lossRate(r, 0) != w.newcomerLoss {
+			t.Errorf("threshold %d = {%d %d %d %v %v}, want %+v", w.threshold, r.Config.RepairThreshold,
+				col.TotalRepairs(), col.TotalLosses(), repairRate(r, 0), lossRate(r, 0), w)
 		}
 	}
 }
@@ -75,15 +77,18 @@ func TestGoldenFocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	focal := FocalFromRow(rows[0])
+	res := rows[0].Result
 	wantCounts := []int64{1, 1, 1, 1, 1}
+	if res.Observers.Len() != len(wantCounts) {
+		t.Fatalf("%d observers, want %d", res.Observers.Len(), len(wantCounts))
+	}
 	for i, w := range wantCounts {
-		if focal.ObserverCounts[i] != w {
-			t.Errorf("observer %d count = %d, want %d", i, focal.ObserverCounts[i], w)
+		if res.Observers.Count(i) != w {
+			t.Errorf("observer %d count = %d, want %d", i, res.Observers.Count(i), w)
 		}
 	}
-	if focal.Repairs != 0 || focal.Losses != 0 || focal.Deaths != 0 {
-		t.Errorf("focal totals = %d/%d/%d, want 0/0/0", focal.Repairs, focal.Losses, focal.Deaths)
+	if r, l := res.Collector.TotalRepairs(), res.Collector.TotalLosses(); r != 0 || l != 0 || res.Deaths != 0 {
+		t.Errorf("focal totals = %d/%d/%d, want 0/0/0", r, l, res.Deaths)
 	}
 }
 
@@ -97,7 +102,7 @@ func TestGoldenStrategyAblation(t *testing.T) {
 	// The age row is the paper's default strategy. Rows are in registry
 	// order: appending to the registry keeps the index-derived variant
 	// seeds of the earlier rows stable.
-	checkAblationGolden(t, AblationFromRows("strategy", rows), []goldenCounts{
+	checkAblationGolden(t, "strategy", rows, []goldenCounts{
 		{"age", 47, 4, 1945},
 		{"random", 110, 7, 2403},
 		{"availability-oracle", 33, 2, 1846},
@@ -113,11 +118,11 @@ func TestGoldenStrategyAblation(t *testing.T) {
 func TestGoldenAvailabilityAblation(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	rows, err := Runner{Parallelism: 2}.Run(context.Background(), AvailabilityCampaign(cfg))
+	rows, err := Runner{Parallelism: 2}.Run(context.Background(), availabilityCampaign(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAblationGolden(t, AblationFromRows("availability-model", rows), []goldenCounts{
+	checkAblationGolden(t, "availability-model", rows, []goldenCounts{
 		{"session", 47, 4, 1945},
 		{"bernoulli", 62, 4, 2046},
 	})
@@ -126,11 +131,11 @@ func TestGoldenAvailabilityAblation(t *testing.T) {
 func TestGoldenHorizonAblation(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	rows, err := Runner{Parallelism: 2}.Run(context.Background(), HorizonCampaign(cfg, []int64{24, 48, 96}))
+	rows, err := Runner{Parallelism: 2}.Run(context.Background(), horizonCampaign(cfg, []int64{24, 48, 96}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAblationGolden(t, AblationFromRows("horizon", rows), []goldenCounts{
+	checkAblationGolden(t, "horizon", rows, []goldenCounts{
 		{"L=1d", 47, 4, 1945},
 		{"L=2d", 110, 7, 2403},
 		{"L=4d", 49, 4, 1964},
@@ -140,11 +145,11 @@ func TestGoldenHorizonAblation(t *testing.T) {
 func TestGoldenRepairDelayAblation(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	rows, err := Runner{Parallelism: 2}.Run(context.Background(), RepairDelayCampaign(cfg, []int{0, 2}))
+	rows, err := Runner{Parallelism: 2}.Run(context.Background(), repairDelayCampaign(cfg, []int{0, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAblationGolden(t, AblationFromRows("repair-delay", rows), []goldenCounts{
+	checkAblationGolden(t, "repair-delay", rows, []goldenCounts{
 		{"delay=0h", 47, 4, 1945},
 		{"delay=2h", 52, 26, 1978},
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -96,7 +97,8 @@ func TestSpecFingerprintsPinned(t *testing.T) {
 // registry's driver — in-process and, under the first id of each table
 // entry, through the Supervisor with this test binary as worker — on a
 // shrunk population, and holds every file
-// it writes to the sha256 the parent's RunCtx wrote for it. Most ids
+// it writes, and the summary text it returns, to the sha256 the
+// parent's RunCtx produced. Most ids
 // run at the micro shape (microSpec's overrides); the two figure
 // campaigns sweep thresholds 132-180 and pin 148, so they keep the
 // paper's 256-block code on 300 peers for 1000 rounds.
@@ -130,6 +132,30 @@ func TestRegistryOutputsPinned(t *testing.T) {
 		"flashcrowd":            {"scenario_flashcrowd.tsv": "8da55fcb35da8f0cecd67cbde816f0c661557dd7e3a4433f5bdbf4dae08b4c0b"},
 		"uplink-sweep":          {"scenario_uplink_sweep.tsv": "9d759d325d0ba69f5802fe1c3feb524c02beaab565a88de5d7adceb541d5e42c"},
 		"fixed-vs-adaptive":     {"scenario_redundancy.tsv": "ca14b64e6a9549e85d060e0f51c647659c375303b34b2ce6a011ec1a2607a961"},
+	}
+	// Summary.Text is what p2psim prints under "== name ==": the same
+	// bytes in both modes, recorded at the parent of the commit that
+	// declared the campaign table's columns (e800f50).
+	figs12Text := "2cd90b6c0e011910aa3f9f53fa8060a53f4409d8372df2b4225e81e7adfce22a"
+	figs34Text := "44dd2ef1eaebfec024fd6f221a54077d91f870fa25e0ab1f380f04eaca1baed3"
+	texts := map[string]string{
+		"fig1":                  figs12Text,
+		"fig2":                  figs12Text,
+		"fig3":                  figs34Text,
+		"fig4":                  figs34Text,
+		"costmodel":             "8a59422d33e82eceffa12a5394b907b2f6f2e2294b078f081eb188382cde5da5",
+		"ablation-strategy":     "01d7c34437ac731845adca39db2d2fd82d99f591d1b0e7087d9767e66c9679f0",
+		"ablation-availability": "f168f5ea774367ffbe72556161b597a25fe7e19d8fe4b8bc839f46c06a5267da",
+		"ablation-horizon":      "b1eee7bc801cf716d19062acd82f7a4d3f72524f6bbdb05f14e2402c84b9b6c7",
+		"ablation-delay":        "3b2b4e2be73ca13ebc1b399ac28a6ea33b323ced162f81b0439192d4872c9f7a",
+		"ablation-estimator":    "1854724278b5c17e5bbdafa16ee7beb4a019287c050b3aaa26e88a9d1ea70c66",
+		"diurnal":               "b4735c9c4a57603f902bb491ffd4530795c1ea1843744c1ec675dd213edcfeb3",
+		"blackout":              "17d1064a0f42d1df5205470a28f8b2358867bf70bcd86329f14c5006bc6df5f2",
+		"replay":                "487a7d6bcbfd2d93338340c323b957730682db7c759780313202cc8627ffc8a5",
+		"transfer-baseline":     "f6b2b8cf6e5f9b1fc9319921a05cf20e4e2a428657f0e46b019b1a777eee80be",
+		"flashcrowd":            "45e53199a850ef2f3e09df2fe5ea1d490e51e4f88a285169f8131b1186b5beb1",
+		"uplink-sweep":          "dec9f55f6ddd7bb16ae5046ca3937787d32e1c38d5fe6d9571353d5ecd92fbdd",
+		"fixed-vs-adaptive":     "adbfb022d7a86be5a5a1a94855446db27cb256a97e54e09cd6b37096378ece86",
 	}
 	for _, id := range Names() {
 		if id == "all" {
@@ -182,15 +208,21 @@ func TestRegistryOutputsPinned(t *testing.T) {
 						t.Errorf("%s: sha256 %s, parent %s\n%s", filepath.Base(f), got, parent, raw)
 					}
 				}
+				sum := sha256.Sum256([]byte(sums[0].Text))
+				if got, parent := hex.EncodeToString(sum[:]), texts[id]; got != parent {
+					t.Errorf("summary text: sha256 %s, parent %s\n%s", got, parent, sums[0].Text)
+				}
 			})
 		}
 	}
 }
 
 // TestCampaignTableConsistent: every id in Names() resolves; ids, kinds
-// and file names are unique; every kind builds valid variants (and
-// refuses to without the trace it replays); "all" covers exactly the
-// ids that need no external trace.
+// and file names are unique; every table sets exactly one of columns and
+// emit, under non-empty headers unique within it; every kind builds
+// valid variants (and refuses to without the trace it replays); every
+// entry writes one file per table; "all" covers exactly the ids that
+// need no external trace.
 func TestCampaignTableConsistent(t *testing.T) {
 	tracePath := microTraceFile(t)
 	seen := map[string]bool{}
@@ -210,18 +242,48 @@ func TestCampaignTableConsistent(t *testing.T) {
 		"ablation-estimator diurnal blackout transfer-baseline flashcrowd uplink-sweep fixed-vs-adaptive "; all != parent {
 		t.Errorf("\"all\" runs\n%s\nthe parent ran\n%s", all, parent)
 	}
+	// writesEveryTable runs the entry under spec and requires a file per
+	// table, in table order.
+	writesEveryTable := func(c *campaign, spec CampaignSpec) {
+		t.Helper()
+		sums, err := c.run(context.Background(), Options{Parallelism: 2, OutDir: t.TempDir()}, spec)
+		if err != nil {
+			t.Errorf("%v: %v", c.ids, err)
+			return
+		}
+		if len(sums) != 1 || len(sums[0].Files) != len(c.tables) {
+			t.Errorf("%v wrote %+v, want one summary with %d files", c.ids, sums, len(c.tables))
+			return
+		}
+		for i, f := range sums[0].Files {
+			if filepath.Base(f) != c.tables[i].file {
+				t.Errorf("%v: file %d is %s, its table says %s", c.ids, i, filepath.Base(f), c.tables[i].file)
+			}
+		}
+	}
 	for i := range campaigns {
 		c := &campaigns[i]
-		if (c.kind == "") != (c.build == nil) || len(c.files) == 0 || c.report == nil || (c.record != nil && !c.trace) {
+		if (c.kind == "") != (c.build == nil) || len(c.tables) == 0 || c.text == nil || (c.record != nil && !c.trace) {
 			t.Fatalf("malformed entry %v", c.ids)
 		}
-		for _, f := range c.files {
-			unique("file", f)
+		for _, tb := range c.tables {
+			unique("file", tb.file)
+			if (len(tb.columns) == 0) == (tb.emit == nil) {
+				t.Errorf("%s: %d columns and emit set = %v, want exactly one of them", tb.file, len(tb.columns), tb.emit != nil)
+			}
+			headers := map[string]bool{}
+			for _, col := range tb.columns {
+				if col.header == "" || headers[col.header] {
+					t.Errorf("%s: empty or repeated header %q", tb.file, col.header)
+				}
+				headers[col.header] = true
+			}
 		}
 		if (c.trace && c.record == nil) == strings.Contains(all, " "+c.ids[0]+" ") {
 			t.Errorf("\"all\" must run %v exactly when it needs no external trace", c.ids)
 		}
 		if c.kind == "" {
+			writesEveryTable(c, c.spec(Options{}))
 			continue
 		}
 		if unique("kind", c.kind); campaignByKind(c.kind) != c {
@@ -247,6 +309,8 @@ func TestCampaignTableConsistent(t *testing.T) {
 				t.Errorf("kind %q variant %q: %v", c.kind, camp.Variants[v].Name, err)
 			}
 		}
+		spec.Overrides.Rounds = min(spec.Overrides.Rounds, 50)
+		writesEveryTable(c, spec)
 	}
 	for _, kind := range []string{"", "nope"} { // "" is costmodel's: no campaign behind it
 		if _, err := (CampaignSpec{Kind: kind}).Build(); err == nil {

@@ -36,12 +36,5 @@ func TestRunnerShardedStress(t *testing.T) {
 	if len(got) != len(rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(got), len(rows))
 	}
-	a := ThresholdSweepFromRows(rows)
-	b := ThresholdSweepFromRows(got)
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("point %d differs between sequential and sharded runs:\n%+v\n%+v",
-				i, a.Points[i], b.Points[i])
-		}
-	}
+	sameTables(t, "fig1", rows, got)
 }

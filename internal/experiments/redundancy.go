@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/costmodel"
@@ -15,8 +14,8 @@ import (
 // layer that retunes per-archive parity from monitored availability.
 // Each churn scenario (i.i.d., diurnal, correlated shock, replayed
 // trace) runs under both policies with a shared per-scenario seed, and
-// the rows convert into storage-overhead and durability columns the
-// aggregate repair/loss counters cannot express.
+// the campaign's table reports storage-overhead and durability columns
+// the aggregate repair/loss counters cannot express.
 
 // setRedundancySpec points a variant config at a redundancy policy
 // spec, clearing any pre-bound policy: a base config's Redundancy must
@@ -27,13 +26,13 @@ func setRedundancySpec(c *sim.Config, spec string) {
 	c.RedundancySpec = spec
 }
 
-// RedundancyCampaign builds the fixed-vs-adaptive comparison:
+// redundancyCampaign builds the fixed-vs-adaptive comparison:
 // scenario blocks iid, diurnal and shock — plus replay when a trace is
 // supplied — each run under the fixed policy and under adaptiveSpec.
 // Both arms of a block share one block-derived seed so they start from
 // identical populations; the replay block goes further and feeds both
 // arms the identical churn sequence (the paired comparison).
-func RedundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string) Campaign {
+func redundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string) Campaign {
 	mid := cfg.Rounds / 2
 	type block struct {
 		name  string
@@ -61,10 +60,8 @@ func RedundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string)
 	}
 	c := Campaign{Name: "fixed-vs-adaptive", Base: cfg}
 	for bi, b := range blocks {
-		b := b
 		seed := cfg.Seed*7368787 + uint64(bi)
 		for _, spec := range []string{"fixed", adaptiveSpec} {
-			spec := spec
 			c.Variants = append(c.Variants, Variant{
 				Name: b.name + "/" + spec,
 				Seed: seed,
@@ -78,92 +75,69 @@ func RedundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string)
 	return c
 }
 
-// RedundancyPoint is one variant's outcome: durability counters plus
-// the storage and traffic bill of the redundancy policy.
-type RedundancyPoint struct {
-	Label      string
-	Repairs    int64
-	Outages    int64 // temporary losses (visible blocks dipped below k)
-	HardLosses int64 // permanent object losses
-	// FinalPlacements is the end-of-run stored-block count; Overhead
-	// normalises it to data blocks: stored blocks per data block across
-	// the population (the fixed policy's ceiling is n/k).
-	FinalPlacements int
-	Overhead        float64
-	// MeanRedundancy is the last sampled mean per-archive target n(t)
-	// (the configured n under the fixed policy, which never samples).
-	MeanRedundancy float64
-	Grows          int64
-	Shrinks        int64
-	ParityAdded    int64
-	ParityDropped  int64
-	// ParityCostHours prices the grow traffic: ParityAdded blocks pushed
-	// up the paper's reference DSL uplink at the variant's code shape
-	// (costmodel.ParityUploadCost), in hours.
-	ParityCostHours float64
+// population is the number of peers a row's run simulated: a replayed
+// trace defines its own (sim.Config.Validate), whatever NumPeers the
+// variant config was built with.
+func population(cfg sim.Config) int {
+	if cfg.Replay != nil {
+		return int(cfg.Replay.MaxPeer()) + 1
+	}
+	return cfg.NumPeers
 }
 
-// RedundancyResult is the labelled fixed-vs-adaptive comparison.
-type RedundancyResult struct {
-	Name   string
-	Points []RedundancyPoint
+// overhead is a row's end-of-run stored blocks per data block across
+// the population (the fixed policy's ceiling is n/k).
+func overhead(r Row) float64 {
+	return float64(r.Result.FinalPlacements) / float64(population(r.Config)*r.Config.DataBlocks)
 }
 
-// RedundancyFromRows converts the campaign's rows, in variant order.
-func RedundancyFromRows(name string, rows []Row) (*RedundancyResult, error) {
-	points := make([]RedundancyPoint, 0, len(rows))
-	for _, row := range rows {
-		col := row.Result.Collector
-		cfg := row.Config
-		p := RedundancyPoint{
-			Label:           row.Name,
-			Repairs:         col.TotalRepairs(),
-			Outages:         col.TotalLosses(),
-			HardLosses:      col.TotalHardLosses(),
-			FinalPlacements: row.Result.FinalPlacements,
-			Overhead:        float64(row.Result.FinalPlacements) / float64(cfg.NumPeers*cfg.DataBlocks),
-			MeanRedundancy:  float64(cfg.TotalBlocks),
-			Grows:           col.RedundancyGrows(),
-			Shrinks:         col.RedundancyShrinks(),
-			ParityAdded:     col.ParityBlocksAdded(),
-			ParityDropped:   col.ParityBlocksReclaimed(),
-		}
-		if s := col.RedundancySeries(); s.Len() > 0 {
-			_, p.MeanRedundancy = s.Last()
-		}
-		if p.ParityAdded > 0 {
-			code := costmodel.Code{
-				ArchiveBytes: 128 * costmodel.MB,
-				K:            cfg.DataBlocks,
-				M:            cfg.TotalBlocks - cfg.DataBlocks,
-			}
-			perBlock, err := costmodel.ParityUploadCost(code, 1, costmodel.DSL2009())
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", row.Name, err)
-			}
-			p.ParityCostHours = perBlock.Hours() * float64(p.ParityAdded)
-		}
-		points = append(points, p)
+// meanRedundancy is the last sampled mean per-archive target n(t): the
+// configured n under the fixed policy, which never samples.
+func meanRedundancy(r Row) float64 {
+	if s := r.Result.Collector.RedundancySeries(); s.Len() > 0 {
+		_, n := s.Last()
+		return n
 	}
-	return &RedundancyResult{Name: name, Points: points}, nil
+	return float64(r.Config.TotalBlocks)
 }
 
-// WriteTSV emits the fixed-vs-adaptive comparison.
-func (r *RedundancyResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# redundancy campaign: %s (overhead = stored blocks per data block; parity cost on the 2009 DSL uplink)\n"+
-		"#variant\trepairs\toutages\thard_losses\tfinal_placements\toverhead\tmean_n\t"+
-		"grows\tshrinks\tparity_added\tparity_dropped\tparity_cost_h\n", r.Name); err != nil {
-		return err
+// parityCostHours prices a row's grow traffic: the parity blocks added,
+// pushed up the paper's reference DSL uplink at the row's code shape
+// (costmodel.ParityUploadCost), in hours.
+func parityCostHours(r Row) float64 {
+	added := r.Result.Collector.ParityBlocksAdded()
+	if added <= 0 {
+		return 0
 	}
-	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.6g\t%.6g\t%d\t%d\t%d\t%d\t%.6g\n",
-			p.Label, p.Repairs, p.Outages, p.HardLosses, p.FinalPlacements, p.Overhead, p.MeanRedundancy,
-			p.Grows, p.Shrinks, p.ParityAdded, p.ParityDropped, p.ParityCostHours); err != nil {
-			return err
-		}
+	code := costmodel.Code{
+		ArchiveBytes: 128 * costmodel.MB,
+		K:            r.Config.DataBlocks,
+		M:            r.Config.TotalBlocks - r.Config.DataBlocks,
 	}
-	return nil
+	// The row's config passed sim.Config.Validate (k >= 1, n > k), and
+	// the link is a preset, so the cost is defined.
+	perBlock, _ := costmodel.ParityUploadCost(code, 1, costmodel.DSL2009())
+	return perBlock.Hours() * float64(added)
 }
+
+// redundancyTable is the fixed-vs-adaptive data file: durability
+// counters plus the storage and traffic bill of each policy.
+var redundancyTable = []table{{
+	file:    "scenario_redundancy.tsv",
+	comment: "redundancy campaign: fixed-vs-adaptive (overhead = stored blocks per data block; parity cost on the 2009 DSL uplink)",
+	columns: []column{variantCol, repairsCol,
+		{"outages", "%d", func(r Row) any { return r.Result.Collector.TotalLosses() }},
+		{"hard_losses", "%d", func(r Row) any { return r.Result.Collector.TotalHardLosses() }},
+		{"final_placements", "%d", func(r Row) any { return r.Result.FinalPlacements }},
+		{"overhead", "%.6g", func(r Row) any { return overhead(r) }},
+		{"mean_n", "%.6g", func(r Row) any { return meanRedundancy(r) }},
+		{"grows", "%d", func(r Row) any { return r.Result.Collector.RedundancyGrows() }},
+		{"shrinks", "%d", func(r Row) any { return r.Result.Collector.RedundancyShrinks() }},
+		{"parity_added", "%d", func(r Row) any { return r.Result.Collector.ParityBlocksAdded() }},
+		{"parity_dropped", "%d", func(r Row) any { return r.Result.Collector.ParityBlocksReclaimed() }},
+		{"parity_cost_h", "%.6g", func(r Row) any { return parityCostHours(r) }},
+	},
+}}
 
 // redundancyAdaptiveSpec picks the campaign's adaptive arm: the
 // -redundancy override when it names an adaptive policy, the default
@@ -177,18 +151,15 @@ func redundancyAdaptiveSpec(override string) string {
 	return "adaptive"
 }
 
-// reportRedundancy reports the fixed-vs-adaptive comparison.
-func reportRedundancy(campaign string, rows []Row) (report, error) {
-	res, err := RedundancyFromRows(campaign, rows)
-	if err != nil {
-		return report{}, err
-	}
+// redundancyText summarises the fixed-vs-adaptive comparison.
+func redundancyText(rows []Row) (string, error) {
 	text := fmt.Sprintf("%-20s %9s %7s %7s %9s %7s %6s/%-6s %12s\n",
 		"variant", "overhead", "mean_n", "hard", "outages", "grows", "shrink", "parity", "cost_h")
-	for _, p := range res.Points {
+	for _, r := range rows {
+		col := r.Result.Collector
 		text += fmt.Sprintf("%-20s %9.4f %7.2f %7d %9d %7d %6d/%-6d %12.1f\n",
-			p.Label, p.Overhead, p.MeanRedundancy, p.HardLosses, p.Outages,
-			p.Grows, p.Shrinks, p.ParityAdded, p.ParityCostHours)
+			r.Name, overhead(r), meanRedundancy(r), col.TotalHardLosses(), col.TotalLosses(),
+			col.RedundancyGrows(), col.RedundancyShrinks(), col.ParityBlocksAdded(), parityCostHours(r))
 	}
-	return report{name: res.Name, emit: []func(io.Writer) error{res.WriteTSV}, text: text}, nil
+	return text, nil
 }

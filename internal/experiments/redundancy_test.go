@@ -1,10 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"hash/fnv"
-	"reflect"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,27 +15,21 @@ import (
 )
 
 // runRedundancyTwice executes the fixed-vs-adaptive campaign at two
-// parallelism levels and fails unless both produce identical typed
-// results — the determinism contract extended to the adaptive policy
-// layer: grow/shrink trajectories are a pure function of the variant
-// seed, never of worker scheduling.
-func runRedundancyTwice(t *testing.T, cfg sim.Config, trace *churn.Trace, spec string) *RedundancyResult {
+// parallelism levels and fails unless both write identical data files —
+// the determinism contract extended to the adaptive policy layer:
+// grow/shrink trajectories are a pure function of the variant seed,
+// never of worker scheduling.
+func runRedundancyTwice(t *testing.T, cfg sim.Config, trace *churn.Trace, spec string) []Row {
 	t.Helper()
-	run := func(parallelism int) *RedundancyResult {
-		rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), RedundancyCampaign(cfg, trace, spec))
+	run := func(parallelism int) []Row {
+		rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), redundancyCampaign(cfg, trace, spec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RedundancyFromRows("fixed-vs-adaptive", rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return rows
 	}
-	a, b := run(1), run(4)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("redundancy campaign not deterministic across parallelism:\n%+v\n%+v", a, b)
-	}
+	a := run(1)
+	sameTables(t, "fixed-vs-adaptive", a, run(4))
 	return a
 }
 
@@ -46,14 +42,10 @@ func runRedundancyTwice(t *testing.T, cfg sim.Config, trace *churn.Trace, spec s
 // which exercises the full grow/shrink dynamics.
 const microAdaptiveSpec = "adaptive:target=0.9,hysteresis=2"
 
-func redundancyDigest(t *testing.T, res *RedundancyResult) uint64 {
+func redundancyDigest(t *testing.T, rows []Row) uint64 {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
 	h := fnv.New64a()
-	h.Write(buf.Bytes())
+	h.Write([]byte(renderTables(t, "fixed-vs-adaptive", rows)["scenario_redundancy.tsv"]))
 	return h.Sum64()
 }
 
@@ -63,38 +55,40 @@ func redundancyDigest(t *testing.T, res *RedundancyResult) uint64 {
 // and fixed arms never touch the redundancy machinery.
 func TestRedundancyCampaignDeterminism(t *testing.T) {
 	cfg := microConfig()
-	res := runRedundancyTwice(t, cfg, nil, microAdaptiveSpec)
+	rows := runRedundancyTwice(t, cfg, nil, microAdaptiveSpec)
 	wantLabels := []string{
 		"iid/fixed", "iid/" + microAdaptiveSpec,
 		"diurnal/fixed", "diurnal/" + microAdaptiveSpec,
 		"shock/fixed", "shock/" + microAdaptiveSpec,
 	}
-	if len(res.Points) != len(wantLabels) {
-		t.Fatalf("%d points, want %d", len(res.Points), len(wantLabels))
+	if len(rows) != len(wantLabels) {
+		t.Fatalf("%d rows, want %d", len(rows), len(wantLabels))
 	}
 	for i, w := range wantLabels {
-		if res.Points[i].Label != w {
-			t.Fatalf("label[%d] = %q, want %q", i, res.Points[i].Label, w)
+		if rows[i].Name != w {
+			t.Fatalf("label[%d] = %q, want %q", i, rows[i].Name, w)
 		}
 	}
-	for i, p := range res.Points {
+	for i, r := range rows {
+		col := r.Result.Collector
+		grows, shrinks, added := col.RedundancyGrows(), col.RedundancyShrinks(), col.ParityBlocksAdded()
 		if i%2 == 0 { // fixed arm
-			if p.Grows != 0 || p.Shrinks != 0 || p.ParityAdded != 0 || p.ParityCostHours != 0 {
-				t.Errorf("%s: fixed arm recorded redundancy activity: %+v", p.Label, p)
+			if grows != 0 || shrinks != 0 || added != 0 || parityCostHours(r) != 0 {
+				t.Errorf("%s: fixed arm recorded redundancy activity: grows %d shrinks %d parity %d", r.Name, grows, shrinks, added)
 			}
-			if p.MeanRedundancy != float64(cfg.TotalBlocks) {
-				t.Errorf("%s: fixed mean_n = %v, want %d", p.Label, p.MeanRedundancy, cfg.TotalBlocks)
+			if meanRedundancy(r) != float64(cfg.TotalBlocks) {
+				t.Errorf("%s: fixed mean_n = %v, want %d", r.Name, meanRedundancy(r), cfg.TotalBlocks)
 			}
 		} else { // adaptive arm
-			if p.Grows == 0 || p.ParityAdded == 0 {
-				t.Errorf("%s: adaptive arm never grew: %+v", p.Label, p)
+			if grows == 0 || added == 0 {
+				t.Errorf("%s: adaptive arm never grew: grows %d parity %d", r.Name, grows, added)
 			}
-			if p.ParityCostHours <= 0 {
-				t.Errorf("%s: parity cost = %v, want > 0", p.Label, p.ParityCostHours)
+			if parityCostHours(r) <= 0 {
+				t.Errorf("%s: parity cost = %v, want > 0", r.Name, parityCostHours(r))
 			}
 		}
 	}
-	a := redundancyDigest(t, res)
+	a := redundancyDigest(t, rows)
 	b := redundancyDigest(t, runRedundancyTwice(t, cfg, nil, microAdaptiveSpec))
 	if a != b {
 		t.Fatalf("redundancy digests differ across executions: %#x vs %#x", a, b)
@@ -106,16 +100,16 @@ func TestRedundancyCampaignDeterminism(t *testing.T) {
 // below the fixed policy's n-per-archive bill without giving up object
 // durability (no more permanent losses than fixed).
 func TestRedundancyCampaignDominance(t *testing.T) {
-	res := runRedundancyTwice(t, microConfig(), nil, microAdaptiveSpec)
-	fixed, adaptive := res.Points[0], res.Points[1]
-	if fixed.Label != "iid/fixed" || adaptive.Label != "iid/"+microAdaptiveSpec {
-		t.Fatalf("unexpected iid labels: %q, %q", fixed.Label, adaptive.Label)
+	rows := runRedundancyTwice(t, microConfig(), nil, microAdaptiveSpec)
+	fixed, adaptive := rows[0], rows[1]
+	if fixed.Name != "iid/fixed" || adaptive.Name != "iid/"+microAdaptiveSpec {
+		t.Fatalf("unexpected iid labels: %q, %q", fixed.Name, adaptive.Name)
 	}
-	if adaptive.Overhead > fixed.Overhead {
-		t.Errorf("adaptive overhead %.4f > fixed %.4f: no storage savings", adaptive.Overhead, fixed.Overhead)
+	if overhead(adaptive) > overhead(fixed) {
+		t.Errorf("adaptive overhead %.4f > fixed %.4f: no storage savings", overhead(adaptive), overhead(fixed))
 	}
-	if adaptive.HardLosses > fixed.HardLosses {
-		t.Errorf("adaptive hard losses %d > fixed %d: durability regressed", adaptive.HardLosses, fixed.HardLosses)
+	if a, f := adaptive.Result.Collector.TotalHardLosses(), fixed.Result.Collector.TotalHardLosses(); a > f {
+		t.Errorf("adaptive hard losses %d > fixed %d: durability regressed", a, f)
 	}
 }
 
@@ -131,20 +125,19 @@ func TestRedundancyCampaignReplay(t *testing.T) {
 	}
 	trace := s.Run().Trace
 
-	res := runRedundancyTwice(t, microConfig(), trace, microAdaptiveSpec)
-	if len(res.Points) != 8 {
-		t.Fatalf("%d points, want 8", len(res.Points))
+	rows := runRedundancyTwice(t, microConfig(), trace, microAdaptiveSpec)
+	if len(rows) != 8 {
+		t.Fatalf("%d rows, want 8", len(rows))
 	}
-	fixed, adaptive := res.Points[6], res.Points[7]
-	if fixed.Label != "replay/fixed" || adaptive.Label != "replay/"+microAdaptiveSpec {
-		t.Fatalf("unexpected replay labels: %q, %q", fixed.Label, adaptive.Label)
+	fixed, adaptive := rows[6], rows[7]
+	if fixed.Name != "replay/fixed" || adaptive.Name != "replay/"+microAdaptiveSpec {
+		t.Fatalf("unexpected replay labels: %q, %q", fixed.Name, adaptive.Name)
 	}
-	if adaptive.Grows == 0 {
-		t.Errorf("replay adaptive arm never grew: %+v", adaptive)
+	if adaptive.Result.Collector.RedundancyGrows() == 0 {
+		t.Errorf("replay adaptive arm never grew")
 	}
-	if adaptive.FinalPlacements >= fixed.FinalPlacements {
-		t.Errorf("replay adaptive placements %d >= fixed %d: no storage savings on identical churn",
-			adaptive.FinalPlacements, fixed.FinalPlacements)
+	if a, f := adaptive.Result.FinalPlacements, fixed.Result.FinalPlacements; a >= f {
+		t.Errorf("replay adaptive placements %d >= fixed %d: no storage savings on identical churn", a, f)
 	}
 }
 
@@ -167,5 +160,54 @@ func TestOptionsRedundancyValidatesEagerly(t *testing.T) {
 	// A fixed (static) override cannot serve as the adaptive arm.
 	if got := redundancyAdaptiveSpec("fixed"); got != "adaptive" {
 		t.Fatalf("adaptive arm = %q, want default", got)
+	}
+}
+
+// TestRedundancyOverheadUsesTracePopulation: a replayed trace defines
+// its run's population (sim.Config.Validate), so the replay rows'
+// overhead divides the stored blocks by the trace's peers times k, not
+// by the NumPeers the variant was built with — in process and under the
+// supervisor alike.
+func TestRedundancyOverheadUsesTracePopulation(t *testing.T) {
+	micro := microConfig()
+	trace := recordTrace(t, 3*micro.NumPeers/2)
+	pop := int(trace.MaxPeer()) + 1
+	if pop == micro.NumPeers {
+		t.Fatalf("trace population %d equals the preset's: the test would prove nothing", pop)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := churn.WriteTraceFile(path, trace); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"in-process", "supervised"} {
+		opts := Options{Scale: ScaleSmoke, Seed: 3, Parallelism: 2, OutDir: t.TempDir(), TracePath: path, Redundancy: microAdaptiveSpec}
+		if mode == "supervised" {
+			opts.Procs = 2
+			opts.WorkerCmd = []string{os.Args[0]}
+			opts.WorkerEnv = []string{testWorkerEnv + "=1"}
+		}
+		sums, err := runShrunk("fixed-vs-adaptive", opts, func(s *CampaignSpec) { s.Overrides = microSpec().Overrides })
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		replay := 0
+		for _, line := range strings.Split(readSummaryFile(t, sums, "scenario_redundancy.tsv"), "\n") {
+			f := strings.Split(line, "\t") // variant, repairs, outages, hard_losses, final_placements, overhead, ...
+			if !strings.HasPrefix(f[0], "replay/") {
+				continue
+			}
+			replay++
+			placements, err := strconv.Atoi(f[4])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("%.6g", float64(placements)/float64(pop*micro.DataBlocks)); f[5] != want {
+				t.Errorf("%s %s: overhead %s, want %d placements / (%d peers x k=%d) = %s",
+					mode, f[0], f[5], placements, pop, micro.DataBlocks, want)
+			}
+		}
+		if replay != 2 {
+			t.Errorf("%s: %d replay rows, want 2", mode, replay)
+		}
 	}
 }

@@ -115,16 +115,25 @@ func (o Options) collect(ctx context.Context, r Runner, camp Campaign, spec Camp
 	return sup.Run(ctx, spec, camp, sink)
 }
 
-// sink merges the typed event sink and the plain-text progress callback.
+// sink merges the typed event sink and the plain-text progress callback:
+// heartbeats pass through as text, completed rows are formatted by
+// rowMsg. It is nil when neither is set.
 func (o Options) sink(rowMsg func(Row) string) func(Event) {
-	text := progressSink(o.Progress, rowMsg)
-	if o.Events == nil {
-		return text
+	if o.Events == nil && o.Progress == nil {
+		return nil
 	}
 	return func(ev Event) {
-		o.Events(ev)
-		if text != nil {
-			text(ev)
+		if o.Events != nil {
+			o.Events(ev)
+		}
+		if o.Progress == nil {
+			return
+		}
+		switch {
+		case ev.Kind == EventProgress:
+			o.Progress(ev.Message)
+		case ev.Kind == EventRow && rowMsg != nil:
+			o.Progress(rowMsg(*ev.Row))
 		}
 	}
 }

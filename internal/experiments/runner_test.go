@@ -29,15 +29,9 @@ func TestRunnerRowsDeterministicAcrossParallelism(t *testing.T) {
 	if len(serial) != len(concurrent) || len(serial) != 5 {
 		t.Fatalf("row counts differ: %d vs %d", len(serial), len(concurrent))
 	}
-	// Compare the full converted points (comparable structs): the rows
-	// must be value-identical, not merely similar.
-	a := ThresholdSweepFromRows(serial)
-	b := ThresholdSweepFromRows(concurrent)
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("point %d differs across parallelism:\n%+v\n%+v", i, a.Points[i], b.Points[i])
-		}
-	}
+	// Compare the data files the rows write: the rows must be
+	// value-identical, not merely similar.
+	sameTables(t, "fig1", serial, concurrent)
 	for i, row := range serial {
 		if row.Index != i {
 			t.Fatalf("rows not ordered by index: %d at %d", row.Index, i)

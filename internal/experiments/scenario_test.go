@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,22 +13,20 @@ import (
 )
 
 // runAblationTwice executes the campaign twice and fails unless both
-// executions produce identical typed results — the determinism
-// contract every scenario campaign must honour (same seed, same
-// Result, at any parallelism).
-func runAblationTwice(t *testing.T, name string, build func() Campaign) *AblationResult {
+// executions write identical data files for experiment id — the
+// determinism contract every scenario campaign must honour (same seed,
+// same output, at any parallelism).
+func runAblationTwice(t *testing.T, id string, build func() Campaign) []Row {
 	t.Helper()
-	run := func(parallelism int) *AblationResult {
+	run := func(parallelism int) []Row {
 		rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), build())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return AblationFromRows(name, rows)
+		return rows
 	}
-	a, b := run(2), run(1)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s campaign not deterministic:\n%+v\n%+v", name, a, b)
-	}
+	a := run(2)
+	sameTables(t, id, a, run(1))
 	return a
 }
 
@@ -37,16 +34,16 @@ func TestDiurnalCampaignDeterminism(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
 	amps := []float64{0, 0.5, 0.9}
-	res := runAblationTwice(t, "diurnal", func() Campaign { return DiurnalCampaign(cfg, amps) })
-	if len(res.Points) != len(amps) {
-		t.Fatalf("%d points, want %d", len(res.Points), len(amps))
+	rows := runAblationTwice(t, "diurnal", func() Campaign { return DiurnalCampaign(cfg, amps) })
+	if len(rows) != len(amps) {
+		t.Fatalf("%d rows, want %d", len(rows), len(amps))
 	}
-	if res.Points[0].Label != "amp=0.00" || res.Points[2].Label != "amp=0.90" {
-		t.Fatalf("labels = %v %v", res.Points[0].Label, res.Points[2].Label)
+	if rows[0].Name != "amp=0.00" || rows[2].Name != "amp=0.90" {
+		t.Fatalf("labels = %v %v", rows[0].Name, rows[2].Name)
 	}
 	// The amplitude must matter: a full-swing day/night cycle cannot
 	// produce the identical trajectory as flat availability.
-	if res.Points[0] == res.Points[2] {
+	if dataLine(t, "diurnal", "scenario_diurnal.tsv", rows, 0) == dataLine(t, "diurnal", "scenario_diurnal.tsv", rows, 2) {
 		t.Fatal("amp=0 and amp=0.9 produced identical outcomes")
 	}
 }
@@ -54,16 +51,16 @@ func TestDiurnalCampaignDeterminism(t *testing.T) {
 func TestBlackoutCampaignDeterminism(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	res := runAblationTwice(t, "blackout", func() Campaign { return BlackoutCampaign(cfg) })
-	if len(res.Points) != 5 {
-		t.Fatalf("%d points, want 5", len(res.Points))
+	rows := runAblationTwice(t, "blackout", func() Campaign { return BlackoutCampaign(cfg) })
+	if len(rows) != 5 {
+		t.Fatalf("%d rows, want 5", len(rows))
 	}
-	if res.Points[0].Label != "baseline" || res.Points[0].Shocks != 0 {
-		t.Fatalf("baseline point = %+v", res.Points[0])
+	if rows[0].Name != "baseline" || rows[0].Result.Collector.TotalShocks() != 0 {
+		t.Fatalf("baseline row %q fired %d shocks", rows[0].Name, rows[0].Result.Collector.TotalShocks())
 	}
-	for _, p := range res.Points[1:4] {
-		if p.Shocks != 1 {
-			t.Fatalf("%s fired %d shocks, want 1 (scheduled mid-run)", p.Label, p.Shocks)
+	for _, r := range rows[1:4] {
+		if n := r.Result.Collector.TotalShocks(); n != 1 {
+			t.Fatalf("%s fired %d shocks, want 1 (scheduled mid-run)", r.Name, n)
 		}
 	}
 }
@@ -71,16 +68,16 @@ func TestBlackoutCampaignDeterminism(t *testing.T) {
 func TestReplayCampaignDeterminism(t *testing.T) {
 	trace := recordMicroTrace(t)
 	cfg := microConfig()
-	res := runAblationTwice(t, "replay", func() Campaign { return ReplayCampaign(cfg, trace) })
-	if len(res.Points) == 0 {
-		t.Fatal("no replay points")
+	rows := runAblationTwice(t, "replay", func() Campaign { return ReplayCampaign(cfg, trace) })
+	if len(rows) == 0 {
+		t.Fatal("no replay rows")
 	}
 	// Identical churn per variant: every strategy must see the same
 	// death sequence.
-	for _, p := range res.Points[1:] {
-		if p.Deaths != res.Points[0].Deaths {
+	for _, r := range rows[1:] {
+		if r.Result.Deaths != rows[0].Result.Deaths {
 			t.Fatalf("strategy %q saw %d deaths, %q saw %d — replay churn not shared",
-				p.Label, p.Deaths, res.Points[0].Label, res.Points[0].Deaths)
+				r.Name, r.Result.Deaths, rows[0].Name, rows[0].Result.Deaths)
 		}
 	}
 }
@@ -170,23 +167,20 @@ func TestWrapperThresholdSweepAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := ThresholdSweepFromRows(rows)
-	if len(sweep.Points) != 2 || sweep.Points[0].Repairs == 0 {
-		t.Fatalf("campaign path points = %+v", sweep.Points)
+	if len(rows) != 2 || rows[0].Result.Collector.TotalRepairs() == 0 {
+		t.Fatalf("campaign path: %d rows", len(rows))
 	}
-	sameTSV(t, sums, "fig1_repairs_by_threshold.tsv", sweep.WriteRepairTSV)
-	sameTSV(t, sums, "fig2_losses_by_threshold.tsv", sweep.WriteLossTSV)
+	sameTSV(t, sums, "fig1", rows)
 }
 
-// sameTSV requires the registry's data file to hold what emit writes.
-func sameTSV(t *testing.T, sums []Summary, file string, emit func(io.Writer) error) {
+// sameTSV requires the registry's data files to hold what experiment
+// id's tables write for rows.
+func sameTSV(t *testing.T, sums []Summary, id string, rows []Row) {
 	t.Helper()
-	var want strings.Builder
-	if err := emit(&want); err != nil {
-		t.Fatal(err)
-	}
-	if got := readSummaryFile(t, sums, file); got != want.String() || got == "" {
-		t.Fatalf("registry %s differs from the campaign path:\n%s\n%s", file, got, want.String())
+	for file, want := range renderTables(t, id, rows) {
+		if got := readSummaryFile(t, sums, file); got != want || got == "" {
+			t.Fatalf("registry %s differs from the campaign path:\n%s\n%s", file, got, want)
+		}
 	}
 }
 
@@ -207,9 +201,7 @@ func TestWrapperFocalAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	focal := FocalFromRow(rows[0])
-	sameTSV(t, sums, "fig3_observer_repairs.tsv", focal.WriteObserverTSV)
-	sameTSV(t, sums, "fig4_cumulative_losses.tsv", focal.WriteLossSeriesTSV)
+	sameTSV(t, sums, "fig3", rows)
 }
 
 func TestWrapperRegistryRunAgrees(t *testing.T) {
@@ -236,35 +228,35 @@ func TestEstimatorCampaignDeterminism(t *testing.T) {
 	trace := recordMicroTrace(t)
 	cfg := microConfig()
 	cfg.Rounds = 200
-	res := runAblationTwice(t, "estimator", func() Campaign { return EstimatorCampaign(cfg, trace) })
+	rows := runAblationTwice(t, "ablation-estimator", func() Campaign { return estimatorCampaign(cfg, trace) })
 	// Three churn blocks (iid, diurnal, replay) x four strategies.
-	if len(res.Points) != 12 {
-		t.Fatalf("%d points, want 12", len(res.Points))
+	if len(rows) != 12 {
+		t.Fatalf("%d rows, want 12", len(rows))
 	}
 	wantLabels := []string{"iid/age", "iid/estimator:pareto", "iid/estimator:empirical", "iid/monitored-availability"}
 	for i, w := range wantLabels {
-		if res.Points[i].Label != w {
-			t.Fatalf("label[%d] = %q, want %q", i, res.Points[i].Label, w)
+		if rows[i].Name != w {
+			t.Fatalf("label[%d] = %q, want %q", i, rows[i].Name, w)
 		}
 	}
 	// The replay block shares its churn: identical deaths per strategy.
-	var replay []AblationPoint
-	for _, p := range res.Points {
-		if strings.HasPrefix(p.Label, "replay/") {
-			replay = append(replay, p)
+	var replay []Row
+	for _, r := range rows {
+		if strings.HasPrefix(r.Name, "replay/") {
+			replay = append(replay, r)
 		}
 	}
 	if len(replay) != 4 {
-		t.Fatalf("replay block has %d points", len(replay))
+		t.Fatalf("replay block has %d rows", len(replay))
 	}
-	for _, p := range replay[1:] {
-		if p.Deaths != replay[0].Deaths {
+	for _, r := range replay[1:] {
+		if r.Result.Deaths != replay[0].Result.Deaths {
 			t.Fatalf("replay churn not shared: %q saw %d deaths, %q saw %d",
-				p.Label, p.Deaths, replay[0].Label, replay[0].Deaths)
+				r.Name, r.Result.Deaths, replay[0].Name, replay[0].Result.Deaths)
 		}
 	}
 	// Without a trace the campaign degrades to the two synthetic blocks.
-	noTrace := EstimatorCampaign(cfg, nil)
+	noTrace := estimatorCampaign(cfg, nil)
 	if len(noTrace.Variants) != 8 {
 		t.Fatalf("trace-less campaign has %d variants, want 8", len(noTrace.Variants))
 	}
@@ -297,10 +289,10 @@ func TestStrategySweepsIgnoreBaseStrategyFields(t *testing.T) {
 	builds := map[string]func(c sim.Config) Campaign{
 		"strategy": StrategyCampaign,
 		"horizon": func(c sim.Config) Campaign {
-			return HorizonCampaign(c, []int64{24, 96})
+			return horizonCampaign(c, []int64{24, 96})
 		},
 		"estimator": func(c sim.Config) Campaign {
-			return EstimatorCampaign(c, nil)
+			return estimatorCampaign(c, nil)
 		},
 	}
 	for name, build := range builds {

@@ -20,34 +20,34 @@ import (
 	"p2pbackup/internal/rng"
 )
 
-// FailureKind classifies why a worker attempt died, driving both the
+// failureKind classifies why a worker attempt died, driving both the
 // retry decision and the typed failure surfaced when retries run out.
-type FailureKind int
+type failureKind int
 
 const (
-	// FailTransient is an unclassified process failure (e.g. wait error
+	// failTransient is an unclassified process failure (e.g. wait error
 	// with no exit status); retried.
-	FailTransient FailureKind = iota
-	// FailPanic is a contained Go panic in the worker (exit code 2 with
+	failTransient failureKind = iota
+	// failPanic is a contained Go panic in the worker (exit code 2 with
 	// "panic:" on stderr).
-	FailPanic
-	// FailOOMKill is a SIGKILL the supervisor did not send — on Linux,
+	failPanic
+	// failOOMKill is a SIGKILL the supervisor did not send — on Linux,
 	// almost always the kernel OOM killer.
-	FailOOMKill
-	// FailHang is a variant that overran its timeout or stopped
+	failOOMKill
+	// failHang is a variant that overran its timeout or stopped
 	// heartbeating and was killed.
-	FailHang
-	// FailExit is a nonzero worker exit that wasn't a panic.
-	FailExit
-	// FailProtocol is a worker that exited 0 without delivering a
+	failHang
+	// failExit is a nonzero worker exit that wasn't a panic.
+	failExit
+	// failProtocol is a worker that exited 0 without delivering a
 	// result line.
-	FailProtocol
+	failProtocol
 )
 
 var failureKindNames = [...]string{"transient", "panic", "oom-kill", "hang", "exit", "protocol"}
 
 // String names the classification for journals and failure messages.
-func (k FailureKind) String() string {
+func (k failureKind) String() string {
 	if k >= 0 && int(k) < len(failureKindNames) {
 		return failureKindNames[k]
 	}
@@ -125,7 +125,7 @@ type Supervisor struct {
 	// the test binary re-exec'd through a TestMain hook.
 	WorkerCmd []string
 	// WorkerEnv entries are appended to the inherited environment of
-	// every worker (e.g. the FaultEnv injector used by tests).
+	// every worker (e.g. the faultEnv injector used by tests).
 	WorkerEnv []string
 	// JournalPath, when non-empty, is the checkpoint journal: one
 	// fsynced JSON line per finished variant (status "ok" or "failed").
@@ -135,11 +135,11 @@ type Supervisor struct {
 	Resume bool
 }
 
-// VariantFailure describes a variant that exhausted its retries.
-type VariantFailure struct {
+// variantFailure describes a variant that exhausted its retries.
+type variantFailure struct {
 	Variant  int
 	Name     string
-	Class    FailureKind
+	Class    failureKind
 	Attempts int
 	Err      error
 }
@@ -242,7 +242,7 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 	var (
 		mu       sync.Mutex
 		fatalErr error
-		failures []VariantFailure
+		failures []variantFailure
 	)
 	fatal := func(err error) {
 		mu.Lock()
@@ -280,7 +280,7 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 						rows[i] = row
 						mu.Unlock()
 					},
-					func(f VariantFailure) {
+					func(f variantFailure) {
 						mu.Lock()
 						failures = append(failures, f)
 						mu.Unlock()
@@ -302,13 +302,12 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 		return nil, err
 	}
 
-	var out []Row
+	var out []Row // in variant order: rows is indexed by variant
 	for _, r := range rows {
 		if r != nil {
 			out = append(out, *r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	if len(out) == 0 {
 		return nil, fmt.Errorf("experiments: campaign %q: every variant failed permanently (first: %v)", camp.Name, fails[0].Err)
 	}
@@ -329,11 +328,11 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 // terminal states call exactly one of onRow, onFail or fatal.
 func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, camp Campaign, i int,
 	workerCmd []string, retry RetryPolicy, journal *journalWriter, fp string, emit func(Event),
-	onRow func(*Row), onFail func(VariantFailure), fatal func(error)) {
+	onRow func(*Row), onFail func(variantFailure), fatal func(error)) {
 
 	name := camp.Variants[i].Name
 	var lastErr error
-	lastClass := FailTransient
+	lastClass := failTransient
 	for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			return
@@ -385,7 +384,7 @@ func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, ca
 			return
 		}
 	}
-	onFail(VariantFailure{Variant: i, Name: name, Class: lastClass, Attempts: retry.MaxAttempts, Err: lastErr})
+	onFail(variantFailure{Variant: i, Name: name, Class: lastClass, Attempts: retry.MaxAttempts, Err: lastErr})
 	emit(Event{Kind: EventFailed, Campaign: camp.Name, Variant: i, Name: name,
 		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %v", name, lastClass, retry.MaxAttempts, lastErr),
 		Err:     fmt.Errorf("experiments: %s %q: %s after %d attempts: %w", camp.Name, name, lastClass, retry.MaxAttempts, lastErr)})
@@ -411,8 +410,8 @@ func stderrTail(buf *bytes.Buffer) string {
 
 // runAttempt runs one worker process for (variant, attempt) and
 // classifies the outcome. A nil error means snap is the variant's
-// result; otherwise the FailureKind says what killed the attempt.
-func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant, attempt int, workerCmd []string) (*resultSnapshot, FailureKind, error) {
+// result; otherwise the failureKind says what killed the attempt.
+func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant, attempt int, workerCmd []string) (*resultSnapshot, failureKind, error) {
 	attemptCtx := ctx
 	if s.VariantTimeout > 0 {
 		var cancel context.CancelFunc
@@ -427,14 +426,14 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant,
 	cmd.Stderr = &stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, FailTransient, fmt.Errorf("%w: %v", errSpawn, err)
+		return nil, failTransient, fmt.Errorf("%w: %v", errSpawn, err)
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, FailTransient, fmt.Errorf("%w: %v", errSpawn, err)
+		return nil, failTransient, fmt.Errorf("%w: %v", errSpawn, err)
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, FailTransient, fmt.Errorf("%w: %v", errSpawn, err)
+		return nil, failTransient, fmt.Errorf("%w: %v", errSpawn, err)
 	}
 	// A worker must heartbeat several times per grace window, or a
 	// healthy-but-busy worker would be indistinguishable from a hung
@@ -509,25 +508,25 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant,
 	case waitErr == nil && snap != nil:
 		return snap, 0, nil
 	case attemptCtx.Err() == context.DeadlineExceeded:
-		return nil, FailHang, fmt.Errorf("variant overran its %s timeout", s.VariantTimeout)
+		return nil, failHang, fmt.Errorf("variant overran its %s timeout", s.VariantTimeout)
 	case ctx.Err() != nil:
-		return nil, FailTransient, ctx.Err()
+		return nil, failTransient, ctx.Err()
 	case stalled.Load():
-		return nil, FailHang, fmt.Errorf("worker stopped heartbeating for %s", s.HeartbeatGrace)
+		return nil, failHang, fmt.Errorf("worker stopped heartbeating for %s", s.HeartbeatGrace)
 	case waitErr != nil:
 		var ee *exec.ExitError
 		if errors.As(waitErr, &ee) {
 			if st, ok := ee.Sys().(syscall.WaitStatus); ok && st.Signaled() && st.Signal() == syscall.SIGKILL {
-				return nil, FailOOMKill, fmt.Errorf("worker killed by SIGKILL (OOM killer?): %s", stderrTail(&stderr))
+				return nil, failOOMKill, fmt.Errorf("worker killed by SIGKILL (OOM killer?): %s", stderrTail(&stderr))
 			}
 			if ee.ExitCode() == 2 && strings.Contains(stderr.String(), "panic:") {
-				return nil, FailPanic, fmt.Errorf("worker panicked: %s", stderrTail(&stderr))
+				return nil, failPanic, fmt.Errorf("worker panicked: %s", stderrTail(&stderr))
 			}
-			return nil, FailExit, fmt.Errorf("worker exited %d: %s", ee.ExitCode(), stderrTail(&stderr))
+			return nil, failExit, fmt.Errorf("worker exited %d: %s", ee.ExitCode(), stderrTail(&stderr))
 		}
-		return nil, FailTransient, waitErr
+		return nil, failTransient, waitErr
 	default:
-		return nil, FailProtocol, fmt.Errorf("worker exited 0 without a result (%v)", protoErr)
+		return nil, failProtocol, fmt.Errorf("worker exited 0 without a result (%v)", protoErr)
 	}
 }
 

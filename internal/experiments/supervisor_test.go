@@ -71,15 +71,12 @@ func rowsDigest(t *testing.T, rows []Row) string {
 	return b.String()
 }
 
-// ablationTSV renders rows exactly as the registry's ablation
-// experiments do, for the bit-identical-output assertions.
-func ablationTSV(t *testing.T, name string, rows []Row) string {
+// ablationTSV renders microSpec's rows exactly as the registry's
+// ablation-delay experiment does, for the bit-identical-output
+// assertions.
+func ablationTSV(t *testing.T, rows []Row) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := AblationFromRows(name, rows).WriteTSV(&buf); err != nil {
-		t.Fatalf("WriteTSV: %v", err)
-	}
-	return buf.String()
+	return renderTables(t, "ablation-delay", rows)["ablation_delay.tsv"]
 }
 
 // inProcessBaseline runs the spec's campaign on the in-process Runner.
@@ -115,7 +112,7 @@ func TestSupervisedMatchesInProcess(t *testing.T) {
 	if d1, d2 := rowsDigest(t, want), rowsDigest(t, got); d1 != d2 {
 		t.Errorf("supervised rows differ from in-process rows:\nin-process:\n%s\nsupervised:\n%s", d1, d2)
 	}
-	if t1, t2 := ablationTSV(t, camp.Name, want), ablationTSV(t, camp.Name, got); t1 != t2 {
+	if t1, t2 := ablationTSV(t, want), ablationTSV(t, got); t1 != t2 {
 		t.Errorf("supervised TSV differs from in-process TSV:\n%s\nvs\n%s", t1, t2)
 	}
 }
@@ -135,7 +132,7 @@ func TestSupervisedChaosDeterministic(t *testing.T) {
 	}
 
 	journal := filepath.Join(t.TempDir(), "chaos.jsonl")
-	sup := testSupervisor(FaultEnv + "=panic@variant0|exit5@variant1|kill9@variant2|hang@variant3")
+	sup := testSupervisor(faultEnv + "=panic@variant0|exit5@variant1|kill9@variant2|hang@variant3")
 	sup.JournalPath = journal
 	// Generous grace: race-instrumented test binaries on a loaded CI
 	// machine can take most of a second just to start. The hang fault
@@ -162,7 +159,7 @@ func TestSupervisedChaosDeterministic(t *testing.T) {
 	if d1, d2 := rowsDigest(t, want), rowsDigest(t, got); d1 != d2 {
 		t.Errorf("chaos rows differ from fault-free in-process rows")
 	}
-	if t1, t2 := ablationTSV(t, camp.Name, want), ablationTSV(t, camp.Name, got); t1 != t2 {
+	if t1, t2 := ablationTSV(t, want), ablationTSV(t, got); t1 != t2 {
 		t.Errorf("chaos TSV differs from fault-free TSV:\n%s\nvs\n%s", t1, t2)
 	}
 
@@ -208,7 +205,7 @@ func TestSupervisedExhaustedRetries(t *testing.T) {
 	}
 
 	journal := filepath.Join(t.TempDir(), "fail.jsonl")
-	sup := testSupervisor(FaultEnv + "=exit7@variant1x9")
+	sup := testSupervisor(faultEnv + "=exit7@variant1x9")
 	sup.Retry.MaxAttempts = 2
 	sup.JournalPath = journal
 
@@ -275,7 +272,7 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 	}
 	journal := filepath.Join(t.TempDir(), "resume.jsonl")
 
-	first := testSupervisor(FaultEnv + "=exit3@variant2x9")
+	first := testSupervisor(faultEnv + "=exit3@variant2x9")
 	first.Retry.MaxAttempts = 1
 	first.JournalPath = journal
 	rows, err := first.Run(context.Background(), spec, camp, nil)
@@ -287,7 +284,7 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 	}
 
 	// Poison all three completed variants; only variant 2 may run.
-	second := testSupervisor(FaultEnv + "=panic@variant0x9|panic@variant1x9|panic@variant3x9")
+	second := testSupervisor(faultEnv + "=panic@variant0x9|panic@variant1x9|panic@variant3x9")
 	second.Retry.MaxAttempts = 1
 	second.JournalPath = journal
 	second.Resume = true
@@ -365,7 +362,7 @@ func TestSupervisedCancelThenResume(t *testing.T) {
 	}
 	sort.Strings(poison)
 
-	second := testSupervisor(FaultEnv + "=" + strings.Join(poison, "|"))
+	second := testSupervisor(faultEnv + "=" + strings.Join(poison, "|"))
 	second.Retry.MaxAttempts = 1
 	second.JournalPath = journal
 	second.Resume = true

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,7 +19,7 @@ import (
 // campaign is one row of the campaign table: everything the registry
 // (RunCtx, Names), CampaignSpec.Build and the reports know about one
 // built-in campaign, stated once. Adding a campaign is one entry here
-// plus its constructor and, when no existing one fits, its report.
+// plus its constructor.
 type campaign struct {
 	// ids are the experiment ids; figures drawn from the same runs share
 	// one entry.
@@ -38,10 +38,57 @@ type campaign struct {
 	// rowMsg formats a finished row for Options.Progress; nil picks
 	// doneMessage under the campaign's name.
 	rowMsg func(Row) string
-	// files names the TSVs that report's emitters write, in order; report
-	// gets the campaign's name and rows (zero without a build).
-	files  []string
-	report func(campaign string, rows []Row) (report, error)
+	// order, when set, sorts the rows before they are reported; they
+	// come in variant order otherwise.
+	order func(a, b Row) int
+	// name is the summary's name; empty takes the built campaign's.
+	name string
+	// tables are the data files the campaign writes, and text the
+	// summary p2psim prints under its name. Both read the campaign's
+	// rows (none without a build).
+	tables []table
+	text   func(rows []Row) (string, error)
+}
+
+// table is one data file: its name, a comment line, and either the
+// columns of a line per row or, for a file that is not a line per
+// variant, an emit func that writes everything after the comment.
+type table struct {
+	file, comment string
+	columns       []column
+	emit          func(b *bytes.Buffer, rows []Row) error
+}
+
+// column is one TSV column: its header, the fmt verb that prints it and
+// the value it reads from a row.
+type column struct {
+	header, verb string
+	value        func(Row) any
+}
+
+// write renders the table: "# comment" (when there is one), then "#"
+// and the tab-joined headers and a line per row, or what emit writes.
+func (tb *table) write(b *bytes.Buffer, rows []Row) error {
+	if tb.comment != "" {
+		fmt.Fprintf(b, "# %s\n", tb.comment)
+	}
+	if tb.emit != nil {
+		return tb.emit(b, rows)
+	}
+	sep := "#"
+	for _, col := range tb.columns {
+		b.WriteString(sep + col.header)
+		sep = "\t"
+	}
+	for _, row := range rows { // a line opens with the newline ending the one before
+		sep = "\n"
+		for _, col := range tb.columns {
+			fmt.Fprintf(b, sep+col.verb, col.value(row))
+			sep = "\t"
+		}
+	}
+	b.WriteByte('\n')
+	return nil
 }
 
 // traceRecording derives the recording run from the base seed
@@ -53,66 +100,75 @@ type traceRecording struct {
 	prefix    string
 }
 
-// report is a Summary's Name and Text and an emitter per campaign file.
-type report struct {
-	name, text string
-	emit       []func(w io.Writer) error
-}
-
 // fixed adapts a constructor that takes nothing but the base config.
 func fixed(build func(sim.Config) Campaign) func(sim.Config, *CampaignSpec, *churn.Trace) (Campaign, error) {
 	return func(cfg sim.Config, _ *CampaignSpec, _ *churn.Trace) (Campaign, error) { return build(cfg), nil }
 }
 
-// plain is the shape most campaigns share: one id, one TSV, a
-// constructor that takes nothing but the base config.
-func plain(id, kind, file string, build func(sim.Config) Campaign, rep func(string, []Row) (report, error)) campaign {
-	return campaign{ids: []string{id}, kind: kind, build: fixed(build), files: []string{file}, report: rep}
+// plain is the shape most campaigns share: one id, a constructor that
+// takes nothing but the base config.
+func plain(id, kind string, build func(sim.Config) Campaign, tables []table, text func([]Row) (string, error)) campaign {
+	return campaign{ids: []string{id}, kind: kind, build: fixed(build), tables: tables, text: text}
 }
 
 // campaigns is the campaign table, in Names() and "all" order.
 var campaigns = []campaign{
-	{ids: []string{"costmodel"}, files: []string{"table_repair_cost.tsv"}, report: reportCostModel},
+	{
+		ids:    []string{"costmodel"},
+		name:   "costmodel",
+		tables: []table{{file: "table_repair_cost.tsv", emit: writeCostModel}},
+		text:   costModelText,
+	},
 	{
 		ids:  []string{"fig1", "fig2"},
 		kind: "threshold",
 		// No default sweep: an empty Thresholds means the paper's and stays
 		// empty in the spec, as the fingerprints of journals on disk have it.
 		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
-			return ThresholdCampaign(cfg, orDefault(s.Thresholds, PaperThresholds()))
+			return ThresholdCampaign(cfg, orDefault(s.Thresholds, paperThresholds()))
 		},
 		rowMsg: thresholdDoneMessage,
-		files:  []string{"fig1_repairs_by_threshold.tsv", "fig2_losses_by_threshold.tsv"},
-		report: reportThreshold,
+		order:  byThreshold,
+		name:   "fig1+fig2",
+		tables: []table{
+			thresholdTable("fig1_repairs_by_threshold.tsv", "repairs_per_1000_peer_rounds", repairRate),
+			thresholdTable("fig2_losses_by_threshold.tsv", "losses_per_1000_peer_rounds", lossRate),
+		},
+		text: thresholdText,
 	},
 	{
-		ids:    []string{"fig3", "fig4"},
-		kind:   "focal",
-		build:  fixed(FocalCampaign),
-		files:  []string{"fig3_observer_repairs.tsv", "fig4_cumulative_losses.tsv"},
-		report: reportFocal,
+		ids:   []string{"fig3", "fig4"},
+		kind:  "focal",
+		build: fixed(FocalCampaign),
+		name:  "fig3+fig4",
+		tables: []table{
+			{file: "fig3_observer_repairs.tsv", comment: "cumulative repairs per observer", emit: writeObserverSeries},
+			{file: "fig4_cumulative_losses.tsv", comment: "cumulative lost archives per peer", emit: writeLossSeries},
+		},
+		text: focalText,
 	},
-	plain("ablation-strategy", "strategy", "ablation_strategy.tsv", StrategyCampaign, reportAblation),
-	plain("ablation-availability", "availability", "ablation_availability.tsv", AvailabilityCampaign, reportAblation),
+	plain("ablation-strategy", "strategy", StrategyCampaign, ablationTable("ablation_strategy.tsv", "strategy"), ablationText),
+	plain("ablation-availability", "availability", availabilityCampaign,
+		ablationTable("ablation_availability.tsv", "availability-model"), ablationText),
 	{
 		ids:   []string{"ablation-horizon"},
 		kind:  "horizon",
 		sweep: CampaignSpec{Horizons: []int64{30 * churn.Day, 90 * churn.Day, 180 * churn.Day}},
 		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
-			return HorizonCampaign(cfg, s.Horizons), nil
+			return horizonCampaign(cfg, s.Horizons), nil
 		},
-		files:  []string{"ablation_horizon.tsv"},
-		report: reportAblation,
+		tables: ablationTable("ablation_horizon.tsv", "horizon"),
+		text:   ablationText,
 	},
 	{
 		ids:   []string{"ablation-delay"},
 		kind:  "repair-delay",
 		sweep: CampaignSpec{Delays: []int{0, 6, 24, 72}},
 		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
-			return RepairDelayCampaign(cfg, s.Delays), nil
+			return repairDelayCampaign(cfg, s.Delays), nil
 		},
-		files:  []string{"ablation_delay.tsv"},
-		report: reportAblation,
+		tables: ablationTable("ablation_delay.tsv", "repair-delay"),
+		text:   ablationText,
 	},
 	{
 		ids:    []string{"ablation-estimator"},
@@ -120,10 +176,10 @@ var campaigns = []campaign{
 		trace:  true,
 		record: &traceRecording{mult: 7349981, add: 17, prefix: "p2psim-estimator"},
 		build: func(cfg sim.Config, _ *CampaignSpec, trace *churn.Trace) (Campaign, error) {
-			return EstimatorCampaign(cfg, trace), nil
+			return estimatorCampaign(cfg, trace), nil
 		},
-		files:  []string{"ablation_estimator.tsv"},
-		report: reportAblation,
+		tables: ablationTable("ablation_estimator.tsv", "estimator"),
+		text:   ablationText,
 	},
 	{
 		ids:   []string{"diurnal"},
@@ -132,10 +188,10 @@ var campaigns = []campaign{
 		build: func(cfg sim.Config, s *CampaignSpec, _ *churn.Trace) (Campaign, error) {
 			return DiurnalCampaign(cfg, s.Amplitudes), nil
 		},
-		files:  []string{"scenario_diurnal.tsv"},
-		report: reportAblation,
+		tables: ablationTable("scenario_diurnal.tsv", "diurnal"),
+		text:   ablationText,
 	},
-	plain("blackout", "blackout", "scenario_blackout.tsv", BlackoutCampaign, reportAblation),
+	plain("blackout", "blackout", BlackoutCampaign, ablationTable("scenario_blackout.tsv", "blackout"), ablationText),
 	{
 		ids:   []string{"replay"},
 		kind:  "replay",
@@ -143,22 +199,23 @@ var campaigns = []campaign{
 		build: func(cfg sim.Config, _ *CampaignSpec, trace *churn.Trace) (Campaign, error) {
 			return ReplayCampaign(cfg, trace), nil
 		},
-		files:  []string{"scenario_replay.tsv"},
-		report: reportAblation,
+		tables: ablationTable("scenario_replay.tsv", "replay"),
+		text:   ablationText,
 	},
-	plain("transfer-baseline", "transfer-baseline", "scenario_transfer_baseline.tsv", TransferBaselineCampaign, reportTransfer),
-	plain("flashcrowd", "flashcrowd", "scenario_flashcrowd.tsv", FlashCrowdCampaign, reportTransfer),
-	plain("uplink-sweep", "uplink-sweep", "scenario_uplink_sweep.tsv", UplinkSweepCampaign, reportTransfer),
+	plain("transfer-baseline", "transfer-baseline", transferBaselineCampaign,
+		transferTable("scenario_transfer_baseline.tsv", "transfer-baseline"), transferText),
+	plain("flashcrowd", "flashcrowd", flashCrowdCampaign, transferTable("scenario_flashcrowd.tsv", "flashcrowd"), transferText),
+	plain("uplink-sweep", "uplink-sweep", uplinkSweepCampaign, transferTable("scenario_uplink_sweep.tsv", "uplink-sweep"), transferText),
 	{
 		ids:    []string{"fixed-vs-adaptive"},
 		kind:   "fixed-vs-adaptive",
 		trace:  true,
 		record: &traceRecording{mult: 15485863, add: 101, prefix: "p2psim-redundancy"},
 		build: func(cfg sim.Config, s *CampaignSpec, trace *churn.Trace) (Campaign, error) {
-			return RedundancyCampaign(cfg, trace, redundancyAdaptiveSpec(s.Redundancy)), nil
+			return redundancyCampaign(cfg, trace, redundancyAdaptiveSpec(s.Redundancy)), nil
 		},
-		files:  []string{"scenario_redundancy.tsv"},
-		report: reportRedundancy,
+		tables: redundancyTable,
+		text:   redundancyText,
 	},
 }
 
@@ -285,19 +342,22 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 		}
 		name = camp.Name
 	}
-	rep, err := c.report(name, rows)
+	if c.order != nil {
+		slices.SortStableFunc(rows, c.order)
+	}
+	text, err := c.text(rows)
 	if err != nil {
 		return nil, err
 	}
 	var files []string
-	for i := 0; opts.OutDir != "" && i < len(rep.emit); i++ {
-		path := filepath.Join(opts.OutDir, c.files[i])
-		if err := writeFile(path, rep.emit[i]); err != nil {
+	for i := 0; opts.OutDir != "" && i < len(c.tables); i++ {
+		path := filepath.Join(opts.OutDir, c.tables[i].file)
+		if err := c.tables[i].writeFile(path, rows); err != nil {
 			return nil, err
 		}
 		files = append(files, path)
 	}
-	return []Summary{{Name: rep.name, Files: files, Text: rep.text}}, nil
+	return []Summary{{Name: cmp.Or(c.name, name), Files: files, Text: text}}, nil
 }
 
 // materializeTraceFile writes an internally recorded churn trace to a
@@ -334,42 +394,43 @@ func materializeTraceFile(trace *churn.Trace, prefix string) (string, func(), er
 	return path, func() { os.Remove(path) }, nil
 }
 
-// writeFile writes one data file, whole or not at all.
-func writeFile(path string, emit func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := emit(&buf); err != nil {
+// writeFile writes the table to path, whole or not at all.
+func (tb *table) writeFile(path string, rows []Row) error {
+	var b bytes.Buffer
+	if err := tb.write(&b, rows); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return os.WriteFile(path, b.Bytes(), 0o644)
 }
 
-// reportCostModel reports the section 2.2.4 repair-cost table; it has
-// no campaign behind it.
-func reportCostModel(string, []Row) (report, error) {
+// writeCostModel emits the section 2.2.4 repair-cost table; it has no
+// campaign behind it.
+func writeCostModel(b *bytes.Buffer, _ []Row) error {
 	rows, err := costmodel.PaperTable()
 	if err != nil {
-		return report{}, err
+		return err
 	}
-	emit := func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, "#case\tdownload_s\tupload_s\ttotal_min\trepairs_per_day"); err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if _, err := fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.1f\t%.1f\n",
-				r.Label, r.Cost.Download.Seconds(), r.Cost.Upload.Seconds(),
-				r.Cost.Total().Minutes(), r.RepairsPerDay); err != nil {
-				return err
-			}
-		}
-		return nil
+	b.WriteString("#case\tdownload_s\tupload_s\ttotal_min\trepairs_per_day\n")
+	for _, r := range rows {
+		fmt.Fprintf(b, "%s\t%.0f\t%.0f\t%.1f\t%.1f\n",
+			r.Label, r.Cost.Download.Seconds(), r.Cost.Upload.Seconds(), r.Cost.Total().Minutes(), r.RepairsPerDay)
+	}
+	return nil
+}
+
+// costModelText summarises the repair-cost table.
+func costModelText([]Row) (string, error) {
+	rows, err := costmodel.PaperTable()
+	if err != nil {
+		return "", err
 	}
 	text := ""
 	for _, r := range rows {
 		text += fmt.Sprintf("%-26s total %.1f min (%.0fs down + %.0fs up), max %.1f repairs/day\n",
 			r.Label, r.Cost.Total().Minutes(), r.Cost.Download.Seconds(), r.Cost.Upload.Seconds(), r.RepairsPerDay)
 	}
-	return report{name: "costmodel", emit: []func(io.Writer) error{emit}, text: text}, nil
+	return text, nil
 }

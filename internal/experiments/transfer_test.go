@@ -1,45 +1,37 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"hash/fnv"
-	"reflect"
 	"strings"
 	"testing"
 )
 
 // runTransferTwice executes a transfer campaign at two parallelism
-// levels and fails unless both produce identical typed results — the
-// determinism contract: a variant's trajectory (and therefore its
-// TTB/TTR distributions) is a pure function of its seed, never of
-// worker scheduling.
-func runTransferTwice(t *testing.T, name string, build func() Campaign) *TransferResult {
+// levels and fails unless both write identical data files for
+// experiment id — the determinism contract: a variant's trajectory (and
+// therefore its TTB/TTR distributions) is a pure function of its seed,
+// never of worker scheduling.
+func runTransferTwice(t *testing.T, id string, build func() Campaign) []Row {
 	t.Helper()
-	run := func(parallelism int) *TransferResult {
+	run := func(parallelism int) []Row {
 		rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), build())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return TransferFromRows(name, rows)
+		return rows
 	}
-	a, b := run(1), run(4)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s campaign not deterministic across parallelism:\n%+v\n%+v", name, a, b)
-	}
+	a := run(1)
+	sameTables(t, id, a, run(4))
 	return a
 }
 
-// transferDigest folds a campaign's full TSV output — every counter,
-// every distribution moment — into one FNV-1a hash.
-func transferDigest(t *testing.T, res *TransferResult) uint64 {
+// transferDigest folds a flashcrowd campaign's full TSV output — every
+// counter, every distribution moment — into one FNV-1a hash.
+func transferDigest(t *testing.T, rows []Row) uint64 {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
 	h := fnv.New64a()
-	h.Write(buf.Bytes())
+	h.Write([]byte(renderTables(t, "flashcrowd", rows)["scenario_flashcrowd.tsv"]))
 	return h.Sum64()
 }
 
@@ -49,32 +41,32 @@ func transferDigest(t *testing.T, res *TransferResult) uint64 {
 // identical across parallelism 1 and 4.
 func TestFlashCrowdCampaignDeterminism(t *testing.T) {
 	cfg := microConfig()
-	res := runTransferTwice(t, "flashcrowd", func() Campaign { return FlashCrowdCampaign(cfg) })
-	if len(res.Points) != 3 {
-		t.Fatalf("%d points, want 3", len(res.Points))
+	rows := runTransferTwice(t, "flashcrowd", func() Campaign { return flashCrowdCampaign(cfg) })
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
 	}
 	wantLabels := []string{"instant", "dsl", "skewed"}
 	for i, w := range wantLabels {
-		if res.Points[i].Label != w {
-			t.Fatalf("label[%d] = %q, want %q", i, res.Points[i].Label, w)
+		if rows[i].Name != w {
+			t.Fatalf("label[%d] = %q, want %q", i, rows[i].Name, w)
 		}
 	}
-	for _, p := range res.Points {
-		if p.TTR.Count == 0 && p.RestoresFailed == 0 {
-			t.Errorf("%s: flash crowd produced no restore outcomes at all", p.Label)
+	for _, r := range rows {
+		if col := r.Result.Collector; col.TimeToRestore().N() == 0 && col.RestoresFailed() == 0 {
+			t.Errorf("%s: flash crowd produced no restore outcomes at all", r.Name)
 		}
 	}
 	// The bandwidth-class variants must report a time-to-restore
 	// distribution (the crowd's demand completes, late or on time).
 	for _, i := range []int{1, 2} {
-		if res.Points[i].TTR.Count == 0 {
-			t.Errorf("%s: no completed restores", res.Points[i].Label)
+		if rows[i].Result.Collector.TimeToRestore().N() == 0 {
+			t.Errorf("%s: no completed restores", rows[i].Name)
 		}
 	}
 	// Same build, same digest: the distributions themselves are pinned,
 	// not just the headline counters.
-	a := transferDigest(t, res)
-	b := transferDigest(t, runTransferTwice(t, "flashcrowd", func() Campaign { return FlashCrowdCampaign(cfg) }))
+	a := transferDigest(t, rows)
+	b := transferDigest(t, runTransferTwice(t, "flashcrowd", func() Campaign { return flashCrowdCampaign(cfg) }))
 	if a != b {
 		t.Fatalf("flashcrowd digests differ across executions: %#x vs %#x", a, b)
 	}
@@ -83,16 +75,16 @@ func TestFlashCrowdCampaignDeterminism(t *testing.T) {
 func TestTransferBaselineCampaignDeterminism(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	res := runTransferTwice(t, "transfer-baseline", func() Campaign { return TransferBaselineCampaign(cfg) })
-	if len(res.Points) != 4 {
-		t.Fatalf("%d points, want 4", len(res.Points))
+	rows := runTransferTwice(t, "transfer-baseline", func() Campaign { return transferBaselineCampaign(cfg) })
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rows))
 	}
-	if res.Points[0].Label != "instant" || res.Points[3].Label != "skewed" {
-		t.Fatalf("labels = %v %v", res.Points[0].Label, res.Points[3].Label)
+	if rows[0].Name != "instant" || rows[3].Name != "skewed" {
+		t.Fatalf("labels = %v %v", rows[0].Name, rows[3].Name)
 	}
-	for _, p := range res.Points {
-		if p.TTB.Count == 0 {
-			t.Errorf("%s: no time-to-backup samples", p.Label)
+	for _, r := range rows {
+		if r.Result.Collector.TimeToBackup().N() == 0 {
+			t.Errorf("%s: no time-to-backup samples", r.Name)
 		}
 	}
 }
@@ -100,17 +92,18 @@ func TestTransferBaselineCampaignDeterminism(t *testing.T) {
 func TestUplinkSweepCampaignDeterminism(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	res := runTransferTwice(t, "uplink-sweep", func() Campaign { return UplinkSweepCampaign(cfg) })
-	if len(res.Points) != 1+len(uplinkFactors) {
-		t.Fatalf("%d points, want %d", len(res.Points), 1+len(uplinkFactors))
+	rows := runTransferTwice(t, "uplink-sweep", func() Campaign { return uplinkSweepCampaign(cfg) })
+	if len(rows) != 1+len(uplinkFactors) {
+		t.Fatalf("%d rows, want %d", len(rows), 1+len(uplinkFactors))
 	}
-	if res.Points[0].Label != "budget" || res.Points[1].Label != "up=0.25x" {
-		t.Fatalf("labels = %v %v", res.Points[0].Label, res.Points[1].Label)
+	if rows[0].Name != "budget" || rows[1].Name != "up=0.25x" {
+		t.Fatalf("labels = %v %v", rows[0].Name, rows[1].Name)
 	}
 	// Budget mode places instantly within the maintenance step; class
 	// mode delivers through the scheduler a round later at the earliest.
 	// The trajectories must differ.
-	if res.Points[0] == res.Points[1] {
+	file := "scenario_uplink_sweep.tsv"
+	if dataLine(t, "uplink-sweep", file, rows, 0) == dataLine(t, "uplink-sweep", file, rows, 1) {
 		t.Fatal("budget mode and up=0.25x produced identical outcomes")
 	}
 }

@@ -86,7 +86,7 @@ func (sn *resultSnapshot) restore(cfg sim.Config) *sim.Result {
 	}
 }
 
-// FaultEnv is the environment variable the worker's fault injector
+// faultEnv is the environment variable the worker's fault injector
 // reads. Its value is a '|'-separated list of clauses of the form
 // KIND@variantN[xM]: inject KIND into variant N's first M attempts
 // (default 1, so retries succeed). Kinds: "panic" (a Go panic inside
@@ -99,7 +99,7 @@ func (sn *resultSnapshot) restore(cfg sim.Config) *sim.Result {
 //
 // The injector exists for the supervisor's tests and chaos CI job; it
 // does nothing unless the variable is set.
-const FaultEnv = "P2PSIM_FAULT"
+const faultEnv = "P2PSIM_FAULT"
 
 // fault is one parsed injection clause.
 type fault struct {
@@ -109,7 +109,7 @@ type fault struct {
 	attempts int // fault fires while attempt <= attempts
 }
 
-// parseFaults parses a FaultEnv value; empty input means no faults.
+// parseFaults parses a faultEnv value; empty input means no faults.
 func parseFaults(spec string) ([]fault, error) {
 	if spec == "" {
 		return nil, nil
@@ -138,20 +138,14 @@ func parseFaults(spec string) ([]fault, error) {
 			return nil, fmt.Errorf("experiments: fault clause %q: want variantN after @", clause)
 		}
 		f.attempts = 1
-		if numStr, rest, ok := strings.Cut(numStr, "x"); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 1 {
+		numStr, count, ok := strings.Cut(numStr, "x")
+		var err error
+		if ok {
+			if f.attempts, err = strconv.Atoi(count); err != nil || f.attempts < 1 {
 				return nil, fmt.Errorf("experiments: fault clause %q: bad attempt count", clause)
 			}
-			f.attempts = n
-			if v, err := strconv.Atoi(numStr); err == nil && v >= 0 {
-				f.variant = v
-			} else {
-				return nil, fmt.Errorf("experiments: fault clause %q: bad variant index", clause)
-			}
-		} else if v, err := strconv.Atoi(numStr); err == nil && v >= 0 {
-			f.variant = v
-		} else {
+		}
+		if f.variant, err = strconv.Atoi(numStr); err != nil || f.variant < 0 {
 			return nil, fmt.Errorf("experiments: fault clause %q: bad variant index", clause)
 		}
 		out = append(out, f)
@@ -209,7 +203,7 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "worker: bad request: %v\n", err)
 		return 1
 	}
-	if err := injectFault(os.Getenv(FaultEnv), req.Variant, req.Attempt); err != nil {
+	if err := injectFault(os.Getenv(faultEnv), req.Variant, req.Attempt); err != nil {
 		fmt.Fprintf(errw, "worker: %v\n", err)
 		return 1
 	}

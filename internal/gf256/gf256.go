@@ -5,9 +5,9 @@
 // (CCSDS, QR codes, and the original Reed-Solomon paper's construction
 // over a binary extension field).
 //
-// Three layers share the field. Scalar Mul, Div, Inv, Pow and Exp/Log
-// run on log/exp tables built at init. The slice kernels MulSlice,
-// MulAddSlice and AddSlice apply one coefficient to one slice through a
+// Three layers share the field. Scalar mul, div, inv, pow and exp/log
+// run on log/exp tables built at init. The slice kernels mulSlice,
+// MulAddSlice and addSlice apply one coefficient to one slice through a
 // row of the 64 KiB product table; Matrix is built on them. MulRows is
 // the erasure coder's hot loop: a whole coefficient-matrix-times-shards
 // product, through tables it builds per call that yield eight output
@@ -19,59 +19,59 @@
 // one Matrix or slice is safe for concurrent use.
 package gf256
 
-// Poly is the irreducible polynomial defining the field, with the x^8
+// poly is the irreducible polynomial defining the field, with the x^8
 // term implicit: x^8 + x^4 + x^3 + x^2 + 1.
-const Poly = 0x1D
+const poly = 0x1D
 
-// Generator is the primitive element used to build the log/exp tables.
+// generator is the primitive element used to build the log/exp tables.
 // 2 (i.e. the polynomial x) is primitive for 0x11D.
-const Generator = 2
+const generator = 2
 
-// Order is the multiplicative order of the field's nonzero elements.
-const Order = 255
+// order is the multiplicative order of the field's nonzero elements.
+const order = 255
 
 var (
-	expTable [512]byte // expTable[i] = Generator^i, doubled to avoid mod 255 in Mul
-	logTable [256]byte // logTable[x] = log_Generator(x); logTable[0] is unused
+	expTable [512]byte // expTable[i] = generator^i, doubled to avoid mod 255 in mul
+	logTable [256]byte // logTable[x] = log_generator(x); logTable[0] is unused
 )
 
 func init() {
 	x := byte(1)
-	for i := 0; i < Order; i++ {
+	for i := 0; i < order; i++ {
 		expTable[i] = x
 		logTable[x] = byte(i)
 		// Multiply x by the generator (x <<= 1 with polynomial reduction).
 		carry := x&0x80 != 0
 		x <<= 1
 		if carry {
-			x ^= Poly
+			x ^= poly
 		}
 	}
 	if x != 1 {
 		panic("gf256: generator does not have order 255")
 	}
-	for i := Order; i < 512; i++ {
-		expTable[i] = expTable[i-Order]
+	for i := order; i < 512; i++ {
+		expTable[i] = expTable[i-order]
 	}
 }
 
-// Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse,
-// so Sub is the same operation.
-func Add(a, b byte) byte { return a ^ b }
+// add returns a + b in GF(2^8). Addition is XOR; it is its own inverse,
+// so sub is the same operation.
+func add(a, b byte) byte { return a ^ b }
 
-// Sub returns a - b in GF(2^8), identical to Add.
-func Sub(a, b byte) byte { return a ^ b }
+// sub returns a - b in GF(2^8), identical to add.
+func sub(a, b byte) byte { return a ^ b }
 
-// Mul returns a * b in GF(2^8).
-func Mul(a, b byte) byte {
+// mul returns a * b in GF(2^8).
+func mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a / b in GF(2^8). It panics if b == 0.
-func Div(a, b byte) byte {
+// div returns a / b in GF(2^8). It panics if b == 0.
+func div(a, b byte) byte {
 	if b == 0 {
 		panic("gf256: division by zero")
 	}
@@ -80,48 +80,48 @@ func Div(a, b byte) byte {
 	}
 	d := int(logTable[a]) - int(logTable[b])
 	if d < 0 {
-		d += Order
+		d += order
 	}
 	return expTable[d]
 }
 
-// Inv returns the multiplicative inverse of a. It panics if a == 0.
-func Inv(a byte) byte {
+// inv returns the multiplicative inverse of a. It panics if a == 0.
+func inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
-	return expTable[Order-int(logTable[a])]
+	return expTable[order-int(logTable[a])]
 }
 
-// Exp returns Generator^n for n >= 0.
-func Exp(n int) byte {
-	return expTable[n%Order]
+// exp returns generator^n for n >= 0.
+func exp(n int) byte {
+	return expTable[n%order]
 }
 
-// Log returns log_Generator(a). It panics if a == 0.
-func Log(a byte) int {
+// log returns log_generator(a). It panics if a == 0.
+func log(a byte) int {
 	if a == 0 {
 		panic("gf256: log of zero")
 	}
 	return int(logTable[a])
 }
 
-// Pow returns a^n in GF(2^8) for n >= 0, with 0^0 == 1.
-func Pow(a byte, n int) byte {
+// pow returns a^n in GF(2^8) for n >= 0, with 0^0 == 1.
+func pow(a byte, n int) byte {
 	if n == 0 {
 		return 1
 	}
 	if a == 0 {
 		return 0
 	}
-	return expTable[(int(logTable[a])*n)%Order]
+	return expTable[(int(logTable[a])*n)%order]
 }
 
-// MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the
+// mulSlice sets dst[i] = c * src[i] for all i. dst and src must have the
 // same length; they may alias.
-func MulSlice(c byte, src, dst []byte) {
+func mulSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
-		panic("gf256: MulSlice length mismatch")
+		panic("gf256: mulSlice length mismatch")
 	}
 	if c == 0 {
 		for i := range dst {
@@ -161,10 +161,10 @@ func MulAddSlice(c byte, src, dst []byte) {
 	}
 }
 
-// AddSlice sets dst[i] ^= src[i] for all i.
-func AddSlice(src, dst []byte) {
+// addSlice sets dst[i] ^= src[i] for all i.
+func addSlice(src, dst []byte) {
 	if len(src) != len(dst) {
-		panic("gf256: AddSlice length mismatch")
+		panic("gf256: addSlice length mismatch")
 	}
 	for i, s := range src {
 		dst[i] ^= s

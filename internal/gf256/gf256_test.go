@@ -6,11 +6,11 @@ import (
 )
 
 func TestAddIsXor(t *testing.T) {
-	if Add(0x53, 0xCA) != 0x53^0xCA {
-		t.Fatalf("Add(0x53, 0xCA) = %#x, want %#x", Add(0x53, 0xCA), 0x53^0xCA)
+	if add(0x53, 0xCA) != 0x53^0xCA {
+		t.Fatalf("add(0x53, 0xCA) = %#x, want %#x", add(0x53, 0xCA), 0x53^0xCA)
 	}
-	if Sub(0x53, 0xCA) != Add(0x53, 0xCA) {
-		t.Fatal("Sub must equal Add in characteristic 2")
+	if sub(0x53, 0xCA) != add(0x53, 0xCA) {
+		t.Fatal("sub must equal add in characteristic 2")
 	}
 }
 
@@ -26,8 +26,8 @@ func TestMulKnownValues(t *testing.T) {
 		{0x80, 0x80, 0x13}, // x^14 reduced by hand: 0x13
 	}
 	for _, c := range cases {
-		if got := Mul(c.a, c.b); got != c.want {
-			t.Errorf("Mul(%#x, %#x) = %#x, want %#x", c.a, c.b, got, c.want)
+		if got := mul(c.a, c.b); got != c.want {
+			t.Errorf("mul(%#x, %#x) = %#x, want %#x", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -43,7 +43,7 @@ func mulSlow(a, b byte) byte {
 		carry := a&0x80 != 0
 		a <<= 1
 		if carry {
-			a ^= Poly
+			a ^= poly
 		}
 		b >>= 1
 	}
@@ -53,8 +53,8 @@ func mulSlow(a, b byte) byte {
 func TestMulMatchesSlowReference(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
-			if got, want := Mul(byte(a), byte(b)), mulSlow(byte(a), byte(b)); got != want {
-				t.Fatalf("Mul(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			if got, want := mul(byte(a), byte(b)), mulSlow(byte(a), byte(b)); got != want {
+				t.Fatalf("mul(%#x, %#x) = %#x, want %#x", a, b, got, want)
 			}
 		}
 	}
@@ -64,19 +64,19 @@ func TestFieldAxiomsProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 2000}
 	// Commutativity and associativity of multiplication.
 	if err := quick.Check(func(a, b, c byte) bool {
-		return Mul(a, b) == Mul(b, a) && Mul(Mul(a, b), c) == Mul(a, Mul(b, c))
+		return mul(a, b) == mul(b, a) && mul(mul(a, b), c) == mul(a, mul(b, c))
 	}, cfg); err != nil {
 		t.Error(err)
 	}
 	// Distributivity.
 	if err := quick.Check(func(a, b, c byte) bool {
-		return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c))
+		return mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 	}, cfg); err != nil {
 		t.Error(err)
 	}
 	// Multiplicative identity and zero.
 	if err := quick.Check(func(a byte) bool {
-		return Mul(a, 1) == a && Mul(a, 0) == 0
+		return mul(a, 1) == a && mul(a, 0) == 0
 	}, cfg); err != nil {
 		t.Error(err)
 	}
@@ -84,12 +84,12 @@ func TestFieldAxiomsProperty(t *testing.T) {
 
 func TestInverses(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		inv := Inv(byte(a))
-		if Mul(byte(a), inv) != 1 {
-			t.Fatalf("Inv(%#x) = %#x is not an inverse", a, inv)
+		ia := inv(byte(a))
+		if mul(byte(a), ia) != 1 {
+			t.Fatalf("inv(%#x) = %#x is not an inverse", a, ia)
 		}
-		if Div(1, byte(a)) != inv {
-			t.Fatalf("Div(1, %#x) != Inv(%#x)", a, a)
+		if div(1, byte(a)) != ia {
+			t.Fatalf("div(1, %#x) != inv(%#x)", a, a)
 		}
 	}
 }
@@ -99,7 +99,7 @@ func TestDivIsMulByInverse(t *testing.T) {
 		if b == 0 {
 			return true
 		}
-		return Div(a, b) == Mul(a, Inv(b))
+		return div(a, b) == mul(a, inv(b))
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -108,60 +108,60 @@ func TestDivIsMulByInverse(t *testing.T) {
 func TestDivByZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Div by zero must panic")
+			t.Fatal("div by zero must panic")
 		}
 	}()
-	Div(1, 0)
+	div(1, 0)
 }
 
 func TestInvZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Inv(0) must panic")
+			t.Fatal("inv(0) must panic")
 		}
 	}()
-	Inv(0)
+	inv(0)
 }
 
 func TestLogZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Log(0) must panic")
+			t.Fatal("log(0) must panic")
 		}
 	}()
-	Log(0)
+	log(0)
 }
 
 func TestExpLogRoundTrip(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if Exp(Log(byte(a))) != byte(a) {
-			t.Fatalf("Exp(Log(%#x)) != %#x", a, a)
+		if exp(log(byte(a))) != byte(a) {
+			t.Fatalf("exp(log(%#x)) != %#x", a, a)
 		}
 	}
 	seen := make(map[byte]bool)
-	for i := 0; i < Order; i++ {
-		v := Exp(i)
+	for i := 0; i < order; i++ {
+		v := exp(i)
 		if seen[v] {
-			t.Fatalf("Exp(%d) = %#x repeats; generator is not primitive", i, v)
+			t.Fatalf("exp(%d) = %#x repeats; generator is not primitive", i, v)
 		}
 		seen[v] = true
 	}
 }
 
 func TestPow(t *testing.T) {
-	if Pow(0, 0) != 1 {
+	if pow(0, 0) != 1 {
 		t.Error("0^0 must be 1 by convention")
 	}
-	if Pow(0, 5) != 0 {
+	if pow(0, 5) != 0 {
 		t.Error("0^5 must be 0")
 	}
 	for _, a := range []byte{1, 2, 3, 0x1D, 0xFF} {
 		acc := byte(1)
 		for n := 0; n < 10; n++ {
-			if got := Pow(a, n); got != acc {
-				t.Fatalf("Pow(%#x, %d) = %#x, want %#x", a, n, got, acc)
+			if got := pow(a, n); got != acc {
+				t.Fatalf("pow(%#x, %d) = %#x, want %#x", a, n, got, acc)
 			}
-			acc = Mul(acc, a)
+			acc = mul(acc, a)
 		}
 	}
 }
@@ -170,10 +170,10 @@ func TestMulSlice(t *testing.T) {
 	src := []byte{0, 1, 2, 0x80, 0xFF, 0x53}
 	dst := make([]byte, len(src))
 	for _, c := range []byte{0, 1, 2, 0xCA} {
-		MulSlice(c, src, dst)
+		mulSlice(c, src, dst)
 		for i := range src {
-			if dst[i] != Mul(c, src[i]) {
-				t.Fatalf("MulSlice(c=%#x)[%d] = %#x, want %#x", c, i, dst[i], Mul(c, src[i]))
+			if dst[i] != mul(c, src[i]) {
+				t.Fatalf("mulSlice(c=%#x)[%d] = %#x, want %#x", c, i, dst[i], mul(c, src[i]))
 			}
 		}
 	}
@@ -182,11 +182,11 @@ func TestMulSlice(t *testing.T) {
 func TestMulSliceAliasing(t *testing.T) {
 	buf := []byte{1, 2, 3, 4, 5}
 	want := make([]byte, len(buf))
-	MulSlice(7, buf, want)
-	MulSlice(7, buf, buf) // in-place
+	mulSlice(7, buf, want)
+	mulSlice(7, buf, buf) // in-place
 	for i := range buf {
 		if buf[i] != want[i] {
-			t.Fatalf("in-place MulSlice differs at %d", i)
+			t.Fatalf("in-place mulSlice differs at %d", i)
 		}
 	}
 }
@@ -197,7 +197,7 @@ func TestMulAddSlice(t *testing.T) {
 		dst := []byte{1, 2, 3, 4}
 		want := make([]byte, 4)
 		for i := range want {
-			want[i] = Add(dst[i], Mul(c, src[i]))
+			want[i] = add(dst[i], mul(c, src[i]))
 		}
 		MulAddSlice(c, src, dst)
 		for i := range dst {
@@ -211,19 +211,19 @@ func TestMulAddSlice(t *testing.T) {
 func TestAddSlice(t *testing.T) {
 	a := []byte{1, 2, 3}
 	b := []byte{4, 5, 6}
-	AddSlice(a, b)
+	addSlice(a, b)
 	for i := range b {
 		if b[i] != a[i]^[]byte{4, 5, 6}[i] {
-			t.Fatalf("AddSlice wrong at %d", i)
+			t.Fatalf("addSlice wrong at %d", i)
 		}
 	}
 }
 
 func TestSliceLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"MulSlice":    func() { MulSlice(1, make([]byte, 2), make([]byte, 3)) },
+		"mulSlice":    func() { mulSlice(1, make([]byte, 2), make([]byte, 3)) },
 		"MulAddSlice": func() { MulAddSlice(1, make([]byte, 2), make([]byte, 3)) },
-		"AddSlice":    func() { AddSlice(make([]byte, 2), make([]byte, 3)) },
+		"addSlice":    func() { addSlice(make([]byte, 2), make([]byte, 3)) },
 	} {
 		func() {
 			defer func() {

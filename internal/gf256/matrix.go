@@ -24,8 +24,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]byte, rows*cols)}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
+// identity returns the n x n identity matrix.
+func identity(n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
@@ -45,14 +45,14 @@ func Vandermonde(rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			m.Set(r, c, Pow(byte(r), c))
+			m.Set(r, c, pow(byte(r), c))
 		}
 	}
 	return m
 }
 
 // Cauchy returns the rows x cols Cauchy matrix with
-// m[r][c] = 1 / (x_r + y_c), x_r = Exp(r + cols), y_c = Exp(c).
+// m[r][c] = 1 / (x_r + y_c), x_r = exp(r + cols), y_c = exp(c).
 // Cauchy matrices have the stronger property that every square submatrix
 // is invertible. rows+cols must be <= 256.
 func Cauchy(rows, cols int) *Matrix {
@@ -64,7 +64,7 @@ func Cauchy(rows, cols int) *Matrix {
 		xr := byte(r + cols)
 		for c := 0; c < cols; c++ {
 			yc := byte(c)
-			m.Set(r, c, Inv(Add(xr, yc)))
+			m.Set(r, c, inv(add(xr, yc)))
 		}
 	}
 	return m
@@ -112,7 +112,7 @@ func (m *Matrix) MulVec(src, dst []byte) {
 		row := m.Row(r)
 		var acc byte
 		for c, s := range src {
-			acc ^= Mul(row[c], s)
+			acc ^= mul(row[c], s)
 		}
 		dst[r] = acc
 	}
@@ -155,7 +155,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	}
 	n := m.Rows
 	work := m.Clone()
-	inv := Identity(n)
+	out := identity(n)
 	for col := 0; col < n; col++ {
 		// Find a pivot.
 		pivot := -1
@@ -169,12 +169,12 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			return nil, ErrSingular
 		}
 		work.SwapRows(col, pivot)
-		inv.SwapRows(col, pivot)
+		out.SwapRows(col, pivot)
 		// Scale pivot row to make the pivot 1.
 		if p := work.Get(col, col); p != 1 {
-			ip := Inv(p)
-			MulSlice(ip, work.Row(col), work.Row(col))
-			MulSlice(ip, inv.Row(col), inv.Row(col))
+			ip := inv(p)
+			mulSlice(ip, work.Row(col), work.Row(col))
+			mulSlice(ip, out.Row(col), out.Row(col))
 		}
 		// Eliminate the column everywhere else.
 		for r := 0; r < n; r++ {
@@ -183,11 +183,11 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			}
 			if f := work.Get(r, col); f != 0 {
 				MulAddSlice(f, work.Row(col), work.Row(r))
-				MulAddSlice(f, inv.Row(col), inv.Row(r))
+				MulAddSlice(f, out.Row(col), out.Row(r))
 			}
 		}
 	}
-	return inv, nil
+	return out, nil
 }
 
 // IsIdentity reports whether m is square and equal to the identity.

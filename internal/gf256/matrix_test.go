@@ -7,9 +7,9 @@ import (
 )
 
 func TestIdentity(t *testing.T) {
-	id := Identity(4)
+	id := identity(4)
 	if !id.IsIdentity() {
-		t.Fatal("Identity(4) is not the identity")
+		t.Fatal("identity(4) is not the identity")
 	}
 	if Vandermonde(3, 3).IsIdentity() {
 		t.Fatal("Vandermonde(3,3) should not be identity")
@@ -32,8 +32,8 @@ func TestVandermondeShapeAndFirstColumn(t *testing.T) {
 	// Row r is powers of the evaluation point r.
 	for r := 0; r < 5; r++ {
 		for c := 0; c < 3; c++ {
-			if m.Get(r, c) != Pow(byte(r), c) {
-				t.Fatalf("m[%d][%d] = %#x, want %#x", r, c, m.Get(r, c), Pow(byte(r), c))
+			if m.Get(r, c) != pow(byte(r), c) {
+				t.Fatalf("m[%d][%d] = %#x, want %#x", r, c, m.Get(r, c), pow(byte(r), c))
 			}
 		}
 	}
@@ -156,10 +156,10 @@ func TestMulIdentity(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = byte(rng.Intn(256))
 	}
-	if got := m.Mul(Identity(4)); string(got.Data) != string(m.Data) {
+	if got := m.Mul(identity(4)); string(got.Data) != string(m.Data) {
 		t.Fatal("m * I != m")
 	}
-	if got := Identity(4).Mul(m); string(got.Data) != string(m.Data) {
+	if got := identity(4).Mul(m); string(got.Data) != string(m.Data) {
 		t.Fatal("I * m != m")
 	}
 }

@@ -113,14 +113,14 @@ func buildTable(t *[256]uint64, rows [][]byte, c int) {
 }
 
 // double8 multiplies each of the eight byte lanes of v by the field's
-// generator x: a left shift within the lane, reduced by Poly wherever
+// generator x: a left shift within the lane, reduced by poly wherever
 // the lane's top bit was set.
 func double8(v uint64) uint64 {
 	const (
 		low7 = 0x7f7f7f7f7f7f7f7f
 		ones = 0x0101010101010101
 	)
-	return (v&low7)<<1 ^ (v>>7&ones)*Poly
+	return (v&low7)<<1 ^ (v>>7&ones)*poly
 }
 
 // mulAdd4 folds four source chunks into the accumulator through their

@@ -7,7 +7,7 @@ import (
 )
 
 // mulRowsRef is the differential reference for MulRows: the definition,
-// one Mul per coefficient per byte, sharing no table or loop with the
+// one mul per coefficient per byte, sharing no table or loop with the
 // kernel.
 func mulRowsRef(coef [][]byte, in [][]byte, size int) [][]byte {
 	out := make([][]byte, len(coef))
@@ -15,7 +15,7 @@ func mulRowsRef(coef [][]byte, in [][]byte, size int) [][]byte {
 		out[r] = make([]byte, size)
 		for c, f := range row {
 			for i, s := range in[c] {
-				out[r][i] ^= Mul(f, s)
+				out[r][i] ^= mul(f, s)
 			}
 		}
 	}
@@ -68,7 +68,7 @@ func TestMulRowsMatchesScalar(t *testing.T) {
 		for _, cols := range []int{1, 3, 4, 5, 128} {
 			for _, size := range sizes {
 				if testing.Short() && rows*cols*size > 1<<24 {
-					continue // the reference's Mul per byte takes minutes under -race
+					continue // the reference's mul per byte takes minutes under -race
 				}
 				coef, in := randomProblem(rng, rows, cols, size)
 				want := mulRowsRef(coef, in, size)
@@ -76,7 +76,7 @@ func TestMulRowsMatchesScalar(t *testing.T) {
 				MulRows(coef, in, got)
 				for r := range want {
 					if !bytes.Equal(got[r], want[r]) {
-						t.Fatalf("%dx%d size %d: row %d differs from the Mul reference", rows, cols, size, r)
+						t.Fatalf("%dx%d size %d: row %d differs from the mul reference", rows, cols, size, r)
 					}
 				}
 			}
@@ -115,7 +115,7 @@ func TestAccMatchesScalar(t *testing.T) {
 					got := accProduct(coef, in, size, batch, rng.Intn(cols), 1+rng.Intn(rows))
 					for r := range want {
 						if !bytes.Equal(got[r], want[r]) {
-							t.Fatalf("%dx%d size %d, %d columns at a time: row %d differs from the Mul reference", rows, cols, size, batch, r)
+							t.Fatalf("%dx%d size %d, %d columns at a time: row %d differs from the mul reference", rows, cols, size, batch, r)
 						}
 					}
 				}
@@ -216,11 +216,11 @@ func TestMulRowsAllocatesNothing(t *testing.T) {
 // FuzzMulRows takes the shape, the shard size and every byte from the
 // fuzzer and compares the kernel, in one call and accumulated a batch
 // of columns at a time (the batch is what the shape bytes leave over),
-// with the Mul-only reference. The seeds are the committed corpus under
+// with the mul-only reference. The seeds are the committed corpus under
 // testdata/fuzz/FuzzMulRows.
 func FuzzMulRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, cols uint8, size uint16, data []byte) {
-		// Bound the reference's rows*cols*size Mul calls per input.
+		// Bound the reference's rows*cols*size mul calls per input.
 		r, c, n := int(rows%20), int(cols%20), int(size)%(2*chunkLen+2)
 		next := fuzzBytes(data)
 		coef := make([][]byte, r)
@@ -238,10 +238,10 @@ func FuzzMulRows(f *testing.F) {
 		acc := accProduct(coef, in, n, batch, int(size)%max(c, 1), 1+int(size)%max(r, 1))
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%dx%d size %d: row %d differs from the Mul reference", r, c, n, i)
+				t.Fatalf("%dx%d size %d: row %d differs from the mul reference", r, c, n, i)
 			}
 			if !bytes.Equal(acc[i], want[i]) {
-				t.Fatalf("%dx%d size %d, %d columns at a time: accumulated row %d differs from the Mul reference", r, c, n, batch, i)
+				t.Fatalf("%dx%d size %d, %d columns at a time: accumulated row %d differs from the mul reference", r, c, n, batch, i)
 			}
 		}
 	})
