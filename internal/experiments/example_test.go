@@ -30,12 +30,12 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	// A strong day/night cycle forces extra repairs: nights are a
+	// correlated availability trough.
 	for _, row := range rows {
 		fmt.Printf("%s: repairs > baseline: %v\n", row.Name,
 			row.Result.Collector.TotalRepairs() > rows[0].Result.Collector.TotalRepairs())
 	}
-	// A strong day/night cycle forces extra repairs: nights are a
-	// correlated availability trough.
 	// Output:
 	// amp=0.00: repairs > baseline: false
 	// amp=0.80: repairs > baseline: true

@@ -26,6 +26,8 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // PeerID indexes a peer slot. The population is fixed; a departing peer
@@ -45,45 +47,79 @@ var (
 	ErrBadPlacement = errors.New("overlay: placement index out of range")
 )
 
-// placement is one block stored by owner on host, with the index of the
-// mirror entry in the host's reverse list. The index shares its word
-// with the unmetered flag (observer placements that do not consume the
-// host's quota), which keeps the entry at 8 bytes: a paper-scale run
-// holds 6.4 million of them. A reverse list is bounded by the quota plus
-// the observer count, far below the 31 bits left for the index.
-type placement struct {
-	host PeerID
-	rev  uint32 // unmeteredBit | index in the host's reverse list
-}
+// placement is one block stored by owner on host, packed into 32 bits:
+// the host's id in the ledger's low id bits, the index of the mirror
+// entry in the host's reverse list above them, and the unmetered flag
+// (an observer placement that does not consume the host's quota) at bit
+// 31. A paper-scale run reserves 6.4 million of them, so each byte here
+// is 6 MiB there. With b id bits the index has 31−b bits: 16 at 25 000
+// slots, 11 at a million, against a reverse list bounded by the quota
+// plus the observer count.
+type placement uint32
 
-// unmeteredBit flags an observer placement inside placement.rev.
+// hostEntry mirrors a placement from the host's side: the owner's id in
+// the low id bits and the index of the placement in the owner's forward
+// list in the 32−b bits above them.
+type hostEntry uint32
+
+// unmeteredBit flags an observer placement.
 const unmeteredBit = 1 << 31
 
-func newPlacement(host PeerID, hostIdx int32, unmetered bool) placement {
-	p := placement{host: host, rev: uint32(hostIdx)}
+// split is how a ledger packs an adjacency entry: a peer id in the low
+// bits, a list index above them. Its decoders are one mask or one shift
+// and inline into the ledger's loops, which copy the split into a local
+// so the mask stays in a register.
+type split struct {
+	bits uint8  // id width: enough for every slot of the ledger
+	mask uint32 // 1<<bits − 1
+}
+
+// maxHostIdx is the largest reverse-list index a placement can hold.
+func (s split) maxHostIdx() int { return int(uint32(math.MaxInt32) >> s.bits) }
+
+// maxOwnerIdx is the largest forward-list index a host entry can hold.
+func (s split) maxOwnerIdx() int { return int(uint32(math.MaxUint32) >> s.bits) }
+
+func (s split) placement(host PeerID, hostIdx int32, unmetered bool) placement {
+	p := placement(uint32(host) | uint32(hostIdx)<<s.bits)
 	if unmetered {
-		p.rev |= unmeteredBit
+		p |= unmeteredBit
 	}
 	return p
 }
 
+func (s split) hostEntry(owner PeerID, ownerIdx int32) hostEntry {
+	return hostEntry(uint32(owner) | uint32(ownerIdx)<<s.bits)
+}
+
+func (s split) host(p placement) PeerID { return PeerID(uint32(p) & s.mask) }
+
 // hostIdx returns the index of the mirror entry in the host's reverse
 // list.
-func (p placement) hostIdx() int32 { return int32(p.rev &^ unmeteredBit) }
+func (s split) hostIdx(p placement) int32 { return int32(uint32(p) &^ unmeteredBit >> s.bits) }
+
+func (s split) owner(e hostEntry) PeerID { return PeerID(s.ownerSlot(e)) }
+
+// ownerSlot is owner as an unsigned index: SetOnline's loop indexes the
+// owners' counters with it, which spares it a sign extension per entry.
+func (s split) ownerSlot(e hostEntry) uint32 { return uint32(e) & s.mask }
+
+func (s split) ownerIdx(e hostEntry) int32 { return int32(uint32(e) >> s.bits) }
+
+// withHostIdx repoints a placement at a moved mirror entry, keeping its
+// host and unmetered flag.
+func (s split) withHostIdx(p placement, idx int32) placement {
+	return p&(unmeteredBit|placement(s.mask)) | placement(uint32(idx)<<s.bits)
+}
+
+// withOwnerIdx repoints a host entry at a moved placement.
+func (s split) withOwnerIdx(e hostEntry, idx int32) hostEntry {
+	return e&hostEntry(s.mask) | hostEntry(uint32(idx)<<s.bits)
+}
 
 // unmetered reports whether the placement is exempt from the host's
 // quota.
-func (p placement) unmetered() bool { return p.rev&unmeteredBit != 0 }
-
-// setHostIdx repoints the placement at a moved mirror entry, keeping
-// the unmetered flag.
-func (p *placement) setHostIdx(idx int32) { p.rev = p.rev&unmeteredBit | uint32(idx) }
-
-// hostEntry mirrors a placement from the host's perspective.
-type hostEntry struct {
-	owner    PeerID
-	ownerIdx int32
-}
+func (p placement) unmetered() bool { return p&unmeteredBit != 0 }
 
 // Watcher receives threshold-crossing notifications from the ledger's
 // incremental counters. The ledger calls it synchronously from inside
@@ -114,6 +150,7 @@ type Ledger struct {
 	visible []int32       // per owner: blocks on online hosts
 	online  []bool        // per host: current session state
 	quota   int32
+	split   split
 	strict  bool
 
 	watcher  Watcher
@@ -125,9 +162,15 @@ type Ledger struct {
 // block quota (the paper's quota is 384). All peers start online with
 // no placements.
 func NewLedger(n int, quota int32) *Ledger {
-	if n <= 0 || quota <= 0 {
+	if n <= 0 || uint64(n) > 1<<31 || quota <= 0 { // PeerID is an int32
 		panic(fmt.Sprintf("overlay: invalid ledger size n=%d quota=%d", n, quota))
 	}
+	return newLedger(n, quota, bits.Len(uint(n-1)))
+}
+
+// newLedger is NewLedger with the id width of the adjacency entries
+// given, so tests can make the index fields a few bits wide.
+func newLedger(n int, quota int32, idBits int) *Ledger {
 	l := &Ledger{
 		fwd:     make([][]placement, n),
 		rev:     make([][]hostEntry, n),
@@ -135,6 +178,7 @@ func NewLedger(n int, quota int32) *Ledger {
 		visible: make([]int32, n),
 		online:  make([]bool, n),
 		quota:   quota,
+		split:   split{bits: uint8(idBits), mask: 1<<idBits - 1},
 	}
 	for i := range l.online {
 		l.online[i] = true
@@ -148,15 +192,17 @@ func NewLedger(n int, quota int32) *Ledger {
 func (l *Ledger) SetStrict(strict bool) { l.strict = strict }
 
 // Reserve preallocates every slot's adjacency capacity from two shared
-// slabs: ownerCap placements per owner (the archive size n) and hostCap
-// entries per host (the quota, plus one per unmetered observer). The
-// simulation engine calls it once at construction so steady-state
-// place/remove traffic never grows a slice — the placement hot path
-// becomes allocation-free, and the slabs cost no more than the
+// slabs of 4-byte entries: ownerCap placements per owner (the archive
+// size n) and hostCap entries per host (the quota, plus one per
+// unmetered observer) — 25 000 × (256 + 384) entries, 61 MiB, at the
+// paper's scale. The simulation engine calls it once at construction so
+// steady-state place/remove traffic never grows a slice: the placement
+// hot path is allocation-free, and the slabs cost no more than the
 // doubling-growth high-water mark they replace. A slot whose list
-// outgrows its reservation falls back to the allocator transparently.
-// Must be called before any placements are recorded; zero caps skip the
-// corresponding side.
+// outgrows its reservation falls back to the allocator transparently;
+// what bounds a list is the index field of its mirror entries, which
+// Place enforces whatever was reserved. Must be called before any
+// placements are recorded; zero caps skip the corresponding side.
 func (l *Ledger) Reserve(ownerCap, hostCap int) {
 	if ownerCap > 0 {
 		slab := make([]placement, len(l.fwd)*ownerCap)
@@ -220,8 +266,10 @@ func (l *Ledger) check(id PeerID) error {
 }
 
 // Place records that host stores one block for owner. It fails if the
-// host's quota is exhausted or owner == host. With SetStrict(true) it
-// also rejects duplicate (owner, host) pairs.
+// host's quota is exhausted or owner == host, and with ErrBadPlacement
+// if the new entry's index in the owner's or the host's list would not
+// fit the field its mirror entry keeps it in (see placement). With
+// SetStrict(true) it also rejects duplicate (owner, host) pairs.
 func (l *Ledger) Place(owner, host PeerID) error {
 	return l.place(owner, host, false)
 }
@@ -248,10 +296,16 @@ func (l *Ledger) place(owner, host PeerID, unmetered bool) error {
 	if !unmetered && l.metered[host] >= l.quota {
 		return ErrQuotaFull
 	}
-	fwdIdx := int32(len(l.fwd[owner]))
-	revIdx := int32(len(l.rev[host]))
-	l.fwd[owner] = append(l.fwd[owner], newPlacement(host, revIdx, unmetered))
-	l.rev[host] = append(l.rev[host], hostEntry{owner: owner, ownerIdx: fwdIdx})
+	sp := l.split
+	fwdIdx, revIdx := len(l.fwd[owner]), len(l.rev[host])
+	if fwdIdx > sp.maxOwnerIdx() {
+		return fmt.Errorf("%w: owner %d already places %d blocks, all a %d-bit index holds", ErrBadPlacement, owner, fwdIdx, 32-sp.bits)
+	}
+	if revIdx > sp.maxHostIdx() {
+		return fmt.Errorf("%w: host %d already stores %d blocks, all a %d-bit index holds", ErrBadPlacement, host, revIdx, 31-sp.bits)
+	}
+	l.fwd[owner] = append(l.fwd[owner], sp.placement(host, int32(revIdx), unmetered))
+	l.rev[host] = append(l.rev[host], sp.hostEntry(owner, int32(fwdIdx)))
 	if !unmetered {
 		l.metered[host]++
 	}
@@ -267,8 +321,9 @@ func (l *Ledger) HasPlacement(owner, host PeerID) bool {
 	if l.check(owner) != nil || l.check(host) != nil {
 		return false
 	}
+	sp := l.split
 	for _, p := range l.fwd[owner] {
-		if p.host == host {
+		if sp.host(p) == host {
 			return true
 		}
 	}
@@ -281,9 +336,11 @@ func (l *Ledger) removeFwdAt(owner PeerID, idx int32) {
 	list := l.fwd[owner]
 	last := int32(len(list) - 1)
 	if idx != last {
+		sp := l.split
 		moved := list[last]
 		list[idx] = moved
-		l.rev[moved.host][moved.hostIdx()].ownerIdx = idx
+		mirror := &l.rev[sp.host(moved)][sp.hostIdx(moved)]
+		*mirror = sp.withOwnerIdx(*mirror, idx)
 	}
 	l.fwd[owner] = list[:last]
 }
@@ -294,9 +351,11 @@ func (l *Ledger) removeRevAt(host PeerID, idx int32) {
 	list := l.rev[host]
 	last := int32(len(list) - 1)
 	if idx != last {
+		sp := l.split
 		moved := list[last]
 		list[idx] = moved
-		l.fwd[moved.owner][moved.ownerIdx].setHostIdx(idx)
+		mirror := &l.fwd[sp.owner(moved)][sp.ownerIdx(moved)]
+		*mirror = sp.withHostIdx(*mirror, idx)
 	}
 	l.rev[host] = list[:last]
 }
@@ -312,13 +371,14 @@ func (l *Ledger) DropPlacementAt(owner PeerID, idx int) error {
 		return fmt.Errorf("%w: owner %d idx %d", ErrBadPlacement, owner, idx)
 	}
 	p := l.fwd[owner][idx]
-	l.removeRevAt(p.host, p.hostIdx())
+	host := l.split.host(p)
+	l.removeRevAt(host, l.split.hostIdx(p))
 	l.removeFwdAt(owner, int32(idx))
 	if !p.unmetered() {
-		l.metered[p.host]--
+		l.metered[host]--
 	}
 	l.noteAliveDec(owner)
-	if l.online[p.host] {
+	if l.online[host] {
 		l.visible[owner]--
 		l.noteVisibleDec(owner)
 	}
@@ -340,24 +400,25 @@ func (l *Ledger) SetOnline(host PeerID, online bool) {
 	l.online[host] = online
 	rev := l.rev[host]
 	vis := l.visible
+	sp := l.split
 	if online {
-		for i := range rev {
-			vis[rev[i].owner]++
+		for _, e := range rev {
+			vis[sp.ownerSlot(e)]++
 		}
 		return
 	}
 	if l.watcher == nil {
-		for i := range rev {
-			vis[rev[i].owner]--
+		for _, e := range rev {
+			vis[sp.ownerSlot(e)]--
 		}
 		return
 	}
 	thr := l.visThr - 1
-	for i := range rev {
-		o := rev[i].owner
+	for _, e := range rev {
+		o := sp.ownerSlot(e)
 		vis[o]--
 		if vis[o] == thr {
-			l.watcher.VisibleBelow(o)
+			l.watcher.VisibleBelow(PeerID(o))
 		}
 	}
 }
@@ -381,12 +442,14 @@ func (l *Ledger) RemoveHost(host PeerID) {
 		return
 	}
 	wasOnline := l.online[host]
+	sp := l.split
 	for _, e := range l.rev[host] {
-		l.removeFwdAt(e.owner, e.ownerIdx)
-		l.noteAliveDec(e.owner)
+		owner := sp.owner(e)
+		l.removeFwdAt(owner, sp.ownerIdx(e))
+		l.noteAliveDec(owner)
 		if wasOnline {
-			l.visible[e.owner]--
-			l.noteVisibleDec(e.owner)
+			l.visible[owner]--
+			l.noteVisibleDec(owner)
 		}
 	}
 	l.rev[host] = l.rev[host][:0]
@@ -401,10 +464,12 @@ func (l *Ledger) DropOwner(owner PeerID) {
 	}
 	crossAlive := l.watcher != nil && l.aliveThr > 0 && int32(len(l.fwd[owner])) >= l.aliveThr
 	crossVis := l.watcher != nil && l.visThr > 0 && l.visible[owner] >= l.visThr
+	sp := l.split
 	for _, p := range l.fwd[owner] {
-		l.removeRevAt(p.host, p.hostIdx())
+		host := sp.host(p)
+		l.removeRevAt(host, sp.hostIdx(p))
 		if !p.unmetered() {
-			l.metered[p.host]--
+			l.metered[host]--
 		}
 	}
 	l.fwd[owner] = l.fwd[owner][:0]
@@ -476,8 +541,9 @@ func (l *Ledger) Hosts(owner PeerID, buf []PeerID) []PeerID {
 	if l.check(owner) != nil {
 		return buf
 	}
+	sp := l.split
 	for _, p := range l.fwd[owner] {
-		buf = append(buf, p.host)
+		buf = append(buf, sp.host(p))
 	}
 	return buf
 }
@@ -490,7 +556,7 @@ func (l *Ledger) HostAt(owner PeerID, idx int) (PeerID, error) {
 	if idx < 0 || idx >= len(l.fwd[owner]) {
 		return NoPeer, fmt.Errorf("%w: owner %d idx %d", ErrBadPlacement, owner, idx)
 	}
-	return l.fwd[owner][idx].host, nil
+	return l.split.host(l.fwd[owner][idx]), nil
 }
 
 // Owners returns the owners of blocks the host stores, appended to buf.
@@ -498,8 +564,9 @@ func (l *Ledger) Owners(host PeerID, buf []PeerID) []PeerID {
 	if l.check(host) != nil {
 		return buf
 	}
+	sp := l.split
 	for _, e := range l.rev[host] {
-		buf = append(buf, e.owner)
+		buf = append(buf, sp.owner(e))
 	}
 	return buf
 }
@@ -518,25 +585,27 @@ func (l *Ledger) TotalPlacements() int {
 // against a brute-force recount. Tests call it after random operation
 // sequences; it is O(total placements).
 func (l *Ledger) CheckConsistency() error {
+	sp := l.split
 	meterRecount := make([]int32, len(l.rev))
 	for owner := range l.fwd {
 		vis := int32(0)
 		for i, p := range l.fwd[owner] {
-			if err := l.check(p.host); err != nil {
+			host, hostIdx := sp.host(p), sp.hostIdx(p)
+			if err := l.check(host); err != nil {
 				return fmt.Errorf("owner %d placement %d: %w", owner, i, err)
 			}
-			if int(p.hostIdx()) >= len(l.rev[p.host]) {
-				return fmt.Errorf("owner %d placement %d: hostIdx %d out of range", owner, i, p.hostIdx())
+			if int(hostIdx) >= len(l.rev[host]) {
+				return fmt.Errorf("owner %d placement %d: hostIdx %d out of range", owner, i, hostIdx)
 			}
-			mirror := l.rev[p.host][p.hostIdx()]
-			if mirror.owner != PeerID(owner) || int(mirror.ownerIdx) != i {
-				return fmt.Errorf("owner %d placement %d: mirror mismatch (%d,%d)", owner, i, mirror.owner, mirror.ownerIdx)
+			mirror := l.rev[host][hostIdx]
+			if sp.owner(mirror) != PeerID(owner) || int(sp.ownerIdx(mirror)) != i {
+				return fmt.Errorf("owner %d placement %d: mirror mismatch (%d,%d)", owner, i, sp.owner(mirror), sp.ownerIdx(mirror))
 			}
-			if l.online[p.host] {
+			if l.online[host] {
 				vis++
 			}
 			if !p.unmetered() {
-				meterRecount[p.host]++
+				meterRecount[host]++
 			}
 		}
 		if vis != l.visible[owner] {
@@ -548,15 +617,16 @@ func (l *Ledger) CheckConsistency() error {
 			return fmt.Errorf("host %d: metered counter %d, recount %d", host, l.metered[host], meterRecount[host])
 		}
 		for i, e := range l.rev[host] {
-			if err := l.check(e.owner); err != nil {
+			owner, ownerIdx := sp.owner(e), sp.ownerIdx(e)
+			if err := l.check(owner); err != nil {
 				return fmt.Errorf("host %d entry %d: %w", host, i, err)
 			}
-			if int(e.ownerIdx) >= len(l.fwd[e.owner]) {
-				return fmt.Errorf("host %d entry %d: ownerIdx %d out of range", host, i, e.ownerIdx)
+			if int(ownerIdx) >= len(l.fwd[owner]) {
+				return fmt.Errorf("host %d entry %d: ownerIdx %d out of range", host, i, ownerIdx)
 			}
-			mirror := l.fwd[e.owner][e.ownerIdx]
-			if mirror.host != PeerID(host) || int(mirror.hostIdx()) != i {
-				return fmt.Errorf("host %d entry %d: mirror mismatch (%d,%d)", host, i, mirror.host, mirror.hostIdx())
+			mirror := l.fwd[owner][ownerIdx]
+			if sp.host(mirror) != PeerID(host) || int(sp.hostIdx(mirror)) != i {
+				return fmt.Errorf("host %d entry %d: mirror mismatch (%d,%d)", host, i, sp.host(mirror), sp.hostIdx(mirror))
 			}
 		}
 	}

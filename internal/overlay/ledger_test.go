@@ -278,23 +278,54 @@ func TestNewLedgerPanics(t *testing.T) {
 // TestLedgerFuzzConsistency drives the ledger with a long random
 // operation sequence, checking full invariants periodically and at the
 // end. This is the property test guarding the swap-and-backpatch logic.
+// It runs twice: with the id width NewLedger picks, and with 29 id bits,
+// where a host's reverse list holds 4 entries and an owner's forward
+// list 8. The second run places three times as often, so placements keep
+// running into both index fields and backpatches write their top values.
 func TestLedgerFuzzConsistency(t *testing.T) {
 	const peers = 40
+	t.Run("natural", func(t *testing.T) { fuzzLedger(t, NewLedger(peers, 8), peers, 0) })
+	t.Run("tight", func(t *testing.T) {
+		fwd, rev := fuzzLedger(t, newLedger(peers, 8, 29), peers, 20)
+		t.Logf("index fields refused %d placements at the owner's side, %d at the host's", fwd, rev)
+		if fwd == 0 || rev == 0 {
+			t.Fatal("placements never reached both index fields' limits: the tight split exercised too little")
+		}
+	})
+}
+
+// fuzzLedger runs the random operation sequence on l, with placeBias
+// more chances in ten of a metered placement, and returns how many
+// placements the owner's and the host's index fields refused.
+func fuzzLedger(t *testing.T, l *Ledger, peers, placeBias int) (fwd, rev int) {
+	t.Helper()
 	r := rng.New(20240609)
-	l := NewLedger(peers, 8)
+	place := func(owner PeerID, err error) {
+		switch {
+		case !errors.Is(err, ErrBadPlacement):
+		case l.Alive(owner) > l.split.maxOwnerIdx():
+			fwd++
+		default:
+			rev++
+		}
+	}
 	for step := 0; step < 20000; step++ {
-		switch r.Intn(10) {
+		op := r.Intn(10 + placeBias)
+		if op >= 10 {
+			op = 0
+		}
+		switch op {
 		case 0, 1, 2, 3: // place
 			owner := PeerID(r.Intn(peers))
 			host := PeerID(r.Intn(peers))
 			if owner != host && !l.HasPlacement(owner, host) {
-				_ = l.Place(owner, host) // quota errors are fine
+				place(owner, l.Place(owner, host)) // quota errors are fine
 			}
 		case 4: // unmetered place
 			owner := PeerID(r.Intn(peers))
 			host := PeerID(r.Intn(peers))
 			if owner != host && !l.HasPlacement(owner, host) {
-				_ = l.PlaceUnmetered(owner, host)
+				place(owner, l.PlaceUnmetered(owner, host))
 			}
 		case 5: // toggle session
 			l.SetOnline(PeerID(r.Intn(peers)), r.Bool(0.5))
@@ -321,6 +352,7 @@ func TestLedgerFuzzConsistency(t *testing.T) {
 	if err := l.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	return fwd, rev
 }
 
 func TestTableGenerations(t *testing.T) {
@@ -373,15 +405,65 @@ func TestTableGenerations(t *testing.T) {
 	}()
 }
 
-// TestAdjacencyEntrySizes holds both adjacency entries at 8 bytes: a
+// TestAdjacencyEntrySizes holds both adjacency entries at 4 bytes: a
 // paper-scale run reserves 256 placements and 384 host entries per
 // slot, so every byte here is 16 MB there.
 func TestAdjacencyEntrySizes(t *testing.T) {
-	if got := unsafe.Sizeof(placement{}); got != 8 {
-		t.Errorf("placement is %d bytes, want 8", got)
+	if got := unsafe.Sizeof(placement(0)); got != 4 {
+		t.Errorf("placement is %d bytes, want 4", got)
 	}
-	if got := unsafe.Sizeof(hostEntry{}); got != 8 {
-		t.Errorf("hostEntry is %d bytes, want 8", got)
+	if got := unsafe.Sizeof(hostEntry(0)); got != 4 {
+		t.Errorf("hostEntry is %d bytes, want 4", got)
+	}
+}
+
+// TestIndexFieldLimits packs 28 id bits, which leaves a placement 3 bits
+// for its host-side index (8 entries a host) and a host entry 4 bits for
+// its owner-side index (16 placements an owner). A placement past either
+// field is refused with ErrBadPlacement and leaves the ledger as it was;
+// once the list shrinks, the next placement fits again.
+func TestIndexFieldLimits(t *testing.T) {
+	l := newLedger(40, 100, 28)
+	l.SetStrict(true)
+	const host = PeerID(0)
+	for owner := PeerID(1); owner <= 8; owner++ {
+		mustPlace(t, l, owner, host)
+	}
+	if err := l.Place(9, host); !errors.Is(err, ErrBadPlacement) {
+		t.Fatalf("9th block on a host with a 3-bit index: %v, want ErrBadPlacement", err)
+	}
+	if err := l.PlaceUnmetered(9, host); !errors.Is(err, ErrBadPlacement) {
+		t.Fatalf("unmetered 9th block: %v, want ErrBadPlacement", err)
+	}
+	if l.Hosted(host) != 8 || l.Alive(9) != 0 || l.Visible(9) != 0 {
+		t.Fatalf("refused placement left hosted %d, alive %d, visible %d", l.Hosted(host), l.Alive(9), l.Visible(9))
+	}
+
+	const owner = PeerID(39)
+	for h := PeerID(10); h < 26; h++ {
+		mustPlace(t, l, owner, h)
+	}
+	if err := l.Place(owner, 26); !errors.Is(err, ErrBadPlacement) {
+		t.Fatalf("17th block of an owner with a 4-bit index: %v, want ErrBadPlacement", err)
+	}
+	if l.Alive(owner) != 16 || l.Hosted(26) != 0 {
+		t.Fatalf("refused placement left alive %d, host hosted %d", l.Alive(owner), l.Hosted(26))
+	}
+	if err := l.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Swap-removes backpatch the top index values into other slots.
+	if err := l.DropPlacementAt(owner, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.DropPlacementAt(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	mustPlace(t, l, owner, 26)
+	mustPlace(t, l, 9, host)
+	if err := l.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 

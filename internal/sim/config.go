@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/redundancy"
@@ -342,6 +343,23 @@ func (c Config) Validate() (Config, error) {
 	capacity := int64(c.NumPeers) * int64(c.Quota)
 	if demand > capacity {
 		return c, fmt.Errorf("sim: block demand %d exceeds quota capacity %d", demand, capacity)
+	}
+	// The ledger packs a slot id and a list index into each 32-bit
+	// adjacency entry (overlay.Ledger): the id takes b = bits.Len(slots −
+	// 1) bits, a host entry's owner-side index the other 32 − b and a
+	// placement's host-side index 31 − b beside the unmetered flag. An
+	// owner holds at most n blocks, a host its quota plus one per observer.
+	slots := c.NumPeers + len(c.Observers)
+	idBits := bits.Len(uint(slots - 1))
+	if idBits > 31 {
+		return c, fmt.Errorf("sim: %d slots exceed the ledger's 2^31 peer ids", slots)
+	}
+	if maxFwd := 1 << (32 - idBits); c.TotalBlocks > maxFwd {
+		return c, fmt.Errorf("sim: n = %d exceeds the %d blocks an owner's ledger index holds at %d slots", c.TotalBlocks, maxFwd, slots)
+	}
+	if maxRev := 1 << (31 - idBits); int(c.Quota)+len(c.Observers) > maxRev {
+		return c, fmt.Errorf("sim: quota %d + %d observers exceeds the %d blocks a host's ledger index holds at %d slots",
+			c.Quota, len(c.Observers), maxRev, slots)
 	}
 	return c, nil
 }

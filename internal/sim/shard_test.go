@@ -63,7 +63,9 @@ func TestShardEquivalenceReplay(t *testing.T) {
 	requireShardEquivalence(t, one, goldenReplay, 1, 2, 3)
 }
 
-func TestWalkV3ReplayEquivalence(t *testing.T) {
+// TestWideShardReplayEquivalence holds the replayed trace to its pinned
+// digest at four and eight shards.
+func TestWideShardReplayEquivalence(t *testing.T) {
 	requireShardEquivalence(t, replayScenario(t, func(*Config) {}), goldenReplay, 4, 8)
 }
 
@@ -305,10 +307,10 @@ func TestShardRangePartition(t *testing.T) {
 	}
 }
 
-// TestWalkV3SlotStreams pins the randomness seam: one stream per
+// TestSlotStreamDerivation pins the randomness seam: one stream per
 // population slot, derived from (seed, slotStreamBase + slot), disjoint
 // from the redundancy stream.
-func TestWalkV3SlotStreams(t *testing.T) {
+func TestSlotStreamDerivation(t *testing.T) {
 	cfg := digestConfig()
 	cfg.Shards = 4
 	s, err := New(cfg)
@@ -419,11 +421,11 @@ func concurrentRuns(t *testing.T, peers int) {
 }
 
 func TestShardedConcurrentRuns(t *testing.T) { concurrentRuns(t, 1200) }
-func TestWalkV3ConcurrentRuns(t *testing.T)  { concurrentRuns(t, 600) }
+func TestConcurrentSmallRuns(t *testing.T)   { concurrentRuns(t, 600) }
 
-// TestWalkV3PhaseTimes: phase accounting fills Result.Phases without
-// perturbing the digest.
-func TestWalkV3PhaseTimes(t *testing.T) {
+// TestPhaseTimesKeepDigest: phase accounting fills Result.Phases
+// without perturbing the digest.
+func TestPhaseTimesKeepDigest(t *testing.T) {
 	cfg := digestConfig()
 	cfg.NumPeers = 64
 	cfg.Rounds = 100

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"p2pbackup/internal/churn"
@@ -52,6 +54,59 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestConfigRejectsLedgerIndexOverflow: at 2^20 + 1 slots the ledger's
+// entries keep 21 bits of peer id, which leaves a host 1024 entries and
+// an owner 2048, and Validate turns away a config the ledger could not
+// hold, naming the bound, before New allocates anything.
+func TestConfigRejectsLedgerIndexOverflow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumPeers = 1<<20 - 4
+	cfg.Observers = PaperObservers()
+	cfg.Quota = 1019
+	if _, err := cfg.Validate(); err != nil {
+		t.Fatalf("quota 1019 + 5 observers at 2^20 + 1 slots: %v", err)
+	}
+	cfg.Quota = 1020
+	if _, err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "1024") {
+		t.Errorf("quota 1020 + 5 observers at 2^20 + 1 slots: error %v, want one naming the 1024-entry bound", err)
+	}
+	noObs := cfg
+	noObs.Observers = nil // 2^20 - 4 slots: 20 id bits, 2048 entries a host
+	if _, err := noObs.Validate(); err != nil {
+		t.Errorf("quota 1020 without observers: %v", err)
+	}
+	cfg.TotalBlocks, cfg.Quota = 2049, 2049
+	if _, err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "2048") {
+		t.Errorf("n = 2049 at 2^20 + 1 slots: error %v, want one naming the 2048-entry bound", err)
+	}
+}
+
+// TestLedgerIndexBoundMatchesLedger ties Validate's reading of the
+// ledger's entry layout to the ledger: at 2^16 + 1 slots the largest
+// quota Validate accepts, 16384, is what one host's entries can index.
+func TestLedgerIndexBoundMatchesLedger(t *testing.T) {
+	const slots, bound = 1<<16 + 1, 1 << 14
+	cfg := DefaultConfig()
+	cfg.NumPeers = slots
+	cfg.Quota = bound
+	if _, err := cfg.Validate(); err != nil {
+		t.Fatalf("quota %d at %d slots: %v", bound, slots, err)
+	}
+	cfg.Quota++
+	if _, err := cfg.Validate(); err == nil {
+		t.Fatalf("quota %d at %d slots accepted", cfg.Quota, slots)
+	}
+	led := overlay.NewLedger(slots, 2*bound)
+	for owner := overlay.PeerID(1); owner <= bound; owner++ {
+		if err := led.Place(owner, 0); err != nil {
+			t.Fatalf("block %d on one host: %v", owner, err)
+		}
+	}
+	if err := led.Place(bound+1, 0); !errors.Is(err, overlay.ErrBadPlacement) {
+		t.Fatalf("block %d on one host: %v, want overlay.ErrBadPlacement", bound+1, err)
 	}
 }
 
