@@ -320,6 +320,29 @@ func TestFailedRestoreLeavesNothing(t *testing.T) {
 	}
 }
 
+// A master.json that lists a null manifest is refused with the
+// manifest's index by verify and restore alike, before either looks for
+// a block; it used to be dereferenced.
+func TestNullManifestRefused(t *testing.T) {
+	repo := t.TempDir()
+	key, err := os.ReadFile("testdata/v2/repo/identity.pem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(repo, "identity.pem"), key, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(repo, "master.json"), []byte(`{"version":1,"manifests":[null]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := run(t, cmdVerify, "-repo", repo); !errors.Is(err, backup.ErrManifest) || !strings.Contains(err.Error(), "manifest 0") || out != "" {
+		t.Fatalf("verify: %q, err = %v, want ErrManifest naming manifest 0", out, err)
+	}
+	if _, err := run(t, cmdRestore, "-repo", repo, "-dst", t.TempDir()); !errors.Is(err, backup.ErrManifest) {
+		t.Fatalf("restore: err = %v, want ErrManifest", err)
+	}
+}
+
 // testdata/parent holds a source tree and the repository the commit
 // before the streamed pipeline (3f18306) made of it with
 // `p2pbackup backup -src src -repo repo` (4+4 over 12 peers). The format

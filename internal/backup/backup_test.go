@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -463,6 +464,18 @@ func TestMasterBlockRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalMasterBlock([]byte("[")); err == nil {
 		t.Fatal("bad JSON accepted")
+	}
+}
+
+// A null in the manifest list is refused by its index, on the way in
+// and on the way out, not dereferenced.
+func TestMasterBlockRejectsNullManifest(t *testing.T) {
+	_, err := UnmarshalMasterBlock([]byte(`{"version":1,"manifests":[null]}`))
+	if !errors.Is(err, ErrManifest) || !strings.Contains(err.Error(), "manifest 0 is null") {
+		t.Fatalf("unmarshal: err = %v, want ErrManifest naming manifest 0", err)
+	}
+	if _, err := MarshalMasterBlock(&MasterBlock{Manifests: []*Manifest{nil}}); !errors.Is(err, ErrManifest) {
+		t.Fatalf("marshal: err = %v, want ErrManifest", err)
 	}
 }
 

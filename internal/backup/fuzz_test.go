@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -252,6 +253,41 @@ func FuzzDecodeArchive(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(got, from.plaintext) {
 			t.Fatalf("decoded %d bytes without an error that are not the version %d archive's plaintext", len(got), m.Version)
+		}
+	})
+}
+
+// FuzzMasterBlock parses fuzzed bytes as master.json, the one file a
+// restore trusts before it has read a block. UnmarshalMasterBlock must
+// not panic; a block it accepts must hold only manifests that pass
+// Validate, and must come back unchanged through MarshalMasterBlock and
+// UnmarshalMasterBlock. The seeds are the committed corpus under
+// testdata/fuzz/FuzzMasterBlock: the master blocks of cmd/p2pbackup's
+// two repository fixtures, a null manifest, versions 0 and 2, and {}.
+func FuzzMasterBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mb, err := UnmarshalMasterBlock(data)
+		if err != nil {
+			return
+		}
+		for i, m := range mb.Manifests {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("accepted manifest %d fails Validate: %v", i, err)
+			}
+		}
+		raw, err := MarshalMasterBlock(mb)
+		if err != nil {
+			t.Fatalf("an accepted block does not marshal: %v", err)
+		}
+		again, err := UnmarshalMasterBlock(raw)
+		if err != nil {
+			t.Fatalf("a marshalled block does not parse: %v\n%s", err, raw)
+		}
+		if len(mb.Partners) == 0 {
+			mb.Partners = nil // an empty hint map is written as none
+		}
+		if !reflect.DeepEqual(again, mb) {
+			t.Fatalf("the round trip changed the block:\n%s", raw)
 		}
 	})
 }

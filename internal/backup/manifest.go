@@ -190,20 +190,6 @@ func (m *Manifest) pick(limit int, have func(i int, id storage.BlockID) bool) (f
 	return found
 }
 
-// Gather collects up to limit of the archive's blocks in index order,
-// which is data blocks first, so that an intact archive is read without
-// a decode. fetch is asked for block i and returns its content, or nil
-// when it cannot be had intact, in which case the next index is tried.
-// It returns the blocks by index, absent ones nil, and how many it got.
-func (m *Manifest) Gather(limit int, fetch func(i int, id storage.BlockID) []byte) (blocks [][]byte, found int) {
-	blocks = make([][]byte, len(m.BlockIDs))
-	found = m.pick(limit, func(i int, id storage.BlockID) bool {
-		blocks[i] = fetch(i, id)
-		return blocks[i] != nil
-	})
-	return blocks, found
-}
-
 // DecodeArchive reverses EncodeArchive: blocks[i] must be the archive's
 // i-th block or nil if unavailable; any k present blocks suffice. The
 // owner's identity unwraps the session key. The plaintext is returned
@@ -357,12 +343,24 @@ func MarshalMasterBlock(mb *MasterBlock) ([]byte, error) {
 	if mb.Version == 0 {
 		mb.Version = 1
 	}
-	for _, m := range mb.Manifests {
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
+	if err := mb.validateManifests(); err != nil {
+		return nil, err
 	}
 	return json.Marshal(mb)
+}
+
+// validateManifests checks every manifest the block lists; a null one,
+// which JSON can say, is invalid too.
+func (mb *MasterBlock) validateManifests() error {
+	for i, m := range mb.Manifests {
+		if m == nil {
+			return fmt.Errorf("%w: master block manifest %d is null", ErrManifest, i)
+		}
+		if err := m.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // UnmarshalMasterBlock parses and validates a master block.
@@ -374,10 +372,8 @@ func UnmarshalMasterBlock(data []byte) (*MasterBlock, error) {
 	if mb.Version != 1 {
 		return nil, fmt.Errorf("%w: unsupported master block version %d", ErrManifest, mb.Version)
 	}
-	for _, m := range mb.Manifests {
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
+	if err := mb.validateManifests(); err != nil {
+		return nil, err
 	}
 	return &mb, nil
 }

@@ -292,18 +292,23 @@ func TestGatherStopsAtLimitDataFirst(t *testing.T) {
 	}
 	const k = 128
 	var asked []int
-	from := func(have func(i int) bool) func(int, storage.BlockID) []byte {
+	// gather picks up to k of the blocks have says can be had, as
+	// DecodeArchive and DecodeDir do, and returns them by index.
+	gather := func(have func(i int) bool) (blocks [][]byte, found int) {
 		asked = asked[:0]
-		return func(i int, id storage.BlockID) []byte {
+		blocks = make([][]byte, len(m.BlockIDs))
+		found = m.pick(k, func(i int, id storage.BlockID) bool {
 			asked = append(asked, i)
 			if id != m.BlockIDs[i] {
 				t.Fatalf("block %d asked for under another block's id", i)
 			}
 			if !have(i) {
-				return nil
+				return false
 			}
-			return all[i]
-		}
+			blocks[i] = all[i]
+			return true
+		})
+		return blocks, found
 	}
 	decodes := func(blocks [][]byte) error {
 		got, err := DecodeArchive(m, id, blocks)
@@ -314,7 +319,7 @@ func TestGatherStopsAtLimitDataFirst(t *testing.T) {
 	}
 
 	// Everything present: exactly the k data blocks are read.
-	blocks, found := m.Gather(k, from(func(int) bool { return true }))
+	blocks, found := gather(func(int) bool { return true })
 	if found != k || len(asked) != k || asked[0] != 0 || asked[k-1] != k-1 {
 		t.Fatalf("intact archive: %d found from %d reads ending at block %d, want %d data blocks", found, len(asked), asked[len(asked)-1], k)
 	}
@@ -324,7 +329,7 @@ func TestGatherStopsAtLimitDataFirst(t *testing.T) {
 
 	// A block among the first k that cannot be had intact is made up for
 	// by the next one in line.
-	blocks, found = m.Gather(k, from(func(i int) bool { return i != 5 }))
+	blocks, found = gather(func(i int) bool { return i != 5 })
 	if found != k || len(asked) != k+1 || blocks[5] != nil || blocks[k] == nil || blocks[k+1] != nil {
 		t.Fatalf("one data block bad: %d found from %d reads", found, len(asked))
 	}
@@ -333,7 +338,7 @@ func TestGatherStopsAtLimitDataFirst(t *testing.T) {
 	}
 
 	// k-1 good blocks: all n are asked for, and the decode refuses.
-	blocks, found = m.Gather(k, from(func(i int) bool { return i%2 == 0 && i != 0 }))
+	blocks, found = gather(func(i int) bool { return i%2 == 0 && i != 0 })
 	if found != k-1 || len(asked) != 2*k {
 		t.Fatalf("k-1 good blocks: %d found from %d reads, want %d from %d", found, len(asked), k-1, 2*k)
 	}

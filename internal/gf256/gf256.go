@@ -5,13 +5,13 @@
 // (CCSDS, QR codes, and the original Reed-Solomon paper's construction
 // over a binary extension field).
 //
-// Three layers share the field. Scalar mul, div, inv, pow and exp/log
-// run on log/exp tables built at init. The slice kernels mulSlice,
-// MulAddSlice and addSlice apply one coefficient to one slice through a
-// row of the 64 KiB product table; Matrix is built on them. MulRows is
-// the erasure coder's hot loop: a whole coefficient-matrix-times-shards
-// product, through tables it builds per call that yield eight output
-// rows per lookup (see its doc comment).
+// Three layers share the field. Scalar mul, inv and pow run on log/exp
+// tables built at init. The slice kernels mulSlice and MulAddSlice
+// apply one coefficient to one slice through a row of the 64 KiB
+// product table; Matrix is built on them. MulRows is the erasure
+// coder's hot loop: a whole coefficient-matrix-times-shards product,
+// through tables it builds per call that yield eight output rows per
+// lookup (see its doc comment).
 //
 // Only the Matrix functions that return a new Matrix allocate. The
 // shared tables are read-only after init and MulRows keeps its
@@ -56,11 +56,8 @@ func init() {
 }
 
 // add returns a + b in GF(2^8). Addition is XOR; it is its own inverse,
-// so sub is the same operation.
+// so subtraction is the same operation.
 func add(a, b byte) byte { return a ^ b }
-
-// sub returns a - b in GF(2^8), identical to add.
-func sub(a, b byte) byte { return a ^ b }
 
 // mul returns a * b in GF(2^8).
 func mul(a, b byte) byte {
@@ -70,40 +67,12 @@ func mul(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// div returns a / b in GF(2^8). It panics if b == 0.
-func div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := int(logTable[a]) - int(logTable[b])
-	if d < 0 {
-		d += order
-	}
-	return expTable[d]
-}
-
 // inv returns the multiplicative inverse of a. It panics if a == 0.
 func inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return expTable[order-int(logTable[a])]
-}
-
-// exp returns generator^n for n >= 0.
-func exp(n int) byte {
-	return expTable[n%order]
-}
-
-// log returns log_generator(a). It panics if a == 0.
-func log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
 }
 
 // pow returns a^n in GF(2^8) for n >= 0, with 0^0 == 1.
@@ -158,16 +127,6 @@ func MulAddSlice(c byte, src, dst []byte) {
 	mt := mulTable(c)
 	for i, s := range src {
 		dst[i] ^= mt[s]
-	}
-}
-
-// addSlice sets dst[i] ^= src[i] for all i.
-func addSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: addSlice length mismatch")
-	}
-	for i, s := range src {
-		dst[i] ^= s
 	}
 }
 

@@ -52,7 +52,7 @@ func Vandermonde(rows, cols int) *Matrix {
 }
 
 // Cauchy returns the rows x cols Cauchy matrix with
-// m[r][c] = 1 / (x_r + y_c), x_r = exp(r + cols), y_c = exp(c).
+// m[r][c] = 1 / (x_r + y_c), x_r = r + cols, y_c = c.
 // Cauchy matrices have the stronger property that every square submatrix
 // is invertible. rows+cols must be <= 256.
 func Cauchy(rows, cols int) *Matrix {

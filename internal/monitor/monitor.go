@@ -6,9 +6,9 @@
 // Two representations are provided:
 //
 //   - BitHistory: one bit per round in a ring buffer - exact, O(1)
-//     per-round recording, fixed memory. Used by the live node, which
-//     probes partners every round. Window queries use word-masked
-//     popcounts: O(window/64).
+//     per-round recording, fixed memory, for a monitor that probes
+//     every round; tests hold IntervalHistory to it. Window queries use
+//     word-masked popcounts: O(window/64).
 //   - IntervalHistory: stores only state transitions - O(1) amortised
 //     per session change, ideal for the simulator where transitions are
 //     the rare events. An incrementally maintained online-time prefix

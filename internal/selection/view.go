@@ -37,8 +37,8 @@ type Observed struct {
 	// Age is the number of rounds since the peer joined the system.
 	Age int64
 	// History answers availability window queries for this peer; nil
-	// when no monitoring substrate is attached (e.g. the live node's
-	// directory, which records ages only).
+	// when no monitoring substrate is attached (a caller that knows
+	// ages only).
 	History AvailabilityHistory
 }
 

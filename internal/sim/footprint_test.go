@@ -254,7 +254,7 @@ func (p *completionProbe) OnRepair(e RepairEvent) {
 	}
 }
 
-// TestPoolBuffersFollowEpisodesV3 runs populations at Shards = 4 and
+// TestPoolBuffersFollowEpisodes runs populations at Shards = 4 and
 // checks after every round that a slot holds a candidate-pool buffer
 // only inside an episode and only while its pool holds candidates.
 // Buffers are taken and returned inside concurrent PlanSteps, slots
@@ -262,7 +262,7 @@ func (p *completionProbe) OnRepair(e RepairEvent) {
 // episodes end in the sequential transfer drain: all of them go through
 // the Maintainer's one buffer cache, which is what the race detector is
 // here to watch.
-func TestPoolBuffersFollowEpisodesV3(t *testing.T) {
+func TestPoolBuffersFollowEpisodes(t *testing.T) {
 	bw, err := transfer.Parse("skewed")
 	if err != nil {
 		t.Fatal(err)

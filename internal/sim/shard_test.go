@@ -19,9 +19,9 @@ import (
 // identical at every shard count S ∈ {1, 2, 3, 4, 8}, over the golden
 // scenarios, a replayed trace, randomized configs and the partition's
 // corner geometry. This file is that one matrix. Some of its tests come
-// in pairs that split the shard set (TestShardEquivalence and
-// TestWalkV3ShardEquivalence, ...): the names predate the engine
-// collapse and are kept so each keeps its history in the suite.
+// in pairs that split the shard set: TestShardEquivalence runs S ≤ 3 and
+// TestWideShardEquivalence S = 4 and 8, and TestShardEdgeCases and
+// TestPartitionEdgeCases share the partition's corner cases.
 
 // requireShardEquivalence runs cfg at every given shard count and
 // requires one digest throughout — the pinned one, when non-zero.
@@ -46,7 +46,7 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
-func TestWalkV3ShardEquivalence(t *testing.T) {
+func TestWideShardEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) { requireShardEquivalence(t, sc.cfg, sc.pinned, 4, 8) })
 	}
@@ -250,7 +250,7 @@ func TestShardEdgeCases(t *testing.T) {
 	})
 }
 
-func TestWalkV3EdgeCases(t *testing.T) {
+func TestPartitionEdgeCases(t *testing.T) {
 	runEdgeCases(t, []edgeCase{
 		{
 			name:   "shards-over-slots",

@@ -1,15 +1,9 @@
 // Package storage provides the block stores a backup peer runs on: an
-// in-memory store for tests and simulations, and an on-disk
-// content-addressed store for real nodes. Blocks are identified by
-// their SHA-256 hash, so every read is integrity-checked by
-// construction; corrupted blocks are detected and reported rather than
-// returned.
-//
-// The package also implements the proof-of-storage scheme the paper
-// assumes (its ref [18], simplified to nonce-keyed HMACs): before
-// discarding its local copy of a block, an owner precomputes a list of
-// challenge nonces and expected responses; later it can audit a holder
-// by sending a nonce and comparing HMAC-SHA256(nonce, block).
+// in-memory store for tests, and an on-disk content-addressed store,
+// one per peer directory of a cmd/p2pbackup repository. Blocks are
+// identified by their SHA-256 hash, so every read is integrity-checked
+// by construction; corrupted blocks are detected and reported rather
+// than returned.
 package storage
 
 import (
@@ -235,17 +229,4 @@ func (m *MemStore) IDs() []BlockID {
 		return false
 	})
 	return ids
-}
-
-// Corrupt flips a byte of a stored block IN PLACE, bypassing the
-// content-address invariant. Test hook for failure injection.
-func (m *MemStore) Corrupt(id BlockID, offset int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.data[id]
-	if !ok {
-		return ErrNotFound
-	}
-	data[offset%len(data)] ^= 0xFF
-	return nil
 }

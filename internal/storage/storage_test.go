@@ -127,14 +127,10 @@ func TestIDsSorted(t *testing.T) {
 func TestMemCorruptionDetected(t *testing.T) {
 	s := NewMemStore(0)
 	id, _ := s.Put([]byte("precious data"))
-	if err := s.Corrupt(id, 3); err != nil {
-		t.Fatal(err)
-	}
+	// Flip a byte behind the store's back.
+	s.data[id][3] ^= 0xFF
 	if _, err := s.Get(id); !errors.Is(err, ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
-	}
-	if err := s.Corrupt(IDOf([]byte("zzz")), 0); !errors.Is(err, ErrNotFound) {
-		t.Fatal("corrupting missing block must fail")
 	}
 }
 

@@ -15,13 +15,13 @@
 //     batch of runs, and every paper figure by id, is
 //     internal/experiments (Runner, RunCtx, Names).
 //
-//   - A live backup system: archives are encrypted, Reed-Solomon coded
-//     (any k of n blocks restore), spread over partner peers chosen by
-//     the paper's age-based acceptance rule, monitored, audited with
-//     proofs of storage, and repaired when too few blocks are visible:
-//     internal/node (node.New, node.NewDirectory,
-//     node.RecoverFromNetwork) over internal/p2pnet's transports.
+//   - The paper's live data path, not its protocol: an archive is
+//     encrypted, Reed-Solomon coded (any k of n blocks restore), stored
+//     one block per peer directory, and verified or restored from any k
+//     of them (internal/backup over internal/erasure and
+//     internal/storage, driven by cmd/p2pbackup). Partner selection,
+//     monitoring and repair exist only in the simulator.
 //
-// The examples/ directory shows each of them end to end; cmd/p2psim and
-// cmd/p2pbackup are the command-line tools.
+// The examples/ directory shows the simulator end to end; cmd/p2psim
+// and cmd/p2pbackup are the command-line tools.
 package p2pbackup

@@ -3,27 +3,22 @@ package p2pbackup
 // The TestFacade* tests pin what README's entry points promise, through
 // the packages README names: a simulation run, the paper's defaults,
 // the RS round trip, the acceptance function, the Pareto fit, the
-// 77-minute repair, the experiment registry, a live
-// backup/restore/recover, and the time units.
+// 77-minute repair, the experiment registry and the time units. The
+// live data path is pinned where it runs, in cmd/p2pbackup's tests.
 
 import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
-	"p2pbackup/internal/backup"
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/costmodel"
 	"p2pbackup/internal/erasure"
 	"p2pbackup/internal/experiments"
 	"p2pbackup/internal/lifetime"
 	"p2pbackup/internal/metrics"
-	"p2pbackup/internal/node"
-	"p2pbackup/internal/p2pnet"
 	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
-	"p2pbackup/internal/storage"
 )
 
 func TestFacadeSimulation(t *testing.T) {
@@ -135,50 +130,6 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	}
 	if len(sums) != 1 {
 		t.Fatalf("summaries = %+v", sums)
-	}
-}
-
-func TestFacadeLiveBackup(t *testing.T) {
-	transport := p2pnet.NewInMemTransport(7)
-	dir := node.NewDirectory()
-	var nodes []*node.Node
-	for i := 0; i < 10; i++ {
-		name := string(rune('a' + i))
-		nd, err := node.New(node.Config{
-			Name:      name,
-			Age:       int64(i) * 24,
-			Transport: transport,
-			Store:     storage.NewMemStore(0),
-			Directory: dir,
-			Params:    backup.Params{DataBlocks: 3, ParityBlocks: 3},
-			Seed:      uint64(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Close()
-		dir.Register(name, int64(i)*24)
-		nodes = append(nodes, nd)
-	}
-	files := []backup.FileEntry{{Path: "x.txt", Mode: 0o644, ModTime: time.Now(), Data: []byte("facade")}}
-	idx, err := nodes[0].Backup(files, "facade test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := nodes[0].Restore(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !bytes.Equal(got[0].Data, files[0].Data) {
-		t.Fatal("restore mismatch")
-	}
-	// Total-loss recovery: only the identity survives.
-	archives, err := node.RecoverFromNetwork(nodes[0].Name(), nodes[0].Identity(), transport, dir.Names())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(archives) != 1 || !bytes.Equal(archives[0][0].Data, files[0].Data) {
-		t.Fatal("recovery failed")
 	}
 }
 
