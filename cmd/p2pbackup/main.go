@@ -13,7 +13,10 @@
 // peer, the owner's private key (identity.pem) and the master block
 // (master.json). Deleting up to m whole peer directories must not
 // prevent a restore; deleting more must fail loudly rather than return
-// corrupt data.
+// corrupt data. A backup into an existing repository reuses its key, and
+// its one commit point is the rename that replaces master.json: until
+// then the repository restores the previous backup, from then on this
+// one.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/pem"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -79,13 +83,11 @@ func cmdBackup(args []string) (err error) {
 	if *peers < params.Total() {
 		return fmt.Errorf("need at least n=%d peers for one block per peer, got %d", params.Total(), *peers)
 	}
-	identity, err := backup.NewIdentity()
-	if err != nil {
-		return err
-	}
 	// Blocks reach the peers a stripe at a time while the source is still
 	// being read, so a backup that fails takes back what it stored (best
 	// effort): without a master block naming them the blocks are nobody's.
+	// The backup's one commit point is the rename that puts its master
+	// block in place; from there on nothing is taken back.
 	var undo []func()
 	defer func() {
 		if err != nil {
@@ -94,6 +96,25 @@ func cmdBackup(args []string) (err error) {
 			}
 		}
 	}()
+	// The repository's key opens the master block in place; a backup that
+	// cannot read it stops before storing anything. A repository without
+	// one gets a new key, in place before the first block.
+	identityPath := filepath.Join(*repo, "identity.pem")
+	identity, err := readIdentity(identityPath)
+	if errors.Is(err, os.ErrNotExist) {
+		if identity, err = backup.NewIdentity(); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(*repo, 0o755); err != nil {
+			return err
+		}
+		err = writeAtomic(identityPath, encodeIdentity(identity), 0o600, func() {
+			undo = append(undo, func() { _ = os.Remove(identityPath) })
+		})
+	}
+	if err != nil {
+		return err
+	}
 	// Distribute: block i goes to peer i (one block per partner).
 	type placement struct {
 		store *storage.DiskStore
@@ -140,10 +161,7 @@ func cmdBackup(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(*repo, "master.json"), raw, 0o644); err != nil {
-		return err
-	}
-	if err := writeIdentity(filepath.Join(*repo, "identity.pem"), identity); err != nil {
+	if err := writeAtomic(filepath.Join(*repo, "master.json"), raw, 0o644, func() { undo = nil }); err != nil {
 		return err
 	}
 	fmt.Printf("backed up %d files (%d bytes) as %d blocks over %d peers; tolerate %d peer losses\n",
@@ -283,10 +301,85 @@ type blockReader struct {
 
 func (b blockReader) ReadAt(p []byte, off int64) (int, error) { return b.store.ReadAt(b.id, p, off) }
 
-func writeIdentity(path string, id *backup.Identity) error {
+// failStep, when set, is asked before each step of writeAtomic with the
+// step ("create", "write", "sync", "rename", "sync dir") and the file's
+// name, and that step fails with the error it returns. It is a test
+// seam; the command leaves it nil.
+var failStep func(step, file string) error
+
+// writeAtomic puts data at path so that path names either its old
+// content or all of the new one, whenever the process stops: a temp file
+// in the same directory, written and synced, renamed over path, and the
+// directory synced so the rename itself survives. renamed runs right
+// after the rename, the instant path names the new content, even when
+// syncing the directory then fails.
+func writeAtomic(path string, data []byte, perm os.FileMode, renamed func()) (err error) {
+	step := func(name string) error {
+		if failStep == nil {
+			return nil
+		}
+		return failStep(name, filepath.Base(path))
+	}
+	if err := step("create"); err != nil {
+		return err
+	}
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	defer func() {
+		if f != nil {
+			_ = f.Close()
+		}
+		if err != nil && tmp != "" {
+			_ = os.Remove(tmp)
+		}
+	}()
+	if err := step("write"); err != nil {
+		return err
+	}
+	if err := f.Chmod(perm); err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	if err := step("sync"); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	err, f = f.Close(), nil
+	if err != nil {
+		return err
+	}
+	if err := step("rename"); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	tmp = ""
+	if renamed != nil {
+		renamed()
+	}
+	if err := step("sync dir"); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+func encodeIdentity(id *backup.Identity) []byte {
 	der := x509.MarshalPKCS1PrivateKey(id.Private)
-	block := &pem.Block{Type: "RSA PRIVATE KEY", Bytes: der}
-	return os.WriteFile(path, pem.EncodeToMemory(block), 0o600)
+	return pem.EncodeToMemory(&pem.Block{Type: "RSA PRIVATE KEY", Bytes: der})
 }
 
 func readIdentity(path string) (*backup.Identity, error) {

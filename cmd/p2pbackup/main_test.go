@@ -36,27 +36,31 @@ func run(t *testing.T, cmd func([]string) error, args ...string) (string, error)
 	return <-out, err
 }
 
+// readTree returns the contents of the regular files under root by
+// their names relative to it.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		files[rel], err = os.ReadFile(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // sameTree fails unless the regular files under a and b have the same
 // names and contents (what a tree that went through git keeps: see
 // sameMeta for the rest).
 func sameTree(t *testing.T, a, b string) {
 	t.Helper()
-	read := func(root string) map[string][]byte {
-		files := map[string][]byte{}
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || !d.Type().IsRegular() {
-				return err
-			}
-			rel, _ := filepath.Rel(root, p)
-			files[rel], err = os.ReadFile(p)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-	fa, fb := read(a), read(b)
+	fa, fb := readTree(t, a), readTree(t, b)
 	if len(fa) != len(fb) {
 		t.Fatalf("%s has %d files, %s has %d", a, len(fa), b, len(fb))
 	}

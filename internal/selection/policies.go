@@ -40,6 +40,9 @@ func (a agePolicy) AcceptProbByAge(acceptor, requester int64) float64 {
 // PureScore declares Score a pure function of (Context, View).
 func (a agePolicy) PureScore() bool { return true }
 
+// IgnoresHistory declares that the paper's strategy reads ages only.
+func (a agePolicy) IgnoresHistory() bool { return true }
+
 func (a agePolicy) Score(_ Context, candidate View) float64 {
 	age := candidate.Observed.Age
 	if age > a.L {
@@ -61,6 +64,7 @@ func (randomPolicy) AcceptProb(Context, View, View) float64 { return 1 }
 func (randomPolicy) Score(Context, View) float64            { return 0 }
 func (randomPolicy) AlwaysAccepts() bool                    { return true }
 func (randomPolicy) PureScore() bool                        { return true }
+func (randomPolicy) IgnoresHistory() bool                   { return true }
 
 // youngestPolicy ranks youngest first: the adversarial baseline. If the
 // age signal carries information, it must perform WORSE than random.
@@ -71,6 +75,7 @@ func (youngestPolicy) AcceptProb(Context, View, View) float64 { return 1 }
 func (youngestPolicy) Score(_ Context, c View) float64        { return -float64(c.Observed.Age) }
 func (youngestPolicy) AlwaysAccepts() bool                    { return true }
 func (youngestPolicy) PureScore() bool                        { return true }
+func (youngestPolicy) IgnoresHistory() bool                   { return true }
 
 // ---------------------------------------------------------------------------
 // Oracle baselines (the only policies that may read View.Oracle)
@@ -84,6 +89,7 @@ func (availOraclePolicy) AcceptProb(Context, View, View) float64 { return 1 }
 func (availOraclePolicy) Score(_ Context, c View) float64        { return c.Oracle.Availability }
 func (availOraclePolicy) AlwaysAccepts() bool                    { return true }
 func (availOraclePolicy) PureScore() bool                        { return true }
+func (availOraclePolicy) IgnoresHistory() bool                   { return true }
 
 // lifetimeOraclePolicy ranks by true remaining lifetime, the quantity
 // every observable strategy merely estimates. Its gap to the age policy
@@ -96,6 +102,7 @@ func (lifetimeOraclePolicy) AcceptProb(Context, View, View) float64 { return 1 }
 func (lifetimeOraclePolicy) Score(_ Context, c View) float64        { return float64(c.Oracle.Remaining) }
 func (lifetimeOraclePolicy) AlwaysAccepts() bool                    { return true }
 func (lifetimeOraclePolicy) PureScore() bool                        { return true }
+func (lifetimeOraclePolicy) IgnoresHistory() bool                   { return true }
 
 // ---------------------------------------------------------------------------
 // Estimator-backed ranking
@@ -128,6 +135,9 @@ func (e EstimatorRanked) AlwaysAccepts() bool { return true }
 // lifetime.Estimator is a stateless curve.
 func (e EstimatorRanked) PureScore() bool { return true }
 
+// IgnoresHistory declares that the estimate reads the observed age only.
+func (e EstimatorRanked) IgnoresHistory() bool { return true }
+
 // Score ranks by estimated remaining lifetime at the observed age.
 func (e EstimatorRanked) Score(_ Context, candidate View) float64 {
 	age := candidate.Observed.Age
@@ -147,7 +157,8 @@ func (e EstimatorRanked) Score(_ Context, candidate View) float64 {
 // days"). It is the implementable counterpart of the availability
 // oracle: the adaptive-redundancy literature (Dell'Amico et al.) ranks
 // peers exactly this way. Candidates without history (or outside the
-// simulator) score zero.
+// simulator) score zero. It is the one shipped policy that reads
+// Observed.History, and so the one that does not declare IgnoresHistory.
 type MonitoredAvailability struct {
 	// Window is the availability query window in rounds; the engine
 	// records at most the acceptance horizon, so larger windows clamp.

@@ -26,10 +26,12 @@
 //
 // A Policy may declare what a caller is allowed to assume about it,
 // through optional methods: AlwaysAccepts (acceptance is constantly
-// one: AcceptsAll), PureScore (Score may be memoised: HasPureScore) and
-// AgeAccepter (AcceptProb reads the two observed ages and nothing
-// else, and can be evaluated from them). A policy declaring none is
-// taken at its most general: AgreeCtx on Views, every call evaluated.
+// one: AcceptsAll), PureScore (Score may be memoised: HasPureScore),
+// IgnoresHistory (neither Score nor AcceptProb reads Observed.History,
+// so a caller need not record one: ReadsHistory) and AgeAccepter
+// (AcceptProb reads the two observed ages and nothing else, and can be
+// evaluated from them). A policy declaring none is taken at its most
+// general: AgreeCtx on Views, every call evaluated, histories kept.
 //
 // Paper mapping:
 //

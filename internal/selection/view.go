@@ -13,7 +13,8 @@ package selection
 //	                                     time, for example the last 90
 //	                                     days"), fed from
 //	                                     monitor.IntervalHistory by the
-//	                                     sim engine
+//	                                     sim engine when something reads
+//	                                     it (ReadsHistory)
 //	§3.2 acceptance + ranking            Policy.AcceptProb, Policy.Score
 //	§4.1 oracle baselines                Oracle.Availability/Remaining
 
@@ -121,6 +122,22 @@ type pureScorer interface{ PureScore() bool }
 func HasPureScore(p Policy) bool {
 	ps, ok := p.(pureScorer)
 	return ok && ps.PureScore()
+}
+
+// historyBlind is the optional marker a Policy implements to declare
+// that neither its Score nor its AcceptProb ever reads
+// Observed.History: both give the same result, bit for bit, with any
+// history attached or none.
+type historyBlind interface{ IgnoresHistory() bool }
+
+// ReadsHistory reports whether a policy may read Observed.History: true
+// unless it declares (via an `IgnoresHistory() bool` method) that it
+// never does. A caller keeps availability histories only for a policy
+// that reads them, and a policy without the marker — any custom one —
+// is conservatively taken to read them.
+func ReadsHistory(p Policy) bool {
+	hb, ok := p.(historyBlind)
+	return !ok || !hb.IgnoresHistory()
 }
 
 // AgeAccepter is the optional capability a Policy implements to declare

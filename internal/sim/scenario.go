@@ -257,7 +257,7 @@ func (s *Simulation) applyReplay(round int64) {
 			p.toggle = never // sessions come from the trace
 			p.online = false
 			s.led.SetOnline(id, false)
-			s.hist[id].Reset() // fresh identity: observations start over
+			s.forgetHistory(id)
 			s.recordSession(round, id, false)
 			s.emitChurn(round, id, churn.EvJoin, prof)
 		case churn.EvOnline:

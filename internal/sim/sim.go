@@ -166,7 +166,9 @@ type Simulation struct {
 	// example the last 90 days"). Maintained by the engine on every
 	// session transition; consumes no randomness. Reset when the slot's
 	// occupant is replaced — observations belong to identities, not
-	// slots. Held by value in one array: views point into it.
+	// slots. Held by value in one array: views point into it. Nil when
+	// nothing reads it: the policy declares it never does
+	// (selection.ReadsHistory) and redundancy is not adaptive.
 	hist []monitor.IntervalHistory
 
 	// Event-driven core: each population slot has one authoritative
@@ -209,7 +211,6 @@ func New(cfg Config) (*Simulation, error) {
 		col:      metrics.NewCollector(cfg.Profiles.Len(), cfg.SampleEvery, cfg.Warmup),
 		peers:    make([]peer, cfg.NumPeers),
 		obsSpecs: cfg.Observers,
-		hist:     make([]monitor.IntervalHistory, cfg.NumPeers),
 		cal:      newCalendar(),
 		sched:    make([]int64, cfg.NumPeers),
 		visitQ:   newVisitQueue(cfg.NumPeers),
@@ -223,8 +224,7 @@ func New(cfg Config) (*Simulation, error) {
 	for i := range s.sched {
 		s.sched[i] = never
 	}
-	for i := range s.hist {
-		s.hist[i] = *monitor.NewIntervalHistory(cfg.AcceptHorizon)
+	for i := range s.streams {
 		s.streams[i].Reseed(rng.Derive(cfg.Seed, slotStreamBase+uint64(i)))
 	}
 	for i := range s.workers {
@@ -274,6 +274,16 @@ func New(cfg Config) (*Simulation, error) {
 		// (TestFixedModeGoldenDigests pins this).
 		s.redun = newRedunState(cfg)
 		s.maint.SetRedundancy((*simRedun)(s))
+	}
+	// Histories have two readers, a policy that does not declare
+	// IgnoresHistory (the monitored-availability ranking) and adaptive
+	// redundancy's partner probe; with neither there is nothing to keep.
+	// Recording consumes no randomness, so the choice moves no trajectory.
+	if selection.ReadsHistory(cfg.Policy) || s.redun != nil {
+		s.hist = make([]monitor.IntervalHistory, cfg.NumPeers)
+		for i := range s.hist {
+			s.hist[i] = *monitor.NewIntervalHistory(cfg.AcceptHorizon)
+		}
 	}
 	s.phases = &PhaseTimes{}
 
@@ -418,16 +428,25 @@ func (steadyHistory) ObservedSince() (round int64, ok bool) { return 0, true }
 // availability history) split from the oracle ground truth only the
 // oracle baselines read. It writes nothing, so concurrent PlanSteps
 // share it; what it reads is frozen between the churn walk and the end
-// of the maintenance phase.
+// of the maintenance phase. When no histories are kept the view carries
+// none, observers' included, so a policy that declared it reads none
+// and does sees Observed.Uptime report !ok rather than a history.
 func (e *simEnv) View(id overlay.PeerID) selection.View {
 	s := (*Simulation)(e)
+	var hist selection.AvailabilityHistory
 	if int(id) >= s.cfg.NumPeers {
 		// Observer: fixed age, immortal, always online.
+		if s.hist != nil {
+			hist = steadyHistory{}
+		}
 		spec := s.obsSpecs[int(id)-s.cfg.NumPeers]
 		return selection.View{
-			Observed: selection.Observed{Age: spec.Age, History: steadyHistory{}},
+			Observed: selection.Observed{Age: spec.Age, History: hist},
 			Oracle:   selection.Oracle{Availability: 1, Remaining: never},
 		}
+	}
+	if s.hist != nil {
+		hist = &s.hist[id]
 	}
 	p := &s.peers[id]
 	remaining := int64(never)
@@ -435,7 +454,7 @@ func (e *simEnv) View(id overlay.PeerID) selection.View {
 		remaining = p.death - s.round
 	}
 	return selection.View{
-		Observed: selection.Observed{Age: s.round - p.join, History: &s.hist[id]},
+		Observed: selection.Observed{Age: s.round - p.join, History: hist},
 		Oracle:   selection.Oracle{Availability: p.avail, Remaining: remaining},
 	}
 }

@@ -530,13 +530,14 @@ func TestConfigStrategyResolution(t *testing.T) {
 }
 
 func TestMonitoredHistoriesTrackSessions(t *testing.T) {
-	// The engine's per-slot availability histories must agree with the
-	// oracle availability in expectation: a (nearly) always-online
-	// profile must show ~1 uptime, and the simEnv view must expose the
-	// history to strategies.
+	// Under the policy that reads them, the engine's per-slot
+	// availability histories must agree with the oracle availability in
+	// expectation: a (nearly) always-online profile must show ~1 uptime,
+	// and the simEnv view must expose the history to strategies.
 	cfg := smallConfig()
 	cfg.Rounds = 400
 	cfg.AcceptHorizon = 200
+	cfg.StrategySpec = "monitored-availability"
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -588,6 +589,85 @@ func TestMonitoredHistoriesTrackSessions(t *testing.T) {
 	}
 	if age := (*simEnv)(s2).Age(overlay.PeerID(cfg.NumPeers)); age != 100 || ov.Observed.Age != 100 {
 		t.Fatalf("observer age = %d (env.Age) / %d (view), want 100", age, ov.Observed.Age)
+	}
+}
+
+// historyBound is the age policy behind the bare Policy interface: it
+// drops every capability marker, IgnoresHistory included, as a custom
+// policy that declares nothing would.
+type historyBound struct{ selection.Policy }
+
+// TestHistoriesRecordedOnlyWhenRead: the engine keeps availability
+// histories only when something reads them — a policy that does not
+// declare IgnoresHistory, or adaptive redundancy's partner probe — and
+// otherwise has no history storage and hands strategies no history.
+// Keeping them or not moves no trajectory.
+func TestHistoriesRecordedOnlyWhenRead(t *testing.T) {
+	age := func() selection.Policy {
+		pol, err := selection.ParseWith("age", selection.Defaults{Horizon: digestConfig().AcceptHorizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		kept   bool
+	}{
+		{"age, fixed redundancy", func(*Config) {}, false},
+		{"monitored-availability", func(c *Config) { c.StrategySpec = "monitored-availability" }, true},
+		{"age, adaptive redundancy", func(c *Config) { c.RedundancySpec = "adaptive" }, true},
+		{"age without its declarations", func(c *Config) { c.Policy = historyBound{age()} }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := digestConfig()
+			cfg.Rounds = 200
+			tc.mutate(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			env := (*simEnv)(s)
+			observer := overlay.PeerID(cfg.NumPeers)
+			if !tc.kept {
+				if s.hist != nil {
+					t.Fatalf("%d histories allocated, none read", len(s.hist))
+				}
+				for _, id := range []overlay.PeerID{0, 7, observer} {
+					if v := env.View(id); v.Observed.History != nil {
+						t.Fatalf("slot %d: view carries a history (%T) nothing records", id, v.Observed.History)
+					}
+				}
+				return
+			}
+			if len(s.hist) != cfg.NumPeers {
+				t.Fatalf("%d histories for %d peers", len(s.hist), cfg.NumPeers)
+			}
+			transitions := 0
+			for id := range s.hist {
+				transitions += s.hist[id].Transitions()
+				if v := env.View(overlay.PeerID(id)); v.Observed.History != &s.hist[id] {
+					t.Fatalf("peer %d: view's history is not the slot's", id)
+				}
+			}
+			if transitions < cfg.NumPeers {
+				t.Fatalf("%d transitions recorded over %d peers and %d rounds", transitions, cfg.NumPeers, cfg.Rounds)
+			}
+			if up, ok := env.View(observer).Observed.Uptime(s.round, cfg.AcceptHorizon); !ok || up != 1 {
+				t.Fatalf("observer uptime = %v/%v, want 1", up, ok)
+			}
+		})
+	}
+	// Recording consumes no randomness and feeds no probe: the age policy
+	// stripped of its declarations records, and runs the same trajectory.
+	cfg := digestConfig()
+	cfg.Rounds = 200
+	plain := digestRun(t, cfg)
+	cfg.Policy = historyBound{age()}
+	if bound := digestRun(t, cfg); bound != plain {
+		t.Fatalf("digest %#x with histories recorded, %#x without", bound, plain)
 	}
 }
 

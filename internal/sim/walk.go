@@ -404,7 +404,7 @@ func (s *Simulation) initPeer(w *worker, id overlay.PeerID, round int64, profile
 	life := s.cfg.Profiles.SampleLifetime(r, prof)
 	p.death = addClamped(round, life)
 	p.online = r.Bool(p.avail)
-	s.hist[id].Reset() // fresh identity: observations start over
+	s.forgetHistory(id)
 	s.recordSession(round, id, p.online)
 	p.toggle = addClamped(round, churn.SessionLengthAt(s.cfg.Avail, r, p.avail, p.online, round))
 	s.effect(w, round, effect{kind: effJoin, id: int32(id), prof: int32(prof), online: p.online})
@@ -418,14 +418,24 @@ func (s *Simulation) setOnline(w *worker, round int64, id overlay.PeerID, p *pee
 }
 
 // recordSession feeds a session transition into the slot's availability
-// history and drops its cached score, which the history feeds. Rounds
-// advance monotonically under engine control, so a record failure is a
-// bug.
+// history, when histories are kept, and drops its cached score, which
+// the history may feed. Rounds advance monotonically under engine
+// control, so a record failure is a bug.
 func (s *Simulation) recordSession(round int64, id overlay.PeerID, online bool) {
-	if err := s.hist[id].RecordTransition(round, online); err != nil {
-		panic(err)
+	if s.hist != nil {
+		if err := s.hist[id].RecordTransition(round, online); err != nil {
+			panic(err)
+		}
 	}
 	s.maint.InvalidateScore(id)
+}
+
+// forgetHistory starts a slot's observations over when a fresh identity
+// takes it: they belong to identities, not slots.
+func (s *Simulation) forgetHistory(id overlay.PeerID) {
+	if s.hist != nil {
+		s.hist[id].Reset()
+	}
 }
 
 // effect hands a per-event body's shared half to the worker's log, or —
