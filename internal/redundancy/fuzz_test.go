@@ -70,7 +70,9 @@ func FuzzParse(f *testing.F) {
 // and MinBlocksFor to the linear scan it replaced (oracle_test.go) on
 // arbitrary code shapes, bounds, targets and availabilities — NaN, the
 // infinities and values outside [0, 1] included. The seed below is the
-// paper's shape at its measured availability; testdata holds the rest.
+// paper's shape at its measured availability; testdata holds the rest,
+// among them targets set at a computed tail (seed-slack-*), where the
+// estimate falls inside the slack and the pinned sum decides.
 func FuzzTargetMatchesLinearScan(f *testing.F) {
 	f.Add(uint16(127), uint16(20), uint16(107), uint16(0), uint16(0), uint8(6), uint16(52), 0.86, 0.99999)
 	f.Fuzz(func(t *testing.T, k, slack, extra, minOff, maxOff uint16, hyst uint8, cur uint16, p, target float64) {
@@ -116,6 +118,32 @@ func FuzzTargetMatchesLinearScan(f *testing.F) {
 		obs := Observation{Current: b.Min + int(cur)%(b.Max-b.Min+1), DataBlocks: shapeK, Availability: p}
 		if got, want := b.Target(obs), refTarget(b, obs); got != want {
 			t.Fatalf("%+v.Target(%+v) = %d, oracle %d", b, obs, got, want)
+		}
+	})
+}
+
+// FuzzTailEstimateWithinSlack holds the estimate MinBlocksFor decides
+// on to the bound TestTailEstimateWithinSlack certifies — within a
+// sixteenth of tailSlack(n) of the pinned tail — at arbitrary shapes
+// 0 < k <= n <= 600 and availabilities folded into (0, 1).
+func FuzzTailEstimateWithinSlack(f *testing.F) {
+	f.Add(uint16(255), uint16(147), 0.86)
+	f.Add(uint16(599), uint16(0), 1e-9)
+	f.Add(uint16(599), uint16(599), 1-1e-9)
+	f.Add(uint16(31), uint16(19), 0.5)
+	f.Fuzz(func(t *testing.T, n, k uint16, p float64) {
+		if !(p > 0 && p < 1) {
+			_, p = math.Modf(math.Abs(p))
+			if !(p > 0) {
+				return // NaN, an infinity or a whole number: nothing inside (0, 1)
+			}
+		}
+		size := 1 + int(n%600)
+		need := 1 + int(k)%size
+		est, dur := estimateOf(size, need, p), Durability(size, need, p)
+		if err := math.Abs(est - dur); err > tailSlack(size)/16 {
+			t.Fatalf("tailEstimate(%d, %d, %v) = %v, pinned tail %v: error %g exceeds %g",
+				size, need, p, est, dur, err, tailSlack(size)/16)
 		}
 	})
 }

@@ -289,9 +289,12 @@ func TestTargetMatchesLinearScan(t *testing.T) {
 // tail is not monotone: 3e-14 under 1, the size of its rounding error
 // at the paper's shape. A bare bisection lands on a later crossing than
 // the scan's first one here (235 for 229 at p = 0.8431 with bounds 160
-// to 240); the slack is what keeps MinBlocksFor on the first.
+// to 240); the slack is what keeps MinBlocksFor on the first. Here the
+// estimate lands inside the slack, so the pinned sum must be what
+// decides some comparisons.
 func TestMinBlocksForInsideRoundingNoise(t *testing.T) {
 	const target = 1 - 3e-14
+	sums := 0
 	for _, r := range []struct{ lo, hi int }{{148, 256}, {160, 240}} {
 		for i := 0; i <= 20000; i++ {
 			p := float64(i) / 20000
@@ -299,8 +302,86 @@ func TestMinBlocksForInsideRoundingNoise(t *testing.T) {
 			if got := MinBlocksFor(r.lo, r.hi, 148, p, target); got != want {
 				t.Fatalf("MinBlocksFor(%d, %d, 148, %v, %v) = %d, linear scan %d", r.lo, r.hi, p, target, got, want)
 			}
+			_, _, s := minBlocks(r.lo, r.hi, 148, p, target)
+			sums += s
 		}
 	}
+	if sums == 0 {
+		t.Error("no comparison fell inside the slack: the pinned sum behind the estimate went untested")
+	}
+}
+
+// TestExactTailIsRare: the estimate decides nearly every comparison at
+// the paper's shape and default target, so the pinned sum runs for at
+// most 1 % of them.
+func TestExactTailIsRare(t *testing.T) {
+	probes, sums := 0, 0
+	for i := 0; i <= 20000; i++ {
+		_, pr, s := minBlocks(148, 256, 148, float64(i)/20000, DefaultTargetDurability)
+		probes += pr
+		sums += s
+	}
+	t.Logf("%d of %d comparisons ran the pinned sum", sums, probes)
+	if sums*100 > probes {
+		t.Errorf("%d of %d comparisons ran the pinned sum, more than 1 %%", sums, probes)
+	}
+}
+
+// estimateOf is tailEstimate as MinBlocksFor calls it.
+func estimateOf(n, k int, p float64) float64 {
+	return tailEstimate(n, k, p, math.Log(p), math.Log1p(-p))
+}
+
+// TestTailEstimateWithinSlack certifies what makes the estimate safe to
+// decide on: it sits within a sixteenth of tailSlack(n) of the pinned
+// tail — every n up to 600, across the table's end, at every oracleKs
+// decode count, over a 400-point grid of (0, 1) and four availabilities
+// a millionth and a billionth from either end (a tenth of the grid
+// under -short). Worst case measured: 0.94 % of the allowance, 1.1e-12
+// at n = 452, k = 1, p = 0.09375 (the one math.Exp's exponent cancels
+// ln 452! ≈ 2300, and its rounding scales every term); against the
+// exact tail at TestDurabilityErrorUnderSlack's points, 3.6e-13 at
+// n = 600, k = 300, p = 0.95, 0.24 % of the allowance.
+func TestTailEstimateWithinSlack(t *testing.T) {
+	t.Parallel()
+	grid := 400
+	if testing.Short() {
+		grid = 40
+	}
+	ps := []float64{1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9}
+	for i := 0; i < grid; i++ {
+		ps = append(ps, (float64(i)+0.5)/float64(grid))
+	}
+	worst, worstShare := 0.0, 0.0
+	for n := 1; n <= 600; n++ {
+		for _, k := range oracleKs(n) {
+			if k <= 0 || k > n {
+				continue // outside the estimate's domain: MinBlocksFor answers without a sum there
+			}
+			for _, p := range ps {
+				est, dur := estimateOf(n, k, p), Durability(n, k, p)
+				err := math.Abs(est - dur)
+				if err > tailSlack(n)/16 {
+					t.Fatalf("tailEstimate(%d, %d, %v) = %v, pinned tail %v: error %g exceeds %g",
+						n, k, p, est, dur, err, tailSlack(n)/16)
+				}
+				worst, worstShare = max(worst, err), max(worstShare, err/(tailSlack(n)/16))
+			}
+		}
+	}
+	worstExact := 0.0
+	for _, c := range []struct{ n, k int }{{32, 20}, {200, 148}, {256, 148}, {256, 128}, {600, 300}} {
+		for _, p := range []float64{0.05, 0.5, 0.62, 0.8, 0.86, 0.95, 0.999} {
+			est, want := estimateOf(c.n, c.k, p), exactTail(c.n, c.k, p)
+			err := math.Abs(est - want)
+			if err > tailSlack(c.n)/16 {
+				t.Errorf("tailEstimate(%d, %d, %v) = %v, exact %v: error %g exceeds %g",
+					c.n, c.k, p, est, want, err, tailSlack(c.n)/16)
+			}
+			worstExact = max(worstExact, err)
+		}
+	}
+	t.Logf("worst error: %g from the pinned tail (%g of the allowance), %g from the exact tail", worst, worstShare, worstExact)
 }
 
 // TestMinBlocksForEdges: the arguments a caller outside Adaptive may

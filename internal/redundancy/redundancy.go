@@ -143,6 +143,33 @@ func lnFact(i int) float64 {
 // non-monotonicity it causes, to a small fraction of this.
 func tailSlack(n int) float64 { return 4e-12 * float64(n) }
 
+// tailEstimate approximates binomTail(n, k, lp, lq), given p = e^lp as
+// well, by the term recurrence instead of one math.Exp per term: one
+// math.Exp for the term at the mode m = clamp(⌊(n+1)p⌋, k, n), then
+// t(i+1) = t(i)·(n-i)/(i+1)·p/q up to n and t(i-1) = t(i)·i/(n-i+1)·q/p
+// down to k. Starting at the mode is what keeps it accurate: every step
+// moves away from the largest term, so none overflows and the ones that
+// underflow are negligible; started at k, the first term underflows to
+// 0 for p near 1 and the estimate would be 0 for a tail near 1. It is
+// not pinned bit for bit, only within tailSlack(n)/16 of binomTail
+// (TestTailEstimateWithinSlack), which is all MinBlocksFor asks of it.
+func tailEstimate(n, k int, p, lp, lq float64) float64 {
+	m := min(max(int(float64(n+1)*p), k), n)
+	tm := math.Exp(lnFact(n) - lnFact(m) - lnFact(n-m) + float64(m)*lp + float64(n-m)*lq)
+	r := p / (1 - p)
+	sum, t := tm, tm
+	for i := m; i < n; i++ {
+		t *= float64(n-i) / float64(i+1) * r
+		sum += t
+	}
+	t = tm
+	for i := m; i > k; i-- {
+		t *= float64(i) / float64(n-i+1) / r
+		sum += t
+	}
+	return sum
+}
+
 // MinBlocksFor returns the smallest n in [lo, hi] with Durability(n, k,
 // p) >= target, or hi when no n below hi reaches it — exactly what
 // scanning n = lo, lo+1, ... would return, for any arguments but one, in
@@ -157,31 +184,54 @@ func tailSlack(n int) float64 { return 4e-12 * float64(n) }
 // minus tailSlack, below which no computed value can clear target, and
 // the scan runs from there: one step, unless target is within the slack
 // of 1.
+//
+// Each comparison of a tail with a threshold is decided by tailEstimate
+// when the estimate sits more than the slack away from the threshold:
+// the estimate is within a sixteenth of the slack of the computed tail,
+// so the computed tail sits on the same side. Only an estimate inside
+// the slack costs the pinned sum — well under 1 % of the comparisons
+// (TestExactTailIsRare) — and the answer is the scan's either way.
 func MinBlocksFor(lo, hi, k int, p, target float64) int {
+	n, _, _ := minBlocks(lo, hi, k, p, target)
+	return n
+}
+
+// minBlocks is MinBlocksFor, also reporting how many tails it compared
+// with a threshold and for how many of those it ran the pinned sum.
+func minBlocks(lo, hi, k int, p, target float64) (n, probes, sums int) {
 	if math.IsNaN(p) {
-		return max(lo, hi)
+		return max(lo, hi), 0, 0
 	}
 	lp, lq := math.Log(p), math.Log1p(-p) // once per decision, not per n
-	tail := func(n int) float64 {
-		if k <= 0 || n < k || p <= 0 || p >= 1 {
-			return Durability(n, k, p) // 0 or 1 without a sum
-		}
-		return binomTail(n, k, lp, lq)
-	}
 	slack := tailSlack(max(hi, 0))
+	below := func(n int, thr float64) bool {
+		probes++
+		if k <= 0 || n < k || p <= 0 || p >= 1 {
+			return Durability(n, k, p) < thr // 0 or 1 without a sum
+		}
+		est := tailEstimate(n, k, p, lp, lq)
+		if est < thr-slack {
+			return true
+		}
+		if est > thr+slack {
+			return false
+		}
+		sums++
+		return binomTail(n, k, lp, lq) < thr
+	}
 	n, top := lo, hi
 	for n < top {
 		mid := n + (top-n)/2
-		if tail(mid) < target-slack {
+		if below(mid, target-slack) {
 			n = mid + 1
 		} else {
 			top = mid
 		}
 	}
-	for n < hi && tail(n) < target {
+	for n < hi && below(n, target) {
 		n++
 	}
-	return n
+	return n, probes, sums
 }
 
 // EffectiveThreshold maps an archive's target block count to its repair

@@ -283,3 +283,17 @@ func TestRegisterPanics(t *testing.T) {
 		seen[e.Name] = true
 	}
 }
+
+// BenchmarkMinBlocksFor sizes one archive of the paper's shape (k' =
+// 148 in [148, 256], the default target) at the availabilities the
+// benchmark harness's redundancy.target_us primitive cycles through,
+// 0.50 to 0.95 in steps of 0.05.
+func BenchmarkMinBlocksFor(b *testing.B) {
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += MinBlocksFor(148, 256, 148, 0.50+0.05*float64(i%10), DefaultTargetDurability)
+	}
+	if sink == 0 {
+		b.Fatal("no decision")
+	}
+}
