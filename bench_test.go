@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"p2pbackup/internal/backup"
@@ -1079,6 +1080,52 @@ func BenchmarkLedgerSessionFlip(b *testing.B) {
 		led.SetOnline(5, i%2 == 0)
 	}
 }
+
+// BenchmarkLedgerSessionFlipSpread measures a session transition the
+// way the merge pays for it. BenchmarkLedgerSessionFlip flips one host,
+// whose lists and counters stay in L1; here a paper-shape ledger (25 000
+// peers, 218 blocks placed per owner, slabs reserved for n = 256 and
+// quota 384 as the engine reserves them, a watcher at the default
+// repair threshold) has its hosts flipped in rounds of 2 100, each a
+// fresh random host set in ascending order, as the merge applies a
+// round's flips. Every flip loads a reverse list from a new place in
+// the 61 MiB of slabs and visits about 218 owners' counters.
+func BenchmarkLedgerSessionFlipSpread(b *testing.B) {
+	const peers, blocks, perRound, rounds = 25000, 218, 2100, 48
+	led := overlay.NewLedger(peers, 384)
+	led.Reserve(256, 384)
+	led.Watch(noopWatcher{}, 148, 128)
+	r := rng.New(11)
+	for owner := overlay.PeerID(0); owner < peers; owner++ {
+		for placed := 0; placed < blocks; {
+			if led.Place(owner, overlay.PeerID(r.Intn(peers))) == nil {
+				placed++
+			}
+		}
+	}
+	all := make([]overlay.PeerID, peers)
+	for i := range all {
+		all[i] = overlay.PeerID(i)
+	}
+	flips := make([]overlay.PeerID, 0, rounds*perRound)
+	for range rounds {
+		r.Shuffle(peers, func(i, j int) { all[i], all[j] = all[j], all[i] })
+		round := slices.Clone(all[:perRound])
+		slices.Sort(round)
+		flips = append(flips, round...)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := flips[i%len(flips)]
+		led.SetOnline(h, !led.Online(h))
+	}
+}
+
+// noopWatcher takes the ledger's threshold crossings and does nothing.
+type noopWatcher struct{}
+
+func (noopWatcher) VisibleBelow(overlay.PeerID) {}
+func (noopWatcher) AliveBelow(overlay.PeerID)   {}
 
 // BenchmarkChurnSessionSampling measures availability session draws.
 func BenchmarkChurnSessionSampling(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"p2pbackup/internal/metrics"
@@ -168,7 +167,10 @@ func (f fault) trigger() {
 	case "exit":
 		os.Exit(f.exitCode)
 	case "kill9":
-		_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+		// SIGKILL on Unix, TerminateProcess on Windows.
+		if p, err := os.FindProcess(os.Getpid()); err == nil {
+			_ = p.Kill()
+		}
 		for { // the signal is fatal; never reached
 			time.Sleep(time.Hour)
 		}

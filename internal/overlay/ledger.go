@@ -201,17 +201,23 @@ func (l *Ledger) SetStrict(strict bool) { l.strict = strict }
 // doubling-growth high-water mark they replace. A slot whose list
 // outgrows its reservation falls back to the allocator transparently;
 // what bounds a list is the index field of its mirror entries, which
-// Place enforces whatever was reserved. Must be called before any
+// Place enforces whatever was reserved. Each slab's 2 MiB-aligned
+// interior is advised onto transparent huge pages before its first
+// touch (see adviseHugePages): SetOnline loads one host's reverse list
+// from a new place in the slab per flip, and with 4-KiB pages nearly
+// every such load also misses the TLB. Must be called before any
 // placements are recorded; zero caps skip the corresponding side.
 func (l *Ledger) Reserve(ownerCap, hostCap int) {
 	if ownerCap > 0 {
 		slab := make([]placement, len(l.fwd)*ownerCap)
+		adviseHugePages(slab)
 		for i := range l.fwd {
 			l.fwd[i] = slab[i*ownerCap : i*ownerCap : (i+1)*ownerCap]
 		}
 	}
 	if hostCap > 0 {
 		slab := make([]hostEntry, len(l.rev)*hostCap)
+		adviseHugePages(slab)
 		for i := range l.rev {
 			l.rev[i] = slab[i*hostCap : i*hostCap : (i+1)*hostCap]
 		}

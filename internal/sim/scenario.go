@@ -248,7 +248,7 @@ func (s *Simulation) applyReplay(round int64) {
 				// randomness, keeping replayed runs deterministic.
 				s.xfer.sched.AssignClass(id, s.xfer.sched.Params().SampleIndex(s.r))
 			}
-			p.join = round
+			s.joins[id] = round
 			p.cat = metrics.Newcomer
 			s.catPop[metrics.Newcomer]++
 			p.catChange = addClamped(round, metrics.CategoryBound(metrics.Newcomer))

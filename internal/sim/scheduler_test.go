@@ -2,10 +2,13 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/overlay"
+	"p2pbackup/internal/rng"
 )
 
 func TestVisitQueueOrderingAndDedupe(t *testing.T) {
@@ -14,23 +17,134 @@ func TestVisitQueueOrderingAndDedupe(t *testing.T) {
 	for _, id := range in {
 		q.push(id)
 	}
-	var got []int32
-	for !q.empty() {
-		got = append(got, q.pop())
-	}
+	got := q.drain(nil)
 	want := []int32{0, 3, 9, 27, 41}
 	if len(got) != len(want) {
-		t.Fatalf("popped %v, want %v", got, want)
+		t.Fatalf("drained %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("popped %v, want %v (ascending, deduped)", got, want)
+			t.Fatalf("drained %v, want %v (ascending, deduped)", got, want)
 		}
 	}
-	// After popping, slots can be queued again.
+	if !q.empty() {
+		t.Fatal("queue must be empty after a drain")
+	}
+	// After draining, slots can be queued again.
 	q.push(3)
-	if q.empty() || q.pop() != 3 {
-		t.Fatal("queue must accept a slot again after popping it")
+	if q.empty() {
+		t.Fatal("queue must accept a slot again after draining it")
+	}
+	if got := q.drain(nil); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("drained %v after re-queueing slot 3, want [3]", got)
+	}
+}
+
+// heapQueue is the visit queue as it stood before the bitset: a binary
+// min-heap of slot ids with a membership bitmap, verbatim. It is the
+// oracle TestVisitQueueMatchesHeap holds the bitset to: the walk set,
+// its shard cut and the merge order all follow the order a round's
+// queue is drained in, so every trajectory depends on the two agreeing.
+type heapQueue struct {
+	q  []int32
+	in []bool
+}
+
+func newHeapQueue(n int) *heapQueue {
+	return &heapQueue{in: make([]bool, n)}
+}
+
+// push enqueues a slot; re-pushing a queued slot is a no-op.
+func (v *heapQueue) push(id int32) {
+	if v.in[id] {
+		return
+	}
+	v.in[id] = true
+	v.q = append(v.q, id)
+	i := len(v.q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if v.q[p] <= v.q[i] {
+			break
+		}
+		v.q[p], v.q[i] = v.q[i], v.q[p]
+		i = p
+	}
+}
+
+// pop removes and returns the smallest queued slot id. The caller must
+// check empty first.
+func (v *heapQueue) pop() int32 {
+	id := v.q[0]
+	last := len(v.q) - 1
+	v.q[0] = v.q[last]
+	v.q = v.q[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < last && v.q[l] < v.q[small] {
+			small = l
+		}
+		if r < last && v.q[r] < v.q[small] {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		v.q[i], v.q[small] = v.q[small], v.q[i]
+		i = small
+	}
+	v.in[id] = false
+	return id
+}
+
+// empty reports whether the queue has no pending visits.
+func (v *heapQueue) empty() bool { return len(v.q) == 0 }
+
+// TestVisitQueueMatchesHeap pushes the same seeded random request
+// sequences into the bitset and the heap it replaced, round after round,
+// and requires every drain to give the heap's pops exactly, at
+// populations on both sides of the 64-slot word boundary. Rounds mix
+// sparse, dense and empty request sets, repeats included.
+func TestVisitQueueMatchesHeap(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r := rng.New(uint64(n))
+			bq, hq := newVisitQueue(n), newHeapQueue(n)
+			var got []int32
+			for round := 0; round < 200; round++ {
+				var pushes int
+				switch round % 4 {
+				case 0: // sparse
+					pushes = r.Intn(4)
+				case 1: // dense, with repeats
+					pushes = 2 * n
+				case 2: // none
+				default:
+					pushes = r.Intn(n + 1)
+				}
+				for i := 0; i < pushes; i++ {
+					id := int32(r.Intn(n))
+					bq.push(id)
+					hq.push(id)
+				}
+				if bq.empty() != hq.empty() {
+					t.Fatalf("round %d: bitset empty=%v, heap empty=%v", round, bq.empty(), hq.empty())
+				}
+				var want []int32
+				for !hq.empty() {
+					want = append(want, hq.pop())
+				}
+				got = bq.drain(got[:0])
+				if !slices.Equal(got, want) {
+					t.Fatalf("round %d: bitset drained %v, heap popped %v", round, got, want)
+				}
+				if !bq.empty() {
+					t.Fatalf("round %d: bitset not empty after its drain", round)
+				}
+			}
+		})
 	}
 }
 
@@ -97,7 +211,7 @@ func TestQuiescentPopulationIdles(t *testing.T) {
 		}
 	}
 	if !s.visitQ.empty() {
-		t.Fatalf("next-round walk queue has %d entries in quiescence", len(s.visitQ.q))
+		t.Fatalf("next-round walk queue has %d entries in quiescence", s.visitQ.n)
 	}
 	s.StepRound()
 	if n := len(s.workers[0].actors); n != 0 {

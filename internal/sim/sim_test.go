@@ -257,7 +257,7 @@ func TestCategoryPopulationTracksAges(t *testing.T) {
 	// After the run, recount categories from engine state.
 	var want [metrics.NumCategories]int64
 	for i := range s.peers {
-		age := s.round - s.peers[i].join
+		age := s.round - s.joins[i]
 		want[metrics.CategoryOf(age)]++
 	}
 	for c := metrics.Category(0); c < metrics.NumCategories; c++ {
@@ -567,7 +567,7 @@ func TestMonitoredHistoriesTrackSessions(t *testing.T) {
 		// window; their observed uptime must roughly match their true
 		// availability.
 		p := &s.peers[id]
-		if p.join == 0 && p.avail >= 0.9 {
+		if s.joins[id] == 0 && p.avail >= 0.9 {
 			seen++
 			if up < 0.5 {
 				t.Errorf("peer %d: avail %.2f but monitored uptime %.2f", id, p.avail, up)

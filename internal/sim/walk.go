@@ -7,11 +7,12 @@
 //     depends only on its own event history, never on which goroutine
 //     ran it or what other slots did this round.
 //   - Walk-time mutation is slot-local only: a visit touches its slot's
-//     peer record, availability history, timers, scheduler link class
-//     and maintenance peerState — all owned exclusively by the slot's
-//     shard. Every shared-state effect (ledger membership and session
-//     flips, transfer aborts/suspends, redundancy resets, probe events)
-//     is recorded in the shard's effect log instead.
+//     peer record and join round, availability history, timers,
+//     scheduler link class and maintenance peerState — all owned
+//     exclusively by the slot's shard. Every shared-state effect (ledger
+//     membership and session flips, transfer aborts/suspends, redundancy
+//     resets, probe events) is recorded in the shard's effect log
+//     instead.
 //   - The merge applies the effect logs at the round barrier in
 //     canonical (shard index, log order) order — which, because visits
 //     are partitioned in ascending slot order, is ascending slot order
@@ -189,10 +190,7 @@ func (s *Simulation) stepRound() {
 	for _, slot := range s.due {
 		s.visitQ.push(slot)
 	}
-	s.visits = s.visits[:0]
-	for !s.visitQ.empty() {
-		s.visits = append(s.visits, s.visitQ.pop())
-	}
+	s.visits = s.visitQ.drain(s.visits[:0])
 	cut := 0
 	for i := range s.workers {
 		w := &s.workers[i]
@@ -300,13 +298,13 @@ func (s *Simulation) visitSlot(w *worker, round int64, id overlay.PeerID) {
 	if s.sched[id] == round {
 		if s.replay != nil {
 			if round >= p.catChange {
-				s.promote(w, p)
+				s.promote(w, id, p)
 			}
 		} else {
 			if round >= p.death {
 				s.replacePeer(w, id, p, round, r)
 			} else if round >= p.catChange {
-				s.promote(w, p)
+				s.promote(w, id, p)
 			}
 			if round >= p.toggle {
 				next := addClamped(round, churn.SessionLengthAt(s.cfg.Avail, r, p.avail, !p.online, round))
@@ -351,11 +349,11 @@ func (s *Simulation) visitSlot(w *worker, round int64, id overlay.PeerID) {
 }
 
 // promote moves a peer up one age category.
-func (s *Simulation) promote(w *worker, p *peer) {
+func (s *Simulation) promote(w *worker, id overlay.PeerID, p *peer) {
 	w.catDelta[p.cat]--
 	p.cat++
 	w.catDelta[p.cat]++
-	p.catChange = addClamped(p.join, metrics.CategoryBound(p.cat))
+	p.catChange = addClamped(s.joins[id], metrics.CategoryBound(p.cat))
 }
 
 // replacePeer handles a departure: blocks vanish, the slot is reused by
@@ -398,7 +396,7 @@ func (s *Simulation) initPeer(w *worker, id overlay.PeerID, round int64, profile
 		// merge, so reassigning before they apply is state-equivalent.
 		s.xfer.sched.AssignClass(id, s.xfer.sched.Params().SampleIndex(r))
 	}
-	p.join = round
+	s.joins[id] = round
 	p.cat = metrics.Newcomer
 	p.catChange = addClamped(round, metrics.CategoryBound(metrics.Newcomer))
 	life := s.cfg.Profiles.SampleLifetime(r, prof)
