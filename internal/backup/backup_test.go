@@ -3,6 +3,7 @@ package backup
 import (
 	"archive/tar"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -412,7 +413,7 @@ func TestManifestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := m.Marshal()
+	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,9 +308,6 @@ func (m *Manifest) Validate() error {
 	}
 }
 
-// Marshal serialises the manifest.
-func (m *Manifest) Marshal() ([]byte, error) { return json.Marshal(m) }
-
 // UnmarshalManifest parses a manifest and validates it.
 func UnmarshalManifest(data []byte) (*Manifest, error) {
 	var m Manifest

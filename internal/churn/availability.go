@@ -105,8 +105,8 @@ func (AlwaysOnline) SessionLength(_ *rng.Rand, _ float64, online bool) int64 {
 	return 1
 }
 
-// ErrUnknownModel reports an unrecognised model name.
-var ErrUnknownModel = errors.New("churn: unknown availability model")
+// errUnknownModel reports an unrecognised model name.
+var errUnknownModel = errors.New("churn: unknown availability model")
 
 // ModelByName resolves a model from its CLI name: "session",
 // "bernoulli", "always-online", or "diurnal"/"diurnal:AMP" (a day/night
@@ -123,7 +123,7 @@ func ModelByName(name string) (AvailabilityModel, error) {
 	if name == "diurnal" || strings.HasPrefix(name, "diurnal:") {
 		return parseDiurnalName(name)
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+	return nil, fmt.Errorf("%w: %q", errUnknownModel, name)
 }
 
 // StationaryOnlineFraction estimates the long-run online fraction the

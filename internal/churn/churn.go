@@ -109,34 +109,11 @@ func PaperProfiles() *ProfileSet {
 	return ps
 }
 
-// ParetoProfiles returns a single-profile population with
-// Pareto(xm, alpha) lifetimes and the given availability - the
-// population under which the age heuristic is provably aligned with
-// expected remaining lifetime. Used by validation experiments.
-func ParetoProfiles(xm, alpha, availability float64) (*ProfileSet, error) {
-	p, err := dist.NewPareto(xm, alpha)
-	if err != nil {
-		return nil, err
-	}
-	return NewProfileSet([]Profile{
-		{Name: fmt.Sprintf("pareto(%.3g,%.3g)", xm, alpha), Proportion: 1, Lifetime: p, Availability: availability},
-	})
-}
-
 // Len returns the number of profiles.
 func (ps *ProfileSet) Len() int { return len(ps.profiles) }
 
 // Profile returns profile i.
 func (ps *ProfileSet) Profile(i int) Profile { return ps.profiles[i] }
-
-// Names returns the profile names in order.
-func (ps *ProfileSet) Names() []string {
-	names := make([]string, len(ps.profiles))
-	for i, p := range ps.profiles {
-		names[i] = p.Name
-	}
-	return names
-}
 
 // SampleIndex draws a profile index according to the proportions.
 func (ps *ProfileSet) SampleIndex(r *rng.Rand) int {
@@ -164,13 +141,4 @@ func (ps *ProfileSet) SampleLifetime(r *rng.Rand, i int) int64 {
 		return Unlimited
 	}
 	return int64(v)
-}
-
-// MeanAvailability returns the population-weighted mean availability.
-func (ps *ProfileSet) MeanAvailability() float64 {
-	m := 0.0
-	for _, p := range ps.profiles {
-		m += p.Proportion * p.Availability
-	}
-	return m
 }

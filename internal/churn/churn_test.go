@@ -52,13 +52,6 @@ func TestPaperProfiles(t *testing.T) {
 			}
 		}
 	}
-	if got := ps.Names(); strings.Join(got, ",") != "durable,stable,unstable,erratic" {
-		t.Errorf("Names = %v", got)
-	}
-	wantMean := 0.10*0.95 + 0.25*0.87 + 0.30*0.75 + 0.35*0.33
-	if math.Abs(ps.MeanAvailability()-wantMean) > 1e-12 {
-		t.Errorf("MeanAvailability = %v, want %v", ps.MeanAvailability(), wantMean)
-	}
 }
 
 func TestTimeUnits(t *testing.T) {
@@ -131,25 +124,6 @@ func TestSampleLifetime(t *testing.T) {
 	}
 }
 
-func TestParetoProfiles(t *testing.T) {
-	ps, err := ParetoProfiles(720, 1.5, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Len() != 1 || ps.Profile(0).Availability != 0.8 {
-		t.Fatal("ParetoProfiles misconfigured")
-	}
-	r := rng.New(3)
-	for i := 0; i < 100; i++ {
-		if l := ps.SampleLifetime(r, 0); l < 720 {
-			t.Fatalf("Pareto lifetime %d below xm", l)
-		}
-	}
-	if _, err := ParetoProfiles(-1, 1, 0.5); err == nil {
-		t.Fatal("invalid Pareto params accepted")
-	}
-}
-
 func TestSessionModelStationaryFraction(t *testing.T) {
 	m := DefaultSessionModel()
 	r := rng.New(4)
@@ -213,11 +187,11 @@ func TestModelByName(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(0, 1, EvJoin)
-	tr.Append(5, 1, EvOffline)
-	tr.Append(9, 1, EvOnline)
-	tr.Append(20, 1, EvLeave)
-	tr.Append(3, 2, EvJoin)
+	tr.AppendProfile(0, 1, EvJoin, NoProfile)
+	tr.AppendProfile(5, 1, EvOffline, NoProfile)
+	tr.AppendProfile(9, 1, EvOnline, NoProfile)
+	tr.AppendProfile(20, 1, EvLeave, NoProfile)
+	tr.AppendProfile(3, 2, EvJoin, NoProfile)
 	var sb strings.Builder
 	if err := tr.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -238,9 +212,9 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTraceSort(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(5, 2, EvLeave)
-	tr.Append(5, 1, EvJoin)
-	tr.Append(1, 9, EvJoin)
+	tr.AppendProfile(5, 2, EvLeave, NoProfile)
+	tr.AppendProfile(5, 1, EvJoin, NoProfile)
+	tr.AppendProfile(1, 9, EvJoin, NoProfile)
 	tr.Sort()
 	if tr.Events[0].Round != 1 || tr.Events[1].Peer != 1 {
 		t.Fatalf("sort order wrong: %+v", tr.Events)
@@ -249,11 +223,11 @@ func TestTraceSort(t *testing.T) {
 
 func TestTraceLifetimes(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(0, 1, EvJoin)
-	tr.Append(100, 1, EvLeave)
-	tr.Append(10, 2, EvJoin) // never leaves
-	tr.Append(50, 3, EvJoin)
-	tr.Append(60, 3, EvLeave)
+	tr.AppendProfile(0, 1, EvJoin, NoProfile)
+	tr.AppendProfile(100, 1, EvLeave, NoProfile)
+	tr.AppendProfile(10, 2, EvJoin, NoProfile) // never leaves
+	tr.AppendProfile(50, 3, EvJoin, NoProfile)
+	tr.AppendProfile(60, 3, EvLeave, NoProfile)
 	lifetimes := tr.Lifetimes()
 	if len(lifetimes) != 2 {
 		t.Fatalf("lifetimes = %v", lifetimes)
@@ -291,10 +265,10 @@ func TestEventKindString(t *testing.T) {
 	if EventKind(99).String() == "" {
 		t.Fatal("unknown kind must format")
 	}
-	if _, err := ParseEventKind("join"); err != nil {
+	if _, err := parseEventKind("join"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseEventKind("bogus"); err == nil {
+	if _, err := parseEventKind("bogus"); err == nil {
 		t.Fatal("bogus kind parsed")
 	}
 }

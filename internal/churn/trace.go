@@ -34,8 +34,8 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }
 
-// ParseEventKind parses the textual kind.
-func ParseEventKind(s string) (EventKind, error) {
+// parseEventKind parses the textual kind.
+func parseEventKind(s string) (EventKind, error) {
 	for i, n := range kindNames {
 		if n == s {
 			return EventKind(i), nil
@@ -63,11 +63,6 @@ type Event struct {
 // sim.Config.Replay consumes one.
 type Trace struct {
 	Events []Event
-}
-
-// Append adds an event with an unknown profile.
-func (t *Trace) Append(round int64, peer int32, kind EventKind) {
-	t.AppendProfile(round, peer, kind, NoProfile)
 }
 
 // AppendProfile adds an event carrying the peer's profile index.
@@ -211,7 +206,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("churn: line %d: bad peer: %w", line, err)
 		}
-		kind, err := ParseEventKind(parts[2])
+		kind, err := parseEventKind(parts[2])
 		if err != nil {
 			return nil, fmt.Errorf("churn: line %d: %w", line, err)
 		}
@@ -274,7 +269,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		if err := json.Unmarshal([]byte(text), &je); err != nil {
 			return nil, fmt.Errorf("churn: line %d: %w", line, err)
 		}
-		kind, err := ParseEventKind(je.Kind)
+		kind, err := parseEventKind(je.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("churn: line %d: %w", line, err)
 		}

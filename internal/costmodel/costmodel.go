@@ -129,9 +129,9 @@ func ParityUploadCost(c Code, delta int, l Link) (time.Duration, error) {
 	return time.Duration(up * float64(time.Second)), nil
 }
 
-// MaxRepairsPerDay returns how many worst-case repairs (d blocks each)
+// maxRepairsPerDay returns how many worst-case repairs (d blocks each)
 // the link can sustain per day, transfers back to back.
-func MaxRepairsPerDay(l Link, c Code, d int) (float64, error) {
+func maxRepairsPerDay(l Link, c Code, d int) (float64, error) {
 	rc, err := EstimateRepair(l, c, d)
 	if err != nil {
 		return 0, err
@@ -140,19 +140,6 @@ func MaxRepairsPerDay(l Link, c Code, d int) (float64, error) {
 		return 0, errors.New("costmodel: zero repair time")
 	}
 	return float64(24*time.Hour) / float64(rc.Total()), nil
-}
-
-// MaxRepairIntervalPerArchive returns the minimum mean time between
-// repairs of a single archive for a user with the given number of
-// archives spending at most budgetPerDay repairs per day in total.
-// The paper's example: 32 archives (4 GB), budget 1/day, worst-case d,
-// gives about one repair per month per archive.
-func MaxRepairIntervalPerArchive(archives int, budgetPerDay float64) (time.Duration, error) {
-	if archives < 1 || budgetPerDay <= 0 {
-		return 0, fmt.Errorf("costmodel: invalid archives=%d budget=%v", archives, budgetPerDay)
-	}
-	days := float64(archives) / budgetPerDay
-	return time.Duration(days * 24 * float64(time.Hour)), nil
 }
 
 // TableRow is one line of the section 2.2.4 summary table.
@@ -184,7 +171,7 @@ func PaperTable() ([]TableRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		perDay, err := MaxRepairsPerDay(r.link, code, r.d)
+		perDay, err := maxRepairsPerDay(r.link, code, r.d)
 		if err != nil {
 			return nil, err
 		}

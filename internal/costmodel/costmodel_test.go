@@ -35,32 +35,12 @@ func TestPaperNumbers(t *testing.T) {
 		t.Fatalf("total = %v min, want ~76.8 (the paper's 77)", total)
 	}
 	// "No more than 20 repair operations should be triggered per day."
-	perDay, err := MaxRepairsPerDay(link, code, 128)
+	perDay, err := maxRepairsPerDay(link, code, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perDay < 18 || perDay >= 20 {
 		t.Fatalf("repairs/day = %v, want in [18, 20) (paper rounds to 20)", perDay)
-	}
-}
-
-func TestPaperArchiveBudgetExample(t *testing.T) {
-	// "If we want to limit the cost to one repair per day, with 32
-	// archives (4 GB of data), the repair rate should be less than one
-	// per month approximatively."
-	interval, err := MaxRepairIntervalPerArchive(32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	days := interval.Hours() / 24
-	if days != 32 {
-		t.Fatalf("interval = %v days, want 32 (~one month)", days)
-	}
-	if _, err := MaxRepairIntervalPerArchive(0, 1); err == nil {
-		t.Fatal("zero archives accepted")
-	}
-	if _, err := MaxRepairIntervalPerArchive(1, 0); err == nil {
-		t.Fatal("zero budget accepted")
 	}
 }
 

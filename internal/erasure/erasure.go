@@ -7,22 +7,19 @@
 // tolerates m peer failures (compare replication, where doubling storage
 // only tolerates one failure per copy).
 //
-// The encoding matrix is systematic (the first k rows are the identity,
-// so data shards are stored verbatim). Two constructions are offered:
-// a systematised Vandermonde matrix (the classic Reed-Solomon form) and
-// a Cauchy matrix (every square submatrix invertible by construction).
-// Both guarantee that any k rows form an invertible matrix, which is
-// exactly the any-k-of-n recovery property.
+// The encoding matrix is a systematised Vandermonde matrix, the classic
+// Reed-Solomon form: its first k rows are the identity, so data shards
+// are stored verbatim, and any k of its rows form an invertible matrix,
+// which is exactly the any-k-of-n recovery property.
 //
-// Encode, Verify and Reconstruct work on a full set of n shards in
-// memory. Stream encodes an archive one stripe (one chunk of every
-// shard) at a time, for a backup that must not hold its archive, and
-// produces the same parity bytes as Encode; ReconstructData over the
-// chunks of one stripe is its counterpart on the way back.
+// Encode and Reconstruct work on a full set of n shards in memory.
+// Stream encodes an archive one stripe (one chunk of every shard) at a
+// time, for a backup that must not hold its archive, and produces the
+// same parity bytes as Encode; ReconstructData over the chunks of one
+// stripe is its counterpart on the way back.
 package erasure
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,41 +32,16 @@ import (
 var (
 	ErrInvalidParams = errors.New("erasure: k must be >= 1, m >= 0, and k+m <= 256")
 	ErrTooFewShards  = errors.New("erasure: too few shards to reconstruct")
-	ErrShardCount    = errors.New("erasure: wrong number of shards")
-	ErrShardSize     = errors.New("erasure: shards must be non-empty and all the same size")
-	ErrShortData     = errors.New("erasure: data too short")
+	errShardCount    = errors.New("erasure: wrong number of shards")
+	errShardSize     = errors.New("erasure: shards must be non-empty and all the same size")
+	errShortData     = errors.New("erasure: data too short")
 )
-
-// MatrixKind selects the parity construction.
-type MatrixKind int
-
-const (
-	// Vandermonde uses the classic Reed-Solomon generator matrix,
-	// systematised by multiplying with the inverse of its top k x k block.
-	Vandermonde MatrixKind = iota
-	// Cauchy uses an identity block on top of a Cauchy parity block.
-	Cauchy
-)
-
-// String returns the construction's lower-case name, the form CLI flags
-// and manifests spell it in.
-func (k MatrixKind) String() string {
-	switch k {
-	case Vandermonde:
-		return "vandermonde"
-	case Cauchy:
-		return "cauchy"
-	default:
-		return fmt.Sprintf("MatrixKind(%d)", int(k))
-	}
-}
 
 // Encoder encodes and reconstructs Reed-Solomon shard sets. It is safe
 // for concurrent use: all mutable state is behind a mutex-protected
 // decode-matrix cache.
 type Encoder struct {
 	k, m   int
-	kind   MatrixKind
 	matrix *gf256.Matrix // n x k encoding matrix, top k x k identity
 	parity *gf256.Matrix // m x k view of the parity rows
 
@@ -77,43 +49,22 @@ type Encoder struct {
 	cache map[string]*gf256.Matrix // decode matrices keyed by survivor row set
 }
 
-// New returns an Encoder for k data shards and m parity shards using the
-// Vandermonde construction.
-func New(k, m int) (*Encoder, error) { return NewKind(k, m, Vandermonde) }
-
-// NewKind returns an Encoder with an explicit matrix construction.
-func NewKind(k, m int, kind MatrixKind) (*Encoder, error) {
+// New returns an Encoder for k data shards and m parity shards: the
+// n x k Vandermonde matrix, systematised by multiplying with the inverse
+// of its top k x k block.
+func New(k, m int) (*Encoder, error) {
 	if k < 1 || m < 0 || k+m > 256 {
 		return nil, ErrInvalidParams
 	}
-	var enc *gf256.Matrix
-	switch kind {
-	case Vandermonde:
-		v := gf256.Vandermonde(k+m, k)
-		top := v.SubMatrix(0, k, 0, k)
-		topInv, err := top.Invert()
-		if err != nil {
-			return nil, fmt.Errorf("erasure: vandermonde top block singular: %w", err)
-		}
-		enc = v.Mul(topInv)
-	case Cauchy:
-		enc = gf256.NewMatrix(k+m, k)
-		for i := 0; i < k; i++ {
-			enc.Set(i, i, 1)
-		}
-		if m > 0 {
-			c := gf256.Cauchy(m, k)
-			for r := 0; r < m; r++ {
-				copy(enc.Row(k+r), c.Row(r))
-			}
-		}
-	default:
-		return nil, fmt.Errorf("erasure: unknown matrix kind %v", kind)
+	v := gf256.Vandermonde(k+m, k)
+	topInv, err := v.SubMatrix(0, k, 0, k).Invert()
+	if err != nil {
+		return nil, fmt.Errorf("erasure: vandermonde top block singular: %w", err)
 	}
+	enc := v.Mul(topInv)
 	e := &Encoder{
 		k:      k,
 		m:      m,
-		kind:   kind,
 		matrix: enc,
 		cache:  make(map[string]*gf256.Matrix),
 	}
@@ -123,40 +74,28 @@ func NewKind(k, m int, kind MatrixKind) (*Encoder, error) {
 	return e, nil
 }
 
-// DataShards returns k.
-func (e *Encoder) DataShards() int { return e.k }
-
-// ParityShards returns m.
-func (e *Encoder) ParityShards() int { return e.m }
-
-// TotalShards returns n = k + m.
-func (e *Encoder) TotalShards() int { return e.k + e.m }
-
-// Kind returns the matrix construction in use.
-func (e *Encoder) Kind() MatrixKind { return e.kind }
-
 // checkShards validates shard count and sizes. If allowNil, missing
 // (nil or empty) shards are permitted and the size of present shards is
 // returned.
 func (e *Encoder) checkShards(shards [][]byte, allowNil bool) (size int, err error) {
 	if len(shards) != e.k+e.m {
-		return 0, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.k+e.m)
+		return 0, fmt.Errorf("%w: got %d, want %d", errShardCount, len(shards), e.k+e.m)
 	}
 	for _, s := range shards {
 		if len(s) == 0 {
 			if !allowNil {
-				return 0, ErrShardSize
+				return 0, errShardSize
 			}
 			continue
 		}
 		if size == 0 {
 			size = len(s)
 		} else if len(s) != size {
-			return 0, ErrShardSize
+			return 0, errShardSize
 		}
 	}
 	if size == 0 {
-		return 0, ErrShardSize
+		return 0, errShardSize
 	}
 	return size, nil
 }
@@ -204,7 +143,7 @@ type Stream struct {
 // bytes.
 func (e *Encoder) NewStream(chunk int) (*Stream, error) {
 	if chunk <= 0 {
-		return nil, ErrShardSize
+		return nil, errShardSize
 	}
 	return &Stream{
 		k:      e.k,
@@ -229,7 +168,7 @@ func (s *Stream) Data() []byte { return s.data }
 // the same byte positions.
 func (s *Stream) Encode(c int) ([][]byte, error) {
 	if c <= 0 || c > s.chunk {
-		return nil, fmt.Errorf("%w: a stripe of %d-byte chunks in a stream made for %d", ErrShardSize, c, s.chunk)
+		return nil, fmt.Errorf("%w: a stripe of %d-byte chunks in a stream made for %d", errShardSize, c, s.chunk)
 	}
 	for i := range s.shards {
 		if i < s.k {
@@ -240,45 +179,6 @@ func (s *Stream) Encode(c int) ([][]byte, error) {
 	}
 	gf256.MulRows(s.rows, s.shards[:s.k], s.shards[s.k:])
 	return s.shards, nil
-}
-
-// verifyChunk is the number of bytes of each shard Verify recomputes
-// and compares at a time: large enough to amortise the kernel's table
-// builds, small enough that the scratch parity is m chunks and not m
-// shards and that a mismatch is found without encoding the rest.
-const verifyChunk = 8 << 10
-
-// Verify recomputes parity from the data shards and reports whether the
-// stored parity shards match.
-func (e *Encoder) Verify(shards [][]byte) (bool, error) {
-	size, err := e.checkShards(shards, false)
-	if err != nil {
-		return false, err
-	}
-	if e.m == 0 {
-		return true, nil
-	}
-	rows := e.parityRows()
-	n := min(size, verifyChunk)
-	backing := make([]byte, e.m*n)
-	scratch := make([][]byte, e.m)
-	in := make([][]byte, e.k)
-	for off := 0; off < size; off += n {
-		end := min(off+n, size)
-		for c := range in {
-			in[c] = shards[c][off:end]
-		}
-		for r := range scratch {
-			scratch[r] = backing[r*n : r*n+end-off]
-		}
-		gf256.MulRows(rows, in, scratch)
-		for r, want := range scratch {
-			if !bytes.Equal(want, shards[e.k+r][off:end]) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // Reconstruct fills in all missing shards (nil or zero-length entries)
@@ -413,7 +313,7 @@ func (e *Encoder) decodeMatrix(rows []int) (*gf256.Matrix, error) {
 // Use Join with the original length to undo.
 func (e *Encoder) Split(data []byte) ([][]byte, error) {
 	if len(data) == 0 {
-		return nil, ErrShortData
+		return nil, errShortData
 	}
 	shardSize := (len(data) + e.k - 1) / e.k
 	shards := make([][]byte, e.k+e.m)
@@ -439,7 +339,7 @@ func (e *Encoder) Split(data []byte) ([][]byte, error) {
 // the k data shards, dropping padding.
 func (e *Encoder) Join(dst io.Writer, shards [][]byte, size int) error {
 	if len(shards) < e.k {
-		return ErrShardCount
+		return errShardCount
 	}
 	remaining := size
 	for i := 0; i < e.k && remaining > 0; i++ {
@@ -457,7 +357,7 @@ func (e *Encoder) Join(dst io.Writer, shards [][]byte, size int) error {
 		remaining -= n
 	}
 	if remaining > 0 {
-		return ErrShortData
+		return errShortData
 	}
 	return nil
 }

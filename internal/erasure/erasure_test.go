@@ -9,14 +9,6 @@ import (
 	"testing/quick"
 )
 
-func allKinds(t *testing.T, f func(t *testing.T, kind MatrixKind)) {
-	t.Helper()
-	for _, kind := range []MatrixKind{Vandermonde, Cauchy} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
-	}
-}
-
 func randomShards(rng *rand.Rand, k, m, size int) [][]byte {
 	shards := make([][]byte, k+m)
 	for i := range shards {
@@ -43,8 +35,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSystematicEncoding(t *testing.T) {
-	allKinds(t, func(t *testing.T, kind MatrixKind) {
-		e, err := NewKind(4, 2, kind)
+	t.Run("vandermonde", func(t *testing.T) {
+		e, err := New(4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,36 +52,8 @@ func TestSystematicEncoding(t *testing.T) {
 		// Systematic: data shards unchanged by encoding.
 		for i := 0; i < 4; i++ {
 			if !bytes.Equal(shards[i], want[i]) {
-				t.Fatalf("%v: data shard %d modified by Encode", kind, i)
+				t.Fatalf("data shard %d modified by Encode", i)
 			}
-		}
-	})
-}
-
-func TestEncodeVerify(t *testing.T) {
-	allKinds(t, func(t *testing.T, kind MatrixKind) {
-		e, _ := NewKind(6, 3, kind)
-		rng := rand.New(rand.NewSource(2))
-		shards := randomShards(rng, 6, 3, 128)
-		if err := e.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		ok, err := e.Verify(shards)
-		if err != nil || !ok {
-			t.Fatalf("Verify = %v, %v; want true, nil", ok, err)
-		}
-		// Corrupt one byte of one parity shard.
-		shards[7][13] ^= 0x40
-		ok, err = e.Verify(shards)
-		if err != nil || ok {
-			t.Fatalf("Verify after corruption = %v, %v; want false, nil", ok, err)
-		}
-		shards[7][13] ^= 0x40
-		// Corrupt a data byte.
-		shards[2][0] ^= 1
-		ok, _ = e.Verify(shards)
-		if ok {
-			t.Fatal("Verify must detect corrupted data shard")
 		}
 	})
 }
@@ -97,9 +61,9 @@ func TestEncodeVerify(t *testing.T) {
 func TestReconstructAllErasurePatterns(t *testing.T) {
 	// For a small code, exhaustively erase every subset of size <= m and
 	// verify exact reconstruction.
-	allKinds(t, func(t *testing.T, kind MatrixKind) {
+	t.Run("vandermonde", func(t *testing.T) {
 		const k, m, size = 4, 3, 32
-		e, _ := NewKind(k, m, kind)
+		e, _ := New(k, m)
 		rng := rand.New(rand.NewSource(3))
 		orig := randomShards(rng, k, m, size)
 		if err := e.Encode(orig); err != nil {
@@ -125,11 +89,11 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 				}
 			}
 			if err := e.Reconstruct(shards); err != nil {
-				t.Fatalf("%v mask %#b: %v", kind, mask, err)
+				t.Fatalf("mask %#b: %v", mask, err)
 			}
 			for i := range shards {
 				if !bytes.Equal(shards[i], orig[i]) {
-					t.Fatalf("%v mask %#b: shard %d wrong after reconstruct", kind, mask, i)
+					t.Fatalf("mask %#b: shard %d wrong after reconstruct", mask, i)
 				}
 			}
 		}
@@ -203,16 +167,16 @@ func TestReconstructNoOpWhenComplete(t *testing.T) {
 
 func TestShardValidation(t *testing.T) {
 	e, _ := New(3, 2)
-	if err := e.Encode(make([][]byte, 4)); !errors.Is(err, ErrShardCount) {
-		t.Errorf("wrong count: err = %v, want ErrShardCount", err)
+	if err := e.Encode(make([][]byte, 4)); !errors.Is(err, errShardCount) {
+		t.Errorf("wrong count: err = %v, want errShardCount", err)
 	}
 	shards := [][]byte{make([]byte, 4), make([]byte, 4), make([]byte, 5), make([]byte, 4), make([]byte, 4)}
-	if err := e.Encode(shards); !errors.Is(err, ErrShardSize) {
-		t.Errorf("uneven sizes: err = %v, want ErrShardSize", err)
+	if err := e.Encode(shards); !errors.Is(err, errShardSize) {
+		t.Errorf("uneven sizes: err = %v, want errShardSize", err)
 	}
 	all := make([][]byte, 5)
-	if err := e.Reconstruct(all); !errors.Is(err, ErrShardSize) {
-		t.Errorf("all missing: err = %v, want ErrShardSize", err)
+	if err := e.Reconstruct(all); !errors.Is(err, errShardSize) {
+		t.Errorf("all missing: err = %v, want errShardSize", err)
 	}
 }
 
@@ -244,8 +208,8 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 
 func TestSplitEmpty(t *testing.T) {
 	e, _ := New(4, 2)
-	if _, err := e.Split(nil); !errors.Is(err, ErrShortData) {
-		t.Fatalf("err = %v, want ErrShortData", err)
+	if _, err := e.Split(nil); !errors.Is(err, errShortData) {
+		t.Fatalf("err = %v, want errShortData", err)
 	}
 }
 
@@ -257,11 +221,11 @@ func TestJoinErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.Join(&buf, shards[:2], len(data)); !errors.Is(err, ErrShardCount) {
-		t.Errorf("short shard list: err = %v, want ErrShardCount", err)
+	if err := e.Join(&buf, shards[:2], len(data)); !errors.Is(err, errShardCount) {
+		t.Errorf("short shard list: err = %v, want errShardCount", err)
 	}
-	if err := e.Join(&buf, shards, len(data)*100); !errors.Is(err, ErrShortData) {
-		t.Errorf("oversized length: err = %v, want ErrShortData", err)
+	if err := e.Join(&buf, shards, len(data)*100); !errors.Is(err, errShortData) {
+		t.Errorf("oversized length: err = %v, want errShortData", err)
 	}
 	shards[1] = nil
 	if err := e.Join(&buf, shards, len(data)); err == nil {
@@ -381,25 +345,9 @@ func TestZeroParity(t *testing.T) {
 	if err := e.Encode(shards); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := e.Verify(shards)
-	if err != nil || !ok {
-		t.Fatalf("Verify = %v, %v", ok, err)
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	e, _ := NewKind(12, 7, Cauchy)
-	if e.DataShards() != 12 || e.ParityShards() != 7 || e.TotalShards() != 19 {
-		t.Fatal("accessor mismatch")
-	}
-	if e.Kind() != Cauchy {
-		t.Fatal("Kind mismatch")
-	}
-	if Vandermonde.String() != "vandermonde" || Cauchy.String() != "cauchy" {
-		t.Fatal("MatrixKind.String mismatch")
-	}
-	if MatrixKind(9).String() == "" {
-		t.Fatal("unknown kind must still format")
+	shards[1] = nil
+	if err := e.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
+		t.Fatalf("Reconstruct without parity, one shard lost: err = %v, want ErrTooFewShards", err)
 	}
 }
 
@@ -420,48 +368,6 @@ func TestEncodeAllocations(t *testing.T) {
 	}
 	if counts[0] != 1 || counts[1] != 1 {
 		t.Fatalf("Encode allocations per call at 4 KiB, 384 KiB shards = %v, want 1 at both", counts)
-	}
-}
-
-func TestVerifyChunked(t *testing.T) {
-	// Shards spanning several verify chunks plus a ragged tail: a
-	// mismatch must be found wherever it sits, and the scratch parity
-	// must be chunks, not whole shards.
-	const k, m = 3, 2
-	size := 40*verifyChunk + 5
-	e, _ := New(k, m)
-	rng := rand.New(rand.NewSource(12))
-	shards := randomShards(rng, k, m, size)
-	if err := e.Encode(shards); err != nil {
-		t.Fatal(err)
-	}
-	verify := func() bool {
-		t.Helper()
-		ok, err := e.Verify(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	}
-	if !verify() {
-		t.Fatal("Verify rejects freshly encoded shards")
-	}
-	for _, at := range []struct{ shard, pos int }{
-		{k, 0}, {k + 1, verifyChunk - 1}, {k, verifyChunk}, {k + 1, size - 1}, {0, size - 1}, {k - 1, 17 * verifyChunk},
-	} {
-		shards[at.shard][at.pos] ^= 0x10
-		if verify() {
-			t.Errorf("Verify misses a flipped bit in shard %d at byte %d", at.shard, at.pos)
-		}
-		shards[at.shard][at.pos] ^= 0x10
-	}
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	verify()
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*m*verifyChunk) {
-		t.Errorf("Verify allocated %d bytes for %d-byte shards, want a few %d-byte chunks", got, size, verifyChunk)
 	}
 }
 
@@ -505,13 +411,13 @@ func encodeByStripes(t testing.TB, e *Encoder, shards [][]byte, chunk int) [][]b
 
 func TestStreamMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	allKinds(t, func(t *testing.T, kind MatrixKind) {
+	t.Run("vandermonde", func(t *testing.T) {
 		// m below and past the kernel's eight rows, k below and past its
 		// four columns; stripes shorter than, equal to and longer than
 		// the shard, and a ragged last one.
 		for _, sh := range []struct{ k, m int }{{1, 1}, {3, 9}, {16, 8}, {17, 3}, {33, 20}, {5, 0}} {
 			for _, size := range []int{1, 100, 8192 + 7} {
-				e, err := NewKind(sh.k, sh.m, kind)
+				e, err := New(sh.k, sh.m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -536,8 +442,8 @@ func TestStreamMatchesEncode(t *testing.T) {
 
 func TestStreamMisuse(t *testing.T) {
 	e, _ := New(3, 2)
-	if _, err := e.NewStream(0); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("NewStream(0) err = %v, want ErrShardSize", err)
+	if _, err := e.NewStream(0); !errors.Is(err, errShardSize) {
+		t.Fatalf("NewStream(0) err = %v, want errShardSize", err)
 	}
 	s, err := e.NewStream(4)
 	if err != nil {
@@ -547,8 +453,8 @@ func TestStreamMisuse(t *testing.T) {
 		t.Fatalf("Data is %d bytes, want k chunks of 4", len(s.Data()))
 	}
 	for _, c := range []int{0, -1, 5} {
-		if _, err := s.Encode(c); !errors.Is(err, ErrShardSize) {
-			t.Fatalf("Encode(%d) in a stream of 4-byte chunks: err = %v, want ErrShardSize", c, err)
+		if _, err := s.Encode(c); !errors.Is(err, errShardSize) {
+			t.Fatalf("Encode(%d) in a stream of 4-byte chunks: err = %v, want errShardSize", c, err)
 		}
 	}
 	if chunks, err := s.Encode(4); err != nil || len(chunks) != 5 {

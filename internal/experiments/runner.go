@@ -25,8 +25,8 @@ type Variant struct {
 	// It runs on a copy; it may also override the seed.
 	Mutate func(*sim.Config)
 	// Probes, when non-nil, builds fresh probes to attach to this
-	// variant's run. It is a factory rather than a slice because probes
-	// are stateful and variants run concurrently.
+	// variant's run, after Mutate. It is a factory rather than a slice
+	// because probes are stateful and variants run concurrently.
 	Probes func() []sim.Probe
 }
 
@@ -58,16 +58,6 @@ const (
 	// panic — and the campaign continues with its remaining variants.
 	EventFailed
 )
-
-var eventKindNames = [...]string{"progress", "row", "done", "failed"}
-
-// String names the kind for logs and progress messages.
-func (k EventKind) String() string {
-	if k >= 0 && int(k) < len(eventKindNames) {
-		return eventKindNames[k]
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
 
 // Event is one element of a campaign's typed event stream.
 type Event struct {
@@ -234,24 +224,32 @@ func (r Runner) execute(ctx context.Context, c Campaign, events chan<- Event) {
 // Probes are not attached — the in-process path adds them from the
 // Variant.Probes factory, and the supervised path rejects campaigns
 // with probes (they cannot cross a process boundary). Both execution
-// paths derive a variant's config through this same sequence, which is
-// what makes supervised output bit-identical to in-process output.
-func materializeVariant(c Campaign, i int) sim.Config {
+// paths derive a variant's config through this one function, which is
+// what makes supervised output bit-identical to in-process output. A
+// Mutate that panics re-panics as a *sim.PanicError carrying the config
+// as far as it was built.
+func materializeVariant(c Campaign, i int) (cfg sim.Config) {
 	v := c.Variants[i]
-	cfg := c.Base
+	cfg = c.Base
 	if v.Seed != 0 {
 		cfg.Seed = v.Seed
 	}
 	if v.Mutate != nil {
+		defer func() {
+			if rec := recover(); rec != nil {
+				panic(&sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()})
+			}
+		}()
 		v.Mutate(&cfg)
 	}
 	return cfg
 }
 
-// runVariant materialises variant i's config and executes it. Panics
-// anywhere in the variant's lifecycle — probe construction, config
-// mutation, engine setup, the run itself — surface as *sim.PanicError
-// attributing whatever portion of the config had been materialised.
+// runVariant materialises variant i's config, attaches the variant's
+// probes and the progress hook, and executes it. Panics anywhere in the
+// variant's lifecycle — config mutation, probe construction, engine
+// setup, the run itself — surface as *sim.PanicError attributing
+// whatever portion of the config had been materialised.
 func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<- Event) (row *Row, err error) {
 	v := c.Variants[i]
 	cfg := c.Base
@@ -259,20 +257,15 @@ func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<-
 		if rec := recover(); rec != nil {
 			var pe *sim.PanicError
 			if e, ok := rec.(error); ok && errors.As(e, &pe) {
-				row, err = nil, pe // already attributed (should not happen; RunContext returns, not panics)
+				row, err = nil, pe // attributed by materializeVariant
 				return
 			}
 			row, err = nil, &sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	if v.Seed != 0 {
-		cfg.Seed = v.Seed
-	}
+	cfg = materializeVariant(c, i)
 	if v.Probes != nil {
 		cfg.Probes = append(append([]sim.Probe(nil), cfg.Probes...), v.Probes()...)
-	}
-	if v.Mutate != nil {
-		v.Mutate(&cfg)
 	}
 	if r.RoundEvents && cfg.Progress == nil {
 		rounds := cfg.Rounds

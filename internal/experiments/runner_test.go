@@ -281,12 +281,14 @@ func TestRunnerPanicContainment(t *testing.T) {
 }
 
 // TestRunnerPanicInMutate: a panic during config materialisation (not
-// just mid-run) is also contained and attributed.
+// just mid-run) is also contained and attributed to the config as far
+// as it was built: the variant's seed and what Mutate set before it
+// panicked.
 func TestRunnerPanicInMutate(t *testing.T) {
 	cfg := microConfig()
 	camp := Campaign{Name: "mutpanic", Base: cfg, Variants: []Variant{
 		{Name: "ok", Seed: 5},
-		{Name: "boom", Seed: 6, Mutate: func(*sim.Config) { panic("bad mutate") }},
+		{Name: "boom", Seed: 6, Mutate: func(c *sim.Config) { c.NumPeers = 77; panic("bad mutate") }},
 	}}
 	var rows, failed int
 	for ev := range (Runner{Parallelism: 2}).Stream(context.Background(), camp) {
@@ -298,6 +300,10 @@ func TestRunnerPanicInMutate(t *testing.T) {
 			var pe *sim.PanicError
 			if !errors.As(ev.Err, &pe) || pe.Value != "bad mutate" {
 				t.Fatalf("unexpected failure error: %v", ev.Err)
+			}
+			if pe.Config.Seed != 6 || pe.Config.NumPeers != 77 {
+				t.Fatalf("panic attributed to seed %d, %d peers; want the partly built config (seed 6, 77 peers)",
+					pe.Config.Seed, pe.Config.NumPeers)
 			}
 		case EventDone:
 			if ev.Err != nil {

@@ -261,7 +261,11 @@ func TestSupervisedExhaustedRetries(t *testing.T) {
 // poisoned so it fails, three succeed and are journaled), then resumes
 // with every previously-completed variant poisoned: if resume re-ran
 // any of them the run would fail, so a byte-identical final result
-// proves only the missing variant executed.
+// proves only the missing variant executed. The same resume runs over
+// testdata/journal_parent.jsonl, the journal of that interrupted run as
+// written before the collector dropped its per-profile totals, per-day
+// repair series and shock-victim count: entries carrying those keys
+// are still served.
 func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 	t.Parallel()
 	spec := microSpec()
@@ -270,50 +274,75 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	journal := filepath.Join(t.TempDir(), "resume.jsonl")
 
-	first := testSupervisor(faultEnv + "=exit3@variant2x9")
-	first.Retry.MaxAttempts = 1
-	first.JournalPath = journal
-	rows, err := first.Run(context.Background(), spec, camp, nil)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
+	interrupted := func(t *testing.T) string {
+		journal := filepath.Join(t.TempDir(), "resume.jsonl")
+		first := testSupervisor(faultEnv + "=exit3@variant2x9")
+		first.Retry.MaxAttempts = 1
+		first.JournalPath = journal
+		rows, err := first.Run(context.Background(), spec, camp, nil)
+		if err != nil {
+			t.Fatalf("first run: %v", err)
+		}
+		if len(rows) != 3 {
+			t.Fatalf("first run returned %d rows, want 3", len(rows))
+		}
+		return journal
 	}
-	if len(rows) != 3 {
-		t.Fatalf("first run returned %d rows, want 3", len(rows))
+	parentWritten := func(t *testing.T) string {
+		raw, err := os.ReadFile("testdata/journal_parent.jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"prof_repairs"`)) || !bytes.Contains(raw, []byte(`"shock_victims"`)) {
+			t.Fatal("fixture lacks the dropped collector keys")
+		}
+		journal := filepath.Join(t.TempDir(), "resume.jsonl")
+		if err := os.WriteFile(journal, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return journal
 	}
 
-	// Poison all three completed variants; only variant 2 may run.
-	second := testSupervisor(faultEnv + "=panic@variant0x9|panic@variant1x9|panic@variant3x9")
-	second.Retry.MaxAttempts = 1
-	second.JournalPath = journal
-	second.Resume = true
-	var mu sync.Mutex
-	resumed := map[int]bool{}
-	got, err := second.Run(context.Background(), spec, camp, func(ev Event) {
-		if ev.Kind == EventProgress && strings.Contains(ev.Message, "resumed from journal") {
-			mu.Lock()
-			resumed[ev.Variant] = true
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		t.Fatalf("resume run: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("resume returned %d rows, want %d", len(got), len(want))
-	}
-	if d1, d2 := rowsDigest(t, want), rowsDigest(t, got); d1 != d2 {
-		t.Errorf("resumed rows differ from fault-free in-process rows")
-	}
-	wantResumed := map[int]bool{0: true, 1: true, 3: true}
-	if len(resumed) != len(wantResumed) {
-		t.Errorf("resumed variants %v, want %v", resumed, wantResumed)
-	}
-	for v := range wantResumed {
-		if !resumed[v] {
-			t.Errorf("variant %d was not resumed from the journal", v)
-		}
+	for _, tc := range []struct {
+		name    string
+		journal func(*testing.T) string
+	}{{"interrupted", interrupted}, {"parent-written", parentWritten}} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := tc.journal(t)
+			// Poison all three completed variants; only variant 2 may run.
+			second := testSupervisor(faultEnv + "=panic@variant0x9|panic@variant1x9|panic@variant3x9")
+			second.Retry.MaxAttempts = 1
+			second.JournalPath = journal
+			second.Resume = true
+			var mu sync.Mutex
+			resumed := map[int]bool{}
+			got, err := second.Run(context.Background(), spec, camp, func(ev Event) {
+				if ev.Kind == EventProgress && strings.Contains(ev.Message, "resumed from journal") {
+					mu.Lock()
+					resumed[ev.Variant] = true
+					mu.Unlock()
+				}
+			})
+			if err != nil {
+				t.Fatalf("resume run: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("resume returned %d rows, want %d", len(got), len(want))
+			}
+			if d1, d2 := rowsDigest(t, want), rowsDigest(t, got); d1 != d2 {
+				t.Errorf("resumed rows differ from fault-free in-process rows")
+			}
+			wantResumed := map[int]bool{0: true, 1: true, 3: true}
+			if len(resumed) != len(wantResumed) {
+				t.Errorf("resumed variants %v, want %v", resumed, wantResumed)
+			}
+			for v := range wantResumed {
+				if !resumed[v] {
+					t.Errorf("variant %d was not resumed from the journal", v)
+				}
+			}
+		})
 	}
 }
 

@@ -13,11 +13,11 @@ type Matrix struct {
 	Data       []byte // len == Rows*Cols, row-major
 }
 
-// ErrSingular is returned when attempting to invert a singular matrix.
-var ErrSingular = errors.New("gf256: matrix is singular")
+// errSingular is returned when attempting to invert a singular matrix.
+var errSingular = errors.New("gf256: matrix is singular")
 
-// NewMatrix returns a zero matrix of the given shape.
-func NewMatrix(rows, cols int) *Matrix {
+// newMatrix returns a zero matrix of the given shape.
+func newMatrix(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("gf256: invalid matrix shape %dx%d", rows, cols))
 	}
@@ -26,7 +26,7 @@ func NewMatrix(rows, cols int) *Matrix {
 
 // identity returns the n x n identity matrix.
 func identity(n int) *Matrix {
-	m := NewMatrix(n, n)
+	m := newMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
 	}
@@ -42,29 +42,10 @@ func Vandermonde(rows, cols int) *Matrix {
 	if rows > 256 {
 		panic("gf256: Vandermonde matrix needs rows <= 256")
 	}
-	m := NewMatrix(rows, cols)
+	m := newMatrix(rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			m.Set(r, c, pow(byte(r), c))
-		}
-	}
-	return m
-}
-
-// Cauchy returns the rows x cols Cauchy matrix with
-// m[r][c] = 1 / (x_r + y_c), x_r = r + cols, y_c = c.
-// Cauchy matrices have the stronger property that every square submatrix
-// is invertible. rows+cols must be <= 256.
-func Cauchy(rows, cols int) *Matrix {
-	if rows+cols > 256 {
-		panic("gf256: Cauchy matrix needs rows+cols <= 256")
-	}
-	m := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		xr := byte(r + cols)
-		for c := 0; c < cols; c++ {
-			yc := byte(c)
-			m.Set(r, c, inv(add(xr, yc)))
 		}
 	}
 	return m
@@ -81,7 +62,7 @@ func (m *Matrix) Row(r int) []byte { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
-	n := NewMatrix(m.Rows, m.Cols)
+	n := newMatrix(m.Rows, m.Cols)
 	copy(n.Data, m.Data)
 	return n
 }
@@ -91,7 +72,7 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	if m.Cols != other.Rows {
 		panic(fmt.Sprintf("gf256: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
 	}
-	out := NewMatrix(m.Rows, other.Cols)
+	out := newMatrix(m.Rows, other.Cols)
 	for r := 0; r < m.Rows; r++ {
 		mrow := m.Row(r)
 		orow := out.Row(r)
@@ -102,25 +83,9 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec computes dst = m * src where src has length m.Cols and dst has
-// length m.Rows.
-func (m *Matrix) MulVec(src, dst []byte) {
-	if len(src) != m.Cols || len(dst) != m.Rows {
-		panic("gf256: MulVec dimension mismatch")
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		var acc byte
-		for c, s := range src {
-			acc ^= mul(row[c], s)
-		}
-		dst[r] = acc
-	}
-}
-
 // SubMatrix returns a copy of rows [r0,r1) and columns [c0,c1).
 func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
-	out := NewMatrix(r1-r0, c1-c0)
+	out := newMatrix(r1-r0, c1-c0)
 	for r := r0; r < r1; r++ {
 		copy(out.Row(r-r0), m.Row(r)[c0:c1])
 	}
@@ -129,7 +94,7 @@ func (m *Matrix) SubMatrix(r0, r1, c0, c1 int) *Matrix {
 
 // SelectRows returns a copy of the given rows, in order.
 func (m *Matrix) SelectRows(rows []int) *Matrix {
-	out := NewMatrix(len(rows), m.Cols)
+	out := newMatrix(len(rows), m.Cols)
 	for i, r := range rows {
 		copy(out.Row(i), m.Row(r))
 	}
@@ -148,7 +113,7 @@ func (m *Matrix) SwapRows(i, j int) {
 }
 
 // Invert returns the inverse of a square matrix via Gauss-Jordan
-// elimination, or ErrSingular.
+// elimination, or errSingular.
 func (m *Matrix) Invert() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		panic("gf256: cannot invert non-square matrix")
@@ -166,7 +131,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			}
 		}
 		if pivot == -1 {
-			return nil, ErrSingular
+			return nil, errSingular
 		}
 		work.SwapRows(col, pivot)
 		out.SwapRows(col, pivot)

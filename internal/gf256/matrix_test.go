@@ -14,7 +14,7 @@ func TestIdentity(t *testing.T) {
 	if Vandermonde(3, 3).IsIdentity() {
 		t.Fatal("Vandermonde(3,3) should not be identity")
 	}
-	if NewMatrix(2, 3).IsIdentity() {
+	if newMatrix(2, 3).IsIdentity() {
 		t.Fatal("non-square matrix cannot be identity")
 	}
 }
@@ -39,28 +39,6 @@ func TestVandermondeShapeAndFirstColumn(t *testing.T) {
 	}
 }
 
-func TestCauchyEverySquareSubmatrixInvertible(t *testing.T) {
-	// Exhaustively check all 2x2 submatrices of a small Cauchy matrix and a
-	// sample of 3x3 ones; this is the defining property.
-	m := Cauchy(6, 6)
-	for r1 := 0; r1 < 6; r1++ {
-		for r2 := r1 + 1; r2 < 6; r2++ {
-			for c1 := 0; c1 < 6; c1++ {
-				for c2 := c1 + 1; c2 < 6; c2++ {
-					sub := NewMatrix(2, 2)
-					sub.Set(0, 0, m.Get(r1, c1))
-					sub.Set(0, 1, m.Get(r1, c2))
-					sub.Set(1, 0, m.Get(r2, c1))
-					sub.Set(1, 1, m.Get(r2, c2))
-					if _, err := sub.Invert(); err != nil {
-						t.Fatalf("2x2 submatrix (%d,%d)x(%d,%d) singular", r1, r2, c1, c2)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestInvertRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -69,7 +47,7 @@ func TestInvertRoundTrip(t *testing.T) {
 		// probability; retry until one is.
 		var m *Matrix
 		for {
-			m = NewMatrix(n, n)
+			m = newMatrix(n, n)
 			for i := range m.Data {
 				m.Data[i] = byte(rng.Intn(256))
 			}
@@ -91,19 +69,19 @@ func TestInvertRoundTrip(t *testing.T) {
 }
 
 func TestInvertSingular(t *testing.T) {
-	m := NewMatrix(3, 3)
+	m := newMatrix(3, 3)
 	// Two identical rows.
 	for c := 0; c < 3; c++ {
 		m.Set(0, c, byte(c+1))
 		m.Set(1, c, byte(c+1))
 		m.Set(2, c, byte(7*c+5))
 	}
-	if _, err := m.Invert(); err != ErrSingular {
-		t.Fatalf("expected ErrSingular, got %v", err)
+	if _, err := m.Invert(); err != errSingular {
+		t.Fatalf("expected errSingular, got %v", err)
 	}
-	z := NewMatrix(2, 2)
-	if _, err := z.Invert(); err != ErrSingular {
-		t.Fatalf("zero matrix: expected ErrSingular, got %v", err)
+	z := newMatrix(2, 2)
+	if _, err := z.Invert(); err != errSingular {
+		t.Fatalf("zero matrix: expected errSingular, got %v", err)
 	}
 }
 
@@ -122,11 +100,23 @@ func TestVandermondeRowSubsetsInvertible(t *testing.T) {
 	}
 }
 
+// mulVec computes dst = m * src, one scalar product per row: the
+// reference Mul's row-slice accumulation is checked against.
+func mulVec(m *Matrix, src, dst []byte) {
+	for r := 0; r < m.Rows; r++ {
+		var acc byte
+		for c, s := range src {
+			acc ^= mul(m.Get(r, c), s)
+		}
+		dst[r] = acc
+	}
+}
+
 func TestMulAgainstMulVec(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r, k, c := 1+rng.Intn(6), 1+rng.Intn(6), 1
-		a := NewMatrix(r, k)
+		a := newMatrix(r, k)
 		for i := range a.Data {
 			a.Data[i] = byte(rng.Intn(256))
 		}
@@ -134,11 +124,11 @@ func TestMulAgainstMulVec(t *testing.T) {
 		for i := range vec {
 			vec[i] = byte(rng.Intn(256))
 		}
-		b := NewMatrix(k, c)
+		b := newMatrix(k, c)
 		copy(b.Data, vec)
 		viaMul := a.Mul(b)
 		viaVec := make([]byte, r)
-		a.MulVec(vec, viaVec)
+		mulVec(a, vec, viaVec)
 		for i := 0; i < r; i++ {
 			if viaMul.Get(i, 0) != viaVec[i] {
 				return false
@@ -152,7 +142,7 @@ func TestMulAgainstMulVec(t *testing.T) {
 
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewMatrix(4, 4)
+	m := newMatrix(4, 4)
 	for i := range m.Data {
 		m.Data[i] = byte(rng.Intn(256))
 	}
@@ -199,8 +189,8 @@ func TestSwapRows(t *testing.T) {
 func TestNewMatrixInvalidShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewMatrix(0, 3) must panic")
+			t.Fatal("newMatrix(0, 3) must panic")
 		}
 	}()
-	NewMatrix(0, 3)
+	newMatrix(0, 3)
 }

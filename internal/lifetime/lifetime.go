@@ -40,8 +40,8 @@ type Estimator interface {
 	ExpectedRemaining(age float64) float64
 }
 
-// ErrNoSamples reports a fit attempted on insufficient data.
-var ErrNoSamples = errors.New("lifetime: not enough samples to fit")
+// errNoSamples reports a fit attempted on insufficient data.
+var errNoSamples = errors.New("lifetime: not enough samples to fit")
 
 // ---------------------------------------------------------------------------
 // Pareto model
@@ -56,7 +56,7 @@ type ParetoModel struct {
 // complete lifetimes: xm = min(x), alpha = n / sum(ln(x/xm)).
 func FitPareto(samples []float64) (ParetoModel, error) {
 	if len(samples) < 2 {
-		return ParetoModel{}, fmt.Errorf("%w: got %d", ErrNoSamples, len(samples))
+		return ParetoModel{}, fmt.Errorf("%w: got %d", errNoSamples, len(samples))
 	}
 	xm := math.Inf(1)
 	for _, x := range samples {
@@ -170,7 +170,7 @@ type EmpiricalModel struct {
 // NewEmpiricalModel builds the estimator from complete lifetimes.
 func NewEmpiricalModel(lifetimes []float64) (*EmpiricalModel, error) {
 	if len(lifetimes) == 0 {
-		return nil, ErrNoSamples
+		return nil, errNoSamples
 	}
 	s := append([]float64(nil), lifetimes...)
 	sort.Float64s(s)

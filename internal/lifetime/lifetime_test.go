@@ -41,7 +41,7 @@ func TestFitParetoRecoversParameters(t *testing.T) {
 }
 
 func TestFitParetoErrors(t *testing.T) {
-	if _, err := FitPareto([]float64{1}); !errors.Is(err, ErrNoSamples) {
+	if _, err := FitPareto([]float64{1}); !errors.Is(err, errNoSamples) {
 		t.Fatal("single sample must be rejected")
 	}
 	if _, err := FitPareto([]float64{1, -2, 3}); err == nil {
@@ -175,7 +175,7 @@ func TestEmpiricalModel(t *testing.T) {
 	if got := m.ExpectedRemaining(40); got != 0 {
 		t.Fatalf("ExpectedRemaining(40) = %v, want 0", got)
 	}
-	if _, err := NewEmpiricalModel(nil); !errors.Is(err, ErrNoSamples) {
+	if _, err := NewEmpiricalModel(nil); !errors.Is(err, errNoSamples) {
 		t.Fatal("empty model must be rejected")
 	}
 	if _, err := NewEmpiricalModel([]float64{0, 1}); err == nil {

@@ -25,8 +25,13 @@
 //
 // Beyond the paper: shock attribution. Correlated-failure scenarios
 // (sim.ShockSpec) report firings through RecordShock, and losses within
-// ShockAttributionWindow of the latest shock are additionally counted
+// shockAttributionWindow of the latest shock are additionally counted
 // as shock-attributed, splitting the loss metric by cause.
+//
+// The collector records what a campaign table, a p2psim summary or a
+// figure reads, and nothing else: events are accounted by age category,
+// not by behaviour profile, and the only series are the ones figures
+// plot.
 package metrics
 
 import (
@@ -107,14 +112,13 @@ type Counts struct {
 	BlocksDropped  int64 // placements abandoned at repair time (offline partners)
 }
 
-// Collector accumulates the run's measurements. It is not safe for
-// concurrent use; one per simulation run.
+// Collector accumulates the run's measurements: per-category counts
+// and the rates derived from them, the Figure 4 loss series, shock
+// attribution, the time-to-safety distributions and the adaptive
+// redundancy counters. It is not safe for concurrent use; one per
+// simulation run.
 type Collector struct {
 	cats [NumCategories]Counts
-	// profile-indexed totals (repairs, losses) for the stratification
-	// analysis in section 4.2.1.
-	profRepairs []int64
-	profLosses  []int64
 
 	// Figure 4: per-category cumulative losses-per-peer series, sampled
 	// every sampleEvery rounds.
@@ -122,17 +126,12 @@ type Collector struct {
 	lossAccum   [NumCategories]float64
 	todayLosses [NumCategories]int64
 
-	// Repair-rate time series (diagnostic; same cadence).
-	repairSeries [NumCategories]*stats.Series
-	todayRepairs [NumCategories]int64
-
 	// Correlated-failure attribution: losses within
-	// ShockAttributionWindow rounds of the most recent shock are
+	// shockAttributionWindow rounds of the most recent shock are
 	// counted as shock-attributed.
-	shocks       int64
-	shockVictims int64
-	shockLosses  int64
-	lastShock    int64
+	shocks      int64
+	shockLosses int64
+	lastShock   int64
 
 	// Time-to-safety distributions (the transfer engine's headline
 	// metrics): rounds from a backup/repair episode triggering to its
@@ -181,14 +180,6 @@ func (d *Durations) N() int64 { return d.stream.N() }
 // Mean returns the sample mean (0 when empty).
 func (d *Durations) Mean() float64 { return d.stream.Mean() }
 
-// Min returns the smallest sample (0 when empty).
-func (d *Durations) Min() float64 {
-	if d.stream.N() == 0 {
-		return 0
-	}
-	return d.stream.Min()
-}
-
 // Max returns the largest sample (0 when empty).
 func (d *Durations) Max() float64 {
 	if d.stream.N() == 0 {
@@ -209,39 +200,32 @@ func (d *Durations) Quantile(q float64) float64 {
 	return v
 }
 
-// ShockAttributionWindow is how long after a shock a lost archive is
+// shockAttributionWindow is how long after a shock a lost archive is
 // still attributed to it, in rounds. Three days covers the repair
 // backlog a large shock creates: repairs are bandwidth-bounded (the
 // paper's section 2.2.4), so a mass outage keeps causing decode
 // failures well after the lights come back on.
-const ShockAttributionWindow = 3 * churn.Day
+const shockAttributionWindow = 3 * churn.Day
 
-// NewCollector returns a collector for numProfiles profiles, sampling
-// time series every sampleEvery rounds (one day = 24 is the paper's
-// plotting cadence). warmup rounds are excluded from the rate counters
-// (pass 0 to measure everything).
-func NewCollector(numProfiles int, sampleEvery, warmup int64) *Collector {
-	if numProfiles <= 0 || sampleEvery <= 0 || warmup < 0 {
-		panic(fmt.Sprintf("metrics: invalid collector params profiles=%d sample=%d warmup=%d",
-			numProfiles, sampleEvery, warmup))
+// NewCollector returns a collector sampling time series every
+// sampleEvery rounds (one day = 24 is the paper's plotting cadence).
+// warmup rounds are excluded from the rate counters (pass 0 to measure
+// everything).
+func NewCollector(sampleEvery, warmup int64) *Collector {
+	if sampleEvery <= 0 || warmup < 0 {
+		panic(fmt.Sprintf("metrics: invalid collector params sample=%d warmup=%d", sampleEvery, warmup))
 	}
 	c := &Collector{
-		profRepairs: make([]int64, numProfiles),
-		profLosses:  make([]int64, numProfiles),
 		sampleEvery: sampleEvery,
 		warmup:      warmup,
-		lastShock:   -2 * ShockAttributionWindow, // "no shock yet"
+		lastShock:   -2 * shockAttributionWindow, // "no shock yet"
 	}
 	for i := range c.lossSeries {
 		c.lossSeries[i] = stats.NewSeries(Category(i).String() + " cumulative losses/peer")
-		c.repairSeries[i] = stats.NewSeries(Category(i).String() + " repairs/peer/day")
 	}
 	c.redunSeries = stats.NewSeries("mean redundancy blocks/archive")
 	return c
 }
-
-// Warmup returns the configured warmup length in rounds.
-func (c *Collector) Warmup() int64 { return c.warmup }
 
 func (c *Collector) measured(round int64) bool { return round >= c.warmup }
 
@@ -253,10 +237,10 @@ func (c *Collector) AddPeerRounds(round int64, cat Category, population int64) {
 	}
 }
 
-// RecordRepair notes a completed repair by a peer of the given category
-// and profile. initial marks the first upload (d = n); uploaded is the
+// RecordRepair notes a completed repair by a peer of the given
+// category. initial marks the first upload (d = n); uploaded is the
 // number of blocks uploaded; dropped the placements abandoned.
-func (c *Collector) RecordRepair(round int64, cat Category, profile int, initial bool, uploaded, dropped int) {
+func (c *Collector) RecordRepair(round int64, cat Category, initial bool, uploaded, dropped int) {
 	if !c.measured(round) {
 		return
 	}
@@ -268,22 +252,19 @@ func (c *Collector) RecordRepair(round int64, cat Category, profile int, initial
 	}
 	cc.BlocksUploaded += int64(uploaded)
 	cc.BlocksDropped += int64(dropped)
-	c.profRepairs[profile]++
-	c.todayRepairs[cat]++
 }
 
 // RecordOutage notes a decode outage: the archive just became
 // unrecoverable from currently online peers (visible < k). This is the
 // event the paper's figures 2 and 4 count as a lost archive; it also
 // covers every permanent loss, which starts as an outage.
-func (c *Collector) RecordOutage(round int64, cat Category, profile int) {
+func (c *Collector) RecordOutage(round int64, cat Category) {
 	if !c.measured(round) {
 		return
 	}
 	c.cats[cat].Outages++
-	c.profLosses[profile]++
 	c.todayLosses[cat]++
-	if round-c.lastShock <= ShockAttributionWindow {
+	if round-c.lastShock <= shockAttributionWindow {
 		c.shockLosses++
 	}
 }
@@ -297,7 +278,6 @@ func (c *Collector) RecordOutage(round int64, cat Category, profile int) {
 // overstate the damage.
 func (c *Collector) RecordShock(round int64, victims int) {
 	c.shocks++
-	c.shockVictims += int64(victims)
 	if victims > 0 {
 		c.lastShock = round
 	}
@@ -307,7 +287,7 @@ func (c *Collector) RecordShock(round int64, victims int) {
 // than k blocks survive on living peers, so no reconnection can bring
 // the data back. The preceding outage has already been counted by
 // RecordOutage.
-func (c *Collector) RecordHardLoss(round int64, cat Category, profile int) {
+func (c *Collector) RecordHardLoss(round int64, cat Category) {
 	if !c.measured(round) {
 		return
 	}
@@ -414,62 +394,10 @@ func (c *Collector) EndRound(round int64, population [NumCategories]int64) {
 	for cat := 0; cat < int(NumCategories); cat++ {
 		if population[cat] > 0 {
 			c.lossAccum[cat] += float64(c.todayLosses[cat]) / float64(population[cat])
-			c.repairSeries[cat].Append(day, float64(c.todayRepairs[cat])/float64(population[cat]))
-		} else {
-			c.repairSeries[cat].Append(day, 0)
 		}
 		c.lossSeries[cat].Append(day, c.lossAccum[cat])
 		c.todayLosses[cat] = 0
-		c.todayRepairs[cat] = 0
 	}
-}
-
-// Merge folds other's counters into c: per-category counts,
-// per-profile totals, shock accounting, the time-to-backup/restore
-// distributions and the failed-restore count. Both collectors must
-// have been built for the same number of profiles. The per-run time
-// series (LossSeries, RepairSeries) are trajectories of single runs
-// and are deliberately not merged — aggregating those across seeds is
-// a statistics question (see internal/stats) that the collector does
-// not answer; c keeps its own.
-//
-// Merge is what makes collectors shard- and variant-combinable: a
-// campaign can run per-shard or per-seed collectors and fold them into
-// one aggregate whose rate accessors (RepairRatePer1000 and friends)
-// then report pooled numerators over pooled denominators.
-func (c *Collector) Merge(other *Collector) {
-	if len(c.profRepairs) != len(other.profRepairs) {
-		panic(fmt.Sprintf("metrics: merging collectors with %d and %d profiles",
-			len(c.profRepairs), len(other.profRepairs)))
-	}
-	for i := range c.cats {
-		a, b := &c.cats[i], &other.cats[i]
-		a.PeerRounds += b.PeerRounds
-		a.Repairs += b.Repairs
-		a.InitialBackups += b.InitialBackups
-		a.Outages += b.Outages
-		a.HardLosses += b.HardLosses
-		a.StalledRounds += b.StalledRounds
-		a.BlocksUploaded += b.BlocksUploaded
-		a.BlocksDropped += b.BlocksDropped
-	}
-	for i := range c.profRepairs {
-		c.profRepairs[i] += other.profRepairs[i]
-		c.profLosses[i] += other.profLosses[i]
-	}
-	c.shocks += other.shocks
-	c.shockVictims += other.shockVictims
-	c.shockLosses += other.shockLosses
-	if other.lastShock > c.lastShock {
-		c.lastShock = other.lastShock
-	}
-	c.ttb.Merge(&other.ttb)
-	c.ttr.Merge(&other.ttr)
-	c.restoresFailed += other.restoresFailed
-	c.redunGrows += other.redunGrows
-	c.redunShrinks += other.redunShrinks
-	c.parityAdded += other.parityAdded
-	c.parityDropped += other.parityDropped
 }
 
 // Counts returns the aggregate counters for a category.
@@ -500,32 +428,9 @@ func (c *Collector) LossRatePer1000(cat Category) float64 {
 	return float64(cc.Outages) / float64(cc.PeerRounds) * 1000
 }
 
-// HardLossRatePer1000 returns permanently lost archives per 1000
-// peer-rounds.
-func (c *Collector) HardLossRatePer1000(cat Category) float64 {
-	cc := c.cats[cat]
-	if cc.PeerRounds == 0 {
-		return 0
-	}
-	return float64(cc.HardLosses) / float64(cc.PeerRounds) * 1000
-}
-
-// ProfileRepairs returns total repairs per profile index.
-func (c *Collector) ProfileRepairs() []int64 {
-	return append([]int64(nil), c.profRepairs...)
-}
-
-// ProfileLosses returns total losses per profile index.
-func (c *Collector) ProfileLosses() []int64 {
-	return append([]int64(nil), c.profLosses...)
-}
-
 // LossSeries returns the Figure 4 series for a category: cumulative
 // expected losses per peer, sampled daily.
 func (c *Collector) LossSeries(cat Category) *stats.Series { return c.lossSeries[cat] }
-
-// RepairSeries returns the per-day repairs-per-peer series (diagnostic).
-func (c *Collector) RepairSeries(cat Category) *stats.Series { return c.repairSeries[cat] }
 
 // TotalRepairs sums maintenance repairs over all categories.
 func (c *Collector) TotalRepairs() int64 {
@@ -548,11 +453,8 @@ func (c *Collector) TotalLosses() int64 {
 // TotalShocks returns the number of correlated-failure shocks fired.
 func (c *Collector) TotalShocks() int64 { return c.shocks }
 
-// ShockVictims returns the total peers taken down by shocks.
-func (c *Collector) ShockVictims() int64 { return c.shockVictims }
-
 // ShockAttributedLosses returns the lost archives that occurred within
-// ShockAttributionWindow rounds of a shock — the paper's loss metric
+// shockAttributionWindow rounds of a shock — the paper's loss metric
 // split by cause, so campaigns can report how much of the damage the
 // correlated failures did versus background churn.
 func (c *Collector) ShockAttributedLosses() int64 { return c.shockLosses }

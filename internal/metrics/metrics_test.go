@@ -56,22 +56,22 @@ func TestCategoryNames(t *testing.T) {
 }
 
 func TestCollectorRates(t *testing.T) {
-	c := NewCollector(4, churn.Day, 0)
+	c := NewCollector(churn.Day, 0)
 	// 2000 peer-rounds as newcomer, 4 repairs -> 2 per 1000.
 	for r := int64(0); r < 20; r++ {
 		c.AddPeerRounds(r, Newcomer, 100)
 	}
 	for i := 0; i < 4; i++ {
-		c.RecordRepair(5, Newcomer, 0, false, 10, 2)
+		c.RecordRepair(5, Newcomer, false, 10, 2)
 	}
-	c.RecordRepair(6, Newcomer, 1, true, 256, 0) // initial
+	c.RecordRepair(6, Newcomer, true, 256, 0) // initial
 	if got := c.RepairRatePer1000(Newcomer, false); got != 2 {
 		t.Fatalf("repair rate = %v, want 2", got)
 	}
 	if got := c.RepairRatePer1000(Newcomer, true); got != 2.5 {
 		t.Fatalf("repair rate with initial = %v, want 2.5", got)
 	}
-	c.RecordOutage(7, Newcomer, 0)
+	c.RecordOutage(7, Newcomer)
 	if got := c.LossRatePer1000(Newcomer); got != 0.5 {
 		t.Fatalf("loss rate = %v, want 0.5", got)
 	}
@@ -90,16 +90,13 @@ func TestCollectorRates(t *testing.T) {
 }
 
 func TestCollectorWarmupExcluded(t *testing.T) {
-	c := NewCollector(1, churn.Day, 100)
-	if c.Warmup() != 100 {
-		t.Fatal("warmup accessor wrong")
-	}
+	c := NewCollector(churn.Day, 100)
 	c.AddPeerRounds(50, Young, 10)  // during warmup: ignored
 	c.AddPeerRounds(150, Young, 10) // measured
-	c.RecordRepair(50, Young, 0, false, 1, 0)
-	c.RecordRepair(150, Young, 0, false, 1, 0)
-	c.RecordOutage(99, Young, 0)
-	c.RecordHardLoss(99, Young, 0)
+	c.RecordRepair(50, Young, false, 1, 0)
+	c.RecordRepair(150, Young, false, 1, 0)
+	c.RecordOutage(99, Young)
+	c.RecordHardLoss(99, Young)
 	c.RecordStall(10, Young)
 	cc := c.Counts(Young)
 	if cc.PeerRounds != 10 || cc.Repairs != 1 || cc.Outages != 0 || cc.HardLosses != 0 || cc.StalledRounds != 0 {
@@ -107,28 +104,15 @@ func TestCollectorWarmupExcluded(t *testing.T) {
 	}
 }
 
-func TestCollectorProfileTotals(t *testing.T) {
-	c := NewCollector(3, churn.Day, 0)
-	c.RecordRepair(0, Old, 2, false, 1, 0)
-	c.RecordRepair(0, Old, 2, false, 1, 0)
-	c.RecordOutage(0, Old, 1)
-	if got := c.ProfileRepairs(); got[2] != 2 || got[0] != 0 {
-		t.Fatalf("profile repairs = %v", got)
-	}
-	if got := c.ProfileLosses(); got[1] != 1 {
-		t.Fatalf("profile losses = %v", got)
-	}
-}
-
 func TestCollectorSeries(t *testing.T) {
-	c := NewCollector(1, churn.Day, 0)
+	c := NewCollector(churn.Day, 0)
 	var pop [NumCategories]int64
 	pop[Newcomer] = 10
 	// Day 1: 5 losses over 10 peers -> 0.5 cumulative.
 	for r := int64(0); r < churn.Day; r++ {
 		if r == 3 {
 			for i := 0; i < 5; i++ {
-				c.RecordOutage(r, Newcomer, 0)
+				c.RecordOutage(r, Newcomer)
 			}
 		}
 		c.EndRound(r, pop)
@@ -137,7 +121,7 @@ func TestCollectorSeries(t *testing.T) {
 	for r := int64(churn.Day); r < 2*churn.Day; r++ {
 		if r == churn.Day+1 {
 			for i := 0; i < 10; i++ {
-				c.RecordOutage(r, Newcomer, 0)
+				c.RecordOutage(r, Newcomer)
 			}
 		}
 		c.EndRound(r, pop)
@@ -152,10 +136,6 @@ func TestCollectorSeries(t *testing.T) {
 	if x, y := s.At(1); x != 2 || y != 1.5 {
 		t.Fatalf("day 2 = (%v, %v), want (2, 1.5)", x, y)
 	}
-	// Repair series exists and has matching cadence.
-	if c.RepairSeries(Newcomer).Len() != 2 {
-		t.Fatal("repair series cadence wrong")
-	}
 	// Zero-population categories do not accumulate.
 	if _, y := c.LossSeries(Elder).At(1); y != 0 {
 		t.Fatal("empty category accumulated losses")
@@ -164,9 +144,8 @@ func TestCollectorSeries(t *testing.T) {
 
 func TestCollectorPanicsOnBadParams(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewCollector(0, 1, 0) },
-		func() { NewCollector(1, 0, 0) },
-		func() { NewCollector(1, 1, -1) },
+		func() { NewCollector(0, 0) },
+		func() { NewCollector(1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -208,107 +187,31 @@ func TestObserverTracker(t *testing.T) {
 }
 
 func TestCollectorShockAttribution(t *testing.T) {
-	c := NewCollector(1, 24, 0)
+	c := NewCollector(24, 0)
 	// Losses before any shock are background churn.
-	c.RecordOutage(10, Newcomer, 0)
+	c.RecordOutage(10, Newcomer)
 	if c.ShockAttributedLosses() != 0 {
 		t.Fatal("pre-shock loss attributed")
 	}
 	// A zero-victim firing is counted but must not open the window.
 	c.RecordShock(20, 0)
-	c.RecordOutage(21, Newcomer, 0)
+	c.RecordOutage(21, Newcomer)
 	if c.TotalShocks() != 1 || c.ShockAttributedLosses() != 0 {
 		t.Fatalf("zero-victim shock attributed losses: shocks=%d attributed=%d",
 			c.TotalShocks(), c.ShockAttributedLosses())
 	}
 	// A real shock attributes losses inside the window only.
 	c.RecordShock(100, 42)
-	c.RecordOutage(100+ShockAttributionWindow, Newcomer, 0)
-	c.RecordOutage(101+ShockAttributionWindow, Newcomer, 0)
-	if c.ShockVictims() != 42 || c.ShockAttributedLosses() != 1 {
-		t.Fatalf("victims=%d attributed=%d, want 42 and 1",
-			c.ShockVictims(), c.ShockAttributedLosses())
-	}
-}
-
-func TestCollectorMerge(t *testing.T) {
-	a := NewCollector(2, 24, 0)
-	a.AddPeerRounds(0, Newcomer, 100)
-	a.RecordRepair(1, Newcomer, 0, false, 5, 1)
-	a.RecordRepair(2, Young, 1, true, 32, 0)
-	a.RecordOutage(3, Newcomer, 0)
-	a.RecordHardLoss(4, Newcomer, 0)
-	a.RecordStall(5, Old)
-	a.RecordBackupTime(6, 3)
-	a.RecordRestoreFailed(7)
-
-	b := NewCollector(2, 24, 0)
-	b.AddPeerRounds(0, Newcomer, 50)
-	b.RecordRepair(1, Newcomer, 1, false, 7, 2)
-	b.RecordOutage(2, Young, 1)
-	b.RecordShock(10, 9)
-	b.RecordOutage(11, Young, 1) // inside b's shock window
-	b.RecordBackupTime(12, 5)
-	b.RecordRestoreTime(13, 4)
-
-	// Redundancy counters merge like every other counter.
-	a.RecordRedundancyChange(5, 20, 26) // grow +6
-	b.RecordRedundancyChange(6, 26, 21) // shrink -5
-	b.RecordRedundancyChange(7, 21, 23) // grow +2
-	a.RecordRedundancyLevel(23, 21.5)   // series stays per-run (not merged)
-
-	a.Merge(b)
-	nc := a.Counts(Newcomer)
-	if nc.PeerRounds != 150 || nc.Repairs != 2 || nc.Outages != 1 || nc.HardLosses != 1 ||
-		nc.BlocksUploaded != 12 || nc.BlocksDropped != 3 {
-		t.Fatalf("merged newcomer counts = %+v", nc)
-	}
-	yc := a.Counts(Young)
-	if yc.InitialBackups != 1 || yc.Outages != 2 || yc.BlocksUploaded != 32 {
-		t.Fatalf("merged young counts = %+v", yc)
-	}
-	if a.Counts(Old).StalledRounds != 1 {
-		t.Fatal("stalled rounds lost in merge")
-	}
-	if r := a.ProfileRepairs(); r[0] != 1 || r[1] != 2 {
-		t.Fatalf("merged profile repairs = %v", r)
-	}
-	if l := a.ProfileLosses(); l[0] != 1 || l[1] != 2 {
-		t.Fatalf("merged profile losses = %v", l)
-	}
-	if a.TotalShocks() != 1 || a.ShockVictims() != 9 || a.ShockAttributedLosses() != 1 {
-		t.Fatalf("merged shocks=%d victims=%d attributed=%d",
-			a.TotalShocks(), a.ShockVictims(), a.ShockAttributedLosses())
-	}
-	// The merged lastShock must keep attributing losses near b's shock.
-	a.RecordOutage(12, Elder, 0)
-	if a.ShockAttributedLosses() != 2 {
-		t.Fatal("merge did not adopt the later shock round")
-	}
-	if a.TimeToBackup().N() != 2 || a.TimeToBackup().Mean() != 4 {
-		t.Fatalf("merged ttb n=%d mean=%v", a.TimeToBackup().N(), a.TimeToBackup().Mean())
-	}
-	if a.TimeToRestore().N() != 1 || a.RestoresFailed() != 1 {
-		t.Fatalf("merged ttr n=%d restoresFailed=%d", a.TimeToRestore().N(), a.RestoresFailed())
-	}
-	if a.RedundancyGrows() != 2 || a.RedundancyShrinks() != 1 ||
-		a.ParityBlocksAdded() != 8 || a.ParityBlocksReclaimed() != 5 {
-		t.Fatalf("merged redundancy counters grows=%d shrinks=%d added=%d reclaimed=%d",
-			a.RedundancyGrows(), a.RedundancyShrinks(), a.ParityBlocksAdded(), a.ParityBlocksReclaimed())
-	}
-	// Like LossSeries, the redundancy series is a single-run trajectory:
-	// merge must leave a's own samples untouched.
-	if a.RedundancySeries().Len() != 1 {
-		t.Fatalf("merge disturbed the redundancy series: len=%d", a.RedundancySeries().Len())
-	}
-	// Pooled rates: numerators and denominators both pooled.
-	if got := a.RepairRatePer1000(Newcomer, false); got != 2.0/150*1000 {
-		t.Fatalf("pooled repair rate = %v", got)
+	c.RecordOutage(100+shockAttributionWindow, Newcomer)
+	c.RecordOutage(101+shockAttributionWindow, Newcomer)
+	if c.TotalShocks() != 2 || c.ShockAttributedLosses() != 1 {
+		t.Fatalf("shocks=%d attributed=%d, want 2 and 1",
+			c.TotalShocks(), c.ShockAttributedLosses())
 	}
 }
 
 func TestRecordRedundancyChange(t *testing.T) {
-	c := NewCollector(1, 24, 10)
+	c := NewCollector(24, 10)
 	c.RecordRedundancyChange(5, 20, 30)  // pre-warmup: ignored
 	c.RecordRedundancyChange(15, 20, 20) // no-op delta: ignored
 	c.RecordRedundancyChange(15, 20, 24)
@@ -325,13 +228,4 @@ func TestRecordRedundancyChange(t *testing.T) {
 	if c.RedundancySeries().Len() != 1 {
 		t.Fatalf("series len = %d, want 1", c.RedundancySeries().Len())
 	}
-}
-
-func TestCollectorMergeProfileMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched profile counts did not panic")
-		}
-	}()
-	NewCollector(2, 24, 0).Merge(NewCollector(3, 24, 0))
 }

@@ -49,15 +49,10 @@ func (d *Durations) UnmarshalJSON(data []byte) error {
 // collectorJSON mirrors Collector field for field.
 type collectorJSON struct {
 	Cats         [NumCategories]Counts        `json:"cats"`
-	ProfRepairs  []int64                      `json:"prof_repairs"`
-	ProfLosses   []int64                      `json:"prof_losses"`
 	LossSeries   [NumCategories]*stats.Series `json:"loss_series"`
 	LossAccum    [NumCategories]float64       `json:"loss_accum"`
 	TodayLosses  [NumCategories]int64         `json:"today_losses"`
-	RepairSeries [NumCategories]*stats.Series `json:"repair_series"`
-	TodayRepairs [NumCategories]int64         `json:"today_repairs"`
 	Shocks       int64                        `json:"shocks"`
-	ShockVictims int64                        `json:"shock_victims"`
 	ShockLosses  int64                        `json:"shock_losses"`
 	LastShock    int64                        `json:"last_shock"`
 	TTB          Durations                    `json:"ttb"`
@@ -76,15 +71,10 @@ type collectorJSON struct {
 func (c *Collector) MarshalJSON() ([]byte, error) {
 	return json.Marshal(collectorJSON{
 		Cats:         c.cats,
-		ProfRepairs:  c.profRepairs,
-		ProfLosses:   c.profLosses,
 		LossSeries:   c.lossSeries,
 		LossAccum:    c.lossAccum,
 		TodayLosses:  c.todayLosses,
-		RepairSeries: c.repairSeries,
-		TodayRepairs: c.todayRepairs,
 		Shocks:       c.shocks,
-		ShockVictims: c.shockVictims,
 		ShockLosses:  c.shockLosses,
 		LastShock:    c.lastShock,
 		TTB:          c.ttb,
@@ -109,15 +99,10 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	c.cats = w.Cats
-	c.profRepairs = w.ProfRepairs
-	c.profLosses = w.ProfLosses
 	c.lossSeries = w.LossSeries
 	c.lossAccum = w.LossAccum
 	c.todayLosses = w.TodayLosses
-	c.repairSeries = w.RepairSeries
-	c.todayRepairs = w.TodayRepairs
 	c.shocks = w.Shocks
-	c.shockVictims = w.ShockVictims
 	c.shockLosses = w.ShockLosses
 	c.lastShock = w.LastShock
 	c.ttb = w.TTB
@@ -133,9 +118,6 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 	for i := range c.lossSeries {
 		if c.lossSeries[i] == nil {
 			c.lossSeries[i] = stats.NewSeries(Category(i).String() + " cumulative losses/peer")
-		}
-		if c.repairSeries[i] == nil {
-			c.repairSeries[i] = stats.NewSeries(Category(i).String() + " repairs/peer/day")
 		}
 	}
 	if c.redunSeries == nil {

@@ -254,9 +254,6 @@ func (l *Ledger) noteAliveDec(owner PeerID) {
 // NumPeers returns the number of peer slots.
 func (l *Ledger) NumPeers() int { return len(l.fwd) }
 
-// Quota returns the per-host block quota.
-func (l *Ledger) Quota() int32 { return l.quota }
-
 // valid is the read side's bounds test. The per-candidate queries
 // (Online, CanHost, FreeQuota, Visible, Alive) answer false or zero for
 // an id outside the ledger through it instead of through check, whose

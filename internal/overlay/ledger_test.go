@@ -361,7 +361,7 @@ func TestTableGenerations(t *testing.T) {
 		t.Fatalf("Len = %d", tab.Len())
 	}
 	ref := tab.Ref(1)
-	if !ref.Valid() || !tab.Current(ref) {
+	if ref.ID != 1 || !tab.Current(ref) {
 		t.Fatal("fresh ref must be current")
 	}
 	tab.Bump(1)
@@ -375,14 +375,11 @@ func TestTableGenerations(t *testing.T) {
 	if !tab.Current(ref2) {
 		t.Fatal("re-fetched ref must be current")
 	}
-	if tab.Ref(99).Valid() {
-		t.Fatal("out-of-range ref must be invalid")
+	if tab.Ref(99) != NoRef {
+		t.Fatal("out-of-range ref must be NoRef")
 	}
 	if tab.Current(Ref{ID: 99, Gen: 0}) {
 		t.Fatal("out-of-range ref must not be current")
-	}
-	if NoRef.Valid() {
-		t.Fatal("NoRef must be invalid")
 	}
 	if NoRef.String() == "" || ref.String() == "" {
 		t.Fatal("refs must format")

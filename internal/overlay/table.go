@@ -13,9 +13,6 @@ type Ref struct {
 // NoRef is the invalid reference.
 var NoRef = Ref{ID: NoPeer}
 
-// Valid reports whether the reference points at a slot at all.
-func (r Ref) Valid() bool { return r.ID != NoPeer }
-
 // String renders the reference.
 func (r Ref) String() string { return fmt.Sprintf("peer(%d@%d)", r.ID, r.Gen) }
 

@@ -62,8 +62,8 @@ func refDecide(a Adaptive, need, current int) int {
 		return need
 	}
 	if current-need > a.Hysteresis {
-		if current-need > MaxShrinkPerEval {
-			return current - MaxShrinkPerEval
+		if current-need > maxShrinkPerEval {
+			return current - maxShrinkPerEval
 		}
 		return need
 	}
@@ -215,7 +215,7 @@ func checkPoint(t *testing.T, a Adaptive, k int, p float64, full bool) int {
 		return need
 	}
 	for _, cur := range []int{a.Min, a.Max, need - 1, need, need + a.Hysteresis, need + a.Hysteresis + 1,
-		need + MaxShrinkPerEval, need + MaxShrinkPerEval + 1} {
+		need + maxShrinkPerEval, need + maxShrinkPerEval + 1} {
 		try(cur)
 	}
 	return need

@@ -267,23 +267,23 @@ const (
 	// bill: a lax target (say 0.9) would halve the footprint but bleed
 	// archives.
 	DefaultTargetDurability = 0.99999
-	// DefaultHysteresis is how many surplus blocks an archive may carry
+	// defaultHysteresis is how many surplus blocks an archive may carry
 	// before the policy bothers shrinking it (flap damping: sampled
 	// availability estimates jitter, and every shrink a later grow
 	// regrets is paid for in uplink time).
-	DefaultHysteresis = 6
-	// DefaultEvalEvery is the per-archive evaluation cadence in rounds
+	defaultHysteresis = 6
+	// defaultEvalEvery is the per-archive evaluation cadence in rounds
 	// (one day: availability estimates move on session time scales).
-	DefaultEvalEvery int64 = 24
-	// DefaultSamplePeers is how many partners an evaluation probes.
-	DefaultSamplePeers = 16
-	// MaxShrinkPerEval caps how many blocks one evaluation may retire.
+	defaultEvalEvery int64 = 24
+	// defaultSamplePeers is how many partners an evaluation probes.
+	defaultSamplePeers = 16
+	// maxShrinkPerEval caps how many blocks one evaluation may retire.
 	// Shrinking is the only move that can be wrong in the dangerous
 	// direction, and it acts on an estimate; descending stepwise means a
 	// mis-measured archive is at most one step below where the next
 	// evaluation can halt it, instead of arbitrarily deep. Growing is
 	// never capped — a deficit is repaired in full immediately.
-	MaxShrinkPerEval = 8
+	maxShrinkPerEval = 8
 )
 
 // Fixed is the inert built-in policy: the paper's behaviour, byte
@@ -363,10 +363,10 @@ func (a Adaptive) Bind(k, kprime, n int) (Policy, error) {
 		b.TargetDurability = DefaultTargetDurability
 	}
 	if b.Eval == 0 {
-		b.Eval = DefaultEvalEvery
+		b.Eval = defaultEvalEvery
 	}
 	if b.Sample == 0 {
-		b.Sample = DefaultSamplePeers
+		b.Sample = defaultSamplePeers
 	}
 	if b.Min <= k {
 		return nil, fmt.Errorf("%w: adaptive: min=%d must exceed k=%d", ErrBadSpec, b.Min, k)
@@ -428,9 +428,9 @@ func (a Adaptive) Target(obs Observation) int {
 	}
 	if obs.Current-need > a.Hysteresis {
 		// Shrink only past the flap-damping band, and stepwise: see
-		// MaxShrinkPerEval.
-		if obs.Current-need > MaxShrinkPerEval {
-			return obs.Current - MaxShrinkPerEval
+		// maxShrinkPerEval.
+		if obs.Current-need > maxShrinkPerEval {
+			return obs.Current - maxShrinkPerEval
 		}
 		return need
 	}
@@ -442,7 +442,7 @@ func (a Adaptive) EvalEvery() int64 {
 	if a.Eval > 0 {
 		return a.Eval
 	}
-	return DefaultEvalEvery
+	return defaultEvalEvery
 }
 
 // SamplePeers implements Policy.
@@ -450,5 +450,5 @@ func (a Adaptive) SamplePeers() int {
 	if a.Sample > 0 {
 		return a.Sample
 	}
-	return DefaultSamplePeers
+	return defaultSamplePeers
 }

@@ -214,16 +214,16 @@ func TestAdaptiveTarget(t *testing.T) {
 	pol := a.(Adaptive)
 
 	// Perfect availability: the minimum suffices; a full-size archive
-	// descends to it stepwise, at most MaxShrinkPerEval blocks per
+	// descends to it stepwise, at most maxShrinkPerEval blocks per
 	// evaluation, so a mis-measured shrink can be halted by the next
 	// measurement before the archive is deep in fragile territory.
 	got := pol.Target(Observation{Current: 32, DataBlocks: 16, Availability: 1})
-	if got != 32-MaxShrinkPerEval {
-		t.Fatalf("perfect availability first step = %d, want %d", got, 32-MaxShrinkPerEval)
+	if got != 32-maxShrinkPerEval {
+		t.Fatalf("perfect availability first step = %d, want %d", got, 32-maxShrinkPerEval)
 	}
 	for cur := got; cur != pol.Min; {
 		next := pol.Target(Observation{Current: cur, DataBlocks: 16, Availability: 1})
-		if next >= cur || cur-next > MaxShrinkPerEval {
+		if next >= cur || cur-next > maxShrinkPerEval {
 			t.Fatalf("descent stalled or overstepped: %d -> %d", cur, next)
 		}
 		cur = next

@@ -44,9 +44,9 @@ var table = []spec.Entry[struct{}, Policy]{
 			Min:              p.Int("min", 0),
 			Max:              p.Int("max", 0),
 			TargetDurability: p.FloatPrimary("target", DefaultTargetDurability),
-			Hysteresis:       p.Int("hysteresis", DefaultHysteresis),
-			Eval:             p.Int64("eval", DefaultEvalEvery),
-			Sample:           p.Int("sample", DefaultSamplePeers),
+			Hysteresis:       p.Int("hysteresis", defaultHysteresis),
+			Eval:             p.Int64("eval", defaultEvalEvery),
+			Sample:           p.Int("sample", defaultSamplePeers),
 		}
 		// Shape-independent sanity; the shape-relative checks happen at
 		// Bind, once k, k' and n are known.

@@ -6,17 +6,16 @@
 // metrics on every machine. math/rand's global state and Go-version
 // sensitivity make it unsuitable, so this package implements
 // xoshiro256++ (Blackman & Vigna) seeded through splitmix64, with
-// support for deriving independent child streams, one per simulation
-// run or subsystem.
+// Derive for seeding independent streams, one per simulation run or
+// subsystem.
 //
-// The generator is NOT safe for concurrent use; derive one child per
+// The generator is NOT safe for concurrent use; derive one stream per
 // goroutine instead.
 package rng
 
 import "math/bits"
 
-// Rand is a xoshiro256++ generator. The zero value is invalid; use New
-// or NewFromState.
+// Rand is a xoshiro256++ generator. The zero value is invalid; use New.
 type Rand struct {
 	s [4]uint64
 }
@@ -56,11 +55,11 @@ func splitmix64(state uint64) (uint64, uint64) {
 // Derive maps a (seed, index) pair to the seed of an independent
 // stream: New(Derive(seed, i)) for distinct i are statistically
 // independent generators, all reproducible from the single base seed.
-// This is the indexed counterpart of Child for call sites that need a
-// stream per worker or per shard without threading a parent generator
-// through — the same seed-derivation discipline the experiment runner
-// uses per variant, with the arithmetic collision risk removed by
-// passing both values through splitmix64.
+// Call sites that need a stream per worker or per shard use it instead
+// of threading a parent generator through — the same seed-derivation
+// discipline the experiment runner uses per variant, with the
+// arithmetic collision risk removed by passing both values through
+// splitmix64.
 func Derive(seed, index uint64) uint64 {
 	// Chain through splitmix64 OUTPUTS, not its state: the state
 	// transition is just an additive constant, so folding the index into
@@ -85,24 +84,6 @@ func (r *Rand) Uint64() uint64 {
 	s[2] ^= t
 	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
-}
-
-// Child derives an independent generator from this one. Streams derived
-// by successive Child calls are statistically independent (each is
-// seeded by fresh output of the parent, re-expanded through splitmix64).
-func (r *Rand) Child() *Rand {
-	return New(r.Uint64())
-}
-
-// Int63 returns a non-negative random int64, for compatibility with
-// math/rand.Source. Rand implements math/rand.Source64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
-// Seed is present to satisfy math/rand.Source; it reseeds the state.
-func (r *Rand) Seed(seed int64) {
-	*r = *New(uint64(seed))
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -133,22 +114,6 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	return hi
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	return int64(r.Uint64n(uint64(n)))
-}
-
-// IntRange returns a uniform int in [lo, hi] inclusive. Panics if hi < lo.
-func (r *Rand) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -171,16 +136,8 @@ func (r *Rand) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.ShuffleInts(p)
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-// ShuffleInts permutes p in place (Fisher-Yates).
-func (r *Rand) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 }
 
 // Shuffle permutes n elements in place using the provided swap function.
@@ -193,11 +150,3 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 
 // State returns the current internal state, for checkpointing.
 func (r *Rand) State() [4]uint64 { return r.s }
-
-// NewFromState restores a generator from a saved state.
-func NewFromState(s [4]uint64) *Rand {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		s[0] = 0x9E3779B97F4A7C15
-	}
-	return &Rand{s: s}
-}

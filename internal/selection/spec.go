@@ -31,16 +31,16 @@ import (
 // misplaced parameters.
 var ErrBadSpec = errors.New("selection: bad strategy spec")
 
-// DefaultHorizon is the age horizon used when a spec omits one: the
+// defaultHorizon is the age horizon used when a spec omits one: the
 // paper's 90 days in rounds.
-const DefaultHorizon int64 = 90 * 24
+const defaultHorizon int64 = 90 * 24
 
 // Defaults supplies context-dependent fallbacks for parameters a spec
 // omits.
 type Defaults struct {
 	// Horizon is the age horizon L (and the default
 	// monitored-availability window), in rounds. <= 0 means
-	// DefaultHorizon.
+	// defaultHorizon.
 	Horizon int64
 }
 
@@ -48,7 +48,7 @@ func (d Defaults) horizon() int64 {
 	if d.Horizon > 0 {
 		return d.Horizon
 	}
-	return DefaultHorizon
+	return defaultHorizon
 }
 
 // Names lists the strategy spec names in table order (the historical
@@ -74,12 +74,12 @@ func ParseWith(s string, d Defaults) (Policy, error) {
 
 // Default parameters of the estimator-backed specs.
 const (
-	// DefaultParetoAlpha is the default tail exponent of
+	// defaultParetoAlpha is the default tail exponent of
 	// estimator:pareto — heavy-tailed (the regime the paper assumes)
 	// with a finite conditional mean.
-	DefaultParetoAlpha = 1.5
-	// DefaultParetoXm is the default Pareto scale floor in rounds.
-	DefaultParetoXm = 1.0
+	defaultParetoAlpha = 1.5
+	// defaultParetoXm is the default Pareto scale floor in rounds.
+	defaultParetoXm = 1.0
 	// DefaultEmpiricalSamples is the default sample count backing
 	// estimator:empirical.
 	DefaultEmpiricalSamples = 512
@@ -135,8 +135,8 @@ var table = []spec.Entry[Defaults, Policy]{
 		return EstimatorRanked{Est: lifetime.AgeRank{Horizon: float64(l)}, Label: "estimator:age"}, nil
 	}},
 	{Name: "estimator:pareto", Build: func(p *spec.Params, _ Defaults) (Policy, error) {
-		alpha := p.Float("alpha", DefaultParetoAlpha)
-		xm := p.Float("xm", DefaultParetoXm)
+		alpha := p.Float("alpha", defaultParetoAlpha)
+		xm := p.Float("xm", defaultParetoXm)
 		// Negated comparisons so NaN parameters fail too.
 		if !(alpha > 1) || !(xm > 0) || math.IsInf(alpha, 1) || math.IsInf(xm, 1) {
 			return nil, fmt.Errorf("%w: estimator:pareto: need finite alpha > 1 and xm > 0 (got alpha=%v, xm=%v)",

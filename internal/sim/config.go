@@ -100,6 +100,8 @@ type Config struct {
 	Restores []RestoreSpec
 
 	// Profiles is the behaviour population (default: the paper's four).
+	// Each slot draws its profile from these proportions once; a
+	// departed peer's replacement inherits it, so the mix stays as drawn.
 	Profiles *churn.ProfileSet
 	// Avail generates online/offline sessions (default: exponential
 	// sessions with a one-day mean cycle).
@@ -130,14 +132,6 @@ type Config struct {
 	// CountInitialAsRepair includes initial uploads in repair-rate
 	// metrics (the paper treats the first upload as a repair).
 	CountInitialAsRepair bool
-	// ResampleProfileOnReplace draws a fresh profile for replacement
-	// peers instead of inheriting the departed peer's profile. The
-	// paper's profile proportions are presented as stationary system
-	// properties, which requires like-for-like replacement (the
-	// default, false). Resampling drifts the population toward immortal
-	// profiles and starves the young population of erratic peers; it is
-	// kept as an ablation.
-	ResampleProfileOnReplace bool
 
 	// Shocks schedules correlated-failure events (power outages, ISP
 	// failures) on top of the profile churn; see ShockSpec. Mutually
@@ -200,22 +194,6 @@ func DefaultConfig() Config {
 		Warmup:               0,
 		SampleEvery:          churn.Day,
 	}
-}
-
-// Scale returns a copy of the config with the population and duration
-// scaled by f (parameters like n, k, quota, thresholds are intensive
-// and stay fixed). Used by the scale presets.
-func (c Config) Scale(f float64) Config {
-	out := c
-	out.NumPeers = int(float64(c.NumPeers) * f)
-	out.Rounds = int64(float64(c.Rounds) * f)
-	if out.NumPeers < c.TotalBlocks+1 {
-		out.NumPeers = c.TotalBlocks + 1
-	}
-	if out.Rounds < 1 {
-		out.Rounds = 1
-	}
-	return out
 }
 
 // Validate checks the configuration, filling defaults for nil

@@ -309,7 +309,7 @@ func (p collectorProbe) OnRedundancyChange(e RedundancyEvent) {
 }
 
 func (p collectorProbe) OnRepair(e RepairEvent) {
-	p.col.RecordRepair(e.Round, e.Category, e.Profile, e.Initial, e.Uploaded, e.Dropped)
+	p.col.RecordRepair(e.Round, e.Category, e.Initial, e.Uploaded, e.Dropped)
 	p.col.RecordBackupTime(e.Round, float64(e.Elapsed))
 }
 
@@ -326,11 +326,11 @@ func (p collectorProbe) OnTransferAbort(e TransferEvent) {
 }
 
 func (p collectorProbe) OnOutage(e PeerEvent) {
-	p.col.RecordOutage(e.Round, e.Category, e.Profile)
+	p.col.RecordOutage(e.Round, e.Category)
 }
 
 func (p collectorProbe) OnHardLoss(e PeerEvent) {
-	p.col.RecordHardLoss(e.Round, e.Category, e.Profile)
+	p.col.RecordHardLoss(e.Round, e.Category)
 }
 
 func (p collectorProbe) OnStall(e PeerEvent) {

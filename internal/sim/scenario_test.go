@@ -54,9 +54,6 @@ func TestScheduledOutageShock(t *testing.T) {
 	if got := res.Collector.TotalShocks(); got != 1 {
 		t.Fatalf("collector shocks = %d, want 1", got)
 	}
-	if got := res.Collector.ShockVictims(); got != int64(ev.Victims) {
-		t.Fatalf("collector victims = %d, want %d", got, ev.Victims)
-	}
 }
 
 func TestShockTakesPeersOffline(t *testing.T) {
@@ -109,7 +106,7 @@ func TestStochasticShockDeterminism(t *testing.T) {
 		a.Collector.TotalRepairs() != b.Collector.TotalRepairs() ||
 		a.Collector.TotalLosses() != b.Collector.TotalLosses() ||
 		a.Collector.TotalShocks() != b.Collector.TotalShocks() ||
-		a.Collector.ShockVictims() != b.Collector.ShockVictims() ||
+		a.Collector.ShockAttributedLosses() != b.Collector.ShockAttributedLosses() ||
 		a.FinalPlacements != b.FinalPlacements {
 		t.Fatalf("same seed, different runs: %+v vs %+v", a, b)
 	}

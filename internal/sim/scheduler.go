@@ -143,6 +143,3 @@ func (v *visitQueue) drain(out []int32) []int32 {
 	v.n = 0
 	return out
 }
-
-// empty reports whether the queue has no pending visits.
-func (v *visitQueue) empty() bool { return v.n == 0 }

@@ -27,12 +27,12 @@ func TestVisitQueueOrderingAndDedupe(t *testing.T) {
 			t.Fatalf("drained %v, want %v (ascending, deduped)", got, want)
 		}
 	}
-	if !q.empty() {
+	if q.n != 0 {
 		t.Fatal("queue must be empty after a drain")
 	}
 	// After draining, slots can be queued again.
 	q.push(3)
-	if q.empty() {
+	if q.n == 0 {
 		t.Fatal("queue must accept a slot again after draining it")
 	}
 	if got := q.drain(nil); len(got) != 1 || got[0] != 3 {
@@ -129,8 +129,8 @@ func TestVisitQueueMatchesHeap(t *testing.T) {
 					bq.push(id)
 					hq.push(id)
 				}
-				if bq.empty() != hq.empty() {
-					t.Fatalf("round %d: bitset empty=%v, heap empty=%v", round, bq.empty(), hq.empty())
+				if (bq.n == 0) != hq.empty() {
+					t.Fatalf("round %d: bitset empty=%v, heap empty=%v", round, bq.n == 0, hq.empty())
 				}
 				var want []int32
 				for !hq.empty() {
@@ -140,7 +140,7 @@ func TestVisitQueueMatchesHeap(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("round %d: bitset drained %v, heap popped %v", round, got, want)
 				}
-				if !bq.empty() {
+				if bq.n != 0 {
 					t.Fatalf("round %d: bitset not empty after its drain", round)
 				}
 			}
@@ -210,7 +210,7 @@ func TestQuiescentPopulationIdles(t *testing.T) {
 			t.Fatalf("peer %d still armed in quiescence", id)
 		}
 	}
-	if !s.visitQ.empty() {
+	if s.visitQ.n != 0 {
 		t.Fatalf("next-round walk queue has %d entries in quiescence", s.visitQ.n)
 	}
 	s.StepRound()

@@ -214,7 +214,7 @@ func New(cfg Config) (*Simulation, error) {
 		r:        rng.New(cfg.Seed),
 		led:      overlay.NewLedger(slots, cfg.Quota),
 		tab:      overlay.NewTable(slots),
-		col:      metrics.NewCollector(cfg.Profiles.Len(), cfg.SampleEvery, cfg.Warmup),
+		col:      metrics.NewCollector(cfg.SampleEvery, cfg.Warmup),
 		peers:    make([]peer, cfg.NumPeers),
 		joins:    make([]int64, cfg.NumPeers),
 		obsSpecs: cfg.Observers,

@@ -156,24 +156,6 @@ func TestPaperObservers(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	cfg := DefaultConfig()
-	s := cfg.Scale(0.1)
-	if s.NumPeers != 2500 || s.Rounds != 5000 {
-		t.Fatalf("scaled = %d peers / %d rounds", s.NumPeers, s.Rounds)
-	}
-	if s.TotalBlocks != cfg.TotalBlocks || s.Quota != cfg.Quota {
-		t.Fatal("intensive parameters must not scale")
-	}
-	tiny := cfg.Scale(0.000001)
-	if tiny.NumPeers <= cfg.TotalBlocks {
-		t.Fatal("scale must clamp population above n")
-	}
-	if tiny.Rounds < 1 {
-		t.Fatal("scale must clamp rounds")
-	}
-}
-
 func TestRunCompletesAndIsConsistent(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {

@@ -177,7 +177,7 @@ func TestRestoreOnlyConfigKeepsInstantPlacement(t *testing.T) {
 	// An offline demander waits for its session and a stalled one for
 	// visibility, so only the fast path is pinned: an online peer with a
 	// decodable archive gets its data back the next round.
-	if ttr.Min() > 1 {
-		t.Errorf("fastest instant-link restore took %v rounds, want <= 1", ttr.Min())
+	if ttr.Quantile(0) > 1 {
+		t.Errorf("fastest instant-link restore took %v rounds, want <= 1", ttr.Quantile(0))
 	}
 }

@@ -359,8 +359,8 @@ func (s *Simulation) promote(w *worker, id overlay.PeerID, p *peer) {
 // replacePeer handles a departure: blocks vanish, the slot is reused by
 // a fresh age-0 peer (the paper replaces departures immediately). The
 // replacement inherits the departed peer's profile so the population
-// proportions stay exactly stationary, unless the config asks for
-// resampling.
+// proportions stay exactly stationary: the paper presents them as
+// stationary system properties.
 func (s *Simulation) replacePeer(w *worker, id overlay.PeerID, p *peer, round int64, r *rng.Rand) {
 	w.effects = append(w.effects, effect{kind: effDeath, id: int32(id), prof: p.profile, cat: p.cat})
 	w.deaths++
@@ -370,11 +370,7 @@ func (s *Simulation) replacePeer(w *worker, id overlay.PeerID, p *peer, round in
 	// The wake hook is detached, so Reset's re-arm is slot-local; the
 	// visit's own Armed check queues the slot.
 	s.maint.Reset(id)
-	profile := int(p.profile)
-	if s.cfg.ResampleProfileOnReplace {
-		profile = -1
-	}
-	s.initPeer(w, id, round, profile, r)
+	s.initPeer(w, id, round, int(p.profile), r)
 }
 
 // initPeer (re)initialises a population slot at the given join round

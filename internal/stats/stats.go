@@ -1,8 +1,7 @@
 // Package stats provides the measurement primitives behind the
-// experiment harness: streaming moments, histograms, time series,
-// quantiles, two-sample Kolmogorov-Smirnov distance and least-squares
-// fits. Everything is allocation-light and deterministic so results can
-// be compared bit-for-bit across runs.
+// experiment harness: streaming moments, time series, quantiles and
+// least-squares fits. Everything is allocation-light and deterministic
+// so results can be compared bit-for-bit across runs.
 package stats
 
 import (
@@ -12,8 +11,8 @@ import (
 	"sort"
 )
 
-// ErrEmpty reports an operation on an empty data set.
-var ErrEmpty = errors.New("stats: empty data set")
+// errEmpty reports an operation on an empty data set.
+var errEmpty = errors.New("stats: empty data set")
 
 // ---------------------------------------------------------------------------
 // Streaming moments
@@ -43,32 +42,6 @@ func (s *Stream) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-}
-
-// AddN incorporates the same observation n times (O(1)).
-func (s *Stream) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	// Chan et al. parallel-merge update of (n, mean, m2) with a
-	// zero-variance batch.
-	nb := float64(n)
-	na := float64(s.n)
-	delta := x - s.mean
-	tot := na + nb
-	s.mean += delta * nb / tot
-	s.m2 += delta * delta * na * nb / tot
-	s.n += n
 }
 
 // Merge folds other into s (parallel Welford combination).
@@ -111,14 +84,8 @@ func (s *Stream) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest observation (0 when empty).
-func (s *Stream) Min() float64 { return s.min }
-
 // Max returns the largest observation (0 when empty).
 func (s *Stream) Max() float64 { return s.max }
-
-// Sum returns n * mean.
-func (s *Stream) Sum() float64 { return float64(s.n) * s.mean }
 
 // StdErr returns the standard error of the mean.
 func (s *Stream) StdErr() float64 {
@@ -144,7 +111,7 @@ func (s *Stream) String() string {
 // interpolation between order statistics. xs need not be sorted.
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	if q < 0 || q > 1 {
 		return 0, fmt.Errorf("stats: quantile %v outside [0,1]", q)
@@ -164,97 +131,11 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
 
-// Median returns the 0.5 quantile.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// ---------------------------------------------------------------------------
-// Histogram
-
-// Histogram counts observations in fixed-width buckets over [Lo, Hi),
-// with overflow/underflow buckets. Use NewLogHistogram for data spanning
-// orders of magnitude (repair counts do).
-type Histogram struct {
-	lo, hi  float64
-	log     bool
-	buckets []int64
-	under   int64
-	over    int64
-	total   int64
-}
-
-// NewHistogram returns a linear histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if !(hi > lo) || n <= 0 {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v)/%d", lo, hi, n)
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}, nil
-}
-
-// NewLogHistogram returns a histogram with n log-spaced buckets over
-// [lo, hi); lo must be > 0.
-func NewLogHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if !(lo > 0) || !(hi > lo) || n <= 0 {
-		return nil, fmt.Errorf("stats: invalid log histogram [%v,%v)/%d", lo, hi, n)
-	}
-	return &Histogram{lo: lo, hi: hi, log: true, buckets: make([]int64, n)}, nil
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	idx := h.bucketOf(x)
-	switch {
-	case idx < 0:
-		h.under++
-	case idx >= len(h.buckets):
-		h.over++
-	default:
-		h.buckets[idx]++
-	}
-}
-
-func (h *Histogram) bucketOf(x float64) int {
-	if h.log {
-		if x < h.lo {
-			return -1
-		}
-		ratio := math.Log(x/h.lo) / math.Log(h.hi/h.lo)
-		return int(ratio * float64(len(h.buckets)))
-	}
-	if x < h.lo {
-		return -1
-	}
-	return int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-}
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	n := float64(len(h.buckets))
-	if h.log {
-		f := math.Log(h.hi / h.lo)
-		return h.lo * math.Exp(f*float64(i)/n), h.lo * math.Exp(f*float64(i+1)/n)
-	}
-	w := (h.hi - h.lo) / n
-	return h.lo + w*float64(i), h.lo + w*float64(i+1)
-}
-
-// Counts returns the per-bucket counts (a copy), plus underflow and
-// overflow counts.
-func (h *Histogram) Counts() (buckets []int64, under, over int64) {
-	return append([]int64(nil), h.buckets...), h.under, h.over
-}
-
-// Total returns the number of observations added.
-func (h *Histogram) Total() int64 { return h.total }
-
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // ---------------------------------------------------------------------------
 // Time series
 
-// Series is an append-only (x, y) series with helpers for the cumulative
-// plots in the paper (Figures 3 and 4).
+// Series is an append-only (x, y) series: the cumulative plots in the
+// paper (Figures 3 and 4).
 type Series struct {
 	name string
 	xs   []float64
@@ -279,82 +160,12 @@ func (s *Series) Len() int { return len(s.xs) }
 // At returns point i.
 func (s *Series) At(i int) (x, y float64) { return s.xs[i], s.ys[i] }
 
-// X returns the x values (no copy).
-func (s *Series) X() []float64 { return s.xs }
-
-// Y returns the y values (no copy).
-func (s *Series) Y() []float64 { return s.ys }
-
 // Last returns the final point, or (0, 0) for an empty series.
 func (s *Series) Last() (x, y float64) {
 	if len(s.xs) == 0 {
 		return 0, 0
 	}
 	return s.xs[len(s.xs)-1], s.ys[len(s.ys)-1]
-}
-
-// Cumulative returns a new series whose y values are running sums.
-func (s *Series) Cumulative() *Series {
-	out := NewSeries(s.name + " (cumulative)")
-	acc := 0.0
-	for i := range s.xs {
-		acc += s.ys[i]
-		out.Append(s.xs[i], acc)
-	}
-	return out
-}
-
-// Downsample returns a series keeping every step-th point (and always
-// the last), for plotting long runs compactly.
-func (s *Series) Downsample(step int) *Series {
-	if step <= 1 || s.Len() == 0 {
-		return s
-	}
-	out := NewSeries(s.name)
-	for i := 0; i < s.Len(); i += step {
-		out.Append(s.xs[i], s.ys[i])
-	}
-	if (s.Len()-1)%step != 0 {
-		out.Append(s.Last())
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Kolmogorov-Smirnov
-
-// KSDistance returns the two-sample Kolmogorov-Smirnov statistic
-// sup |F1 - F2| between the empirical CDFs of a and b.
-func KSDistance(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, ErrEmpty
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	var d float64
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		// Step both CDFs past the smallest pending value (and any ties)
-		// before comparing, so tied observations do not inflate the gap.
-		m := sa[i]
-		if sb[j] < m {
-			m = sb[j]
-		}
-		for i < len(sa) && sa[i] == m {
-			i++
-		}
-		for j < len(sb) && sb[j] == m {
-			j++
-		}
-		fa := float64(i) / float64(len(sa))
-		fb := float64(j) / float64(len(sb))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -366,11 +177,11 @@ type LinearFit struct {
 	Slope, Intercept, R2 float64
 }
 
-// FitLine computes an ordinary least squares fit. xs and ys must have
+// fitLine computes an ordinary least squares fit. xs and ys must have
 // equal, non-zero length and xs must not be constant.
-func FitLine(xs, ys []float64) (LinearFit, error) {
+func fitLine(xs, ys []float64) (LinearFit, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stats: FitLine needs equal non-empty slices, got %d and %d", len(xs), len(ys))
+		return LinearFit{}, fmt.Errorf("stats: fitLine needs equal non-empty slices, got %d and %d", len(xs), len(ys))
 	}
 	n := float64(len(xs))
 	var sx, sy float64
@@ -387,7 +198,7 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 		syy += dy * dy
 	}
 	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: FitLine with constant x")
+		return LinearFit{}, errors.New("stats: fitLine with constant x")
 	}
 	slope := sxy / sxx
 	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
@@ -425,7 +236,7 @@ func FitParetoLogLog(samples []float64) (alpha float64, fit LinearFit, err error
 		lx = append(lx, math.Log(v))
 		ly = append(ly, math.Log(surv))
 	}
-	fit, err = FitLine(lx, ly)
+	fit, err = fitLine(lx, ly)
 	if err != nil {
 		return 0, LinearFit{}, err
 	}

@@ -30,29 +30,11 @@ func TestStreamBasics(t *testing.T) {
 	if !almostEq(s.Variance(), 32.0/7, 1e-12) {
 		t.Fatalf("Variance = %v, want %v", s.Variance(), 32.0/7)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if !almostEq(s.Sum(), 40, 1e-9) {
-		t.Fatalf("Sum = %v", s.Sum())
+	if s.min != 2 || s.Max() != 9 {
+		t.Fatalf("min/Max = %v/%v", s.min, s.Max())
 	}
 	if s.String() == "" {
 		t.Fatal("String must render")
-	}
-}
-
-func TestStreamAddN(t *testing.T) {
-	var a, b Stream
-	for i := 0; i < 5; i++ {
-		a.Add(3)
-	}
-	a.Add(10)
-	b.AddN(3, 5)
-	b.AddN(10, 1)
-	b.AddN(99, 0)  // no-op
-	b.AddN(99, -3) // no-op
-	if a.N() != b.N() || !almostEq(a.Mean(), b.Mean(), 1e-12) || !almostEq(a.Variance(), b.Variance(), 1e-9) {
-		t.Fatalf("AddN mismatch: %v vs %v", a.String(), b.String())
 	}
 }
 
@@ -75,7 +57,7 @@ func TestStreamMerge(t *testing.T) {
 	if !almostEq(left.Mean(), whole.Mean(), 1e-9) || !almostEq(left.Variance(), whole.Variance(), 1e-9) {
 		t.Fatalf("merge mismatch: %v vs %v", left.String(), whole.String())
 	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
+	if left.min != whole.min || left.Max() != whole.Max() {
 		t.Fatal("merge min/max mismatch")
 	}
 	var empty Stream
@@ -130,8 +112,8 @@ func TestStreamCI(t *testing.T) {
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	if m, err := Median(xs); err != nil || m != 2 {
-		t.Fatalf("Median = %v, %v", m, err)
+	if m, err := Quantile(xs, 0.5); err != nil || m != 2 {
+		t.Fatalf("median = %v, %v", m, err)
 	}
 	if q, _ := Quantile(xs, 0); q != 1 {
 		t.Fatalf("q0 = %v", q)
@@ -145,7 +127,7 @@ func TestQuantile(t *testing.T) {
 	if q, _ := Quantile([]float64{7}, 0.9); q != 7 {
 		t.Fatalf("single-element quantile = %v", q)
 	}
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmpty) {
+	if _, err := Quantile(nil, 0.5); !errors.Is(err, errEmpty) {
 		t.Fatal("empty quantile must fail")
 	}
 	if _, err := Quantile(xs, 1.5); err == nil {
@@ -154,72 +136,6 @@ func TestQuantile(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 3 {
 		t.Fatal("Quantile sorted the caller's slice")
-	}
-}
-
-func TestHistogramLinear(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	buckets, under, over := h.Counts()
-	if under != 1 || over != 2 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	want := []int64{2, 1, 1, 0, 1}
-	for i := range want {
-		if buckets[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, buckets[i], want[i], buckets)
-		}
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("BucketBounds(1) = [%v, %v)", lo, hi)
-	}
-	if h.NumBuckets() != 5 {
-		t.Fatal("NumBuckets wrong")
-	}
-}
-
-func TestHistogramLog(t *testing.T) {
-	h, err := NewLogHistogram(1, 1000, 3) // decades
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.5, 1, 5, 10, 99, 100, 999, 1000} {
-		h.Add(x)
-	}
-	buckets, under, over := h.Counts()
-	if under != 1 || over != 1 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	want := []int64{2, 2, 2}
-	for i := range want {
-		if buckets[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, buckets[i], want[i], buckets)
-		}
-	}
-	lo, hi := h.BucketBounds(1)
-	if !almostEq(lo, 10, 1e-9) || !almostEq(hi, 100, 1e-9) {
-		t.Fatalf("BucketBounds(1) = [%v, %v), want [10, 100)", lo, hi)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero buckets accepted")
-	}
-	if _, err := NewLogHistogram(0, 10, 3); err == nil {
-		t.Fatal("log histogram with lo=0 accepted")
 	}
 }
 
@@ -243,86 +159,28 @@ func TestSeries(t *testing.T) {
 	if x, y := s.Last(); x != 3 || y != 5 {
 		t.Fatalf("Last = %v,%v", x, y)
 	}
-	c := s.Cumulative()
-	wantY := []float64{2, 5, 10}
-	for i, w := range wantY {
-		if c.Y()[i] != w {
-			t.Fatalf("Cumulative[%d] = %v, want %v", i, c.Y()[i], w)
-		}
-	}
-	if len(s.X()) != 3 || len(s.Y()) != 3 {
-		t.Fatal("X/Y accessors wrong")
-	}
-}
-
-func TestSeriesDownsample(t *testing.T) {
-	s := NewSeries("x")
-	for i := 0; i < 10; i++ {
-		s.Append(float64(i), float64(i*i))
-	}
-	d := s.Downsample(4)
-	// Points 0, 4, 8 plus the final point 9.
-	if d.Len() != 4 {
-		t.Fatalf("Downsample len = %d, want 4", d.Len())
-	}
-	if x, _ := d.Last(); x != 9 {
-		t.Fatalf("Downsample must keep last point, got %v", x)
-	}
-	if s.Downsample(1) != s {
-		t.Fatal("step 1 must return the same series")
-	}
-	empty := NewSeries("e")
-	if empty.Downsample(5).Len() != 0 {
-		t.Fatal("downsampling empty series must stay empty")
-	}
-}
-
-func TestKSDistance(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d, err := KSDistance(a, a); err != nil || d != 0 {
-		t.Fatalf("KS(a,a) = %v, %v", d, err)
-	}
-	b := []float64{101, 102, 103}
-	if d, _ := KSDistance(a, b); d != 1 {
-		t.Fatalf("disjoint KS = %v, want 1", d)
-	}
-	if _, err := KSDistance(nil, a); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty KS must fail")
-	}
-	// Same distribution, different samples: KS should be small.
-	r := rng.New(5)
-	x := make([]float64, 5000)
-	y := make([]float64, 5000)
-	for i := range x {
-		x[i] = r.Float64()
-		y[i] = r.Float64()
-	}
-	d, _ := KSDistance(x, y)
-	if d > 0.05 {
-		t.Fatalf("KS between same-dist samples = %v", d)
-	}
 }
 
 func TestFitLine(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	fit, err := FitLine(xs, ys)
+	fit, err := fitLine(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(fit.Slope, 2, 1e-12) || !almostEq(fit.Intercept, 1, 1e-12) || !almostEq(fit.R2, 1, 1e-12) {
 		t.Fatalf("fit = %+v", fit)
 	}
-	if _, err := FitLine(nil, nil); err == nil {
+	if _, err := fitLine(nil, nil); err == nil {
 		t.Fatal("empty fit accepted")
 	}
-	if _, err := FitLine(xs, ys[:2]); err == nil {
+	if _, err := fitLine(xs, ys[:2]); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := FitLine([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
+	if _, err := fitLine([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("constant x accepted")
 	}
-	flat, err := FitLine([]float64{1, 2, 3}, []float64{4, 4, 4})
+	flat, err := fitLine([]float64{1, 2, 3}, []float64{4, 4, 4})
 	if err != nil || flat.Slope != 0 || flat.R2 != 1 {
 		t.Fatalf("flat fit = %+v, %v", flat, err)
 	}

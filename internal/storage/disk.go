@@ -6,7 +6,6 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -47,7 +46,7 @@ func OpenDiskStore(dir string, quotaBytes int64) (*DiskStore, error) {
 			if f.IsDir() || strings.HasSuffix(f.Name(), ".tmp") {
 				continue
 			}
-			id, err := ParseBlockID(f.Name())
+			id, err := parseBlockID(f.Name())
 			if err != nil {
 				continue // foreign file; ignore
 			}
@@ -260,31 +259,4 @@ func (s *DiskStore) Len() int {
 	return len(s.sizes)
 }
 
-// UsedBytes implements Store.
-func (s *DiskStore) UsedBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.used
-}
-
-// IDs implements Store.
-func (s *DiskStore) IDs() []BlockID {
-	s.mu.RLock()
-	ids := make([]BlockID, 0, len(s.sizes))
-	for id := range s.sizes {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool {
-		for b := range ids[i] {
-			if ids[i][b] != ids[j][b] {
-				return ids[i][b] < ids[j][b]
-			}
-		}
-		return false
-	})
-	return ids
-}
-
-var _ Store = (*MemStore)(nil)
 var _ Store = (*DiskStore)(nil)

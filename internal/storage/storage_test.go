@@ -9,9 +9,8 @@ import (
 	"testing"
 )
 
-func testStores(t *testing.T, f func(t *testing.T, s Store)) {
+func testStores(t *testing.T, f func(t *testing.T, s *DiskStore)) {
 	t.Helper()
-	t.Run("mem", func(t *testing.T) { f(t, NewMemStore(0)) })
 	t.Run("disk", func(t *testing.T) {
 		s, err := OpenDiskStore(t.TempDir(), 0)
 		if err != nil {
@@ -22,7 +21,7 @@ func testStores(t *testing.T, f func(t *testing.T, s Store)) {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	testStores(t, func(t *testing.T, s Store) {
+	testStores(t, func(t *testing.T, s *DiskStore) {
 		data := []byte("hello, backup world")
 		id, err := s.Put(data)
 		if err != nil {
@@ -38,7 +37,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("content mismatch")
 		}
-		if !s.Has(id) || s.Len() != 1 || s.UsedBytes() != int64(len(data)) {
+		if !s.Has(id) || s.Len() != 1 || s.used != int64(len(data)) {
 			t.Fatal("bookkeeping wrong")
 		}
 		// Idempotent put.
@@ -52,7 +51,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	testStores(t, func(t *testing.T, s Store) {
+	testStores(t, func(t *testing.T, s *DiskStore) {
 		if _, err := s.Get(IDOf([]byte("nope"))); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("err = %v, want ErrNotFound", err)
 		}
@@ -63,12 +62,12 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	testStores(t, func(t *testing.T, s Store) {
+	testStores(t, func(t *testing.T, s *DiskStore) {
 		id, _ := s.Put([]byte("data"))
 		if err := s.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		if s.Has(id) || s.Len() != 0 || s.UsedBytes() != 0 {
+		if s.Has(id) || s.Len() != 0 || s.used != 0 {
 			t.Fatal("delete left state")
 		}
 		if err := s.Delete(id); err != nil {
@@ -78,59 +77,22 @@ func TestDelete(t *testing.T) {
 }
 
 func TestQuota(t *testing.T) {
-	for _, mk := range []func() Store{
-		func() Store { return NewMemStore(10) },
-		func() Store {
-			s, err := OpenDiskStore(t.TempDir(), 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	} {
-		s := mk()
-		if _, err := s.Put([]byte("12345")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Put([]byte("678901")); !errors.Is(err, ErrQuota) {
-			t.Fatalf("quota breach: err = %v", err)
-		}
-		// Freeing space lets the put through.
-		if err := s.Delete(IDOf([]byte("12345"))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Put([]byte("678901")); err != nil {
-			t.Fatalf("put after free: %v", err)
-		}
+	s, err := OpenDiskStore(t.TempDir(), 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestIDsSorted(t *testing.T) {
-	testStores(t, func(t *testing.T, s Store) {
-		for _, d := range [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")} {
-			if _, err := s.Put(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ids := s.IDs()
-		if len(ids) != 4 {
-			t.Fatalf("IDs len = %d", len(ids))
-		}
-		for i := 1; i < len(ids); i++ {
-			if bytes.Compare(ids[i-1][:], ids[i][:]) >= 0 {
-				t.Fatal("IDs not sorted")
-			}
-		}
-	})
-}
-
-func TestMemCorruptionDetected(t *testing.T) {
-	s := NewMemStore(0)
-	id, _ := s.Put([]byte("precious data"))
-	// Flip a byte behind the store's back.
-	s.data[id][3] ^= 0xFF
-	if _, err := s.Get(id); !errors.Is(err, ErrCorrupted) {
-		t.Fatalf("err = %v, want ErrCorrupted", err)
+	if _, err := s.Put([]byte("12345")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put([]byte("678901")); !errors.Is(err, ErrQuota) {
+		t.Fatalf("quota breach: err = %v", err)
+	}
+	// Freeing space lets the put through.
+	if err := s.Delete(IDOf([]byte("12345"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put([]byte("678901")); err != nil {
+		t.Fatalf("put after free: %v", err)
 	}
 }
 
@@ -168,14 +130,14 @@ func TestDiskReopenRebuildsIndex(t *testing.T) {
 	}
 	id1, _ := s.Put([]byte("block one"))
 	id2, _ := s.Put([]byte("block two"))
-	want := s.UsedBytes()
+	want := s.used
 
 	s2, err := OpenDiskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 2 || s2.UsedBytes() != want {
-		t.Fatalf("reopened: len=%d used=%d", s2.Len(), s2.UsedBytes())
+	if s2.Len() != 2 || s2.used != want {
+		t.Fatalf("reopened: len=%d used=%d", s2.Len(), s2.used)
 	}
 	for _, id := range []BlockID{id1, id2} {
 		if !s2.Has(id) {
@@ -209,20 +171,23 @@ func TestDiskIgnoresForeignAndTempFiles(t *testing.T) {
 
 func TestBlockIDParse(t *testing.T) {
 	id := IDOf([]byte("x"))
-	parsed, err := ParseBlockID(id.String())
+	parsed, err := parseBlockID(id.String())
 	if err != nil || parsed != id {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	if _, err := ParseBlockID("zz"); err == nil {
+	if _, err := parseBlockID("zz"); err == nil {
 		t.Fatal("bad hex accepted")
 	}
-	if _, err := ParseBlockID("abcd"); err == nil {
+	if _, err := parseBlockID("abcd"); err == nil {
 		t.Fatal("short id accepted")
 	}
 }
 
-func TestMemStoreConcurrency(t *testing.T) {
-	s := NewMemStore(0)
+func TestDiskStoreConcurrency(t *testing.T) {
+	s, err := OpenDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -271,7 +236,7 @@ func filesUnder(t *testing.T, root string) []string {
 }
 
 func TestWriterCommitsWhatPutWould(t *testing.T) {
-	testStores(t, func(t *testing.T, s Store) {
+	testStores(t, func(t *testing.T, s *DiskStore) {
 		data := bytes.Repeat([]byte("stripe by stripe "), 1000)
 		w, err := s.NewWriter()
 		if err != nil {
@@ -292,8 +257,8 @@ func TestWriterCommitsWhatPutWould(t *testing.T) {
 		if got, err := s.Get(id); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("Get after Commit: %v", err)
 		}
-		if s.Len() != 1 || s.UsedBytes() != int64(len(data)) {
-			t.Fatalf("after Commit: %d blocks, %d bytes", s.Len(), s.UsedBytes())
+		if s.Len() != 1 || s.used != int64(len(data)) {
+			t.Fatalf("after Commit: %d blocks, %d bytes", s.Len(), s.used)
 		}
 		w.Abort() // after Commit: nothing
 		if !s.Has(id) {
@@ -331,7 +296,7 @@ func TestWriterAbortAndQuotaLeaveNothing(t *testing.T) {
 	}
 	w.Abort()
 	w.Abort()
-	if left := filesUnder(t, dir); len(left) != 0 || s.Len() != 0 || s.UsedBytes() != 0 {
+	if left := filesUnder(t, dir); len(left) != 0 || s.Len() != 0 || s.used != 0 {
 		t.Fatalf("Abort left %v, %d blocks", left, s.Len())
 	}
 
@@ -352,8 +317,8 @@ func TestWriterAbortAndQuotaLeaveNothing(t *testing.T) {
 		t.Fatalf("write past the quota: err = %v, want ErrQuota", err)
 	}
 	c.Abort()
-	if left := filesUnder(t, dir); len(left) != 1 || s.Len() != 1 || s.UsedBytes() != 60 {
-		t.Fatalf("after the refusals: files %v, %d blocks, %d bytes", left, s.Len(), s.UsedBytes())
+	if left := filesUnder(t, dir); len(left) != 1 || s.Len() != 1 || s.used != 60 {
+		t.Fatalf("after the refusals: files %v, %d blocks, %d bytes", left, s.Len(), s.used)
 	}
 	// A reopened store does not take a writer's leftovers for blocks.
 	w, _ = s.NewWriter()
@@ -365,7 +330,7 @@ func TestWriterAbortAndQuotaLeaveNothing(t *testing.T) {
 }
 
 func TestReadAt(t *testing.T) {
-	testStores(t, func(t *testing.T, s Store) {
+	testStores(t, func(t *testing.T, s *DiskStore) {
 		data := []byte("0123456789abcdef")
 		id, err := s.Put(data)
 		if err != nil {

@@ -125,9 +125,6 @@ func (s *Scheduler) AssignClass(id overlay.PeerID, class int) {
 	s.downFree[id] = 0
 }
 
-// Class returns a slot's bandwidth class index.
-func (s *Scheduler) Class(id overlay.PeerID) int { return int(s.class[id]) }
-
 // Inflight returns a slot's outstanding outgoing upload count.
 func (s *Scheduler) Inflight(id overlay.PeerID) int { return int(s.inflight[id]) }
 
@@ -160,9 +157,6 @@ func (s *Scheduler) PendingHosts(owner overlay.PeerID, buf []overlay.PeerID) []o
 	}
 	return buf
 }
-
-// Active returns the number of in-flight transfers (diagnostics).
-func (s *Scheduler) Active() int { return len(s.xfers) }
 
 // Get returns the in-flight transfer with the given id, if any.
 func (s *Scheduler) Get(tid int64) (*Transfer, bool) {

@@ -49,9 +49,9 @@ import (
 	"p2pbackup/internal/rng"
 )
 
-// RoundSeconds converts between the cost model's wall-clock rates and
+// roundSeconds converts between the cost model's wall-clock rates and
 // the engine's rounds: one simulation round is one hour.
-const RoundSeconds = 3600
+const roundSeconds = 3600
 
 // Class is one bandwidth class: the asymmetric link of a fraction of
 // the population, in blocks per round. A zero rate means infinite
@@ -205,8 +205,8 @@ func FromLink(name string, proportion float64, l costmodel.Link, c costmodel.Cod
 	return Class{
 		Name:        name,
 		Proportion:  proportion,
-		Up:          l.UploadBps * RoundSeconds / block,
-		Down:        l.DownloadBps * RoundSeconds / block,
+		Up:          l.UploadBps * roundSeconds / block,
+		Down:        l.DownloadBps * roundSeconds / block,
 		MaxInflight: maxInflight,
 	}, nil
 }
@@ -229,9 +229,9 @@ func DSLClass(name string, proportion float64) Class {
 	return c
 }
 
-// FTTHClass returns the paper's FTTH link (128 kB/s up, 1 MB/s down)
+// ftthClass returns the paper's FTTH link (128 kB/s up, 1 MB/s down)
 // as a bandwidth class.
-func FTTHClass(name string, proportion float64) Class {
+func ftthClass(name string, proportion float64) Class {
 	c, err := FromLink(name, proportion, costmodel.FTTH2009(), costmodel.PaperCode(), defaultInflight)
 	if err != nil {
 		panic(err) // static inputs; cannot fail
@@ -264,7 +264,7 @@ func Parse(spec string) (*Params, error) {
 	case "mixed":
 		return (&Params{Classes: []Class{
 			DSLClass("dsl", 0.5),
-			FTTHClass("ftth", 0.5),
+			ftthClass("ftth", 0.5),
 		}}).Validate()
 	case "skewed":
 		// The slow-uplink population: a long tail of peers whose uplink
@@ -273,7 +273,7 @@ func Parse(spec string) (*Params, error) {
 		return (&Params{Classes: []Class{
 			{Name: "slow", Proportion: 0.6, Up: dsl.Up / 4, Down: dsl.Down / 4, MaxInflight: defaultInflight},
 			dsl,
-			FTTHClass("ftth", 0.1),
+			ftthClass("ftth", 0.1),
 		}}).Validate()
 	}
 	p := &Params{}

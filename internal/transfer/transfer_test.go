@@ -137,7 +137,7 @@ func TestAgreementWithCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRounds := int64(math.Ceil(cost.Upload.Seconds() / RoundSeconds))
+	wantRounds := int64(math.Ceil(cost.Upload.Seconds() / roundSeconds))
 	if last.CompleteAt != wantRounds {
 		t.Errorf("last of %d blocks lands at round %d, cost model says %d (%v upload)",
 			d, last.CompleteAt, wantRounds, cost.Upload)

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"maps"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
@@ -21,8 +22,10 @@ import (
 // which of them no non-test file outside the package refers to (as
 // pkg.Name through an import; syntax only, so a local that shadows a
 // package name can hide a dead identifier, never invent one). Nested
-// modules (bench/) count as referrers but are not listed. CI diffs the
-// output against SURFACE.txt: a change that adds surface says so.
+// modules (bench/) count as referrers but are not listed. A second
+// section lists what no binary links: see unlinked. CI diffs the output
+// against SURFACE.txt: a change that adds surface, or strands code, says
+// so.
 func census(w io.Writer) error {
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
@@ -31,6 +34,7 @@ func census(w io.Writer) error {
 	module := strings.Fields(string(gomod))[1] // "module <path>" leads the file
 	exported := map[string][]string{}          // import path -> exported names
 	used := map[string]bool{}                  // "import path.Name" referenced from another package
+	funcs := map[string][]string{}             // import path -> functions and methods, as the linker names them
 	nested := "\x00"                           // directory prefix of the nested module being walked
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -55,6 +59,11 @@ func census(w io.Writer) error {
 		}
 		self := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
 		if file.Name.Name != "main" && !strings.HasPrefix(p, nested) {
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name != "init" {
+					funcs[self] = append(funcs[self], symbol(fn))
+				}
+			}
 			exportedDecls(file, func(id *ast.Ident, what string, _ bool) {
 				if what != "method" {
 					exported[self] = append(exported[self], id.Name)
@@ -98,6 +107,94 @@ func census(w io.Writer) error {
 			fmt.Fprintf(w, "\t%s\n", name)
 		}
 	}
-	_, err = fmt.Fprintf(w, "total\texported %d\tunreferenced outside %d\n", total, dead)
-	return err
+	fmt.Fprintf(w, "total\texported %d\tunreferenced outside %d\n", total, dead)
+	return unlinked(w, funcs)
+}
+
+// unlinked prints, per package, the production functions and methods no
+// shipped binary keeps: the mains under cmd/ and examples/ and the bench
+// harness, built with inlining off (a function only ever inlined still
+// counts as linked) and read with go tool nm; a generic function counts
+// when any instantiation does. What is listed runs only under tests.
+// Linker output differs per platform; the committed list is linux/amd64.
+func unlinked(w io.Writer, funcs map[string][]string) error {
+	dir, err := os.MkdirTemp("", "checkdoc-census")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	linked := map[string]bool{}
+	for _, b := range [][]string{{".", "./cmd/...", "./examples/..."}, {"bench", "."}} {
+		build := exec.Command("go", append([]string{"build", "-gcflags=all=-l", "-o", dir + string(filepath.Separator)}, b[1:]...)...)
+		build.Dir, build.Stderr = b[0], os.Stderr
+		if err := build.Run(); err != nil {
+			return err
+		}
+	}
+	bins, _ := filepath.Glob(filepath.Join(dir, "*"))
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", bin).Output()
+		if err != nil {
+			return fmt.Errorf("go tool nm %s: %w", bin, err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && (f[1] == "T" || f[1] == "t") {
+				linked[stripTypeArgs(f[2])] = true
+			}
+		}
+	}
+	fmt.Fprintln(w, "unlinked: functions and methods no binary links (linux/amd64)")
+	for _, p := range slices.Sorted(maps.Keys(funcs)) {
+		var dead []string
+		for _, name := range funcs[p] {
+			if !linked[p+"."+name] {
+				dead = append(dead, name)
+			}
+		}
+		if len(dead) > 0 {
+			slices.Sort(dead)
+			fmt.Fprintf(w, "%s\tunlinked %d\n\t%s\n", p, len(dead), strings.Join(dead, "\n\t"))
+		}
+	}
+	return nil
+}
+
+// symbol names a function declaration as go tool nm prints it, less the
+// package path: F, T.M or (*T).M.
+func symbol(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	t := fn.Recv.List[0].Type
+	star, ptr := t.(*ast.StarExpr)
+	if ptr {
+		t = star.X
+	}
+	if g, ok := t.(*ast.IndexExpr); ok {
+		t = g.X
+	} else if g, ok := t.(*ast.IndexListExpr); ok {
+		t = g.X
+	}
+	recv := t.(*ast.Ident).Name
+	if ptr {
+		recv = "(*" + recv + ")"
+	}
+	return recv + "." + fn.Name.Name
+}
+
+// stripTypeArgs drops every bracketed type-argument list from a linker
+// symbol, so that F[go.shape.int] and (*T[...]).M read F and (*T).M.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		if r == '[' {
+			depth++
+		} else if r == ']' {
+			depth--
+		} else if depth == 0 {
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

@@ -12,7 +12,8 @@
 // every exported const/var (or its enclosing declaration group) must
 // carry a doc comment. _test.go files are skipped.
 //
-// -census instead prints the module's surface: see census.
+// -census instead prints the module's surface and the functions no
+// binary links, as linked for linux/amd64: see census.
 package main
 
 import (
