@@ -970,7 +970,7 @@ type viewsOnly struct{ selection.Policy }
 func BenchmarkRefreshPool(b *testing.B) {
 	params := maintenance.Params{
 		TotalBlocks: 256, DataBlocks: 128, RepairThreshold: 148,
-		PoolSamplePerRound: 128, UploadBudgetPerRound: 128, DropOffline: true,
+		PoolSamplePerRound: 128, UploadBudgetPerRound: 128,
 	}
 	for _, pooled := range []int{0, 64, 255} {
 		b.Run(fmt.Sprintf("pooled=%d", pooled), func(b *testing.B) {
@@ -1152,7 +1152,7 @@ func BenchmarkFullSmokeRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-			sinkRates[c] = res.Collector.RepairRatePer1000(c, true)
+			sinkRates[c] = res.Collector.RepairRatePer1000(c)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func main() {
 	fmt.Println("per age category (the paper's stratification):")
 	for c := metrics.Category(0); c < metrics.NumCategories; c++ {
 		fmt.Printf("  %-9s repairs/1000 peer-rounds: %6.3f   losses/1000: %6.4f\n",
-			c, res.Collector.RepairRatePer1000(c, true), res.Collector.LossRatePer1000(c))
+			c, res.Collector.RepairRatePer1000(c), res.Collector.LossRatePer1000(c))
 	}
 
 	fmt.Println("\nfixed-age observers (figure 3):")

@@ -55,8 +55,7 @@ func main() {
 		}
 		fmt.Printf("%-22s %9d %8d %10d %12.3f %12.3f\n",
 			row.Name, col.TotalRepairs(), col.TotalLosses(), uploads,
-			col.RepairRatePer1000(metrics.Newcomer, row.Config.CountInitialAsRepair),
-			col.RepairRatePer1000(metrics.Old, row.Config.CountInitialAsRepair))
+			col.RepairRatePer1000(metrics.Newcomer), col.RepairRatePer1000(metrics.Old))
 	}
 
 	fmt.Println("\nreading the table:")

@@ -55,10 +55,10 @@ func main() {
 	fmt.Println("\nfigure 1 (repairs per 1000 peer-rounds):")
 	fmt.Printf("%9s %10s %10s %10s %10s\n", "threshold", "newcomer", "young", "old", "elder")
 	for _, row := range rows {
-		col, initial := row.Result.Collector, row.Config.CountInitialAsRepair
+		col := row.Result.Collector
 		fmt.Printf("%9d %10.3f %10.3f %10.3f %10.3f\n", row.Config.RepairThreshold,
-			col.RepairRatePer1000(metrics.Newcomer, initial), col.RepairRatePer1000(metrics.Young, initial),
-			col.RepairRatePer1000(metrics.Old, initial), col.RepairRatePer1000(metrics.Elder, initial))
+			col.RepairRatePer1000(metrics.Newcomer), col.RepairRatePer1000(metrics.Young),
+			col.RepairRatePer1000(metrics.Old), col.RepairRatePer1000(metrics.Elder))
 	}
 
 	fmt.Println("\nfigure 2 (lost archives per 1000 peer-rounds):")

@@ -43,22 +43,8 @@ func FocalCampaign(cfg sim.Config) Campaign {
 		Mutate: func(c *sim.Config) {
 			c.RepairThreshold = 148
 			c.Observers = sim.PaperObservers()
-			if every := c.Rounds / 10; every >= 1 {
-				c.ProgressEvery = every
-			} else {
-				c.ProgressEvery = 1
-			}
 		},
 	}}}
-}
-
-// setStrategySpec points a variant config at a strategy spec, clearing
-// the base config's Policy: it must not leak into a campaign that
-// sweeps the strategy (Policy would silently win over StrategySpec in
-// Validate).
-func setStrategySpec(c *sim.Config, spec string) {
-	c.Policy = nil
-	c.StrategySpec = spec
 }
 
 // ablationCampaign builds a labelled variant list with the ablations'
@@ -88,7 +74,7 @@ func ablationCampaign(cfg sim.Config, name string, labels []string, mutate func(
 func StrategyCampaign(cfg sim.Config) Campaign {
 	names := selection.Names()
 	return ablationCampaign(cfg, "strategy", names, func(c *sim.Config, i int) {
-		setStrategySpec(c, names[i])
+		c.StrategySpec = names[i]
 	})
 }
 
@@ -178,7 +164,7 @@ func ReplayCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 	}
 	names := selection.Names()
 	c := ablationCampaign(cfg, "replay", names, func(cc *sim.Config, i int) {
-		setStrategySpec(cc, names[i])
+		cc.StrategySpec = names[i]
 		cc.Replay = trace
 	})
 	return c
@@ -200,7 +186,7 @@ func estimatorCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 		for _, spec := range strategies {
 			labels = append(labels, block+"/"+spec)
 			mutates = append(mutates, func(c *sim.Config) {
-				setStrategySpec(c, spec)
+				c.StrategySpec = spec
 				apply(c)
 			})
 		}
@@ -231,7 +217,7 @@ func horizonCampaign(cfg sim.Config, horizons []int64) Campaign {
 	}
 	return ablationCampaign(cfg, "horizon", labels, func(c *sim.Config, i int) {
 		c.AcceptHorizon = horizons[i]
-		setStrategySpec(c, fmt.Sprintf("age:L=%d", horizons[i]))
+		c.StrategySpec = fmt.Sprintf("age:L=%d", horizons[i])
 	})
 }
 

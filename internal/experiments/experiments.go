@@ -88,7 +88,7 @@ func paperThresholds() []int {
 // repairRate and lossRate are a row's rates per 1000 peer-rounds in one
 // age category.
 func repairRate(r Row, c metrics.Category) float64 {
-	return r.Result.Collector.RepairRatePer1000(c, r.Config.CountInitialAsRepair)
+	return r.Result.Collector.RepairRatePer1000(c)
 }
 
 func lossRate(r Row, c metrics.Category) float64 { return r.Result.Collector.LossRatePer1000(c) }

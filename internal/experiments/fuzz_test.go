@@ -1,0 +1,86 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"slices"
+	"testing"
+
+	"p2pbackup/internal/sim"
+)
+
+// FuzzJournalLine feeds arbitrary bytes to both readers of result
+// snapshots: the checkpoint journal's line decoder and the worker's
+// stdout protocol. A snapshot the supervisor would serve as a variant's
+// row must render every table and the summary of the variant's
+// campaign without panicking. Two campaigns stand in for all: the
+// repair-delay micro campaign the journal fixtures come from, and the
+// focal run, whose reports also read observers.
+func FuzzJournalLine(f *testing.F) {
+	raw, err := os.ReadFile("testdata/journal_parent.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	line, _, _ := bytes.Cut(raw, []byte("\n"))
+	f.Add(line)
+	f.Add([]byte(`{"v":1,"campaign":"repair-delay","fingerprint":"8feb09a866968a61","variant":0,"name":"delay=0h","status":"ok","attempts":1,"result":{"collector":null}}`))
+	five := `"observers":{"names":["a","b","c","d","e"]}`
+	f.Add([]byte(`{"type":"result","result":{"collector":{},` + five + `}}`))
+	f.Add([]byte(`{"type":"result","result":{` + five + `,"collector":{"loss_series":[{"x":[1],"y":[]},{"x":[1],"y":[]},{"x":[1],"y":[]},{"x":[1],"y":[]}]}}}`))
+	f.Add([]byte(`{"type":"result","result":{` + five + `,"collector":{"loss_series":[{"x":[1],"y":[0]}]}}}`))
+	f.Add([]byte(`{"type":"heartbeat","round":12}`))
+
+	focal := microSpec()
+	focal.Kind, focal.Delays = "focal", nil
+	type target struct {
+		c    *campaign
+		camp Campaign
+		cfgs []sim.Config
+	}
+	var targets []target
+	for _, spec := range []CampaignSpec{microSpec(), focal} {
+		camp, err := spec.Build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		tg := target{c: campaignByKind(spec.Kind), camp: camp}
+		for i := range camp.Variants {
+			tg.cfgs = append(tg.cfgs, materializeVariant(camp, i))
+		}
+		targets = append(targets, tg)
+	}
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var snaps []*resultSnapshot
+		var e journalEntry // as readJournal decodes a line
+		if json.Unmarshal(line, &e) == nil && e.V == 1 && e.Status == "ok" {
+			snaps = append(snaps, e.Result)
+		}
+		var m workerMessage
+		if json.Unmarshal(line, &m) == nil && m.Type == "result" {
+			snaps = append(snaps, m.Result)
+		}
+		for _, sn := range snaps {
+			for _, tg := range targets {
+				var rows []Row
+				for i, cfg := range tg.cfgs {
+					if sn.check(cfg) == nil {
+						rows = append(rows, Row{Index: i, Name: tg.camp.Variants[i].Name, Config: cfg, Result: sn.restore(cfg)})
+					}
+				}
+				if len(rows) == 0 {
+					continue
+				}
+				if tg.c.order != nil {
+					slices.SortStableFunc(rows, tg.c.order)
+				}
+				_, _ = tg.c.text(rows)
+				for _, tb := range tg.c.tables {
+					var b bytes.Buffer
+					_ = tb.write(&b, rows)
+				}
+			}
+		}
+	})
+}

@@ -17,15 +17,6 @@ import (
 // the campaign's table reports storage-overhead and durability columns
 // the aggregate repair/loss counters cannot express.
 
-// setRedundancySpec points a variant config at a redundancy policy
-// spec, clearing any pre-bound policy: a base config's Redundancy must
-// not leak into a campaign that sweeps the policy (a non-nil Redundancy
-// would silently win over RedundancySpec in Validate).
-func setRedundancySpec(c *sim.Config, spec string) {
-	c.Redundancy = nil
-	c.RedundancySpec = spec
-}
-
 // redundancyCampaign builds the fixed-vs-adaptive comparison:
 // scenario blocks iid, diurnal and shock — plus replay when a trace is
 // supplied — each run under the fixed policy and under adaptiveSpec.
@@ -67,7 +58,7 @@ func redundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string)
 				Seed: seed,
 				Mutate: func(cc *sim.Config) {
 					b.apply(cc)
-					setRedundancySpec(cc, spec)
+					cc.RedundancySpec = spec
 				},
 			})
 		}

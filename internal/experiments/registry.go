@@ -59,7 +59,7 @@ type Options struct {
 	// in-process run (see Supervisor).
 	Procs int
 	// VariantTimeout kills a supervised variant attempt that runs
-	// longer (0 = no limit). Supervised mode only.
+	// longer (0 = no limit; negative is an error). Supervised mode only.
 	VariantTimeout time.Duration
 	// HeartbeatGrace kills a supervised attempt whose worker goes
 	// silent for this long; 0 picks a 30s default. Supervised mode only.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"p2pbackup/internal/sim"
@@ -84,10 +85,27 @@ type Runner struct {
 	// Parallelism bounds concurrent simulations; values below 1 mean
 	// runtime.NumCPU().
 	Parallelism int
-	// RoundEvents emits an EventProgress heartbeat every ProgressEvery
-	// rounds of each variant whose config has no Progress hook of its
-	// own.
+	// RoundEvents emits an EventProgress heartbeat each time a variant
+	// completes another tenth of its rounds.
 	RoundEvents bool
+}
+
+// roundProbe calls fn with the number of rounds completed at the end of
+// every round that makes it a multiple of every.
+type roundProbe struct {
+	sim.BaseProbe
+	every int64
+	fn    func(rounds int64)
+}
+
+// ProbeEvents implements sim.EventDeclarer: round ends only.
+func (roundProbe) ProbeEvents() sim.EventSet { return sim.EventRoundEnd }
+
+// OnRoundEnd implements sim.Probe.
+func (p roundProbe) OnRoundEnd(e sim.RoundEndEvent) {
+	if done := e.Round + 1; done%p.every == 0 {
+		p.fn(done)
+	}
 }
 
 // Run executes the campaign and returns its rows ordered by variant
@@ -246,8 +264,8 @@ func materializeVariant(c Campaign, i int) (cfg sim.Config) {
 }
 
 // runVariant materialises variant i's config, attaches the variant's
-// probes and the progress hook, and executes it. Panics anywhere in the
-// variant's lifecycle — config mutation, probe construction, engine
+// probes and the round-event probe, and executes it. Panics anywhere in
+// the variant's lifecycle — config mutation, probe construction, engine
 // setup, the run itself — surface as *sim.PanicError attributing
 // whatever portion of the config had been materialised.
 func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<- Event) (row *Row, err error) {
@@ -267,9 +285,9 @@ func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<-
 	if v.Probes != nil {
 		cfg.Probes = append(append([]sim.Probe(nil), cfg.Probes...), v.Probes()...)
 	}
-	if r.RoundEvents && cfg.Progress == nil {
+	if r.RoundEvents {
 		rounds := cfg.Rounds
-		cfg.Progress = func(round int64) {
+		cfg.Probes = append(slices.Clip(cfg.Probes), roundProbe{every: max(rounds/10, 1), fn: func(round int64) {
 			events <- Event{
 				Kind:     EventProgress,
 				Campaign: c.Name,
@@ -277,7 +295,7 @@ func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<-
 				Name:     v.Name,
 				Message:  fmt.Sprintf("%s: round %d/%d", v.Name, round, rounds),
 			}
-		}
+		}})
 	}
 	s, err := sim.New(cfg)
 	if err != nil {

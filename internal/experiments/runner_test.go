@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +102,30 @@ func TestRunnerStreamShape(t *testing.T) {
 	}
 	if rows != 2 || dones != 1 || !sawDoneLast {
 		t.Fatalf("stream shape: %d rows, %d dones, done last = %v", rows, dones, sawDoneLast)
+	}
+
+	// With RoundEvents, a variant reports each tenth of its rounds.
+	focal, err := BaseConfig(ScaleSmoke) // the focal run's threshold needs n >= 148
+	if err != nil {
+		t.Fatal(err)
+	}
+	focal.Rounds = 200
+	var msgs, want []string
+	for ev := range (Runner{Parallelism: 1, RoundEvents: true}).Stream(context.Background(), FocalCampaign(focal)) {
+		switch ev.Kind {
+		case EventProgress:
+			msgs = append(msgs, ev.Message)
+		case EventDone:
+			if ev.Err != nil {
+				t.Fatal(ev.Err)
+			}
+		}
+	}
+	for r := int64(20); r <= 200; r += 20 {
+		want = append(want, fmt.Sprintf("focal run: round %d/200", r))
+	}
+	if !slices.Equal(msgs, want) {
+		t.Fatalf("round events = %q, want %q", msgs, want)
 	}
 }
 

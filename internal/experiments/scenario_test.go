@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"p2pbackup/internal/churn"
-	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
 )
 
@@ -266,49 +265,5 @@ func TestRegistryHasEstimatorExperiment(t *testing.T) {
 	names := strings.Join(Names(), " ")
 	if !strings.Contains(names, "ablation-estimator") {
 		t.Fatalf("Names() = %v missing ablation-estimator", Names())
-	}
-}
-
-// basePolicyLeakProbe is a always-accept constant-score policy used to
-// prove base-config strategy fields cannot leak into strategy sweeps.
-type basePolicyLeakProbe struct{}
-
-func (basePolicyLeakProbe) Name() string { return "leak-probe" }
-func (basePolicyLeakProbe) AcceptProb(selection.Context, selection.View, selection.View) float64 {
-	return 1
-}
-func (basePolicyLeakProbe) Score(selection.Context, selection.View) float64 { return 0 }
-
-func TestStrategySweepsIgnoreBaseStrategyFields(t *testing.T) {
-	// A base config carrying a Policy (or legacy Strategy) must not
-	// override the per-variant specs of strategy-sweeping campaigns:
-	// Validate resolves Policy first, so a leak would silently run one
-	// strategy under every label.
-	cfg := microConfig()
-	cfg.Rounds = 150
-	builds := map[string]func(c sim.Config) Campaign{
-		"strategy": StrategyCampaign,
-		"horizon": func(c sim.Config) Campaign {
-			return horizonCampaign(c, []int64{24, 96})
-		},
-		"estimator": func(c sim.Config) Campaign {
-			return estimatorCampaign(c, nil)
-		},
-	}
-	for name, build := range builds {
-		clean := build(cfg)
-		dirty := cfg
-		dirty.Policy = basePolicyLeakProbe{}
-		leaked := build(dirty)
-		for i, v := range clean.Variants {
-			want := clean.Base
-			v.Mutate(&want)
-			got := leaked.Base
-			leaked.Variants[i].Mutate(&got)
-			if got.Policy != nil || got.StrategySpec != want.StrategySpec {
-				t.Fatalf("%s[%s]: base Policy leaked into variant (spec %q, policy %v)",
-					name, v.Name, got.StrategySpec, got.Policy)
-			}
-		}
 	}
 }

@@ -82,7 +82,7 @@ func MeasurePaperShape(ctx context.Context, base sim.Config, thresholds []int, f
 			col := row.Result.Collector
 			var outages, peerRounds int64
 			for c := metrics.Category(0); c < metrics.NumCategories; c++ {
-				repair[c].Add(col.RepairRatePer1000(c, row.Config.CountInitialAsRepair))
+				repair[c].Add(col.RepairRatePer1000(c))
 				outages += col.Counts(c).Outages
 				peerRounds += col.Counts(c).PeerRounds
 				_, last := col.LossSeries(c).Last()

@@ -17,10 +17,11 @@ import (
 // CampaignSpec is the JSON-able recipe for a built-in campaign: enough
 // to rebuild the exact same Campaign — same constructors, same derived
 // variant seeds — in another process. It exists because sim.Config
-// itself cannot cross a process boundary (Policy, Avail and Redundancy
-// are interfaces; Probes and Progress are live objects), so the worker
-// protocol ships the recipe and both sides materialise variants through
-// the same constructors. That shared derivation, plus the bit-exact
+// itself cannot cross a process boundary (Avail is an interface,
+// Profiles and Replay are built objects, Probes are live ones, and the
+// variants' Mutate funcs are code), so the worker protocol ships the
+// recipe and both sides materialise variants through the same
+// constructors. That shared derivation, plus the bit-exact
 // JSON result snapshot (internal/metrics), is what makes a supervised
 // campaign's output byte-identical to the in-process run.
 type CampaignSpec struct {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"p2pbackup/internal/rng"
+	"p2pbackup/internal/sim"
 )
 
 // failureKind classifies why a worker attempt died, driving both the
@@ -111,7 +112,8 @@ type Supervisor struct {
 	// Procs bounds concurrent worker processes; values below 1 mean
 	// runtime.NumCPU().
 	Procs int
-	// VariantTimeout kills an attempt that runs longer (0 = no limit).
+	// VariantTimeout kills an attempt that runs longer (0 = no limit;
+	// negative is an error).
 	VariantTimeout time.Duration
 	// HeartbeatGrace kills an attempt whose worker stops heartbeating
 	// for this long (0 = no stall watchdog). The worker heartbeats once
@@ -155,10 +157,13 @@ type variantFailure struct {
 // variant is journaled, surfaced as EventFailed and summarised in a
 // final EventProgress; Run errors only when the context is cancelled,
 // the journal cannot be written, workers cannot be spawned at all, or
-// every variant failed.
+// every variant failed, or VariantTimeout is negative.
 func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, sink func(Event)) ([]Row, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if s.VariantTimeout < 0 {
+		return nil, fmt.Errorf("experiments: variant timeout %s is negative", s.VariantTimeout)
 	}
 	if len(camp.Variants) == 0 {
 		return nil, fmt.Errorf("experiments: campaign %q has no variants", camp.Name)
@@ -207,14 +212,18 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 			if err != nil {
 				return nil, err
 			}
-			if skipped > 0 {
-				emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: -1,
-					Message: fmt.Sprintf("journal: skipped %d unparsable line(s) (interrupted write)", skipped)})
-			}
 			for _, e := range entries {
-				if e.Fingerprint == fp && e.Status == "ok" && e.Variant >= 0 && e.Variant < len(camp.Variants) && e.Result != nil {
+				switch {
+				case e.Fingerprint != fp || e.Status != "ok" || e.Variant < 0 || e.Variant >= len(camp.Variants):
+				case e.Result.check(materializeVariant(camp, e.Variant)) != nil:
+					skipped++ // no report could read it: as good as torn, the variant re-runs
+				default:
 					completed[e.Variant] = e
 				}
+			}
+			if skipped > 0 {
+				emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: -1,
+					Message: fmt.Sprintf("journal: skipped %d unparsable or incomplete line(s)", skipped)})
 			}
 		}
 		var err error
@@ -337,9 +346,9 @@ func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, ca
 		if ctx.Err() != nil {
 			return
 		}
-		snap, class, err := s.runAttempt(ctx, spec, i, attempt, workerCmd)
+		cfg := materializeVariant(camp, i)
+		snap, class, err := s.runAttempt(ctx, spec, cfg, i, attempt, workerCmd)
 		if err == nil {
-			cfg := materializeVariant(camp, i)
 			row := &Row{Index: i, Name: name, Config: cfg, Result: snap.restore(cfg)}
 			if journal != nil {
 				entry := journalEntry{V: 1, Campaign: camp.Name, Fingerprint: fp, Variant: i,
@@ -410,8 +419,9 @@ func stderrTail(buf *bytes.Buffer) string {
 
 // runAttempt runs one worker process for (variant, attempt) and
 // classifies the outcome. A nil error means snap is the variant's
-// result; otherwise the failureKind says what killed the attempt.
-func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant, attempt int, workerCmd []string) (*resultSnapshot, failureKind, error) {
+// result, complete for cfg, the variant's config; otherwise the
+// failureKind says what killed the attempt.
+func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.Config, variant, attempt int, workerCmd []string) (*resultSnapshot, failureKind, error) {
 	attemptCtx := ctx
 	if s.VariantTimeout > 0 {
 		var cancel context.CancelFunc
@@ -494,7 +504,7 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant,
 			protoErr = fmt.Errorf("undecodable worker line: %v", err)
 			continue
 		}
-		if m.Type == "result" && m.Result != nil {
+		if m.Type == "result" {
 			snap = m.Result
 		}
 	}
@@ -504,8 +514,9 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant,
 	waitErr := cmd.Wait()
 	close(watchdogDone)
 
+	snapErr := snap.check(cfg)
 	switch {
-	case waitErr == nil && snap != nil:
+	case waitErr == nil && snapErr == nil:
 		return snap, 0, nil
 	case attemptCtx.Err() == context.DeadlineExceeded:
 		return nil, failHang, fmt.Errorf("variant overran its %s timeout", s.VariantTimeout)
@@ -526,7 +537,7 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, variant,
 		}
 		return nil, failTransient, waitErr
 	default:
-		return nil, failProtocol, fmt.Errorf("worker exited 0 without a result (%v)", protoErr)
+		return nil, failProtocol, fmt.Errorf("worker exited 0 without a usable result: %v (%v)", snapErr, protoErr)
 	}
 }
 

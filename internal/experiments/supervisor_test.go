@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -443,14 +444,27 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 
 	// Tear off the last journal line mid-JSON, as a crash during the
-	// fsynced append would.
+	// fsynced append would, and null the first line's collector: that
+	// entry parses, but no report could read it.
 	raw, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatalf("read journal: %v", err)
 	}
 	lines := bytes.SplitAfter(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	var entry journalEntry
+	if err := json.Unmarshal(lines[0], &entry); err != nil {
+		t.Fatal(err)
+	}
+	entry.Result.Collector = nil
+	nulled, err := json.Marshal(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(nulled, []byte(`"status":"ok","attempts":1,"result":{"collector":null,`)) {
+		t.Fatalf("nulled line = %s", nulled)
+	}
 	last := lines[len(lines)-1]
-	torn := append(bytes.Join(lines[:len(lines)-1], nil), last[:len(last)/3]...)
+	torn := slices.Concat(nulled, []byte("\n"), bytes.Join(lines[1:len(lines)-1], nil), last[:len(last)/3])
 	if err := os.WriteFile(journal, torn, 0o644); err != nil {
 		t.Fatalf("write torn journal: %v", err)
 	}
@@ -468,12 +482,26 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	second := testSupervisor()
 	second.JournalPath = journal
 	second.Resume = true
-	got, err := second.Run(context.Background(), spec, camp, nil)
+	var skipMsgs []string
+	got, err := second.Run(context.Background(), spec, camp, func(ev Event) {
+		if strings.HasPrefix(ev.Message, "journal: skipped") {
+			skipMsgs = append(skipMsgs, ev.Message)
+		}
+	})
 	if err != nil {
 		t.Fatalf("resume over torn journal: %v", err)
 	}
+	if want := []string{"journal: skipped 2 unparsable or incomplete line(s)"}; !slices.Equal(skipMsgs, want) {
+		t.Errorf("skip messages = %q, want %q", skipMsgs, want)
+	}
 	if d1, d2 := rowsDigest(t, want), rowsDigest(t, got); d1 != d2 {
 		t.Errorf("rows after torn-journal resume differ from baseline")
+	}
+	for _, tb := range campaignByKind(spec.Kind).tables {
+		var b bytes.Buffer
+		if err := tb.write(&b, got); err != nil {
+			t.Fatalf("%s: %v", tb.file, err)
+		}
 	}
 }
 
@@ -487,6 +515,13 @@ func TestSupervisorRejectsProbes(t *testing.T) {
 	camp.Variants[0].Probes = func() []sim.Probe { return nil }
 	if _, err := testSupervisor().Run(context.Background(), spec, camp, nil); err == nil {
 		t.Fatalf("probed campaign accepted; want error")
+	}
+	// A negative timeout is refused too, not run as no limit.
+	camp.Variants[0].Probes = nil
+	sup := testSupervisor()
+	sup.VariantTimeout = -30 * time.Minute
+	if _, err := sup.Run(context.Background(), spec, camp, nil); err == nil || !strings.Contains(err.Error(), "-30m0s is negative") {
+		t.Fatalf("negative variant timeout: error = %v, want one naming it", err)
 	}
 }
 

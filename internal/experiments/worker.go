@@ -85,6 +85,18 @@ func (sn *resultSnapshot) restore(cfg sim.Config) *sim.Result {
 	}
 }
 
+// check says why the snapshot cannot stand in for a run of cfg, if it
+// cannot: the reports read its collector and one observer per cfg's.
+func (sn *resultSnapshot) check(cfg sim.Config) error {
+	if sn == nil || sn.Collector == nil {
+		return errors.New("no result with a collector")
+	}
+	if len(cfg.Observers) > 0 && (sn.Observers == nil || sn.Observers.Len() != len(cfg.Observers)) {
+		return fmt.Errorf("result lacks the run's %d observers", len(cfg.Observers))
+	}
+	return nil
+}
+
 // faultEnv is the environment variable the worker's fault injector
 // reads. Its value is a '|'-separated list of clauses of the form
 // KIND@variantN[xM]: inject KIND into variant N's first M attempts
@@ -222,7 +234,7 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 
 	cfg := materializeVariant(camp, req.Variant)
 	var round atomic.Int64
-	cfg.Progress = func(r int64) { round.Store(r) }
+	cfg.Probes = []sim.Probe{roundProbe{every: 1, fn: round.Store}}
 
 	enc := json.NewEncoder(out)
 	var mu sync.Mutex

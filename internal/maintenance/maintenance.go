@@ -9,12 +9,12 @@
 //  1. Triggered: gather candidate partners (mutual acceptance through
 //     the selection strategy, bounded sampling per round) and wait until
 //     at least k blocks are visible so the archive can be decoded. If
-//     visibility recovers above the threshold first, the repair is
-//     cancelled (configurable).
+//     visibility recovers to the threshold first, the repair is
+//     cancelled.
 //  2. Decode point: the peer downloads k blocks, re-encodes, and writes
-//     off the partners it considers gone - dead ones always, currently
-//     offline ones optionally (the paper's departure time-threshold,
-//     collapsed to the decode instant).
+//     off the partners it considers gone: dead and currently offline
+//     ones alike (the paper's departure time-threshold, collapsed to
+//     the decode instant).
 //  3. Uploading: replacement blocks are pushed incrementally, each round
 //     to the best-ranked currently-online pool members, until the
 //     archive is back to n placed blocks. The paper is explicit that
@@ -57,7 +57,7 @@
 //	§2.2.4 bandwidth bound      Params.UploadBudgetPerRound (d≈128 blocks ≈ 1 round on DSL)
 //	§3.2   simulated protocol   the state machine (stateIdle → stateTriggered → stateUploading)
 //	§3.2   "d = 256" initial    the Uploading phase entered with d = n at join
-//	§5     future work: delay   Params.RepairDelay (+ CancelOnRecover)
+//	§5     future work: delay   Params.RepairDelay (held repairs cancel on recovery)
 //
 // An archive is "lost" (the figures' metric) when visible blocks drop
 // below k — a decode outage; it is *permanently* lost when fewer than
@@ -84,23 +84,17 @@ type Params struct {
 	// PoolSamplePerRound bounds candidate probing per repairing peer
 	// per round.
 	PoolSamplePerRound int
-	// DropOffline controls whether the decode point writes off
-	// currently offline partners (default in the paper reproduction:
-	// true). When false, only dead partners are replaced.
-	DropOffline bool
 	// UploadBudgetPerRound caps how many blocks a peer can push per
 	// round, modelling the asymmetric-link bound of the paper's section
 	// 2.2.4 (a worst-case repair of ~128 blocks fills roughly one
 	// round). 0 means unlimited.
 	UploadBudgetPerRound int
-	// CancelOnRecover aborts a repair that has not yet decoded if the
-	// visible count climbs back to the threshold.
-	CancelOnRecover bool
 	// RepairDelay makes a triggered repair wait this many owner-online
 	// rounds before its decode point, giving temporarily offline
 	// partners time to return (the paper's future-work item: "delaying
-	// the repair to allow peers to come back in the system"). Most
-	// effective together with CancelOnRecover. 0 = repair immediately.
+	// the repair to allow peers to come back in the system"): a partner
+	// back in time lifts the visible count to the threshold and cancels
+	// the repair. 0 = repair immediately.
 	RepairDelay int
 }
 

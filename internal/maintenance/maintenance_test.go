@@ -33,8 +33,6 @@ func testParams() Params {
 		DataBlocks:         4,
 		RepairThreshold:    5,
 		PoolSamplePerRound: 32,
-		DropOffline:        true,
-		CancelOnRecover:    true,
 	}
 }
 
@@ -175,76 +173,12 @@ func TestRepairStallsBelowK(t *testing.T) {
 	for _, h := range hosts[:5] {
 		led.SetOnline(h, true)
 	}
-	// Now visible = 8 >= threshold: with CancelOnRecover the pending
-	// repair aborts.
+	// Now visible = 8 >= threshold: the pending repair aborts.
 	res = m.Step(r, id)
 	if res.Outcome != OutcomeCanceled {
 		t.Fatalf("outcome = %v, want canceled", res.Outcome)
 	}
 }
-
-func TestCancelOnRecoverDisabled(t *testing.T) {
-	// A repair stalled before its decode point sees visibility recover.
-	// With CancelOnRecover=false it must proceed (decode and finish);
-	// the matching cancellation path is covered in
-	// TestRepairStallsBelowK.
-	p := testParams()
-	p.CancelOnRecover = false
-	m, led, _, r := harness(t, 30, p)
-	id := overlay.PeerID(0)
-	completeInitial(t, m, r, id)
-	hosts := led.Hosts(id, nil)
-	// 5 partners offline: visible = 3 < k = 4 -> triggered + stalled.
-	for _, h := range hosts[:5] {
-		led.SetOnline(h, false)
-	}
-	if res := m.Step(r, id); res.Outcome != OutcomeStalled {
-		t.Fatalf("outcome = %v, want stalled", res.Outcome)
-	}
-	if !m.Repairing(id) {
-		t.Fatal("repair not in flight")
-	}
-	// Everyone returns: visible = 8 >= threshold, but without cancel
-	// the repair decodes; nothing is dead or offline anymore, so the
-	// archive is already full and the episode ends as a no-op cancel.
-	for _, h := range hosts[:5] {
-		led.SetOnline(h, true)
-	}
-	res := m.Step(r, id)
-	if res.Outcome != OutcomeCanceled {
-		t.Fatalf("outcome = %v, want canceled (archive already full)", res.Outcome)
-	}
-	if m.Repairing(id) {
-		t.Fatal("episode must end")
-	}
-	// Variant: partners return but two of them died instead - the
-	// repair must then complete with uploads.
-	hosts = led.Hosts(id, nil)
-	for _, h := range hosts[:5] {
-		led.SetOnline(h, false)
-	}
-	if res := m.Step(r, id); res.Outcome != OutcomeStalled {
-		t.Fatalf("outcome = %v, want stalled", res.Outcome)
-	}
-	led.RemoveHost(hosts[0])
-	led.RemoveHost(hosts[1])
-	for _, h := range hosts[2:5] {
-		led.SetOnline(h, true)
-	}
-	// visible = 6 >= k' = 5, but CancelOnRecover is off: decode point
-	// reached, deficit = 2, pool places immediately.
-	var res2 StepResult
-	for i := 0; i < 10 && res2.Outcome != OutcomeRepaired; i++ {
-		res2 = m.Step(r, id)
-	}
-	if res2.Outcome != OutcomeRepaired {
-		t.Fatalf("repair did not complete: %v", res2.Outcome)
-	}
-	if res2.Uploaded != 2 {
-		t.Fatalf("uploaded = %d, want 2", res2.Uploaded)
-	}
-}
-
 func TestRepairDropsOfflinePartners(t *testing.T) {
 	m, led, _, r := harness(t, 40, testParams())
 	id := overlay.PeerID(0)
@@ -276,37 +210,6 @@ func TestRepairDropsOfflinePartners(t *testing.T) {
 		t.Fatalf("alive/visible = %d/%d, want 8/8", led.Alive(id), led.Visible(id))
 	}
 }
-
-func TestDropOfflineDisabledReplacesOnlyDead(t *testing.T) {
-	p := testParams()
-	p.DropOffline = false
-	m, led, _, r := harness(t, 40, p)
-	id := overlay.PeerID(0)
-	completeInitial(t, m, r, id)
-	hosts := led.Hosts(id, nil)
-	led.RemoveHost(hosts[0])
-	led.RemoveHost(hosts[1])
-	led.SetOnline(hosts[2], false)
-	led.SetOnline(hosts[3], false)
-	// visible = 4 < 5; deficit = n - alive = 8 - 6 = 2.
-	var res StepResult
-	for i := 0; i < 10 && res.Outcome != OutcomeRepaired; i++ {
-		res = m.Step(r, id)
-	}
-	if res.Outcome != OutcomeRepaired {
-		t.Fatalf("repair did not complete: %v", res.Outcome)
-	}
-	if res.Uploaded != 2 || res.Dropped != 0 {
-		t.Fatalf("uploaded/dropped = %d/%d, want 2/0", res.Uploaded, res.Dropped)
-	}
-	if !led.HasPlacement(id, hosts[2]) {
-		t.Fatal("offline partner must be kept with DropOffline=false")
-	}
-	if led.Alive(id) != 8 {
-		t.Fatalf("alive = %d, want 8", led.Alive(id))
-	}
-}
-
 func TestLossAndArchiveReset(t *testing.T) {
 	m, led, _, r := harness(t, 30, testParams())
 	id := overlay.PeerID(0)
@@ -394,8 +297,7 @@ func TestQuotaRespected(t *testing.T) {
 	led := overlay.NewLedger(10, 2) // quota 2 per host
 	tab := overlay.NewTable(10)
 	env := &fakeEnv{ages: make([]int64, 10), n: 10}
-	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
-		DropOffline: true, CancelOnRecover: true}
+	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64}
 	m := New(p, led, tab, mustParse(t, "random"), env)
 	r := rng.New(5)
 	// 4 owners each place 4 blocks: demand 16 <= capacity 9*2=18 per
@@ -428,8 +330,7 @@ func TestUnmeteredObserverBypassesQuota(t *testing.T) {
 	led := overlay.NewLedger(6, 1)
 	tab := overlay.NewTable(6)
 	env := &fakeEnv{ages: make([]int64, 6), n: 5} // observers sample only peers 0..4
-	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
-		DropOffline: true, CancelOnRecover: true}
+	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64}
 	m := New(p, led, tab, mustParse(t, "random"), env)
 	m.SetUnmetered(5, true)
 	r := rng.New(6)

@@ -430,8 +430,6 @@ func TestRefreshPoolMatchesParentLoop(t *testing.T) {
 						RepairThreshold:      7,
 						PoolSamplePerRound:   24,
 						UploadBudgetPerRound: 2,
-						DropOffline:          true,
-						CancelOnRecover:      true,
 					},
 					planned: mode.planned, transfers: mode.transfers,
 				}
@@ -756,8 +754,6 @@ func runPoolOracle(t *testing.T, seed uint64, pol selection.Policy, planned, tra
 			RepairThreshold:      8,
 			PoolSamplePerRound:   40,
 			UploadBudgetPerRound: 1,
-			DropOffline:          true,
-			CancelOnRecover:      true,
 		},
 		planned: planned, transfers: transfers,
 	}

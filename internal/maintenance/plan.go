@@ -189,7 +189,7 @@ func (m *Maintainer) PlanStep(r *rng.Rand, id overlay.PeerID, ws *Workspace) {
 // write-off is counted now and deferred as opDropOffline.
 func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace, pr *PlanResult) {
 	visible := m.led.Visible(id)
-	if m.params.CancelOnRecover && visible >= m.threshold(id) {
+	if visible >= m.threshold(id) {
 		m.finishEpisode(p)
 		pr.res = StepResult{Outcome: OutcomeCanceled}
 		return
@@ -207,8 +207,8 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 	}
 	p.outage = false // decodable again; any new outage is a fresh event
 	if p.waited < m.params.RepairDelay {
-		// Deliberately hold the repair: partners may come back, letting
-		// CancelOnRecover avoid the whole episode.
+		// Deliberately hold the repair: partners may come back and
+		// cancel the whole episode.
 		p.waited++
 		return // OutcomeNone
 	}
@@ -219,30 +219,23 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 	// mutated only by its own (later) ops, so the apply-time re-scan
 	// drops exactly the placements counted here.
 	alive := m.led.Alive(id)
-	if m.params.DropOffline {
-		dropped := 0
-		for i := alive - 1; i >= 0; i-- {
-			host, err := m.led.HostAt(id, i)
-			if err != nil {
-				panic(err) // ledger indexes are engine-controlled
-			}
-			if !m.led.Online(host) {
-				dropped++
-			}
+	dropped := 0
+	for i := alive - 1; i >= 0; i-- {
+		host, err := m.led.HostAt(id, i)
+		if err != nil {
+			panic(err) // ledger indexes are engine-controlled
 		}
-		if dropped > 0 {
-			ws.ops = append(ws.ops, newOp(opDropOffline, 0))
-			p.dropped += dropped
-			alive -= dropped
+		if !m.led.Online(host) {
+			dropped++
 		}
 	}
-	if alive >= m.targetBlocks(id) {
-		// Nothing to upload (possible with DropOffline=false when only
-		// offline partners pushed us under the threshold).
-		m.finishEpisode(p)
-		pr.res = StepResult{Outcome: OutcomeCanceled}
-		return
+	if dropped > 0 {
+		ws.ops = append(ws.ops, newOp(opDropOffline, 0))
+		p.dropped += dropped
+		alive -= dropped
 	}
+	// What is left is the visible count, under the threshold and so
+	// under the target: there is always something to upload.
 	p.st = stateUploading
 	m.planUpload(r, id, p, ws, pr, alive)
 }

@@ -141,9 +141,9 @@ type Collector struct {
 	ttr            Durations
 	restoresFailed int64
 
-	// Adaptive redundancy accounting (Config.Redundancy): grow/shrink
-	// decision counts, the parity blocks they moved, and the population
-	// mean n(t) sampled as a time series (fixed mode records nothing).
+	// Adaptive redundancy accounting (an adaptive RedundancySpec): grow/
+	// shrink decision counts, the parity blocks they moved, and the mean
+	// n(t) sampled as a time series (fixed mode records nothing).
 	redunGrows    int64
 	redunShrinks  int64
 	parityAdded   int64
@@ -403,19 +403,15 @@ func (c *Collector) EndRound(round int64, population [NumCategories]int64) {
 // Counts returns the aggregate counters for a category.
 func (c *Collector) Counts(cat Category) Counts { return c.cats[cat] }
 
-// RatePer1000 returns events per 1000 peer-rounds for the category; the
-// numerator selector picks which counter. Includes initial backups in
-// repairs when includeInitial is set.
-func (c *Collector) RepairRatePer1000(cat Category, includeInitial bool) float64 {
+// RepairRatePer1000 returns the category's repairs per 1000
+// peer-rounds, counting initial backups as repairs (the paper treats the
+// first upload as one).
+func (c *Collector) RepairRatePer1000(cat Category) float64 {
 	cc := c.cats[cat]
 	if cc.PeerRounds == 0 {
 		return 0
 	}
-	num := cc.Repairs
-	if includeInitial {
-		num += cc.InitialBackups
-	}
-	return float64(num) / float64(cc.PeerRounds) * 1000
+	return float64(cc.Repairs+cc.InitialBackups) / float64(cc.PeerRounds) * 1000
 }
 
 // LossRatePer1000 returns lost archives (decode outages, the paper's

@@ -57,7 +57,8 @@ func TestCategoryNames(t *testing.T) {
 
 func TestCollectorRates(t *testing.T) {
 	c := NewCollector(churn.Day, 0)
-	// 2000 peer-rounds as newcomer, 4 repairs -> 2 per 1000.
+	// 2000 peer-rounds as newcomer, 4 repairs and an initial backup ->
+	// 2.5 per 1000.
 	for r := int64(0); r < 20; r++ {
 		c.AddPeerRounds(r, Newcomer, 100)
 	}
@@ -65,10 +66,7 @@ func TestCollectorRates(t *testing.T) {
 		c.RecordRepair(5, Newcomer, false, 10, 2)
 	}
 	c.RecordRepair(6, Newcomer, true, 256, 0) // initial
-	if got := c.RepairRatePer1000(Newcomer, false); got != 2 {
-		t.Fatalf("repair rate = %v, want 2", got)
-	}
-	if got := c.RepairRatePer1000(Newcomer, true); got != 2.5 {
+	if got := c.RepairRatePer1000(Newcomer); got != 2.5 {
 		t.Fatalf("repair rate with initial = %v, want 2.5", got)
 	}
 	c.RecordOutage(7, Newcomer)
@@ -76,7 +74,7 @@ func TestCollectorRates(t *testing.T) {
 		t.Fatalf("loss rate = %v, want 0.5", got)
 	}
 	// Empty categories divide safely.
-	if c.RepairRatePer1000(Elder, true) != 0 || c.LossRatePer1000(Elder) != 0 {
+	if c.RepairRatePer1000(Elder) != 0 || c.LossRatePer1000(Elder) != 0 {
 		t.Fatal("empty category rates must be 0")
 	}
 	cc := c.Counts(Newcomer)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"p2pbackup/internal/stats"
 )
@@ -92,7 +93,8 @@ func (c *Collector) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON restores a collector encoded by MarshalJSON. Absent
 // series decode to empty named series so the accessors stay safe on
-// hand-written or truncated inputs.
+// hand-written or truncated inputs; loss series of unequal lengths,
+// which EndRound never leaves, are an error.
 func (c *Collector) UnmarshalJSON(data []byte) error {
 	var w collectorJSON
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -119,6 +121,9 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 		if c.lossSeries[i] == nil {
 			c.lossSeries[i] = stats.NewSeries(Category(i).String() + " cumulative losses/peer")
 		}
+		if n, n0 := c.lossSeries[i].Len(), c.lossSeries[0].Len(); n != n0 {
+			return fmt.Errorf("metrics: loss series of %d and %d points", n0, n)
+		}
 	}
 	if c.redunSeries == nil {
 		c.redunSeries = stats.NewSeries("mean redundancy blocks/archive")
@@ -138,22 +143,28 @@ func (t *ObserverTracker) MarshalJSON() ([]byte, error) {
 	return json.Marshal(observerTrackerJSON{Names: t.names, Counts: t.counts, Series: t.series})
 }
 
-// UnmarshalJSON restores a tracker encoded by MarshalJSON.
+// UnmarshalJSON restores a tracker encoded by MarshalJSON. Absent
+// counts and series decode to zeros and empty series; present ones must
+// hold one entry per name.
 func (t *ObserverTracker) UnmarshalJSON(data []byte) error {
 	var w observerTrackerJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	t.names = w.Names
-	t.counts = w.Counts
-	t.series = w.Series
-	if t.counts == nil {
-		t.counts = make([]int64, len(t.names))
+	if w.Counts == nil {
+		w.Counts = make([]int64, len(w.Names))
 	}
-	for i := range t.series {
-		if t.series[i] == nil {
-			t.series[i] = stats.NewSeries(t.names[i] + " cumulative repairs")
+	if w.Series == nil {
+		w.Series = make([]*stats.Series, len(w.Names))
+	}
+	if len(w.Counts) != len(w.Names) || len(w.Series) != len(w.Names) {
+		return fmt.Errorf("metrics: %d observers with %d counts and %d series", len(w.Names), len(w.Counts), len(w.Series))
+	}
+	for i := range w.Series {
+		if w.Series[i] == nil {
+			w.Series[i] = stats.NewSeries(w.Names[i] + " cumulative repairs")
 		}
 	}
+	t.names, t.counts, t.series = w.Names, w.Counts, w.Series
 	return nil
 }

@@ -90,7 +90,7 @@ func TestCollectorJSONRoundTrip(t *testing.T) {
 		// encoding stability: rates divide int64 counters, quantiles
 		// sort replayed samples, series carry float points.
 		for cat := Category(0); cat < NumCategories; cat++ {
-			if got, want := back.RepairRatePer1000(cat, true), c.RepairRatePer1000(cat, true); got != want {
+			if got, want := back.RepairRatePer1000(cat), c.RepairRatePer1000(cat); got != want {
 				t.Errorf("%s: %v repair rate: got %v want %v", in.name, cat, got, want)
 			}
 			if got, want := back.LossRatePer1000(cat), c.LossRatePer1000(cat); got != want {

@@ -70,27 +70,25 @@ type Config struct {
 	// UploadBudgetPerRound caps blocks uploaded per peer per round (the
 	// section 2.2.4 bandwidth bound: a worst-case repair of ~128 blocks
 	// fills about one hour on the reference DSL link). 0 = unlimited.
-	// Superseded by Bandwidth when a non-instant class mix is set.
+	// A non-instant Bandwidth mix bounds peers by their class instead;
+	// unmetered observers keep this budget.
 	UploadBudgetPerRound int
 
 	// Bandwidth, when non-nil, replaces instantaneous placement with
 	// bandwidth-aware transfer scheduling: peers draw a bandwidth class
 	// at join, uploads and restores flow over asymmetric links, and
 	// completions are calendar events (see internal/transfer). A nil
-	// Bandwidth — or the degenerate single instant class — keeps the
-	// historical instant path, bit-identical to pre-transfer runs.
+	// Bandwidth — or the degenerate single instant class — keeps
+	// instant placement under UploadBudgetPerRound, bit-identical to
+	// pre-transfer runs.
 	Bandwidth *transfer.Params
 
-	// Redundancy is the per-archive redundancy policy: a static policy
-	// (redundancy.Fixed, the default) keeps every archive at the
-	// configured n; an adaptive policy retunes each archive's target
-	// block count online from monitored partner availability, within
-	// [k+1, n] — TotalBlocks stays the ledger's preallocated ceiling.
-	// Takes precedence over RedundancySpec.
-	Redundancy redundancy.Policy
-	// RedundancySpec names the redundancy policy as a spec string
-	// ("fixed", "adaptive:target=0.95"; see redundancy.Parse). Ignored
-	// when Redundancy is set.
+	// RedundancySpec names the per-archive redundancy policy as a spec
+	// string (see redundancy.Parse). "fixed", the default, keeps every
+	// archive at the configured n; an adaptive policy
+	// ("adaptive:target=0.95") retunes each archive's target block count
+	// online from monitored partner availability, within [k+1, n] —
+	// TotalBlocks stays the ledger's preallocated ceiling.
 	RedundancySpec string
 
 	// Restores schedules restore-demand events (flash crowds): at each
@@ -106,32 +104,18 @@ type Config struct {
 	// Avail generates online/offline sessions (default: exponential
 	// sessions with a one-day mean cycle).
 	Avail churn.AvailabilityModel
-	// Policy picks partners on the observable/oracle knowledge split.
-	// Default: the paper's age-based rule with L = AcceptHorizon.
-	// Takes precedence over StrategySpec. A policy whose Score is not
-	// declared pure (selection.HasPureScore) runs only at Shards <= 1,
-	// where one planner evaluates scores in canonical actor order.
-	Policy selection.Policy
 	// StrategySpec names the partner-selection policy as a spec string
 	// ("age:L=2160", "estimator:pareto", "monitored-availability:720";
-	// see selection.Parse). Specs omitting a horizon default to
-	// AcceptHorizon. Ignored when Policy is set.
+	// see selection.Parse), picking partners on the observable/oracle
+	// knowledge split. Default: the paper's age-based rule with
+	// L = AcceptHorizon; specs omitting a horizon default to
+	// AcceptHorizon.
 	StrategySpec string
 
-	// DropOffline: repairs abandon currently offline partners (default
-	// true; see ARCHITECTURE.md, "internal/maintenance — the repair
-	// protocol").
-	DropOffline bool
-	// CancelOnRecover: pending repairs abort if visibility recovers
-	// (default true).
-	CancelOnRecover bool
 	// RepairDelay holds a triggered repair for this many owner-online
 	// rounds before decoding, letting offline partners return (the
 	// paper's future-work knob). 0 = immediate.
 	RepairDelay int
-	// CountInitialAsRepair includes initial uploads in repair-rate
-	// metrics (the paper treats the first upload as a repair).
-	CountInitialAsRepair bool
 
 	// Shocks schedules correlated-failure events (power outages, ISP
 	// failures) on top of the profile churn; see ShockSpec. Mutually
@@ -154,10 +138,8 @@ type Config struct {
 	Probes []Probe
 
 	// Warmup rounds excluded from rate metrics (series still cover the
-	// full run, like the paper's figures).
+	// full run, like the paper's figures, sampled once a day).
 	Warmup int64
-	// SampleEvery is the series sampling cadence in rounds.
-	SampleEvery int64
 
 	// RecordTrace enables churn trace capture (memory-heavy at full
 	// scale; meant for small runs and tracegen).
@@ -170,9 +152,12 @@ type Config struct {
 	// reads per phase per round.
 	PhaseTimes bool
 
-	// Progress, if non-nil, is called once per ProgressEvery rounds.
-	Progress      func(round int64)
-	ProgressEvery int64
+	// policy and redundancy are the policies StrategySpec and
+	// RedundancySpec resolve to (the latter bound to the code shape),
+	// filled by Validate. A package test may set either first to run
+	// the engine under a policy no spec names.
+	policy     selection.Policy
+	redundancy redundancy.Policy
 }
 
 // DefaultConfig returns the paper's parameters at full scale.
@@ -188,11 +173,6 @@ func DefaultConfig() Config {
 		AcceptHorizon:        90 * churn.Day,
 		PoolSamplePerRound:   128,
 		UploadBudgetPerRound: 128,
-		DropOffline:          true,
-		CancelOnRecover:      true,
-		CountInitialAsRepair: true,
-		Warmup:               0,
-		SampleEvery:          churn.Day,
 	}
 }
 
@@ -205,18 +185,12 @@ func (c Config) Validate() (Config, error) {
 	if c.Avail == nil {
 		c.Avail = churn.DefaultSessionModel()
 	}
-	if c.Policy == nil {
+	if c.policy == nil {
 		pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
 		if err != nil {
 			return c, fmt.Errorf("sim: %w", err)
 		}
-		c.Policy = pol
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = churn.Day
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 1000
+		c.policy = pol
 	}
 	if c.Replay != nil {
 		if len(c.Shocks) > 0 {
@@ -261,8 +235,8 @@ func (c Config) Validate() (Config, error) {
 	if c.Walk != "" && c.Walk != "v3" {
 		return c, fmt.Errorf("sim: Walk = %q: the walk modes were collapsed into one engine (PR 21); leave Walk empty", c.Walk)
 	}
-	if c.Shards >= 2 && !selection.HasPureScore(c.Policy) {
-		return c, fmt.Errorf("sim: policy %q has no pure Score (selection.HasPureScore) and Shards = %d: concurrent planners would evaluate it in no fixed order; run it at Shards <= 1", c.Policy.Name(), c.Shards)
+	if c.Shards >= 2 && !selection.HasPureScore(c.policy) {
+		return c, fmt.Errorf("sim: policy %q has no pure Score (selection.HasPureScore) and Shards = %d: concurrent planners would evaluate it in no fixed order; run it at Shards <= 1", c.policy.Name(), c.Shards)
 	}
 	if c.NumPeers < 2 {
 		return c, fmt.Errorf("sim: NumPeers = %d too small", c.NumPeers)
@@ -281,18 +255,18 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("sim: threshold %d outside [k=%d, n=%d]",
 			c.RepairThreshold, c.DataBlocks, c.TotalBlocks)
 	}
-	if c.Redundancy == nil {
+	if c.redundancy == nil {
 		pol, err := redundancy.Parse(c.RedundancySpec)
 		if err != nil {
 			return c, fmt.Errorf("sim: %w", err)
 		}
-		c.Redundancy = pol
+		c.redundancy = pol
 	}
-	bound, err := c.Redundancy.Bind(c.DataBlocks, c.RepairThreshold, c.TotalBlocks)
+	bound, err := c.redundancy.Bind(c.DataBlocks, c.RepairThreshold, c.TotalBlocks)
 	if err != nil {
 		return c, fmt.Errorf("sim: %w", err)
 	}
-	c.Redundancy = bound
+	c.redundancy = bound
 	if c.Quota < 1 {
 		return c, fmt.Errorf("sim: quota %d must be positive", c.Quota)
 	}

@@ -224,7 +224,7 @@ func TestOneShardRunsOnTheCaller(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Policy = spyPolicy{pol, plan}
+			cfg.policy = spyPolicy{pol, plan}
 		}
 		s, err := New(cfg)
 		if err != nil {

@@ -78,7 +78,7 @@ type ObserverRepairEvent struct {
 }
 
 // RedundancyEvent reports an adaptive redundancy decision: the policy
-// retuned one archive's target block count (Config.Redundancy; never
+// retuned one archive's target block count (Config.RedundancySpec; never
 // fires under the fixed policy). From > To is a shrink — the surplus
 // placements were retired immediately, releasing host storage; To >
 // From is a grow — a maintenance upload episode for the extra parity

@@ -1,7 +1,7 @@
 package sim
 
 // Adaptive redundancy: the engine-side state and round phase behind
-// Config.Redundancy. A static policy (fixed, the default) allocates
+// Config.RedundancySpec. A static policy (fixed, the default) allocates
 // nothing here and draws nothing; an adaptive policy gets a per-archive
 // target array, a derived scratch rng stream, and one evaluation phase
 // per round.
@@ -60,16 +60,16 @@ type redunState struct {
 // target.
 func newRedunState(cfg Config) *redunState {
 	rs := &redunState{
-		pol:    cfg.Redundancy,
+		pol:    cfg.redundancy,
 		r:      rng.New(rng.Derive(cfg.Seed, redunStreamIndex)),
 		target: make([]int32, cfg.NumPeers),
 		thr:    make([]int32, cfg.NumPeers),
 		est:    make([]float64, cfg.NumPeers),
-		eval:   cfg.Redundancy.EvalEvery(),
+		eval:   cfg.redundancy.EvalEvery(),
 		window: cfg.AcceptHorizon,
-		sample: cfg.Redundancy.SamplePeers(),
+		sample: cfg.redundancy.SamplePeers(),
 	}
-	initial := cfg.Redundancy.Initial(cfg.DataBlocks, cfg.TotalBlocks)
+	initial := cfg.redundancy.Initial(cfg.DataBlocks, cfg.TotalBlocks)
 	thr := redundancy.EffectiveThreshold(cfg.DataBlocks, cfg.RepairThreshold, cfg.TotalBlocks, initial)
 	for i := range rs.target {
 		rs.target[i] = int32(initial)

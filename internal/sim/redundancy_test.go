@@ -93,7 +93,7 @@ func TestAdaptiveRedundancyActs(t *testing.T) {
 	}
 
 	// The mean target can never leave the policy's bound band.
-	pol := s.cfg.Redundancy.(redundancy.Adaptive)
+	pol := s.cfg.redundancy.(redundancy.Adaptive)
 	series := col.RedundancySeries()
 	for i := 0; i < series.Len(); i++ {
 		_, mean := series.At(i)
@@ -121,9 +121,9 @@ func TestRedundancyConfigValidation(t *testing.T) {
 	}
 
 	shape := digestConfig()
-	shape.Redundancy = redundancy.Adaptive{Min: 8} // below k=16
-	if _, err := shape.Validate(); err == nil {
-		t.Error("shape-invalid policy accepted")
+	shape.RedundancySpec = "adaptive:min=8" // below k=16
+	if _, err := shape.Validate(); err == nil || !strings.Contains(err.Error(), "must exceed k") {
+		t.Errorf("shape-invalid policy: error = %v, want min below k rejected", err)
 	}
 
 	good := digestConfig()
@@ -132,8 +132,8 @@ func TestRedundancyConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, ok := cfg.Redundancy.(redundancy.Adaptive)
+	pol, ok := cfg.redundancy.(redundancy.Adaptive)
 	if !ok || pol.Min != 24 || pol.Max != cfg.TotalBlocks {
-		t.Errorf("bound policy = %+v, want min=24 max=%d", cfg.Redundancy, cfg.TotalBlocks)
+		t.Errorf("bound policy = %+v, want min=24 max=%d", cfg.redundancy, cfg.TotalBlocks)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/dist"
-	"p2pbackup/internal/selection"
 )
 
 // churnyProfiles is a two-profile population with lifetimes short
@@ -137,11 +136,7 @@ func TestReplayPairedStrategies(t *testing.T) {
 	src, _ := recordedRun(t)
 	run := func(spec string) *Result {
 		cfg := replayConfig(t, src)
-		pol, err := selection.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Policy = pol
+		cfg.StrategySpec = spec
 		sim, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -359,7 +359,7 @@ func TestWalkConfigGuards(t *testing.T) {
 	}
 
 	impure := base
-	impure.Policy = impurePolicy{}
+	impure.policy = impurePolicy{}
 	impure.Shards = 2
 	if _, err := impure.Validate(); err == nil || !strings.Contains(err.Error(), `"impure"`) || !strings.Contains(err.Error(), "pure") {
 		t.Errorf("impure policy at Shards=2: error = %v, want rejection naming the policy and purity", err)

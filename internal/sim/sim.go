@@ -214,7 +214,7 @@ func New(cfg Config) (*Simulation, error) {
 		r:        rng.New(cfg.Seed),
 		led:      overlay.NewLedger(slots, cfg.Quota),
 		tab:      overlay.NewTable(slots),
-		col:      metrics.NewCollector(cfg.SampleEvery, cfg.Warmup),
+		col:      metrics.NewCollector(churn.Day, cfg.Warmup),
 		peers:    make([]peer, cfg.NumPeers),
 		joins:    make([]int64, cfg.NumPeers),
 		obsSpecs: cfg.Observers,
@@ -269,13 +269,11 @@ func New(cfg Config) (*Simulation, error) {
 		RepairThreshold:      cfg.RepairThreshold,
 		PoolSamplePerRound:   cfg.PoolSamplePerRound,
 		UploadBudgetPerRound: cfg.UploadBudgetPerRound,
-		DropOffline:          cfg.DropOffline,
-		CancelOnRecover:      cfg.CancelOnRecover,
 		RepairDelay:          cfg.RepairDelay,
-	}, s.led, s.tab, cfg.Policy, (*simEnv)(s))
+	}, s.led, s.tab, cfg.policy, (*simEnv)(s))
 	s.maint.SetWake(s.requestVisit)
 	s.maint.EnableScoreCache() // no-op unless the policy's Score is pure
-	if cfg.Redundancy != nil && !cfg.Redundancy.Static() {
+	if !cfg.redundancy.Static() {
 		// A static policy allocates nothing and draws nothing: fixed-n
 		// runs never see the redundancy stream
 		// (TestFixedModeGoldenDigests pins this).
@@ -286,7 +284,7 @@ func New(cfg Config) (*Simulation, error) {
 	// IgnoresHistory (the monitored-availability ranking) and adaptive
 	// redundancy's partner probe; with neither there is nothing to keep.
 	// Recording consumes no randomness, so the choice moves no trajectory.
-	if selection.ReadsHistory(cfg.Policy) || s.redun != nil {
+	if selection.ReadsHistory(cfg.policy) || s.redun != nil {
 		s.hist = make([]monitor.IntervalHistory, cfg.NumPeers)
 		for i := range s.hist {
 			s.hist[i] = *monitor.NewIntervalHistory(cfg.AcceptHorizon)
@@ -524,9 +522,6 @@ func (s *Simulation) runContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		s.stepRound()
-		if s.cfg.Progress != nil && (s.round+1)%s.cfg.ProgressEvery == 0 {
-			s.cfg.Progress(s.round + 1)
-		}
 	}
 	included := 0
 	for id := range s.peers {

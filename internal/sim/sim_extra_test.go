@@ -13,21 +13,20 @@ import (
 func TestLedgerConsistencyMidRun(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 600
-	var s *Simulation
-	checks := 0
-	cfg.ProgressEvery = 100
-	cfg.Progress = func(round int64) {
-		if err := s.Ledger().CheckConsistency(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		checks++
-	}
-	var err error
-	s, err = New(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
+	checks := 0
+	for s.StepRound() {
+		if s.Round()%100 != 0 {
+			continue
+		}
+		if err := s.Ledger().CheckConsistency(); err != nil {
+			t.Fatalf("round %d: %v", s.Round(), err)
+		}
+		checks++
+	}
 	if checks != 6 {
 		t.Fatalf("checks = %d, want 6", checks)
 	}
@@ -177,22 +176,21 @@ func TestQuotaNeverExceeded(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 500
 	cfg.Quota = 20 // tight: 120 peers x 20 = 2400 slots vs 120 x 16 = 1920 demand
-	var s *Simulation
-	cfg.ProgressEvery = 100
-	cfg.Progress = func(round int64) {
-		led := s.Ledger()
-		for id := 0; id < cfg.NumPeers; id++ {
-			if led.MeteredHosted(overlay.PeerID(id)) > int(cfg.Quota) {
-				t.Fatalf("round %d: peer %d over quota", round, id)
-			}
-		}
-	}
-	var err error
-	s, err = New(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
+	for s.StepRound() {
+		if s.Round()%100 != 0 {
+			continue
+		}
+		led := s.Ledger()
+		for id := 0; id < cfg.NumPeers; id++ {
+			if led.MeteredHosted(overlay.PeerID(id)) > int(cfg.Quota) {
+				t.Fatalf("round %d: peer %d over quota", s.Round(), id)
+			}
+		}
+	}
 }
 
 // TestLossSeriesMonotone: figure 4's cumulative series never decreases.

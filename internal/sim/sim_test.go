@@ -452,34 +452,6 @@ func TestStrategySwap(t *testing.T) {
 	}
 }
 
-func TestStrategySwapLegacyByName(t *testing.T) {
-	// A policy resolved by the caller (its own default horizon, not the
-	// config's) and bound as Config.Policy must drive the engine like a
-	// StrategySpec does; monitored-availability bound this way still
-	// reaches the engine's monitoring substrate.
-	for _, name := range []string{"age", "random", "monitored-availability"} {
-		pol, err := selection.ParseWith(name, selection.Defaults{Horizon: 48})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := smallConfig()
-		cfg.Rounds = 60
-		cfg.NumPeers = 60
-		cfg.TotalBlocks = 8
-		cfg.DataBlocks = 4
-		cfg.RepairThreshold = 5
-		cfg.Quota = 24
-		cfg.Policy = pol
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res := s.Run(); res.FinalIncluded == 0 {
-			t.Fatalf("%s: nobody included", name)
-		}
-	}
-}
-
 func TestConfigStrategyResolution(t *testing.T) {
 	cfg := smallConfig()
 	// Default: the paper's age policy at the config's horizon.
@@ -488,26 +460,18 @@ func TestConfigStrategyResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("age(L=%d)", cfg.AcceptHorizon)
-	if v.Policy == nil || v.Policy.Name() != want {
-		t.Fatalf("default policy = %v, want %s", v.Policy, want)
+	if v.policy == nil || v.policy.Name() != want {
+		t.Fatalf("default policy = %v, want %s", v.policy, want)
 	}
 	// Spec path: explicit parameters win over the config horizon.
 	cfg.StrategySpec = "age:L=7"
-	if v, err = cfg.Validate(); err != nil || v.Policy.Name() != "age(L=7)" {
-		t.Fatalf("spec policy = %v (%v)", v.Policy, err)
+	if v, err = cfg.Validate(); err != nil || v.policy.Name() != "age(L=7)" {
+		t.Fatalf("spec policy = %v (%v)", v.policy, err)
 	}
 	// Bad specs are rejected at validation time.
 	cfg.StrategySpec = "age:bogus=1"
 	if _, err = cfg.Validate(); err == nil {
 		t.Fatal("bad spec accepted")
-	}
-	// A Policy wins over the spec.
-	cfg.StrategySpec = "age"
-	if cfg.Policy, err = selection.Parse("age:L=9"); err != nil {
-		t.Fatal(err)
-	}
-	if v, err = cfg.Validate(); err != nil || v.Policy.Name() != "age(L=9)" {
-		t.Fatalf("bound policy = %v (%v)", v.Policy, err)
 	}
 }
 
@@ -600,7 +564,7 @@ func TestHistoriesRecordedOnlyWhenRead(t *testing.T) {
 		{"age, fixed redundancy", func(*Config) {}, false},
 		{"monitored-availability", func(c *Config) { c.StrategySpec = "monitored-availability" }, true},
 		{"age, adaptive redundancy", func(c *Config) { c.RedundancySpec = "adaptive" }, true},
-		{"age without its declarations", func(c *Config) { c.Policy = historyBound{age()} }, true},
+		{"age without its declarations", func(c *Config) { c.policy = historyBound{age()} }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := digestConfig()
@@ -647,25 +611,9 @@ func TestHistoriesRecordedOnlyWhenRead(t *testing.T) {
 	cfg := digestConfig()
 	cfg.Rounds = 200
 	plain := digestRun(t, cfg)
-	cfg.Policy = historyBound{age()}
+	cfg.policy = historyBound{age()}
 	if bound := digestRun(t, cfg); bound != plain {
 		t.Fatalf("digest %#x with histories recorded, %#x without", bound, plain)
-	}
-}
-
-func TestProgressCallback(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rounds = 100
-	cfg.ProgressEvery = 25
-	var calls []int64
-	cfg.Progress = func(round int64) { calls = append(calls, round) }
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if len(calls) != 4 || calls[0] != 25 || calls[3] != 100 {
-		t.Fatalf("progress calls = %v", calls)
 	}
 }
 

@@ -1,6 +1,9 @@
 package stats
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // seriesJSON is the wire form of a Series. encoding/json renders
 // float64 values with their shortest exact decimal representation, so a
@@ -19,11 +22,15 @@ func (s *Series) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the {"name", "x", "y"} wire form produced by
-// MarshalJSON, replacing the receiver's contents.
+// MarshalJSON, replacing the receiver's contents. x and y must be of
+// one length: At reads both.
 func (s *Series) UnmarshalJSON(data []byte) error {
 	var w seriesJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
+	}
+	if len(w.X) != len(w.Y) {
+		return fmt.Errorf("stats: series %q has %d x and %d y values", w.Name, len(w.X), len(w.Y))
 	}
 	s.name = w.Name
 	s.xs = w.X

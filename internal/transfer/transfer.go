@@ -99,7 +99,10 @@ func (p ResumePolicy) String() string {
 }
 
 // Params configures the transfer subsystem: the population's bandwidth
-// classes and the interruption policy.
+// classes and the interruption policy. A mix of instant classes only
+// (Instant) schedules no upload: the engine then places blocks at once,
+// bounded by its per-round upload budget (sim.Config.UploadBudgetPerRound),
+// as it does with no Params at all.
 type Params struct {
 	// Classes is the bandwidth-class mix; at least one.
 	Classes []Class

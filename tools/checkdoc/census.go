@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -23,9 +24,10 @@ import (
 // pkg.Name through an import; syntax only, so a local that shadows a
 // package name can hide a dead identifier, never invent one). Nested
 // modules (bench/) count as referrers but are not listed. A second
-// section lists what no binary links: see unlinked. CI diffs the output
-// against SURFACE.txt: a change that adds surface, or strands code, says
-// so.
+// section lists the knobs: the exported fields of every exported struct
+// type named *Config, *Options or *Params. A third lists what no binary
+// links: see unlinked. CI diffs the output against SURFACE.txt: a change
+// that adds surface or a knob, or strands code, says so.
 func census(w io.Writer) error {
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
@@ -35,6 +37,7 @@ func census(w io.Writer) error {
 	exported := map[string][]string{}          // import path -> exported names
 	used := map[string]bool{}                  // "import path.Name" referenced from another package
 	funcs := map[string][]string{}             // import path -> functions and methods, as the linker names them
+	knobs := map[string][]string{}             // "import path.Type" -> exported fields, in declaration order
 	nested := "\x00"                           // directory prefix of the nested module being walked
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -69,6 +72,7 @@ func census(w io.Writer) error {
 					exported[self] = append(exported[self], id.Name)
 				}
 			})
+			collectKnobs(file, self, knobs)
 		}
 		imports := map[string]string{} // local name -> import path
 		for _, imp := range file.Imports {
@@ -108,7 +112,48 @@ func census(w io.Writer) error {
 		}
 	}
 	fmt.Fprintf(w, "total\texported %d\tunreferenced outside %d\n", total, dead)
+	fmt.Fprintln(w, "knobs: exported fields of exported *Config, *Options and *Params structs")
+	for _, typ := range slices.Sorted(maps.Keys(knobs)) {
+		fmt.Fprintf(w, "%s\tfields %d\n", typ, len(knobs[typ]))
+		for _, field := range knobs[typ] {
+			fmt.Fprintf(w, "\t%s\n", field)
+		}
+	}
 	return unlinked(w, funcs)
+}
+
+// knobType matches the names of the struct types whose fields are knobs.
+var knobType = regexp.MustCompile(`(Config|Options|Params)$`)
+
+// collectKnobs records, under "pkg.Type", the exported fields of each
+// exported struct type in file whose name ends in Config, Options or
+// Params.
+func collectKnobs(file *ast.File, pkg string, knobs map[string][]string) {
+	for _, decl := range file.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			ts, ok := spec.(*ast.TypeSpec)
+			if !ok || !ts.Name.IsExported() || !knobType.MatchString(ts.Name.Name) {
+				continue
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			fields := []string{}
+			for _, f := range st.Fields.List {
+				for _, n := range f.Names {
+					if n.IsExported() {
+						fields = append(fields, n.Name)
+					}
+				}
+			}
+			knobs[pkg+"."+ts.Name.Name] = fields
+		}
+	}
 }
 
 // unlinked prints, per package, the production functions and methods no
