@@ -101,7 +101,7 @@ func BenchmarkTableRepairCost(b *testing.B) {
 func BenchmarkExperiment(b *testing.B) {
 	for _, id := range []string{"fig1", "fig3", "ablation-strategy", "ablation-availability", "ablation-delay", "ablation-horizon"} {
 		b.Run(id, func(b *testing.B) {
-			opts := experiments.Options{Scale: experiments.ScaleSmoke, Seed: 1, Parallelism: 2}
+			opts := experiments.Options{Knobs: experiments.Knobs{Scale: experiments.ScaleSmoke, Seed: 1}, Parallelism: 2}
 			for i := 0; i < b.N; i++ {
 				sums, err := experiments.RunCtx(context.Background(), id, opts)
 				if err != nil {
@@ -420,8 +420,7 @@ func BenchmarkFlashCrowdRound(b *testing.B) {
 func supervisedBenchSpec() experiments.CampaignSpec {
 	return experiments.CampaignSpec{
 		Kind:   "repair-delay",
-		Scale:  experiments.ScaleSmoke,
-		Seed:   3,
+		Knobs:  experiments.Knobs{Scale: experiments.ScaleSmoke, Seed: 3},
 		Delays: []int{0},
 		Overrides: &experiments.ConfigOverrides{
 			NumPeers: 100, Rounds: 300, TotalBlocks: 16, DataBlocks: 8,
@@ -434,18 +433,18 @@ func supervisedBenchSpec() experiments.CampaignSpec {
 // through the fault-tolerant process supervisor: worker spawn, spec
 // handshake, the simulation itself, and the JSON result snapshot
 // crossing the pipe. Against BenchmarkInProcessVariant the delta is the
-// full isolation overhead a supervised campaign pays per variant.
+// full isolation overhead a supervised campaign pays per variant. The
+// worker is this test binary with -worker appended, as p2psim re-execs
+// itself; the environment variable sends it to TestMain's worker branch
+// before any flag is parsed.
 func BenchmarkSupervisedVariant(b *testing.B) {
+	b.Setenv("P2PSIM_TEST_WORKER", "1")
 	spec := supervisedBenchSpec()
 	camp, err := spec.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	sup := &experiments.Supervisor{
-		Procs:     1,
-		WorkerCmd: []string{os.Args[0]},
-		WorkerEnv: []string{"P2PSIM_TEST_WORKER=1"},
-	}
+	sup := &experiments.Supervisor{Procs: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -74,20 +74,26 @@
 // Campaigns run on the experiments.Runner: simulations execute over a
 // bounded worker pool and stream typed events; Ctrl-C cancels the
 // whole campaign cleanly, including simulations already in flight.
+// Unless -quiet, the text of every progress and row event (round
+// heartbeats of a one-run campaign, a line per finished variant,
+// supervisor retries and resumes) goes to stderr behind an [hh:mm:ss]
+// stamp.
 //
 // -procs N switches campaigns to the fault-tolerant process
-// supervisor: each variant runs in an isolated worker process (this
-// binary re-exec'd with -worker), with per-variant timeouts
-// (-variant-timeout), heartbeat stall detection, and classified
-// retries (panic / OOM-kill / hang / exit) with exponential backoff.
-// Completed variants are checkpointed to an append-only journal
-// (<out>/campaign.journal when -out is set); -resume FILE reloads a
-// journal and re-runs only the variants without a completed row.
-// Deterministic seeding makes supervised results bit-identical to
-// in-process runs, crashes and retries included. Variants that
-// exhaust their retries become typed failure rows: the campaign
-// completes, the failures are summarised on stderr, and the exit
-// code is 3.
+// supervisor (experiments.Options.Supervisor): each variant runs in an
+// isolated worker process (this binary re-exec'd with -worker), with
+// per-variant timeouts (-variant-timeout), heartbeat stall detection
+// (30 s of silence), and classified retries (panic / OOM-kill / hang /
+// exit) with exponential backoff. Completed variants are checkpointed
+// to an append-only journal (<out>/campaign.journal when -out is set;
+// a run that fails its checks, such as an unknown -exp or a bad
+// -strategy, leaves it untouched); -resume FILE reloads a journal and
+// re-runs only the variants without a completed row. -resume and
+// -variant-timeout need -procs. Deterministic seeding makes supervised
+// results bit-identical to in-process runs, crashes and retries
+// included. Variants that exhaust their retries become typed failure
+// rows: the campaign completes, the failures are summarised on stderr,
+// and the exit code is 3.
 //
 // -worker is internal: run one variant as a supervisor's child
 // (request on stdin, heartbeats and result on stdout).
@@ -189,16 +195,18 @@ func run() int {
 	}
 
 	opts := experiments.Options{
-		Scale:        experiments.Scale(*scale),
-		Seed:         *seed,
-		Parallelism:  *parallel,
-		OutDir:       *out,
-		TracePath:    *trace,
-		StrategySpec: *strategy,
-		Bandwidth:    *bandwidth,
-		Redundancy:   *redundancySpec,
-		Shards:       *shards,
-		PhaseTimes:   *phasetimes,
+		Knobs: experiments.Knobs{
+			Scale:        experiments.Scale(*scale),
+			Seed:         *seed,
+			TracePath:    *trace,
+			StrategySpec: *strategy,
+			Bandwidth:    *bandwidth,
+			Redundancy:   *redundancySpec,
+			Shards:       *shards,
+			PhaseTimes:   *phasetimes,
+		},
+		Parallelism: *parallel,
+		OutDir:      *out,
 	}
 	if *resume != "" && *procs <= 0 {
 		fmt.Fprintln(os.Stderr, "p2psim: -resume needs -procs")
@@ -209,18 +217,11 @@ func run() int {
 		return 1
 	}
 	if *procs > 0 {
-		opts.Procs = *procs
-		opts.VariantTimeout = *variantTimeout
+		opts.Supervisor = &experiments.Supervisor{Procs: *procs, VariantTimeout: *variantTimeout}
 		if *resume != "" {
-			opts.JournalPath = *resume
-			opts.Resume = true
+			opts.Supervisor.JournalPath, opts.Supervisor.Resume = *resume, true
 		} else if *out != "" {
-			opts.JournalPath = filepath.Join(*out, "campaign.journal")
-		}
-	}
-	if !*quiet {
-		opts.Progress = func(msg string) {
-			fmt.Fprintf(os.Stderr, "[%s] %s\n", time.Now().Format("15:04:05"), msg)
+			opts.Supervisor.JournalPath = filepath.Join(*out, "campaign.journal")
 		}
 	}
 	// Tally simulated rounds and merge duration distributions off the
@@ -244,6 +245,9 @@ func run() int {
 	)
 	var failedVariants atomic.Int64
 	opts.Events = func(ev experiments.Event) {
+		if !*quiet && ev.Message != "" && (ev.Kind == experiments.EventProgress || ev.Kind == experiments.EventRow) {
+			fmt.Fprintf(os.Stderr, "[%s] %s\n", time.Now().Format("15:04:05"), ev.Message)
+		}
 		if ev.Kind == experiments.EventFailed {
 			failedVariants.Add(1)
 			fmt.Fprintln(os.Stderr, "p2psim: variant failed:", ev.Message)

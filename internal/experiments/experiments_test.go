@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/metrics"
@@ -214,21 +215,16 @@ func TestRunFocal(t *testing.T) {
 	// the population must supply n=256 simultaneously online partners:
 	// with ~65% mean availability that needs smoke's several hundred
 	// peers. Only the run is cut short.
-	var msgs []string
-	opts := Options{
-		Scale:    ScaleSmoke,
-		Seed:     3,
-		OutDir:   t.TempDir(),
-		Progress: func(m string) { msgs = append(msgs, m) },
-	}
+	events, msgs := progressLog()
+	opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, OutDir: t.TempDir(), Events: events}
 	sums, err := runShrunk("fig3", opts, func(s *CampaignSpec) {
 		s.Overrides = &ConfigOverrides{Rounds: 240}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) == 0 {
-		t.Fatal("no progress messages")
+	if !slices.Equal(*msgs, focalProgress) {
+		t.Errorf("progress text %q, parent %q", *msgs, focalProgress)
 	}
 	for _, name := range []string{"elder", "senior", "adult", "teenager", "baby"} {
 		if !strings.Contains(sums[0].Text, name+"\t") {
@@ -292,6 +288,50 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 	if len(Names()) == 0 {
 		t.Fatal("Names empty")
+	}
+}
+
+// TestRunCtxKeepsJournalOnBadRun: a supervised run that fails its
+// checks (unknown id, bad knob, a trace campaign without a trace or
+// with one that does not open, a negative timeout) returns an error and leaves the checkpoint journal
+// byte for byte as it was; one that passes them truncates it once,
+// working on a copy of the caller's Supervisor.
+func TestRunCtxKeepsJournalOnBadRun(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	before := []byte("0123456789abcdefg\n")
+	for _, tc := range []struct {
+		id      string
+		knobs   Knobs
+		timeout time.Duration
+		err     string
+	}{
+		{"nope", Knobs{}, 0, "unknown experiment"},
+		{"fig1", Knobs{StrategySpec: "agee"}, 0, "unknown strategy"},
+		{"replay", Knobs{}, 0, "needs a churn trace"},
+		{"replay", Knobs{TracePath: "/does/not/exist.csv"}, 0, "no such file"},
+		{"all", Knobs{Redundancy: "bogus:x"}, 0, "bogus"},
+		{"fig1", Knobs{}, -30 * time.Minute, "-30m0s is negative"},
+	} {
+		if err := os.WriteFile(journal, before, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sup := testSupervisor()
+		sup.JournalPath, sup.VariantTimeout = journal, tc.timeout
+		_, err := RunCtx(context.Background(), tc.id, Options{Knobs: tc.knobs, Supervisor: sup})
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s %+v: error %v, want one naming %q", tc.id, tc.knobs, err, tc.err)
+		}
+		if after, _ := os.ReadFile(journal); !bytes.Equal(after, before) {
+			t.Errorf("%s %+v: journal %q after the failed run, was %q", tc.id, tc.knobs, after, before)
+		}
+	}
+	sup := testSupervisor()
+	sup.JournalPath = journal
+	if _, err := RunCtx(context.Background(), "costmodel", Options{Supervisor: sup}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(journal); len(after) != 0 || sup.Resume {
+		t.Errorf("fresh run: journal %q, caller's Resume %v; want it truncated and the caller's Supervisor untouched", after, sup.Resume)
 	}
 }
 

@@ -84,3 +84,52 @@ func FuzzJournalLine(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWorkerRequest feeds arbitrary bytes to a worker as its request,
+// through everything the worker does before it runs a simulation:
+// readRequest, then the variant's config and its validation. sim.New is
+// never called. The spec's TracePath is cleared first, so the fuzzer
+// cannot make the worker read arbitrary files (FuzzReadCSV and
+// FuzzReadJSONL cover the trace parsers). Nothing may panic, a variant
+// the campaign does not have is refused, and an accepted request's
+// config either validates, its availability model included, or says
+// why not.
+func FuzzWorkerRequest(f *testing.F) {
+	focal := microSpec()
+	focal.Kind, focal.Delays = "focal", nil
+	for _, spec := range []CampaignSpec{microSpec(), focal} {
+		for _, v := range []int{0, 3, 4, -1} {
+			raw, err := json.Marshal(workerRequest{Spec: spec, Variant: v, Attempt: 1})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(raw)
+		}
+	}
+	// An amplitude outside [0,1] used to validate (TestConfigValidatesAvailabilityModel).
+	f.Add([]byte(`{"spec":{"kind":"diurnal","amplitudes":[5]},"variant":0}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var req workerRequest
+		if json.Unmarshal(raw, &req) != nil {
+			return // the worker's decoder refuses it too, or reads past it
+		}
+		req.Spec.TracePath = ""
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, camp, err := readRequest(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if got.Variant < 0 || got.Variant >= len(camp.Variants) {
+			t.Fatalf("variant %d of %d accepted", got.Variant, len(camp.Variants))
+		}
+		cfg := materializeVariant(camp, got.Variant)
+		if _, err := cfg.Validate(); err == nil {
+			if m, ok := cfg.Avail.(interface{ Validate() error }); ok && m.Validate() != nil {
+				t.Fatalf("config validates with an availability model that does not: %v", m.Validate())
+			}
+		}
+	})
+}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"p2pbackup/internal/churn"
 )
@@ -32,7 +31,7 @@ func microTraceFile(t *testing.T) string {
 // the CLI's default options hashes as it did at the parent — a journal
 // written by the parent binary must still -resume.
 func TestSpecFingerprintsPinned(t *testing.T) {
-	opts := Options{Scale: ScaleSmoke, Seed: 1}
+	opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 1}}
 	want := map[string]string{
 		"threshold":         "4778f0a2e4e18e51",
 		"focal":             "29b8d3717e407b7d",
@@ -79,9 +78,9 @@ func TestSpecFingerprintsPinned(t *testing.T) {
 
 	// Every shared field set: pins the Options -> spec projection and the
 	// JSON field names and order.
-	full := campaignByKind("threshold").spec(Options{Scale: ScaleDefault, Seed: 7, StrategySpec: "estimator:pareto",
-		Bandwidth: "dsl", Redundancy: "adaptive:min=140", Shards: 4, PhaseTimes: true, TracePath: "/t/trace.csv",
-		Parallelism: 3, OutDir: "/out", Procs: 2})
+	full := campaignByKind("threshold").spec(Options{Knobs: Knobs{Scale: ScaleDefault, Seed: 7, StrategySpec: "estimator:pareto",
+		Bandwidth: "dsl", Redundancy: "adaptive:min=140", Shards: 4, PhaseTimes: true, TracePath: "/t/trace.csv"},
+		Parallelism: 3, OutDir: "/out", Supervisor: &Supervisor{Procs: 2}})
 	full.Thresholds = []int{132, 148}
 	full.Delays = []int{1, 2}
 	full.Horizons = []int64{720}
@@ -167,7 +166,7 @@ func TestRegistryOutputsPinned(t *testing.T) {
 			continue
 		}
 		ov := micro
-		opts := Options{Scale: ScaleSmoke, Seed: 3, Parallelism: 2}
+		opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, Parallelism: 2}
 		switch id {
 		case "fig1", "fig2", "fig3", "fig4":
 			ov = paperShape
@@ -186,10 +185,7 @@ func TestRegistryOutputsPinned(t *testing.T) {
 				t.Parallel()
 				opts.OutDir = t.TempDir()
 				if mode == "supervised" {
-					opts.Procs = 2
-					opts.WorkerCmd = []string{os.Args[0]}
-					opts.WorkerEnv = []string{testWorkerEnv + "=1"}
-					opts.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+					opts.Supervisor = testSupervisor()
 				}
 				sums, err := runShrunk(id, opts, func(s *CampaignSpec) { s.Overrides = ov })
 				if err != nil {

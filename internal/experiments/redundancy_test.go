@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -151,7 +150,7 @@ func TestRegistryHasRedundancyExperiment(t *testing.T) {
 // before any simulation runs, and a valid adaptive override becomes the
 // campaign's adaptive arm.
 func TestOptionsRedundancyValidatesEagerly(t *testing.T) {
-	if _, err := RunCtx(context.Background(), "fig1", Options{Redundancy: "bogus:x"}); err == nil {
+	if _, err := RunCtx(context.Background(), "fig1", Options{Knobs: Knobs{Redundancy: "bogus:x"}}); err == nil {
 		t.Fatal("bad redundancy spec accepted")
 	}
 	if got := redundancyAdaptiveSpec("adaptive:target=0.95"); got != "adaptive:target=0.95" {
@@ -180,11 +179,10 @@ func TestRedundancyOverheadUsesTracePopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{"in-process", "supervised"} {
-		opts := Options{Scale: ScaleSmoke, Seed: 3, Parallelism: 2, OutDir: t.TempDir(), TracePath: path, Redundancy: microAdaptiveSpec}
+		opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3, TracePath: path, Redundancy: microAdaptiveSpec},
+			Parallelism: 2, OutDir: t.TempDir()}
 		if mode == "supervised" {
-			opts.Procs = 2
-			opts.WorkerCmd = []string{os.Args[0]}
-			opts.WorkerEnv = []string{testWorkerEnv + "=1"}
+			opts.Supervisor = testSupervisor()
 		}
 		sums, err := runShrunk("fixed-vs-adaptive", opts, func(s *CampaignSpec) { s.Overrides = microSpec().Overrides })
 		if err != nil {

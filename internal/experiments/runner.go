@@ -66,9 +66,12 @@ type Event struct {
 	Campaign string
 	Variant  int    // variant index, -1 for campaign-scoped events
 	Name     string // variant name, "" for campaign-scoped events
-	Message  string // progress text (EventProgress, EventFailed)
-	Row      *Row   // completed run (EventRow)
-	Err      error  // terminal error (EventDone) or contained failure (EventFailed)
+	// Message is the text of an EventProgress or EventFailed, and of an
+	// EventRow RunCtx forwards from a campaign of several variants;
+	// p2psim prints progress and row texts unless -quiet.
+	Message string
+	Row     *Row  // completed run (EventRow)
+	Err     error // terminal error (EventDone) or contained failure (EventFailed)
 }
 
 // Row is one completed variant run.

@@ -224,7 +224,7 @@ func TestRunnerRejectsSharedBaseProbes(t *testing.T) {
 func TestRegistryRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunCtx(ctx, "fig1", Options{Scale: ScaleSmoke}); !errors.Is(err, context.Canceled) {
+	if _, err := RunCtx(ctx, "fig1", Options{Knobs: Knobs{Scale: ScaleSmoke}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

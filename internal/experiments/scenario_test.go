@@ -113,7 +113,7 @@ func TestRegistryReplayEndToEnd(t *testing.T) {
 	if err := churn.WriteTraceFile(path, recordTrace(t, 300)); err != nil {
 		t.Fatal(err)
 	}
-	sums, err := RunCtx(context.Background(), "replay", Options{OutDir: dir, TracePath: path})
+	sums, err := RunCtx(context.Background(), "replay", Options{Knobs: Knobs{TracePath: path}, OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRegistryReplayNeedsTrace(t *testing.T) {
 	if _, err := RunCtx(context.Background(), "replay", Options{}); err == nil {
 		t.Fatal("replay without -trace accepted")
 	}
-	if _, err := RunCtx(context.Background(), "replay", Options{TracePath: "/does/not/exist.csv"}); err == nil {
+	if _, err := RunCtx(context.Background(), "replay", Options{Knobs: Knobs{TracePath: "/does/not/exist.csv"}}); err == nil {
 		t.Fatal("replay with missing trace accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestRegistryScenarioNames(t *testing.T) {
 func TestWrapperThresholdSweepAgrees(t *testing.T) {
 	spec := microSpec()
 	spec.Kind, spec.Delays, spec.Thresholds = "threshold", nil, []int{9, 13}
-	sums, err := runShrunk("fig1", Options{Scale: spec.Scale, Seed: spec.Seed, Parallelism: 2, OutDir: t.TempDir()},
+	sums, err := runShrunk("fig1", Options{Knobs: spec.Knobs, Parallelism: 2, OutDir: t.TempDir()},
 		func(s *CampaignSpec) { s.Thresholds, s.Overrides = spec.Thresholds, spec.Overrides })
 	if err != nil {
 		t.Fatal(err)
@@ -187,12 +187,12 @@ func TestWrapperFocalAgrees(t *testing.T) {
 	// The focal campaign pins threshold 148, which needs the paper's
 	// archive shape: smoke's 600 peers, cut to 150 rounds.
 	ov := &ConfigOverrides{Rounds: 150}
-	sums, err := runShrunk("fig3", Options{Scale: ScaleSmoke, Seed: 3, OutDir: t.TempDir()},
+	sums, err := runShrunk("fig3", Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, OutDir: t.TempDir()},
 		func(s *CampaignSpec) { s.Overrides = ov })
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := CampaignSpec{Scale: ScaleSmoke, Seed: 3, Overrides: ov}.baseConfig()
+	cfg, err := CampaignSpec{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, Overrides: ov}.baseConfig()
 	if err != nil {
 		t.Fatal(err)
 	}

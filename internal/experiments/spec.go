@@ -28,21 +28,9 @@ type CampaignSpec struct {
 	// Kind names the campaign: a kind of the campaign table (table.go),
 	// e.g. "threshold", "repair-delay" or "fixed-vs-adaptive".
 	Kind string `json:"kind"`
-	// Scale is the population/duration preset (see BaseConfig).
-	Scale Scale `json:"scale,omitempty"`
-	// Seed is the base seed; zero means 1, matching RunCtx.
-	Seed uint64 `json:"seed,omitempty"`
-	// StrategySpec, Bandwidth, Redundancy, Shards and PhaseTimes mirror
-	// the Options fields of the same names.
-	StrategySpec string `json:"strategy,omitempty"`
-	Bandwidth    string `json:"bandwidth,omitempty"`
-	Redundancy   string `json:"redundancy,omitempty"`
-	Shards       int    `json:"shards,omitempty"`
-	PhaseTimes   bool   `json:"phase_times,omitempty"`
-	// TracePath names the churn trace file for the replay, estimator and
-	// fixed-vs-adaptive kinds. The supervisor materialises internally
-	// recorded traces to a temp file so workers replay the same churn.
-	TracePath string `json:"trace_path,omitempty"`
+	// Knobs are the run settings, as the registry's Options carry them.
+	// The JSON encoding flattens them into the spec, in this order.
+	Knobs
 	// Per-kind sweep parameters; empty slices select each campaign's
 	// defaults from the campaign table.
 	Thresholds []int     `json:"thresholds,omitempty"`
@@ -52,6 +40,50 @@ type CampaignSpec struct {
 	// Overrides optionally shrinks the base config after the scale
 	// preset, so tests and smoke jobs can supervise micro campaigns.
 	Overrides *ConfigOverrides `json:"overrides,omitempty"`
+}
+
+// Knobs are the run settings every campaign takes from its caller
+// (p2psim's flags), declared once: Options and CampaignSpec both embed
+// them. Their JSON names and order are part of every spec fingerprint.
+type Knobs struct {
+	// Scale is the population/duration preset (see BaseConfig).
+	Scale Scale `json:"scale,omitempty"`
+	// Seed is the base seed; zero means 1.
+	Seed uint64 `json:"seed,omitempty"`
+	// StrategySpec, when non-empty, overrides the base config's
+	// partner-selection strategy ("age:L=2160", "estimator:pareto",
+	// "monitored-availability:720"; see selection.Parse). Campaigns that
+	// sweep the strategy themselves (ablation-strategy, replay,
+	// ablation-estimator) override it per variant.
+	StrategySpec string `json:"strategy,omitempty"`
+	// Bandwidth, when non-empty, attaches bandwidth classes to the base
+	// config ("instant", "dsl", "mixed", "skewed", or an explicit class
+	// spec; see transfer.Parse), so any experiment can run over metered
+	// links. Campaigns that sweep the bandwidth mix themselves
+	// (transfer-baseline, flashcrowd, uplink-sweep) override it per
+	// variant.
+	Bandwidth string `json:"bandwidth,omitempty"`
+	// Redundancy, when non-empty, sets the base config's per-archive
+	// redundancy policy ("fixed", "adaptive:min=M,target=P"; see
+	// redundancy.Parse). The fixed-vs-adaptive campaign sweeps the policy
+	// itself, using this spec as its adaptive arm when it names one.
+	Redundancy string `json:"redundancy,omitempty"`
+	// Shards sets sim.Config.Shards on every variant: 0 or 1 runs each
+	// simulation on one goroutine, >= 2 runs its churn walk and
+	// maintenance plan on that many workers. Results are bit-identical
+	// at every value, so this is purely a speed knob, composing with
+	// Options.Parallelism, which runs whole variants concurrently.
+	Shards int `json:"shards,omitempty"`
+	// PhaseTimes turns on per-phase wall-time accounting in every
+	// variant's sim.Result (walk / merge / maintenance / transfer-drain
+	// / evaluation), for the CLI's -phasetimes report.
+	PhaseTimes bool `json:"phase_times,omitempty"`
+	// TracePath names a churn trace (CSV or JSONL, e.g. from
+	// cmd/tracegen) for the replay, estimator and fixed-vs-adaptive
+	// kinds; the trace defines the population size. The last two record
+	// one when it is empty; the supervisor hands workers such a recorded
+	// trace as a temp file, named here.
+	TracePath string `json:"trace_path,omitempty"`
 }
 
 // ConfigOverrides is the serializable subset of sim.Config knobs a spec
@@ -109,7 +141,7 @@ func (s CampaignSpec) baseConfig() (sim.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Seed = cmp.Or(s.Seed, 1) // zero means 1, as in RunCtx
+	cfg.Seed = cmp.Or(s.Seed, 1)
 	cfg.Shards = s.Shards
 	cfg.PhaseTimes = s.PhaseTimes
 	if s.StrategySpec != "" {
@@ -152,7 +184,7 @@ func (s CampaignSpec) Build() (Campaign, error) {
 func (s CampaignSpec) build(c *campaign, trace *churn.Trace) (Campaign, error) {
 	if c.trace && trace == nil {
 		if s.TracePath == "" {
-			return Campaign{}, fmt.Errorf("experiments: %s needs a churn trace (-trace FILE; generate one with 'tracegen gen')", c.ids[0])
+			return Campaign{}, c.needsTrace()
 		}
 		var err error
 		if trace, err = churn.ReadTraceFile(s.TracePath); err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,18 +56,18 @@ func (k failureKind) String() string {
 	return fmt.Sprintf("FailureKind(%d)", int(k))
 }
 
-// RetryPolicy bounds how a supervisor retries a failed variant:
+// retryPolicy bounds how a supervisor retries a failed variant:
 // MaxAttempts total tries, exponential backoff from BaseBackoff capped
 // at MaxBackoff, with deterministic jitter derived from the campaign
 // seed and the (variant, attempt) pair — reproducible runs, but no two
 // variants thundering back in lockstep.
-type RetryPolicy struct {
+type retryPolicy struct {
 	MaxAttempts int           // total attempts per variant (0 = 3)
 	BaseBackoff time.Duration // first retry delay (0 = 500ms)
 	MaxBackoff  time.Duration // backoff ceiling (0 = 10s)
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+func (p retryPolicy) withDefaults() retryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
 	}
@@ -83,7 +84,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // attempt (1-based): Base·2^(attempt−1), capped, then scaled by a
 // jitter factor in [1, 1.5) drawn from a stream keyed on (seed,
 // variant, attempt).
-func (p RetryPolicy) backoff(seed uint64, variant, attempt int) time.Duration {
+func (p retryPolicy) backoff(seed uint64, variant, attempt int) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
 		d *= 2
@@ -107,7 +108,10 @@ func (p RetryPolicy) backoff(seed uint64, variant, attempt int) time.Duration {
 // re-running them. Because both sides materialise variants through the
 // same constructors and the snapshot round-trips float bits exactly, a
 // supervised campaign — even one suffering injected crashes — produces
-// output byte-identical to the fault-free in-process run.
+// output byte-identical to the fault-free in-process run. The zero
+// Supervisor runs the current executable with -worker appended (the
+// p2psim arrangement) on NumCPU processes, kills a worker silent for
+// 30 s and tries each variant 3 times.
 type Supervisor struct {
 	// Procs bounds concurrent worker processes; values below 1 mean
 	// runtime.NumCPU().
@@ -115,26 +119,33 @@ type Supervisor struct {
 	// VariantTimeout kills an attempt that runs longer (0 = no limit;
 	// negative is an error).
 	VariantTimeout time.Duration
-	// HeartbeatGrace kills an attempt whose worker stops heartbeating
-	// for this long (0 = no stall watchdog). The worker heartbeats once
-	// a second, so a few seconds of grace tolerates scheduler hiccups.
-	HeartbeatGrace time.Duration
-	// Retry is the per-variant retry policy (zero fields mean 3
-	// attempts, 500ms base, 10s cap).
-	Retry RetryPolicy
-	// WorkerCmd is the worker argv; empty means the current executable
-	// with -worker appended (the p2psim arrangement). Tests point it at
-	// the test binary re-exec'd through a TestMain hook.
-	WorkerCmd []string
-	// WorkerEnv entries are appended to the inherited environment of
-	// every worker (e.g. the faultEnv injector used by tests).
-	WorkerEnv []string
 	// JournalPath, when non-empty, is the checkpoint journal: one
 	// fsynced JSON line per finished variant (status "ok" or "failed").
 	JournalPath string
 	// Resume loads JournalPath instead of truncating it, and re-runs
 	// only variants without an "ok" entry for this spec's fingerprint.
 	Resume bool
+
+	// Package tests preset these. workerCmd is the worker argv (empty:
+	// this executable with -worker); workerEnv entries are appended to
+	// each worker's environment (e.g. the faultEnv injector);
+	// heartbeatGrace kills an attempt whose worker stops heartbeating
+	// for this long (0: 30 s; the worker heartbeats once a second);
+	// retry is the per-variant retry policy (zero fields: 3 attempts,
+	// 500ms base, 10s cap).
+	workerCmd      []string
+	workerEnv      []string
+	heartbeatGrace time.Duration
+	retry          retryPolicy
+}
+
+// checkTimeout refuses a negative VariantTimeout rather than run it as
+// no limit.
+func (s *Supervisor) checkTimeout() error {
+	if s.VariantTimeout < 0 {
+		return fmt.Errorf("experiments: variant timeout %s is negative", s.VariantTimeout)
+	}
+	return nil
 }
 
 // variantFailure describes a variant that exhausted its retries.
@@ -162,8 +173,8 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.VariantTimeout < 0 {
-		return nil, fmt.Errorf("experiments: variant timeout %s is negative", s.VariantTimeout)
+	if err := s.checkTimeout(); err != nil {
+		return nil, err
 	}
 	if len(camp.Variants) == 0 {
 		return nil, fmt.Errorf("experiments: campaign %q has no variants", camp.Name)
@@ -176,7 +187,7 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 			return nil, fmt.Errorf("experiments: campaign %q variant %q: probes cannot cross the worker process boundary; run in-process", camp.Name, v.Name)
 		}
 	}
-	workerCmd := s.WorkerCmd
+	workerCmd := s.workerCmd
 	if len(workerCmd) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
@@ -184,7 +195,7 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 		}
 		workerCmd = []string{exe, "-worker"}
 	}
-	retry := s.Retry.withDefaults()
+	retry := s.retry.withDefaults()
 	procs := s.Procs
 	if procs < 1 {
 		procs = runtime.NumCPU()
@@ -204,7 +215,7 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 	}
 
 	fp := spec.Fingerprint()
-	completed := map[int]*journalEntry{}
+	completed := make([]*journalEntry, len(camp.Variants)) // by variant: resumed rows come in variant order
 	var journal *journalWriter
 	if s.JournalPath != "" {
 		if s.Resume {
@@ -236,6 +247,9 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 
 	rows := make([]*Row, len(camp.Variants))
 	for i, e := range completed {
+		if e == nil {
+			continue
+		}
 		cfg := materializeVariant(camp, i)
 		row := &Row{Index: i, Name: camp.Variants[i].Name, Config: cfg, Result: e.Result.restore(cfg)}
 		rows[i] = row
@@ -336,7 +350,7 @@ func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, 
 // attempt → classify → (success | backoff and retry | exhaust). The
 // terminal states call exactly one of onRow, onFail or fatal.
 func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, camp Campaign, i int,
-	workerCmd []string, retry RetryPolicy, journal *journalWriter, fp string, emit func(Event),
+	workerCmd []string, retry retryPolicy, journal *journalWriter, fp string, emit func(Event),
 	onRow func(*Row), onFail func(variantFailure), fatal func(error)) {
 
 	name := camp.Variants[i].Name
@@ -429,8 +443,8 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 		defer cancel()
 	}
 	cmd := exec.CommandContext(attemptCtx, workerCmd[0], workerCmd[1:]...)
-	if len(s.WorkerEnv) > 0 {
-		cmd.Env = append(os.Environ(), s.WorkerEnv...)
+	if len(s.workerEnv) > 0 {
+		cmd.Env = append(os.Environ(), s.workerEnv...)
 	}
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -449,9 +463,10 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 	// healthy-but-busy worker would be indistinguishable from a hung
 	// one. Sub-second graces (tests) shrink the requested period to
 	// match.
+	grace := cmp.Or(s.heartbeatGrace, 30*time.Second)
 	period := heartbeatPeriod
-	if s.HeartbeatGrace > 0 && s.HeartbeatGrace < 4*heartbeatPeriod {
-		period = s.HeartbeatGrace / 4
+	if grace < 4*heartbeatPeriod {
+		period = grace / 4
 		if period < 5*time.Millisecond {
 			period = 5 * time.Millisecond
 		}
@@ -464,34 +479,27 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 	}()
 
 	// Stall watchdog: any stdout line (heartbeat or result) counts as
-	// liveness; silence beyond HeartbeatGrace kills the worker.
+	// liveness; silence beyond the grace kills the worker.
 	var lastBeat atomic.Int64
 	lastBeat.Store(time.Now().UnixNano())
 	var stalled atomic.Bool
 	watchdogDone := make(chan struct{})
-	if s.HeartbeatGrace > 0 {
-		grace := s.HeartbeatGrace
-		go func() {
-			poll := grace / 4
-			if poll < time.Millisecond {
-				poll = time.Millisecond
-			}
-			t := time.NewTicker(poll)
-			defer t.Stop()
-			for {
-				select {
-				case <-watchdogDone:
+	go func() {
+		t := time.NewTicker(max(grace/4, time.Millisecond))
+		defer t.Stop()
+		for {
+			select {
+			case <-watchdogDone:
+				return
+			case <-t.C:
+				if time.Since(time.Unix(0, lastBeat.Load())) > grace {
+					stalled.Store(true)
+					_ = cmd.Process.Kill()
 					return
-				case <-t.C:
-					if time.Since(time.Unix(0, lastBeat.Load())) > grace {
-						stalled.Store(true)
-						_ = cmd.Process.Kill()
-						return
-					}
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	var snap *resultSnapshot
 	var protoErr error
@@ -523,7 +531,7 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 	case ctx.Err() != nil:
 		return nil, failTransient, ctx.Err()
 	case stalled.Load():
-		return nil, failHang, fmt.Errorf("worker stopped heartbeating for %s", s.HeartbeatGrace)
+		return nil, failHang, fmt.Errorf("worker stopped heartbeating for %s", grace)
 	case waitErr != nil:
 		var ee *exec.ExitError
 		if errors.As(waitErr, &ee) {

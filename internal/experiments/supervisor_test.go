@@ -35,8 +35,7 @@ func TestMain(m *testing.M) {
 func microSpec() CampaignSpec {
 	return CampaignSpec{
 		Kind:   "repair-delay",
-		Scale:  ScaleSmoke,
-		Seed:   3,
+		Knobs:  Knobs{Scale: ScaleSmoke, Seed: 3},
 		Delays: []int{0, 6, 12, 24},
 		Overrides: &ConfigOverrides{
 			NumPeers: 100, Rounds: 300, TotalBlocks: 16, DataBlocks: 8,
@@ -50,9 +49,9 @@ func microSpec() CampaignSpec {
 func testSupervisor(env ...string) *Supervisor {
 	return &Supervisor{
 		Procs:     2,
-		WorkerCmd: []string{os.Args[0]},
-		WorkerEnv: append([]string{testWorkerEnv + "=1"}, env...),
-		Retry:     RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
+		workerCmd: []string{os.Args[0]},
+		workerEnv: append([]string{testWorkerEnv + "=1"}, env...),
+		retry:     retryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
 	}
 }
 
@@ -139,7 +138,7 @@ func TestSupervisedChaosDeterministic(t *testing.T) {
 	// machine can take most of a second just to start. The hang fault
 	// never writes a byte, so it is detected at the grace deadline
 	// regardless of how large the margin is.
-	sup.HeartbeatGrace = 3 * time.Second
+	sup.heartbeatGrace = 3 * time.Second
 	sup.VariantTimeout = 60 * time.Second
 
 	var mu sync.Mutex
@@ -207,7 +206,7 @@ func TestSupervisedExhaustedRetries(t *testing.T) {
 
 	journal := filepath.Join(t.TempDir(), "fail.jsonl")
 	sup := testSupervisor(faultEnv + "=exit7@variant1x9")
-	sup.Retry.MaxAttempts = 2
+	sup.retry.MaxAttempts = 2
 	sup.JournalPath = journal
 
 	var mu sync.Mutex
@@ -279,7 +278,7 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 	interrupted := func(t *testing.T) string {
 		journal := filepath.Join(t.TempDir(), "resume.jsonl")
 		first := testSupervisor(faultEnv + "=exit3@variant2x9")
-		first.Retry.MaxAttempts = 1
+		first.retry.MaxAttempts = 1
 		first.JournalPath = journal
 		rows, err := first.Run(context.Background(), spec, camp, nil)
 		if err != nil {
@@ -313,7 +312,7 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 			journal := tc.journal(t)
 			// Poison all three completed variants; only variant 2 may run.
 			second := testSupervisor(faultEnv + "=panic@variant0x9|panic@variant1x9|panic@variant3x9")
-			second.Retry.MaxAttempts = 1
+			second.retry.MaxAttempts = 1
 			second.JournalPath = journal
 			second.Resume = true
 			var mu sync.Mutex
@@ -393,7 +392,7 @@ func TestSupervisedCancelThenResume(t *testing.T) {
 	sort.Strings(poison)
 
 	second := testSupervisor(faultEnv + "=" + strings.Join(poison, "|"))
-	second.Retry.MaxAttempts = 1
+	second.retry.MaxAttempts = 1
 	second.JournalPath = journal
 	second.Resume = true
 	var mu sync.Mutex
@@ -574,7 +573,7 @@ func TestWorkerMainRejectsBadInput(t *testing.T) {
 
 func TestRetryBackoffDeterministic(t *testing.T) {
 	t.Parallel()
-	p := RetryPolicy{}.withDefaults()
+	p := retryPolicy{}.withDefaults()
 	for variant := 0; variant < 3; variant++ {
 		prev := time.Duration(0)
 		for attempt := 1; attempt <= 4; attempt++ {

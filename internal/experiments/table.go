@@ -35,7 +35,7 @@ type campaign struct {
 	trace  bool
 	record *traceRecording
 	build  func(cfg sim.Config, s *CampaignSpec, trace *churn.Trace) (Campaign, error)
-	// rowMsg formats a finished row for Options.Progress; nil picks
+	// rowMsg formats a finished row's Event.Message; nil picks
 	// doneMessage under the campaign's name.
 	rowMsg func(Row) string
 	// order, when set, sorts the rows before they are reported; they
@@ -257,19 +257,35 @@ func (c *campaign) fillSweep(s *CampaignSpec) {
 
 // spec is what RunCtx runs the campaign under: opts' knobs, default sweep.
 func (c *campaign) spec(o Options) CampaignSpec {
-	s := CampaignSpec{
-		Kind:         c.kind,
-		Scale:        o.Scale,
-		Seed:         o.Seed,
-		StrategySpec: o.StrategySpec,
-		Bandwidth:    o.Bandwidth,
-		Redundancy:   o.Redundancy,
-		Shards:       o.Shards,
-		PhaseTimes:   o.PhaseTimes,
-		TracePath:    o.TracePath,
-	}
+	s := CampaignSpec{Kind: c.kind, Knobs: o.Knobs}
 	c.fillSweep(&s)
 	return s
+}
+
+// check fails where building the campaign under s would, before any
+// run: a knob that does not parse, no trace for a campaign that replays
+// one without recording it, or a trace file that does not open.
+func (c *campaign) check(s CampaignSpec) error {
+	if c.build == nil {
+		return nil
+	}
+	if c.trace && c.record == nil && s.TracePath == "" {
+		return c.needsTrace()
+	}
+	if c.trace && s.TracePath != "" {
+		f, err := os.Open(s.TracePath)
+		if err != nil {
+			return err
+		}
+		f.Close()
+	}
+	_, err := s.baseConfig()
+	return err
+}
+
+// needsTrace is the error for a trace campaign run without one.
+func (c *campaign) needsTrace() error {
+	return fmt.Errorf("experiments: %s needs a churn trace (-trace FILE; generate one with 'tracegen gen')", c.ids[0])
 }
 
 // maxRecordedTraceRounds caps an internally recorded trace: long enough
@@ -287,8 +303,9 @@ func (c *campaign) recordTrace(ctx context.Context, opts Options, spec CampaignS
 		cfg.Rounds = maxRecordedTraceRounds
 	}
 	cfg.RecordTrace = true
-	if opts.Progress != nil {
-		opts.Progress(fmt.Sprintf("recording %d-round churn trace for the replay block", cfg.Rounds))
+	if opts.Events != nil {
+		opts.Events(Event{Kind: EventProgress, Campaign: c.kind, Variant: -1,
+			Message: fmt.Sprintf("recording %d-round churn trace for the replay block", cfg.Rounds)})
 	}
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -301,8 +318,9 @@ func (c *campaign) recordTrace(ctx context.Context, opts Options, spec CampaignS
 	return res.Trace, nil
 }
 
-// run executes the campaign under spec, in-process or supervised as opts
-// says, and reports it: data files under opts.OutDir, the summary back.
+// run executes the campaign under spec, in-process or under
+// opts.Supervisor, and reports it: data files under opts.OutDir, the
+// summary back.
 func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]Summary, error) {
 	var name string
 	var rows []Row
@@ -313,7 +331,7 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 			if trace, err = c.recordTrace(ctx, opts, spec); err != nil {
 				return nil, err
 			}
-			if opts.supervised() {
+			if opts.Supervisor != nil {
 				// Workers rebuild the campaign from the spec: hand them
 				// the recorded churn as a file.
 				path, cleanup, err := materializeTraceFile(trace, c.record.prefix)
@@ -329,15 +347,29 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 			return nil, err
 		}
 		// A one-run campaign reports progress by round heartbeats, the
-		// others by a message per finished row.
-		r, msg := Runner{Parallelism: opts.Parallelism}, c.rowMsg
-		switch {
+		// others by the text of each finished row.
+		r, sink := Runner{Parallelism: opts.Parallelism}, opts.Events
+		switch msg := c.rowMsg; {
+		case sink == nil:
 		case len(camp.Variants) == 1:
-			r.RoundEvents, msg = opts.Progress != nil || opts.Events != nil, nil
-		case msg == nil:
-			msg = doneMessage(camp.Name)
+			r.RoundEvents = true
+		default:
+			if msg == nil {
+				msg = doneMessage(camp.Name)
+			}
+			sink = func(ev Event) {
+				if ev.Kind == EventRow {
+					ev.Message = msg(*ev.Row)
+				}
+				opts.Events(ev)
+			}
 		}
-		if rows, err = opts.collect(ctx, r, camp, spec, opts.sink(msg)); err != nil {
+		if opts.Supervisor != nil { // workers rebuild the campaign from spec
+			rows, err = opts.Supervisor.Run(ctx, spec, camp, sink)
+		} else {
+			rows, err = collectRows(ctx, r, camp, sink)
+		}
+		if err != nil {
 			return nil, err
 		}
 		name = camp.Name

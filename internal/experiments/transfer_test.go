@@ -120,7 +120,7 @@ func TestRegistryHasTransferExperiments(t *testing.T) {
 // TestOptionsBandwidthValidatesEagerly: a bad -bandwidth spec fails
 // before any simulation runs.
 func TestOptionsBandwidthValidatesEagerly(t *testing.T) {
-	if _, err := RunCtx(context.Background(), "fig1", Options{Bandwidth: "bogus:spec"}); err == nil {
+	if _, err := RunCtx(context.Background(), "fig1", Options{Knobs: Knobs{Bandwidth: "bogus:spec"}}); err == nil {
 		t.Fatal("bad bandwidth spec accepted")
 	}
 }

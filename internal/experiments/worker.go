@@ -204,6 +204,26 @@ func injectFault(spec string, variant, attempt int) error {
 	return nil
 }
 
+// readRequest decodes one request from in and builds the campaign its
+// spec describes, refusing a variant the campaign does not have: all a
+// worker does before it runs anything. FuzzWorkerRequest holds it to
+// that on arbitrary input.
+func readRequest(in io.Reader) (workerRequest, Campaign, error) {
+	var req workerRequest
+	if err := json.NewDecoder(in).Decode(&req); err != nil {
+		return req, Campaign{}, fmt.Errorf("bad request: %v", err)
+	}
+	camp, err := req.Spec.Build()
+	if err != nil {
+		return req, Campaign{}, err
+	}
+	if req.Variant < 0 || req.Variant >= len(camp.Variants) {
+		return req, Campaign{}, fmt.Errorf("variant %d out of range (campaign %q has %d)",
+			req.Variant, camp.Name, len(camp.Variants))
+	}
+	return req, camp, nil
+}
+
 // WorkerMain implements the worker side of the supervisor protocol:
 // decode one request from in, rebuild the campaign from its spec, run
 // the requested variant, stream heartbeats and the final result
@@ -212,23 +232,12 @@ func injectFault(spec string, variant, attempt int) error {
 // stack on errw), 1 for anything else. `p2psim -worker` and the test
 // binaries' TestMain hooks are the two callers.
 func WorkerMain(in io.Reader, out, errw io.Writer) int {
-	var req workerRequest
-	if err := json.NewDecoder(in).Decode(&req); err != nil {
-		fmt.Fprintf(errw, "worker: bad request: %v\n", err)
-		return 1
+	req, camp, err := readRequest(in)
+	if err == nil {
+		err = injectFault(os.Getenv(faultEnv), req.Variant, req.Attempt)
 	}
-	if err := injectFault(os.Getenv(faultEnv), req.Variant, req.Attempt); err != nil {
-		fmt.Fprintf(errw, "worker: %v\n", err)
-		return 1
-	}
-	camp, err := req.Spec.Build()
 	if err != nil {
 		fmt.Fprintf(errw, "worker: %v\n", err)
-		return 1
-	}
-	if req.Variant < 0 || req.Variant >= len(camp.Variants) {
-		fmt.Fprintf(errw, "worker: variant %d out of range (campaign %q has %d)\n",
-			req.Variant, camp.Name, len(camp.Variants))
 		return 1
 	}
 

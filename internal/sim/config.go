@@ -185,6 +185,11 @@ func (c Config) Validate() (Config, error) {
 	if c.Avail == nil {
 		c.Avail = churn.DefaultSessionModel()
 	}
+	if v, ok := c.Avail.(interface{ Validate() error }); ok {
+		if err := v.Validate(); err != nil {
+			return c, fmt.Errorf("sim: %w", err)
+		}
+	}
 	if c.policy == nil {
 		pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
 		if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,24 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestConfigValidatesAvailabilityModel: a diurnal amplitude outside
+// [0,1] (found by FuzzWorkerRequest, from a worker request's diurnal
+// sweep) is refused by Validate, not run with every swing clamped.
+func TestConfigValidatesAvailabilityModel(t *testing.T) {
+	for _, amp := range []float64{-1, 5, math.NaN()} {
+		cfg := smallConfig()
+		cfg.Avail = churn.DefaultDiurnalModel(amp)
+		if _, err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "diurnal amplitude") {
+			t.Errorf("amplitude %v: error %v, want one naming the diurnal amplitude", amp, err)
+		}
+	}
+	cfg := smallConfig()
+	cfg.Avail = churn.DefaultDiurnalModel(0.9)
+	if _, err := cfg.Validate(); err != nil {
+		t.Errorf("amplitude 0.9: %v", err)
 	}
 }
 

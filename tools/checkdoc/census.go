@@ -24,9 +24,9 @@ import (
 // pkg.Name through an import; syntax only, so a local that shadows a
 // package name can hide a dead identifier, never invent one). Nested
 // modules (bench/) count as referrers but are not listed. A second
-// section lists the knobs: the exported fields of every exported struct
-// type named *Config, *Options or *Params. A third lists what no binary
-// links: see unlinked. CI diffs the output against SURFACE.txt: a change
+// section lists the knobs: the settable values of every exported struct
+// type named *Config, *Options or *Params, and of Supervisor (see
+// structKnobs). A third lists what no binary links: see unlinked. CI diffs the output against SURFACE.txt: a change
 // that adds surface or a knob, or strands code, says so.
 func census(w io.Writer) error {
 	gomod, err := os.ReadFile("go.mod")
@@ -37,7 +37,7 @@ func census(w io.Writer) error {
 	exported := map[string][]string{}          // import path -> exported names
 	used := map[string]bool{}                  // "import path.Name" referenced from another package
 	funcs := map[string][]string{}             // import path -> functions and methods, as the linker names them
-	knobs := map[string][]string{}             // "import path.Type" -> exported fields, in declaration order
+	structs := map[string]*ast.StructType{}    // "import path.Type" -> every struct type declared
 	nested := "\x00"                           // directory prefix of the nested module being walked
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -72,7 +72,7 @@ func census(w io.Writer) error {
 					exported[self] = append(exported[self], id.Name)
 				}
 			})
-			collectKnobs(file, self, knobs)
+			collectStructs(file, self, structs)
 		}
 		imports := map[string]string{} // local name -> import path
 		for _, imp := range file.Imports {
@@ -112,47 +112,107 @@ func census(w io.Writer) error {
 		}
 	}
 	fmt.Fprintf(w, "total\texported %d\tunreferenced outside %d\n", total, dead)
-	fmt.Fprintln(w, "knobs: exported fields of exported *Config, *Options and *Params structs")
-	for _, typ := range slices.Sorted(maps.Keys(knobs)) {
-		fmt.Fprintf(w, "%s\tfields %d\n", typ, len(knobs[typ]))
-		for _, field := range knobs[typ] {
-			fmt.Fprintf(w, "\t%s\n", field)
+	fmt.Fprintln(w, "knobs: settable values of exported *Config, *Options and *Params structs and of Supervisor")
+	for _, typ := range slices.Sorted(maps.Keys(structs)) {
+		if name := path.Ext(typ)[1:]; token.IsExported(name) && knobType.MatchString(name) {
+			fields := structKnobs(structs, typ, map[string]bool{typ: true})
+			fmt.Fprintf(w, "%s\tfields %d\n", typ, leaves(fields))
+			printKnobs(w, fields, "\t")
 		}
 	}
 	return unlinked(w, funcs)
 }
 
 // knobType matches the names of the struct types whose fields are knobs.
-var knobType = regexp.MustCompile(`(Config|Options|Params)$`)
+var knobType = regexp.MustCompile(`(Config|Options|Params)$|^Supervisor$`)
 
-// collectKnobs records, under "pkg.Type", the exported fields of each
-// exported struct type in file whose name ends in Config, Options or
-// Params.
-func collectKnobs(file *ast.File, pkg string, knobs map[string][]string) {
+// collectStructs records, under "pkg.Type", every struct type in file.
+func collectStructs(file *ast.File, pkg string, structs map[string]*ast.StructType) {
 	for _, decl := range file.Decls {
-		gen, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range gen.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok || !ts.Name.IsExported() || !knobType.MatchString(ts.Name.Name) {
-				continue
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				continue
-			}
-			fields := []string{}
-			for _, f := range st.Fields.List {
-				for _, n := range f.Names {
-					if n.IsExported() {
-						fields = append(fields, n.Name)
+		if gen, ok := decl.(*ast.GenDecl); ok {
+			for _, spec := range gen.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						structs[pkg+"."+ts.Name.Name] = st
 					}
 				}
 			}
-			knobs[pkg+"."+ts.Name.Name] = fields
 		}
+	}
+}
+
+// field is one settable value of a knob struct; sub lists the values of
+// a field whose type is a struct declared in the same package.
+type field struct {
+	name string
+	sub  []field
+}
+
+// structKnobs lists the exported fields of the struct typ ("pkg.Type"),
+// in declaration order: an embedded struct of the same package by its
+// promoted fields, a field whose type is such a struct, or a pointer to
+// one, with that struct's fields as its sub. seen stops a type that
+// contains itself.
+func structKnobs(structs map[string]*ast.StructType, typ string, seen map[string]bool) []field {
+	pkg := strings.TrimSuffix(typ, path.Ext(typ))
+	var out []field
+	for _, f := range structs[typ].Fields.List {
+		t := f.Type
+		if star, ok := t.(*ast.StarExpr); ok {
+			t = star.X
+		}
+		var inner string // the same-package struct the field holds, if any
+		if id, ok := t.(*ast.Ident); ok && structs[pkg+"."+id.Name] != nil && !seen[pkg+"."+id.Name] {
+			inner = pkg + "." + id.Name
+		}
+		var sub []field
+		if inner != "" {
+			seen[inner] = true
+			sub = structKnobs(structs, inner, seen)
+			delete(seen, inner)
+		}
+		if len(f.Names) == 0 { // embedded: its name is its type's
+			switch t := t.(type) {
+			case *ast.Ident:
+				if inner != "" {
+					out = append(out, sub...)
+				} else if t.IsExported() {
+					out = append(out, field{name: t.Name})
+				}
+			case *ast.SelectorExpr:
+				if t.Sel.IsExported() {
+					out = append(out, field{name: t.Sel.Name})
+				}
+			}
+			continue
+		}
+		for _, n := range f.Names {
+			if n.IsExported() {
+				out = append(out, field{name: n.Name, sub: sub})
+			}
+		}
+	}
+	return out
+}
+
+// leaves counts the settable values: a field with a sub counts its sub's.
+func leaves(fields []field) int {
+	n := 0
+	for _, f := range fields {
+		if len(f.sub) == 0 {
+			n++
+		} else {
+			n += leaves(f.sub)
+		}
+	}
+	return n
+}
+
+// printKnobs writes a line per field, its sub indented under it.
+func printKnobs(w io.Writer, fields []field, indent string) {
+	for _, f := range fields {
+		fmt.Fprintf(w, "%s%s\n", indent, f.name)
+		printKnobs(w, f.sub, indent+"\t")
 	}
 }
 
