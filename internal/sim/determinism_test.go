@@ -148,7 +148,11 @@ type goldenScenario struct {
 
 // goldenScenarios returns the matrix: iid, diurnal and correlated-shock
 // churn (the three every degenerate-mode test re-runs), then metered
-// links and adaptive redundancy.
+// links and adaptive redundancy, then the two negotiation modes the
+// paper's policy at digestConfig's horizon does not reach: a policy that
+// accepts everyone, and the age policy at a horizon of six rounds, where
+// most pairs sit at one end of the acceptance function's clamp or the
+// other.
 func goldenScenarios(t *testing.T) []goldenScenario {
 	t.Helper()
 	shockCfg := digestConfig()
@@ -169,6 +173,10 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 	adaptBwCfg := digestConfig()
 	adaptBwCfg.Bandwidth = bw
 	adaptBwCfg.RedundancySpec = "adaptive:target=0.95,eval=12"
+	randomCfg := digestConfig()
+	randomCfg.StrategySpec = "random"
+	clampCfg := digestConfig()
+	clampCfg.StrategySpec = "age:L=6"
 	return []goldenScenario{
 		{"iid", digestConfig(), 0x0cd3b098d706981b},
 		{"diurnal", diurnalCfg, 0xb577f128494f18f4},
@@ -176,6 +184,8 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		{"bandwidth", bwCfg, 0x81538f462da41cd2},
 		{"adaptive", adaptCfg, 0xd04a5b0e4306a059},
 		{"adaptive-bandwidth", adaptBwCfg, 0x533495d926d49707},
+		{"accept-all", randomCfg, 0xd317264d0fcde83b},
+		{"age-clamped", clampCfg, 0x503fb937276284c8},
 	}
 }
 
