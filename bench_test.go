@@ -892,23 +892,31 @@ func BenchmarkMaintainerStep(b *testing.B) {
 	}
 }
 
-// poolBenchEnv is a maintenance.Env over n candidate slots with the
-// given ages (nil: all equally old, so every online non-partner is an
-// acceptable candidate and acceptance draws nothing).
+// poolBenchEnv is a maintenance.Env at round 0 over n candidate slots
+// that joined at the given rounds, each the negative of an age.
 type poolBenchEnv struct {
-	n    int
-	ages []int64
+	n     int
+	joins []int64
 }
 
-func (e poolBenchEnv) Age(id overlay.PeerID) int64 {
-	if e.ages == nil {
-		return 10000
+// newPoolBenchEnv returns the Env over n slots with the given ages (nil:
+// all equally old, so every online non-partner is an acceptable
+// candidate and acceptance draws nothing).
+func newPoolBenchEnv(n int, ages []int64) poolBenchEnv {
+	e := poolBenchEnv{n: n, joins: make([]int64, n)}
+	for i := range e.joins {
+		e.joins[i] = -10000
+		if ages != nil {
+			e.joins[i] = -ages[i]
+		}
 	}
-	return e.ages[id]
+	return e
 }
+
 func (e poolBenchEnv) View(id overlay.PeerID) selection.View {
-	return selection.View{Observed: selection.Observed{Age: e.Age(id)}}
+	return selection.View{Observed: selection.Observed{Age: -e.joins[id]}}
 }
+func (e poolBenchEnv) Joins() []int64  { return e.joins }
 func (e poolBenchEnv) Population() int { return e.n }
 func (e poolBenchEnv) Round() int64    { return 0 }
 
@@ -980,7 +988,7 @@ func BenchmarkRefreshPool(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m := maintenance.New(params, led, overlay.NewTable(peers), viewsOnly{age}, poolBenchEnv{n: peers})
+			m := maintenance.New(params, led, overlay.NewTable(peers), viewsOnly{age}, newPoolBenchEnv(peers, nil))
 			r := rng.New(9)
 			// Upload onto the hosts alone, then take the archive below k
 			// and let the candidates in.
@@ -1021,13 +1029,14 @@ func BenchmarkRefreshPool(b *testing.B) {
 						b.Fatal(err)
 					}
 					const owner = 0
-					env := poolBenchEnv{n: slots, ages: make([]int64, slots)}
+					ages := make([]int64, slots)
 					xfer := poolBenchXfer{reserved: make([]int32, slots)}
-					for i := range env.ages {
-						env.ages[i] = int64(i * 37 % 5000)
+					for i := range ages {
+						ages[i] = int64(i * 37 % 5000)
 						xfer.reserved[i] = int32(i % 4)
 					}
-					env.ages[owner] = 1080 // L/2: it refuses the young, the old refuse it
+					ages[owner] = 1080 // L/2: it refuses the young, the old refuse it
+					env := newPoolBenchEnv(slots, ages)
 					led := overlay.NewLedger(slots, 384)
 					m := maintenance.New(params, led, overlay.NewTable(slots), pol, env)
 					r := rng.New(9)

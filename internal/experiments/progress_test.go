@@ -46,7 +46,9 @@ func progressLog() (func(Event), *[]string) {
 // appended (the skip count, three variants served from the journal,
 // then the one that runs). One in-process worker keeps rows in variant
 // order. The parent emitted the resumed rows in map order; they come in
-// variant order now, the same set.
+// variant order now, the same set. The focal run cut to 240 rounds under
+// a supervisor prints TestRunFocal's in-process heartbeats, from its
+// worker's (the parent printed none there).
 func TestProgressTextPinned(t *testing.T) {
 	micro := microSpec().Overrides
 	raw, err := os.ReadFile("testdata/journal_parent.jsonl")
@@ -95,6 +97,7 @@ func TestProgressTextPinned(t *testing.T) {
 			`repair-delay "delay=24h" done: 0 repairs, 137 losses`,
 			`repair-delay "delay=12h" done: 0 repairs, 26 losses`,
 		}},
+		{"fig3", testSupervisor(), func(s *CampaignSpec) { s.Overrides = &ConfigOverrides{Rounds: 240} }, focalProgress},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			events, msgs := progressLog()

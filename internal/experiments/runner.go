@@ -93,6 +93,21 @@ type Runner struct {
 	RoundEvents bool
 }
 
+// reportsRounds reports whether a campaign tells its progress in round
+// heartbeats (Runner.RoundEvents in-process; the supervisor forwards its
+// workers' rounds the same way): a one-run campaign has no rows to tell
+// it by.
+func reportsRounds(c Campaign) bool { return len(c.Variants) == 1 }
+
+// roundStep is how many rounds a round heartbeat reports at a time: a
+// tenth of the run.
+func roundStep(rounds int64) int64 { return max(rounds/10, 1) }
+
+// roundMessage is a round heartbeat's text.
+func roundMessage(variant string, round, rounds int64) string {
+	return fmt.Sprintf("%s: round %d/%d", variant, round, rounds)
+}
+
 // roundProbe calls fn with the number of rounds completed at the end of
 // every round that makes it a multiple of every.
 type roundProbe struct {
@@ -290,13 +305,13 @@ func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<-
 	}
 	if r.RoundEvents {
 		rounds := cfg.Rounds
-		cfg.Probes = append(slices.Clip(cfg.Probes), roundProbe{every: max(rounds/10, 1), fn: func(round int64) {
+		cfg.Probes = append(slices.Clip(cfg.Probes), roundProbe{every: roundStep(rounds), fn: func(round int64) {
 			events <- Event{
 				Kind:     EventProgress,
 				Campaign: c.Name,
 				Variant:  i,
 				Name:     v.Name,
-				Message:  fmt.Sprintf("%s: round %d/%d", v.Name, round, rounds),
+				Message:  roundMessage(v.Name, round, rounds),
 			}
 		}})
 	}

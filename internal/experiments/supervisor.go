@@ -164,6 +164,9 @@ type variantFailure struct {
 // registry passes both so the parent does not rebuild traces the spec
 // already materialised to disk.
 //
+// A one-run campaign (reportsRounds) gets the round heartbeats an
+// in-process run prints, from its worker's heartbeats.
+//
 // Failed-variant handling is graceful degradation: each exhausted
 // variant is journaled, surfaced as EventFailed and summarised in a
 // final EventProgress; Run errors only when the context is cancelled,
@@ -356,13 +359,24 @@ func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, ca
 	name := camp.Variants[i].Name
 	var lastErr error
 	lastClass := failTransient
+	var onRound func(done int64)
+	if reportsRounds(camp) {
+		rounds := materializeVariant(camp, i).Rounds
+		onRound = (&roundReporter{rounds: rounds, step: roundStep(rounds), emit: func(round int64) {
+			emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: i, Name: name,
+				Message: roundMessage(name, round, rounds)})
+		}}).reach
+	}
 	for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			return
 		}
 		cfg := materializeVariant(camp, i)
-		snap, class, err := s.runAttempt(ctx, spec, cfg, i, attempt, workerCmd)
+		snap, class, err := s.runAttempt(ctx, spec, cfg, i, attempt, workerCmd, onRound)
 		if err == nil {
+			if onRound != nil {
+				onRound(cfg.Rounds) // the rounds since the last heartbeat
+			}
 			row := &Row{Index: i, Name: name, Config: cfg, Result: snap.restore(cfg)}
 			if journal != nil {
 				entry := journalEntry{V: 1, Campaign: camp.Name, Fingerprint: fp, Variant: i,
@@ -387,8 +401,8 @@ func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, ca
 		if attempt < retry.MaxAttempts {
 			pause := retry.backoff(spec.Seed, i, attempt)
 			emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: i, Name: name,
-				Message: fmt.Sprintf("%s: attempt %d/%d failed (%s): %v; retrying in %s",
-					name, attempt, retry.MaxAttempts, class, err, pause.Round(time.Millisecond))})
+				Message: fmt.Sprintf("%s: attempt %d/%d failed (%s): %s; retrying in %s",
+					name, attempt, retry.MaxAttempts, class, firstLine(err), pause.Round(time.Millisecond))})
 			select {
 			case <-time.After(pause):
 			case <-ctx.Done():
@@ -409,8 +423,25 @@ func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, ca
 	}
 	onFail(variantFailure{Variant: i, Name: name, Class: lastClass, Attempts: retry.MaxAttempts, Err: lastErr})
 	emit(Event{Kind: EventFailed, Campaign: camp.Name, Variant: i, Name: name,
-		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %v", name, lastClass, retry.MaxAttempts, lastErr),
+		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %s", name, lastClass, retry.MaxAttempts, firstLine(lastErr)),
 		Err:     fmt.Errorf("experiments: %s %q: %s after %d attempts: %w", camp.Name, name, lastClass, retry.MaxAttempts, lastErr)})
+}
+
+// roundReporter turns the round counts of a worker's heartbeats into
+// the round heartbeats an in-process run of the variant reports
+// (roundProbe): each multiple of step up to rounds once and in order,
+// however far apart the counts come, and once across retries.
+type roundReporter struct {
+	rounds, step, reported int64
+	emit                   func(round int64)
+}
+
+// reach reports the multiples of step up to done rounds not yet reported.
+func (r *roundReporter) reach(done int64) {
+	for next := r.reported + r.step; next <= min(done, r.rounds); next += r.step {
+		r.emit(next)
+		r.reported = next
+	}
 }
 
 // errSpawn marks a worker that could not even be started — an
@@ -419,7 +450,9 @@ func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, ca
 var errSpawn = errors.New("experiments: worker spawn failed")
 
 // stderrTail keeps failure messages readable: panics print whole
-// stacks, but classification only needs the head.
+// stacks, but classification only needs the head. What it keeps may
+// span lines; the attempt's error and the journal carry all of it, a
+// progress line only its first (firstLine).
 func stderrTail(buf *bytes.Buffer) string {
 	s := strings.TrimSpace(buf.String())
 	if len(s) > 800 {
@@ -431,11 +464,23 @@ func stderrTail(buf *bytes.Buffer) string {
 	return s
 }
 
+// firstLine is err's message up to its first line break, marked as cut
+// when there is more: a progress line stays one line when a worker's
+// stderr (a panic's stack) is part of the error.
+func firstLine(err error) string {
+	msg, rest, cut := strings.Cut(err.Error(), "\n")
+	if cut && strings.TrimSpace(rest) != "" {
+		msg += " ..."
+	}
+	return msg
+}
+
 // runAttempt runs one worker process for (variant, attempt) and
 // classifies the outcome. A nil error means snap is the variant's
 // result, complete for cfg, the variant's config; otherwise the
-// failureKind says what killed the attempt.
-func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.Config, variant, attempt int, workerCmd []string) (*resultSnapshot, failureKind, error) {
+// failureKind says what killed the attempt. onRound, when set, is told
+// the round count of every heartbeat.
+func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.Config, variant, attempt int, workerCmd []string, onRound func(int64)) (*resultSnapshot, failureKind, error) {
 	attemptCtx := ctx
 	if s.VariantTimeout > 0 {
 		var cancel context.CancelFunc
@@ -512,8 +557,11 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 			protoErr = fmt.Errorf("undecodable worker line: %v", err)
 			continue
 		}
-		if m.Type == "result" {
+		switch {
+		case m.Type == "result":
 			snap = m.Result
+		case m.Type == "heartbeat" && onRound != nil:
+			onRound(m.Round)
 		}
 	}
 	if err := sc.Err(); err != nil && protoErr == nil {

@@ -266,6 +266,77 @@ func TestSupervisedExhaustedRetries(t *testing.T) {
 // written before the collector dropped its per-profile totals, per-day
 // repair series and shock-victim count: entries carrying those keys
 // are still served.
+// TestSupervisedPanicIsOneProgressLine: a worker panic's stderr — the
+// panic value, then a goroutine stack — stays whole in the attempt's
+// error, and the progress line of the failed attempt, like the
+// permanent failure's message, is its first line.
+func TestSupervisedPanicIsOneProgressLine(t *testing.T) {
+	t.Parallel()
+	spec := microSpec()
+	camp, err := spec.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	sup := testSupervisor(faultEnv + "=panic@variant0x9")
+	sup.retry.MaxAttempts = 2
+
+	var mu sync.Mutex
+	var retried, failed []Event
+	if _, err := sup.Run(context.Background(), spec, camp, func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case ev.Kind == EventFailed:
+			failed = append(failed, ev)
+		case ev.Kind == EventProgress && strings.Contains(ev.Message, "retrying"):
+			retried = append(retried, ev)
+		}
+	}); err != nil {
+		t.Fatalf("run with a panicking variant: %v", err)
+	}
+	if len(retried) != 1 || len(failed) != 1 {
+		t.Fatalf("%d retry lines and %d failures, want one each", len(retried), len(failed))
+	}
+	for _, msg := range []string{retried[0].Message, failed[0].Message} {
+		if strings.Contains(msg, "\n") || !strings.Contains(msg, "(panic)") || !strings.Contains(msg, "worker panicked: panic: ") {
+			t.Errorf("progress line %q: want one line naming the panic", msg)
+		}
+	}
+	if full := failed[0].Err.Error(); !strings.Contains(full, "\ngoroutine ") {
+		t.Errorf("the failure's error lost the worker's stack:\n%s", full)
+	}
+}
+
+// TestRoundReporterMatchesRoundProbe: whatever round counts a worker's
+// heartbeats carry — none, sparse, repeated, past the end, restarting at
+// zero on a retry — followed by the run's last round, the reporter
+// reports the rounds the in-process round probe fires at, in order.
+func TestRoundReporterMatchesRoundProbe(t *testing.T) {
+	for _, rounds := range []int64{1, 7, 9, 10, 240, 245, 1000} {
+		var want []int64
+		probe := roundProbe{every: roundStep(rounds), fn: func(done int64) { want = append(want, done) }}
+		for r := int64(0); r < rounds; r++ {
+			probe.OnRoundEnd(sim.RoundEndEvent{Round: r})
+		}
+		for _, beats := range [][]int64{
+			nil,
+			{0, rounds / 3, rounds / 3, rounds/2 + 1},
+			{rounds / 2, 0, rounds / 4, rounds + 50},
+			{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},
+		} {
+			var got []int64
+			rep := roundReporter{rounds: rounds, step: roundStep(rounds), emit: func(r int64) { got = append(got, r) }}
+			for _, b := range beats {
+				rep.reach(b)
+			}
+			rep.reach(rounds)
+			if !slices.Equal(got, want) {
+				t.Errorf("rounds %d, heartbeats %v: reported %v, the round probe %v", rounds, beats, got, want)
+			}
+		}
+	}
+}
+
 func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 	t.Parallel()
 	spec := microSpec()

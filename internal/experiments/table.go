@@ -351,7 +351,7 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 		r, sink := Runner{Parallelism: opts.Parallelism}, opts.Events
 		switch msg := c.rowMsg; {
 		case sink == nil:
-		case len(camp.Variants) == 1:
+		case reportsRounds(camp):
 			r.RoundEvents = true
 		default:
 			if msg == nil {

@@ -35,12 +35,14 @@
 //
 // Candidate gathering (refreshPool) is where a run spends most of its
 // time, so its sampling loop is flat: it draws from Env.Population
-// itself, screens a candidate on the ledger's and the step's arrays
-// alone (online, quota left, not a partner, not pooled), negotiates on
-// two ages when the policy declares that enough (selection.AgeAccepter;
-// through selection.AgreeCtx on Views otherwise) and builds a View only
-// to score a candidate it has accepted. The loop it replaced lives on
-// in oracle_test.go as the reference it must match draw for draw.
+// itself with the rng's state held in registers, screens a candidate in
+// one test over the ledger's and the step's arrays (online, quota left,
+// not the owner, not a partner, not pooled), negotiates on two entries
+// of the policy's age table when it has one (selection.AcceptTable, over
+// the ages Env.Joins gives; through selection.AgreeCtx on Views
+// otherwise) and builds a View only to score a candidate it has
+// accepted. The loop it replaced lives on in oracle_test.go as the
+// reference it must match draw for draw.
 //
 // Memory: per-slot state is a few dozen bytes (peerState). The
 // candidate pool — up to n accepted partners waiting for a block — is
@@ -66,6 +68,7 @@ package maintenance
 
 import (
 	"fmt"
+	"math"
 
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
@@ -173,16 +176,18 @@ type StepResult struct {
 
 // Env supplies the Maintainer with information owned by the simulation
 // engine: what the selection policy may know about a peer, who can be
-// drawn as a candidate, and the current round. View and Age are called
+// drawn as a candidate, and the current round. View and Joins are called
 // from concurrent PlanSteps and must not write shared state.
 type Env interface {
 	// View describes a peer for the selection policy, split into
 	// observable and oracle knowledge.
 	View(id overlay.PeerID) selection.View
-	// Age returns View(id).Observed.Age: all that a policy with
-	// age-keyed acceptance (selection.AgeAccepter) reads of a candidate
-	// before it is accepted.
-	Age(id overlay.PeerID) int64
+	// Joins returns the round each candidate's current occupant joined,
+	// indexed by slot over [0, Population()): candidate c's age is
+	// Round() − Joins()[c], which is View(c).Observed.Age. It is all
+	// that a policy with an age table (selection.AcceptTable) reads of a
+	// candidate before it is accepted. The Maintainer only reads it.
+	Joins() []int64
 	// Population returns how many slots can be drawn as candidates:
 	// refreshPool samples uniformly from [0, Population()).
 	Population() int
@@ -295,11 +300,11 @@ type Maintainer struct {
 	xfer   Transfers  // nil: the historical instant-placement path
 	rd     Redundancy // nil: fixed per-run redundancy (the paper)
 
-	// How refreshPool negotiates, resolved from the policy's capabilities
-	// once: acceptsAll skips acceptance, a non-nil byAge evaluates it on
-	// two ages, anything else goes through selection.AgreeCtx on Views.
-	acceptsAll bool
-	byAge      selection.AgeAccepter
+	// accept is the policy's acceptance over two ages
+	// (selection.AcceptTable), resolved once: refreshPool negotiates on
+	// two of its entries, and through selection.AgreeCtx on Views when
+	// it is nil.
+	accept []float64
 
 	// Mark epochs: refreshPool stamps the acting owner's current
 	// partners into a per-slot epoch array, turning the former O(owner
@@ -350,8 +355,7 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		own:    Workspace{SolePlanner: true, marks: newMarkSet(led.NumPeers())},
 		pools:  poolCache{limit: max(minFreePools, led.NumPeers()/256)},
 	}
-	m.acceptsAll = selection.AcceptsAll(pol)
-	m.byAge, _ = pol.(selection.AgeAccepter)
+	m.accept = selection.AcceptTable(pol)
 	for i := range m.peers {
 		m.peers[i].armed = true
 	}
@@ -689,6 +693,7 @@ func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.Peer
 func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace) {
 	marks := &ws.marks
 	marks.open()
+	marks.setPartner(id)
 	ws.hostBuf = m.led.Hosts(id, ws.hostBuf[:0])
 	for _, h := range ws.hostBuf {
 		marks.setPartner(h)
@@ -729,61 +734,102 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 		p.pool = m.pools.grow(p.pool, min(want, m.params.TotalBlocks))
 	}
 
-	// The candidate loop is the hottest code of a campaign and most of
-	// what it draws is turned away by the draw-free screen (offline, out
-	// of quota, already taken), so the screen reads three arrays and
-	// nothing else; only what passes it is negotiated, and only what is
-	// accepted is looked at as a View, to be scored.
-	ctx := selection.Context{Round: m.env.Round()}
-	population := m.env.Population()
-	reserving := m.xfer != nil && !p.unmetered
-	var ownerAge int64
-	var ownerView selection.View
-	switch {
-	case m.acceptsAll:
-	case m.byAge != nil:
-		ownerAge = m.env.Age(id)
-	default:
-		ownerView = m.env.View(id)
+	// The candidate loop is the hottest code of a campaign, and most of
+	// what it draws is turned away by the draw-free screen (the owner
+	// itself, marked a partner above; offline; out of quota; already
+	// taken). Which draw passes is as good as random, so the screen
+	// reads its three arrays without a branch and branches once on what
+	// they say together, the owner's mode folded into its data (an
+	// unmetered owner's quota limit is MaxInt32). The rng's state stays
+	// in registers for the length of the loop. What passes is
+	// negotiated, on two entries of the age table or through AgreeCtx;
+	// only what is accepted is looked at as a View, to be scored.
+	round := m.env.Round()
+	ctx := selection.Context{Round: round}
+	ownerView := m.env.View(id)
+	// Every array the loop indexes by candidate is cut to the population,
+	// so one bounds test covers them all.
+	n := m.env.Population()
+	joins := m.env.Joins()[:n]
+	online, metered, limit := m.led.Screen()
+	online, metered = online[:n], metered[:n]
+	if p.unmetered {
+		limit = math.MaxInt32
 	}
-	for tries := 0; tries < m.params.PoolSamplePerRound && len(p.pool) < m.params.TotalBlocks; tries++ {
-		c := overlay.PeerID(r.Intn(population))
-		if c == id {
-			continue
+	reserving := m.xfer != nil && !p.unmetered
+	taken := markSet{epoch: marks.epoch, mark: marks.mark[:n]}
+	tab := m.accept
+	L := int64(len(tab) / 2)
+	ownerAge := min(max(ownerView.Observed.Age, 0), L)
+	draws, full := m.params.PoolSamplePerRound, m.params.TotalBlocks
+	pool := p.pool
+	st := r.State()
+	thresh := -uint64(n) % uint64(n) // Intn's, for Uint64nThresh
+	for len(pool) < full {
+		// Draw until a candidate passes the screen or the budget is
+		// spent. Nothing in here calls out, so what it keeps stays in
+		// registers.
+		c := overlay.NoPeer
+		for draws > 0 {
+			draws--
+			var draw uint64
+			draw, st = st.Uint64nThresh(uint64(n), thresh)
+			// One block per partner per archive, and none on the owner.
+			if d := overlay.PeerID(draw); bit(online[d])&bit(metered[d] < limit)&bit(!taken.taken(d)) != 0 {
+				c = d
+				break
+			}
 		}
-		// Cannot negotiate with an offline peer, nor (metered) with one
-		// that has no room: its ledger quota, net of what in-flight
-		// uploads have reserved.
-		if p.unmetered {
-			if !m.led.Online(c) {
+		if c == overlay.NoPeer {
+			break
+		}
+		if reserving && m.freeQuota(c) < 1 {
+			continue // its free quota is promised to uploads in flight
+		}
+		// Both sides must accept: selection.AgreeCtx, or the two entries
+		// of the table that stand for it. Its entries are positive, so
+		// where one is below 1, rng.Bool would draw a Float64 and compare.
+		if tab == nil {
+			r.SetState(st)
+			agreed := selection.AgreeCtx(r, m.pol, ctx, ownerView, m.env.View(c))
+			st = r.State()
+			if !agreed {
 				continue
 			}
-		} else if !m.led.CanHost(c) || reserving && m.freeQuota(c) < 1 {
-			continue
-		}
-		if marks.taken(c) {
-			continue // already pooled, or a partner: one block per partner per archive
-		}
-		// Both sides must accept: selection.AgreeCtx, on the two ages
-		// when that is all the policy reads.
-		switch {
-		case m.acceptsAll:
-		case m.byAge != nil:
-			candAge := m.env.Age(c)
-			if pr := m.byAge.AcceptProbByAge(ownerAge, candAge); pr < 1 && !r.Bool(pr) {
-				continue
+		} else {
+			var age int64 // what every age clamps to when L is 0
+			if L > 0 {
+				// An accept-all table needs no age; joins is 8 B a slot
+				// read at random, a cache miss at the paper's scale.
+				age = min(max(round-joins[c], 0), L)
 			}
-			if pr := m.byAge.AcceptProbByAge(candAge, ownerAge); pr < 1 && !r.Bool(pr) {
-				continue
+			var u float64
+			if pr := tab[L+ownerAge-age]; pr < 1 {
+				if u, st = st.Float64(); u >= pr {
+					continue
+				}
 			}
-		default:
-			if !selection.AgreeCtx(r, m.pol, ctx, ownerView, m.env.View(c)) {
-				continue
+			if pr := tab[L+age-ownerAge]; pr < 1 {
+				if u, st = st.Float64(); u >= pr {
+					continue
+				}
 			}
 		}
 		marks.setPooled(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, ws.SolePlanner)})
+		pool = append(pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, ws.SolePlanner)})
 	}
+	r.SetState(st)
+	p.pool = pool
+}
+
+// bit is b as 0 or 1. The candidate screen ANDs three of them and
+// branches once: a branch per test, each as likely to go either way,
+// is mispredicted more often than not.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // takeBestPlaceable removes and returns the highest-scored pool entry

@@ -14,13 +14,24 @@ type fakeEnv struct {
 	ages  []int64
 	n     int
 	round int64
+	joins []int64
 }
 
 func (f *fakeEnv) View(id overlay.PeerID) selection.View {
 	return selection.View{Observed: selection.Observed{Age: f.ages[id]}}
 }
 
-func (f *fakeEnv) Age(id overlay.PeerID) int64 { return f.ages[id] }
+func (f *fakeEnv) Joins() []int64 { return joinsOf(f.ages[:f.n], f.round, &f.joins) }
+
+// joinsOf turns the candidates' ages at round into the join rounds
+// Env.Joins reports, in buf.
+func joinsOf(ages []int64, round int64, buf *[]int64) []int64 {
+	*buf = (*buf)[:0]
+	for _, a := range ages {
+		*buf = append(*buf, round-a)
+	}
+	return *buf
+}
 
 func (f *fakeEnv) Population() int { return f.n }
 

@@ -112,6 +112,7 @@ type worldEnv struct {
 	death []int64
 	n     int
 	round int64
+	joins []int64
 }
 
 func (e *worldEnv) View(id overlay.PeerID) selection.View {
@@ -120,9 +121,9 @@ func (e *worldEnv) View(id overlay.PeerID) selection.View {
 		Oracle:   selection.Oracle{Availability: e.avail[id], Remaining: e.death[id] - e.round},
 	}
 }
-func (e *worldEnv) Age(id overlay.PeerID) int64 { return e.ages[id] }
-func (e *worldEnv) Population() int             { return e.n }
-func (e *worldEnv) Round() int64                { return e.round }
+func (e *worldEnv) Joins() []int64  { return joinsOf(e.ages[:e.n], e.round, &e.joins) }
+func (e *worldEnv) Population() int { return e.n }
+func (e *worldEnv) Round() int64    { return e.round }
 
 func (e *worldEnv) record(id overlay.PeerID, online bool) {
 	if err := e.hist[id].RecordTransition(e.round, online); err != nil {
@@ -377,7 +378,7 @@ func twin(pol selection.Policy) selection.Policy {
 // interface promotes Name, AcceptProb and Score and nothing else, so a
 // Maintainer takes the policy at its most general — AgreeCtx on Views,
 // every call evaluated. Around the paper's policy it is the one
-// age-accepting policy that does not offer AgeAccepter.
+// age-accepting policy without an age table (selection.AcceptTable).
 type viewsOnly struct{ selection.Policy }
 
 // oraclePolicies lists what the oracles negotiate with: every registered
@@ -526,9 +527,10 @@ type poolOracle struct {
 	inner *worldEnv
 	refs  map[overlay.PeerID]*refPool
 
+	byViews   bool // the policy has no age table: the Maintainer negotiates on Views
 	owner     overlay.PeerID
 	refreshed bool             // the step in flight has refreshed its pool
-	expectRng [4]uint64        // where the replaced code leaves the rng: as the step found it, then after each refresh
+	expectRng rng.State        // where the replaced code leaves the rng: as the step found it, then after each refresh
 	letIn     []overlay.PeerID // candidates the map lets through, until the Maintainer looks at them
 	looked    overlay.PeerID   // the last of them it looked at
 
@@ -542,10 +544,7 @@ func (o *poolOracle) View(id overlay.PeerID) selection.View {
 	return o.inner.View(id)
 }
 
-func (o *poolOracle) Age(id overlay.PeerID) int64 {
-	o.look(id)
-	return o.inner.Age(id)
-}
+func (o *poolOracle) Joins() []int64 { return o.inner.Joins() }
 
 func (o *poolOracle) Population() int {
 	o.refresh()
@@ -554,11 +553,12 @@ func (o *poolOracle) Population() int {
 
 // look holds the Maintainer to the candidates the map lets through. A
 // candidate it accepts is looked at once more, to be scored. Under a
-// policy that accepts everyone nobody needs looking at to be pooled, and
-// the pools say whether the right candidates were.
+// policy with an age table (one that accepts everyone among them) nobody
+// needs looking at to be pooled, and the pools and the rng say whether
+// the right candidates were.
 func (o *poolOracle) look(id overlay.PeerID) {
 	switch {
-	case id == o.owner || selection.AcceptsAll(o.w.m.pol):
+	case id == o.owner || !o.byViews:
 	case len(o.letIn) > 0 && o.letIn[0] == id:
 		o.letIn, o.looked = o.letIn[1:], id
 	case id != o.looked:
@@ -578,7 +578,7 @@ func (s sampling) SampleCandidate(r *rng.Rand) overlay.PeerID {
 }
 
 func (s sampling) View(id overlay.PeerID) selection.View {
-	if id != s.o.owner && !selection.AcceptsAll(s.o.w.m.pol) {
+	if id != s.o.owner && s.o.byViews {
 		s.o.letIn = append(s.o.letIn, id)
 	}
 	return s.o.inner.View(id)
@@ -757,7 +757,7 @@ func runPoolOracle(t *testing.T, seed uint64, pol selection.Policy, planned, tra
 		},
 		planned: planned, transfers: transfers,
 	}
-	o := &poolOracle{t: t, refs: map[overlay.PeerID]*refPool{}}
+	o := &poolOracle{t: t, refs: map[overlay.PeerID]*refPool{}, byViews: selection.AcceptTable(pol) == nil}
 	o.w = newChurnWorld(spec, pol, func(e *worldEnv) Env {
 		o.inner = e
 		return o

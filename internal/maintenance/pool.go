@@ -28,8 +28,11 @@ func (s *markSet) isPartner(id overlay.PeerID) bool { return s.mark[id] == s.epo
 func (s *markSet) setPooled(id overlay.PeerID)      { s.mark[id] = s.epoch | 1 }
 
 // taken reports whether the slot is a partner or already pooled: either
-// way it cannot be pooled (again).
-func (s *markSet) taken(id overlay.PeerID) bool { return s.mark[id]|1 == s.epoch|1 }
+// way it cannot be pooled (again). It reads the set by value: the
+// candidate loop asks it of a copy held in registers, which still sees
+// every mark written through the original, since the two share the array
+// and marks are not written under a new epoch inside the loop.
+func (s markSet) taken(id overlay.PeerID) bool { return s.mark[id]|1 == s.epoch|1 }
 
 // minFreePools is the floor of poolCache.limit for small populations.
 const minFreePools = 16

@@ -254,11 +254,10 @@ func (l *Ledger) noteAliveDec(owner PeerID) {
 // NumPeers returns the number of peer slots.
 func (l *Ledger) NumPeers() int { return len(l.fwd) }
 
-// valid is the read side's bounds test. The per-candidate queries
-// (Online, CanHost, FreeQuota, Visible, Alive) answer false or zero for
-// an id outside the ledger through it instead of through check, whose
-// error construction would keep them from inlining into the sampling
-// loop.
+// valid is the read side's bounds test. The per-peer queries (Online,
+// FreeQuota, Visible, Alive) answer false or zero for an id outside the
+// ledger through it instead of through check, whose error construction
+// would keep them from inlining into their callers' loops.
 func (l *Ledger) valid(id PeerID) bool { return uint(id) < uint(len(l.fwd)) }
 
 func (l *Ledger) check(id PeerID) error {
@@ -429,12 +428,14 @@ func (l *Ledger) SetOnline(host PeerID, online bool) {
 // Online reports a host's session state.
 func (l *Ledger) Online(host PeerID) bool { return l.valid(host) && l.online[host] }
 
-// CanHost reports whether the host could be handed a metered block right
-// now: it is online and has free quota (Online && FreeQuota >= 1). It is
-// the draw-free screen of the maintenance candidate loop, which asks it
-// of every peer it draws.
-func (l *Ledger) CanHost(host PeerID) bool {
-	return l.valid(host) && l.online[host] && l.metered[host] < l.quota
+// Screen returns what the maintenance candidate loop asks of every peer
+// it draws, as the ledger's own per-host arrays: each host's session
+// state and metered block count, and the quota. Host h could be handed
+// a metered block right now iff online[h] && metered[h] < quota (Online
+// && FreeQuota >= 1). Both slices hold NumPeers entries, are never
+// reallocated and change as the ledger does; a caller only reads them.
+func (l *Ledger) Screen() (online []bool, metered []int32, quota int32) {
+	return l.online, l.metered, l.quota
 }
 
 // RemoveHost deletes every block the host stores (its disk vanished):

@@ -17,8 +17,18 @@ import "math/bits"
 
 // Rand is a xoshiro256++ generator. The zero value is invalid; use New.
 type Rand struct {
-	s [4]uint64
+	s State
 }
+
+// State is a generator's whole state, by value. Its methods return the
+// state they advanced to instead of updating a receiver: a hot loop
+// that takes a Rand's State into a local, draws from it and puts it
+// back with SetState keeps the four words in registers for the length
+// of the loop, where each *Rand method loads and stores them through
+// memory. It is the same generator, not a copy of it: every *Rand draw
+// is its State counterpart applied to r's state, so the two can be
+// interleaved freely and give one sequence.
+type State struct{ s0, s1, s2, s3 uint64 }
 
 // New returns a generator seeded by expanding seed with splitmix64.
 // Any seed value, including zero, is valid.
@@ -33,13 +43,15 @@ func New(seed uint64) *Rand {
 // large arrays (one stream per simulation slot): seeding a million
 // streams must not allocate a million temporaries.
 func (r *Rand) Reseed(seed uint64) {
+	s := &r.s
 	sm := seed
-	for i := range r.s {
-		sm, r.s[i] = splitmix64(sm)
-	}
+	sm, s.s0 = splitmix64(sm)
+	sm, s.s1 = splitmix64(sm)
+	sm, s.s2 = splitmix64(sm)
+	_, s.s3 = splitmix64(sm)
 	// xoshiro must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9E3779B97F4A7C15
+	if s.s0|s.s1|s.s2|s.s3 == 0 {
+		s.s0 = 0x9E3779B97F4A7C15
 	}
 }
 
@@ -74,16 +86,9 @@ func Derive(seed, index uint64) uint64 {
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[0]+s[3], 23) + s[0]
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	v, s := r.s.Uint64()
+	r.s = s
+	return v
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -97,37 +102,24 @@ func (r *Rand) Intn(n int) int {
 
 // Uint64n returns a uniform uint64 in [0, n). It panics if n == 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Uint64n with zero n")
-	}
-	// Lemire's method: multiply a random 64-bit value by n and take the
-	// high word, rejecting the small biased region.
-	v := r.Uint64()
-	hi, lo := bits.Mul64(v, n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = bits.Mul64(v, n)
-		}
-	}
-	return hi
+	v, s := r.s.Uint64n(n)
+	r.s = s
+	return v
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	v, s := r.s.Float64()
+	r.s = s
+	return v
 }
 
-// Bool returns true with probability p. p <= 0 never, p >= 1 always.
+// Bool returns true with probability p. p <= 0 never, p >= 1 always;
+// neither draws.
 func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+	v, s := r.s.Bool(p)
+	r.s = s
+	return v
 }
 
 // Perm returns a random permutation of [0, n).
@@ -148,5 +140,78 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// State returns the current internal state, for checkpointing.
-func (r *Rand) State() [4]uint64 { return r.s }
+// State returns the generator's current state: for checkpointing, and
+// for a loop that draws from a local State (see State).
+func (r *Rand) State() State { return r.s }
+
+// SetState puts the generator in state s, as State returned it: the
+// next draw from r is the one s would make next.
+func (r *Rand) SetState(s State) { r.s = s }
+
+// Uint64 is Rand.Uint64 on s: the next 64 random bits, and the state
+// after them. It is xoshiro256++'s one definition in this package,
+// its update written as the state it yields (s2 ^= s0; s3 ^= s1;
+// s1 ^= s2; s0 ^= s3; s2 ^= s1<<17; s3 = rotl(s3, 45), solved for the
+// new words) so that it costs the inliner little.
+func (s State) Uint64() (uint64, State) {
+	return bits.RotateLeft64(s.s0+s.s3, 23) + s.s0, State{
+		s.s0 ^ s.s1 ^ s.s3,
+		s.s0 ^ s.s1 ^ s.s2,
+		s.s0 ^ s.s2 ^ s.s1<<17,
+		bits.RotateLeft64(s.s1^s.s3, 45),
+	}
+}
+
+// Uint64n is Rand.Uint64n on s. It panics if n == 0.
+//
+// Lemire's method: multiply a random 64-bit value by n and take the
+// high word, rejecting the small biased region below -n % n, which
+// lies below n: only a product below n pays for the modulo.
+func (s State) Uint64n(n uint64) (uint64, State) {
+	if n == 0 {
+		panic("rng: Uint64n with zero n")
+	}
+	for {
+		var v uint64
+		v, s = s.Uint64()
+		hi, lo := bits.Mul64(v, n)
+		if lo >= n || lo >= -n%n {
+			return hi, s
+		}
+	}
+}
+
+// Uint64nThresh is Uint64n(n) with Lemire's rejection threshold
+// -n % n worked out by the caller: given that thresh, it makes the same
+// draws and returns the same value. Uint64n only divides when a first
+// product lands below n; a loop drawing many values below one n can pay
+// for the division once, outside, and this method inlines into it. n
+// must be positive.
+func (s State) Uint64nThresh(n, thresh uint64) (uint64, State) {
+	for {
+		var v uint64
+		v, s = s.Uint64()
+		if hi, lo := bits.Mul64(v, n); lo >= thresh {
+			return hi, s
+		}
+	}
+}
+
+// Float64 is Rand.Float64 on s.
+func (s State) Float64() (float64, State) {
+	v, s := s.Uint64()
+	return float64(v>>11) / (1 << 53), s
+}
+
+// Bool is Rand.Bool on s: p <= 0 never and p >= 1 always, without a
+// draw.
+func (s State) Bool(p float64) (bool, State) {
+	if p <= 0 {
+		return false, s
+	}
+	if p >= 1 {
+		return true, s
+	}
+	v, s := s.Float64()
+	return v < p, s
+}

@@ -39,7 +39,7 @@ func TestZeroSeedValid(t *testing.T) {
 func TestXoshiroReferenceVectors(t *testing.T) {
 	// Reference: xoshiro256++ from a known state. With state
 	// {1, 2, 3, 4} the first output is rotl(1+4, 23) + 1 = 5<<23 + 1.
-	r := &Rand{s: [4]uint64{1, 2, 3, 4}}
+	r := &Rand{s: State{1, 2, 3, 4}}
 	want := uint64(5<<23) + 1
 	if got := r.Uint64(); got != want {
 		t.Fatalf("first output from state {1,2,3,4} = %d, want %d", got, want)
@@ -277,5 +277,69 @@ func TestDeriveIndependentOfChild(t *testing.T) {
 		if child.Uint64() == derived.Uint64() {
 			t.Fatal("Derive(seed, 0) stream aliases New(New(seed).Uint64())")
 		}
+	}
+}
+
+// TestStateIsTheGenerator: a State taken from a Rand draws what the
+// Rand would, method for method, and a Rand set to that State goes on
+// from where the State stopped.
+func TestStateIsTheGenerator(t *testing.T) {
+	r, ref := New(99), New(99)
+	for i := 0; i < 1000; i++ {
+		s := r.State()
+		var u uint64
+		var f float64
+		var b bool
+		switch i % 4 {
+		case 0:
+			u, s = s.Uint64()
+			if want := ref.Uint64(); u != want {
+				t.Fatalf("draw %d: State.Uint64 %d, Rand.Uint64 %d", i, u, want)
+			}
+		case 1:
+			u, s = s.Uint64n(uint64(i + 1))
+			if want := ref.Uint64n(uint64(i + 1)); u != want {
+				t.Fatalf("draw %d: State.Uint64n %d, Rand.Uint64n %d", i, u, want)
+			}
+		case 2:
+			f, s = s.Float64()
+			if want := ref.Float64(); f != want {
+				t.Fatalf("draw %d: State.Float64 %v, Rand.Float64 %v", i, f, want)
+			}
+		case 3:
+			p := float64(i%7) / 6 // 0 and 1 among them: no draw
+			b, s = s.Bool(p)
+			if want := ref.Bool(p); b != want {
+				t.Fatalf("draw %d: State.Bool(%v) %v, Rand.Bool %v", i, p, b, want)
+			}
+		}
+		r.SetState(s)
+		if r.State() != ref.State() {
+			t.Fatalf("draw %d: states diverged", i)
+		}
+	}
+}
+
+// TestUint64nThreshIsUint64n: with the threshold -n % n, Uint64nThresh
+// makes Uint64n's draws and returns its value, at bounds where Lemire's
+// rejection is rare and where it rejects nearly half of all draws.
+func TestUint64nThreshIsUint64n(t *testing.T) {
+	rejected := 0
+	for _, n := range []uint64{1, 2, 3, 600, 25000, 1<<31 - 1, 1<<63 + 1, 1<<64 - 3} {
+		r := New(n)
+		for i := 0; i < 2000; i++ {
+			s := r.State()
+			got, next := s.Uint64nThresh(n, -n%n)
+			want := r.Uint64n(n)
+			if got != want || next != r.State() {
+				t.Fatalf("n=%d draw %d: Uint64nThresh %d, Uint64n %d (same state after: %v)", n, i, got, want, next == r.State())
+			}
+			if _, once := s.Uint64(); once != next {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no draw was ever rejected: the test cannot tell the two apart")
 	}
 }

@@ -54,19 +54,19 @@ func FuzzParse(f *testing.F) {
 			!strings.Contains(err.Error(), "horizon") {
 			t.Fatalf("ParseWith(%q) diverged from Parse: %v", spec, err)
 		}
-		// A policy that declares age-keyed acceptance computes it from
-		// the two ages alone, whatever else the Views carry. The ages
-		// come from the spec's own bytes, so a fuzzed horizon meets ages
-		// on both sides of it.
-		if byAge, ok := pol.(AgeAccepter); ok {
+		// A policy with an age table computes its acceptance from the two
+		// ages alone, whatever else the Views carry, and the table holds
+		// it. The ages come from the spec's own bytes, so a fuzzed horizon
+		// meets ages on both sides of it.
+		if tab := AcceptTable(pol); tab != nil {
 			var a, b int64
 			for i := 0; i < len(spec); i++ {
 				a, b = b*31+int64(spec[i])-'5', a
 			}
 			va := View{Observed: Observed{Age: a}, Oracle: Oracle{Availability: 0.5, Remaining: b}}
 			vb := View{Observed: Observed{Age: b}, Oracle: Oracle{Remaining: a}}
-			if got, want := pol.AcceptProb(Context{Round: a ^ b}, va, vb), byAge.AcceptProbByAge(a, b); got != want {
-				t.Fatalf("%q: AcceptProb(ages %d, %d) = %v, AcceptProbByAge %v", spec, a, b, got, want)
+			if got, want := pol.AcceptProb(Context{Round: a ^ b}, va, vb), tableProb(tab, a, b); got != want {
+				t.Fatalf("%q: AcceptProb(ages %d, %d) = %v, its age table %v", spec, a, b, got, want)
 			}
 		}
 	})

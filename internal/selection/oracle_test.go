@@ -81,7 +81,7 @@ func buildHistoryGrids(t *testing.T, window int64) []historyGrid {
 // or returns "" when none does.
 func historyMismatch(pol Policy, grids []historyGrid) string {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	byAge, hasByAge := pol.(AgeAccepter)
+	tab := AcceptTable(pol)
 	for _, g := range grids {
 		ctx := Context{Round: g.round}
 		var bare, kept []View
@@ -109,9 +109,9 @@ func historyMismatch(pol Policy, grids []historyGrid) string {
 							g.round, bare[i].Observed.Age, bare[j].Observed.Age, want, got)
 					}
 				}
-				if hasByAge {
-					if got := byAge.AcceptProbByAge(bare[i].Observed.Age, bare[j].Observed.Age); !same(want, got) {
-						return fmt.Sprintf("round %d, ages %d, %d: AcceptProb %v with histories, AcceptProbByAge %v",
+				if tab != nil {
+					if got := tableProb(tab, bare[i].Observed.Age, bare[j].Observed.Age); !same(want, got) {
+						return fmt.Sprintf("round %d, ages %d, %d: AcceptProb %v with histories, its age table %v",
 							g.round, bare[i].Observed.Age, bare[j].Observed.Age, want, got)
 					}
 				}

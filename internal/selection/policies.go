@@ -31,11 +31,9 @@ func (a agePolicy) AcceptProb(_ Context, acceptor, requester View) float64 {
 	return AcceptanceFunction(acceptor.Observed.Age, requester.Observed.Age, a.L)
 }
 
-// AcceptProbByAge implements AgeAccepter: the acceptance function reads
-// only the two ages.
-func (a agePolicy) AcceptProbByAge(acceptor, requester int64) float64 {
-	return AcceptanceFunction(acceptor, requester, a.L)
-}
+// AcceptHorizon declares the acceptance age-keyed (AcceptTable): the
+// acceptance function with horizon L, of the two ages alone.
+func (a agePolicy) AcceptHorizon() int64 { return a.L }
 
 // PureScore declares Score a pure function of (Context, View).
 func (a agePolicy) PureScore() bool { return true }

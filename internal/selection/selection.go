@@ -26,18 +26,20 @@
 //
 // A Policy may declare what a caller is allowed to assume about it,
 // through optional methods: AlwaysAccepts (acceptance is constantly
-// one: AcceptsAll), PureScore (Score may be memoised: HasPureScore),
+// one), PureScore (Score may be memoised: HasPureScore),
 // IgnoresHistory (neither Score nor AcceptProb reads Observed.History,
-// so a caller need not record one: ReadsHistory) and AgeAccepter
-// (AcceptProb reads the two observed ages and nothing else, and can be
-// evaluated from them). A policy declaring none is taken at its most
-// general: AgreeCtx on Views, every call evaluated, histories kept.
+// so a caller need not record one: ReadsHistory) and AcceptHorizon
+// (AcceptProb is AcceptanceFunction of the two observed ages and reads
+// nothing else). A policy with either of the first or the last has its
+// acceptance as a table over two ages (AcceptTable). A policy declaring
+// none is taken at its most general: AgreeCtx on Views, every call
+// evaluated, histories kept.
 //
 // Paper mapping:
 //
 //	§3.2 acceptance function f(p1,p2)   AcceptanceFunction
 //	§3.2 rank by age, capped at L       the "age" spec (agePolicy; its
-//	                                    acceptance is age-keyed: AgeAccepter)
+//	                                    acceptance is age-keyed: AcceptTable)
 //	§4.1 baseline comparisons           "random", the oracles,
 //	                                    "youngest-first" specs
 //	§2.1 lifetime estimation            "estimator:*" specs ranking by

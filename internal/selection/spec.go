@@ -35,6 +35,11 @@ var ErrBadSpec = errors.New("selection: bad strategy spec")
 // paper's 90 days in rounds.
 const defaultHorizon int64 = 90 * 24
 
+// maxHorizon bounds the age policy's horizon: about 120 years of hourly
+// rounds. Its acceptance is negotiated from a table of 2L+1 entries
+// (AcceptTable), 16 MiB at the bound.
+const maxHorizon int64 = 1 << 20
+
 // Defaults supplies context-dependent fallbacks for parameters a spec
 // omits.
 type Defaults struct {
@@ -120,6 +125,9 @@ var table = []spec.Entry[Defaults, Policy]{
 		l := p.Int64Primary("L", d.horizon())
 		if l <= 0 {
 			return nil, fmt.Errorf("%w: age: horizon L=%d must be positive", ErrBadSpec, l)
+		}
+		if l > maxHorizon {
+			return nil, fmt.Errorf("%w: age: horizon L=%d exceeds %d rounds", ErrBadSpec, l, maxHorizon)
 		}
 		return agePolicy{L: l}, nil
 	}},

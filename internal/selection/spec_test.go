@@ -75,6 +75,7 @@ func TestParseRejectsBadParameters(t *testing.T) {
 		"age:L=xyz",                // non-integer
 		"age:L=0",                  // out of range
 		"age:L=-4",                 // out of range
+		"age:L=1048577",            // past the horizon bound: a table of 2L+1 entries
 		"random:L=5",               // parameterless strategy given a key
 		"random:5",                 // ... or a positional value
 		"lifetime-oracle:L=5",      // misplaced horizon

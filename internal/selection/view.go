@@ -100,9 +100,9 @@ type Policy interface {
 // evaluation entirely.
 type alwaysAccepter interface{ AlwaysAccepts() bool }
 
-// AcceptsAll reports whether a policy declares (via an
+// acceptsAll reports whether a policy declares (via an
 // `AlwaysAccepts() bool` method) that it accepts every partnership.
-func AcceptsAll(p Policy) bool {
+func acceptsAll(p Policy) bool {
 	aa, ok := p.(alwaysAccepter)
 	return ok && aa.AlwaysAccepts()
 }
@@ -140,29 +140,53 @@ func ReadsHistory(p Policy) bool {
 	return !ok || !hb.IgnoresHistory()
 }
 
-// AgeAccepter is the optional capability a Policy implements to declare
-// that its AcceptProb reads nothing but the two observed ages — not the
-// Context, not a History, not the Oracle — by offering the same function
-// on the ages alone:
+// ageKeyed is the optional capability a Policy implements to declare
+// that its AcceptProb is AcceptanceFunction of the two observed ages
+// with horizon AcceptHorizon(), and reads nothing else: not the
+// Context, not a History, not the Oracle.
+type ageKeyed interface{ AcceptHorizon() int64 }
+
+// AcceptTable returns a policy's acceptance as a table over two ages,
+// when two ages are all it reads. The table has 2L+1 entries, L =
+// (len − 1) / 2, and with clamp(a) = min(max(a, 0), L) its entry
 //
-//	AcceptProbByAge(a.Observed.Age, r.Observed.Age) == AcceptProb(ctx, a, r)
+//	L + clamp(acceptor.Observed.Age) − clamp(requester.Observed.Age)
 //
-// bit for bit, for every ctx and every a, r. A caller negotiating many
-// candidates (maintenance's sampling loop) then asks its environment for
-// an age per candidate instead of building two Views per negotiated
-// pair. AgreeCtx does not use it: it stays the reference definition of
-// an agreement.
-type AgeAccepter interface {
-	AcceptProbByAge(acceptor, requester int64) float64
+// is AcceptProb(ctx, acceptor, requester) bit for bit, for every ctx
+// and whatever else the Views carry. That is exact for the paper's
+// function, which after clamping depends on the difference alone.
+//
+// A policy that declares a horizon (an `AcceptHorizon() int64` method)
+// gets that function's table at it; one that accepts everyone
+// (AlwaysAccepts) the one-entry table {1}, where every age clamps to 0;
+// any other policy none (nil), and a caller negotiates with it through
+// AgreeCtx on Views. A caller negotiating many candidates
+// (maintenance's sampling loop) reads two entries per pair instead of
+// building two Views and calling the policy twice. AgreeCtx does not
+// use it: it stays the reference definition of an agreement.
+func AcceptTable(p Policy) []float64 {
+	if acceptsAll(p) {
+		return []float64{1}
+	}
+	ak, ok := p.(ageKeyed)
+	if !ok {
+		return nil
+	}
+	L := ak.AcceptHorizon()
+	tab := make([]float64, 2*L+1)
+	for d := -L; d <= L; d++ {
+		tab[L+d] = AcceptanceFunction(max(d, 0), max(-d, 0), L)
+	}
+	return tab
 }
 
 // AgreeCtx draws both directions of a partnership under a Policy: the
 // owner must accept the candidate and the candidate must accept the
 // owner. Acceptance probabilities of exactly one are short-circuited
 // without consuming randomness (rng.Bool already guarantees that), and
-// always-accept policies (AcceptsAll) skip the evaluation entirely.
+// always-accept policies (AlwaysAccepts) skip the evaluation entirely.
 func AgreeCtx(r *rng.Rand, p Policy, ctx Context, owner, candidate View) bool {
-	if AcceptsAll(p) {
+	if acceptsAll(p) {
 		return true
 	}
 	if pr := p.AcceptProb(ctx, owner, candidate); pr < 1 && !r.Bool(pr) {

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -82,15 +83,15 @@ func TestAcceptsAllMarkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !AcceptsAll(pol) {
-			t.Errorf("%s must declare AcceptsAll", spec)
+		if !acceptsAll(pol) {
+			t.Errorf("%s must declare AlwaysAccepts", spec)
 		}
 	}
 	age, err := Parse("age")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AcceptsAll(age) {
+	if acceptsAll(age) {
 		t.Fatal("the age strategy is not always-accept")
 	}
 }
@@ -228,10 +229,44 @@ func (h loudHistory) ObservedSince() (int64, bool) {
 	return 0, true
 }
 
+// tableProb reads an AcceptTable the way its documentation says to:
+// the entry L + clamp(acceptor) − clamp(requester).
+func tableProb(tab []float64, acceptor, requester int64) float64 {
+	L := int64(len(tab) / 2)
+	return tab[L+min(max(acceptor, 0), L)-min(max(requester, 0), L)]
+}
+
+// TestAcceptTableIsTheFunction: at every horizon the engine's tables
+// come in — the least, the smallest even one, digestConfig's and the
+// paper's — every entry the table gives for ages in [−3, L+3]² is
+// AcceptanceFunction's value, bit for bit.
+func TestAcceptTableIsTheFunction(t *testing.T) {
+	for _, L := range []int64{1, 2, 72, 2160} {
+		pol, err := Parse(fmt.Sprintf("age:L=%d", L))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := AcceptTable(pol)
+		if int64(len(tab)) != 2*L+1 {
+			t.Fatalf("L=%d: table of %d entries, want %d", L, len(tab), 2*L+1)
+		}
+		for a := int64(-3); a <= L+3; a++ {
+			for b := int64(-3); b <= L+3; b++ {
+				got, want := tableProb(tab, a, b), AcceptanceFunction(a, b, L)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("L=%d, ages %d, %d: table %v, AcceptanceFunction %v", L, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestAgeAccepterMatchesAcceptProb holds every registered policy that
-// declares age-keyed acceptance to its word: AcceptProbByAge on two ages
-// is AcceptProb on any two Views carrying those ages, bit for bit,
-// whatever the round and whatever History and Oracle the Views hold.
+// declares its acceptance a function of two ages to its word: the entry
+// its AcceptTable gives for two ages is AcceptProb on any two Views
+// carrying those ages, bit for bit, whatever the round and whatever
+// History and Oracle the Views hold. The policies that accept everyone
+// have the one-entry table; the paper's has the function's.
 func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
 	ages := []int64{-1 << 40, -5, -1, 0, 1, 2, 23, 24, 25, 47, 48, 49, 1000, 2159, 2160, 2161, 1 << 40}
 	dressings := []func(age int64) View{
@@ -243,29 +278,32 @@ func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
 			return View{Observed: Observed{Age: age, History: monitor.NewIntervalHistory(10)}, Oracle: Oracle{Availability: 1, Remaining: -age}}
 		},
 	}
-	declared := 0
+	declared, keyed := 0, 0
 	for _, spec := range append(Names(), "age:L=24", "age:L=1") {
 		for _, d := range []Defaults{{}, {Horizon: 48}} {
 			pol, err := ParseWith(spec, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			byAge, ok := pol.(AgeAccepter)
-			if !ok {
+			tab := AcceptTable(pol)
+			if tab == nil {
 				continue
 			}
 			declared++
-			if AcceptsAll(pol) {
-				t.Errorf("%s declares both constant and age-keyed acceptance", pol.Name())
+			if _, ok := pol.(ageKeyed); ok {
+				keyed++
+				if acceptsAll(pol) {
+					t.Errorf("%s declares both constant and age-keyed acceptance", pol.Name())
+				}
 			}
 			for _, a := range ages {
 				for _, b := range ages {
-					want := byAge.AcceptProbByAge(a, b)
+					want := tableProb(tab, a, b)
 					for i, da := range dressings {
 						db := dressings[(i+1)%len(dressings)]
 						for _, round := range []int64{0, 12345} {
 							if got := pol.AcceptProb(Context{Round: round}, da(a), db(b)); got != want {
-								t.Fatalf("%s: AcceptProb(ages %d, %d) = %v at round %d, AcceptProbByAge %v",
+								t.Fatalf("%s: AcceptProb(ages %d, %d) = %v at round %d, its age table %v",
 									pol.Name(), a, b, got, round, want)
 							}
 						}
@@ -274,7 +312,7 @@ func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
 			}
 		}
 	}
-	if declared == 0 {
-		t.Fatal("no registered policy declares age-keyed acceptance: the paper's does")
+	if keyed == 0 || declared == keyed {
+		t.Fatalf("%d policies have an age table, %d of them age-keyed: the paper's must be, and the accept-all ones have one too", declared, keyed)
 	}
 }

@@ -77,8 +77,8 @@
 // peers pool it, invalidated on occupant replacement and session flips. It holds no
 // randomness and changes no results. A slot's selection.View is not
 // cached — building one is two loads and a subtraction, and the
-// candidate loop asks for an age (simEnv.Age) far more often than for a
-// view. ARCHITECTURE.md's "Hot path & caching" section has the full
+// candidate loop reads an age (from simEnv.Joins) far more often than it
+// asks for a view. ARCHITECTURE.md's "Hot path & caching" section has the full
 // inventory.
 package sim
 
@@ -464,14 +464,10 @@ func (e *simEnv) View(id overlay.PeerID) selection.View {
 	}
 }
 
-// Age implements maintenance.Env: View(id).Observed.Age and nothing else.
-func (e *simEnv) Age(id overlay.PeerID) int64 {
-	s := (*Simulation)(e)
-	if int(id) >= s.cfg.NumPeers {
-		return s.obsSpecs[int(id)-s.cfg.NumPeers].Age
-	}
-	return s.round - s.joins[id]
-}
+// Joins implements maintenance.Env: the candidates' join rounds, which
+// the engine keeps for the population's slots (observers are never
+// candidates).
+func (e *simEnv) Joins() []int64 { return (*Simulation)(e).joins }
 
 // Round implements maintenance.Env.
 func (e *simEnv) Round() int64 { return (*Simulation)(e).round }

@@ -518,8 +518,8 @@ func TestMonitoredHistoriesTrackSessions(t *testing.T) {
 		if v.Observed.History == nil {
 			t.Fatalf("peer %d has no monitoring history", id)
 		}
-		if age := env.Age(overlay.PeerID(id)); age != v.Observed.Age {
-			t.Fatalf("peer %d: env.Age = %d, its view's age %d", id, age, v.Observed.Age)
+		if age := env.Round() - env.Joins()[id]; age != v.Observed.Age {
+			t.Fatalf("peer %d: age from env.Joins = %d, its view's age %d", id, age, v.Observed.Age)
 		}
 		up, ok := v.Observed.Uptime(s.round, cfg.AcceptHorizon)
 		if !ok {
@@ -552,8 +552,11 @@ func TestMonitoredHistoriesTrackSessions(t *testing.T) {
 	if up, ok := ov.Observed.Uptime(50, 10); !ok || up != 1 {
 		t.Fatalf("observer uptime = %v/%v, want 1", up, ok)
 	}
-	if age := (*simEnv)(s2).Age(overlay.PeerID(cfg.NumPeers)); age != 100 || ov.Observed.Age != 100 {
-		t.Fatalf("observer age = %d (env.Age) / %d (view), want 100", age, ov.Observed.Age)
+	if ov.Observed.Age != 100 {
+		t.Fatalf("observer age = %d, want 100", ov.Observed.Age)
+	}
+	if n := len((*simEnv)(s2).Joins()); n != cfg.NumPeers {
+		t.Fatalf("env.Joins covers %d slots, want the %d candidates", n, cfg.NumPeers)
 	}
 }
 
