@@ -961,19 +961,23 @@ type viewsOnly struct{ selection.Policy }
 // Instant and metered (quota reservations subtracted per candidate), in
 // a cache-resident population and a paper-scale one. ns/draw is the
 // whole iteration over its 128 draws; pooled/op (metered only: there the
-// pool outlives the step) says how many of them were accepted. Parent
-// (per candidate: SampleCandidate, then a View each for AgreeCtx to
-// compare — no memo in front of this Env's) → PR 19 (one predicate, two
-// ages; a View only to score the accepted), 2-core reference box,
-// -benchtime 20000x, medians of 3, ns/draw:
+// pool outlives the step) says how many of them were accepted. The loop
+// that screened with Ledger.CanHost and negotiated on two ages through
+// an interface (parent) → the loop with the age table, the one-branch
+// screen and the rng state in registers, both built in one session on
+// the 2-core reference box while other work loaded it (the parent reads
+// 1.5–2× what an idle box gave it), alternating, -benchtime 20000x,
+// medians of 5, ns/draw:
 //
-//	age     slots=600    instant 37.2 → 27.5   transfers 35.7 → 30.9
-//	age     slots=25000  instant 50.8 → 39.0   transfers 53.5 → 43.8
-//	random  slots=600    instant 28.5 → 20.8   transfers 28.7 → 24.2
-//	random  slots=25000  instant 37.1 → 24.2   transfers 38.3 → 28.7
+//	age     slots=600    instant 57.5 → 39.6   transfers 63.0 → 43.3
+//	age     slots=25000  instant 70.6 → 62.3   transfers 90.8 → 76.6
+//	random  slots=600    instant 43.2 → 34.6   transfers 49.2 → 38.2
+//	random  slots=25000  instant 51.2 → 56.4   transfers 55.7 → 57.9
 //
-// (pooled=N in the same runs: 1.96 → 2.02, 2.11 → 1.85, 2.29 → 2.06
-// µs/op.) 0 allocs/op throughout.
+// The random rows at 25 000 slots are unresolved: their runs spread over
+// ±10 ns on both sides, and eight more pairs at GOMAXPROCS=1 gave
+// medians 53.2 → 56.1 and 61.7 → 62.1. (pooled=N in the same runs: 3.58
+// → 1.90, 3.83 → 2.01, 4.56 → 2.90 µs/op.) 0 allocs/op throughout.
 func BenchmarkRefreshPool(b *testing.B) {
 	params := maintenance.Params{
 		TotalBlocks: 256, DataBlocks: 128, RepairThreshold: 148,
