@@ -757,7 +757,7 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 		limit = math.MaxInt32
 	}
 	reserving := m.xfer != nil && !p.unmetered
-	taken := markSet{epoch: marks.epoch, mark: marks.mark[:n]}
+	marked := markSet{epoch: marks.epoch, mark: marks.mark[:n]}
 	tab := m.accept
 	L := int64(len(tab) / 2)
 	ownerAge := min(max(ownerView.Observed.Age, 0), L)
@@ -775,7 +775,7 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 			var draw uint64
 			draw, st = st.Uint64nThresh(uint64(n), thresh)
 			// One block per partner per archive, and none on the owner.
-			if d := overlay.PeerID(draw); bit(online[d])&bit(metered[d] < limit)&bit(!taken.taken(d)) != 0 {
+			if d := overlay.PeerID(draw); bit(online[d])&bit(metered[d] < limit)&bit(!marked.taken(d)) != 0 {
 				c = d
 				break
 			}

@@ -77,9 +77,9 @@
 // peers pool it, invalidated on occupant replacement and session flips. It holds no
 // randomness and changes no results. A slot's selection.View is not
 // cached — building one is two loads and a subtraction, and the
-// candidate loop reads an age (from simEnv.Joins) far more often than it
-// asks for a view. ARCHITECTURE.md's "Hot path & caching" section has the full
-// inventory.
+// candidate loop reads an age (from simEnv.Joins) far more often than
+// it asks for a view. ARCHITECTURE.md's "Hot path & caching" section
+// has the full inventory.
 package sim
 
 import (
