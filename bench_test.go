@@ -713,7 +713,7 @@ func BenchmarkAcceptanceFunction(b *testing.B) {
 }
 
 // benchViews builds a deterministic candidate set with monitored
-// histories, the input shape of the Score/AcceptProb hot path.
+// histories, the input shape of the Score/AgreeCtx hot path.
 func benchViews(b *testing.B, n int) []selection.View {
 	b.Helper()
 	views := make([]selection.View, n)
@@ -753,10 +753,10 @@ func BenchmarkPolicyScore(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyAgree measures the mutual-acceptance hot path
-// (AcceptProb both directions plus the rng draws) for the
-// probabilistic age strategy and one always-accept baseline, whose
-// guarded path must be near-free.
+// BenchmarkPolicyAgree measures the reference mutual-acceptance path
+// (the acceptance function both directions plus the rng draws) for the
+// probabilistic age strategy and one accept-all baseline, whose
+// certain directions draw nothing.
 func BenchmarkPolicyAgree(b *testing.B) {
 	views := benchViews(b, 256)
 	for _, spec := range []string{"age", "random"} {
@@ -831,12 +831,10 @@ func uptimeHistory(b *testing.B, transitions int) *monitor.IntervalHistory {
 	return h
 }
 
-// BenchmarkUptime measures the windowed availability query on both
-// history representations: the interval history across transition
-// densities (the prefix-summed binary search must stay flat where the
-// old segment walk grew linearly) and the bit history's word-masked
-// popcount. Reported with -benchmem: queries are read-only and must
-// not allocate.
+// BenchmarkUptime measures the windowed availability query across
+// transition densities: the prefix-summed binary search must stay flat
+// where the old segment walk grew linearly. Reported with -benchmem:
+// queries are read-only and must not allocate.
 func BenchmarkUptime(b *testing.B) {
 	for _, transitions := range []int{4, 32, 256, 2048} {
 		h := uptimeHistory(b, transitions)
@@ -849,20 +847,6 @@ func BenchmarkUptime(b *testing.B) {
 			_ = acc
 		})
 	}
-	bit := monitor.NewBitHistory(2160)
-	for round := int64(0); round < 4000; round++ {
-		if err := bit.Record(round, round%3 != 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("bit/window=2160", func(b *testing.B) {
-		b.ReportAllocs()
-		acc := 0.0
-		for i := 0; i < b.N; i++ {
-			acc += bit.Uptime(1 + i%2160)
-		}
-		_ = acc
-	})
 }
 
 // BenchmarkMaintainerStep measures one maintenance step for a peer in
@@ -932,12 +916,6 @@ func (x poolBenchXfer) PendingHosts(_ overlay.PeerID, buf []overlay.PeerID) []ov
 	return buf
 }
 
-// viewsOnly hides a policy's optional capabilities: embedding the
-// interface promotes Name, AcceptProb and Score and nothing else, so a
-// Maintainer takes the policy at its most general — negotiation on
-// Views, every call evaluated.
-type viewsOnly struct{ selection.Policy }
-
 // BenchmarkRefreshPool measures one candidate-pool refresh at the
 // paper's parameters (n = 256, 128 draws per round).
 //
@@ -992,7 +970,7 @@ func BenchmarkRefreshPool(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m := maintenance.New(params, led, overlay.NewTable(peers), viewsOnly{age}, newPoolBenchEnv(peers, nil))
+			m := maintenance.New(params, led, overlay.NewTable(peers), age, newPoolBenchEnv(peers, nil))
 			r := rng.New(9)
 			// Upload onto the hosts alone, then take the archive below k
 			// and let the candidates in.

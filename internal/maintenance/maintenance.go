@@ -38,9 +38,8 @@
 // itself with the rng's state held in registers, screens a candidate in
 // one test over the ledger's and the step's arrays (online, quota left,
 // not the owner, not a partner, not pooled), negotiates on two entries
-// of the policy's age table when it has one (selection.AcceptTable, over
-// the ages Env.Joins gives; through selection.AgreeCtx on Views
-// otherwise) and builds a View only to score a candidate it has
+// of the policy's age table (selection.AcceptTable, over the ages
+// Env.Joins gives) and builds a View only to score a candidate it has
 // accepted. The loop it replaced lives on in oracle_test.go as the
 // reference it must match draw for draw.
 //
@@ -185,8 +184,8 @@ type Env interface {
 	// Joins returns the round each candidate's current occupant joined,
 	// indexed by slot over [0, Population()): candidate c's age is
 	// Round() − Joins()[c], which is View(c).Observed.Age. It is all
-	// that a policy with an age table (selection.AcceptTable) reads of a
-	// candidate before it is accepted. The Maintainer only reads it.
+	// that acceptance (selection.AcceptTable) reads of a candidate. The
+	// Maintainer only reads it.
 	Joins() []int64
 	// Population returns how many slots can be drawn as candidates:
 	// refreshPool samples uniformly from [0, Population()).
@@ -302,8 +301,7 @@ type Maintainer struct {
 
 	// accept is the policy's acceptance over two ages
 	// (selection.AcceptTable), resolved once: refreshPool negotiates on
-	// two of its entries, and through selection.AgreeCtx on Views when
-	// it is nil.
+	// two of its entries.
 	accept []float64
 
 	// Mark epochs: refreshPool stamps the acting owner's current
@@ -322,13 +320,6 @@ type Maintainer struct {
 	// pools recycles candidate-pool buffers: a slot holds one only
 	// while its pool holds candidates.
 	pools poolCache
-
-	// Score memo, enabled by the engine (EnableScoreCache): pure policy
-	// scores are cached per (slot, round) so a candidate probed by many
-	// repairing peers in one round is scored once. The engine
-	// invalidates a slot on session flips and occupant replacement.
-	scoreVal []float64
-	scoreKey []int64 // round+1 of the cached value; 0 = invalid
 }
 
 // New returns a Maintainer over the ledger's slots. It panics on
@@ -352,10 +343,10 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		pol:    pol,
 		env:    env,
 		peers:  make([]peerState, led.NumPeers()),
-		own:    Workspace{SolePlanner: true, marks: newMarkSet(led.NumPeers())},
+		own:    Workspace{marks: newMarkSet(led.NumPeers())},
 		pools:  poolCache{limit: max(minFreePools, led.NumPeers()/256)},
+		accept: selection.AcceptTable(pol),
 	}
-	m.accept = selection.AcceptTable(pol)
 	for i := range m.peers {
 		m.peers[i].armed = true
 	}
@@ -417,47 +408,6 @@ func (m *Maintainer) GrowArchive(id overlay.PeerID) bool {
 	p.epStart = m.env.Round()
 	m.Arm(id)
 	return true
-}
-
-// EnableScoreCache turns on the per-(slot, round) score memo. It is a
-// no-op unless the policy declares a pure Score (selection.HasPureScore)
-// — a stateful custom policy must be re-evaluated on every call. The
-// caller owning the environment must invalidate a slot (InvalidateScore)
-// whenever something a pure Score may read changes mid-round: a session
-// flip mutating the slot's monitored history, or an occupant
-// replacement. The simulation engine enables the cache at construction
-// and drives both invalidations from its churn paths.
-func (m *Maintainer) EnableScoreCache() {
-	if !selection.HasPureScore(m.pol) {
-		return
-	}
-	m.scoreVal = make([]float64, m.led.NumPeers())
-	m.scoreKey = make([]int64, m.led.NumPeers())
-}
-
-// InvalidateScore drops the cached score for one slot. Cheap enough to
-// call unconditionally on every session flip.
-func (m *Maintainer) InvalidateScore(id overlay.PeerID) {
-	if m.scoreKey != nil {
-		m.scoreKey[id] = 0
-	}
-}
-
-// scoreOf returns the policy score of candidate c, through the (slot,
-// round) memo when enabled; only a miss builds the candidate's view. A
-// miss is stored only when store is set: concurrent planners may read
-// an entry but must not race on writing one.
-func (m *Maintainer) scoreOf(ctx selection.Context, c overlay.PeerID, store bool) float64 {
-	key := ctx.Round + 1
-	if m.scoreKey != nil && m.scoreKey[c] == key {
-		return m.scoreVal[c]
-	}
-	s := m.pol.Score(ctx, m.env.View(c))
-	if m.scoreKey != nil && store {
-		m.scoreKey[c] = key
-		m.scoreVal[c] = s
-	}
-	return s
 }
 
 // VisibleBelow implements overlay.Watcher: a peer whose visible blocks
@@ -674,8 +624,7 @@ func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.Peer
 // refreshPool prunes dead/ineligible entries and samples new candidates
 // up to the per-round budget. Offline candidates are NOT pruned: they
 // agreed to the partnership and become placeable when they return. ws
-// is the planner's scratch; only a sole planner's stores score-memo
-// misses.
+// is the planner's scratch.
 //
 // It opens a fresh mark epoch for the acting owner: the owner's current
 // partners are stamped once (O(degree)), and every subsequent "is this
@@ -742,11 +691,10 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 	// they say together, the owner's mode folded into its data (an
 	// unmetered owner's quota limit is MaxInt32). The rng's state stays
 	// in registers for the length of the loop. What passes is
-	// negotiated, on two entries of the age table or through AgreeCtx;
-	// only what is accepted is looked at as a View, to be scored.
+	// negotiated on two entries of the age table; only what is accepted
+	// is looked at as a View, to be scored.
 	round := m.env.Round()
 	ctx := selection.Context{Round: round}
-	ownerView := m.env.View(id)
 	// Every array the loop indexes by candidate is cut to the population,
 	// so one bounds test covers them all.
 	n := m.env.Population()
@@ -760,7 +708,7 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 	marked := markSet{epoch: marks.epoch, mark: marks.mark[:n]}
 	tab := m.accept
 	L := int64(len(tab) / 2)
-	ownerAge := min(max(ownerView.Observed.Age, 0), L)
+	ownerAge := min(max(m.env.View(id).Observed.Age, 0), L)
 	draws, full := m.params.PoolSamplePerRound, m.params.TotalBlocks
 	pool := p.pool
 	st := r.State()
@@ -786,37 +734,28 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 		if reserving && m.freeQuota(c) < 1 {
 			continue // its free quota is promised to uploads in flight
 		}
-		// Both sides must accept: selection.AgreeCtx, or the two entries
-		// of the table that stand for it. Its entries are positive, so
-		// where one is below 1, rng.Bool would draw a Float64 and compare.
-		if tab == nil {
-			r.SetState(st)
-			agreed := selection.AgreeCtx(r, m.pol, ctx, ownerView, m.env.View(c))
-			st = r.State()
-			if !agreed {
+		// Both sides must accept: the two entries of the table that stand
+		// for selection.AgreeCtx. Its entries are positive, so where one
+		// is below 1, rng.Bool would draw a Float64 and compare.
+		var age int64 // what every age clamps to when L is 0
+		if L > 0 {
+			// An accept-all table needs no age; joins is 8 B a slot read
+			// at random, a cache miss at the paper's scale.
+			age = min(max(round-joins[c], 0), L)
+		}
+		var u float64
+		if pr := tab[L+ownerAge-age]; pr < 1 {
+			if u, st = st.Float64(); u >= pr {
 				continue
 			}
-		} else {
-			var age int64 // what every age clamps to when L is 0
-			if L > 0 {
-				// An accept-all table needs no age; joins is 8 B a slot
-				// read at random, a cache miss at the paper's scale.
-				age = min(max(round-joins[c], 0), L)
-			}
-			var u float64
-			if pr := tab[L+ownerAge-age]; pr < 1 {
-				if u, st = st.Float64(); u >= pr {
-					continue
-				}
-			}
-			if pr := tab[L+age-ownerAge]; pr < 1 {
-				if u, st = st.Float64(); u >= pr {
-					continue
-				}
+		}
+		if pr := tab[L+age-ownerAge]; pr < 1 {
+			if u, st = st.Float64(); u >= pr {
+				continue
 			}
 		}
 		marks.setPooled(c)
-		pool = append(pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, ws.SolePlanner)})
+		pool = append(pool, poolEntry{ref: m.tab.Ref(c), score: m.pol.Score(ctx, m.env.View(c))})
 	}
 	r.SetState(st)
 	p.pool = pool

@@ -248,7 +248,6 @@ func newChurnWorld(spec worldSpec, pol selection.Policy, wrap func(*worldEnv) En
 		w.env.death[i] = int64(truth.Intn(1000))
 	}
 	w.m = New(spec.params, w.led, w.tab, pol, wrap(w.env))
-	w.m.EnableScoreCache()
 	w.m.SetUnmetered(w.observer, true)
 	if spec.transfers {
 		w.xfer = &oracleXfer{slots: 2}
@@ -284,12 +283,10 @@ func (w *churnWorld) run(t *testing.T, turn func(id overlay.PeerID, step func())
 				env.ages[id] = 0
 				env.hist[id].Reset()
 				env.record(id, true)
-				m.InvalidateScore(id)
 				led.SetOnline(id, true)
 			case w.events.Bool(0.15):
 				led.SetOnline(id, !led.Online(id))
 				env.record(id, led.Online(id))
-				m.InvalidateScore(id)
 			}
 			env.ages[id]++
 		}
@@ -345,19 +342,17 @@ func (w *churnWorld) planned(id overlay.PeerID) bool { return w.spec.planned && 
 // ---------------------------------------------------------------------------
 // The flattened loop against the parent's.
 
-// moodyPolicy is a stateful policy declaring no capability: what it
-// answers depends on how often it has been asked, so two of them agree
-// only for as long as they are asked the same questions in the same
-// order — which is what refreshPool owes a policy it knows nothing
-// about. It answers with certainties (0 and 1) as often as with odds.
+// moodyPolicy breaks Score's purity on purpose: what it scores depends
+// on how often it has been asked, so two of them agree only for as long
+// as they are asked about the same candidates in the same order — which
+// is what holds refreshPool to scoring exactly the candidates the
+// parent's loop scores, once each, in its order. It accepts as the
+// paper's policy does at horizon 100.
 type moodyPolicy struct{ asked int64 }
 
 func (p *moodyPolicy) Name() string { return "moody" }
 
-func (p *moodyPolicy) AcceptProb(_ selection.Context, acceptor, requester selection.View) float64 {
-	p.asked++
-	return float64((acceptor.Observed.Age+2*requester.Observed.Age+p.asked)%5) / 4
-}
+func (p *moodyPolicy) AcceptHorizon() int64 { return 100 }
 
 func (p *moodyPolicy) Score(_ selection.Context, c selection.View) float64 {
 	p.asked++
@@ -374,20 +369,14 @@ func twin(pol selection.Policy) selection.Policy {
 	return pol
 }
 
-// viewsOnly hides a policy's optional capabilities: embedding the
-// interface promotes Name, AcceptProb and Score and nothing else, so a
-// Maintainer takes the policy at its most general — AgreeCtx on Views,
-// every call evaluated. Around the paper's policy it is the one
-// age-accepting policy without an age table (selection.AcceptTable).
-type viewsOnly struct{ selection.Policy }
-
 // oraclePolicies lists what the oracles negotiate with: every registered
-// spec, the paper's policy through Views only, the stateful policy. The
-// views-only row keeps the name it had when an adapted legacy Strategy
-// filled it: its subtest names are in the tier-1 floor.
+// spec at horizon 100, the paper's policy at a horizon shorter than most
+// of the world's ages (so that its acceptance clamps), the stateful
+// policy. The short-horizon row keeps the name it had when an adapted
+// legacy Strategy filled it: its subtest names are in the tier-1 floor.
 func oraclePolicies(t *testing.T) map[string]func() selection.Policy {
 	policies := map[string]func() selection.Policy{
-		"legacy-age": func() selection.Policy { return viewsOnly{mustParse(t, "age:L=100")} },
+		"legacy-age": func() selection.Policy { return mustParse(t, "age:L=24") },
 		"stateful":   func() selection.Policy { return &moodyPolicy{} },
 	}
 	for _, spec := range selection.Names() {
@@ -516,72 +505,31 @@ func (rp *refPool) setPooled(c overlay.PeerID) { rp.in[c] = rp.tab.Gen(c) }
 // of the acting owner. The Maintainer states the population once per
 // refresh, after its prune and before its first draw: there the oracle
 // prunes with map deletes (the pruned pools must agree entry for entry),
-// then runs parentSample over its map from a clone of the rng, noting
-// every candidate the map-based filters let through. The Maintainer
-// must look at exactly those candidates, in that order, and at no other;
-// when the step is over its rng must be where the clone ended and its
-// pool must be the map-based one.
+// then runs parentSample over its map from a clone of the rng. When the
+// step is over the Maintainer's rng must be where the clone ended and
+// its pool must be the map-based one.
 type poolOracle struct {
 	t     *testing.T
 	w     *churnWorld
 	inner *worldEnv
 	refs  map[overlay.PeerID]*refPool
 
-	byViews   bool // the policy has no age table: the Maintainer negotiates on Views
 	owner     overlay.PeerID
-	refreshed bool             // the step in flight has refreshed its pool
-	expectRng rng.State        // where the replaced code leaves the rng: as the step found it, then after each refresh
-	letIn     []overlay.PeerID // candidates the map lets through, until the Maintainer looks at them
-	looked    overlay.PeerID   // the last of them it looked at
+	refreshed bool      // the step in flight has refreshed its pool
+	expectRng rng.State // where the replaced code leaves the rng: as the step found it, then after each refresh
 
 	refreshes, accepted, deduped, repooled, atCap int // coverage counters
 }
 
 func (o *poolOracle) Round() int64 { return o.inner.Round() }
 
-func (o *poolOracle) View(id overlay.PeerID) selection.View {
-	o.look(id)
-	return o.inner.View(id)
-}
+func (o *poolOracle) View(id overlay.PeerID) selection.View { return o.inner.View(id) }
 
 func (o *poolOracle) Joins() []int64 { return o.inner.Joins() }
 
 func (o *poolOracle) Population() int {
 	o.refresh()
 	return o.inner.Population()
-}
-
-// look holds the Maintainer to the candidates the map lets through. A
-// candidate it accepts is looked at once more, to be scored. Under a
-// policy with an age table (one that accepts everyone among them) nobody
-// needs looking at to be pooled, and the pools and the rng say whether
-// the right candidates were.
-func (o *poolOracle) look(id overlay.PeerID) {
-	switch {
-	case id == o.owner || !o.byViews:
-	case len(o.letIn) > 0 && o.letIn[0] == id:
-		o.letIn, o.looked = o.letIn[1:], id
-	case id != o.looked:
-		o.t.Fatalf("owner %d: looked at candidate %d, which the map-based filters reject (next they let through: %v)",
-			o.owner, id, o.letIn)
-	}
-}
-
-// sampling is the parentEnv the oracle's own sampling runs in: it notes
-// the candidates that get as far as being looked at.
-type sampling struct{ o *poolOracle }
-
-func (s sampling) Round() int64 { return s.o.inner.Round() }
-
-func (s sampling) SampleCandidate(r *rng.Rand) overlay.PeerID {
-	return drawing{s.o.inner}.SampleCandidate(r)
-}
-
-func (s sampling) View(id overlay.PeerID) selection.View {
-	if id != s.o.owner && s.o.byViews {
-		s.o.letIn = append(s.o.letIn, id)
-	}
-	return s.o.inner.View(id)
 }
 
 func (o *poolOracle) ref() *refPool {
@@ -623,13 +571,9 @@ func (o *poolOracle) prune() *refPool {
 
 // settle closes whatever came before — the start of the step, or an
 // earlier refresh of it (a repair that reaches its decode point
-// refreshes again as an upload): the Maintainer must have looked at
-// every candidate the map let through and drawn exactly what the
-// replaced code draws.
+// refreshes again as an upload): the Maintainer must have drawn exactly
+// what the replaced code draws.
 func (o *poolOracle) settle() {
-	if len(o.letIn) > 0 {
-		o.t.Fatalf("owner %d: candidates %v pass the map-based filters but were skipped", o.owner, o.letIn)
-	}
 	if o.w.steps.State() != o.expectRng {
 		o.t.Fatalf("owner %d: rng diverged from the map-based refresh (refreshed this step: %v)", o.owner, o.refreshed)
 	}
@@ -648,7 +592,7 @@ func (o *poolOracle) refresh() {
 	clone := *o.w.steps
 	before := len(rp.entries)
 	rp.deduped = 0
-	rp.entries = parentSample(&clone, m, sampling{o}, twin(m.pol), o.owner, m.peers[o.owner].unmetered, rp.entries, rp)
+	rp.entries = parentSample(&clone, m, drawing{o.inner}, twin(m.pol), o.owner, m.peers[o.owner].unmetered, rp.entries, rp)
 	o.expectRng = clone.State()
 	o.deduped += rp.deduped
 	o.accepted += len(rp.entries) - before
@@ -694,7 +638,6 @@ func (o *poolOracle) turn(id overlay.PeerID, step func()) {
 	o.owner = id
 	o.refreshed = false
 	o.expectRng = o.w.steps.State()
-	o.letIn, o.looked = o.letIn[:0], overlay.NoPeer
 	// What a refresh first thing in the step would prune (pruning is
 	// idempotent, and a step that does not refresh ends its episode).
 	pruned := len(o.prune().entries)
@@ -757,7 +700,7 @@ func runPoolOracle(t *testing.T, seed uint64, pol selection.Policy, planned, tra
 		},
 		planned: planned, transfers: transfers,
 	}
-	o := &poolOracle{t: t, refs: map[overlay.PeerID]*refPool{}, byViews: selection.AcceptTable(pol) == nil}
+	o := &poolOracle{t: t, refs: map[overlay.PeerID]*refPool{}}
 	o.w = newChurnWorld(spec, pol, func(e *worldEnv) Env {
 		o.inner = e
 		return o
@@ -769,7 +712,7 @@ func runPoolOracle(t *testing.T, seed uint64, pol selection.Policy, planned, tra
 // TestPoolDedupMatchesMapOracle runs the oracle over instant and metered
 // placement, through Step and through PlanStep + ApplyPlan, and checks
 // that the runs reached the cases the marks could get wrong. The twelve
-// seeds negotiate through Views (the age policy behind viewsOnly); every
+// seeds negotiate under the paper's policy at a short horizon; every
 // other policy then gets a world each.
 func TestPoolDedupMatchesMapOracle(t *testing.T) {
 	for _, tc := range []struct {

@@ -3,8 +3,8 @@ package maintenance
 // The §3.2 state machine, as plan and apply.
 //
 // A round of maintenance for one owner is decided by PlanStep against
-// the frozen round state (the ledger, table, transfer scheduler and
-// score memo as they stand after the churn walk's merge): it runs the
+// the frozen round state (the ledger, table and transfer scheduler as
+// they stand after the churn walk's merge): it runs the
 // whole decision procedure — trigger, cancel, stall, decode point, pool
 // refresh, choice of hosts — commits what is owner-local, and records
 // every ledger or scheduler mutation as a planned op in a Workspace.
@@ -25,11 +25,11 @@ package maintenance
 // Concurrency contract: PlanStep may run concurrently from one
 // goroutine per disjoint owner set, each with its own Workspace and its
 // own rng stream. It writes only owner-local state (the owner's
-// peerState and pool) and Workspace-local scratch, and it stores
-// score-memo misses only on a Workspace marked SolePlanner. The one
-// shared structure it reaches is the pool-buffer cache (a planned step
-// takes a buffer to pool candidates in and returns it once the pool is
-// empty), which is synchronised. ApplyPlan must run on a single
+// peerState and pool) and Workspace-local scratch, and the policy's
+// Score it calls is pure (selection.Policy). The one shared structure
+// it reaches is the pool-buffer cache (a planned step takes a buffer to
+// pool candidates in and returns it once the pool is empty), which is
+// synchronised. ApplyPlan must run on a single
 // goroutine. Step is the two back to back on the Maintainer's own
 // Workspace, for callers that act one owner at a time.
 
@@ -91,10 +91,6 @@ type Workspace struct {
 	// Results accumulates this planner's steps in owner order; ApplyPlan
 	// consumes them in the same order.
 	Results []PlanResult
-	// SolePlanner lets score-memo misses be stored. Set it only when no
-	// other planner runs at the same time: the engine's one worker at a
-	// single shard, and the Maintainer's own Workspace behind Step.
-	SolePlanner bool
 
 	ops     []plannedOp
 	marks   markSet

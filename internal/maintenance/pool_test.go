@@ -170,13 +170,13 @@ func TestPoolCacheConcurrentUse(t *testing.T) {
 
 // TestRefreshPoolAcceptingAllocatesNothing pins the candidate loop's
 // allocation count at zero on a refresh that negotiates with candidates,
-// accepts some and scores them, under the paper's policy (age-keyed
-// acceptance) and under one that goes through Views: neither an age nor
-// a View may reach the heap.
+// accepts some and scores them, under the paper's policy (an age table
+// over the function) and under one that accepts everyone (the one-entry
+// table): neither an age nor a View may reach the heap.
 func TestRefreshPoolAcceptingAllocatesNothing(t *testing.T) {
 	for _, pol := range []selection.Policy{
 		mustParse(t, "age:L=100"),
-		viewsOnly{mustParse(t, "age:L=100")},
+		mustParse(t, "youngest-first"),
 	} {
 		const peers = 64
 		led := overlay.NewLedger(peers, 64)

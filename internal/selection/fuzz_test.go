@@ -54,20 +54,22 @@ func FuzzParse(f *testing.F) {
 			!strings.Contains(err.Error(), "horizon") {
 			t.Fatalf("ParseWith(%q) diverged from Parse: %v", spec, err)
 		}
-		// A policy with an age table computes its acceptance from the two
-		// ages alone, whatever else the Views carry, and the table holds
-		// it. The ages come from the spec's own bytes, so a fuzzed horizon
-		// meets ages on both sides of it.
-		if tab := AcceptTable(pol); tab != nil {
-			var a, b int64
-			for i := 0; i < len(spec); i++ {
-				a, b = b*31+int64(spec[i])-'5', a
-			}
-			va := View{Observed: Observed{Age: a}, Oracle: Oracle{Availability: 0.5, Remaining: b}}
-			vb := View{Observed: Observed{Age: b}, Oracle: Oracle{Remaining: a}}
-			if got, want := pol.AcceptProb(Context{Round: a ^ b}, va, vb), tableProb(tab, a, b); got != want {
-				t.Fatalf("%q: AcceptProb(ages %d, %d) = %v, its age table %v", spec, a, b, got, want)
-			}
+		// A policy's age table is its acceptance: AcceptanceFunction of
+		// the two ages at its horizon, whatever else the Views carry. The
+		// ages come from the spec's own bytes, so a fuzzed horizon meets
+		// ages on both sides of it.
+		tab := AcceptTable(pol)
+		if L := pol.AcceptHorizon(); int64(len(tab)) != 2*L+1 {
+			t.Fatalf("%q: horizon %d, an age table of %d entries", spec, L, len(tab))
+		}
+		var a, b int64
+		for i := 0; i < len(spec); i++ {
+			a, b = b*31+int64(spec[i])-'5', a
+		}
+		va := View{Observed: Observed{Age: a}, Oracle: Oracle{Availability: 0.5, Remaining: b}}
+		vb := View{Observed: Observed{Age: b}, Oracle: Oracle{Remaining: a}}
+		if got, want := acceptProb(pol, va, vb), tableProb(tab, a, b); got != want {
+			t.Fatalf("%q: acceptance(ages %d, %d) = %v, its age table %v", spec, a, b, got, want)
 		}
 	})
 }

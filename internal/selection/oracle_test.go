@@ -2,8 +2,8 @@ package selection
 
 // The differential oracle for IgnoresHistory. A caller keeps no
 // availability histories for a policy that declares it, and hands it
-// Views whose Observed.History is nil; the policy must then rank and
-// accept exactly as it would with a monitoring substrate attached. So
+// Views whose Observed.History is nil; the policy must then rank
+// exactly as it would with a monitoring substrate attached. So
 // every declaring policy is evaluated on a grid of ages, rounds and
 // session patterns twice: once with a populated monitor.IntervalHistory
 // behind each View — the reference, what the engine computed when it
@@ -76,44 +76,21 @@ func buildHistoryGrids(t *testing.T, window int64) []historyGrid {
 	return grids
 }
 
-// historyMismatch evaluates pol on the grid with and without histories
-// and describes the first point where the two differ in a single bit,
-// or returns "" when none does.
+// historyMismatch scores every candidate of the grid with and without
+// its history and describes the first point where the two differ in a
+// single bit, or returns "" when none does. Acceptance needs no grid: it
+// reads the two ages alone (TestAgeAccepterMatchesAcceptProb).
 func historyMismatch(pol Policy, grids []historyGrid) string {
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	tab := AcceptTable(pol)
 	for _, g := range grids {
 		ctx := Context{Round: g.round}
-		var bare, kept []View
 		for i, age := range historyAges {
 			oracle := Oracle{Availability: float64(i%4) / 4, Remaining: age * 3}
-			for _, h := range g.hists {
-				bare = append(bare, View{Observed: Observed{Age: age}, Oracle: oracle})
-				kept = append(kept, View{Observed: Observed{Age: age, History: h}, Oracle: oracle})
-			}
-		}
-		for i := range bare {
-			if want, got := pol.Score(ctx, kept[i]), pol.Score(ctx, bare[i]); !same(want, got) {
-				return fmt.Sprintf("round %d, age %d, %s: Score %v with the history, %v without",
-					g.round, bare[i].Observed.Age, sessionPatterns[i%len(sessionPatterns)].name, want, got)
-			}
-			for j := range bare {
-				want := pol.AcceptProb(ctx, kept[i], kept[j])
-				for _, got := range []float64{
-					pol.AcceptProb(ctx, bare[i], bare[j]),
-					pol.AcceptProb(ctx, kept[i], bare[j]),
-					pol.AcceptProb(ctx, bare[i], kept[j]),
-				} {
-					if !same(want, got) {
-						return fmt.Sprintf("round %d, ages %d, %d: AcceptProb %v with histories, %v without one",
-							g.round, bare[i].Observed.Age, bare[j].Observed.Age, want, got)
-					}
-				}
-				if tab != nil {
-					if got := tableProb(tab, bare[i].Observed.Age, bare[j].Observed.Age); !same(want, got) {
-						return fmt.Sprintf("round %d, ages %d, %d: AcceptProb %v with histories, its age table %v",
-							g.round, bare[i].Observed.Age, bare[j].Observed.Age, want, got)
-					}
+			for j, h := range g.hists {
+				bare := View{Observed: Observed{Age: age}, Oracle: oracle}
+				kept := View{Observed: Observed{Age: age, History: h}, Oracle: oracle}
+				if want, got := pol.Score(ctx, kept), pol.Score(ctx, bare); math.Float64bits(want) != math.Float64bits(got) {
+					return fmt.Sprintf("round %d, age %d, %s: Score %v with the history, %v without",
+						g.round, age, sessionPatterns[j].name, want, got)
 				}
 			}
 		}

@@ -27,16 +27,7 @@ type agePolicy struct{ L int64 }
 
 func (a agePolicy) Name() string { return fmt.Sprintf("age(L=%d)", a.L) }
 
-func (a agePolicy) AcceptProb(_ Context, acceptor, requester View) float64 {
-	return AcceptanceFunction(acceptor.Observed.Age, requester.Observed.Age, a.L)
-}
-
-// AcceptHorizon declares the acceptance age-keyed (AcceptTable): the
-// acceptance function with horizon L, of the two ages alone.
 func (a agePolicy) AcceptHorizon() int64 { return a.L }
-
-// PureScore declares Score a pure function of (Context, View).
-func (a agePolicy) PureScore() bool { return true }
 
 // IgnoresHistory declares that the paper's strategy reads ages only.
 func (a agePolicy) IgnoresHistory() bool { return true }
@@ -57,23 +48,19 @@ func (a agePolicy) Score(_ Context, candidate View) float64 {
 // information would do.
 type randomPolicy struct{}
 
-func (randomPolicy) Name() string                           { return "random" }
-func (randomPolicy) AcceptProb(Context, View, View) float64 { return 1 }
-func (randomPolicy) Score(Context, View) float64            { return 0 }
-func (randomPolicy) AlwaysAccepts() bool                    { return true }
-func (randomPolicy) PureScore() bool                        { return true }
-func (randomPolicy) IgnoresHistory() bool                   { return true }
+func (randomPolicy) Name() string                { return "random" }
+func (randomPolicy) AcceptHorizon() int64        { return 0 }
+func (randomPolicy) Score(Context, View) float64 { return 0 }
+func (randomPolicy) IgnoresHistory() bool        { return true }
 
 // youngestPolicy ranks youngest first: the adversarial baseline. If the
 // age signal carries information, it must perform WORSE than random.
 type youngestPolicy struct{}
 
-func (youngestPolicy) Name() string                           { return "youngest-first" }
-func (youngestPolicy) AcceptProb(Context, View, View) float64 { return 1 }
-func (youngestPolicy) Score(_ Context, c View) float64        { return -float64(c.Observed.Age) }
-func (youngestPolicy) AlwaysAccepts() bool                    { return true }
-func (youngestPolicy) PureScore() bool                        { return true }
-func (youngestPolicy) IgnoresHistory() bool                   { return true }
+func (youngestPolicy) Name() string                    { return "youngest-first" }
+func (youngestPolicy) AcceptHorizon() int64            { return 0 }
+func (youngestPolicy) Score(_ Context, c View) float64 { return -float64(c.Observed.Age) }
+func (youngestPolicy) IgnoresHistory() bool            { return true }
 
 // ---------------------------------------------------------------------------
 // Oracle baselines (the only policies that may read View.Oracle)
@@ -82,12 +69,10 @@ func (youngestPolicy) IgnoresHistory() bool                   { return true }
 // upper bound that ignores lifetimes.
 type availOraclePolicy struct{}
 
-func (availOraclePolicy) Name() string                           { return "availability-oracle" }
-func (availOraclePolicy) AcceptProb(Context, View, View) float64 { return 1 }
-func (availOraclePolicy) Score(_ Context, c View) float64        { return c.Oracle.Availability }
-func (availOraclePolicy) AlwaysAccepts() bool                    { return true }
-func (availOraclePolicy) PureScore() bool                        { return true }
-func (availOraclePolicy) IgnoresHistory() bool                   { return true }
+func (availOraclePolicy) Name() string                    { return "availability-oracle" }
+func (availOraclePolicy) AcceptHorizon() int64            { return 0 }
+func (availOraclePolicy) Score(_ Context, c View) float64 { return c.Oracle.Availability }
+func (availOraclePolicy) IgnoresHistory() bool            { return true }
 
 // lifetimeOraclePolicy ranks by true remaining lifetime, the quantity
 // every observable strategy merely estimates. Its gap to the age policy
@@ -95,12 +80,10 @@ func (availOraclePolicy) IgnoresHistory() bool                   { return true }
 // much lifetime-aware placement can possibly win.
 type lifetimeOraclePolicy struct{}
 
-func (lifetimeOraclePolicy) Name() string                           { return "lifetime-oracle" }
-func (lifetimeOraclePolicy) AcceptProb(Context, View, View) float64 { return 1 }
-func (lifetimeOraclePolicy) Score(_ Context, c View) float64        { return float64(c.Oracle.Remaining) }
-func (lifetimeOraclePolicy) AlwaysAccepts() bool                    { return true }
-func (lifetimeOraclePolicy) PureScore() bool                        { return true }
-func (lifetimeOraclePolicy) IgnoresHistory() bool                   { return true }
+func (lifetimeOraclePolicy) Name() string                    { return "lifetime-oracle" }
+func (lifetimeOraclePolicy) AcceptHorizon() int64            { return 0 }
+func (lifetimeOraclePolicy) Score(_ Context, c View) float64 { return float64(c.Oracle.Remaining) }
+func (lifetimeOraclePolicy) IgnoresHistory() bool            { return true }
 
 // ---------------------------------------------------------------------------
 // Estimator-backed ranking
@@ -123,15 +106,8 @@ type EstimatorRanked struct {
 // Name implements Policy.
 func (e EstimatorRanked) Name() string { return e.Label }
 
-// AcceptProb implements Policy: always accept.
-func (e EstimatorRanked) AcceptProb(Context, View, View) float64 { return 1 }
-
-// AlwaysAccepts declares the constant acceptance for Agree's fast path.
-func (e EstimatorRanked) AlwaysAccepts() bool { return true }
-
-// PureScore declares Score a pure function of (Context, View): every
-// lifetime.Estimator is a stateless curve.
-func (e EstimatorRanked) PureScore() bool { return true }
+// AcceptHorizon implements Policy: 0, every partnership is accepted.
+func (e EstimatorRanked) AcceptHorizon() int64 { return 0 }
 
 // IgnoresHistory declares that the estimate reads the observed age only.
 func (e EstimatorRanked) IgnoresHistory() bool { return true }
@@ -168,17 +144,8 @@ func (m MonitoredAvailability) Name() string {
 	return fmt.Sprintf("monitored-availability(W=%d)", m.Window)
 }
 
-// AcceptProb implements Policy: always accept.
-func (m MonitoredAvailability) AcceptProb(Context, View, View) float64 { return 1 }
-
-// AlwaysAccepts declares the constant acceptance for Agree's fast path.
-func (m MonitoredAvailability) AlwaysAccepts() bool { return true }
-
-// PureScore declares Score a pure function of (Context, View). The
-// monitored history behind the view is mutable engine state, so a
-// caller memoising this score must invalidate on session flips — the
-// simulation engine does (see maintenance.Maintainer.InvalidateScore).
-func (m MonitoredAvailability) PureScore() bool { return true }
+// AcceptHorizon implements Policy: 0, every partnership is accepted.
+func (m MonitoredAvailability) AcceptHorizon() int64 { return 0 }
 
 // Score ranks by the monitored uptime over the window ending at the
 // current round.

@@ -24,22 +24,19 @@
 // spec-string table in spec.go (Parse, Names): every strategy has one
 // implementation, reached by its spec name.
 //
-// A Policy may declare what a caller is allowed to assume about it,
-// through optional methods: AlwaysAccepts (acceptance is constantly
-// one), PureScore (Score may be memoised: HasPureScore),
-// IgnoresHistory (neither Score nor AcceptProb reads Observed.History,
-// so a caller need not record one: ReadsHistory) and AcceptHorizon
-// (AcceptProb is AcceptanceFunction of the two observed ages and reads
-// nothing else). A policy with either of the first or the last has its
-// acceptance as a table over two ages (AcceptTable). A policy declaring
-// none is taken at its most general: AgreeCtx on Views, every call
-// evaluated, histories kept.
+// A Policy states everything a caller may assume about it: a name, an
+// acceptance horizon (acceptance is AcceptanceFunction of the two
+// observed ages at that horizon, or everyone when it is 0, and so a
+// table over two ages: AcceptTable) and a pure Score. The one optional
+// declaration is IgnoresHistory (Score never reads Observed.History, so
+// a caller need not record one: ReadsHistory); a policy without it is
+// taken to read histories.
 //
 // Paper mapping:
 //
 //	§3.2 acceptance function f(p1,p2)   AcceptanceFunction
 //	§3.2 rank by age, capped at L       the "age" spec (agePolicy; its
-//	                                    acceptance is age-keyed: AcceptTable)
+//	                                    acceptance: AcceptTable)
 //	§4.1 baseline comparisons           "random", the oracles,
 //	                                    "youngest-first" specs
 //	§2.1 lifetime estimation            "estimator:*" specs ranking by

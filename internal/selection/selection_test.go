@@ -99,10 +99,10 @@ func TestAgeBasedStrategy(t *testing.T) {
 	if s.Score(Context{}, ageView(-3)) != 0 {
 		t.Fatal("negative age must score 0")
 	}
-	// AcceptProb wires through the acceptance function.
-	got := s.AcceptProb(Context{}, ageView(testL), ageView(0))
+	// Acceptance wires through the acceptance function.
+	got := acceptProb(s, ageView(testL), ageView(0))
 	if math.Abs(got-1.0/testL) > 1e-15 {
-		t.Fatalf("AcceptProb = %v, want 1/L", got)
+		t.Fatalf("acceptance = %v, want 1/L", got)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestAgreeMutual(t *testing.T) {
 
 func TestRandomStrategy(t *testing.T) {
 	s := mustParse(t, "random")
-	if s.AcceptProb(Context{}, View{}, View{}) != 1 {
+	if s.AcceptHorizon() != 0 {
 		t.Fatal("random must accept everyone")
 	}
 	if s.Score(Context{}, ageView(5)) != s.Score(Context{}, ageView(50000)) {
@@ -158,7 +158,7 @@ func TestOracleStrategies(t *testing.T) {
 		t.Fatal("youngest-first must prefer younger")
 	}
 	for _, s := range []Policy{a, l, y} {
-		if s.AcceptProb(Context{}, View{}, View{}) != 1 {
+		if s.AcceptHorizon() != 0 {
 			t.Fatalf("%s must accept everyone", s.Name())
 		}
 		if s.Name() == "" {

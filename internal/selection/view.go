@@ -15,7 +15,7 @@ package selection
 //	                                     monitor.IntervalHistory by the
 //	                                     sim engine when something reads
 //	                                     it (ReadsHistory)
-//	§3.2 acceptance + ranking            Policy.AcceptProb, Policy.Score
+//	§3.2 acceptance + ranking            Policy.AcceptHorizon, Policy.Score
 //	§4.1 oracle baselines                Oracle.Availability/Remaining
 
 import "p2pbackup/internal/rng"
@@ -74,60 +74,37 @@ type View struct {
 	Oracle Oracle
 }
 
-// Context carries run-wide information for one AcceptProb/Score call.
+// Context carries run-wide information for one Score call.
 type Context struct {
 	// Round is the current simulation round; windowed history queries
 	// use it as "now".
 	Round int64
 }
 
-// Policy is the strategy interface: it decides partnerships and ranks
-// candidates from a View, with the Context supplying the current round
-// for window queries.
+// Policy is the strategy interface: the paper's rule in its two parts.
+// Both sides of a partnership accept with AcceptanceFunction of their
+// two observed ages at the policy's horizon, and the owner ranks the
+// candidates it accepted by Score. Every registered strategy is one of
+// two shapes: the paper's function at some horizon, or "accept
+// everyone" (horizon 0) and rank.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// AcceptProb returns the probability that acceptor agrees to a
-	// partnership requested by requester.
-	AcceptProb(ctx Context, acceptor, requester View) float64
+	// AcceptHorizon is the horizon L at which both sides of a
+	// partnership accept with AcceptanceFunction of their two observed
+	// ages; 0 means the policy accepts every partnership.
+	AcceptHorizon() int64
 	// Score ranks a candidate for selection by an owner; higher is
-	// preferred.
+	// preferred. It must be a pure function of its arguments, reading
+	// nothing but ctx and the View and keeping no state: planners call
+	// it concurrently and in no fixed order.
 	Score(ctx Context, candidate View) float64
 }
 
-// alwaysAccepter is the optional marker a Policy implements to declare
-// AcceptProb constantly one, letting AgreeCtx skip the acceptance
-// evaluation entirely.
-type alwaysAccepter interface{ AlwaysAccepts() bool }
-
-// acceptsAll reports whether a policy declares (via an
-// `AlwaysAccepts() bool` method) that it accepts every partnership.
-func acceptsAll(p Policy) bool {
-	aa, ok := p.(alwaysAccepter)
-	return ok && aa.AlwaysAccepts()
-}
-
-// pureScorer is the optional marker a Policy implements to declare its
-// Score a pure function of its arguments: no internal state, no
-// randomness, no reads beyond the Context and View. Pure scores may be
-// memoised per (peer, round) by the caller; every policy shipped by
-// this package is pure and declares it.
-type pureScorer interface{ PureScore() bool }
-
-// HasPureScore reports whether a policy declares (via a
-// `PureScore() bool` method) that Score is a pure function of
-// (Context, View). Callers use it to gate score caching; policies
-// without the marker are conservatively treated as stateful and
-// re-evaluated on every call.
-func HasPureScore(p Policy) bool {
-	ps, ok := p.(pureScorer)
-	return ok && ps.PureScore()
-}
-
 // historyBlind is the optional marker a Policy implements to declare
-// that neither its Score nor its AcceptProb ever reads
-// Observed.History: both give the same result, bit for bit, with any
-// history attached or none.
+// that its Score never reads Observed.History: it gives the same
+// result, bit for bit, with any history attached or none. Acceptance
+// reads ages only, so the declaration covers the whole policy.
 type historyBlind interface{ IgnoresHistory() bool }
 
 // ReadsHistory reports whether a policy may read Observed.History: true
@@ -140,39 +117,22 @@ func ReadsHistory(p Policy) bool {
 	return !ok || !hb.IgnoresHistory()
 }
 
-// ageKeyed is the optional capability a Policy implements to declare
-// that its AcceptProb is AcceptanceFunction of the two observed ages
-// with horizon AcceptHorizon(), and reads nothing else: not the
-// Context, not a History, not the Oracle.
-type ageKeyed interface{ AcceptHorizon() int64 }
-
-// AcceptTable returns a policy's acceptance as a table over two ages,
-// when two ages are all it reads. The table has 2L+1 entries, L =
-// (len − 1) / 2, and with clamp(a) = min(max(a, 0), L) its entry
+// AcceptTable returns a policy's acceptance as a table over two ages:
+// 2L+1 entries, L = p.AcceptHorizon(), whose entry
 //
 //	L + clamp(acceptor.Observed.Age) − clamp(requester.Observed.Age)
 //
-// is AcceptProb(ctx, acceptor, requester) bit for bit, for every ctx
-// and whatever else the Views carry. That is exact for the paper's
-// function, which after clamping depends on the difference alone.
-//
-// A policy that declares a horizon (an `AcceptHorizon() int64` method)
-// gets that function's table at it; one that accepts everyone
-// (AlwaysAccepts) the one-entry table {1}, where every age clamps to 0;
-// any other policy none (nil), and a caller negotiates with it through
-// AgreeCtx on Views. A caller negotiating many candidates
+// with clamp(a) = min(max(a, 0), L) is AcceptanceFunction of the two
+// ages at L, bit for bit (after clamping it depends on the difference
+// alone). A policy that accepts everyone has the one-entry table {1},
+// where every age clamps to 0. A caller negotiating many candidates
 // (maintenance's sampling loop) reads two entries per pair instead of
-// building two Views and calling the policy twice. AgreeCtx does not
-// use it: it stays the reference definition of an agreement.
+// building two Views; AgreeCtx stays the reference definition.
 func AcceptTable(p Policy) []float64 {
-	if acceptsAll(p) {
+	L := p.AcceptHorizon()
+	if L == 0 {
 		return []float64{1}
 	}
-	ak, ok := p.(ageKeyed)
-	if !ok {
-		return nil
-	}
-	L := ak.AcceptHorizon()
 	tab := make([]float64, 2*L+1)
 	for d := -L; d <= L; d++ {
 		tab[L+d] = AcceptanceFunction(max(d, 0), max(-d, 0), L)
@@ -182,16 +142,19 @@ func AcceptTable(p Policy) []float64 {
 
 // AgreeCtx draws both directions of a partnership under a Policy: the
 // owner must accept the candidate and the candidate must accept the
-// owner. Acceptance probabilities of exactly one are short-circuited
-// without consuming randomness (rng.Bool already guarantees that), and
-// always-accept policies (AlwaysAccepts) skip the evaluation entirely.
-func AgreeCtx(r *rng.Rand, p Policy, ctx Context, owner, candidate View) bool {
-	if acceptsAll(p) {
+// owner, each with AcceptanceFunction of the two observed ages at the
+// policy's horizon; a policy that accepts everyone draws nothing.
+// Acceptance reads nothing of the Context. A direction whose
+// probability is exactly one consumes no randomness (rng.Bool
+// guarantees that).
+func AgreeCtx(r *rng.Rand, p Policy, _ Context, owner, candidate View) bool {
+	L := p.AcceptHorizon()
+	if L == 0 {
 		return true
 	}
-	if pr := p.AcceptProb(ctx, owner, candidate); pr < 1 && !r.Bool(pr) {
+	if pr := AcceptanceFunction(owner.Observed.Age, candidate.Observed.Age, L); pr < 1 && !r.Bool(pr) {
 		return false
 	}
-	pr := p.AcceptProb(ctx, candidate, owner)
+	pr := AcceptanceFunction(candidate.Observed.Age, owner.Observed.Age, L)
 	return pr >= 1 || r.Bool(pr)
 }

@@ -12,6 +12,18 @@ import (
 // ageView builds a View carrying only observable age.
 func ageView(age int64) View { return View{Observed: Observed{Age: age}} }
 
+// acceptProb is the probability that acceptor agrees to a partnership
+// requested by requester under p, as Policy defines it:
+// AcceptanceFunction of the two observed ages at p's horizon, or 1 at
+// horizon 0.
+func acceptProb(p Policy, acceptor, requester View) float64 {
+	L := p.AcceptHorizon()
+	if L == 0 {
+		return 1
+	}
+	return AcceptanceFunction(acceptor.Observed.Age, requester.Observed.Age, L)
+}
+
 // TestNativePoliciesMatchLegacyStrategies pins, for every knowledge
 // point on a grid, the exact floats the paper's strategy and its four
 // baselines compute, against closed forms written out here: each reads
@@ -63,8 +75,8 @@ func TestNativePoliciesMatchLegacyStrategies(t *testing.T) {
 		for _, ctx := range []Context{{}, {Round: 12345}} {
 			for _, a := range views {
 				for _, b := range views {
-					if got, want := pol.AcceptProb(ctx, a, b), c.accept(a, b); got != want {
-						t.Fatalf("%s: AcceptProb(%+v,%+v) = %v, want %v", c.spec, a, b, got, want)
+					if got, want := acceptProb(pol, a, b), c.accept(a, b); got != want {
+						t.Fatalf("%s: acceptance(%+v,%+v) = %v, want %v", c.spec, a, b, got, want)
 					}
 				}
 				if got, want := pol.Score(ctx, a), c.score(a); got != want {
@@ -83,21 +95,21 @@ func TestAcceptsAllMarkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !acceptsAll(pol) {
-			t.Errorf("%s must declare AlwaysAccepts", spec)
+		if L := pol.AcceptHorizon(); L != 0 {
+			t.Errorf("%s must accept everyone (horizon 0), has horizon %d", spec, L)
 		}
 	}
 	age, err := Parse("age")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acceptsAll(age) {
-		t.Fatal("the age strategy is not always-accept")
+	if age.AcceptHorizon() != defaultHorizon {
+		t.Fatalf("the age strategy's horizon is %d, want the paper's %d", age.AcceptHorizon(), defaultHorizon)
 	}
 }
 
 // TestAgreeConsumesNoRandomnessWhenCertain pins AgreeCtx's draw
-// discipline: the always-accept policies (and any prob==1 direction)
+// discipline: the accept-all policies (horizon 0, and any prob==1 direction)
 // must not advance the generator, while the probabilistic age path
 // draws exactly once per uncertain direction — the pattern every
 // golden trajectory was recorded under.
@@ -215,17 +227,16 @@ func TestEstimatorRankedScoresByEstimator(t *testing.T) {
 	}
 }
 
-// loudHistory is a history a policy with age-keyed acceptance must
-// never consult.
+// loudHistory is a history acceptance must never consult.
 type loudHistory struct{ t *testing.T }
 
 func (h loudHistory) Uptime(int64, int64) float64 {
-	h.t.Error("an age-keyed AcceptProb queried the history")
+	h.t.Error("acceptance queried the history")
 	return 0.5
 }
 
 func (h loudHistory) ObservedSince() (int64, bool) {
-	h.t.Error("an age-keyed AcceptProb queried the history")
+	h.t.Error("acceptance queried the history")
 	return 0, true
 }
 
@@ -261,12 +272,12 @@ func TestAcceptTableIsTheFunction(t *testing.T) {
 	}
 }
 
-// TestAgeAccepterMatchesAcceptProb holds every registered policy that
-// declares its acceptance a function of two ages to its word: the entry
-// its AcceptTable gives for two ages is AcceptProb on any two Views
-// carrying those ages, bit for bit, whatever the round and whatever
-// History and Oracle the Views hold. The policies that accept everyone
-// have the one-entry table; the paper's has the function's.
+// TestAgeAccepterMatchesAcceptProb holds every registered policy's age
+// table to the acceptance it stands for: the entry its AcceptTable gives
+// for two ages is AcceptanceFunction of those ages at the policy's
+// horizon (1 at horizon 0), on any two Views carrying them, bit for bit,
+// whatever History and Oracle the Views hold. The policies that accept
+// everyone have the one-entry table; the paper's has the function's.
 func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
 	ages := []int64{-1 << 40, -5, -1, 0, 1, 2, 23, 24, 25, 47, 48, 49, 1000, 2159, 2160, 2161, 1 << 40}
 	dressings := []func(age int64) View{
@@ -278,41 +289,37 @@ func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
 			return View{Observed: Observed{Age: age, History: monitor.NewIntervalHistory(10)}, Oracle: Oracle{Availability: 1, Remaining: -age}}
 		},
 	}
-	declared, keyed := 0, 0
+	all, keyed := 0, 0
 	for _, spec := range append(Names(), "age:L=24", "age:L=1") {
 		for _, d := range []Defaults{{}, {Horizon: 48}} {
 			pol, err := ParseWith(spec, d)
 			if err != nil {
 				t.Fatal(err)
 			}
+			L := pol.AcceptHorizon()
 			tab := AcceptTable(pol)
-			if tab == nil {
-				continue
+			if want := 2*L + 1; int64(len(tab)) != want {
+				t.Fatalf("%s: horizon %d, a table of %d entries, want %d", pol.Name(), L, len(tab), want)
 			}
-			declared++
-			if _, ok := pol.(ageKeyed); ok {
+			if L == 0 {
+				all++
+			} else {
 				keyed++
-				if acceptsAll(pol) {
-					t.Errorf("%s declares both constant and age-keyed acceptance", pol.Name())
-				}
 			}
 			for _, a := range ages {
 				for _, b := range ages {
 					want := tableProb(tab, a, b)
 					for i, da := range dressings {
 						db := dressings[(i+1)%len(dressings)]
-						for _, round := range []int64{0, 12345} {
-							if got := pol.AcceptProb(Context{Round: round}, da(a), db(b)); got != want {
-								t.Fatalf("%s: AcceptProb(ages %d, %d) = %v at round %d, its age table %v",
-									pol.Name(), a, b, got, round, want)
-							}
+						if got := acceptProb(pol, da(a), db(b)); got != want {
+							t.Fatalf("%s: acceptance(ages %d, %d) = %v, its age table %v", pol.Name(), a, b, got, want)
 						}
 					}
 				}
 			}
 		}
 	}
-	if keyed == 0 || declared == keyed {
-		t.Fatalf("%d policies have an age table, %d of them age-keyed: the paper's must be, and the accept-all ones have one too", declared, keyed)
+	if keyed == 0 || all == 0 {
+		t.Fatalf("%d policies with a horizon, %d accepting everyone: the paper's must have one, and the baselines accept everyone", keyed, all)
 	}
 }

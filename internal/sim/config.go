@@ -240,9 +240,6 @@ func (c Config) Validate() (Config, error) {
 	if c.Walk != "" && c.Walk != "v3" {
 		return c, fmt.Errorf("sim: Walk = %q: the walk modes were collapsed into one engine (PR 21); leave Walk empty", c.Walk)
 	}
-	if c.Shards >= 2 && !selection.HasPureScore(c.policy) {
-		return c, fmt.Errorf("sim: policy %q has no pure Score (selection.HasPureScore) and Shards = %d: concurrent planners would evaluate it in no fixed order; run it at Shards <= 1", c.policy.Name(), c.Shards)
-	}
 	if c.NumPeers < 2 {
 		return c, fmt.Errorf("sim: NumPeers = %d too small", c.NumPeers)
 	}

@@ -113,8 +113,8 @@ func slotFootprint(t *testing.T, cfg Config, budget int64) {
 		per(len(s.hist)*int(unsafe.Sizeof(monitor.IntervalHistory{}))), len(s.hist))
 	t.Logf("  candidate pools           %8.0f B  (%d episodes in flight, 24 B per entry of capacity)",
 		per(24*pooled), episodes)
-	t.Logf("  peer record, timer, score memo %3d B",
-		unsafe.Sizeof(peer{})+unsafe.Sizeof(s.sched[0])+16)
+	t.Logf("  peer record, timer        %8d B",
+		unsafe.Sizeof(peer{})+unsafe.Sizeof(s.sched[0]))
 	t.Logf("  slot rng stream           %8d B", unsafe.Sizeof(s.streams[0]))
 }
 
@@ -196,9 +196,7 @@ func (a spyAvail) SessionLength(r *rng.Rand, avail float64, online bool) int64 {
 	return a.AvailabilityModel.SessionLength(r, avail, online)
 }
 
-// spyPolicy is the age policy behind the bare Policy interface — no
-// capability markers, so it runs on one shard only — reporting the
-// planner's goroutine.
+// spyPolicy is the age policy reporting the planner's goroutine.
 type spyPolicy struct {
 	selection.Policy
 	plan *callers
@@ -210,9 +208,8 @@ func (p spyPolicy) Score(ctx selection.Context, v selection.View) float64 {
 }
 
 // TestOneShardRunsOnTheCaller: at one shard the walk and the plan run on
-// the goroutine that called StepRound — no fan-out to pay for, and the
-// reason a policy without a pure Score is deterministic there. At two
-// shards the walk leaves it.
+// the goroutine that called StepRound, with no fan-out to pay for. At
+// two shards the walk leaves it.
 func TestOneShardRunsOnTheCaller(t *testing.T) {
 	run := func(shards int, spyPlan bool) (walk, plan, me *callers) {
 		walk, plan, me = &callers{seen: map[string]int{}}, &callers{seen: map[string]int{}}, &callers{seen: map[string]int{}}

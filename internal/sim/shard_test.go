@@ -9,7 +9,6 @@ import (
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
-	"p2pbackup/internal/selection"
 )
 
 // The engine's correctness claim is equivalence, not similarity: the
@@ -331,16 +330,8 @@ func TestSlotStreamDerivation(t *testing.T) {
 	}
 }
 
-// impurePolicy is a Policy without the PureScore marker.
-type impurePolicy struct{}
-
-func (impurePolicy) Name() string                                                         { return "impure" }
-func (impurePolicy) AcceptProb(selection.Context, selection.View, selection.View) float64 { return 1 }
-func (impurePolicy) Score(selection.Context, selection.View) float64                      { return 0 }
-
 // TestWalkConfigGuards: the vestigial Walk field accepts "" and "v3"
-// and nothing else, and a policy whose Score is not declared pure runs
-// on one shard — deterministically — and is rejected by name on more.
+// and nothing else.
 func TestWalkConfigGuards(t *testing.T) {
 	base := digestConfig()
 	for _, walk := range []string{"", "v3"} {
@@ -356,17 +347,6 @@ func TestWalkConfigGuards(t *testing.T) {
 		if _, err := bad.Validate(); err == nil || !strings.Contains(err.Error(), walk) || !strings.Contains(err.Error(), "PR 21") {
 			t.Errorf("Walk=%q error = %v, want one naming the value and the collapse", walk, err)
 		}
-	}
-
-	impure := base
-	impure.policy = impurePolicy{}
-	impure.Shards = 2
-	if _, err := impure.Validate(); err == nil || !strings.Contains(err.Error(), `"impure"`) || !strings.Contains(err.Error(), "pure") {
-		t.Errorf("impure policy at Shards=2: error = %v, want rejection naming the policy and purity", err)
-	}
-	impure.Shards = 1
-	if a, b := digestRun(t, impure), digestRun(t, impure); a != b {
-		t.Errorf("impure policy at Shards=1 is not deterministic: %#x vs %#x", a, b)
 	}
 }
 

@@ -71,15 +71,10 @@
 // Attachment order is preserved within every kind, so each probe sees
 // its subscribed events in exactly the order the engine emits them.
 //
-// The engine also keeps one per-round cache off the measurement path:
-// at one shard a slot's pure policy score (in the Maintainer) is
-// computed at most once per round regardless of how many repairing
-// peers pool it, invalidated on occupant replacement and session flips. It holds no
-// randomness and changes no results. A slot's selection.View is not
-// cached — building one is two loads and a subtraction, and the
-// candidate loop reads an age (from simEnv.Joins) far more often than
-// it asks for a view. ARCHITECTURE.md's "Hot path & caching" section
-// has the full inventory.
+// A slot's selection.View is built when asked for, never cached: it is
+// two loads and a subtraction, and the candidate loop reads ages (from
+// simEnv.Joins) far more often than views. ARCHITECTURE.md's "Hot path &
+// caching" section has the full inventory.
 package sim
 
 import (
@@ -237,9 +232,6 @@ func New(cfg Config) (*Simulation, error) {
 	for i := range s.workers {
 		s.workers[i].ws = maintenance.NewWorkspace(slots)
 	}
-	// The sole planner may store score-memo misses; concurrent planners
-	// would race on them.
-	s.workers[0].ws.SolePlanner = len(s.workers) == 1
 	names := make([]string, len(cfg.Observers))
 	for i, o := range cfg.Observers {
 		names[i] = o.Name
@@ -272,7 +264,6 @@ func New(cfg Config) (*Simulation, error) {
 		RepairDelay:          cfg.RepairDelay,
 	}, s.led, s.tab, cfg.policy, (*simEnv)(s))
 	s.maint.SetWake(s.requestVisit)
-	s.maint.EnableScoreCache() // no-op unless the policy's Score is pure
 	if !cfg.redundancy.Static() {
 		// A static policy allocates nothing and draws nothing: fixed-n
 		// runs never see the redundancy stream

@@ -447,7 +447,9 @@ func TestTraceRecording(t *testing.T) {
 func TestStrategySwap(t *testing.T) {
 	// The engine must run with every registered strategy spec, resolved
 	// through Config.StrategySpec so window-query strategies see the
-	// monitoring substrate.
+	// monitoring substrate. At three shards the planners call Score
+	// concurrently: every spec's run must give its one-shard digest,
+	// which holds each registered policy to the purity Score promises.
 	for _, name := range selection.Names() {
 		cfg := smallConfig()
 		cfg.Rounds = 100
@@ -467,6 +469,12 @@ func TestStrategySwap(t *testing.T) {
 		}
 		if err := s.Ledger().CheckConsistency(); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		cfg.Shards = 1
+		want := digestRun(t, cfg)
+		cfg.Shards = 3
+		if got := digestRun(t, cfg); got != want {
+			t.Errorf("%s: digest %#x at three shards, %#x at one", name, got, want)
 		}
 	}
 }
@@ -561,7 +569,7 @@ func TestMonitoredHistoriesTrackSessions(t *testing.T) {
 }
 
 // historyBound is the age policy behind the bare Policy interface: it
-// drops every capability marker, IgnoresHistory included, as a custom
+// drops its one optional declaration, IgnoresHistory, as a custom
 // policy that declares nothing would.
 type historyBound struct{ selection.Policy }
 

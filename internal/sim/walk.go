@@ -34,7 +34,7 @@
 // The sequential phases (shocks, restores, replay, New) call the same
 // per-event bodies with a nil worker, which applies the shared half at
 // once. With one shard the walk and the plan run on the calling
-// goroutine — no fan-out, and the sole planner may fill the score memo.
+// goroutine, with no fan-out.
 
 package sim
 
@@ -412,16 +412,14 @@ func (s *Simulation) setOnline(w *worker, round int64, id overlay.PeerID, p *pee
 }
 
 // recordSession feeds a session transition into the slot's availability
-// history, when histories are kept, and drops its cached score, which
-// the history may feed. Rounds advance monotonically under engine
-// control, so a record failure is a bug.
+// history, when histories are kept. Rounds advance monotonically under
+// engine control, so a record failure is a bug.
 func (s *Simulation) recordSession(round int64, id overlay.PeerID, online bool) {
 	if s.hist != nil {
 		if err := s.hist[id].RecordTransition(round, online); err != nil {
 			panic(err)
 		}
 	}
-	s.maint.InvalidateScore(id)
 }
 
 // forgetHistory starts a slot's observations over when a fresh identity
