@@ -50,7 +50,7 @@ func (m SessionModel) SessionLength(r *rng.Rand, availability float64, online bo
 		return 1
 	}
 	u := 1 - r.Float64()
-	v := -math.Log(u) * mean
+	v := float64(-math.Log(u) * mean)
 	if v < 1 {
 		return 1
 	}

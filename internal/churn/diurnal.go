@@ -103,7 +103,7 @@ func (m DiurnalModel) Name() string {
 func (m DiurnalModel) AvailabilityAt(availability float64, round int64) float64 {
 	period := m.period()
 	phase := 2 * math.Pi * float64((round-m.Peak)%period) / float64(period)
-	a := availability * (1 + m.Amplitude*math.Cos(phase))
+	a := availability * (1 + float64(m.Amplitude*math.Cos(phase)))
 	if a < 0 {
 		return 0
 	}

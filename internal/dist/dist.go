@@ -38,7 +38,7 @@ func NewUniform(lo, hi float64) (Uniform, error) {
 
 // Sample implements Sampler.
 func (u Uniform) Sample(r *rng.Rand) float64 {
-	return u.Lo + r.Float64()*(u.Hi-u.Lo)
+	return u.Lo + float64(r.Float64()*(u.Hi-u.Lo))
 }
 
 // Pareto is the Pareto distribution with scale Xm (minimum value) and

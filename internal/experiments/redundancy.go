@@ -135,7 +135,7 @@ var redundancyTable = []table{{
 // otherwise.
 func redundancyAdaptiveSpec(override string) string {
 	if override != "" {
-		if pol, err := redundancy.Parse(override); err == nil && !pol.Static() {
+		if pol, err := redundancy.Parse(override); err == nil && pol != nil {
 			return override
 		}
 	}

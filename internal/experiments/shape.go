@@ -88,7 +88,7 @@ func MeasurePaperShape(ctx context.Context, base sim.Config, thresholds []int, f
 				_, last := col.LossSeries(c).Last()
 				cumLoss[c].Add(last)
 			}
-			loss.Add(float64(outages) / float64(peerRounds) * 1000)
+			loss.Add(float64(float64(outages) / float64(peerRounds) * 1000))
 			obs := row.Result.Observers
 			if observers == nil {
 				observers = make([]stats.Stream, obs.Len())

@@ -113,7 +113,7 @@ func (m ParetoModel) QuantileRemaining(age float64, q float64) float64 {
 	}
 	s := math.Max(age, m.Xm)
 	// T | T > s is Pareto(s, alpha); quantile is s*(1-q)^(-1/alpha).
-	return s*math.Pow(1-q, -1/m.Alpha) - age
+	return float64(s*math.Pow(1-q, -1/m.Alpha)) - age
 }
 
 // ---------------------------------------------------------------------------

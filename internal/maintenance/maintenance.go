@@ -219,23 +219,6 @@ type Transfers interface {
 	PendingHosts(owner overlay.PeerID, buf []overlay.PeerID) []overlay.PeerID
 }
 
-// Redundancy supplies per-archive redundancy targets: when the engine
-// runs an adaptive redundancy policy, an archive's desired block count
-// n(t) and repair trigger deviate from the global Params. The hook is
-// consulted only on the owner-specific paths (deficits, triggers,
-// completion checks); the ledger watcher and WantsStep keep the global
-// — and always ≥ per-archive — thresholds, so a below-trigger adaptive
-// archive is found by the same arm-and-poll machinery as a fixed one.
-// A nil hook (the default) is the historical fixed behaviour.
-type Redundancy interface {
-	// TargetBlocks returns the archive's current target block count
-	// n(t), in [DataBlocks, TotalBlocks].
-	TargetBlocks(owner overlay.PeerID) int
-	// RepairThreshold returns the archive's effective repair trigger,
-	// in [DataBlocks, TargetBlocks].
-	RepairThreshold(owner overlay.PeerID) int
-}
-
 // state is the per-archive protocol state.
 type state uint8
 
@@ -296,8 +279,12 @@ type Maintainer struct {
 	env    Env
 	peers  []peerState
 	wake   func(overlay.PeerID)
-	xfer   Transfers  // nil: the historical instant-placement path
-	rd     Redundancy // nil: fixed per-run redundancy (the paper)
+	xfer   Transfers // nil: the historical instant-placement path
+
+	// target and thr are the per-archive block counts n(t) and repair
+	// triggers of an adaptive redundancy policy (see SetTargets); both
+	// nil under the paper's fixed shape.
+	target, thr []int32
 
 	// accept is the policy's acceptance over two ages
 	// (selection.AcceptTable), resolved once: refreshPool negotiates on
@@ -368,28 +355,33 @@ func (m *Maintainer) SetWake(f func(overlay.PeerID)) { m.wake = f }
 // byte-identical to the pre-transfer engine.
 func (m *Maintainer) SetTransfers(t Transfers) { m.xfer = t }
 
-// SetRedundancy installs the per-archive redundancy hook. With the hook
-// set, every owner-specific target and trigger resolves through it; the
-// global Params remain the ceiling the ledger reservation and watcher
-// thresholds were sized for.
-func (m *Maintainer) SetRedundancy(rd Redundancy) { m.rd = rd }
+// SetTargets installs per-archive redundancy: when the engine runs an
+// adaptive redundancy policy, slot id's desired block count n(t) is
+// target[id] and its repair trigger thr[id], in [DataBlocks,
+// target[id]]. The engine keeps writing both slices; the Maintainer
+// reads them and never writes. A slot past the slices (an observer)
+// keeps the global Params, and nil slices (the default) are the paper's
+// fixed shape. They are read only on the owner-specific paths
+// (deficits, triggers, completion checks): the ledger watcher and
+// WantsStep keep the global — and always ≥ per-archive — thresholds, so
+// a below-trigger adaptive archive is found by the same arm-and-poll
+// machinery as a fixed one.
+func (m *Maintainer) SetTargets(target, thr []int32) { m.target, m.thr = target, thr }
 
-// targetBlocks returns the archive's desired block count: the global n
-// without a redundancy hook, the policy's n(t) with one.
+// targetBlocks returns the archive's desired block count n(t).
 func (m *Maintainer) targetBlocks(id overlay.PeerID) int {
-	if m.rd == nil {
-		return m.params.TotalBlocks
+	if int(id) < len(m.target) {
+		return int(m.target[id])
 	}
-	return m.rd.TargetBlocks(id)
+	return m.params.TotalBlocks
 }
 
-// threshold returns the archive's repair trigger: the global k' without
-// a redundancy hook, the policy's effective threshold with one.
+// threshold returns the archive's repair trigger.
 func (m *Maintainer) threshold(id overlay.PeerID) int {
-	if m.rd == nil {
-		return m.params.RepairThreshold
+	if int(id) < len(m.thr) {
+		return int(m.thr[id])
 	}
-	return m.rd.RepairThreshold(id)
+	return m.params.RepairThreshold
 }
 
 // GrowArchive starts an upload episode that raises an idle, included

@@ -19,8 +19,7 @@ type BitHistory struct {
 	next int64
 	// recorded is min(total records, window).
 	recorded int
-	// start is the first round ever recorded.
-	start int64
+	// began is set by the first Record.
 	began bool
 }
 
@@ -40,7 +39,6 @@ func (h *BitHistory) Window() int { return h.window }
 func (h *BitHistory) Record(round int64, online bool) error {
 	if !h.began {
 		h.began = true
-		h.start = round
 		h.next = round
 	}
 	if round != h.next {
@@ -63,12 +61,6 @@ func (h *BitHistory) Record(round int64, online bool) error {
 // Recorded returns how many rounds currently back the window (at most
 // Window).
 func (h *BitHistory) Recorded() int { return h.recorded }
-
-// ObservedSince returns the first recorded round; ok is false if
-// nothing was recorded yet.
-func (h *BitHistory) ObservedSince() (round int64, ok bool) {
-	return h.start, h.began
-}
 
 // OnlineAt reports the recorded state for a round inside the window.
 func (h *BitHistory) OnlineAt(round int64) (online, known bool) {

@@ -198,11 +198,6 @@ func (h *IntervalHistory) prune(now int64) {
 	}
 }
 
-// ObservedSince returns the first transition round.
-func (h *IntervalHistory) ObservedSince() (round int64, ok bool) {
-	return h.start, h.n > 0
-}
-
 // Reset clears the history, keeping the configured window and the ring
 // capacity (a slot's replacement occupant reuses it allocation-free).
 // Used when a monitored identity is replaced: the observations belong

@@ -13,9 +13,6 @@ func TestBitHistoryBasics(t *testing.T) {
 	if h.Window() != 8 {
 		t.Fatalf("Window = %d", h.Window())
 	}
-	if _, ok := h.ObservedSince(); ok {
-		t.Fatal("fresh history must have no observations")
-	}
 	if h.Uptime(5) != 0 || h.FullWindowUptime() != 0 {
 		t.Fatal("empty history uptime must be 0")
 	}
@@ -27,9 +24,6 @@ func TestBitHistoryBasics(t *testing.T) {
 	}
 	if err := h.Record(13, false); err != nil {
 		t.Fatal(err)
-	}
-	if since, ok := h.ObservedSince(); !ok || since != 10 {
-		t.Fatalf("ObservedSince = %d, %v", since, ok)
 	}
 	if h.Recorded() != 4 {
 		t.Fatalf("Recorded = %d", h.Recorded())
@@ -134,9 +128,6 @@ func TestIntervalHistoryBasics(t *testing.T) {
 	}
 	if err := h.RecordTransition(30, true); err != nil {
 		t.Fatal(err)
-	}
-	if since, ok := h.ObservedSince(); !ok || since != 0 {
-		t.Fatalf("ObservedSince = %d, %v", since, ok)
 	}
 	// Over [0, 40): online 10 + 10 = 20 of 40.
 	if got := h.Uptime(40, 40); got != 0.5 {
@@ -278,9 +269,6 @@ func TestIntervalHistoryReset(t *testing.T) {
 	h.Reset()
 	if h.Transitions() != 0 {
 		t.Fatalf("transitions after Reset = %d", h.Transitions())
-	}
-	if _, ok := h.ObservedSince(); ok {
-		t.Fatal("ObservedSince must report unobserved after Reset")
 	}
 	if got := h.Uptime(50, 50); got != 0 {
 		t.Fatalf("Uptime after Reset = %v, want 0", got)

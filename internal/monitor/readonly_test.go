@@ -238,9 +238,6 @@ func TestIntervalHistorySpanGuard(t *testing.T) {
 	if err := h.RecordTransition(start+maxSpan+5, true); err != nil {
 		t.Fatalf("record after Reset: %v", err)
 	}
-	if since, ok := h.ObservedSince(); !ok || since != start+maxSpan+5 {
-		t.Fatalf("ObservedSince after Reset = (%d,%v)", since, ok)
-	}
 }
 
 // TestTransitionSize holds the ring entry at 8 bytes: at paper scale the

@@ -3,15 +3,17 @@ package redundancy
 import (
 	"math"
 	"testing"
+
+	"p2pbackup/internal/spec"
 )
 
 // FuzzParse throws arbitrary policy-spec strings at the redundancy
 // parser (the CLI's -redundancy flag). Every input must either produce
-// a Policy or an error — never panic — and whatever Parse accepts must
+// a policy (nil for fixed) or an error — never panic — and whatever Parse accepts must
 // Bind cleanly against the paper's code shape or fail with a wrapped
 // ErrBadSpec, since sim.Config.Validate relies on exactly that split.
 func FuzzParse(f *testing.F) {
-	for _, s := range Names() {
+	for _, s := range spec.Names(table) {
 		f.Add(s)
 	}
 	for _, s := range []string{
@@ -42,10 +44,7 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		if pol == nil {
-			t.Fatalf("Parse(%q) returned nil policy without error", spec)
-		}
-		if pol.Name() == "" {
-			t.Fatalf("Parse(%q) returned unnamed policy", spec)
+			return // fixed: no policy to bind
 		}
 		// Bind against the paper shape: either a usable bound policy or
 		// a shape-mismatch error, never a panic.
@@ -53,11 +52,11 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if init := bound.Initial(128, 256); init < 128 || init > 256 {
-			t.Fatalf("Parse(%q).Initial out of [k, n]: %d", spec, init)
+		if bound.Min <= 128 || bound.Max < bound.Min || bound.Max > 256 {
+			t.Fatalf("Parse(%q) bound to [%d, %d], outside (k, n]", spec, bound.Min, bound.Max)
 		}
-		if bound.EvalEvery() < 1 {
-			t.Fatalf("Parse(%q).EvalEvery < 1", spec)
+		if bound.Eval < 1 || bound.Sample < 1 {
+			t.Fatalf("Parse(%q) bound to eval=%d, sample=%d", spec, bound.Eval, bound.Sample)
 		}
 		// Reparsing must be stable.
 		if _, err := Parse(spec); err != nil {
@@ -114,7 +113,7 @@ func FuzzTargetMatchesLinearScan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b := bound.(Adaptive)
+		b := *bound
 		obs := Observation{Current: b.Min + int(cur)%(b.Max-b.Min+1), DataBlocks: shapeK, Availability: p}
 		if got, want := b.Target(obs), refTarget(b, obs); got != want {
 			t.Fatalf("%+v.Target(%+v) = %d, oracle %d", b, obs, got, want)

@@ -35,7 +35,7 @@ func refDurability(n, k int, p float64) float64 {
 	for i := k; i <= n; i++ {
 		lgi, _ := math.Lgamma(float64(i + 1))
 		lgni, _ := math.Lgamma(float64(n - i + 1))
-		sum += math.Exp(lgn - lgi - lgni + float64(i)*lp + float64(n-i)*lq)
+		sum += math.Exp(lgn - lgi - lgni + float64(float64(i)*lp) + float64(float64(n-i)*lq))
 	}
 	if sum > 1 {
 		return 1
@@ -266,11 +266,11 @@ func TestTargetMatchesLinearScan(t *testing.T) {
 		for _, target := range []float64{0.9, 0.99999, 1 - 1e-12} {
 			t.Run(fmt.Sprintf("k=%d,n=%d,min=%d,max=%d,target=%v", shape.k, shape.n, shape.min, shape.max, target), func(t *testing.T) {
 				t.Parallel()
-				bound, err := Adaptive{Min: shape.min, Max: shape.max, TargetDurability: target}.Bind(shape.k, shape.kprime, shape.n)
+				bound, err := (&Adaptive{Min: shape.min, Max: shape.max, TargetDurability: target}).Bind(shape.k, shape.kprime, shape.n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				a := bound.(Adaptive)
+				a := *bound
 				prevP, prevNeed := 0.0, 0
 				for i := 0; i <= grid; i++ {
 					p := float64(i) / float64(grid)
@@ -444,11 +444,11 @@ func TestTargetWithoutMeasurement(t *testing.T) {
 // built at package initialisation and must never change — is reported.
 // Results are checked against the reference, across the table's end.
 func TestKernelConcurrent(t *testing.T) {
-	bound, err := Adaptive{}.Bind(128, 148, 256)
+	bound, err := (&Adaptive{}).Bind(128, 148, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := bound.(Adaptive)
+	a := *bound
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

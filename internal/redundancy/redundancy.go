@@ -1,15 +1,15 @@
 // Package redundancy implements the adaptive per-archive redundancy
-// policy layer: an online controller that retunes each archive's target
-// block count n(t) from monitored partner availability, after
-// Dell'Amico et al., "Adaptive Redundancy Management for Durable P2P
-// Backup" (arXiv 1201.2360).
+// layer: an online controller that retunes each archive's target block
+// count n(t) from monitored partner availability, after Dell'Amico et
+// al., "Adaptive Redundancy Management for Durable P2P Backup" (arXiv
+// 1201.2360).
 //
 // The paper this repository reproduces fixes the erasure shape (n, k)
-// and the repair threshold k' for a whole run. This package relaxes
-// that: a Policy observes an archive's monitored availability estimate
-// (the mean uptime of its partners over the monitoring window, exactly
-// the substrate monitor.IntervalHistory maintains) and decides whether
-// the archive should grow — encode and place extra parity blocks — or
+// and the repair threshold k' for a whole run. Adaptive relaxes that:
+// it observes an archive's monitored availability estimate (the mean
+// uptime of its partners over the monitoring window, exactly the
+// substrate monitor.IntervalHistory maintains) and decides whether the
+// archive should grow — encode and place extra parity blocks — or
 // shrink — retire surplus placements, releasing peer storage. The
 // estimate behind the decision is the binomial tail Durability(n, k',
 // p): the probability the archive holds at least k' available blocks,
@@ -22,17 +22,19 @@
 // Policies resolve through Parse, in the spec-string grammar selection
 // shares (package spec):
 //
-//	fixed                                       the inert paper behaviour
+//	fixed                                       no policy: Parse returns nil
 //	adaptive                                    defaults: min=k', max=n, target=0.99999
 //	adaptive:min=160,max=256,target=0.95
 //	adaptive:target=0.9999,hysteresis=4,eval=48
 //
-// The simulation engine consults the bound policy on a fixed
-// per-archive cadence (EvalEvery), drawing any randomness the
-// evaluation needs — partner subsampling — from a scratch stream
-// derived via rng.Derive, never from the engine's canonical stream, so
-// fixed-mode runs are bit-identical to pre-adaptive runs and adaptive
-// runs are bit-identical at every shard count.
+// Adaptive is the one policy that acts, so it is a concrete type and
+// nil is the paper's fixed shape. The simulation engine consults the
+// bound policy on a fixed per-archive cadence (Eval), drawing any
+// randomness the evaluation needs — partner subsampling — from a
+// scratch stream derived via rng.Derive, never from the engine's
+// canonical stream, so fixed-mode runs are bit-identical to
+// pre-adaptive runs and adaptive runs are bit-identical at every shard
+// count.
 package redundancy
 
 import (
@@ -40,7 +42,8 @@ import (
 	"math"
 )
 
-// Observation is what a Policy sees when it evaluates one archive.
+// Observation is what Adaptive.Target sees when it evaluates one
+// archive.
 type Observation struct {
 	// Round is the evaluation round.
 	Round int64
@@ -52,34 +55,6 @@ type Observation struct {
 	// archive's blocks: the mean uptime of (a sample of) its partners
 	// over the monitoring window.
 	Availability float64
-}
-
-// Policy decides per-archive redundancy targets. Implementations are
-// immutable values, safe to share between concurrently running
-// simulations; Bind resolves a parsed policy against a concrete code
-// shape before use.
-type Policy interface {
-	// Name returns the registry spec name.
-	Name() string
-	// Static reports that the policy never deviates from the configured
-	// code shape; the engine keeps its zero-cost fixed path and draws no
-	// extra randomness when it is set.
-	Static() bool
-	// Bind resolves the policy against a code shape (k data blocks,
-	// repair threshold k', n total blocks), filling shape-relative
-	// defaults and validating the result. It returns the bound policy.
-	Bind(k, kprime, n int) (Policy, error)
-	// Initial returns the target block count of a freshly encoded
-	// archive (the initial upload's d).
-	Initial(k, n int) int
-	// Target returns the desired target block count for one archive.
-	// Growing is any return above obs.Current; shrinking below it.
-	Target(obs Observation) int
-	// EvalEvery returns the per-archive evaluation cadence in rounds.
-	EvalEvery() int64
-	// SamplePeers returns how many partners an evaluation probes for
-	// the availability estimate (the monitoring cost bound).
-	SamplePeers() int
 }
 
 // Durability returns the probability that an archive of n blocks, each
@@ -108,7 +83,7 @@ func binomTail(n, k int, lp, lq float64) float64 {
 	lgn := lnFact(n)
 	sum := 0.0
 	for i := k; i <= n; i++ {
-		sum += math.Exp(lgn - lnFact(i) - lnFact(n-i) + float64(i)*lp + float64(n-i)*lq)
+		sum += math.Exp(lgn - lnFact(i) - lnFact(n-i) + float64(float64(i)*lp) + float64(float64(n-i)*lq))
 	}
 	if sum > 1 {
 		return 1
@@ -141,7 +116,7 @@ func lnFact(i int) float64 {
 // under the target too. The tail's rounding error grows like n ln n
 // ulps — 4e-13 at n = 256 — and the tests hold it, and the
 // non-monotonicity it causes, to a small fraction of this.
-func tailSlack(n int) float64 { return 4e-12 * float64(n) }
+func tailSlack(n int) float64 { return float64(4e-12 * float64(n)) }
 
 // tailEstimate approximates binomTail(n, k, lp, lq), given p = e^lp as
 // well, by the term recurrence instead of one math.Exp per term: one
@@ -155,16 +130,16 @@ func tailSlack(n int) float64 { return 4e-12 * float64(n) }
 // (TestTailEstimateWithinSlack), which is all MinBlocksFor asks of it.
 func tailEstimate(n, k int, p, lp, lq float64) float64 {
 	m := min(max(int(float64(n+1)*p), k), n)
-	tm := math.Exp(lnFact(n) - lnFact(m) - lnFact(n-m) + float64(m)*lp + float64(n-m)*lq)
+	tm := math.Exp(lnFact(n) - lnFact(m) - lnFact(n-m) + float64(float64(m)*lp) + float64(float64(n-m)*lq))
 	r := p / (1 - p)
 	sum, t := tm, tm
 	for i := m; i < n; i++ {
-		t *= float64(n-i) / float64(i+1) * r
+		t = float64(t * (float64(n-i) / float64(i+1) * r))
 		sum += t
 	}
 	t = tm
 	for i := m; i > k; i-- {
-		t *= float64(i) / float64(n-i+1) / r
+		t = float64(t * (float64(i) / float64(n-i+1) / r))
 		sum += t
 	}
 	return sum
@@ -258,7 +233,7 @@ func EffectiveThreshold(k, kprime, n, target int) int {
 	return thr
 }
 
-// Default knobs of the adaptive built-in.
+// Default knobs of the adaptive policy.
 const (
 	// DefaultTargetDurability is the probability of holding >= k'
 	// available blocks the adaptive policy sizes archives for when the
@@ -286,33 +261,6 @@ const (
 	maxShrinkPerEval = 8
 )
 
-// Fixed is the inert built-in policy: the paper's behaviour, byte
-// identical to a run without any redundancy layer. The engine treats a
-// Static policy as "no policy" and keeps its historical fast path.
-type Fixed struct{}
-
-// Name implements Policy.
-func (Fixed) Name() string { return "fixed" }
-
-// Static implements Policy: Fixed never deviates.
-func (Fixed) Static() bool { return true }
-
-// Bind implements Policy; Fixed binds to any valid shape.
-func (Fixed) Bind(k, kprime, n int) (Policy, error) { return Fixed{}, nil }
-
-// Initial implements Policy: archives start at the full n.
-func (Fixed) Initial(k, n int) int { return n }
-
-// Target implements Policy: the target never moves.
-func (Fixed) Target(obs Observation) int { return obs.Current }
-
-// EvalEvery implements Policy (unused: the engine never evaluates a
-// static policy).
-func (Fixed) EvalEvery() int64 { return 1 }
-
-// SamplePeers implements Policy (unused for a static policy).
-func (Fixed) SamplePeers() int { return 0 }
-
 // Adaptive sizes each archive to the smallest n(t) in [Min, Max] that
 // keeps at least k' blocks available with probability TargetDurability
 // at the monitored partner availability, shrinking only when the
@@ -320,22 +268,34 @@ func (Fixed) SamplePeers() int { return 0 }
 // threshold k' rather than against k is deliberate: holding >= k'
 // preserves the full configured cushion of k'-k block failures between
 // "repair triggers" and "archive lost", so the hard-loss probability
-// sits orders of magnitude below 1-TargetDurability. The zero value of
-// a bound field means "resolve from the code shape at Bind": Min
-// becomes k' (below it the archive would trigger a repair on arrival),
-// Max becomes the configured n (the ledger's preallocated ceiling).
+// sits orders of magnitude below 1-TargetDurability.
+//
+// Bind resolves a policy against the code shape; the bound copy is
+// immutable, safe to share between concurrently running simulations.
 type Adaptive struct {
 	// Min and Max bound the target block count. 0 resolves at Bind to
-	// k' and n respectively.
+	// k' (below it the archive would trigger a repair on arrival) and
+	// to n (the ledger's preallocated ceiling). A fresh archive starts
+	// at Max, the full provision, and shrinks only once evidence
+	// accumulates: it has no availability measurement yet, and at the
+	// paper's shape an archive born at k' expects fewer than k blocks
+	// visible — undecodable more often than not, and one unlucky week
+	// from permanent loss. Starting minimal and growing would re-enter
+	// that fragile state on every occupant replacement; starting full
+	// costs at most one evaluation cadence of extra storage.
 	Min, Max int
 	// TargetDurability is the probability, in (0, 1), that an archive
 	// holds at least k' available blocks at the monitored availability.
+	// 0 resolves at Bind to DefaultTargetDurability.
 	TargetDurability float64
 	// Hysteresis is the surplus (in blocks) tolerated before shrinking.
 	Hysteresis int
-	// Eval is the per-archive evaluation cadence in rounds.
+	// Eval is the per-archive evaluation cadence in rounds; 0 resolves
+	// at Bind to one day.
 	Eval int64
-	// Sample is how many partners an evaluation probes.
+	// Sample is how many partners an evaluation probes for the
+	// availability estimate (the monitoring cost bound); 0 resolves at
+	// Bind to 16.
 	Sample int
 
 	// kprime is the code shape's repair threshold, recorded at Bind; it
@@ -343,16 +303,12 @@ type Adaptive struct {
 	kprime int
 }
 
-// Name implements Policy.
-func (a Adaptive) Name() string { return "adaptive" }
-
-// Static implements Policy: Adaptive retunes archives online.
-func (a Adaptive) Static() bool { return false }
-
-// Bind implements Policy: zero bounds resolve to [k', n] and the result
-// is checked against the shape (k < Min <= Max <= n).
-func (a Adaptive) Bind(k, kprime, n int) (Policy, error) {
-	b := a
+// Bind resolves the policy against a code shape (k data blocks, repair
+// threshold k', n total blocks): every zero field takes its default,
+// Min and Max the shape's [k', n], and the result must satisfy
+// k < Min <= Max <= n. It returns the bound copy and leaves a as it is.
+func (a *Adaptive) Bind(k, kprime, n int) (*Adaptive, error) {
+	b := *a
 	if b.Min == 0 {
 		b.Min = kprime
 	}
@@ -368,53 +324,46 @@ func (a Adaptive) Bind(k, kprime, n int) (Policy, error) {
 	if b.Sample == 0 {
 		b.Sample = defaultSamplePeers
 	}
-	if b.Min <= k {
-		return nil, fmt.Errorf("%w: adaptive: min=%d must exceed k=%d", ErrBadSpec, b.Min, k)
-	}
-	if b.Min > b.Max {
-		return nil, fmt.Errorf("%w: adaptive: min=%d exceeds max=%d", ErrBadSpec, b.Min, b.Max)
-	}
-	if b.Max > n {
-		return nil, fmt.Errorf("%w: adaptive: max=%d exceeds the configured n=%d (the ledger's preallocated ceiling)", ErrBadSpec, b.Max, n)
-	}
-	if !(b.TargetDurability > 0 && b.TargetDurability < 1) {
-		return nil, fmt.Errorf("%w: adaptive: target=%v outside (0, 1)", ErrBadSpec, b.TargetDurability)
-	}
-	if b.Hysteresis < 0 {
-		return nil, fmt.Errorf("%w: adaptive: hysteresis=%d must be >= 0", ErrBadSpec, b.Hysteresis)
-	}
-	if b.Eval < 1 {
-		return nil, fmt.Errorf("%w: adaptive: eval=%d must be >= 1", ErrBadSpec, b.Eval)
-	}
-	if b.Sample < 1 {
-		return nil, fmt.Errorf("%w: adaptive: sample=%d must be >= 1", ErrBadSpec, b.Sample)
+	if err := b.validate(k, n); err != nil {
+		return nil, err
 	}
 	b.kprime = kprime
-	return b, nil
+	return &b, nil
 }
 
-// Initial implements Policy: adaptive archives start at the FULL
-// provision (Max) and shrink only once evidence accumulates. A fresh
-// archive has zero availability measurements, and at the paper's shape
-// an archive born at Min = k' expects fewer than k blocks visible —
-// undecodable more often than not, and one unlucky week from permanent
-// loss. Starting minimal-and-growing (the classic adaptive-redundancy
-// framing) re-enters that fragile state on every occupant replacement;
-// starting full costs at most one eval cadence of extra storage before
-// the first measured shrink.
-func (a Adaptive) Initial(k, n int) int {
-	if a.Max > 0 {
-		return a.Max
+// validate checks the policy's fields against a code shape of k data
+// blocks and n in all, or — with k and n 0, as Parse calls it — only
+// what holds at every shape.
+func (a *Adaptive) validate(k, n int) error {
+	switch {
+	case k > 0 && a.Min <= k:
+		return fmt.Errorf("%w: adaptive: min=%d must exceed k=%d", ErrBadSpec, a.Min, k)
+	case a.Min < 0 || a.Max < 0:
+		return fmt.Errorf("%w: adaptive: min=%d, max=%d must be >= 0", ErrBadSpec, a.Min, a.Max)
+	case a.Min > 0 && a.Max > 0 && a.Min > a.Max:
+		return fmt.Errorf("%w: adaptive: min=%d exceeds max=%d", ErrBadSpec, a.Min, a.Max)
+	case n > 0 && a.Max > n:
+		return fmt.Errorf("%w: adaptive: max=%d exceeds the configured n=%d (the ledger's preallocated ceiling)", ErrBadSpec, a.Max, n)
+	case !(a.TargetDurability > 0 && a.TargetDurability < 1):
+		return fmt.Errorf("%w: adaptive: target=%v outside (0, 1)", ErrBadSpec, a.TargetDurability)
+	case a.Hysteresis < 0:
+		return fmt.Errorf("%w: adaptive: hysteresis=%d must be >= 0", ErrBadSpec, a.Hysteresis)
+	case a.Eval < 1:
+		return fmt.Errorf("%w: adaptive: eval=%d must be >= 1", ErrBadSpec, a.Eval)
+	case a.Sample < 1:
+		return fmt.Errorf("%w: adaptive: sample=%d must be >= 1", ErrBadSpec, a.Sample)
 	}
-	return n
+	return nil
 }
 
-// Target implements Policy: the smallest n(t) in [Min, Max] holding at
-// least k' available blocks with probability TargetDurability at the
-// observed availability, with shrink hysteresis. Without a measurement
-// to size from — a policy that was never bound to a code shape, or a
-// non-finite availability — the target stays where it is.
-func (a Adaptive) Target(obs Observation) int {
+// Target returns the archive's desired block count: the smallest n(t)
+// in [Min, Max] holding at least k' available blocks with probability
+// TargetDurability at the observed availability, with shrink
+// hysteresis. Growing is any return above obs.Current; shrinking below
+// it. Without a measurement to size from — a policy that was never
+// bound to a code shape, or a non-finite availability — the target
+// stays where it is.
+func (a *Adaptive) Target(obs Observation) int {
 	if a.kprime == 0 || math.IsNaN(obs.Availability) || math.IsInf(obs.Availability, 0) {
 		return obs.Current
 	}
@@ -435,20 +384,4 @@ func (a Adaptive) Target(obs Observation) int {
 		return need
 	}
 	return obs.Current
-}
-
-// EvalEvery implements Policy.
-func (a Adaptive) EvalEvery() int64 {
-	if a.Eval > 0 {
-		return a.Eval
-	}
-	return defaultEvalEvery
-}
-
-// SamplePeers implements Policy.
-func (a Adaptive) SamplePeers() int {
-	if a.Sample > 0 {
-		return a.Sample
-	}
-	return defaultSamplePeers
 }

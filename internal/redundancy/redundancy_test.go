@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"p2pbackup/internal/spec"
 )
 
 func TestParseFixed(t *testing.T) {
@@ -13,18 +15,8 @@ func TestParseFixed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		if pol.Name() != "fixed" || !pol.Static() {
-			t.Fatalf("Parse(%q) = %#v, want static fixed", spec, pol)
-		}
-		bound, err := pol.Bind(128, 148, 256)
-		if err != nil {
-			t.Fatalf("Bind: %v", err)
-		}
-		if got := bound.Initial(128, 256); got != 256 {
-			t.Fatalf("fixed Initial = %d, want 256", got)
-		}
-		if got := bound.Target(Observation{Current: 256, DataBlocks: 128, Availability: 0.1}); got != 256 {
-			t.Fatalf("fixed Target = %d, want 256", got)
+		if pol != nil {
+			t.Fatalf("Parse(%q) = %+v, want nil (the fixed shape)", spec, pol)
 		}
 	}
 }
@@ -44,15 +36,8 @@ func TestParseAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.spec, err)
 		}
-		a, ok := pol.(Adaptive)
-		if !ok {
-			t.Fatalf("Parse(%q) = %T, want Adaptive", c.spec, pol)
-		}
-		if a != c.want {
-			t.Fatalf("Parse(%q) = %+v, want %+v", c.spec, a, c.want)
-		}
-		if a.Static() {
-			t.Fatalf("Parse(%q).Static() = true", c.spec)
+		if pol == nil || *pol != c.want {
+			t.Fatalf("Parse(%q) = %+v, want %+v", c.spec, pol, c.want)
 		}
 	}
 }
@@ -88,9 +73,9 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestNamesContainsBuiltins(t *testing.T) {
-	names := Names()
+	names := spec.Names(table)
 	if len(names) < 2 || names[0] != "fixed" || names[1] != "adaptive" {
-		t.Fatalf("Names() = %v, want [fixed adaptive ...]", names)
+		t.Fatalf("table names = %v, want [fixed adaptive ...]", names)
 	}
 }
 
@@ -103,15 +88,12 @@ func TestAdaptiveBind(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	a := bound.(Adaptive)
+	a := bound
 	if a.Min != 148 || a.Max != 256 {
 		t.Fatalf("bound bounds = [%d, %d], want [148, 256]", a.Min, a.Max)
 	}
-	// Fresh archives provision at Max and shrink on evidence: born at
-	// Min they would expect fewer than k visible blocks at realistic
-	// availability, undecodable until the first grow completes.
-	if got := a.Initial(128, 256); got != 256 {
-		t.Fatalf("Initial = %d, want Max=256", got)
+	if a.Eval != 24 || a.Sample != 16 {
+		t.Fatalf("bound cadence, sample = %d, %d, want 24, 16", a.Eval, a.Sample)
 	}
 
 	for _, c := range []struct{ min, max int }{
@@ -207,11 +189,10 @@ func TestEffectiveThreshold(t *testing.T) {
 }
 
 func TestAdaptiveTarget(t *testing.T) {
-	a, err := Adaptive{}.Bind(16, 20, 32)
+	pol, err := (&Adaptive{}).Bind(16, 20, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := a.(Adaptive)
 
 	// Perfect availability: the minimum suffices; a full-size archive
 	// descends to it stepwise, at most maxShrinkPerEval blocks per
@@ -254,11 +235,10 @@ func TestAdaptiveTarget(t *testing.T) {
 	// n(t) must be the smallest count holding >= k'=148 blocks with
 	// five-nines probability — well under the fixed n=256 but far above
 	// what sizing against k=128 alone would pick.
-	b, err := Adaptive{}.Bind(128, 148, 256)
+	paper, err := (&Adaptive{}).Bind(128, 148, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper := b.(Adaptive)
 	n := paper.Target(Observation{Current: 148, DataBlocks: 128, Availability: 0.86})
 	if n <= 148 || n >= 256 {
 		t.Fatalf("paper-shape target = %d, want strictly inside (148, 256)", n)
@@ -271,10 +251,10 @@ func TestAdaptiveTarget(t *testing.T) {
 	}
 }
 
-// TestRegisterPanics is the static table's sanity check: every entry has
-// a builder and a name that is non-empty, unique and free of parameter
-// syntax, or the grammar could not reach it.
-func TestRegisterPanics(t *testing.T) {
+// TestTableWellFormed is the static table's sanity check: every entry
+// has a builder and a name that is non-empty, unique and free of
+// parameter syntax, or the grammar could not reach it.
+func TestTableWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for i, e := range table {
 		if e.Name == "" || e.Build == nil || strings.ContainsAny(e.Name, "=, ") || seen[e.Name] {

@@ -9,7 +9,6 @@ package redundancy
 
 import (
 	"errors"
-	"fmt"
 
 	"p2pbackup/internal/spec"
 )
@@ -21,26 +20,24 @@ var ErrUnknownPolicy = errors.New("redundancy: unknown policy")
 // misplaced parameters.
 var ErrBadSpec = errors.New("redundancy: bad policy spec")
 
-// Names lists the policy spec names in table order (fixed first).
-func Names() []string { return spec.Names(table) }
-
-// Parse resolves a redundancy policy spec. The empty spec is "fixed",
-// the paper's behaviour. The returned policy still needs Bind against
-// the concrete code shape (sim.Config.Validate does this).
-func Parse(s string) (Policy, error) {
+// Parse resolves a redundancy policy spec. The empty spec and "fixed",
+// the paper's fixed shape, return a nil policy; "adaptive" returns one
+// that still needs Bind against the concrete code shape
+// (sim.Config.Validate does this). Everything Parse can check without
+// the shape it checks here, so a bad spec fails before any run starts.
+func Parse(s string) (*Adaptive, error) {
 	if s == "" {
-		s = "fixed"
+		return nil, nil
 	}
 	return spec.Parse(s, table, struct{}{}, ErrUnknownPolicy, ErrBadSpec)
 }
 
-// table is every policy spec, in order: Names feeds campaign variant
-// lists, whose seeds are index-derived, so order is part of the
-// reproducibility contract. Append; never reorder.
-var table = []spec.Entry[struct{}, Policy]{
-	{Name: "fixed", Build: func(*spec.Params, struct{}) (Policy, error) { return Fixed{}, nil }},
-	{Name: "adaptive", Build: func(p *spec.Params, _ struct{}) (Policy, error) {
-		a := Adaptive{
+// table is every policy spec name, in the order the unknown-name error
+// lists them.
+var table = []spec.Entry[struct{}, *Adaptive]{
+	{Name: "fixed", Build: func(*spec.Params, struct{}) (*Adaptive, error) { return nil, nil }},
+	{Name: "adaptive", Build: func(p *spec.Params, _ struct{}) (*Adaptive, error) {
+		a := &Adaptive{
 			Min:              p.Int("min", 0),
 			Max:              p.Int("max", 0),
 			TargetDurability: p.FloatPrimary("target", DefaultTargetDurability),
@@ -48,25 +45,8 @@ var table = []spec.Entry[struct{}, Policy]{
 			Eval:             p.Int64("eval", defaultEvalEvery),
 			Sample:           p.Int("sample", defaultSamplePeers),
 		}
-		// Shape-independent sanity; the shape-relative checks happen at
-		// Bind, once k, k' and n are known.
-		if a.Min < 0 || a.Max < 0 {
-			return nil, fmt.Errorf("%w: adaptive: min=%d, max=%d must be >= 0", ErrBadSpec, a.Min, a.Max)
-		}
-		if a.Min > 0 && a.Max > 0 && a.Min > a.Max {
-			return nil, fmt.Errorf("%w: adaptive: min=%d exceeds max=%d", ErrBadSpec, a.Min, a.Max)
-		}
-		if !(a.TargetDurability > 0 && a.TargetDurability < 1) {
-			return nil, fmt.Errorf("%w: adaptive: target=%v outside (0, 1)", ErrBadSpec, a.TargetDurability)
-		}
-		if a.Hysteresis < 0 {
-			return nil, fmt.Errorf("%w: adaptive: hysteresis=%d must be >= 0", ErrBadSpec, a.Hysteresis)
-		}
-		if a.Eval < 1 {
-			return nil, fmt.Errorf("%w: adaptive: eval=%d must be >= 1", ErrBadSpec, a.Eval)
-		}
-		if a.Sample < 1 {
-			return nil, fmt.Errorf("%w: adaptive: sample=%d must be >= 1", ErrBadSpec, a.Sample)
+		if err := a.validate(0, 0); err != nil {
+			return nil, err
 		}
 		return a, nil
 	}},

@@ -27,9 +27,6 @@ type AvailabilityHistory interface {
 	// Uptime returns the online fraction over [now-n, now), clamped to
 	// the observed span; zero when nothing is recorded.
 	Uptime(now int64, n int64) float64
-	// ObservedSince returns the first observed round; ok is false if the
-	// peer was never observed.
-	ObservedSince() (round int64, ok bool)
 }
 
 // Observed is the knowledge an implementable protocol has about a peer:

@@ -235,11 +235,6 @@ func (h loudHistory) Uptime(int64, int64) float64 {
 	return 0.5
 }
 
-func (h loudHistory) ObservedSince() (int64, bool) {
-	h.t.Error("acceptance queried the history")
-	return 0, true
-}
-
 // tableProb reads an AcceptTable the way its documentation says to:
 // the entry L + clamp(acceptor) − clamp(requester).
 func tableProb(tab []float64, acceptor, requester int64) float64 {

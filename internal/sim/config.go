@@ -84,8 +84,8 @@ type Config struct {
 	Bandwidth *transfer.Params
 
 	// RedundancySpec names the per-archive redundancy policy as a spec
-	// string (see redundancy.Parse). "fixed", the default, keeps every
-	// archive at the configured n; an adaptive policy
+	// string (see redundancy.Parse). "" or "fixed", the default, is no
+	// policy: every archive keeps the configured n and k'. "adaptive"
 	// ("adaptive:target=0.95") retunes each archive's target block count
 	// online from monitored partner availability, within [k+1, n] —
 	// TotalBlocks stays the ledger's preallocated ceiling.
@@ -153,11 +153,13 @@ type Config struct {
 	PhaseTimes bool
 
 	// policy and redundancy are the policies StrategySpec and
-	// RedundancySpec resolve to (the latter bound to the code shape),
-	// filled by Validate. A package test may set either first to run
-	// the engine under a policy no spec names.
+	// RedundancySpec resolve to, filled by Validate: redundancy is bound
+	// to the code shape, and nil for the fixed shape. A package test may
+	// set policy first, to any selection.Policy, or redundancy, to a
+	// *redundancy.Adaptive that Validate then binds, to run the engine
+	// under a policy no spec string names.
 	policy     selection.Policy
-	redundancy redundancy.Policy
+	redundancy *redundancy.Adaptive
 }
 
 // DefaultConfig returns the paper's parameters at full scale.
@@ -264,11 +266,13 @@ func (c Config) Validate() (Config, error) {
 		}
 		c.redundancy = pol
 	}
-	bound, err := c.redundancy.Bind(c.DataBlocks, c.RepairThreshold, c.TotalBlocks)
-	if err != nil {
-		return c, fmt.Errorf("sim: %w", err)
+	if c.redundancy != nil {
+		bound, err := c.redundancy.Bind(c.DataBlocks, c.RepairThreshold, c.TotalBlocks)
+		if err != nil {
+			return c, fmt.Errorf("sim: %w", err)
+		}
+		c.redundancy = bound
 	}
-	c.redundancy = bound
 	if c.Quota < 1 {
 		return c, fmt.Errorf("sim: quota %d must be positive", c.Quota)
 	}

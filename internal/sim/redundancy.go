@@ -1,10 +1,10 @@
 package sim
 
 // Adaptive redundancy: the engine-side state and round phase behind
-// Config.RedundancySpec. A static policy (fixed, the default) allocates
-// nothing here and draws nothing; an adaptive policy gets a per-archive
-// target array, a derived scratch rng stream, and one evaluation phase
-// per round.
+// Config.RedundancySpec. The fixed shape (no policy, the default)
+// allocates nothing here and draws nothing; an adaptive policy gets a
+// per-archive target array, a derived scratch rng stream, and one
+// evaluation phase per round.
 //
 // The rng rule: every draw an evaluation makes (partner subsampling)
 // comes from a stream derived via rng.Derive(seed, redunStreamIndex),
@@ -37,27 +37,25 @@ const redunStreamIndex uint64 = 0x5245_4455_4e44_414e
 // within a few days of simulated time.
 const redunEstGain = 0.25
 
-// redunState is the adaptive-policy engine state (nil under a static
-// policy).
+// redunState is the adaptive-policy engine state (nil under the fixed
+// shape).
 type redunState struct {
-	pol redundancy.Policy
-	r   *rng.Rand // derived scratch stream; see the package rule above
+	pol *redundancy.Adaptive // bound: Max, Eval and Sample are resolved
+	r   *rng.Rand            // derived scratch stream; see the package rule above
 	// target and thr hold each population slot's current n(t) and the
-	// effective repair threshold it implies (cached because the
-	// maintenance hook reads it on every step).
+	// effective repair threshold it implies; the Maintainer reads both
+	// slices (maintenance.SetTargets) on every step.
 	target []int32
 	thr    []int32
 	// est holds each slot's smoothed availability estimate (the EWMA of
 	// per-evaluation probes; 0 = no evaluation yet). See redunEstGain.
 	est    []float64
 	sum    int64 // sum of target, for the mean-n(t) series
-	eval   int64 // per-archive evaluation cadence (rounds)
 	window int64 // monitored-uptime window (AcceptHorizon)
-	sample int   // partners probed per evaluation
 }
 
-// newRedunState builds the per-archive arrays at the policy's initial
-// target.
+// newRedunState builds the per-archive arrays with every archive at the
+// policy's Max, where a fresh archive starts (see redundancy.Adaptive).
 func newRedunState(cfg Config) *redunState {
 	rs := &redunState{
 		pol:    cfg.redundancy,
@@ -65,17 +63,14 @@ func newRedunState(cfg Config) *redunState {
 		target: make([]int32, cfg.NumPeers),
 		thr:    make([]int32, cfg.NumPeers),
 		est:    make([]float64, cfg.NumPeers),
-		eval:   cfg.redundancy.EvalEvery(),
 		window: cfg.AcceptHorizon,
-		sample: cfg.redundancy.SamplePeers(),
 	}
-	initial := cfg.redundancy.Initial(cfg.DataBlocks, cfg.TotalBlocks)
-	thr := redundancy.EffectiveThreshold(cfg.DataBlocks, cfg.RepairThreshold, cfg.TotalBlocks, initial)
+	thr := redundancy.EffectiveThreshold(cfg.DataBlocks, cfg.RepairThreshold, cfg.TotalBlocks, rs.pol.Max)
 	for i := range rs.target {
-		rs.target[i] = int32(initial)
+		rs.target[i] = int32(rs.pol.Max)
 		rs.thr[i] = int32(thr)
 	}
-	rs.sum = int64(initial) * int64(cfg.NumPeers)
+	rs.sum = int64(rs.pol.Max) * int64(cfg.NumPeers)
 	return rs
 }
 
@@ -89,15 +84,16 @@ func (s *Simulation) setTarget(id overlay.PeerID, nt int) {
 		s.cfg.DataBlocks, s.cfg.RepairThreshold, s.cfg.TotalBlocks, nt))
 }
 
-// redunReset restores a slot's target to the policy's initial value
-// when its archive identity changes (occupant replaced, archive lost
-// and re-encoded). Not a policy decision: no event is emitted.
+// redunReset restores a slot's target to the policy's Max, where a
+// fresh archive starts, when its archive identity changes (occupant
+// replaced, archive lost and re-encoded). Not a policy decision: no
+// event is emitted.
 func (s *Simulation) redunReset(id overlay.PeerID) {
 	if s.redun == nil || int(id) >= s.cfg.NumPeers {
 		return
 	}
 	s.redun.est[id] = 0 // a new archive identity starts its estimate over
-	s.setTarget(id, s.redun.pol.Initial(s.cfg.DataBlocks, s.cfg.TotalBlocks))
+	s.setTarget(id, s.redun.pol.Max)
 }
 
 // stepRedundancy is the adaptive evaluation phase: each round it walks
@@ -110,8 +106,9 @@ func (s *Simulation) redunReset(id overlay.PeerID) {
 // surplus placements immediately, offline hosts first.
 func (s *Simulation) stepRedundancy(round int64) {
 	rs := s.redun
-	start := int((rs.eval - round%rs.eval) % rs.eval)
-	for id := start; id < s.cfg.NumPeers; id += int(rs.eval) {
+	eval := rs.pol.Eval
+	start := int((eval - round%eval) % eval)
+	for id := start; id < s.cfg.NumPeers; id += int(eval) {
 		s.evalRedundancy(round, overlay.PeerID(id))
 	}
 }
@@ -135,16 +132,16 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 	// scratch stream (the draw count depends only on ledger state, which
 	// is shard-count invariant).
 	var p float64
-	if nh <= rs.sample {
+	if nh <= rs.pol.Sample {
 		for i := 0; i < nh; i++ {
 			p += s.hist[s.hostAt(id, i)].Uptime(round, rs.window)
 		}
 		p /= float64(nh)
 	} else {
-		for i := 0; i < rs.sample; i++ {
+		for i := 0; i < rs.pol.Sample; i++ {
 			p += s.hist[s.hostAt(id, rs.r.Intn(nh))].Uptime(round, rs.window)
 		}
-		p /= float64(rs.sample)
+		p /= float64(rs.pol.Sample)
 	}
 	// Probe two: the archive's own visible fraction right now — a direct,
 	// unbiased measurement of what the actual placement set delivers
@@ -157,7 +154,7 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 		p = v
 	}
 	if e := rs.est[id]; e > 0 {
-		p = e + redunEstGain*(p-e)
+		p = e + float64(redunEstGain*(p-e))
 	}
 	rs.est[id] = p
 	cur := int(rs.target[id])
@@ -217,27 +214,4 @@ func (s *Simulation) shrinkArchive(id overlay.PeerID, nt int) {
 			panic(err)
 		}
 	}
-}
-
-// simRedun adapts the engine's redundancy state to the maintenance
-// hook. Observer slots sit past the population and keep the global
-// shape — they are instrumentation, pinned at the paper's parameters.
-type simRedun Simulation
-
-// TargetBlocks implements maintenance.Redundancy.
-func (sr *simRedun) TargetBlocks(owner overlay.PeerID) int {
-	s := (*Simulation)(sr)
-	if int(owner) >= s.cfg.NumPeers {
-		return s.cfg.TotalBlocks
-	}
-	return int(s.redun.target[owner])
-}
-
-// RepairThreshold implements maintenance.Redundancy.
-func (sr *simRedun) RepairThreshold(owner overlay.PeerID) int {
-	s := (*Simulation)(sr)
-	if int(owner) >= s.cfg.NumPeers {
-		return s.cfg.RepairThreshold
-	}
-	return int(s.redun.thr[owner])
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"strings"
 	"testing"
-
-	"p2pbackup/internal/redundancy"
 )
 
 // TestFixedModeGoldenDigests is the adaptive layer's degenerate-mode
@@ -93,7 +91,7 @@ func TestAdaptiveRedundancyActs(t *testing.T) {
 	}
 
 	// The mean target can never leave the policy's bound band.
-	pol := s.cfg.redundancy.(redundancy.Adaptive)
+	pol := s.cfg.redundancy
 	series := col.RedundancySeries()
 	for i := 0; i < series.Len(); i++ {
 		_, mean := series.At(i)
@@ -132,8 +130,8 @@ func TestRedundancyConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, ok := cfg.redundancy.(redundancy.Adaptive)
-	if !ok || pol.Min != 24 || pol.Max != cfg.TotalBlocks {
+	pol := cfg.redundancy
+	if pol == nil || pol.Min != 24 || pol.Max != cfg.TotalBlocks {
 		t.Errorf("bound policy = %+v, want min=24 max=%d", cfg.redundancy, cfg.TotalBlocks)
 	}
 }

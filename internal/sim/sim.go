@@ -51,6 +51,14 @@
 // randomness and emit no events. At one shard the walk and the plan run
 // on the calling goroutine; the code path is the same.
 //
+// A floating-point product that feeds a sum in a trajectory or output
+// package is written float64(x*y), because the Go spec lets a compiler
+// fuse x*y+z into one rounding, arm64's does, and only an explicit
+// conversion forbids it (CI checks arm64's assembly for fused
+// operations). Runs have been checked on amd64 only; math.Exp and
+// math.Log are per-architecture code, so other GOARCH values are not yet
+// shown to match it.
+//
 // # Measurement
 //
 // Measurement is decoupled from the engine through the Probe interface:
@@ -264,12 +272,12 @@ func New(cfg Config) (*Simulation, error) {
 		RepairDelay:          cfg.RepairDelay,
 	}, s.led, s.tab, cfg.policy, (*simEnv)(s))
 	s.maint.SetWake(s.requestVisit)
-	if !cfg.redundancy.Static() {
-		// A static policy allocates nothing and draws nothing: fixed-n
+	if cfg.redundancy != nil {
+		// The fixed shape allocates nothing and draws nothing: fixed-n
 		// runs never see the redundancy stream
 		// (TestFixedModeGoldenDigests pins this).
 		s.redun = newRedunState(cfg)
-		s.maint.SetRedundancy((*simRedun)(s))
+		s.maint.SetTargets(s.redun.target, s.redun.thr)
 	}
 	// Histories have two readers, a policy that does not declare
 	// IgnoresHistory (the monitored-availability ranking) and adaptive
@@ -417,8 +425,7 @@ type simEnv Simulation
 // online for as long as anyone has looked.
 type steadyHistory struct{}
 
-func (steadyHistory) Uptime(now int64, n int64) float64     { return 1 }
-func (steadyHistory) ObservedSince() (round int64, ok bool) { return 0, true }
+func (steadyHistory) Uptime(now int64, n int64) float64 { return 1 }
 
 // View implements maintenance.Env: observable knowledge (age, monitored
 // availability history) split from the oracle ground truth only the

@@ -41,7 +41,7 @@ func (s *Stream) Add(x float64) {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 }
 
 // Merge folds other into s (parallel Welford combination).
@@ -121,14 +121,14 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	if len(s) == 1 {
 		return s[0], nil
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo], nil
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -193,15 +193,15 @@ func fitLine(xs, ys []float64) (LinearFit, error) {
 	var sxx, sxy, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxx += float64(dx * dx)
+		sxy += float64(dx * dy)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return LinearFit{}, errors.New("stats: fitLine with constant x")
 	}
 	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
+	fit := LinearFit{Slope: slope, Intercept: my - float64(slope*mx)}
 	if syy > 0 {
 		fit.R2 = sxy * sxy / (sxx * syy)
 	} else {
