@@ -634,12 +634,13 @@ func BenchmarkLiveBackup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	owner := func() (*backup.Identity, error) { return id, nil }
 	drop := func(int, []byte) error { return nil }
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := backup.EncodeDir(backup.DefaultParams(), id, root, "", drop); err != nil {
+		if _, _, _, err := backup.EncodeDir(backup.DefaultParams(), owner, root, "", drop); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -660,7 +661,8 @@ func BenchmarkLiveRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	parity := make([][]byte, 256)
-	m, _, _, err := backup.EncodeDir(backup.DefaultParams(), id, root, "", func(i int, chunk []byte) error {
+	owner := func() (*backup.Identity, error) { return id, nil }
+	m, _, _, err := backup.EncodeDir(backup.DefaultParams(), owner, root, "", func(i int, chunk []byte) error {
 		if i >= 128 {
 			parity[i] = append(parity[i], chunk...)
 		}

@@ -79,7 +79,8 @@ func restored(t *testing.T, repo string, trees map[string]string) string {
 // OK or DEGRADED and restore yields A or B byte for byte: A while the
 // master block's rename has not happened, B from then on. The same holds
 // for a first backup into an empty repository, where the new key is put
-// in place before any block and the only alternative to A is nothing.
+// in place before any block is committed and the only alternative to A
+// is nothing.
 func TestBackupHasOneCommitPoint(t *testing.T) {
 	const fixture = "testdata/v2"
 	key, err := os.ReadFile(fixture + "/repo/identity.pem")

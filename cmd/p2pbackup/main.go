@@ -13,10 +13,11 @@
 // peer, the owner's private key (identity.pem) and the master block
 // (master.json). Deleting up to m whole peer directories must not
 // prevent a restore; deleting more must fail loudly rather than return
-// corrupt data. A backup into an existing repository reuses its key, and
-// its one commit point is the rename that replaces master.json: until
-// then the repository restores the previous backup, from then on this
-// one.
+// corrupt data. A backup into an existing repository reuses its key; into
+// a repository without one it makes a new key while the tree streams and
+// puts it in place before any block is committed. Its one commit point is
+// the rename that replaces master.json: until then the repository
+// restores the previous backup, from then on this one.
 package main
 
 import (
@@ -31,6 +32,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 
 	"p2pbackup/internal/backup"
 	"p2pbackup/internal/storage"
@@ -98,63 +101,89 @@ func cmdBackup(args []string) (err error) {
 	}()
 	// The repository's key opens the master block in place; a backup that
 	// cannot read it stops before storing anything. A repository without
-	// one gets a new key, in place before the first block.
+	// one gets a new key, made while the tree streams and put in place
+	// when the session key is wrapped: before any block is committed.
 	identityPath := filepath.Join(*repo, "identity.pem")
 	identity, err := readIdentity(identityPath)
+	owner := func() (*backup.Identity, error) { return identity, nil }
 	if errors.Is(err, os.ErrNotExist) {
-		if identity, err = backup.NewIdentity(); err != nil {
-			return err
+		var (
+			keygen sync.WaitGroup
+			made   *backup.Identity
+			failed error
+		)
+		keygen.Add(1)
+		go func() {
+			defer keygen.Done()
+			made, failed = backup.NewIdentity()
+		}()
+		defer keygen.Wait()
+		owner = func() (*backup.Identity, error) {
+			keygen.Wait()
+			if failed != nil {
+				return nil, failed
+			}
+			// The peers' stores, opened below, have made the directory.
+			return made, writeAtomic(identityPath, encodeIdentity(made), 0o600, func() {
+				undo = append(undo, func() { _ = os.Remove(identityPath) })
+			})
 		}
-		if err := os.MkdirAll(*repo, 0o755); err != nil {
-			return err
-		}
-		err = writeAtomic(identityPath, encodeIdentity(identity), 0o600, func() {
-			undo = append(undo, func() { _ = os.Remove(identityPath) })
-		})
-	}
-	if err != nil {
+	} else if err != nil {
 		return err
 	}
-	// Distribute: block i goes to peer i (one block per partner).
-	type placement struct {
-		store *storage.DiskStore
-		block storage.BlockWriter
-	}
-	placed := make([]placement, params.Total())
-	manifest, files, size, err := backup.EncodeDir(params, identity, *src, *src, func(i int, chunk []byte) error {
-		p := &placed[i]
-		if p.block == nil {
-			st, err := storage.OpenDiskStore(filepath.Join(*repo, fmt.Sprintf("peer-%03d", i%*peers)), 0)
-			if err != nil {
-				return err
-			}
-			w, err := st.NewWriter()
-			if err != nil {
-				return err
-			}
-			p.store, p.block = st, w
-			undo = append(undo, w.Abort)
+	// Distribute: block i goes to peer i (one block per partner). The
+	// writers are opened up front, so that put touches nothing but its
+	// own block's writer and the two halves of a stripe can be put at
+	// once.
+	stores := make([]*storage.DiskStore, params.Total())
+	writers := make([]storage.BlockWriter, params.Total())
+	for i := range writers {
+		if stores[i], err = storage.OpenDiskStore(filepath.Join(*repo, fmt.Sprintf("peer-%03d", i%*peers)), 0); err != nil {
+			return err
 		}
-		_, err := p.block.Write(chunk)
+		if writers[i], err = stores[i].NewWriter(); err != nil {
+			return err
+		}
+		undo = append(undo, writers[i].Abort)
+	}
+	manifest, files, size, err := backup.EncodeDir(params, owner, *src, *src, func(i int, chunk []byte) error {
+		_, err := writers[i].Write(chunk)
 		return err
 	})
 	if err != nil {
 		return err
 	}
+	// Each Commit is an fsync and a rename; a few at once overlap them.
+	ids := make([]storage.BlockID, len(writers))
+	errs := make([]error, len(writers))
+	fresh := make([]bool, len(writers)) // not a block the peer already had
+	var commits sync.WaitGroup
+	for w := range committers {
+		commits.Add(1)
+		go func() {
+			defer commits.Done()
+			for i := w; i < len(writers); i += committers {
+				held := stores[i].Len()
+				ids[i], errs[i] = writers[i].Commit()
+				fresh[i] = errs[i] == nil && stores[i].Len() > held
+			}
+		}()
+	}
+	commits.Wait()
+	for i, st := range stores {
+		if fresh[i] {
+			undo = append(undo, func() { _ = st.Delete(ids[i]) })
+		}
+	}
 	partners := map[int][]string{}
-	for i, p := range placed {
-		held := p.store.Len()
-		id, err := p.block.Commit()
-		if err != nil {
-			return err
+	for i, st := range stores {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		if id != manifest.BlockIDs[i] {
-			return fmt.Errorf("block %d was stored as %s, the manifest names it %s", i, id, manifest.BlockIDs[i])
+		if ids[i] != manifest.BlockIDs[i] {
+			return fmt.Errorf("block %d was stored as %s, the manifest names it %s", i, ids[i], manifest.BlockIDs[i])
 		}
-		if p.store.Len() > held { // not a block the peer already had
-			undo = append(undo, func() { _ = p.store.Delete(id) })
-		}
-		partners[0] = append(partners[0], filepath.Base(p.store.Root()))
+		partners[0] = append(partners[0], filepath.Base(st.Root()))
 	}
 	mb := &backup.MasterBlock{Manifests: []*backup.Manifest{manifest}, Partners: partners}
 	raw, err := backup.MarshalMasterBlock(mb)
@@ -187,17 +216,16 @@ func cmdRestore(args []string) error {
 // restore writes the files of every archive the master block lists under
 // dst, from the blocks the stores hold.
 func restore(identity *backup.Identity, mb *backup.MasterBlock, stores []storage.Store, dst string) error {
-	buf := make([]byte, verifyBuffer)
 	for idx, manifest := range mb.Manifests {
 		// k intact blocks are all a restore needs, data blocks first; they
-		// are read a stripe at a time, and files appear in dst only once
-		// the whole archive has proved authentic.
-		files, found, err := backup.DecodeDir(manifest, identity, dst, func(_ int, id storage.BlockID) io.ReaderAt {
-			if st := findBlock(stores, id, buf); st != nil {
-				return blockReader{st, id}
-			}
-			return nil
+		// are read a stripe at a time, each through the file findBlocks
+		// opened, and files appear in dst only once the whole archive has
+		// proved authentic.
+		blocks := findBlocks(stores, manifest.BlockIDs, manifest.Params.DataBlocks)
+		files, found, err := backup.DecodeDir(manifest, identity, dst, func(i int, _ storage.BlockID) io.ReaderAt {
+			return blocks[i] // nil stays nil
 		})
+		closeBlocks(blocks)
 		if err != nil {
 			return fmt.Errorf("archive %d (%d/%d blocks found): %w", idx, found, manifest.Params.Total(), err)
 		}
@@ -219,16 +247,16 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	stores := openStores(*repo)
-	buf := make([]byte, verifyBuffer)
 	exit := error(nil)
 	for idx, manifest := range mb.Manifests {
-		// One block at a time: each is re-hashed through buf, none is kept.
+		blocks := findBlocks(stores, manifest.BlockIDs, len(manifest.BlockIDs))
 		found := 0
-		for _, id := range manifest.BlockIDs {
-			if findBlock(stores, id, buf) != nil {
+		for _, b := range blocks {
+			if b != nil {
 				found++
 			}
 		}
+		closeBlocks(blocks)
 		need := manifest.Params.DataBlocks
 		status := "OK"
 		if found < need {
@@ -271,35 +299,74 @@ func openStores(repo string) []storage.Store {
 	return stores
 }
 
+// committers is how many block commits a backup runs at once.
+const committers = 4
+
 // verifyBuffer is the buffer a block is re-hashed through.
 const verifyBuffer = 128 << 10
 
-// findBlock returns the first store that holds the block intact, or nil:
-// a block that no longer hashes to its name counts as absent. The block
-// is read through buf and never held.
-func findBlock(stores []storage.Store, id storage.BlockID, buf []byte) storage.Store {
+// findBlocks looks for the blocks ids names, in index order, until limit
+// of them were found intact, and returns them by index, open: nil where
+// no store holds the block intact or where it was not looked for. Two
+// goroutines take the ids in turn from one counter, each hashing through
+// its own buffer, and a goroutine takes no further id once limit were
+// found; every id before the last one taken has been looked for, so the
+// first limit blocks found in index order are those a look at one id
+// after the other would find.
+func findBlocks(stores []storage.Store, ids []storage.BlockID, limit int) []storage.BlockReader {
+	blocks := make([]storage.BlockReader, len(ids))
+	var (
+		next, found atomic.Int64
+		lookers     sync.WaitGroup
+	)
+	for range 2 {
+		lookers.Add(1)
+		go func() {
+			defer lookers.Done()
+			buf := make([]byte, verifyBuffer)
+			for found.Load() < int64(limit) {
+				i := int(next.Add(1) - 1)
+				if i >= len(ids) {
+					return
+				}
+				if blocks[i] = findBlock(stores, ids[i], buf); blocks[i] != nil {
+					found.Add(1)
+				}
+			}
+		}()
+	}
+	lookers.Wait()
+	return blocks
+}
+
+func closeBlocks(blocks []storage.BlockReader) {
+	for _, b := range blocks {
+		if b != nil {
+			_ = b.Close() // only read
+		}
+	}
+}
+
+// findBlock returns the block, open, from the first store that holds it
+// intact, or nil: a block that no longer hashes to its name counts as
+// absent. The block is read through buf and never held.
+func findBlock(stores []storage.Store, id storage.BlockID, buf []byte) storage.BlockReader {
 	for _, st := range stores {
 		if !st.Has(id) {
 			continue
 		}
-		h := sha256.New()
-		if _, err := io.CopyBuffer(h, io.NewSectionReader(blockReader{st, id}, 0, math.MaxInt64), buf); err != nil {
+		b, err := st.Open(id)
+		if err != nil {
 			continue
 		}
-		if storage.BlockID(h.Sum(nil)) == id {
-			return st
+		h := sha256.New()
+		if _, err := io.CopyBuffer(h, io.NewSectionReader(b, 0, math.MaxInt64), buf); err == nil && storage.BlockID(h.Sum(nil)) == id {
+			return b
 		}
+		_ = b.Close() // only read
 	}
 	return nil
 }
-
-// blockReader reads one block of a store by range.
-type blockReader struct {
-	store storage.Store
-	id    storage.BlockID
-}
-
-func (b blockReader) ReadAt(p []byte, off int64) (int, error) { return b.store.ReadAt(b.id, p, off) }
 
 // failStep, when set, is asked before each step of writeAtomic with the
 // step ("create", "write", "sync", "rename", "sync dir") and the file's

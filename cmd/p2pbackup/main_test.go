@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -220,8 +221,9 @@ func leftBehind(t *testing.T, repo string, planted func(rel string) bool) []stri
 // read, so a backup that fails part-way must take them back, temp files
 // and committed blocks alike, and publish no master block.
 func TestFailedBackupLeavesNoBlocks(t *testing.T) {
-	// Peer 5's store cannot be opened: the first stripe's chunks 0..4 are
-	// in their peers' temp files by the time the backup finds out.
+	// Peer 5's store cannot be opened: the writers of blocks 0..4, opened
+	// before the first stripe, have made their temp files by the time the
+	// backup finds out.
 	t.Run("in the first stripe", func(t *testing.T) {
 		src, repo := sourceTree(t), t.TempDir()
 		if err := os.WriteFile(filepath.Join(repo, "peer-005"), []byte("not a directory"), 0o644); err != nil {
@@ -258,6 +260,62 @@ func TestFailedBackupLeavesNoBlocks(t *testing.T) {
 	})
 }
 
+// The commands hand work to goroutines (the new key, the halves of a
+// stripe's parity rows and block puts, the commits, the block lookups),
+// and every one of them is gone when its command returns but the one
+// erasure helper, which the first run starts: repeated runs in one
+// process leave as many goroutines as one run does. At 16+16 a stripe's
+// parity rows, and with the data blocks gone its missing rows, are a
+// product the helper takes half of.
+func TestCommandsLeaveNoGoroutines(t *testing.T) {
+	src := sourceTree(t)
+	once := func() {
+		repo := t.TempDir()
+		if _, err := run(t, cmdBackup, "-src", src, "-repo", repo, "-peers", "32", "-k", "16", "-m", "16"); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := run(t, cmdVerify, "-repo", repo); err != nil || !strings.HasSuffix(out, ": OK\n") {
+			t.Fatalf("verify: %q, %v", out, err)
+		}
+		for i := 0; i < 16; i++ {
+			if err := os.RemoveAll(filepath.Join(repo, fmt.Sprintf("peer-%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst := t.TempDir()
+		if _, err := run(t, cmdRestore, "-repo", repo, "-dst", dst); err != nil {
+			t.Fatal(err)
+		}
+		sameTree(t, src, dst)
+	}
+	// A goroutine that has signalled its end may not have exited yet when
+	// its command returns: settle waits, briefly, until no goroutine but
+	// the helper runs the commands' code, and then counts them all.
+	settle := func() int {
+		buf := make([]byte, 1<<20)
+		busy := func() bool {
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				if (strings.Contains(g, "p2pbackup/internal/") || strings.Contains(g, "cmd/p2pbackup/main.go:")) && !strings.Contains(g, "erasure.help(") {
+					return true
+				}
+			}
+			return false
+		}
+		for deadline := time.Now().Add(5 * time.Second); busy() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	once()
+	after := settle()
+	for range 3 {
+		once()
+	}
+	if n := settle(); n != after {
+		t.Fatalf("%d goroutines after four runs of the commands, %d after one", n, after)
+	}
+}
+
 // tamperingStore flips a byte near the end of one block as soon as a
 // reader has reached the block's end once: after restore has hashed the
 // block and chosen it, before it reads it again stripe by stripe.
@@ -267,9 +325,24 @@ type tamperingStore struct {
 	done   bool
 }
 
-func (s *tamperingStore) ReadAt(id storage.BlockID, p []byte, off int64) (int, error) {
-	n, err := s.Store.ReadAt(id, p, off)
-	if err == io.EOF && !s.done && filepath.Base(s.victim) == id.String() {
+func (s *tamperingStore) Open(id storage.BlockID) (storage.BlockReader, error) {
+	b, err := s.Store.Open(id)
+	if err != nil || filepath.Base(s.victim) != id.String() {
+		return b, err
+	}
+	return tamperingBlock{b, s}, nil
+}
+
+// tamperingBlock is the victim block, open.
+type tamperingBlock struct {
+	storage.BlockReader
+	s *tamperingStore
+}
+
+func (b tamperingBlock) ReadAt(p []byte, off int64) (int, error) {
+	s := b.s
+	n, err := b.BlockReader.ReadAt(p, off)
+	if err == io.EOF && !s.done {
 		s.done = true
 		data, rerr := os.ReadFile(s.victim)
 		if rerr != nil {

@@ -239,7 +239,7 @@ func TestDotDotNamesRoundTrip(t *testing.T) {
 
 	params := Params{DataBlocks: 2, ParityBlocks: 1}
 	blocks := make([][]byte, params.Total())
-	m, _, _, err := EncodeDir(params, id, src, "", func(i int, chunk []byte) error {
+	m, _, _, err := EncodeDir(params, known(id), src, "", func(i int, chunk []byte) error {
 		blocks[i] = append(blocks[i], chunk...)
 		return nil
 	})

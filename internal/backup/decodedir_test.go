@@ -57,7 +57,7 @@ func TestDecodeDirRestoresWhatEncodeDirRead(t *testing.T) {
 	}
 	params := Params{DataBlocks: 6, ParityBlocks: 3}
 	blocks := make([][]byte, params.Total())
-	m, _, _, err := EncodeDir(params, id, src, "tree", func(i int, chunk []byte) error {
+	m, _, _, err := EncodeDir(params, known(id), src, "tree", func(i int, chunk []byte) error {
 		blocks[i] = append(blocks[i], chunk...)
 		return nil
 	})
@@ -146,7 +146,7 @@ func TestDecodeDirFailuresLeaveNothing(t *testing.T) {
 	src := writeTree(t, map[string][]byte{"one.bin": testBytes(1, 90_000), "dir/two.bin": testBytes(2, 50_000)})
 	params := Params{DataBlocks: 4, ParityBlocks: 4}
 	blocks := make([][]byte, params.Total())
-	m, _, _, err := EncodeDir(params, id, src, "", func(i int, chunk []byte) error {
+	m, _, _, err := EncodeDir(params, known(id), src, "", func(i int, chunk []byte) error {
 		blocks[i] = append(blocks[i], chunk...)
 		return nil
 	})

@@ -134,7 +134,7 @@ func loadFuzzArchives(tb testing.TB) *fuzzArchives {
 
 	striped := func(iv []byte) fuzzArchive {
 		a := fuzzArchive{plaintext: testBytes(uint64(iv[0]), 3*3*stripeChunk+1234), blocks: make([][]byte, params.Total())}
-		a.m, err = encodeStream(params, f.id, key, iv, int64(len(a.plaintext)),
+		a.m, err = encodeStream(params, known(f.id), key, iv, int64(len(a.plaintext)),
 			func(w io.Writer) error { _, err := w.Write(a.plaintext); return err }, "fuzz",
 			func(i int, chunk []byte) error { a.blocks[i] = append(a.blocks[i], chunk...); return nil })
 		if err != nil {

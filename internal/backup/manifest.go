@@ -72,7 +72,7 @@ func EncodeArchive(params Params, owner *Identity, plaintext []byte, description
 	for i := range blocks {
 		blocks[i] = make([]byte, 0, lay.blockSize())
 	}
-	m, err := encodeFresh(params, owner, int64(len(plaintext)),
+	m, err := encodeFresh(params, known(owner), int64(len(plaintext)),
 		func(w io.Writer) error { _, err := w.Write(plaintext); return err },
 		description,
 		func(i int, chunk []byte) error { blocks[i] = append(blocks[i], chunk...); return nil })
@@ -86,15 +86,23 @@ func EncodeArchive(params Params, owner *Identity, plaintext []byte, description
 // without ever holding them: the tree is listed, the tar stream sized
 // by a dry run, and then each file is read once, straight through tar,
 // cipher and hashes into the stripe it falls in. Whenever a stripe is
-// full, put receives its n chunks in block order: the bytes to append to
-// block 0, to block 1 and so on, each only valid during the call. What
-// EncodeDir holds is one stripe, data and parity. It returns the
-// manifest, the number of files and the size of the plaintext archive.
+// full, put receives its n chunks: for each block i the bytes to append
+// to it, only valid during the call. Blocks [0, n/2) and [n/2, n) are
+// put from two goroutines at once, each half in block order, and a
+// stripe's calls all return before the next stripe's begin, so that put
+// must be safe to call for two distinct blocks at once. What EncodeDir
+// holds is one stripe, data and parity. It returns the manifest, the
+// number of files and the size of the plaintext archive.
+//
+// owner is asked for the identity whose public key wraps the session
+// key once, after the last stripe was put and before EncodeDir returns,
+// so that it may still be in the making while the tree streams; an
+// error from it fails the backup.
 //
 // A file that has vanished, shrunk or grown since the listing fails the
-// backup with ErrSourceChanged, as does any error put returns; what was
-// handed to put before that belongs to no archive.
-func EncodeDir(params Params, owner *Identity, root, description string, put func(i int, chunk []byte) error) (m *Manifest, files int, size int64, err error) {
+// backup with ErrSourceChanged, as does any error put or owner returns;
+// what was handed to put before that belongs to no archive.
+func EncodeDir(params Params, owner func() (*Identity, error), root, description string, put func(i int, chunk []byte) error) (m *Manifest, files int, size int64, err error) {
 	list, err := listDir(root)
 	if err != nil {
 		return nil, 0, 0, err
@@ -109,7 +117,7 @@ func EncodeDir(params Params, owner *Identity, root, description string, put fun
 }
 
 // encodeFresh is encodeStream under a session key and iv drawn here.
-func encodeFresh(params Params, owner *Identity, size int64, body func(io.Writer) error, description string, put func(i int, chunk []byte) error) (*Manifest, error) {
+func encodeFresh(params Params, owner func() (*Identity, error), size int64, body func(io.Writer) error, description string, put func(i int, chunk []byte) error) (*Manifest, error) {
 	key, err := NewSessionKey()
 	if err != nil {
 		return nil, err
@@ -124,8 +132,8 @@ func encodeFresh(params Params, owner *Identity, size int64, body func(io.Writer
 // encodeStream is the one encoder: body must write exactly size bytes of
 // plaintext archive, which are sealed under key and iv and leave through
 // put a stripe at a time (see stripeWriter); the manifest describes what
-// passed.
-func encodeStream(params Params, owner *Identity, key, iv []byte, size int64, body func(io.Writer) error, description string, put func(i int, chunk []byte) error) (*Manifest, error) {
+// passed, its session key wrapped for the identity owner returns.
+func encodeStream(params Params, owner func() (*Identity, error), key, iv []byte, size int64, body func(io.Writer) error, description string, put func(i int, chunk []byte) error) (*Manifest, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,10 +161,19 @@ func encodeStream(params Params, owner *Identity, key, iv []byte, size int64, bo
 	if err := w.finish(m); err != nil {
 		return nil, err
 	}
-	if m.WrappedKey, err = WrapKey(owner.Public(), key); err != nil {
+	id, err := owner()
+	if err != nil {
+		return nil, err
+	}
+	if m.WrappedKey, err = WrapKey(id.Public(), key); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// known is the owner of an identity already in hand.
+func known(id *Identity) func() (*Identity, error) {
+	return func() (*Identity, error) { return id, nil }
 }
 
 // Restore errors.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"p2pbackup/internal/erasure"
@@ -108,14 +109,14 @@ func TestEncodeStreamChecksAnnouncedSize(t *testing.T) {
 	params := Params{DataBlocks: 3, ParityBlocks: 2}
 	drop := func(int, []byte) error { return nil }
 	for _, written := range []int{99, 101} {
-		_, err := encodeStream(params, id, key, iv, 100,
+		_, err := encodeStream(params, known(id), key, iv, 100,
 			func(w io.Writer) error { _, err := w.Write(make([]byte, written)); return err }, "", drop)
 		if err == nil {
 			t.Fatalf("a body of %d bytes passed for the 100 announced", written)
 		}
 	}
 	stop := errors.New("store full")
-	_, err := encodeStream(params, id, key, iv, 100,
+	_, err := encodeStream(params, known(id), key, iv, 100,
 		func(w io.Writer) error { _, err := w.Write(make([]byte, 100)); return err }, "",
 		func(i int, _ []byte) error {
 			if i == 1 {
@@ -163,7 +164,7 @@ func TestEncodeDirMatchesCollectPack(t *testing.T) {
 	}
 	params := Params{DataBlocks: 6, ParityBlocks: 3}
 	blocks := make([][]byte, params.Total())
-	m, files, size, err := EncodeDir(params, id, root, "tree", func(i int, chunk []byte) error {
+	m, files, size, err := EncodeDir(params, known(id), root, "tree", func(i int, chunk []byte) error {
 		blocks[i] = append(blocks[i], chunk...)
 		return nil
 	})
@@ -181,7 +182,7 @@ func TestEncodeDirMatchesCollectPack(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the streamed tree's plaintext differs from PackFiles(CollectDir)")
 	}
-	if _, _, _, err := EncodeDir(params, id, t.TempDir(), "", nil); !errors.Is(err, ErrEmptyArchive) {
+	if _, _, _, err := EncodeDir(params, known(id), t.TempDir(), "", nil); !errors.Is(err, ErrEmptyArchive) {
 		t.Fatalf("empty tree: err = %v, want ErrEmptyArchive", err)
 	}
 }
@@ -203,11 +204,11 @@ func TestEncodeDirSourceChanges(t *testing.T) {
 				"z-last.txt":  testBytes(10, 100),
 			})
 			victim := filepath.Join(root, "z-last.txt")
-			puts := 0
+			var puts atomic.Int64
 			// The first stripe of four 8 KiB chunks fills while a-first.bin
 			// streams, long before z-last.txt is opened.
-			_, _, _, err := EncodeDir(Params{DataBlocks: 4, ParityBlocks: 4}, id, root, "", func(i int, _ []byte) error {
-				if puts++; puts == 1 {
+			_, _, _, err := EncodeDir(Params{DataBlocks: 4, ParityBlocks: 4}, known(id), root, "", func(i int, _ []byte) error {
+				if puts.Add(1) == 1 {
 					return change(victim)
 				}
 				return nil
@@ -215,8 +216,8 @@ func TestEncodeDirSourceChanges(t *testing.T) {
 			if !errors.Is(err, ErrSourceChanged) || !strings.Contains(err.Error(), "z-last.txt") {
 				t.Fatalf("err = %v, want ErrSourceChanged naming z-last.txt", err)
 			}
-			if puts != 8 {
-				t.Fatalf("%d chunks were put before the failure, want the first stripe's 8 of 16", puts)
+			if n := puts.Load(); n != 8 {
+				t.Fatalf("%d chunks were put before the failure, want the first stripe's 8 of 16", n)
 			}
 		})
 	}
@@ -421,7 +422,7 @@ func TestLivePathAllocations(t *testing.T) {
 
 	stored := newBlockFiles(t, 256)
 	start()
-	m, _, _, err := EncodeDir(DefaultParams(), id, root, "", func(i int, chunk []byte) error {
+	m, _, _, err := EncodeDir(DefaultParams(), known(id), root, "", func(i int, chunk []byte) error {
 		if i == 0 {
 			sample()
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"sync"
 
 	"p2pbackup/internal/erasure"
 )
@@ -187,13 +188,38 @@ func (w *stripeWriter) flush() error {
 	if err != nil {
 		return err
 	}
-	for i, chunk := range chunks {
-		w.blocks[i].Write(chunk)
-		if err := w.put(i, chunk); err != nil {
+	// The two halves of the blocks are hashed and put at once.
+	half := len(chunks) / 2
+	var (
+		wg    sync.WaitGroup
+		errHi error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errHi = w.putChunks(chunks, half, len(chunks))
+	}()
+	err = w.putChunks(chunks, 0, half)
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	if errHi != nil {
+		return errHi
+	}
+	w.index, w.fill = j+1, 0
+	return nil
+}
+
+// putChunks hashes and puts the stripe's chunks of blocks lo..hi-1, in
+// block order, up to the first error.
+func (w *stripeWriter) putChunks(chunks [][]byte, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		w.blocks[i].Write(chunks[i])
+		if err := w.put(i, chunks[i]); err != nil {
 			return err
 		}
 	}
-	w.index, w.fill = j+1, 0
 	return nil
 }
 

@@ -7,9 +7,12 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"p2pbackup/internal/erasure"
@@ -120,17 +123,16 @@ func TestStreamedEncodeMatchesBuffered(t *testing.T) {
 			name := fmt.Sprintf("%d+%d/%d", sh.params.DataBlocks, sh.params.ParityBlocks, size)
 			plaintext := testBytes(uint64(size), size)
 			want, wantM := encodeRefV2(t, sh.params, key, iv, plaintext)
+			// The two halves of a stripe's blocks are put at once; the byte
+			// comparison below holds each block's chunks to stripe order.
 			got := make([][]byte, sh.params.Total())
-			next := 0
-			m, err := encodeStream(sh.params, id, key, iv, int64(size),
+			var puts atomic.Int64
+			m, err := encodeStream(sh.params, known(id), key, iv, int64(size),
 				func(w io.Writer) error { return writeInPieces(w, plaintext) }, "described",
 				func(i int, chunk []byte) error {
-					if i != next%sh.params.Total() {
-						t.Fatalf("%s: put %d is for block %d: a stripe's chunks come in block order", name, next, i)
-					}
-					next++
+					puts.Add(1)
 					if len(chunk) > 8<<10 {
-						t.Fatalf("%s: a chunk of %d bytes", name, len(chunk))
+						return fmt.Errorf("a chunk of %d bytes", len(chunk))
 					}
 					got[i] = append(got[i], chunk...)
 					return nil
@@ -138,8 +140,8 @@ func TestStreamedEncodeMatchesBuffered(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if next != wantM.Stripes*sh.params.Total() {
-				t.Fatalf("%s: %d chunks put, want %d stripes of %d", name, next, wantM.Stripes, sh.params.Total())
+			if n := puts.Load(); n != int64(wantM.Stripes*sh.params.Total()) {
+				t.Fatalf("%s: %d chunks put, want %d stripes of %d", name, n, wantM.Stripes, sh.params.Total())
 			}
 			for i := range want {
 				if !bytes.Equal(got[i], want[i]) {
@@ -165,6 +167,52 @@ func TestStreamedEncodeMatchesBuffered(t *testing.T) {
 	}
 }
 
+// The parity rows and the block puts of a stripe are split between two
+// goroutines; on one core or two, the same key and iv make the same
+// blocks and the same manifest, byte for byte.
+func TestEncodeStreamSameOnOneCoreAndTwo(t *testing.T) {
+	id := testIdentity(t)
+	key, iv := testBytes(7, SessionKeySize), testBytes(8, ivSize)
+	params := DefaultParams()
+	plaintext := testBytes(9, 2*128*stripeChunk+12345) // three stripes, the last ragged
+	encode := func(procs int) ([][]byte, *Manifest) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		blocks := make([][]byte, params.Total())
+		m, err := encodeStream(params, known(id), key, iv, int64(len(plaintext)),
+			func(w io.Writer) error { return writeInPieces(w, plaintext) }, "procs",
+			func(i int, chunk []byte) error { blocks[i] = append(blocks[i], chunk...); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := UnwrapKey(id, m.WrappedKey); err != nil || !bytes.Equal(got, key) {
+			t.Fatalf("GOMAXPROCS=%d: the wrapped key does not unwrap to the session key: %v", procs, err)
+		}
+		m.WrappedKey = nil // wrapping draws randomness of its own
+		return blocks, m
+	}
+	oneBlocks, one := encode(1)
+	twoBlocks, two := encode(2)
+	if one.Stripes != 3 {
+		t.Fatalf("%d stripes, want 3", one.Stripes)
+	}
+	for i := range oneBlocks {
+		if !bytes.Equal(oneBlocks[i], twoBlocks[i]) {
+			t.Fatalf("block %d differs between GOMAXPROCS=1 and 2", i)
+		}
+	}
+	a, err := json.Marshal(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("the manifest differs between GOMAXPROCS=1 and 2:\n%s\n%s", a, b)
+	}
+}
+
 // Any k of the n blocks restore a striped archive, at every boundary of
 // the layout, to the plaintext the version 1 oracle decodes to.
 func TestStripedArchiveEverySurvivorSet(t *testing.T) {
@@ -178,7 +226,7 @@ func TestStripedArchiveEverySurvivorSet(t *testing.T) {
 	for _, size := range sealedSizes(4) {
 		plaintext := testBytes(uint64(size), size)
 		blocks := make([][]byte, params.Total())
-		m, err := encodeStream(params, id, key, iv, int64(size),
+		m, err := encodeStream(params, known(id), key, iv, int64(size),
 			func(w io.Writer) error { _, err := w.Write(plaintext); return err }, "",
 			func(i int, chunk []byte) error { blocks[i] = append(blocks[i], chunk...); return nil })
 		if err != nil {
@@ -237,7 +285,7 @@ func newStripedArchive(t testing.TB, id *Identity, params Params, key, iv []byte
 	t.Helper()
 	a := &stripedArchive{id: id, plaintext: testBytes(uint64(size)+uint64(iv[0]), size), blocks: make([][]byte, params.Total())}
 	var err error
-	a.m, err = encodeStream(params, id, key, iv, int64(size),
+	a.m, err = encodeStream(params, known(id), key, iv, int64(size),
 		func(w io.Writer) error { _, err := w.Write(a.plaintext); return err }, "",
 		func(i int, chunk []byte) error { a.blocks[i] = append(a.blocks[i], chunk...); return nil })
 	if err != nil {

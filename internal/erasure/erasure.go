@@ -17,6 +17,12 @@
 // time, for a backup that must not hold its archive, and produces the
 // same parity bytes as Encode; ReconstructData over the chunks of one
 // stripe is its counterpart on the way back.
+//
+// Every product of 16 rows or more (an encode's parity rows, a
+// reconstruct's missing rows) is computed in two halves at once: the
+// caller computes the first, and the package's one helper goroutine the
+// second (see mulRows). Each output row depends on its coefficient row
+// alone, so the bytes are those of one gf256.MulRows call.
 package erasure
 
 import (
@@ -110,7 +116,7 @@ func (e *Encoder) Encode(shards [][]byte) error {
 	if e.m == 0 {
 		return nil
 	}
-	gf256.MulRows(e.parityRows(), shards[:e.k], shards[e.k:])
+	mulRows(e.parityRows(), shards[:e.k], shards[e.k:])
 	return nil
 }
 
@@ -177,7 +183,7 @@ func (s *Stream) Encode(c int) ([][]byte, error) {
 			s.shards[i] = s.parity[(i-s.k)*c : (i-s.k+1)*c]
 		}
 	}
-	gf256.MulRows(s.rows, s.shards[:s.k], s.shards[s.k:])
+	mulRows(s.rows, s.shards[:s.k], s.shards[s.k:])
 	return s.shards, nil
 }
 
@@ -261,7 +267,61 @@ func fillMissing(slots [][]byte, coef *gf256.Matrix, in [][]byte, size int) {
 			out = append(out, ensureShard(&slots[i], size))
 		}
 	}
-	gf256.MulRows(rows, in, out)
+	mulRows(rows, in, out)
+}
+
+// splitRows returns the first output row of the second half of a
+// product of n rows: half the kernel's groups of 8 rows, rounded up, so
+// that neither half regroups the rows; 0 below 16 rows, which are not
+// split.
+func splitRows(n int) int {
+	if n < 16 {
+		return 0
+	}
+	return (n + 15) / 16 * 8
+}
+
+// second is the helper that computes the second half of a product's
+// rows: one goroutine for the whole process, started by the first
+// product that is split and parked on its channel between products, so
+// that a split costs no goroutine, no allocation and one hand-over each
+// way. Nothing stops it: the package cannot know its last product, and
+// an idle helper holds nothing but its stack.
+var second struct {
+	busy          sync.Mutex // held by the caller whose half it computes
+	started       sync.Once
+	coef, in, out [][]byte
+	work, done    chan struct{}
+}
+
+func help() {
+	for range second.work {
+		gf256.MulRows(second.coef, second.in, second.out)
+		second.done <- struct{}{}
+	}
+}
+
+// mulRows is gf256.MulRows, with the rows from splitRows on computed by
+// the helper while the caller computes the rest. A caller that finds the
+// helper busy with another caller's half computes every row itself. The
+// shapes must be valid, as gf256.MulRows demands: a half that panicked
+// on the helper would take the process down.
+func mulRows(coef, in, out [][]byte) {
+	cut := splitRows(len(out))
+	if cut == 0 || !second.busy.TryLock() {
+		gf256.MulRows(coef, in, out)
+		return
+	}
+	second.started.Do(func() {
+		second.work, second.done = make(chan struct{}), make(chan struct{})
+		go help()
+	})
+	second.coef, second.in, second.out = coef[cut:], in, out[cut:]
+	second.work <- struct{}{}
+	gf256.MulRows(coef[:cut], in, out[:cut])
+	<-second.done
+	second.coef, second.in, second.out = nil, nil, nil // hold none of the caller's buffers
+	second.busy.Unlock()
 }
 
 func ensureShard(s *[]byte, size int) []byte {

@@ -635,10 +635,7 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 	marks := &ws.marks
 	marks.open()
 	marks.setPartner(id)
-	ws.hostBuf = m.led.Hosts(id, ws.hostBuf[:0])
-	for _, h := range ws.hostBuf {
-		marks.setPartner(h)
-	}
+	m.led.MarkHosts(id, marks.mark, marks.epoch) // setPartner on each host
 	if m.xfer != nil && !p.unmetered {
 		// Hosts of in-flight uploads are partners-to-be: they hold a
 		// quota reservation and must not be booked a second time while

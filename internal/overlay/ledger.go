@@ -552,6 +552,19 @@ func (l *Ledger) Hosts(owner PeerID, buf []PeerID) []PeerID {
 	return buf
 }
 
+// MarkHosts sets marks[h] = v for the host h of each of owner's
+// placements, straight from its adjacency: what a caller stamping a
+// per-slot array would otherwise do over a copy Hosts made.
+func (l *Ledger) MarkHosts(owner PeerID, marks []uint64, v uint64) {
+	if !l.valid(owner) {
+		return
+	}
+	sp := l.split
+	for _, p := range l.fwd[owner] {
+		marks[sp.host(p)] = v
+	}
+}
+
 // HostAt returns the host of owner's idx-th placement.
 func (l *Ledger) HostAt(owner PeerID, idx int) (PeerID, error) {
 	if err := l.check(owner); err != nil {

@@ -212,20 +212,20 @@ func (s *DiskStore) Get(id BlockID) ([]byte, error) {
 	return data, nil
 }
 
-// ReadAt implements Store: one pread of the block's file.
-func (s *DiskStore) ReadAt(id BlockID, p []byte, off int64) (int, error) {
+// Open implements Store: the block's file, which every read of it then
+// preads.
+func (s *DiskStore) Open(id BlockID) (BlockReader, error) {
 	if !s.Has(id) {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	f, err := os.Open(s.path(id))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 		}
-		return 0, err
+		return nil, err
 	}
-	defer f.Close()
-	return f.ReadAt(p, off)
+	return f, nil
 }
 
 // Has implements Store.

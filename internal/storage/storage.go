@@ -53,12 +53,9 @@ type Store interface {
 	NewWriter() (BlockWriter, error)
 	// Get returns the block's content, verifying integrity.
 	Get(id BlockID) ([]byte, error)
-	// ReadAt reads len(p) bytes of the block starting at byte off, the
-	// way an io.ReaderAt does: a read that reaches the block's end
-	// returns what there was and io.EOF. It verifies nothing, so
-	// whoever reads a block by range vouches for the bytes some other
-	// way (a hash over all of them, a MAC over what they decode to).
-	ReadAt(id BlockID, p []byte, off int64) (int, error)
+	// Open opens the block for reads by range, for a reader that reads
+	// it many times and closes it once.
+	Open(id BlockID) (BlockReader, error)
 	// Has reports whether the block is present (without reading it).
 	Has(id BlockID) bool
 	// Delete removes a block; deleting an absent block is not an error.
@@ -80,6 +77,16 @@ type BlockWriter interface {
 	Commit() (BlockID, error)
 	// Abort discards what was written. After Commit it does nothing.
 	Abort()
+}
+
+// BlockReader reads one stored block by range, the way an io.ReaderAt
+// does: a read that reaches the block's end returns what there was and
+// io.EOF. It verifies nothing, so whoever reads a block by range vouches
+// for the bytes some other way (a hash over all of them, a MAC over what
+// they decode to). Close releases the block.
+type BlockReader interface {
+	io.ReaderAt
+	io.Closer
 }
 
 var errWriterSpent = errors.New("storage: block writer used after Commit or Abort")

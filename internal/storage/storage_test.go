@@ -336,19 +336,26 @@ func TestReadAt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		b, err := s.Open(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range []struct {
 			off, n int
 			want   string
 			eof    bool
 		}{{0, 4, "0123", false}, {6, 10, "6789abcdef", false}, {12, 8, "cdef", true}, {16, 1, "", true}, {99, 1, "", true}, {3, 0, "", false}} {
 			p := make([]byte, c.n)
-			n, err := s.ReadAt(id, p, int64(c.off))
+			n, err := b.ReadAt(p, int64(c.off))
 			if string(p[:n]) != c.want || (err == io.EOF) != c.eof || (err != nil && err != io.EOF) {
 				t.Fatalf("ReadAt(%d bytes at %d) = %q, %v; want %q, eof %v", c.n, c.off, p[:n], err, c.want, c.eof)
 			}
 		}
-		if _, err := s.ReadAt(IDOf([]byte("nope")), make([]byte, 1), 0); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("ReadAt of a missing block: err = %v, want ErrNotFound", err)
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Open(IDOf([]byte("nope"))); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Open of a missing block: err = %v, want ErrNotFound", err)
 		}
 	})
 }
