@@ -430,9 +430,9 @@ func supervisedBenchSpec() experiments.CampaignSpec {
 }
 
 // BenchmarkSupervisedVariant measures one campaign variant executed
-// through the fault-tolerant process supervisor: worker spawn, spec
-// handshake, the simulation itself, and the JSON result snapshot
-// crossing the pipe. Against BenchmarkInProcessVariant the delta is the
+// by the Runner's pool through the fault-tolerant process supervisor:
+// worker spawn, spec handshake, the simulation itself, and the JSON
+// result snapshot crossing the pipe. Against BenchmarkInProcessVariant the delta is the
 // full isolation overhead a supervised campaign pays per variant. The
 // worker is this test binary with -worker appended, as p2psim re-execs
 // itself; the environment variable sends it to TestMain's worker branch
@@ -444,11 +444,11 @@ func BenchmarkSupervisedVariant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sup := &experiments.Supervisor{Procs: 1}
+	r := experiments.Runner{Parallelism: 1, Supervisor: &experiments.Supervisor{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := sup.Run(context.Background(), spec, camp, nil)
+		rows, err := r.Run(context.Background(), camp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -458,9 +458,9 @@ func BenchmarkSupervisedVariant(b *testing.B) {
 	}
 }
 
-// BenchmarkInProcessVariant runs the identical variant on the in-process
-// Runner: the baseline the supervisor's isolation overhead is measured
-// against.
+// BenchmarkInProcessVariant runs the identical variant through the same
+// entry point, Runner.Run, in this process: the baseline the supervisor's
+// isolation overhead is measured against.
 func BenchmarkInProcessVariant(b *testing.B) {
 	spec := supervisedBenchSpec()
 	camp, err := spec.Build()

@@ -81,7 +81,9 @@
 //
 // -procs N switches campaigns to the fault-tolerant process
 // supervisor (experiments.Options.Supervisor): each variant runs in an
-// isolated worker process (this binary re-exec'd with -worker), with
+// isolated worker process (this binary re-exec'd with -worker). The
+// campaign runs in the same variant pool; -procs N bounds it, so N
+// variants run at a time and -parallel is not read. Attempts get
 // per-variant timeouts (-variant-timeout), heartbeat stall detection
 // (30 s of silence), and classified retries (panic / OOM-kill / hang /
 // exit) with exponential backoff. Completed variants are checkpointed
@@ -217,7 +219,8 @@ func run() int {
 		return 1
 	}
 	if *procs > 0 {
-		opts.Supervisor = &experiments.Supervisor{Procs: *procs, VariantTimeout: *variantTimeout}
+		opts.Parallelism = *procs
+		opts.Supervisor = &experiments.Supervisor{VariantTimeout: *variantTimeout}
 		if *resume != "" {
 			opts.Supervisor.JournalPath, opts.Supervisor.Resume = *resume, true
 		} else if *out != "" {

@@ -3,8 +3,8 @@
 // the same churning population; their cumulative repair counts separate
 // by orders of magnitude because age gates who will partner with them.
 //
-// The run executes as a one-variant campaign on experiments.Runner with
-// per-round progress heartbeats streaming from the event channel.
+// The run executes as a one-variant campaign on experiments.Runner, whose
+// round progress heartbeats stream from the event channel.
 package main
 
 import (
@@ -25,7 +25,7 @@ func main() {
 	cfg.Rounds = 12000 // 500 days
 
 	fmt.Fprintln(os.Stderr, "running focal simulation (threshold 148, five observers)...")
-	runner := experiments.Runner{Parallelism: 1, RoundEvents: true}
+	runner := experiments.Runner{Parallelism: 1}
 	var row *experiments.Row
 	for ev := range runner.Stream(context.Background(), experiments.FocalCampaign(cfg)) {
 		switch ev.Kind {

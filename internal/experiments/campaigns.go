@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/selection"
@@ -223,31 +221,6 @@ func horizonCampaign(cfg sim.Config, horizons []int64) Campaign {
 
 // ---------------------------------------------------------------------------
 // Shared campaign execution helpers.
-
-// collectRows drains a campaign stream, forwarding every event to sink
-// (when non-nil), and returns the rows ordered by variant index.
-func collectRows(ctx context.Context, r Runner, c Campaign, sink func(Event)) ([]Row, error) {
-	var (
-		rows []Row
-		err  error
-	)
-	for ev := range r.Stream(ctx, c) {
-		if sink != nil {
-			sink(ev)
-		}
-		switch ev.Kind {
-		case EventRow:
-			rows = append(rows, *ev.Row)
-		case EventDone:
-			err = ev.Err
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	return rows, nil
-}
 
 // doneMessage formats the historical "<campaign> <variant> done" row
 // message.

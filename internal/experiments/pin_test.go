@@ -80,7 +80,7 @@ func TestSpecFingerprintsPinned(t *testing.T) {
 	// JSON field names and order.
 	full := campaignByKind("threshold").spec(Options{Knobs: Knobs{Scale: ScaleDefault, Seed: 7, StrategySpec: "estimator:pareto",
 		Bandwidth: "dsl", Redundancy: "adaptive:min=140", Shards: 4, PhaseTimes: true, TracePath: "/t/trace.csv"},
-		Parallelism: 3, OutDir: "/out", Supervisor: &Supervisor{Procs: 2}})
+		Parallelism: 3, OutDir: "/out", Supervisor: &Supervisor{}})
 	full.Thresholds = []int{132, 148}
 	full.Delays = []int{1, 2}
 	full.Horizons = []int64{720}

@@ -13,14 +13,14 @@ type Options struct {
 	// Knobs are the run settings every campaign of the run takes; zero
 	// values are the paper's configuration at the default scale.
 	Knobs
-	// Parallelism bounds concurrent in-process simulations; values below
-	// 1 mean runtime.NumCPU().
+	// Parallelism bounds concurrent variants, in this process or in
+	// worker processes; values below 1 mean runtime.NumCPU().
 	Parallelism int
 	OutDir      string // "" = don't write files
 	// Supervisor, when non-nil, runs every variant in a worker process
-	// of the fault-tolerant supervisor instead of the in-process Runner,
-	// with bit-identical results. Unless Resume is set, RunCtx truncates
-	// the JournalPath once per call, on a copy of *Supervisor.
+	// of the fault-tolerant supervisor (Runner.Supervisor), with
+	// bit-identical results. Unless Resume is set, RunCtx truncates the
+	// JournalPath once per call, on a copy of *Supervisor.
 	Supervisor *Supervisor
 	// Events, when non-nil, receives the typed event stream of every
 	// campaign the experiment runs, progress text included (see
@@ -56,11 +56,12 @@ func allIDs() []string {
 }
 
 // RunCtx executes an experiment by id — a campaign table entry, or
-// "all" — over the Runner or, with opts.Supervisor, the process
-// supervisor, streaming events to opts.Events, honouring ctx
-// cancellation, and writes the experiment's data files. Every id is
-// resolved and its spec checked before the checkpoint journal is
-// touched, so a mistyped run leaves the journal as it was.
+// "all" — over the Runner, its variants in this process or, with
+// opts.Supervisor, in supervised worker processes, streaming events to
+// opts.Events, honouring ctx cancellation, and writes the experiment's
+// data files. Every id is resolved and its spec checked before the
+// checkpoint journal is touched, so a mistyped run leaves the journal as
+// it was.
 func RunCtx(ctx context.Context, name string, opts Options) ([]Summary, error) {
 	opts.Seed = cmp.Or(opts.Seed, 1)
 	ids := []string{name}

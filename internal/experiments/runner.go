@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 
 	"p2pbackup/internal/sim"
@@ -33,20 +35,24 @@ type Variant struct {
 
 // Campaign is a declarative batch of simulation runs: one base config
 // and the list of variants to execute over it. Campaigns are data; the
-// Runner supplies the execution policy (parallelism, cancellation,
-// event delivery).
+// Runner supplies the execution policy (parallelism, process isolation,
+// cancellation, event delivery).
 type Campaign struct {
 	Name     string
 	Base     sim.Config
 	Variants []Variant
+	// spec is the recipe CampaignSpec.Build made the campaign from, which
+	// a supervisor's workers rebuild it by; nil for one built by hand.
+	spec *CampaignSpec
 }
 
 // EventKind tags a Runner event.
 type EventKind int
 
 const (
-	// EventProgress is a textual progress report from a running variant
-	// (per-round heartbeats when Runner.RoundEvents is set).
+	// EventProgress is a textual progress report: a one-run campaign's
+	// round heartbeats, a supervisor's retries and resumes, the closing
+	// summary of failed variants.
 	EventProgress EventKind = iota
 	// EventRow reports one completed variant together with its result.
 	EventRow
@@ -82,84 +88,161 @@ type Row struct {
 	Result *sim.Result
 }
 
-// Runner executes campaigns over a bounded worker pool. The zero value
-// is ready to use: NumCPU workers, no per-round events.
+// Runner executes campaigns over one bounded pool of variants. The zero
+// value is ready to use: NumCPU variants at a time, each in this process.
+// A one-run campaign reports its progress in round heartbeats.
 type Runner struct {
-	// Parallelism bounds concurrent simulations; values below 1 mean
+	// Parallelism bounds concurrent variants; values below 1 mean
 	// runtime.NumCPU().
 	Parallelism int
-	// RoundEvents emits an EventProgress heartbeat each time a variant
-	// completes another tenth of its rounds.
-	RoundEvents bool
+	// Supervisor, when non-nil, runs each variant in a worker process it
+	// supervises instead of in this process, with bit-identical rows. The
+	// campaign must come from CampaignSpec.Build: workers rebuild it from
+	// that spec.
+	Supervisor *Supervisor
 }
+
+// variantFunc turns variant i of c into its row, sending the variant's
+// progress to emit: runVariant's in-process wrapper, or a supervisor's
+// attempt loop. A *variantFailure error is contained; any other aborts
+// the campaign.
+type variantFunc func(ctx context.Context, c Campaign, i int, emit func(Event)) (*Row, error)
+
+// variantFailure is a variant the campaign survives losing: one that
+// panicked in this process, or ran out of attempts under a supervisor.
+// The pool reports it as an EventFailed carrying Message and Err, and
+// names it in the campaign's closing summary.
+type variantFailure struct {
+	Class    failureKind
+	Attempts int
+	Err      error
+	Message  string
+}
+
+func (f *variantFailure) Error() string { return f.Err.Error() }
 
 // reportsRounds reports whether a campaign tells its progress in round
-// heartbeats (Runner.RoundEvents in-process; the supervisor forwards its
-// workers' rounds the same way): a one-run campaign has no rows to tell
-// it by.
+// heartbeats: a one-run campaign has no rows to tell it by.
 func reportsRounds(c Campaign) bool { return len(c.Variants) == 1 }
 
-// roundStep is how many rounds a round heartbeat reports at a time: a
-// tenth of the run.
-func roundStep(rounds int64) int64 { return max(rounds/10, 1) }
-
-// roundMessage is a round heartbeat's text.
-func roundMessage(variant string, round, rounds int64) string {
-	return fmt.Sprintf("%s: round %d/%d", variant, round, rounds)
-}
-
-// roundProbe calls fn with the number of rounds completed at the end of
-// every round that makes it a multiple of every.
+// roundProbe calls its func with the number of rounds completed at the
+// end of every round.
 type roundProbe struct {
 	sim.BaseProbe
-	every int64
-	fn    func(rounds int64)
+	fn func(done int64)
 }
 
 // ProbeEvents implements sim.EventDeclarer: round ends only.
 func (roundProbe) ProbeEvents() sim.EventSet { return sim.EventRoundEnd }
 
 // OnRoundEnd implements sim.Probe.
-func (p roundProbe) OnRoundEnd(e sim.RoundEndEvent) {
-	if done := e.Round + 1; done%p.every == 0 {
-		p.fn(done)
+func (p roundProbe) OnRoundEnd(e sim.RoundEndEvent) { p.fn(e.Round + 1) }
+
+// roundReporter turns counts of rounds done into a variant's round
+// heartbeats: each tenth of the run once and in order, however far
+// apart the counts come, and once across retries. The in-process round
+// probe feeds it every round, a supervisor its worker's heartbeats.
+type roundReporter struct {
+	reported int64
+	emit     func(round, rounds int64)
+}
+
+// reach reports the tenths of rounds up to done not yet reported.
+func (r *roundReporter) reach(done, rounds int64) {
+	step := max(rounds/10, 1)
+	for next := r.reported + step; next <= min(done, rounds); next += step {
+		r.emit(next, rounds)
+		r.reported = next
 	}
+}
+
+// roundReport is the reach of variant i's roundReporter when c reports
+// rounds, nil otherwise.
+func roundReport(c Campaign, i int, emit func(Event)) func(done, rounds int64) {
+	if !reportsRounds(c) {
+		return nil
+	}
+	name := c.Variants[i].Name
+	rep := &roundReporter{emit: func(round, rounds int64) {
+		emit(Event{Kind: EventProgress, Campaign: c.Name, Variant: i, Name: name,
+			Message: fmt.Sprintf("%s: round %d/%d", name, round, rounds)})
+	}}
+	return rep.reach
 }
 
 // Run executes the campaign and returns its rows ordered by variant
 // index. It blocks until every variant finished or ctx is cancelled;
 // on error or cancellation the partial rows are discarded and the
 // first error (lowest variant index, or ctx.Err()) is returned. A
-// variant that panics is contained, not fatal: its EventFailed is
+// variant that fails is contained, not fatal: its EventFailed is
 // visible on Stream, and Run returns the surviving variants' rows —
-// callers that need the failure detail should consume Stream.
+// callers that need the failure detail should consume Stream. A
+// campaign none of whose variants survived is an error.
 func (r Runner) Run(ctx context.Context, c Campaign) ([]Row, error) {
 	return collectRows(ctx, r, c, nil)
 }
 
 // Stream executes the campaign in the background and returns its typed
-// event stream: zero or more EventProgress/EventRow events (rows arrive
-// in completion order, not index order) terminated by exactly one
-// EventDone, after which the channel closes. The caller must drain the
-// channel; cancel ctx to stop early — in-flight simulations abort
-// within a few rounds and EventDone reports ctx.Err().
+// event stream: zero or more EventProgress/EventRow/EventFailed events
+// (rows arrive in completion order, not index order) terminated by
+// exactly one EventDone, after which the channel closes. The caller
+// must drain the channel; cancel ctx to stop early — in-flight
+// simulations abort within a few rounds and EventDone reports ctx.Err().
 func (r Runner) Stream(ctx context.Context, c Campaign) <-chan Event {
 	events := make(chan Event)
 	go r.execute(ctx, c, events)
 	return events
 }
 
+// collectRows drains a campaign stream, forwarding every event to sink
+// (when non-nil), and returns the rows ordered by variant index.
+func collectRows(ctx context.Context, r Runner, c Campaign, sink func(Event)) ([]Row, error) {
+	var (
+		rows []Row
+		err  error
+	)
+	for ev := range r.Stream(ctx, c) {
+		if sink != nil {
+			sink(ev)
+		}
+		switch ev.Kind {
+		case EventRow:
+			rows = append(rows, *ev.Row)
+		case EventDone:
+			err = ev.Err
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Index, b.Index) })
+	return rows, nil
+}
+
+// execute is the variant pool every campaign runs in, in-process or
+// supervised: the two differ only in the variantFunc.
 func (r Runner) execute(ctx context.Context, c Campaign, events chan<- Event) {
 	defer close(events)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	emit := func(ev Event) { events <- ev }
 	done := func(err error) {
-		events <- Event{Kind: EventDone, Campaign: c.Name, Variant: -1, Err: err}
+		emit(Event{Kind: EventDone, Campaign: c.Name, Variant: -1, Err: err})
 	}
 	if len(c.Variants) == 0 {
 		done(fmt.Errorf("experiments: campaign %q has no variants", c.Name))
 		return
+	}
+	run, resumed := variantFunc(inProcess), make([]*Row, len(c.Variants))
+	if r.Supervisor != nil {
+		sv, err := r.Supervisor.start(c, resumed, emit)
+		if err != nil {
+			done(err)
+			return
+		}
+		defer sv.close()
+		run = sv.variant
 	}
 	// Probes are stateful and must not be shared between runs: a probe
 	// in the base config would receive events from every variant,
@@ -174,146 +257,133 @@ func (r Runner) execute(ctx context.Context, c Campaign, events chan<- Event) {
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(c.Variants) {
-		workers = len(c.Variants)
-	}
+	workers = min(workers, len(c.Variants))
 
-	// A variant failure stops the campaign: cancel the feed, let
-	// in-flight runs abort, and report the lowest-index error.
+	// Resumed rows come first, in variant order; the other variants run.
+	feed := make(chan int, len(c.Variants))
+	for i, row := range resumed {
+		if row == nil {
+			feed <- i
+			continue
+		}
+		emit(Event{Kind: EventProgress, Campaign: c.Name, Variant: i, Name: row.Name,
+			Message: fmt.Sprintf("%s: resumed from journal", row.Name)})
+		emit(Event{Kind: EventRow, Campaign: c.Name, Variant: i, Name: row.Name, Row: row})
+	}
+	close(feed)
+
+	// An error that is not contained stops the campaign: cancel the rest,
+	// let in-flight variants abort, and report the lowest-index error.
 	// Cancellation errors are a consequence, not a cause — they never
 	// displace a real failure.
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIndex int
-	)
-	fail := func(i int, err error) {
-		defer cancel()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return
-		}
-		mu.Lock()
-		if firstErr == nil || i < errIndex {
-			firstErr, errIndex = err, i
-		}
-		mu.Unlock()
-	}
-
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := range c.Variants {
-			select {
-			case feed <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	errs := make([]error, len(c.Variants)) // by variant; each written by the worker that ran it
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				row, err := r.runVariant(ctx, c, i, events)
-				var pe *sim.PanicError
+				if ctx.Err() != nil {
+					return
+				}
+				row, err := run(ctx, c, i, emit)
+				var vf *variantFailure
 				switch {
 				case err == nil:
-					events <- Event{Kind: EventRow, Campaign: c.Name, Variant: i, Name: row.Name, Row: row}
-				case errors.As(err, &pe):
-					// A panicking variant is contained: siblings keep
-					// running and the campaign completes with the rows
-					// that survived. Configuration errors still abort —
-					// they mean the whole sweep is built wrong.
-					events <- Event{
-						Kind:     EventFailed,
-						Campaign: c.Name,
-						Variant:  i,
-						Name:     c.Variants[i].Name,
-						Message:  fmt.Sprintf("%s: panic contained: %v", c.Variants[i].Name, pe.Value),
-						Err:      err,
-					}
-				default:
-					fail(i, err)
+					emit(Event{Kind: EventRow, Campaign: c.Name, Variant: i, Name: row.Name, Row: row})
+				case errors.As(err, &vf):
+					errs[i] = vf
+					emit(Event{Kind: EventFailed, Campaign: c.Name, Variant: i, Name: c.Variants[i].Name, Message: vf.Message, Err: vf.Err})
+				case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+					errs[i] = err
+					cancel()
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	done(outcome(c, errs, parent.Err(), emit))
+}
 
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err == nil {
-		err = parent.Err()
+// outcome is a finished campaign's error: the lowest-index variant error
+// that was not contained, else ctxErr, else — when every variant failed
+// — one naming the first. A campaign that lost only some variants sends
+// an EventProgress naming each, in variant order.
+func outcome(c Campaign, errs []error, ctxErr error, emit func(Event)) error {
+	var b strings.Builder
+	n := 0
+	for i, err := range errs {
+		var vf *variantFailure
+		switch {
+		case err == nil:
+		case !errors.As(err, &vf):
+			return err
+		default:
+			n++
+			fmt.Fprintf(&b, " [%s: %s after %d attempts]", c.Variants[i].Name, vf.Class, vf.Attempts)
+		}
 	}
-	done(err)
+	switch {
+	case ctxErr != nil:
+		return ctxErr
+	case n == len(errs):
+		return fmt.Errorf("experiments: campaign %q: every variant failed permanently (first: %v)", c.Name, errs[0])
+	case n > 0:
+		emit(Event{Kind: EventProgress, Campaign: c.Name, Variant: -1,
+			Message: fmt.Sprintf("%s: %d/%d variant(s) failed permanently:%s", c.Name, n, len(errs), b.String())})
+	}
+	return nil
 }
 
 // materializeVariant builds the exact config variant i of c runs: the
-// base copied, the variant seed applied, then the variant's mutation.
-// Probes are not attached — the in-process path adds them from the
-// Variant.Probes factory, and the supervised path rejects campaigns
-// with probes (they cannot cross a process boundary). Both execution
-// paths derive a variant's config through this one function, which is
-// what makes supervised output bit-identical to in-process output. A
-// Mutate that panics re-panics as a *sim.PanicError carrying the config
-// as far as it was built.
-func materializeVariant(c Campaign, i int) (cfg sim.Config) {
-	v := c.Variants[i]
-	cfg = c.Base
+// base copied, then the variant's seed and mutation applied. Probes are
+// not attached — runVariant adds them from the Variant.Probes factory,
+// and a supervisor rejects campaigns with probes (they cannot cross a
+// process boundary). Every path derives a variant's config from the
+// base through apply, which is what makes supervised output
+// bit-identical to in-process output.
+func materializeVariant(c Campaign, i int) sim.Config {
+	cfg := c.Base
+	c.Variants[i].apply(&cfg)
+	return cfg
+}
+
+// apply sets the variant's seed, when it has one, on cfg and then runs
+// its mutation.
+func (v Variant) apply(cfg *sim.Config) {
 	if v.Seed != 0 {
 		cfg.Seed = v.Seed
 	}
 	if v.Mutate != nil {
-		defer func() {
-			if rec := recover(); rec != nil {
-				panic(&sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()})
-			}
-		}()
-		v.Mutate(&cfg)
+		v.Mutate(cfg)
 	}
-	return cfg
 }
 
-// runVariant materialises variant i's config, attaches the variant's
-// probes and the round-event probe, and executes it. Panics anywhere in
+// runVariant runs variant i of c in this process — the in-process pool
+// and a supervisor's worker both call it: it materialises the config,
+// attaches the variant's probes and, when onRound is set, a probe that
+// tells it every round's end, and executes the run. Panics anywhere in
 // the variant's lifecycle — config mutation, probe construction, engine
 // setup, the run itself — surface as *sim.PanicError attributing
 // whatever portion of the config had been materialised.
-func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<- Event) (row *Row, err error) {
+func runVariant(ctx context.Context, c Campaign, i int, onRound func(done, rounds int64)) (row *Row, err error) {
 	v := c.Variants[i]
 	cfg := c.Base
 	defer func() {
 		if rec := recover(); rec != nil {
-			var pe *sim.PanicError
-			if e, ok := rec.(error); ok && errors.As(e, &pe) {
-				row, err = nil, pe // attributed by materializeVariant
-				return
-			}
 			row, err = nil, &sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	cfg = materializeVariant(c, i)
+	v.apply(&cfg) // materializeVariant, in place: a panic sees the config as far as it was built
 	if v.Probes != nil {
 		cfg.Probes = append(append([]sim.Probe(nil), cfg.Probes...), v.Probes()...)
 	}
-	if r.RoundEvents {
+	if onRound != nil {
 		rounds := cfg.Rounds
-		cfg.Probes = append(slices.Clip(cfg.Probes), roundProbe{every: roundStep(rounds), fn: func(round int64) {
-			events <- Event{
-				Kind:     EventProgress,
-				Campaign: c.Name,
-				Variant:  i,
-				Name:     v.Name,
-				Message:  roundMessage(v.Name, round, rounds),
-			}
-		}})
+		cfg.Probes = append(slices.Clip(cfg.Probes), roundProbe{fn: func(done int64) { onRound(done, rounds) }})
 	}
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -324,4 +394,16 @@ func (r Runner) runVariant(ctx context.Context, c Campaign, i int, events chan<-
 		return nil, err
 	}
 	return &Row{Index: i, Name: v.Name, Config: cfg, Result: res}, nil
+}
+
+// inProcess is the pool's variantFunc without a supervisor: runVariant,
+// a panic contained as a failure of its one attempt.
+func inProcess(ctx context.Context, c Campaign, i int, emit func(Event)) (*Row, error) {
+	row, err := runVariant(ctx, c, i, roundReport(c, i, emit))
+	var pe *sim.PanicError
+	if errors.As(err, &pe) {
+		return nil, &variantFailure{Class: failPanic, Attempts: 1, Err: err,
+			Message: fmt.Sprintf("%s: panic contained: %v", c.Variants[i].Name, pe.Value)}
+	}
+	return row, err
 }

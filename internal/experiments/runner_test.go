@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"p2pbackup/internal/churn"
 	"p2pbackup/internal/sim"
 )
 
@@ -104,14 +106,14 @@ func TestRunnerStreamShape(t *testing.T) {
 		t.Fatalf("stream shape: %d rows, %d dones, done last = %v", rows, dones, sawDoneLast)
 	}
 
-	// With RoundEvents, a variant reports each tenth of its rounds.
+	// A one-run campaign reports each tenth of its rounds.
 	focal, err := BaseConfig(ScaleSmoke) // the focal run's threshold needs n >= 148
 	if err != nil {
 		t.Fatal(err)
 	}
 	focal.Rounds = 200
 	var msgs, want []string
-	for ev := range (Runner{Parallelism: 1, RoundEvents: true}).Stream(context.Background(), FocalCampaign(focal)) {
+	for ev := range (Runner{Parallelism: 1}).Stream(context.Background(), FocalCampaign(focal)) {
 		switch ev.Kind {
 		case EventProgress:
 			msgs = append(msgs, ev.Message)
@@ -339,5 +341,39 @@ func TestRunnerPanicInMutate(t *testing.T) {
 	}
 	if rows != 1 || failed != 1 {
 		t.Fatalf("got %d rows, %d failures", rows, failed)
+	}
+}
+
+// TestRunCtxEveryVariantPanics: a campaign whose every variant panics
+// is an error, not an empty success: the registry's driver returns it
+// and writes no data file, since a header-only table would read as a
+// result. Two fig1 thresholds whose Mutate panics, in-process.
+func TestRunCtxEveryVariantPanics(t *testing.T) {
+	c := *campaignByID("fig1")
+	build := c.build
+	c.build = func(cfg sim.Config, s *CampaignSpec, trace *churn.Trace) (Campaign, error) {
+		camp, err := build(cfg, s, trace)
+		for i := range camp.Variants {
+			camp.Variants[i].Mutate = func(*sim.Config) { panic("boom") }
+		}
+		return camp, err
+	}
+	var failed int
+	opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, Parallelism: 2, OutDir: t.TempDir(),
+		Events: func(ev Event) {
+			if ev.Kind == EventFailed {
+				failed++
+			}
+		}}
+	spec := c.spec(opts)
+	spec.Thresholds, spec.Overrides = []int{9, 13}, microSpec().Overrides
+	if _, err := c.run(context.Background(), opts, spec); err == nil || !strings.Contains(err.Error(), "every variant failed") {
+		t.Fatalf("error = %v, want every variant failed", err)
+	}
+	if failed != 2 {
+		t.Errorf("%d EventFailed, want 2", failed)
+	}
+	if files, err := os.ReadDir(opts.OutDir); err != nil || len(files) != 0 {
+		t.Errorf("out dir holds %v (%v), want nothing", files, err)
 	}
 }

@@ -170,7 +170,8 @@ func (s CampaignSpec) baseConfig() (sim.Config, error) {
 // Build materialises the campaign the spec describes, exactly as the
 // registry does: the base config, then the campaign table's constructor
 // for the kind, with the spec's sweep lists (or the table's defaults)
-// and the trace TracePath names.
+// and the trace TracePath names. Only a campaign built here can run
+// under a Supervisor.
 func (s CampaignSpec) Build() (Campaign, error) {
 	c := campaignByKind(s.Kind)
 	if c == nil {
@@ -180,7 +181,9 @@ func (s CampaignSpec) Build() (Campaign, error) {
 }
 
 // build is Build for a resolved table entry, with the campaign's trace
-// already in hand; a nil trace is read from TracePath.
+// already in hand; a nil trace is read from TracePath. The campaign
+// records the spec as given, which a supervisor's workers rebuild it by
+// and its journal fingerprints.
 func (s CampaignSpec) build(c *campaign, trace *churn.Trace) (Campaign, error) {
 	if c.trace && trace == nil {
 		if s.TracePath == "" {
@@ -195,8 +198,11 @@ func (s CampaignSpec) build(c *campaign, trace *churn.Trace) (Campaign, error) {
 	if err != nil {
 		return Campaign{}, err
 	}
+	given := s
 	c.fillSweep(&s)
-	return c.build(cfg, &s, trace)
+	camp, err := c.build(cfg, &s, trace)
+	camp.spec = &given
+	return camp, err
 }
 
 // Fingerprint identifies the spec for checkpoint journaling: resuming

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,8 +94,8 @@ func (p retryPolicy) backoff(seed uint64, variant, attempt int) time.Duration {
 	return d + time.Duration(r.Float64()*0.5*float64(d))
 }
 
-// Supervisor executes a campaign with each variant isolated in its own
-// worker process, speaking the `p2psim -worker` protocol: the spec and
+// Supervisor runs each variant of a Runner's campaign isolated in its
+// own worker process, speaking the `p2psim -worker` protocol: the spec and
 // variant index go in as JSON on stdin, heartbeats and a bit-exact
 // result snapshot come back as JSON lines on stdout. Failed attempts
 // are classified (panic / OOM-kill / hang / exit / transient) and
@@ -110,12 +108,9 @@ func (p retryPolicy) backoff(seed uint64, variant, attempt int) time.Duration {
 // supervised campaign — even one suffering injected crashes — produces
 // output byte-identical to the fault-free in-process run. The zero
 // Supervisor runs the current executable with -worker appended (the
-// p2psim arrangement) on NumCPU processes, kills a worker silent for
-// 30 s and tries each variant 3 times.
+// p2psim arrangement), kills a worker silent for 30 s and tries each
+// variant 3 times; the Runner's Parallelism bounds the worker processes.
 type Supervisor struct {
-	// Procs bounds concurrent worker processes; values below 1 mean
-	// runtime.NumCPU().
-	Procs int
 	// VariantTimeout kills an attempt that runs longer (0 = no limit;
 	// negative is an error).
 	VariantTimeout time.Duration
@@ -148,300 +143,148 @@ func (s *Supervisor) checkTimeout() error {
 	return nil
 }
 
-// variantFailure describes a variant that exhausted its retries.
-type variantFailure struct {
-	Variant  int
-	Name     string
-	Class    failureKind
-	Attempts int
-	Err      error
+// supervision is one campaign under a Supervisor: what its variants'
+// attempts share.
+type supervision struct {
+	*Supervisor
+	spec      CampaignSpec
+	fp        string
+	workerCmd []string
+	retry     retryPolicy
+	journal   *journalWriter
 }
 
-// Run executes the campaign described by spec under process
-// supervision, streaming events to sink (which may be nil) exactly
-// like Runner.Stream does, and returns the completed rows ordered by
-// variant index. camp must be the campaign spec.Build() produces — the
-// registry passes both so the parent does not rebuild traces the spec
-// already materialised to disk.
-//
-// A one-run campaign (reportsRounds) gets the round heartbeats an
-// in-process run prints, from its worker's heartbeats.
-//
-// Failed-variant handling is graceful degradation: each exhausted
-// variant is journaled, surfaced as EventFailed and summarised in a
-// final EventProgress; Run errors only when the context is cancelled,
-// the journal cannot be written, workers cannot be spawned at all, or
-// every variant failed, or VariantTimeout is negative.
-func (s *Supervisor) Run(ctx context.Context, spec CampaignSpec, camp Campaign, sink func(Event)) ([]Row, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// start readies c to run under s, before any variant does: it refuses a
+// campaign a worker cannot rebuild (one built by hand, or with probes)
+// and a negative VariantTimeout, fills resumed (by variant) with the
+// rows the journal already holds for this spec when resuming, and opens
+// the journal for appending.
+func (s *Supervisor) start(c Campaign, resumed []*Row, emit func(Event)) (*supervision, error) {
 	if err := s.checkTimeout(); err != nil {
 		return nil, err
 	}
-	if len(camp.Variants) == 0 {
-		return nil, fmt.Errorf("experiments: campaign %q has no variants", camp.Name)
+	if c.spec == nil {
+		return nil, fmt.Errorf("experiments: campaign %q was not built by CampaignSpec.Build; workers cannot rebuild it", c.Name)
 	}
-	if len(camp.Base.Probes) > 0 {
-		return nil, fmt.Errorf("experiments: campaign %q: probes cannot cross the worker process boundary; run in-process", camp.Name)
-	}
-	for _, v := range camp.Variants {
-		if v.Probes != nil {
-			return nil, fmt.Errorf("experiments: campaign %q variant %q: probes cannot cross the worker process boundary; run in-process", camp.Name, v.Name)
+	for _, v := range c.Variants {
+		if v.Probes != nil || len(c.Base.Probes) > 0 {
+			return nil, fmt.Errorf("experiments: campaign %q variant %q: probes cannot cross the worker process boundary; run in-process", c.Name, v.Name)
 		}
 	}
-	workerCmd := s.workerCmd
-	if len(workerCmd) == 0 {
+	sv := &supervision{Supervisor: s, spec: *c.spec, fp: c.spec.Fingerprint(), workerCmd: s.workerCmd, retry: s.retry.withDefaults()}
+	if len(sv.workerCmd) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: supervisor: locating worker executable: %w", err)
 		}
-		workerCmd = []string{exe, "-worker"}
+		sv.workerCmd = []string{exe, "-worker"}
 	}
-	retry := s.retry.withDefaults()
-	procs := s.Procs
-	if procs < 1 {
-		procs = runtime.NumCPU()
+	if s.JournalPath == "" {
+		return sv, nil
 	}
-	if procs > len(camp.Variants) {
-		procs = len(camp.Variants)
-	}
-
-	var emitMu sync.Mutex
-	emit := func(ev Event) {
-		if sink == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		sink(ev)
-	}
-
-	fp := spec.Fingerprint()
-	completed := make([]*journalEntry, len(camp.Variants)) // by variant: resumed rows come in variant order
-	var journal *journalWriter
-	if s.JournalPath != "" {
-		if s.Resume {
-			entries, skipped, err := readJournal(s.JournalPath)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				switch {
-				case e.Fingerprint != fp || e.Status != "ok" || e.Variant < 0 || e.Variant >= len(camp.Variants):
-				case e.Result.check(materializeVariant(camp, e.Variant)) != nil:
-					skipped++ // no report could read it: as good as torn, the variant re-runs
-				default:
-					completed[e.Variant] = e
-				}
-			}
-			if skipped > 0 {
-				emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: -1,
-					Message: fmt.Sprintf("journal: skipped %d unparsable or incomplete line(s)", skipped)})
-			}
-		}
-		var err error
-		journal, err = openJournal(s.JournalPath, s.Resume)
+	if s.Resume {
+		entries, skipped, err := readJournal(s.JournalPath)
 		if err != nil {
 			return nil, err
 		}
-		defer journal.Close()
-	}
-
-	rows := make([]*Row, len(camp.Variants))
-	for i, e := range completed {
-		if e == nil {
-			continue
-		}
-		cfg := materializeVariant(camp, i)
-		row := &Row{Index: i, Name: camp.Variants[i].Name, Config: cfg, Result: e.Result.restore(cfg)}
-		rows[i] = row
-		emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: i, Name: row.Name,
-			Message: fmt.Sprintf("%s: resumed from journal", row.Name)})
-		emit(Event{Kind: EventRow, Campaign: camp.Name, Variant: i, Name: row.Name, Row: row})
-	}
-
-	// Workers pull pending variant indices; a fatal error (spawn
-	// failure, journal write failure) cancels the whole campaign.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	var (
-		mu       sync.Mutex
-		fatalErr error
-		failures []variantFailure
-	)
-	fatal := func(err error) {
-		mu.Lock()
-		if fatalErr == nil {
-			fatalErr = err
-		}
-		mu.Unlock()
-		cancelRun()
-	}
-
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := range camp.Variants {
-			if rows[i] != nil {
-				continue
-			}
-			select {
-			case feed <- i:
-			case <-runCtx.Done():
-				return
+		for _, e := range entries {
+			switch {
+			case e.Fingerprint != sv.fp || e.Status != "ok" || e.Variant < 0 || e.Variant >= len(c.Variants):
+			case e.Result.check(materializeVariant(c, e.Variant)) != nil:
+				skipped++ // no report could read it: as good as torn, the variant re-runs
+			default:
+				cfg := materializeVariant(c, e.Variant)
+				resumed[e.Variant] = &Row{Index: e.Variant, Name: c.Variants[e.Variant].Name, Config: cfg, Result: e.Result.restore(cfg)}
 			}
 		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				s.superviseVariant(runCtx, spec, camp, i, workerCmd, retry, journal, fp, emit,
-					func(row *Row) {
-						mu.Lock()
-						rows[i] = row
-						mu.Unlock()
-					},
-					func(f variantFailure) {
-						mu.Lock()
-						failures = append(failures, f)
-						mu.Unlock()
-					},
-					fatal)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mu.Lock()
-	err := fatalErr
-	fails := failures
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	var out []Row // in variant order: rows is indexed by variant
-	for _, r := range rows {
-		if r != nil {
-			out = append(out, *r)
+		if skipped > 0 {
+			emit(Event{Kind: EventProgress, Campaign: c.Name, Variant: -1,
+				Message: fmt.Sprintf("journal: skipped %d unparsable or incomplete line(s)", skipped)})
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("experiments: campaign %q: every variant failed permanently (first: %v)", camp.Name, fails[0].Err)
-	}
-	if len(fails) > 0 {
-		sort.Slice(fails, func(i, j int) bool { return fails[i].Variant < fails[j].Variant })
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s: %d/%d variant(s) failed permanently:", camp.Name, len(fails), len(camp.Variants))
-		for _, f := range fails {
-			fmt.Fprintf(&b, " [%s: %s after %d attempts]", f.Name, f.Class, f.Attempts)
-		}
-		emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: -1, Message: b.String()})
-	}
-	return out, nil
+	var err error
+	sv.journal, err = openJournal(s.JournalPath, s.Resume)
+	return sv, err
 }
 
-// superviseVariant drives one variant through the retry state machine:
-// attempt → classify → (success | backoff and retry | exhaust). The
-// terminal states call exactly one of onRow, onFail or fatal.
-func (s *Supervisor) superviseVariant(ctx context.Context, spec CampaignSpec, camp Campaign, i int,
-	workerCmd []string, retry retryPolicy, journal *journalWriter, fp string, emit func(Event),
-	onRow func(*Row), onFail func(variantFailure), fatal func(error)) {
+// close closes the journal, if there is one.
+func (sv *supervision) close() {
+	if sv.journal != nil {
+		sv.journal.f.Close()
+	}
+}
 
-	name := camp.Variants[i].Name
+// variant is the pool's variantFunc under a supervisor: it drives
+// variant i through the retry state machine, attempt → classify →
+// (success | backoff and retry | exhaust), and journals the outcome. A
+// variant out of attempts is a *variantFailure; a worker that cannot be
+// spawned or a journal that cannot be written aborts the campaign.
+func (sv *supervision) variant(ctx context.Context, c Campaign, i int, emit func(Event)) (*Row, error) {
+	name := c.Variants[i].Name
 	var lastErr error
 	lastClass := failTransient
-	var onRound func(done int64)
-	if reportsRounds(camp) {
-		rounds := materializeVariant(camp, i).Rounds
-		onRound = (&roundReporter{rounds: rounds, step: roundStep(rounds), emit: func(round int64) {
-			emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: i, Name: name,
-				Message: roundMessage(name, round, rounds)})
-		}}).reach
-	}
-	for attempt := 1; attempt <= retry.MaxAttempts; attempt++ {
+	report := roundReport(c, i, emit)
+	for attempt := 1; attempt <= sv.retry.MaxAttempts; attempt++ {
 		if ctx.Err() != nil {
-			return
+			return nil, ctx.Err()
 		}
-		cfg := materializeVariant(camp, i)
-		snap, class, err := s.runAttempt(ctx, spec, cfg, i, attempt, workerCmd, onRound)
+		cfg := materializeVariant(c, i)
+		var onRound func(done int64)
+		if report != nil {
+			onRound = func(done int64) { report(done, cfg.Rounds) }
+		}
+		snap, class, err := sv.runAttempt(ctx, cfg, i, attempt, onRound)
 		if err == nil {
-			if onRound != nil {
-				onRound(cfg.Rounds) // the rounds since the last heartbeat
+			if report != nil {
+				report(cfg.Rounds, cfg.Rounds) // the rounds since the last heartbeat
 			}
-			row := &Row{Index: i, Name: name, Config: cfg, Result: snap.restore(cfg)}
-			if journal != nil {
-				entry := journalEntry{V: 1, Campaign: camp.Name, Fingerprint: fp, Variant: i,
-					Name: name, Status: "ok", Attempts: attempt, Result: snap}
-				if jerr := journal.append(entry); jerr != nil {
-					fatal(fmt.Errorf("experiments: checkpoint journal: %w", jerr))
-					return
-				}
+			if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: name, Status: "ok", Attempts: attempt, Result: snap}); err != nil {
+				return nil, err
 			}
-			onRow(row)
-			emit(Event{Kind: EventRow, Campaign: camp.Name, Variant: i, Name: name, Row: row})
-			return
+			return &Row{Index: i, Name: name, Config: cfg, Result: snap.restore(cfg)}, nil
 		}
 		if ctx.Err() != nil {
-			return // cancelled mid-attempt; the kill is ours, not a failure
+			return nil, ctx.Err() // cancelled mid-attempt; the kill is ours, not a failure
 		}
 		if errors.Is(err, errSpawn) {
-			fatal(err)
-			return
+			return nil, err
 		}
 		lastErr, lastClass = err, class
-		if attempt < retry.MaxAttempts {
-			pause := retry.backoff(spec.Seed, i, attempt)
-			emit(Event{Kind: EventProgress, Campaign: camp.Name, Variant: i, Name: name,
+		if attempt < sv.retry.MaxAttempts {
+			pause := sv.retry.backoff(sv.spec.Seed, i, attempt)
+			emit(Event{Kind: EventProgress, Campaign: c.Name, Variant: i, Name: name,
 				Message: fmt.Sprintf("%s: attempt %d/%d failed (%s): %s; retrying in %s",
-					name, attempt, retry.MaxAttempts, class, firstLine(err), pause.Round(time.Millisecond))})
+					name, attempt, sv.retry.MaxAttempts, class, firstLine(err), pause.Round(time.Millisecond))})
 			select {
 			case <-time.After(pause):
 			case <-ctx.Done():
-				return
+				return nil, ctx.Err()
 			}
 		}
 	}
 
 	// Retries exhausted: graceful degradation. Journal the typed
-	// failure, surface it, and let the campaign continue.
-	if journal != nil {
-		entry := journalEntry{V: 1, Campaign: camp.Name, Fingerprint: fp, Variant: i, Name: name,
-			Status: "failed", Class: lastClass.String(), Attempts: retry.MaxAttempts, Error: lastErr.Error()}
-		if jerr := journal.append(entry); jerr != nil {
-			fatal(fmt.Errorf("experiments: checkpoint journal: %w", jerr))
-			return
-		}
+	// failure and let the campaign continue.
+	attempts := sv.retry.MaxAttempts
+	if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: name, Status: "failed", Class: lastClass.String(),
+		Attempts: attempts, Error: lastErr.Error()}); err != nil {
+		return nil, err
 	}
-	onFail(variantFailure{Variant: i, Name: name, Class: lastClass, Attempts: retry.MaxAttempts, Err: lastErr})
-	emit(Event{Kind: EventFailed, Campaign: camp.Name, Variant: i, Name: name,
-		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %s", name, lastClass, retry.MaxAttempts, firstLine(lastErr)),
-		Err:     fmt.Errorf("experiments: %s %q: %s after %d attempts: %w", camp.Name, name, lastClass, retry.MaxAttempts, lastErr)})
+	return nil, &variantFailure{Class: lastClass, Attempts: attempts,
+		Err:     fmt.Errorf("experiments: %s %q: %s after %d attempts: %w", c.Name, name, lastClass, attempts, lastErr),
+		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %s", name, lastClass, attempts, firstLine(lastErr))}
 }
 
-// roundReporter turns the round counts of a worker's heartbeats into
-// the round heartbeats an in-process run of the variant reports
-// (roundProbe): each multiple of step up to rounds once and in order,
-// however far apart the counts come, and once across retries.
-type roundReporter struct {
-	rounds, step, reported int64
-	emit                   func(round int64)
-}
-
-// reach reports the multiples of step up to done rounds not yet reported.
-func (r *roundReporter) reach(done int64) {
-	for next := r.reported + r.step; next <= min(done, r.rounds); next += r.step {
-		r.emit(next)
-		r.reported = next
+// record appends a variant's outcome to the journal, if there is one.
+func (sv *supervision) record(e journalEntry) error {
+	if sv.journal == nil {
+		return nil
 	}
+	e.V, e.Fingerprint = 1, sv.fp
+	if err := sv.journal.append(e); err != nil {
+		return fmt.Errorf("experiments: checkpoint journal: %w", err)
+	}
+	return nil
 }
 
 // errSpawn marks a worker that could not even be started — an
@@ -480,16 +323,16 @@ func firstLine(err error) string {
 // result, complete for cfg, the variant's config; otherwise the
 // failureKind says what killed the attempt. onRound, when set, is told
 // the round count of every heartbeat.
-func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.Config, variant, attempt int, workerCmd []string, onRound func(int64)) (*resultSnapshot, failureKind, error) {
+func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, attempt int, onRound func(int64)) (*resultSnapshot, failureKind, error) {
 	attemptCtx := ctx
-	if s.VariantTimeout > 0 {
+	if sv.VariantTimeout > 0 {
 		var cancel context.CancelFunc
-		attemptCtx, cancel = context.WithTimeout(ctx, s.VariantTimeout)
+		attemptCtx, cancel = context.WithTimeout(ctx, sv.VariantTimeout)
 		defer cancel()
 	}
-	cmd := exec.CommandContext(attemptCtx, workerCmd[0], workerCmd[1:]...)
-	if len(s.workerEnv) > 0 {
-		cmd.Env = append(os.Environ(), s.workerEnv...)
+	cmd := exec.CommandContext(attemptCtx, sv.workerCmd[0], sv.workerCmd[1:]...)
+	if len(sv.workerEnv) > 0 {
+		cmd.Env = append(os.Environ(), sv.workerEnv...)
 	}
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -508,17 +351,11 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 	// healthy-but-busy worker would be indistinguishable from a hung
 	// one. Sub-second graces (tests) shrink the requested period to
 	// match.
-	grace := cmp.Or(s.heartbeatGrace, 30*time.Second)
-	period := heartbeatPeriod
-	if grace < 4*heartbeatPeriod {
-		period = grace / 4
-		if period < 5*time.Millisecond {
-			period = 5 * time.Millisecond
-		}
-	}
+	grace := cmp.Or(sv.heartbeatGrace, 30*time.Second)
+	period := max(min(time.Second, grace/4), 5*time.Millisecond)
 	go func() {
 		enc := json.NewEncoder(stdin)
-		_ = enc.Encode(workerRequest{Spec: spec, Variant: variant, Attempt: attempt,
+		_ = enc.Encode(workerRequest{Spec: sv.spec, Variant: variant, Attempt: attempt,
 			HeartbeatMillis: int(period / time.Millisecond)})
 		stdin.Close()
 	}()
@@ -575,7 +412,7 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 	case waitErr == nil && snapErr == nil:
 		return snap, 0, nil
 	case attemptCtx.Err() == context.DeadlineExceeded:
-		return nil, failHang, fmt.Errorf("variant overran its %s timeout", s.VariantTimeout)
+		return nil, failHang, fmt.Errorf("variant overran its %s timeout", sv.VariantTimeout)
 	case ctx.Err() != nil:
 		return nil, failTransient, ctx.Err()
 	case stalled.Load():
@@ -596,9 +433,6 @@ func (s *Supervisor) runAttempt(ctx context.Context, spec CampaignSpec, cfg sim.
 		return nil, failProtocol, fmt.Errorf("worker exited 0 without a usable result: %v (%v)", snapErr, protoErr)
 	}
 }
-
-// heartbeatPeriod is how often workers are asked to heartbeat.
-const heartbeatPeriod = time.Second
 
 // ---------------------------------------------------------------------------
 // Checkpoint journal
@@ -651,9 +485,6 @@ func (j *journalWriter) append(e journalEntry) error {
 	}
 	return j.f.Sync()
 }
-
-// Close closes the underlying file.
-func (j *journalWriter) Close() error { return j.f.Close() }
 
 // readJournal loads every parsable entry; a missing file is an empty
 // journal. skipped counts unparsable lines (a SIGKILLed campaign can

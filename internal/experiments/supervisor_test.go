@@ -48,7 +48,6 @@ func microSpec() CampaignSpec {
 // its worker, with millisecond backoffs so retry tests stay fast.
 func testSupervisor(env ...string) *Supervisor {
 	return &Supervisor{
-		Procs:     2,
 		workerCmd: []string{os.Args[0]},
 		workerEnv: append([]string{testWorkerEnv + "=1"}, env...),
 		retry:     retryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
@@ -102,7 +101,7 @@ func TestSupervisedMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	got, err := testSupervisor().Run(context.Background(), spec, camp, nil)
+	got, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: testSupervisor()}, camp, nil)
 	if err != nil {
 		t.Fatalf("supervised run: %v", err)
 	}
@@ -114,6 +113,31 @@ func TestSupervisedMatchesInProcess(t *testing.T) {
 	}
 	if t1, t2 := ablationTSV(t, want), ablationTSV(t, got); t1 != t2 {
 		t.Errorf("supervised TSV differs from in-process TSV:\n%s\nvs\n%s", t1, t2)
+	}
+}
+
+// TestSupervisedEventsMatchInProcess: one event contract for both
+// modes. At Parallelism 1 the registry's micro ablation-delay campaign
+// sends Options.Events the same stream in-process and supervised: its
+// rows with their texts in variant order, then EventDone.
+func TestSupervisedEventsMatchInProcess(t *testing.T) {
+	t.Parallel()
+	stream := func(sup *Supervisor) []string {
+		var evs []string
+		opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, Parallelism: 1, Supervisor: sup, Events: func(ev Event) {
+			evs = append(evs, fmt.Sprintf("%d %d %q %q", ev.Kind, ev.Variant, ev.Name, ev.Message))
+		}}
+		if _, err := runShrunk("ablation-delay", opts, func(s *CampaignSpec) { *s = microSpec() }); err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	in, sup := stream(nil), stream(testSupervisor())
+	if len(in) != 5 || in[4] != fmt.Sprintf("%d -1 \"\" \"\"", EventDone) {
+		t.Fatalf("in-process events %q, want four rows and EventDone", in)
+	}
+	if !slices.Equal(in, sup) {
+		t.Errorf("events differ:\nin-process %q\nsupervised %q", in, sup)
 	}
 }
 
@@ -143,7 +167,7 @@ func TestSupervisedChaosDeterministic(t *testing.T) {
 
 	var mu sync.Mutex
 	var retries []string
-	got, err := sup.Run(context.Background(), spec, camp, func(ev Event) {
+	got, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: sup}, camp, func(ev Event) {
 		if ev.Kind == EventProgress && strings.Contains(ev.Message, "retrying") {
 			mu.Lock()
 			retries = append(retries, ev.Message)
@@ -212,7 +236,7 @@ func TestSupervisedExhaustedRetries(t *testing.T) {
 	var mu sync.Mutex
 	var failed []Event
 	var summary string
-	rows, err := sup.Run(context.Background(), spec, camp, func(ev Event) {
+	rows, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: sup}, camp, func(ev Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
@@ -282,7 +306,7 @@ func TestSupervisedPanicIsOneProgressLine(t *testing.T) {
 
 	var mu sync.Mutex
 	var retried, failed []Event
-	if _, err := sup.Run(context.Background(), spec, camp, func(ev Event) {
+	if _, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: sup}, camp, func(ev Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
@@ -310,13 +334,21 @@ func TestSupervisedPanicIsOneProgressLine(t *testing.T) {
 // TestRoundReporterMatchesRoundProbe: whatever round counts a worker's
 // heartbeats carry — none, sparse, repeated, past the end, restarting at
 // zero on a retry — followed by the run's last round, the reporter
-// reports the rounds the in-process round probe fires at, in order.
+// reports the rounds it reports when the in-process round probe feeds it
+// every round: each tenth of the run, in order.
 func TestRoundReporterMatchesRoundProbe(t *testing.T) {
 	for _, rounds := range []int64{1, 7, 9, 10, 240, 245, 1000} {
-		var want []int64
-		probe := roundProbe{every: roundStep(rounds), fn: func(done int64) { want = append(want, done) }}
+		var want, tenths []int64
+		in := roundReporter{emit: func(r, _ int64) { want = append(want, r) }}
+		probe := roundProbe{fn: func(done int64) { in.reach(done, rounds) }}
 		for r := int64(0); r < rounds; r++ {
 			probe.OnRoundEnd(sim.RoundEndEvent{Round: r})
+		}
+		for r, step := max(rounds/10, 1), max(rounds/10, 1); r <= rounds; r += step {
+			tenths = append(tenths, r)
+		}
+		if !slices.Equal(want, tenths) {
+			t.Errorf("rounds %d: the round probe's reports %v, want %v", rounds, want, tenths)
 		}
 		for _, beats := range [][]int64{
 			nil,
@@ -325,11 +357,11 @@ func TestRoundReporterMatchesRoundProbe(t *testing.T) {
 			{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13},
 		} {
 			var got []int64
-			rep := roundReporter{rounds: rounds, step: roundStep(rounds), emit: func(r int64) { got = append(got, r) }}
+			rep := roundReporter{emit: func(r, _ int64) { got = append(got, r) }}
 			for _, b := range beats {
-				rep.reach(b)
+				rep.reach(b, rounds)
 			}
-			rep.reach(rounds)
+			rep.reach(rounds, rounds)
 			if !slices.Equal(got, want) {
 				t.Errorf("rounds %d, heartbeats %v: reported %v, the round probe %v", rounds, beats, got, want)
 			}
@@ -351,7 +383,7 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 		first := testSupervisor(faultEnv + "=exit3@variant2x9")
 		first.retry.MaxAttempts = 1
 		first.JournalPath = journal
-		rows, err := first.Run(context.Background(), spec, camp, nil)
+		rows, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: first}, camp, nil)
 		if err != nil {
 			t.Fatalf("first run: %v", err)
 		}
@@ -388,7 +420,7 @@ func TestSupervisedResumeSkipsCompleted(t *testing.T) {
 			second.Resume = true
 			var mu sync.Mutex
 			resumed := map[int]bool{}
-			got, err := second.Run(context.Background(), spec, camp, func(ev Event) {
+			got, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: second}, camp, func(ev Event) {
 				if ev.Kind == EventProgress && strings.Contains(ev.Message, "resumed from journal") {
 					mu.Lock()
 					resumed[ev.Variant] = true
@@ -434,9 +466,8 @@ func TestSupervisedCancelThenResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	first := testSupervisor()
-	first.Procs = 1
 	first.JournalPath = journal
-	_, err = first.Run(ctx, spec, camp, func(ev Event) {
+	_, err = collectRows(ctx, Runner{Parallelism: 1, Supervisor: first}, camp, func(ev Event) {
 		if ev.Kind == EventRow {
 			cancel() // interrupt as soon as anything completes
 		}
@@ -468,7 +499,7 @@ func TestSupervisedCancelThenResume(t *testing.T) {
 	second.Resume = true
 	var mu sync.Mutex
 	resumed := map[int]bool{}
-	got, err := second.Run(context.Background(), spec, camp, func(ev Event) {
+	got, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: second}, camp, func(ev Event) {
 		if ev.Kind == EventProgress && strings.Contains(ev.Message, "resumed from journal") {
 			mu.Lock()
 			resumed[ev.Variant] = true
@@ -509,7 +540,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 
 	first := testSupervisor()
 	first.JournalPath = journal
-	if _, err := first.Run(context.Background(), spec, camp, nil); err != nil {
+	if _, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: first}, camp, nil); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 
@@ -553,7 +584,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	second.JournalPath = journal
 	second.Resume = true
 	var skipMsgs []string
-	got, err := second.Run(context.Background(), spec, camp, func(ev Event) {
+	got, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: second}, camp, func(ev Event) {
 		if strings.HasPrefix(ev.Message, "journal: skipped") {
 			skipMsgs = append(skipMsgs, ev.Message)
 		}
@@ -583,14 +614,20 @@ func TestSupervisorRejectsProbes(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	camp.Variants[0].Probes = func() []sim.Probe { return nil }
-	if _, err := testSupervisor().Run(context.Background(), spec, camp, nil); err == nil {
+	if _, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: testSupervisor()}, camp, nil); err == nil {
 		t.Fatalf("probed campaign accepted; want error")
+	}
+	// So is a campaign built by hand: no spec for workers to rebuild it by.
+	byHand := Campaign{Name: camp.Name, Base: camp.Base, Variants: camp.Variants[1:]}
+	if _, err := collectRows(context.Background(), Runner{Supervisor: testSupervisor()}, byHand, nil); err == nil ||
+		!strings.Contains(err.Error(), "not built by CampaignSpec.Build") {
+		t.Fatalf("hand-built campaign: error = %v, want a refusal", err)
 	}
 	// A negative timeout is refused too, not run as no limit.
 	camp.Variants[0].Probes = nil
 	sup := testSupervisor()
 	sup.VariantTimeout = -30 * time.Minute
-	if _, err := sup.Run(context.Background(), spec, camp, nil); err == nil || !strings.Contains(err.Error(), "-30m0s is negative") {
+	if _, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: sup}, camp, nil); err == nil || !strings.Contains(err.Error(), "-30m0s is negative") {
 		t.Fatalf("negative variant timeout: error = %v, want one naming it", err)
 	}
 }

@@ -348,12 +348,8 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 		}
 		// A one-run campaign reports progress by round heartbeats, the
 		// others by the text of each finished row.
-		r, sink := Runner{Parallelism: opts.Parallelism}, opts.Events
-		switch msg := c.rowMsg; {
-		case sink == nil:
-		case reportsRounds(camp):
-			r.RoundEvents = true
-		default:
+		sink := opts.Events
+		if msg := c.rowMsg; sink != nil && !reportsRounds(camp) {
 			if msg == nil {
 				msg = doneMessage(camp.Name)
 			}
@@ -364,11 +360,7 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 				opts.Events(ev)
 			}
 		}
-		if opts.Supervisor != nil { // workers rebuild the campaign from spec
-			rows, err = opts.Supervisor.Run(ctx, spec, camp, sink)
-		} else {
-			rows, err = collectRows(ctx, r, camp, sink)
-		}
+		rows, err = collectRows(ctx, Runner{Parallelism: opts.Parallelism, Supervisor: opts.Supervisor}, camp, sink)
 		if err != nil {
 			return nil, err
 		}

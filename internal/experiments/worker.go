@@ -241,10 +241,7 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 		return 1
 	}
 
-	cfg := materializeVariant(camp, req.Variant)
 	var round atomic.Int64
-	cfg.Probes = []sim.Probe{roundProbe{every: 1, fn: round.Store}}
-
 	enc := json.NewEncoder(out)
 	var mu sync.Mutex
 	write := func(m workerMessage) error {
@@ -280,22 +277,17 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 		hb.Wait()
 	}()
 
-	s, err := sim.New(cfg)
-	if err != nil {
+	row, err := runVariant(context.Background(), camp, req.Variant, func(done, _ int64) { round.Store(done) })
+	var pe *sim.PanicError
+	switch {
+	case errors.As(err, &pe):
+		fmt.Fprintf(errw, "panic: %v\n%s", pe.Value, pe.Stack)
+		return 2
+	case err != nil:
 		fmt.Fprintf(errw, "worker: %v\n", err)
 		return 1
 	}
-	res, err := s.RunContext(context.Background())
-	if err != nil {
-		var pe *sim.PanicError
-		if errors.As(err, &pe) {
-			fmt.Fprintf(errw, "panic: %v\n%s", pe.Value, pe.Stack)
-			return 2
-		}
-		fmt.Fprintf(errw, "worker: %v\n", err)
-		return 1
-	}
-	if err := write(workerMessage{Type: "result", Result: snapshotResult(res)}); err != nil {
+	if err := write(workerMessage{Type: "result", Result: snapshotResult(row.Result)}); err != nil {
 		fmt.Fprintf(errw, "worker: writing result: %v\n", err)
 		return 1
 	}
