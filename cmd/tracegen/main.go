@@ -8,8 +8,8 @@
 //	tracegen gen -peers 500 -rounds 20000 -avail diurnal:0.8 -out trace.jsonl
 //	tracegen fit -in trace.csv
 //
-// The output format follows the -out extension (.jsonl/.ndjson for
-// JSONL, CSV otherwise) and carries each peer's behaviour profile, so
+// The file format follows the -out (and -in) extension (.jsonl/.ndjson
+// for JSONL, CSV otherwise) and carries each peer's behaviour profile, so
 // a generated trace round-trips into the simulator:
 //
 //	p2psim -exp replay -trace trace.csv
@@ -93,17 +93,12 @@ func cmdGen(args []string) error {
 
 func cmdFit(args []string) error {
 	fs := flag.NewFlagSet("fit", flag.ExitOnError)
-	in := fs.String("in", "", "trace CSV to analyse")
+	in := fs.String("in", "", "trace to analyse (.jsonl/.ndjson for JSONL, else CSV)")
 	_ = fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("fit needs -in")
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	trace, err := churn.ReadCSV(f)
+	trace, err := churn.ReadTraceFile(*in)
 	if err != nil {
 		return err
 	}

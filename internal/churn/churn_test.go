@@ -250,6 +250,16 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Errorf("case %d: bad CSV accepted", i)
 		}
 	}
+	// A header and no events is as empty as no bytes at all, in both
+	// formats.
+	for _, c := range []string{"", "\n", "round,peer,kind\n", "round,peer,kind,profile\n\n"} {
+		if _, err := ReadCSV(strings.NewReader(c)); err == nil || err.Error() != "churn: empty trace file" {
+			t.Errorf("ReadCSV(%q) error = %v, want churn: empty trace file", c, err)
+		}
+	}
+	if _, err := ReadJSONL(strings.NewReader("\n")); err == nil || err.Error() != "churn: empty trace file" {
+		t.Errorf("ReadJSONL of a blank file: error = %v, want churn: empty trace file", err)
+	}
 	// Headerless but valid data is accepted (first line parses as data).
 	tr, err := ReadCSV(strings.NewReader("1,2,join\n"))
 	if err != nil || len(tr.Events) != 1 {

@@ -223,7 +223,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if first {
+	if len(t.Events) == 0 {
 		return nil, errors.New("churn: empty trace file")
 	}
 	return t, nil

@@ -402,6 +402,37 @@ func (m *Maintainer) GrowArchive(id overlay.PeerID) bool {
 	return true
 }
 
+// ShrinkArchive retires surplus placements until the archive holds at
+// most nt blocks (its just lowered target): offline hosts first, their
+// blocks being the least useful, then from the placement list's end.
+// Dropping frees host quota at once; a visibility crossing fires the
+// ledger watcher exactly as a partner death would, so the armed set
+// stays coherent.
+func (m *Maintainer) ShrinkArchive(id overlay.PeerID, nt int) {
+	m.dropOffline(id, nt)
+	for m.led.Alive(id) > nt {
+		if err := m.led.DropPlacementAt(id, m.led.Alive(id)-1); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// dropOffline drops the archive's placements on offline hosts, from
+// the placement list's end, until at most keep blocks are left.
+func (m *Maintainer) dropOffline(id overlay.PeerID, keep int) {
+	for i := m.led.Alive(id) - 1; i >= 0 && m.led.Alive(id) > keep; i-- {
+		host, err := m.led.HostAt(id, i)
+		if err != nil {
+			panic(err) // ledger indexes are engine-controlled
+		}
+		if !m.led.Online(host) {
+			if err := m.led.DropPlacementAt(id, i); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
 // VisibleBelow implements overlay.Watcher: a peer whose visible blocks
 // crossed below the repair threshold has maintenance work.
 func (m *Maintainer) VisibleBelow(owner overlay.PeerID) { m.Arm(owner) }
@@ -542,10 +573,9 @@ func (m *Maintainer) freeQuota(c overlay.PeerID) int {
 // DeliverUpload lands one in-flight block from owner on host: the
 // engine calls it when a transfer completes (after the scheduler
 // released its quota reservation, so the placement must succeed). It
-// returns the episode's StepResult and true when this delivery finished
-// the episode — the engine reports the repair there; mid-episode
-// deliveries return false.
-func (m *Maintainer) DeliverUpload(owner, host overlay.PeerID) (StepResult, bool) {
+// returns the episode's outcome when this delivery finished the
+// episode, OutcomeNone mid-episode.
+func (m *Maintainer) DeliverUpload(owner, host overlay.PeerID) StepResult {
 	p := &m.peers[owner]
 	if p.st != stateUploading {
 		// Transfers exist only for uploading owners, and the engine
@@ -558,9 +588,9 @@ func (m *Maintainer) DeliverUpload(owner, host overlay.PeerID) (StepResult, bool
 	}
 	p.uploaded++
 	if m.led.Alive(owner) < m.targetBlocks(owner) {
-		return StepResult{}, false
+		return StepResult{}
 	}
-	return m.completeEpisode(p), true
+	return m.completeEpisode(p)
 }
 
 // completeEpisode closes an episode whose last block has landed and

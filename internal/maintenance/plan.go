@@ -304,17 +304,7 @@ func (m *Maintainer) ApplyPlan(ws *Workspace, pr *PlanResult) StepResult {
 	for _, op := range ws.ops[pr.opStart:pr.opEnd] {
 		switch op.kind() {
 		case opDropOffline:
-			for i := m.led.Alive(id) - 1; i >= 0; i-- {
-				host, err := m.led.HostAt(id, i)
-				if err != nil {
-					panic(err)
-				}
-				if !m.led.Online(host) {
-					if err := m.led.DropPlacementAt(id, i); err != nil {
-						panic(err)
-					}
-				}
-			}
+			m.dropOffline(id, 0)
 		case opPlace:
 			// A quota-exempt owner's plan took the host whatever its
 			// quota, and so does its apply.

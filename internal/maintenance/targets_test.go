@@ -77,3 +77,50 @@ func TestPerArchiveTargets(t *testing.T) {
 		}
 	})
 }
+
+// TestShrinkArchive: a lowered target retires the surplus placements,
+// offline hosts first (from the list's end), then the list's end, and a
+// drop that takes the visible count under the threshold arms the slot
+// through the ledger watcher.
+func TestShrinkArchive(t *testing.T) {
+	params := Params{TotalBlocks: 10, DataBlocks: 4, RepairThreshold: 7, PoolSamplePerRound: 64}
+	for _, tc := range []struct {
+		name  string
+		nt    int
+		keep  []int // indexes into the pre-shrink host list, in list order
+		armed bool
+	}{
+		// One surplus block: the offline host nearest the end goes, and
+		// the other offline host stays.
+		{name: "one surplus", nt: 9, keep: []int{0, 1, 2, 3, 4, 9, 6, 7, 8}},
+		// Four: both offline hosts, then the list's end; visible 8 -> 6
+		// crosses the threshold 7.
+		{name: "four surplus", nt: 6, keep: []int{0, 1, 8, 3, 4, 9}, armed: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, led, _, r := harness(t, 40, params)
+			id := overlay.PeerID(0)
+			completeInitial(t, m, r, id)
+			hosts := led.Hosts(id, nil)
+			led.SetOnline(hosts[2], false)
+			led.SetOnline(hosts[5], false)
+			m.Disarm(id)
+			m.ShrinkArchive(id, tc.nt)
+			got := led.Hosts(id, nil)
+			if len(got) != len(tc.keep) {
+				t.Fatalf("alive %d after shrinking to %d, want %d", len(got), tc.nt, len(tc.keep))
+			}
+			for i, k := range tc.keep {
+				if got[i] != hosts[k] {
+					t.Fatalf("placements %v after shrink, want hosts at %v of %v", got, tc.keep, hosts)
+				}
+			}
+			if m.Armed(id) != tc.armed {
+				t.Errorf("armed = %v after shrink to visible %d, want %v", m.Armed(id), led.Visible(id), tc.armed)
+			}
+			if err := led.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

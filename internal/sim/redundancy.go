@@ -103,7 +103,7 @@ func (s *Simulation) redunReset(id overlay.PeerID) {
 // its partners' monitored histories, and applies the policy's verdict:
 // grow starts an ordinary upload episode for the missing parity blocks
 // (real transfers when bandwidth scheduling is on), shrink retires
-// surplus placements immediately, offline hosts first.
+// surplus placements at once; maintenance decides which.
 func (s *Simulation) stepRedundancy(round int64) {
 	rs := s.redun
 	eval := rs.pol.Eval
@@ -177,7 +177,7 @@ func (s *Simulation) evalRedundancy(round int64, id overlay.PeerID) {
 			panic("sim: GrowArchive refused an idle included archive")
 		}
 	} else {
-		s.shrinkArchive(id, nt)
+		s.maint.ShrinkArchive(id, nt)
 	}
 	ev := RedundancyEvent{Round: round, Peer: int(id), From: cur, To: nt, Availability: p}
 	for _, pr := range s.dispatch[evRedundancyChange] {
@@ -193,25 +193,4 @@ func (s *Simulation) hostAt(id overlay.PeerID, i int) overlay.PeerID {
 		panic(err) // ledger indexes are engine-controlled
 	}
 	return host
-}
-
-// shrinkArchive retires surplus placements until the archive holds at
-// most nt blocks: offline hosts first (their blocks are the least
-// useful), then from the placement list's end. Dropping frees host
-// quota immediately; a visibility crossing fires the ledger watcher
-// exactly as a partner death would, so the armed-set machinery stays
-// coherent.
-func (s *Simulation) shrinkArchive(id overlay.PeerID, nt int) {
-	for i := s.led.Alive(id) - 1; i >= 0 && s.led.Alive(id) > nt; i-- {
-		if !s.led.Online(s.hostAt(id, i)) {
-			if err := s.led.DropPlacementAt(id, i); err != nil {
-				panic(err)
-			}
-		}
-	}
-	for s.led.Alive(id) > nt {
-		if err := s.led.DropPlacementAt(id, s.led.Alive(id)-1); err != nil {
-			panic(err)
-		}
-	}
 }

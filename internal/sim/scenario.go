@@ -246,7 +246,7 @@ func (s *Simulation) applyReplay(round int64) {
 			if s.xfer != nil {
 				// Like initPeer: a single-class mix consumes no
 				// randomness, keeping replayed runs deterministic.
-				s.xfer.sched.AssignClass(id, s.xfer.sched.Params().SampleIndex(s.r))
+				s.xfer.AssignClass(id, s.r)
 			}
 			s.joins[id] = round
 			p.cat = metrics.Newcomer

@@ -150,9 +150,9 @@ type Simulation struct {
 	cancels  int64
 	trace    *churn.Trace
 	probes   []Probe
-	replay   *replayScript // non-nil: churn comes from Config.Replay
-	xfer     *xferState    // non-nil: bandwidth scheduling or restore demand enabled
-	redun    *redunState   // non-nil: adaptive redundancy policy enabled
+	replay   *replayScript       // non-nil: churn comes from Config.Replay
+	xfer     *transfer.Scheduler // non-nil: bandwidth scheduling or restore demand enabled
+	redun    *redunState         // non-nil: adaptive redundancy policy enabled
 
 	// joins is the round each slot's current occupant joined, kept
 	// apart from peer: an age is what the candidate loop asks of every
@@ -293,26 +293,12 @@ func New(cfg Config) (*Simulation, error) {
 
 	if cfg.Bandwidth != nil || len(cfg.Restores) > 0 {
 		// The transfer machinery exists only when asked for. Restore-only
-		// configs schedule downloads against the degenerate instant mix.
-		params := cfg.Bandwidth
-		if params == nil {
-			params, err = transfer.InstantParams().Validate()
-			if err != nil {
-				panic(err) // static input; cannot fail
-			}
-		}
-		s.xfer = &xferState{
-			// Scheduler slots cover the population only: observers are
-			// unmetered instrumentation and never reach the scheduler.
-			sched:     transfer.NewScheduler(params, cfg.NumPeers),
-			restore:   make([]int64, cfg.NumPeers),
-			bandwidth: !params.Instant(),
-		}
-		for i := range s.xfer.restore {
-			s.xfer.restore[i] = -1
-		}
-		if s.xfer.bandwidth {
-			s.maint.SetTransfers((*simXfer)(s))
+		// configs (nil Bandwidth) schedule downloads against the instant
+		// mix and keep instant placement. Scheduler slots cover the
+		// population only: observers are unmetered instrumentation.
+		s.xfer = transfer.NewScheduler(cfg.Bandwidth, cfg.NumPeers)
+		if cfg.Bandwidth != nil && !cfg.Bandwidth.Instant() {
+			s.maint.SetTransfers(simXfer{s.xfer, s})
 		}
 	}
 

@@ -1,18 +1,17 @@
 package sim
 
-// Transfer integration: the bandwidth-aware scheduling layer
-// (internal/transfer) wired into the calendar engine. With
-// Config.Bandwidth set (and not instant), maintenance enqueues block
-// transfers instead of placing instantly; completions are processed as
-// calendar events at the top of each round's maintenance phase, and
+// Transfer integration: the engine drives a transfer.Scheduler, which
+// owns every in-flight transfer and the order completions land in.
+// With Config.Bandwidth set (and not instant), maintenance enqueues
+// block transfers instead of placing instantly; the round lands what
+// the scheduler's PopDue hands out before its maintenance phase, and
 // session flips / deaths suspend, resume or abort the flows they
-// interrupt. Without Bandwidth (and with no Restores) none of this
-// state exists and the engine byte-matches its pre-transfer behaviour.
+// interrupt. Without Bandwidth (and with no Restores) there is no
+// scheduler and the engine byte-matches its pre-transfer behaviour.
 
 import (
 	"fmt"
 
-	"p2pbackup/internal/maintenance"
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/transfer"
 )
@@ -41,82 +40,6 @@ func (sp RestoreSpec) Validate() error {
 		return fmt.Errorf("sim: restore %q scheduled at negative round %d", sp.Name, sp.Round)
 	}
 	return nil
-}
-
-// xferEntry is one scheduled completion in the engine's min-heap,
-// ordered by (round, tid). Entries are lazily invalidated: a transfer
-// suspended or rescheduled after its entry was pushed leaves the stale
-// entry behind, and the drain loop discards entries whose transfer no
-// longer completes at the recorded round.
-type xferEntry struct {
-	round int64
-	tid   int64
-}
-
-// xferState is the engine-side transfer machinery, allocated only when
-// the config enables bandwidth scheduling or restore demand.
-type xferState struct {
-	sched *transfer.Scheduler
-	heap  []xferEntry
-	// restore maps population slot -> in-flight restore transfer id
-	// (-1 = none): at most one restore per peer.
-	restore []int64
-	// bandwidth is set when the class mix is non-instant: maintenance
-	// routes uploads through the scheduler. Restore-only configs keep
-	// instant placement but still schedule restore downloads.
-	bandwidth bool
-}
-
-// xferLess orders heap entries by (round, tid): tid is the tiebreak
-// that makes same-round completions process in enqueue order.
-func xferLess(a, b xferEntry) bool {
-	if a.round != b.round {
-		return a.round < b.round
-	}
-	return a.tid < b.tid
-}
-
-// xferPush adds a completion entry to the heap.
-func (x *xferState) xferPush(e xferEntry) {
-	x.heap = append(x.heap, e)
-	i := len(x.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !xferLess(x.heap[i], x.heap[parent]) {
-			break
-		}
-		x.heap[i], x.heap[parent] = x.heap[parent], x.heap[i]
-		i = parent
-	}
-}
-
-// xferPop removes and returns the earliest entry.
-func (x *xferState) xferPop() xferEntry {
-	top := x.heap[0]
-	last := len(x.heap) - 1
-	x.heap[0] = x.heap[last]
-	x.heap = x.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(x.heap) && xferLess(x.heap[l], x.heap[small]) {
-			small = l
-		}
-		if r < len(x.heap) && xferLess(x.heap[r], x.heap[small]) {
-			small = r
-		}
-		if small == i {
-			return top
-		}
-		x.heap[i], x.heap[small] = x.heap[small], x.heap[i]
-		i = small
-	}
-}
-
-// scheduleXfer records a transfer's (possibly new) completion round.
-func (x *xferState) scheduleXfer(t *transfer.Transfer) {
-	x.xferPush(xferEntry{round: t.CompleteAt, tid: t.ID})
 }
 
 // transferEvent builds the probe payload for a transfer at the given
@@ -175,32 +98,25 @@ func (s *Simulation) stepRestores(round int64) {
 // complete archive and is not already restoring. An offline demander's
 // download starts suspended and resumes with its session.
 func (s *Simulation) startRestore(round int64, id overlay.PeerID) {
-	x := s.xfer
-	if x.restore[id] >= 0 || !s.maint.Included(id) {
+	if !s.maint.Included(id) {
 		return
 	}
-	t := x.sched.EnqueueRestore(round, s.tab.Ref(id), s.cfg.DataBlocks)
-	x.restore[id] = t.ID
-	x.scheduleXfer(t)
+	t := s.xfer.EnqueueRestore(round, s.tab.Ref(id), s.cfg.DataBlocks)
+	if t == nil {
+		return // already restoring
+	}
 	s.emitTransfer(evTransferStart, transferEvent(round, t))
 	if !s.peers[id].online {
-		x.sched.SuspendPeer(id, round)
+		s.xfer.SuspendPeer(id, round)
 	}
 }
 
-// stepTransfers drains this round's due completions, after the churn
-// walk: a death or offline event in the same round wins over the
-// completion (the transfer aborted or suspended before it could land).
-// Entries are processed in (round, tid) order; stale entries — their
-// transfer suspended, rescheduled or gone — are discarded.
+// stepTransfers lands this round's due completions, in the order the
+// scheduler hands them out, after the churn walk: a death or offline
+// event in the same round wins over the completion (the transfer
+// aborted or suspended before it could land).
 func (s *Simulation) stepTransfers(round int64) {
-	x := s.xfer
-	for len(x.heap) > 0 && x.heap[0].round <= round {
-		e := x.xferPop()
-		t, ok := x.sched.Get(e.tid)
-		if !ok || t.Suspended || t.CompleteAt != e.round {
-			continue
-		}
+	for t := s.xfer.PopDue(round); t != nil; t = s.xfer.PopDue(round) {
 		if t.Kind == transfer.Upload {
 			s.completeUpload(round, t)
 		} else {
@@ -211,8 +127,8 @@ func (s *Simulation) stepTransfers(round int64) {
 
 // completeUpload lands one block: the scheduler releases its
 // reservation, the maintainer places the block, and if it was the
-// episode's last the repair is reported from here (bandwidth mode's
-// equivalent of the instant path's step-time emission).
+// episode's last the repair is reported as the instant path reports
+// it at apply time.
 func (s *Simulation) completeUpload(round int64, t *transfer.Transfer) {
 	owner, host := t.Owner, t.Host
 	if !s.tab.Current(owner) || !s.tab.Current(host) {
@@ -220,22 +136,10 @@ func (s *Simulation) completeUpload(round int64, t *transfer.Transfer) {
 		// endpoint here means an abort hook was missed.
 		panic(fmt.Sprintf("sim: transfer %d completing with stale endpoint (%d->%d)", t.ID, owner.ID, host.ID))
 	}
-	s.xfer.sched.Complete(t)
-	res, done := s.maint.DeliverUpload(owner.ID, host.ID)
+	s.xfer.Complete(t)
+	res := s.maint.DeliverUpload(owner.ID, host.ID)
 	s.emitTransfer(evTransferComplete, transferEvent(round, t))
-	if !done {
-		return
-	}
-	re := RepairEvent{
-		PeerEvent: s.peerEvent(round, owner.ID),
-		Initial:   res.Outcome == maintenance.OutcomeInitialDone,
-		Uploaded:  res.Uploaded,
-		Dropped:   res.Dropped,
-		Elapsed:   round - s.maint.EpisodeStart(owner.ID),
-	}
-	for _, pr := range s.dispatch[evRepair] {
-		pr.OnRepair(re)
-	}
+	s.emitMaintOutcome(round, owner.ID, res)
 }
 
 // completeRestore finishes an archive download — if enough blocks are
@@ -243,96 +147,42 @@ func (s *Simulation) completeUpload(round int64, t *transfer.Transfer) {
 // keeps polling: the bits flowed, but the archive cannot be rebuilt
 // until enough partners are back.
 func (s *Simulation) completeRestore(round int64, t *transfer.Transfer) {
-	x := s.xfer
 	id := t.Owner.ID
 	if !s.tab.Current(t.Owner) {
 		panic(fmt.Sprintf("sim: restore %d completing for stale owner %d", t.ID, id))
 	}
 	if s.led.Visible(id) < s.cfg.DataBlocks {
-		x.sched.Retry(t, round)
-		x.scheduleXfer(t)
+		s.xfer.Retry(t, round)
 		return
 	}
-	x.sched.Complete(t)
-	x.restore[id] = -1
+	s.xfer.Complete(t)
 	s.emitTransfer(evTransferComplete, transferEvent(round, t))
-}
-
-// xferSuspend interrupts the in-flight transfers touching a peer that
-// went offline.
-func (s *Simulation) xferSuspend(round int64, id overlay.PeerID) {
-	s.xfer.sched.SuspendPeer(id, round)
-}
-
-// xferResume re-books the suspended transfers touching a peer that came
-// back online and schedules their new completions.
-func (s *Simulation) xferResume(round int64, id overlay.PeerID) {
-	resumed := s.xfer.sched.ResumePeer(id, round, s.peerOnline)
-	for _, t := range resumed {
-		s.xfer.scheduleXfer(t)
-	}
 }
 
 // peerOnline reports a population slot's session state (the scheduler's
 // resume predicate).
 func (s *Simulation) peerOnline(id overlay.PeerID) bool { return s.peers[id].online }
 
-// xferAbortAll kills every transfer touching a departing peer and
-// reports the aborts. A restore the departed peer owned is gone with
-// it.
-func (s *Simulation) xferAbortAll(round int64, id overlay.PeerID) {
-	x := s.xfer
-	for _, t := range x.sched.AbortPeer(id) {
-		if t.Kind == transfer.Restore {
-			x.restore[t.Owner.ID] = -1
-		}
+// emitAborts reports transfers the scheduler aborted: every transfer a
+// departing peer touched, or the ones a reset archive owned.
+func (s *Simulation) emitAborts(round int64, aborted []*transfer.Transfer) {
+	for _, t := range aborted {
 		s.emitTransfer(evTransferAbort, transferEvent(round, t))
 	}
 }
 
-// xferAbortOwner kills the transfers a slot owns (hard loss: the
-// in-flight blocks belong to the abandoned archive), leaving transfers
-// it merely hosts intact.
-func (s *Simulation) xferAbortOwner(round int64, id overlay.PeerID) {
-	x := s.xfer
-	for _, t := range x.sched.AbortOwner(id) {
-		if t.Kind == transfer.Restore {
-			x.restore[t.Owner.ID] = -1
-		}
-		s.emitTransfer(evTransferAbort, transferEvent(round, t))
-	}
+// simXfer adapts the scheduler to maintenance.Transfers: the scheduler
+// answers the capacity questions itself, and BeginUpload adds the
+// start event. Only installed when the class mix is non-instant.
+type simXfer struct {
+	*transfer.Scheduler
+	s *Simulation
 }
-
-// simXfer adapts the simulation to maintenance.Transfers without an
-// extra allocation per call. Only installed when the class mix is
-// non-instant.
-type simXfer Simulation
 
 // BeginUpload implements maintenance.Transfers: enqueue one block on
-// the owner's uplink and schedule its completion.
-func (e *simXfer) BeginUpload(owner overlay.PeerID, host overlay.Ref) {
-	s := (*Simulation)(e)
-	t := s.xfer.sched.EnqueueUpload(s.round, s.tab.Ref(owner), host)
-	s.xfer.scheduleXfer(t)
+// the owner's uplink and report its start.
+func (e simXfer) BeginUpload(owner overlay.PeerID, host overlay.Ref) {
+	s := e.s
+	t := e.EnqueueUpload(s.round, s.tab.Ref(owner), host)
 	s.emitTransfer(evTransferStart, transferEvent(s.round, t))
-}
-
-// Inflight implements maintenance.Transfers.
-func (e *simXfer) Inflight(owner overlay.PeerID) int {
-	return (*Simulation)(e).xfer.sched.Inflight(owner)
-}
-
-// UploadSlots implements maintenance.Transfers.
-func (e *simXfer) UploadSlots(owner overlay.PeerID) int {
-	return (*Simulation)(e).xfer.sched.UploadSlots(owner)
-}
-
-// Reserved implements maintenance.Transfers.
-func (e *simXfer) Reserved(host overlay.PeerID) int {
-	return (*Simulation)(e).xfer.sched.Reserved(host)
-}
-
-// PendingHosts implements maintenance.Transfers.
-func (e *simXfer) PendingHosts(owner overlay.PeerID, buf []overlay.PeerID) []overlay.PeerID {
-	return (*Simulation)(e).xfer.sched.PendingHosts(owner, buf)
 }

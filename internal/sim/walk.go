@@ -390,7 +390,7 @@ func (s *Simulation) initPeer(w *worker, id overlay.PeerID, round int64, profile
 		// assignment writes only the slot's own link state; a departed
 		// identity's aborts are already in the log and land first at the
 		// merge, so reassigning before they apply is state-equivalent.
-		s.xfer.sched.AssignClass(id, s.xfer.sched.Params().SampleIndex(r))
+		s.xfer.AssignClass(id, r)
 	}
 	s.joins[id] = round
 	p.cat = metrics.Newcomer
@@ -475,8 +475,9 @@ func (s *Simulation) applyEffect(round int64, e effect) {
 		s.emitChurn(round, id, churn.EvLeave, int(e.prof))
 		s.led.RemovePeer(id)
 		if s.xfer != nil {
-			// Death kills every transfer the peer touched.
-			s.xferAbortAll(round, id)
+			// Death kills every transfer the peer touched, its restore
+			// included.
+			s.emitAborts(round, s.xfer.AbortPeer(id))
 		}
 		s.redunReset(id)
 	case effJoin:
@@ -499,16 +500,16 @@ func (s *Simulation) applyEffect(round int64, e effect) {
 			// suspends every transfer touching the peer, online resumes
 			// those whose other endpoint is up. Consumes no randomness.
 			if e.online {
-				s.xferResume(round, id)
+				s.xfer.ResumePeer(id, round, s.peerOnline)
 			} else {
-				s.xferSuspend(round, id)
+				s.xfer.SuspendPeer(id, round)
 			}
 		}
 	case effHardLoss:
 		if s.xfer != nil {
 			// The in-flight blocks (and any restore) belong to the
 			// abandoned archive; transfers the slot merely hosts live on.
-			s.xferAbortOwner(round, id)
+			s.emitAborts(round, s.xfer.AbortOwner(id))
 		}
 		s.led.DropOwner(id)
 		// The re-encoded archive is a fresh object: its redundancy target

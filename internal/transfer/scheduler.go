@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"p2pbackup/internal/overlay"
+	"p2pbackup/internal/rng"
 )
 
 // Kind distinguishes the two transfer directions the engine schedules.
@@ -67,6 +68,16 @@ type Transfer struct {
 	Suspended bool
 }
 
+// dueEntry is one queued completion in the scheduler's min-heap,
+// ordered by (round, tid). Entries are lazily invalidated: a transfer
+// suspended, rescheduled or finalised after its entry was pushed leaves
+// the stale entry behind, and PopDue discards entries whose transfer no
+// longer completes at the recorded round.
+type dueEntry struct {
+	round int64
+	tid   int64
+}
+
 // Scheduler tracks every in-flight transfer and each peer's link
 // occupancy. It is driven by the simulation engine and is not safe for
 // concurrent use.
@@ -80,6 +91,11 @@ type Transfer struct {
 // restores; upload fan-in to a host is deliberately not serialised
 // (home downlinks are an order of magnitude faster than uplinks, and
 // quota already bounds fan-in).
+//
+// Every method that sets a CompleteAt queues the completion, and
+// PopDue hands due transfers back in (CompleteAt, ID) order: the
+// scheduler is the one place that knows when and in what order
+// transfers land.
 type Scheduler struct {
 	params *Params
 
@@ -94,13 +110,19 @@ type Scheduler struct {
 	byPeer [][]int64
 	xfers  map[int64]*Transfer
 	nextID int64
+	due    []dueEntry // completion min-heap; see dueEntry
 
 	tidBuf []int64 // scratch: sorted ids for suspend/resume/abort sweeps
 }
 
 // NewScheduler returns a scheduler for a population of n slots. The
-// params must be validated (Params.Validate).
+// params must be validated (Params.Validate); nil is the instant mix,
+// what a config that only schedules restores runs on.
 func NewScheduler(params *Params, n int) *Scheduler {
+	if params == nil {
+		// One class of proportion 1 is already what Validate returns.
+		params = instantParams()
+	}
 	return &Scheduler{
 		params:   params,
 		class:    make([]int32, n),
@@ -113,14 +135,14 @@ func NewScheduler(params *Params, n int) *Scheduler {
 	}
 }
 
-// Params returns the scheduler's configuration.
-func (s *Scheduler) Params() *Params { return s.params }
-
-// AssignClass (re)binds a slot to a bandwidth class and clears the
+// AssignClass (re)binds a slot to a bandwidth class drawn from r (see
+// Params.SampleIndex: a one-class mix draws nothing) and clears the
 // occupant-specific link state: a fresh identity starts with idle
-// links. The slot must have no in-flight transfers (abort first).
-func (s *Scheduler) AssignClass(id overlay.PeerID, class int) {
-	s.class[id] = int32(class)
+// links. The slot must have no in-flight transfers (abort first). It
+// writes only the slot's own state, so distinct slots may be assigned
+// concurrently.
+func (s *Scheduler) AssignClass(id overlay.PeerID, r *rng.Rand) {
+	s.class[id] = int32(s.params.SampleIndex(r))
 	s.upFree[id] = 0
 	s.downFree[id] = 0
 }
@@ -158,10 +180,72 @@ func (s *Scheduler) PendingHosts(owner overlay.PeerID, buf []overlay.PeerID) []o
 	return buf
 }
 
-// Get returns the in-flight transfer with the given id, if any.
-func (s *Scheduler) Get(tid int64) (*Transfer, bool) {
-	t, ok := s.xfers[tid]
-	return t, ok
+// dueLess orders heap entries by (round, tid): tid is the tiebreak
+// that makes same-round completions land in enqueue order.
+func dueLess(a, b dueEntry) bool {
+	if a.round != b.round {
+		return a.round < b.round
+	}
+	return a.tid < b.tid
+}
+
+// duePush adds a completion entry to the heap.
+func (s *Scheduler) duePush(e dueEntry) {
+	s.due = append(s.due, e)
+	i := len(s.due) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !dueLess(s.due[i], s.due[parent]) {
+			break
+		}
+		s.due[i], s.due[parent] = s.due[parent], s.due[i]
+		i = parent
+	}
+}
+
+// duePop removes and returns the earliest entry.
+func (s *Scheduler) duePop() dueEntry {
+	top := s.due[0]
+	last := len(s.due) - 1
+	s.due[0] = s.due[last]
+	s.due = s.due[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(s.due) && dueLess(s.due[l], s.due[small]) {
+			small = l
+		}
+		if r < len(s.due) && dueLess(s.due[r], s.due[small]) {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		s.due[i], s.due[small] = s.due[small], s.due[i]
+		i = small
+	}
+}
+
+// queue records a transfer's (possibly new) completion round.
+func (s *Scheduler) queue(t *Transfer) {
+	s.duePush(dueEntry{round: t.CompleteAt, tid: t.ID})
+}
+
+// PopDue returns the next transfer due by round, in (CompleteAt, ID)
+// order, or nil when none is. Suspended, rescheduled and finalised
+// transfers are skipped. The caller lands the transfer with Complete
+// or defers it with Retry; each is returned once per CompleteAt.
+func (s *Scheduler) PopDue(round int64) *Transfer {
+	for len(s.due) > 0 && s.due[0].round <= round {
+		e := s.duePop()
+		t, ok := s.xfers[e.tid]
+		if !ok || t.Suspended || t.CompleteAt != e.round {
+			continue
+		}
+		return t
+	}
+	return nil
 }
 
 // effRate returns the flow rate of a src-to-dst transfer: the min of
@@ -226,12 +310,19 @@ func (s *Scheduler) EnqueueUpload(round int64, owner, host overlay.Ref) *Transfe
 	s.byPeer[owner.ID] = append(s.byPeer[owner.ID], t.ID)
 	s.byPeer[host.ID] = append(s.byPeer[host.ID], t.ID)
 	s.xfers[t.ID] = t
+	s.queue(t)
 	return t
 }
 
 // EnqueueRestore schedules an archive restore: blocks (the code's k)
-// flowing down the owner's downlink.
+// flowing down the owner's downlink. An owner restores one archive at
+// a time: while its restore is in flight a second is refused (nil).
 func (s *Scheduler) EnqueueRestore(round int64, owner overlay.Ref, blocks int) *Transfer {
+	for _, tid := range s.byPeer[owner.ID] {
+		if t := s.xfers[tid]; t.Kind == Restore && t.Owner.ID == owner.ID {
+			return nil
+		}
+	}
 	rate := s.params.Classes[s.class[owner.ID]].Down
 	t := &Transfer{
 		ID:        s.nextID,
@@ -247,12 +338,16 @@ func (s *Scheduler) EnqueueRestore(round int64, owner overlay.Ref, blocks int) *
 	t.startAt, t.CompleteAt = book(&s.downFree[owner.ID], round, t.Remaining, rate)
 	s.byPeer[owner.ID] = append(s.byPeer[owner.ID], t.ID)
 	s.xfers[t.ID] = t
+	s.queue(t)
 	return t
 }
 
 // Retry defers a transfer whose completion found its precondition
 // unmet (a restore with too few visible blocks) to the next round.
-func (s *Scheduler) Retry(t *Transfer, round int64) { t.CompleteAt = round + 1 }
+func (s *Scheduler) Retry(t *Transfer, round int64) {
+	t.CompleteAt = round + 1
+	s.queue(t)
+}
 
 // Complete finalises a delivered transfer: reservations and caps are
 // released and the transfer forgotten.
@@ -330,12 +425,10 @@ func (s *Scheduler) SuspendPeer(id overlay.PeerID, round int64) {
 }
 
 // ResumePeer re-books the suspended transfers touching a peer that
-// just came back online, skipping those whose other endpoint is still
-// offline. online reports an arbitrary slot's session state. Resumed
-// transfers are returned in ascending id order so the caller can
-// schedule their new completions deterministically.
-func (s *Scheduler) ResumePeer(id overlay.PeerID, round int64, online func(overlay.PeerID) bool) []*Transfer {
-	var resumed []*Transfer
+// just came back online, in ascending id order, skipping those whose
+// other endpoint is still offline, and queues their new completions.
+// online reports an arbitrary slot's session state.
+func (s *Scheduler) ResumePeer(id overlay.PeerID, round int64, online func(overlay.PeerID) bool) {
 	for _, tid := range s.touching(id) {
 		t := s.xfers[tid]
 		if !t.Suspended {
@@ -358,9 +451,8 @@ func (s *Scheduler) ResumePeer(id overlay.PeerID, round int64, online func(overl
 		} else {
 			t.startAt, t.CompleteAt = book(&s.downFree[t.Owner.ID], round, t.Remaining, t.Rate)
 		}
-		resumed = append(resumed, t)
+		s.queue(t)
 	}
-	return resumed
 }
 
 // AbortPeer kills every transfer touching a departing endpoint,

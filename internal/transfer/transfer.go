@@ -1,7 +1,6 @@
 // Package transfer models per-peer access links and schedules block
 // transfers over them, replacing the engine's instantaneous placement
-// with in-flight uploads and restores whose completions are calendar
-// events.
+// with in-flight uploads and restores that land rounds later.
 //
 // The paper's section 2.2.4 reduces bandwidth to a single per-round
 // upload budget; "On Scheduling and Redundancy for P2P Backup"
@@ -20,14 +19,16 @@
 //     serialising each peer's uploads on its uplink in virtual time
 //     (an M/D/1-style FIFO: a transfer starts when the uplink frees up
 //     and flows at the min of the source's up rate and the sink's down
-//     rate). Host quota is reserved at enqueue and released at
-//     delivery or abort, so an accepted transfer can always land.
+//     rate), and queues it: PopDue hands due transfers back in
+//     (completion round, ID) order. Host quota is reserved at enqueue
+//     and released at delivery or abort, so an accepted transfer can
+//     always land; an owner restores one archive at a time.
 //   - Mid-flight interruptions are explicit: either endpoint going
 //     offline suspends a transfer (progress kept or discarded per
 //     ResumePolicy), an endpoint dying aborts it.
 //
-// The degenerate configuration — one class with infinite rates — is
-// "instant" mode: completions land the next round, class sampling
+// The degenerate configuration — one class with infinite rates, what
+// NewScheduler takes nil Params for — is "instant" mode: completions land the next round, class sampling
 // consumes no randomness, and the simulation engine keeps routing
 // uploads through the historical UploadBudgetPerRound path, which is
 // what keeps the pre-transfer golden digests bit-identical.
@@ -188,10 +189,10 @@ func (p *Params) SampleIndex(r *rng.Rand) int {
 	return len(p.Classes) - 1
 }
 
-// InstantParams returns the degenerate single-class configuration:
+// instantParams returns the degenerate single-class configuration:
 // infinite rates, unlimited concurrency — the pre-transfer engine's
 // semantics expressed in this package's vocabulary.
-func InstantParams() *Params {
+func instantParams() *Params {
 	return &Params{Classes: []Class{{Name: "instant", Proportion: 1}}}
 }
 
@@ -261,7 +262,7 @@ func Parse(spec string) (*Params, error) {
 	case "":
 		return nil, fmt.Errorf("transfer: empty bandwidth spec")
 	case "instant":
-		return InstantParams().Validate()
+		return instantParams().Validate()
 	case "dsl":
 		return (&Params{Classes: []Class{DSLClass("dsl", 1)}}).Validate()
 	case "mixed":

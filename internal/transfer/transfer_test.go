@@ -45,7 +45,7 @@ func TestValidateRejects(t *testing.T) {
 // instant-mode golden digests rest on: attaching a one-class Params
 // must not perturb the run's rng stream.
 func TestSampleIndexSingleClassDrawsNothing(t *testing.T) {
-	p, err := InstantParams().Validate()
+	p, err := instantParams().Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAgreementWithCostModel(t *testing.T) {
 }
 
 func TestInstantLandsNextRound(t *testing.T) {
-	sched, tab := newTestSched(t, InstantParams(), 2)
+	sched, tab := newTestSched(t, instantParams(), 2)
 	tr := sched.EnqueueUpload(5, tab.Ref(0), tab.Ref(1))
 	if tr.CompleteAt != 6 {
 		t.Errorf("instant transfer completes at %d, want 6", tr.CompleteAt)
@@ -197,12 +197,18 @@ func TestSuspendResumeKeepsProgress(t *testing.T) {
 	if !tr.Suspended || tr.Remaining != 0.5 {
 		t.Fatalf("after suspend: suspended=%v remaining=%v, want true, 0.5", tr.Suspended, tr.Remaining)
 	}
-	resumed := sched.ResumePeer(0, 10, online)
-	if len(resumed) != 1 || resumed[0] != tr {
-		t.Fatalf("resumed %d transfers, want the suspended one", len(resumed))
+	sched.ResumePeer(0, 10, online)
+	if tr.Suspended {
+		t.Fatal("transfer still suspended after both endpoints came back")
 	}
 	if tr.CompleteAt != 12 {
 		t.Errorf("resumed completion = %d, want 12 (2 rounds of remainder)", tr.CompleteAt)
+	}
+	if got := sched.PopDue(11); got != nil {
+		t.Errorf("PopDue(11) = transfer %d, want nothing before round 12", got.ID)
+	}
+	if got := sched.PopDue(12); got != tr {
+		t.Errorf("PopDue(12) = %v, want the resumed transfer", got)
 	}
 }
 
@@ -236,12 +242,20 @@ func TestResumeWaitsForOtherEndpoint(t *testing.T) {
 		}
 		return true
 	}
-	if got := sched.ResumePeer(0, 3, online); len(got) != 0 {
-		t.Fatalf("resumed %d transfers while the host is offline", len(got))
+	sched.ResumePeer(0, 3, online)
+	if !tr.Suspended {
+		t.Fatal("transfer resumed while the host is offline")
+	}
+	if got := sched.PopDue(100); got != nil {
+		t.Fatalf("PopDue returned suspended transfer %d", got.ID)
 	}
 	hostOnline = true
-	if got := sched.ResumePeer(1, 5, online); len(got) != 1 || tr.Suspended {
-		t.Errorf("host coming back resumed %d transfers (suspended=%v), want 1", len(got), tr.Suspended)
+	sched.ResumePeer(1, 5, online)
+	if tr.Suspended || tr.CompleteAt != 6 {
+		t.Fatalf("host coming back: suspended=%v completes at %d, want resumed at 6", tr.Suspended, tr.CompleteAt)
+	}
+	if got := sched.PopDue(6); got != tr {
+		t.Errorf("PopDue(6) = %v, want the resumed transfer", got)
 	}
 }
 
@@ -257,7 +271,7 @@ func TestAbortAtCompletionBoundary(t *testing.T) {
 	if len(aborted) != 1 || aborted[0].ID != tr.ID {
 		t.Fatalf("aborted %d transfers, want the in-flight one", len(aborted))
 	}
-	if _, ok := sched.Get(tr.ID); ok {
+	if _, ok := sched.xfers[tr.ID]; ok {
 		t.Error("aborted transfer still registered")
 	}
 	if sched.Inflight(0) != 0 || sched.Reserved(1) != 0 {
@@ -283,7 +297,7 @@ func TestAbortOwnerLeavesHostedTransfers(t *testing.T) {
 			t.Errorf("aborted transfer %d is not owned by slot 0", tr.ID)
 		}
 	}
-	if _, ok := sched.Get(hosted.ID); !ok {
+	if _, ok := sched.xfers[hosted.ID]; !ok {
 		t.Error("hosted transfer was killed by AbortOwner")
 	}
 }
