@@ -33,7 +33,6 @@ import (
 	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
 	"p2pbackup/internal/storage"
-	"p2pbackup/internal/transfer"
 )
 
 // TestMain doubles this binary as a campaign worker: the supervised
@@ -147,7 +146,7 @@ func quiescentConfig(numPeers int) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.NumPeers = numPeers
 	cfg.Profiles = profiles
-	cfg.Avail = churn.AlwaysOnline{}
+	cfg.AvailSpec = "always-online"
 	return cfg
 }
 
@@ -359,11 +358,7 @@ func BenchmarkShardedChurnRound(b *testing.B) {
 // the timed section is the same steady state plus the transfer load.
 func BenchmarkTransferRound(b *testing.B) {
 	cfg := sim.DefaultConfig() // the paper's 25,000 peers
-	bw, err := transfer.Parse("skewed")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Bandwidth = bw
+	cfg.BandwidthSpec = "skewed"
 	const warmup = 2600
 	cfg.Rounds = int64(b.N) + warmup
 	s, err := sim.New(cfg)
@@ -386,11 +381,7 @@ func BenchmarkTransferRound(b *testing.B) {
 // table and the suspend/resume paths all stay hot.
 func BenchmarkFlashCrowdRound(b *testing.B) {
 	cfg := sim.DefaultConfig()
-	bw, err := transfer.Parse("dsl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Bandwidth = bw
+	cfg.BandwidthSpec = "dsl"
 	cfg.Shocks = []sim.ShockSpec{
 		{Name: "attrition", Rate: 1.0 / float64(churn.Week), Fraction: 0.2, Regions: 8, Kill: true},
 	}
@@ -1121,11 +1112,14 @@ func (noopWatcher) AliveBelow(overlay.PeerID)   {}
 
 // BenchmarkChurnSessionSampling measures availability session draws.
 func BenchmarkChurnSessionSampling(b *testing.B) {
-	m := churn.DefaultSessionModel()
+	m, err := churn.ParseAvailability("session")
+	if err != nil {
+		b.Fatal(err)
+	}
 	r := rng.New(4)
 	var acc int64
 	for i := 0; i < b.N; i++ {
-		acc += m.SessionLength(r, 0.75, i%2 == 0)
+		acc += m.SessionLength(r, 0.75, i%2 == 0, int64(i))
 	}
 	_ = acc
 }

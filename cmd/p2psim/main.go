@@ -278,15 +278,7 @@ func run() int {
 		parityReclaimed += col.ParityBlocksReclaimed()
 		if added := col.ParityBlocksAdded(); added > 0 {
 			parityAdded += added
-			cfg := ev.Row.Config
-			code := costmodel.Code{
-				ArchiveBytes: 128 * costmodel.MB,
-				K:            cfg.DataBlocks,
-				M:            cfg.TotalBlocks - cfg.DataBlocks,
-			}
-			if per, err := costmodel.ParityUploadCost(code, 1, costmodel.DSL2009()); err == nil {
-				parityCostHours += per.Hours() * float64(added)
-			}
+			parityCostHours += costmodel.ParityCostHours(ev.Row.Config.DataBlocks, ev.Row.Config.TotalBlocks, added)
 		}
 		durMu.Unlock()
 	}

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"p2pbackup/internal/churn"
 	"p2pbackup/internal/lifetime"
@@ -57,19 +58,16 @@ func cmdGen(args []string) error {
 	peers := fs.Int("peers", 500, "population size")
 	rounds := fs.Int64("rounds", 20000, "rounds to simulate (1 round = 1 hour)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	avail := fs.String("avail", "session", "availability model: session, bernoulli, diurnal[:AMP]")
+	avail := fs.String("avail", "session", "availability model: "+strings.Join(churn.AvailabilityNames(), ", ")+
+		" (diurnal:AMP sets the day/night amplitude, default 0.6)")
 	out := fs.String("out", "trace.csv", "output file (.jsonl/.ndjson for JSONL, else CSV)")
 	_ = fs.Parse(args)
 
-	model, err := churn.ModelByName(*avail)
-	if err != nil {
-		return err
-	}
 	cfg := sim.DefaultConfig()
 	cfg.NumPeers = *peers
 	cfg.Rounds = *rounds
 	cfg.Seed = *seed
-	cfg.Avail = model
+	cfg.AvailSpec = *avail
 	cfg.RecordTrace = true
 	// Keep the run cheap: a tiny archive shape still drives the same
 	// churn process, and churn is all a trace captures.

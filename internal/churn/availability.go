@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"p2pbackup/internal/rng"
+	"p2pbackup/internal/spec"
 )
 
 // AvailabilityModel generates alternating online/offline session lengths
@@ -15,34 +15,71 @@ import (
 // randomness comes from the caller's generator.
 type AvailabilityModel interface {
 	// SessionLength draws the length of the next session. online says
-	// whether the session being entered is an online one.
-	SessionLength(r *rng.Rand, availability float64, online bool) int64
-	// Name identifies the model in reports.
-	Name() string
+	// whether the session being entered is an online one, round the
+	// round it starts in; only the diurnal model reads the round.
+	//
+	// The engine draws at flip time: a session length is sampled in the
+	// round the session actually starts (the slot's toggle wakes it
+	// through the calendar queue), never precomputed when the previous
+	// session began, and the draw order across peers is the
+	// ascending-slot order of the round's due toggles.
+	SessionLength(r *rng.Rand, availability float64, online bool, round int64) int64
 }
 
-// SessionModel draws exponential session lengths with a configurable
-// mean on+off cycle: mean online session = availability x MeanCycle,
-// mean offline session = (1-availability) x MeanCycle. This matches the
-// diurnal reality of home machines better than per-round coin flips and
-// keeps state transitions (the expensive events in the simulator) rare.
-type SessionModel struct {
-	// MeanCycle is the expected length of one on+off cycle in rounds.
-	// The default used by the simulator is one day (24 rounds).
-	MeanCycle float64
+// ErrUnknownModel reports an availability spec whose name is not known.
+var ErrUnknownModel = errors.New("churn: unknown availability model")
+
+// ErrBadSpec reports a known availability model given malformed,
+// unknown or out-of-range parameters.
+var ErrBadSpec = errors.New("churn: bad availability spec")
+
+// ParseAvailability resolves an availability spec in the NAME[:PARAMS]
+// grammar of package spec: "" or "session" (exponential sessions over a
+// one-day mean cycle, the default), "bernoulli", "always-online", or
+// "diurnal" ("diurnal:0.8", "diurnal:amp=0.8"; a day/night cycle of the
+// given amplitude in [0, 1], default 0.6, over the session model).
+// Unknown names wrap ErrUnknownModel; bad parameters wrap ErrBadSpec.
+func ParseAvailability(s string) (AvailabilityModel, error) {
+	if s == "" {
+		return sessionModel{}, nil
+	}
+	return spec.Parse(s, availTable, struct{}{}, ErrUnknownModel, ErrBadSpec)
 }
 
-// DefaultSessionModel returns a SessionModel with a one-day mean cycle.
-func DefaultSessionModel() SessionModel { return SessionModel{MeanCycle: Day} }
+// AvailabilityNames lists the model names ParseAvailability accepts, in
+// table order.
+func AvailabilityNames() []string { return spec.Names(availTable) }
 
-// Name implements AvailabilityModel.
-func (m SessionModel) Name() string { return fmt.Sprintf("session(cycle=%g)", m.MeanCycle) }
+// availTable is every availability model name, in the order the
+// unknown-name error lists them.
+var availTable = []spec.Entry[struct{}, AvailabilityModel]{
+	{Name: "session", Build: func(*spec.Params, struct{}) (AvailabilityModel, error) { return sessionModel{}, nil }},
+	{Name: "bernoulli", Build: func(*spec.Params, struct{}) (AvailabilityModel, error) { return bernoulliModel{}, nil }},
+	{Name: "always-online", Build: func(*spec.Params, struct{}) (AvailabilityModel, error) { return alwaysOnline{}, nil }},
+	{Name: "diurnal", Build: func(p *spec.Params, _ struct{}) (AvailabilityModel, error) {
+		amp := p.FloatPrimary("amp", 0.6) // a visible but not total day/night swing
+		if !(amp >= 0 && amp <= 1) {      // negated, so NaN fails too
+			return nil, fmt.Errorf("%w: diurnal amplitude %v outside [0,1]", ErrBadSpec, amp)
+		}
+		return diurnalModel{amplitude: amp}, nil
+	}},
+}
+
+// meanCycle is the session model's expected on+off cycle: one day.
+const meanCycle = Day
+
+// sessionModel draws exponential session lengths over a one-day mean
+// cycle: mean online session = availability x meanCycle, mean offline
+// session = (1-availability) x meanCycle. This matches the diurnal
+// reality of home machines better than per-round coin flips and keeps
+// state transitions (the expensive events in the simulator) rare.
+type sessionModel struct{}
 
 // SessionLength draws ceil(Exp(mean)) with the per-state mean.
-func (m SessionModel) SessionLength(r *rng.Rand, availability float64, online bool) int64 {
-	mean := m.MeanCycle * availability
+func (sessionModel) SessionLength(r *rng.Rand, availability float64, online bool, _ int64) int64 {
+	mean := meanCycle * availability
 	if !online {
-		mean = m.MeanCycle * (1 - availability)
+		mean = meanCycle * (1 - availability)
 	}
 	if mean <= 0 {
 		// Degenerate states (availability 0 or 1): one-round stub; the
@@ -60,18 +97,15 @@ func (m SessionModel) SessionLength(r *rng.Rand, availability float64, online bo
 	return int64(v + 0.5)
 }
 
-// BernoulliModel reproduces independent per-round coin flips: run
+// bernoulliModel reproduces independent per-round coin flips: run
 // lengths of a Bernoulli(a) sequence are geometric, so online sessions
 // are Geometric(1-a) and offline sessions Geometric(a). Provided for
 // the availability-model ablation (the ablation-availability
 // experiment).
-type BernoulliModel struct{}
-
-// Name implements AvailabilityModel.
-func (BernoulliModel) Name() string { return "bernoulli" }
+type bernoulliModel struct{}
 
 // SessionLength draws a geometric run length.
-func (BernoulliModel) SessionLength(r *rng.Rand, availability float64, online bool) int64 {
+func (bernoulliModel) SessionLength(r *rng.Rand, availability float64, online bool, _ int64) int64 {
 	p := 1 - availability // probability the online run ends each round
 	if !online {
 		p = availability
@@ -90,59 +124,14 @@ func (BernoulliModel) SessionLength(r *rng.Rand, availability float64, online bo
 	return int64(v)
 }
 
-// AlwaysOnline never leaves the online state; used for observers and
+// alwaysOnline never leaves the online state; used for observers and
 // availability-oracle baselines.
-type AlwaysOnline struct{}
-
-// Name implements AvailabilityModel.
-func (AlwaysOnline) Name() string { return "always-online" }
+type alwaysOnline struct{}
 
 // SessionLength pins the peer online forever.
-func (AlwaysOnline) SessionLength(_ *rng.Rand, _ float64, online bool) int64 {
+func (alwaysOnline) SessionLength(_ *rng.Rand, _ float64, online bool, _ int64) int64 {
 	if online {
 		return math.MaxInt64
 	}
 	return 1
-}
-
-// errUnknownModel reports an unrecognised model name.
-var errUnknownModel = errors.New("churn: unknown availability model")
-
-// ModelByName resolves a model from its CLI name: "session",
-// "bernoulli", "always-online", or "diurnal"/"diurnal:AMP" (a day/night
-// cycle of the given amplitude over the session model).
-func ModelByName(name string) (AvailabilityModel, error) {
-	switch name {
-	case "session", "":
-		return DefaultSessionModel(), nil
-	case "bernoulli":
-		return BernoulliModel{}, nil
-	case "always-online":
-		return AlwaysOnline{}, nil
-	}
-	if name == "diurnal" || strings.HasPrefix(name, "diurnal:") {
-		return parseDiurnalName(name)
-	}
-	return nil, fmt.Errorf("%w: %q", errUnknownModel, name)
-}
-
-// StationaryOnlineFraction estimates the long-run online fraction the
-// model produces for a given availability by simulating sessions. Used
-// in tests and calibration, not on the simulator hot path.
-func StationaryOnlineFraction(m AvailabilityModel, availability float64, r *rng.Rand, cycles int) float64 {
-	var on, total int64
-	online := true
-	for i := 0; i < cycles*2; i++ {
-		l := m.SessionLength(r, availability, online)
-		// Cap absurd lengths so immortal states do not overflow.
-		if l > 1<<40 {
-			l = 1 << 40
-		}
-		if online {
-			on += l
-		}
-		total += l
-		online = !online
-	}
-	return float64(on) / float64(total)
 }

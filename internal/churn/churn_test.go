@@ -1,7 +1,9 @@
 package churn
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,11 +126,32 @@ func TestSampleLifetime(t *testing.T) {
 	}
 }
 
+// stationaryOnlineFraction estimates the long-run online fraction the
+// model produces for a given availability by simulating sessions, each
+// starting at the round the previous one ended.
+func stationaryOnlineFraction(m AvailabilityModel, availability float64, r *rng.Rand, cycles int) float64 {
+	var on, total int64
+	online := true
+	for i := 0; i < cycles*2; i++ {
+		l := m.SessionLength(r, availability, online, total)
+		// Cap absurd lengths so immortal states do not overflow.
+		if l > 1<<40 {
+			l = 1 << 40
+		}
+		if online {
+			on += l
+		}
+		total += l
+		online = !online
+	}
+	return float64(on) / float64(total)
+}
+
 func TestSessionModelStationaryFraction(t *testing.T) {
-	m := DefaultSessionModel()
+	m := sessionModel{}
 	r := rng.New(4)
 	for _, a := range []float64{0.33, 0.75, 0.87, 0.95} {
-		got := StationaryOnlineFraction(m, a, r, 50000)
+		got := stationaryOnlineFraction(m, a, r, 50000)
 		// Rounding sessions up to >= 1 round biases short sessions; allow
 		// a few percent.
 		if math.Abs(got-a) > 0.04 {
@@ -138,10 +161,10 @@ func TestSessionModelStationaryFraction(t *testing.T) {
 }
 
 func TestBernoulliModelStationaryFraction(t *testing.T) {
-	m := BernoulliModel{}
+	m := bernoulliModel{}
 	r := rng.New(5)
 	for _, a := range []float64{0.33, 0.75, 0.95} {
-		got := StationaryOnlineFraction(m, a, r, 50000)
+		got := stationaryOnlineFraction(m, a, r, 50000)
 		if math.Abs(got-a) > 0.02 {
 			t.Errorf("bernoulli availability %v: stationary fraction %v", a, got)
 		}
@@ -150,12 +173,12 @@ func TestBernoulliModelStationaryFraction(t *testing.T) {
 
 func TestSessionLengthsPositive(t *testing.T) {
 	r := rng.New(6)
-	for _, m := range []AvailabilityModel{DefaultSessionModel(), BernoulliModel{}, AlwaysOnline{}} {
+	for _, m := range []AvailabilityModel{sessionModel{}, bernoulliModel{}, alwaysOnline{}, diurnalModel{amplitude: 0.9}} {
 		for _, a := range []float64{0.01, 0.33, 0.99, 1} {
 			for _, online := range []bool{true, false} {
 				for i := 0; i < 100; i++ {
-					if l := m.SessionLength(r, a, online); l < 1 {
-						t.Fatalf("%s: session length %d < 1", m.Name(), l)
+					if l := m.SessionLength(r, a, online, int64(i)); l < 1 {
+						t.Fatalf("%T: session length %d < 1", m, l)
 					}
 				}
 			}
@@ -165,23 +188,64 @@ func TestSessionLengthsPositive(t *testing.T) {
 
 func TestAlwaysOnline(t *testing.T) {
 	r := rng.New(7)
-	m := AlwaysOnline{}
-	if m.SessionLength(r, 0.5, true) != math.MaxInt64 {
+	m := alwaysOnline{}
+	if m.SessionLength(r, 0.5, true, 0) != math.MaxInt64 {
 		t.Fatal("online session must be effectively infinite")
 	}
-	if m.SessionLength(r, 0.5, false) != 1 {
+	if m.SessionLength(r, 0.5, false, 0) != 1 {
 		t.Fatal("offline stub must be one round")
 	}
 }
 
-func TestModelByName(t *testing.T) {
-	for _, name := range []string{"session", "", "bernoulli", "always-online"} {
-		if _, err := ModelByName(name); err != nil {
-			t.Errorf("ModelByName(%q): %v", name, err)
+// TestParseAvailability: every spelling the campaigns, the CLIs and the
+// name parser before the spec grammar accepted resolves to the model it
+// named, and every rejection wraps one of the two sentinels.
+func TestParseAvailability(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want AvailabilityModel
+	}{
+		{"", sessionModel{}},
+		{"session", sessionModel{}},
+		{"bernoulli", bernoulliModel{}},
+		{"always-online", alwaysOnline{}},
+		{"diurnal", diurnalModel{amplitude: 0.6}},
+		{"diurnal:0", diurnalModel{amplitude: 0}},
+		{"diurnal:0.25", diurnalModel{amplitude: 0.25}},
+		{"diurnal:0.3", diurnalModel{amplitude: 0.3}},
+		{"diurnal:0.6", diurnalModel{amplitude: 0.6}},
+		{"diurnal:0.8", diurnalModel{amplitude: 0.8}},
+		{"diurnal:0.9", diurnalModel{amplitude: 0.9}},
+		{"diurnal:1", diurnalModel{amplitude: 1}},
+		{"diurnal:amp=0.8", diurnalModel{amplitude: 0.8}},
+	} {
+		got, err := ParseAvailability(tc.spec)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseAvailability(%q) = %#v, %v; want %#v", tc.spec, got, err, tc.want)
 		}
 	}
-	if _, err := ModelByName("nope"); err == nil {
-		t.Fatal("unknown model accepted")
+	for _, tc := range []struct {
+		spec string
+		want error
+	}{
+		{"nope", ErrUnknownModel},
+		{"Diurnal", ErrUnknownModel},
+		{"session:3", ErrBadSpec},
+		{"bernoulli:p=0.5", ErrBadSpec},
+		{"diurnal:bogus", ErrBadSpec},
+		{"diurnal:1.5", ErrBadSpec},
+		{"diurnal:-0.1", ErrBadSpec},
+		{"diurnal:NaN", ErrBadSpec},
+		{"diurnal:+Inf", ErrBadSpec},
+		{"diurnal:-Inf", ErrBadSpec},
+		{"diurnal:period=12", ErrBadSpec},
+	} {
+		if m, err := ParseAvailability(tc.spec); !errors.Is(err, tc.want) {
+			t.Errorf("ParseAvailability(%q) = %#v, %v; want an error wrapping %v", tc.spec, m, err, tc.want)
+		}
+	}
+	if got, want := AvailabilityNames(), []string{"session", "bernoulli", "always-online", "diurnal"}; !slices.Equal(got, want) {
+		t.Errorf("AvailabilityNames() = %v, want %v", got, want)
 	}
 }
 

@@ -2,9 +2,46 @@ package churn
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"p2pbackup/internal/rng"
 )
+
+// FuzzParseAvailability throws arbitrary spec strings at the
+// availability parser (tracegen's -avail flag, sim.Config.AvailSpec): it
+// never panics, an accepted spec draws sessions of at least one round
+// at every availability and starting round, and a rejected one says so
+// through one of the two sentinels.
+func FuzzParseAvailability(f *testing.F) {
+	for _, name := range AvailabilityNames() {
+		f.Add(name)
+	}
+	for _, s := range []string{"", "diurnal:0.3", "diurnal:amp=1", "diurnal:1.5", "diurnal:NaN",
+		"diurnal:", "diurnal:amp=", "diurnal:0.5,0.5", "session:3", "Diurnal", ":::"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := ParseAvailability(spec)
+		if err != nil {
+			if !errors.Is(err, ErrUnknownModel) && !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseAvailability(%q): error %v wraps neither sentinel", spec, err)
+			}
+			return
+		}
+		r := rng.New(1)
+		for _, a := range []float64{0.01, 0.33, 0.95, 1} {
+			for _, round := range []int64{0, 7, 18, 1 << 40} {
+				for _, online := range []bool{true, false} {
+					if l := m.SessionLength(r, a, online, round); l < 1 {
+						t.Fatalf("ParseAvailability(%q): session length %d < 1 (availability %v, round %d)", spec, l, a, round)
+					}
+				}
+			}
+		}
+	})
+}
 
 // FuzzReadCSV feeds arbitrary bytes to the CSV trace reader. Accepted
 // traces must survive a WriteCSV -> ReadCSV round trip event-for-event:

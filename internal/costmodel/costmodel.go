@@ -129,6 +129,21 @@ func ParityUploadCost(c Code, delta int, l Link) (time.Duration, error) {
 	return time.Duration(up * float64(time.Second)), nil
 }
 
+// ParityCostHours prices adding blocks parity blocks to a 128 MB
+// archive under a k-of-n code on the paper's reference DSL uplink
+// (DSL2009), in hours: one block's ParityUploadCost times the count. It
+// is 0 when nothing was added or the shape is not a valid code.
+func ParityCostHours(k, n int, blocks int64) float64 {
+	if blocks <= 0 {
+		return 0
+	}
+	perBlock, err := ParityUploadCost(Code{ArchiveBytes: 128 * MB, K: k, M: n - k}, 1, DSL2009())
+	if err != nil {
+		return 0
+	}
+	return perBlock.Hours() * float64(blocks)
+}
+
 // maxRepairsPerDay returns how many worst-case repairs (d blocks each)
 // the link can sustain per day, transfers back to back.
 func maxRepairsPerDay(l Link, c Code, d int) (float64, error) {

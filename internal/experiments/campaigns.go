@@ -80,11 +80,7 @@ func StrategyCampaign(cfg sim.Config) Campaign {
 func availabilityCampaign(cfg sim.Config) Campaign {
 	labels := []string{"session", "bernoulli"}
 	return ablationCampaign(cfg, "availability-model", labels, func(c *sim.Config, i int) {
-		m, err := churn.ModelByName(labels[i])
-		if err != nil {
-			panic(err)
-		}
-		c.Avail = m
+		c.AvailSpec = labels[i]
 	})
 }
 
@@ -110,7 +106,7 @@ func DiurnalCampaign(cfg sim.Config, amplitudes []float64) Campaign {
 		labels[i] = fmt.Sprintf("amp=%.2f", a)
 	}
 	return ablationCampaign(cfg, "diurnal", labels, func(c *sim.Config, i int) {
-		c.Avail = churn.DefaultDiurnalModel(amplitudes[i])
+		c.AvailSpec = fmt.Sprintf("diurnal:%v", amplitudes[i])
 	})
 }
 
@@ -155,17 +151,24 @@ func BlackoutCampaign(cfg sim.Config) Campaign {
 // joins, departures and sessions, so outcome differences are due to
 // the strategy alone.
 func ReplayCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
-	// A replayed run is bounded by its trace: beyond the last recorded
-	// event there is no churn left to simulate.
-	if last := trace.LastRound(); last >= 0 && last+1 < cfg.Rounds {
-		cfg.Rounds = last + 1
-	}
 	names := selection.Names()
-	c := ablationCampaign(cfg, "replay", names, func(cc *sim.Config, i int) {
-		cc.StrategySpec = names[i]
-		cc.Replay = trace
+	return ablationCampaign(cfg, "replay", names, func(c *sim.Config, i int) {
+		c.StrategySpec = names[i]
+		replay(c, trace)
 	})
-	return c
+}
+
+// replay points c at a recorded trace. The trace defines the population,
+// as sim.Config.Validate derives it, so a row's config states the
+// population its run simulated; and a replayed run ends at the trace's
+// last round: beyond the last recorded event there is no churn left to
+// simulate.
+func replay(c *sim.Config, trace *churn.Trace) {
+	c.Replay = trace
+	c.NumPeers = int(trace.MaxPeer()) + 1
+	if last := trace.LastRound(); last >= 0 && last+1 < c.Rounds {
+		c.Rounds = last + 1
+	}
 }
 
 // estimatorCampaign is the observable-knowledge ranking ablation: age
@@ -191,16 +194,10 @@ func estimatorCampaign(cfg sim.Config, trace *churn.Trace) Campaign {
 	}
 	addBlock("iid", func(c *sim.Config) {})
 	addBlock("diurnal", func(c *sim.Config) {
-		c.Avail = churn.DefaultDiurnalModel(0.6)
+		c.AvailSpec = "diurnal:0.6"
 	})
 	if trace != nil {
-		last := trace.LastRound()
-		addBlock("replay", func(c *sim.Config) {
-			c.Replay = trace
-			if last >= 0 && last+1 < c.Rounds {
-				c.Rounds = last + 1
-			}
-		})
+		addBlock("replay", func(c *sim.Config) { replay(c, trace) })
 	}
 	return ablationCampaign(cfg, "estimator", labels, func(c *sim.Config, i int) {
 		mutates[i](c)

@@ -7,12 +7,13 @@ import (
 	"slices"
 	"testing"
 
+	"p2pbackup/internal/churn"
 	"p2pbackup/internal/sim"
 )
 
-// FuzzJournalLine feeds arbitrary bytes to both readers of result
-// snapshots: the checkpoint journal's line decoder and the worker's
-// stdout protocol. A snapshot the supervisor would serve as a variant's
+// FuzzJournalLine feeds arbitrary bytes to both readers of encoded
+// results: the checkpoint journal's line decoder and the worker's
+// stdout protocol. A result the supervisor would serve as a variant's
 // row must render every table and the summary of the variant's
 // campaign without panicking. Two campaigns stand in for all: the
 // repair-delay micro campaign the journal fixtures come from, and the
@@ -52,21 +53,23 @@ func FuzzJournalLine(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var snaps []*resultSnapshot
+		var results []*sim.Result
 		var e journalEntry // as readJournal decodes a line
 		if json.Unmarshal(line, &e) == nil && e.V == 1 && e.Status == "ok" {
-			snaps = append(snaps, e.Result)
+			results = append(results, e.Result)
 		}
 		var m workerMessage
 		if json.Unmarshal(line, &m) == nil && m.Type == "result" {
-			snaps = append(snaps, m.Result)
+			results = append(results, m.Result)
 		}
-		for _, sn := range snaps {
+		for _, res := range results {
 			for _, tg := range targets {
 				var rows []Row
 				for i, cfg := range tg.cfgs {
-					if sn.check(cfg) == nil {
-						rows = append(rows, Row{Index: i, Name: tg.camp.Variants[i].Name, Config: cfg, Result: sn.restore(cfg)})
+					if check(res, cfg) == nil {
+						row := *res
+						row.Config = cfg
+						rows = append(rows, Row{Index: i, Name: tg.camp.Variants[i].Name, Config: cfg, Result: &row})
 					}
 				}
 				if len(rows) == 0 {
@@ -91,9 +94,8 @@ func FuzzJournalLine(f *testing.F) {
 // never called. The spec's TracePath is cleared first, so the fuzzer
 // cannot make the worker read arbitrary files (FuzzReadCSV and
 // FuzzReadJSONL cover the trace parsers). Nothing may panic, a variant
-// the campaign does not have is refused, and an accepted request's
-// config either validates, its availability model included, or says
-// why not.
+// the campaign does not have is refused, and a config that validates
+// has an AvailSpec that parses.
 func FuzzWorkerRequest(f *testing.F) {
 	focal := microSpec()
 	focal.Kind, focal.Delays = "focal", nil
@@ -127,8 +129,8 @@ func FuzzWorkerRequest(f *testing.F) {
 		}
 		cfg := materializeVariant(camp, got.Variant)
 		if _, err := cfg.Validate(); err == nil {
-			if m, ok := cfg.Avail.(interface{ Validate() error }); ok && m.Validate() != nil {
-				t.Fatalf("config validates with an availability model that does not: %v", m.Validate())
+			if _, err := churn.ParseAvailability(cfg.AvailSpec); err != nil {
+				t.Fatalf("config validates with an AvailSpec that does not parse: %v", err)
 			}
 		}
 	})

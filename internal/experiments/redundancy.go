@@ -32,7 +32,7 @@ func redundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string)
 	blocks := []block{
 		{"iid", func(c *sim.Config) {}},
 		{"diurnal", func(c *sim.Config) {
-			c.Avail = churn.DefaultDiurnalModel(0.6)
+			c.AvailSpec = "diurnal:0.6"
 		}},
 		{"shock", func(c *sim.Config) {
 			c.Shocks = []sim.ShockSpec{
@@ -41,13 +41,7 @@ func redundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string)
 		}},
 	}
 	if trace != nil {
-		last := trace.LastRound()
-		blocks = append(blocks, block{"replay", func(c *sim.Config) {
-			c.Replay = trace
-			if last >= 0 && last+1 < c.Rounds {
-				c.Rounds = last + 1
-			}
-		}})
+		blocks = append(blocks, block{"replay", func(c *sim.Config) { replay(c, trace) }})
 	}
 	c := Campaign{Name: "fixed-vs-adaptive", Base: cfg}
 	for bi, b := range blocks {
@@ -66,20 +60,10 @@ func redundancyCampaign(cfg sim.Config, trace *churn.Trace, adaptiveSpec string)
 	return c
 }
 
-// population is the number of peers a row's run simulated: a replayed
-// trace defines its own (sim.Config.Validate), whatever NumPeers the
-// variant config was built with.
-func population(cfg sim.Config) int {
-	if cfg.Replay != nil {
-		return int(cfg.Replay.MaxPeer()) + 1
-	}
-	return cfg.NumPeers
-}
-
 // overhead is a row's end-of-run stored blocks per data block across
 // the population (the fixed policy's ceiling is n/k).
 func overhead(r Row) float64 {
-	return float64(r.Result.FinalPlacements) / float64(population(r.Config)*r.Config.DataBlocks)
+	return float64(r.Result.FinalPlacements) / float64(r.Config.NumPeers*r.Config.DataBlocks)
 }
 
 // meanRedundancy is the last sampled mean per-archive target n(t): the
@@ -93,22 +77,10 @@ func meanRedundancy(r Row) float64 {
 }
 
 // parityCostHours prices a row's grow traffic: the parity blocks added,
-// pushed up the paper's reference DSL uplink at the row's code shape
-// (costmodel.ParityUploadCost), in hours.
+// pushed up the paper's reference DSL uplink at the row's code shape, in
+// hours.
 func parityCostHours(r Row) float64 {
-	added := r.Result.Collector.ParityBlocksAdded()
-	if added <= 0 {
-		return 0
-	}
-	code := costmodel.Code{
-		ArchiveBytes: 128 * costmodel.MB,
-		K:            r.Config.DataBlocks,
-		M:            r.Config.TotalBlocks - r.Config.DataBlocks,
-	}
-	// The row's config passed sim.Config.Validate (k >= 1, n > k), and
-	// the link is a preset, so the cost is defined.
-	perBlock, _ := costmodel.ParityUploadCost(code, 1, costmodel.DSL2009())
-	return perBlock.Hours() * float64(added)
+	return costmodel.ParityCostHours(r.Config.DataBlocks, r.Config.TotalBlocks, r.Result.Collector.ParityBlocksAdded())
 }
 
 // redundancyTable is the fixed-vs-adaptive data file: durability

@@ -17,13 +17,13 @@ import (
 // CampaignSpec is the JSON-able recipe for a built-in campaign: enough
 // to rebuild the exact same Campaign — same constructors, same derived
 // variant seeds — in another process. It exists because sim.Config
-// itself cannot cross a process boundary (Avail is an interface,
-// Profiles and Replay are built objects, Probes are live ones, and the
-// variants' Mutate funcs are code), so the worker protocol ships the
-// recipe and both sides materialise variants through the same
-// constructors. That shared derivation, plus the bit-exact
-// JSON result snapshot (internal/metrics), is what makes a supervised
-// campaign's output byte-identical to the in-process run.
+// itself cannot cross a process boundary (Profiles and Replay are built
+// objects, Probes are live ones, and the variants' Mutate funcs are
+// code), so the worker protocol ships the recipe and both sides
+// materialise variants through the same constructors. That shared
+// derivation, plus the bit-exact JSON encoding of sim.Result
+// (internal/metrics), is what makes a supervised campaign's output
+// byte-identical to the in-process run.
 type CampaignSpec struct {
 	// Kind names the campaign: a kind of the campaign table (table.go),
 	// e.g. "threshold", "repair-delay" or "fixed-vs-adaptive".
@@ -151,11 +151,10 @@ func (s CampaignSpec) baseConfig() (sim.Config, error) {
 		cfg.StrategySpec = s.StrategySpec
 	}
 	if s.Bandwidth != "" {
-		bw, err := transfer.Parse(s.Bandwidth)
-		if err != nil {
+		if _, err := transfer.Parse(s.Bandwidth); err != nil {
 			return cfg, err
 		}
-		cfg.Bandwidth = bw
+		cfg.BandwidthSpec = s.Bandwidth
 	}
 	if s.Redundancy != "" {
 		if _, err := redundancy.Parse(s.Redundancy); err != nil {

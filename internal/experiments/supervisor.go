@@ -190,11 +190,12 @@ func (s *Supervisor) start(c Campaign, resumed []*Row, emit func(Event)) (*super
 		for _, e := range entries {
 			switch {
 			case e.Fingerprint != sv.fp || e.Status != "ok" || e.Variant < 0 || e.Variant >= len(c.Variants):
-			case e.Result.check(materializeVariant(c, e.Variant)) != nil:
+			case check(e.Result, materializeVariant(c, e.Variant)) != nil:
 				skipped++ // no report could read it: as good as torn, the variant re-runs
 			default:
 				cfg := materializeVariant(c, e.Variant)
-				resumed[e.Variant] = &Row{Index: e.Variant, Name: c.Variants[e.Variant].Name, Config: cfg, Result: e.Result.restore(cfg)}
+				e.Result.Config = cfg
+				resumed[e.Variant] = &Row{Index: e.Variant, Name: c.Variants[e.Variant].Name, Config: cfg, Result: e.Result}
 			}
 		}
 		if skipped > 0 {
@@ -233,15 +234,15 @@ func (sv *supervision) variant(ctx context.Context, c Campaign, i int, emit func
 		if report != nil {
 			onRound = func(done int64) { report(done, cfg.Rounds) }
 		}
-		snap, class, err := sv.runAttempt(ctx, cfg, i, attempt, onRound)
+		res, class, err := sv.runAttempt(ctx, cfg, i, attempt, onRound)
 		if err == nil {
 			if report != nil {
 				report(cfg.Rounds, cfg.Rounds) // the rounds since the last heartbeat
 			}
-			if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: name, Status: "ok", Attempts: attempt, Result: snap}); err != nil {
+			if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: name, Status: "ok", Attempts: attempt, Result: res}); err != nil {
 				return nil, err
 			}
-			return &Row{Index: i, Name: name, Config: cfg, Result: snap.restore(cfg)}, nil
+			return &Row{Index: i, Name: name, Config: cfg, Result: res}, nil
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err() // cancelled mid-attempt; the kill is ours, not a failure
@@ -319,11 +320,11 @@ func firstLine(err error) string {
 }
 
 // runAttempt runs one worker process for (variant, attempt) and
-// classifies the outcome. A nil error means snap is the variant's
-// result, complete for cfg, the variant's config; otherwise the
-// failureKind says what killed the attempt. onRound, when set, is told
-// the round count of every heartbeat.
-func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, attempt int, onRound func(int64)) (*resultSnapshot, failureKind, error) {
+// classifies the outcome. A nil error means res is the variant's
+// result, complete for cfg, the variant's config, which it carries;
+// otherwise the failureKind says what killed the attempt. onRound, when
+// set, is told the round count of every heartbeat.
+func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, attempt int, onRound func(int64)) (*sim.Result, failureKind, error) {
 	attemptCtx := ctx
 	if sv.VariantTimeout > 0 {
 		var cancel context.CancelFunc
@@ -383,7 +384,7 @@ func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, 
 		}
 	}()
 
-	var snap *resultSnapshot
+	var res *sim.Result
 	var protoErr error
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 0, 1<<20), 256<<20) // focal-run snapshots carry long series
@@ -396,7 +397,7 @@ func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, 
 		}
 		switch {
 		case m.Type == "result":
-			snap = m.Result
+			res = m.Result
 		case m.Type == "heartbeat" && onRound != nil:
 			onRound(m.Round)
 		}
@@ -407,10 +408,11 @@ func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, 
 	waitErr := cmd.Wait()
 	close(watchdogDone)
 
-	snapErr := snap.check(cfg)
+	resErr := check(res, cfg)
 	switch {
-	case waitErr == nil && snapErr == nil:
-		return snap, 0, nil
+	case waitErr == nil && resErr == nil:
+		res.Config = cfg
+		return res, 0, nil
 	case attemptCtx.Err() == context.DeadlineExceeded:
 		return nil, failHang, fmt.Errorf("variant overran its %s timeout", sv.VariantTimeout)
 	case ctx.Err() != nil:
@@ -430,7 +432,7 @@ func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, 
 		}
 		return nil, failTransient, waitErr
 	default:
-		return nil, failProtocol, fmt.Errorf("worker exited 0 without a usable result: %v (%v)", snapErr, protoErr)
+		return nil, failProtocol, fmt.Errorf("worker exited 0 without a usable result: %v (%v)", resErr, protoErr)
 	}
 }
 
@@ -443,16 +445,16 @@ func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, 
 // ties the entry to the exact campaign spec, so resuming never replays
 // rows across campaign shapes.
 type journalEntry struct {
-	V           int             `json:"v"`
-	Campaign    string          `json:"campaign"`
-	Fingerprint string          `json:"fingerprint"`
-	Variant     int             `json:"variant"`
-	Name        string          `json:"name"`
-	Status      string          `json:"status"`
-	Class       string          `json:"class,omitempty"`
-	Attempts    int             `json:"attempts"`
-	Error       string          `json:"error,omitempty"`
-	Result      *resultSnapshot `json:"result,omitempty"`
+	V           int         `json:"v"`
+	Campaign    string      `json:"campaign"`
+	Fingerprint string      `json:"fingerprint"`
+	Variant     int         `json:"variant"`
+	Name        string      `json:"name"`
+	Status      string      `json:"status"`
+	Class       string      `json:"class,omitempty"`
+	Attempts    int         `json:"attempts"`
+	Error       string      `json:"error,omitempty"`
+	Result      *sim.Result `json:"result,omitempty"`
 }
 
 // journalWriter appends fsynced JSON lines. Append-only + per-line

@@ -55,13 +55,13 @@ func testSupervisor(env ...string) *Supervisor {
 }
 
 // rowsDigest serialises everything a row consumer can observe — index,
-// name, seed and the full result snapshot — so two runs can be compared
+// name, seed and the full encoded result — so two runs can be compared
 // byte for byte.
 func rowsDigest(t *testing.T, rows []Row) string {
 	t.Helper()
 	var b strings.Builder
 	for _, r := range rows {
-		raw, err := json.Marshal(snapshotResult(r.Result))
+		raw, err := json.Marshal(r.Result)
 		if err != nil {
 			t.Fatalf("marshal row %d: %v", r.Index, err)
 		}

@@ -17,34 +17,18 @@ import (
 // time-to-restore distributions the aggregate repair/loss counters
 // cannot express.
 
-// mustBandwidth parses a bandwidth class spec. The campaign
-// constructors only pass vetted preset names, so a parse failure is a
-// programming error.
-func mustBandwidth(spec string) *transfer.Params {
-	p, err := transfer.Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// setBandwidth points a variant config at a bandwidth class spec,
-// overriding whatever the base config (or Options.Bandwidth) carried:
-// a campaign that sweeps the bandwidth mix must own the knob.
-func setBandwidth(c *sim.Config, spec string) {
-	c.Bandwidth = mustBandwidth(spec)
-}
-
 // transferBaselineCampaign compares the bandwidth presets on identical
 // populations: the degenerate instant mode (the engine's historical
 // immediate placement), a uniform DSL population, the 50/50 DSL/FTTH
 // mix, and the slow-uplink skewed population. Repair and loss counts
 // show what metered uplinks cost; the time-to-backup distribution shows
-// where the cost comes from.
+// where the cost comes from. Like every campaign that sweeps the
+// bandwidth mix, it overrides whatever BandwidthSpec the base config
+// (or Options.Bandwidth) carried.
 func transferBaselineCampaign(cfg sim.Config) Campaign {
 	specs := transfer.Presets()
 	return ablationCampaign(cfg, "transfer-baseline", specs, func(c *sim.Config, i int) {
-		setBandwidth(c, specs[i])
+		c.BandwidthSpec = specs[i]
 	})
 }
 
@@ -59,7 +43,7 @@ func flashCrowdCampaign(cfg sim.Config) Campaign {
 	mid := cfg.Rounds / 2
 	specs := []string{"instant", "dsl", "skewed"}
 	return ablationCampaign(cfg, "flashcrowd", specs, func(c *sim.Config, i int) {
-		setBandwidth(c, specs[i])
+		c.BandwidthSpec = specs[i]
 		c.Shocks = []sim.ShockSpec{
 			{Name: "flash-blackout", Round: mid, Fraction: 0.4, Outage: 2 * churn.Day},
 		}
@@ -84,14 +68,19 @@ func uplinkSweepCampaign(cfg sim.Config) Campaign {
 		labels = append(labels, fmt.Sprintf("up=%.3gx", f))
 	}
 	return ablationCampaign(cfg, "uplink-sweep", labels, func(c *sim.Config, i int) {
-		if i == 0 {
-			setBandwidth(c, "instant")
-			return
+		c.BandwidthSpec = "instant"
+		if i > 0 {
+			c.BandwidthSpec = uplinkSpec(uplinkFactors[i-1])
 		}
-		d := transfer.DSLClass("dsl", 1)
-		d.Up *= uplinkFactors[i-1]
-		c.Bandwidth = &transfer.Params{Classes: []transfer.Class{d}}
 	})
+}
+
+// uplinkSpec is the one-class DSL population with its uplink scaled by
+// factor, as an explicit class spec (transfer.Parse): %v prints the
+// shortest form that parses back to the same float64.
+func uplinkSpec(factor float64) string {
+	d := transfer.DSLClass("dsl", 1)
+	return fmt.Sprintf("dsl:1:%v/%v:%d", d.Up*factor, d.Down, d.MaxInflight)
 }
 
 // ---------------------------------------------------------------------------

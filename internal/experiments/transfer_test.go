@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"strings"
 	"testing"
+
+	"p2pbackup/internal/transfer"
 )
 
 // runTransferTwice executes a transfer campaign at two parallelism
@@ -122,5 +124,25 @@ func TestRegistryHasTransferExperiments(t *testing.T) {
 func TestOptionsBandwidthValidatesEagerly(t *testing.T) {
 	if _, err := RunCtx(context.Background(), "fig1", Options{Knobs: Knobs{Bandwidth: "bogus:spec"}}); err == nil {
 		t.Fatal("bad bandwidth spec accepted")
+	}
+}
+
+// TestUplinkSpecsRoundTrip: every uplink-sweep class spec parses to the
+// class the sweep built before it was a string, transfer.DSLClass("dsl",
+// 1) with its uplink scaled by the factor, bit for bit.
+func TestUplinkSpecsRoundTrip(t *testing.T) {
+	for _, f := range uplinkFactors {
+		p, err := transfer.Parse(uplinkSpec(f))
+		if err != nil {
+			t.Fatalf("factor %v: %v", f, err)
+		}
+		want := transfer.DSLClass("dsl", 1)
+		want.Up *= f
+		if len(p.Classes) != 1 || p.Policy != transfer.Resume {
+			t.Fatalf("factor %v: %q parsed to %+v", f, uplinkSpec(f), p)
+		}
+		if got := p.Classes[0]; got != want {
+			t.Errorf("factor %v: %q parsed to %+v, want %+v", f, uplinkSpec(f), got, want)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/sim"
 )
 
@@ -40,58 +39,21 @@ type workerRequest struct {
 
 // workerMessage is one stdout line from the worker.
 type workerMessage struct {
-	Type   string          `json:"type"` // "heartbeat" or "result"
-	Round  int64           `json:"round,omitempty"`
-	Result *resultSnapshot `json:"result,omitempty"`
+	Type  string `json:"type"` // "heartbeat" or "result"
+	Round int64  `json:"round,omitempty"`
+	// Result is the finished run. Its wire form leaves out Config,
+	// which the supervisor rebuilds from the shared spec, and Trace,
+	// which only the parent-side trace recorder uses, in-process.
+	Result *sim.Result `json:"result,omitempty"`
 }
 
-// resultSnapshot is sim.Result in wire form: everything a row consumer
-// reads except Config (rebuilt by the supervisor from the shared spec)
-// and Trace (only the parent-side trace recorder uses it, in-process).
-type resultSnapshot struct {
-	Collector       *metrics.Collector       `json:"collector"`
-	Observers       *metrics.ObserverTracker `json:"observers,omitempty"`
-	Deaths          int64                    `json:"deaths"`
-	Cancels         int64                    `json:"cancels"`
-	FinalPlacements int                      `json:"final_placements"`
-	FinalIncluded   int                      `json:"final_included"`
-	Phases          *sim.PhaseTimes          `json:"phases,omitempty"`
-}
-
-// snapshotResult converts a finished run for the wire.
-func snapshotResult(res *sim.Result) *resultSnapshot {
-	return &resultSnapshot{
-		Collector:       res.Collector,
-		Observers:       res.Observers,
-		Deaths:          res.Deaths,
-		Cancels:         res.Cancels,
-		FinalPlacements: res.FinalPlacements,
-		FinalIncluded:   res.FinalIncluded,
-		Phases:          res.Phases,
-	}
-}
-
-// restore rebuilds the sim.Result with the locally materialised config.
-func (sn *resultSnapshot) restore(cfg sim.Config) *sim.Result {
-	return &sim.Result{
-		Config:          cfg,
-		Collector:       sn.Collector,
-		Observers:       sn.Observers,
-		Deaths:          sn.Deaths,
-		Cancels:         sn.Cancels,
-		FinalPlacements: sn.FinalPlacements,
-		FinalIncluded:   sn.FinalIncluded,
-		Phases:          sn.Phases,
-	}
-}
-
-// check says why the snapshot cannot stand in for a run of cfg, if it
-// cannot: the reports read its collector and one observer per cfg's.
-func (sn *resultSnapshot) check(cfg sim.Config) error {
-	if sn == nil || sn.Collector == nil {
+// check says why a decoded result cannot stand in for a run of cfg, if
+// it cannot: the reports read its collector and one observer per cfg's.
+func check(res *sim.Result, cfg sim.Config) error {
+	if res == nil || res.Collector == nil {
 		return errors.New("no result with a collector")
 	}
-	if len(cfg.Observers) > 0 && (sn.Observers == nil || sn.Observers.Len() != len(cfg.Observers)) {
+	if len(cfg.Observers) > 0 && (res.Observers == nil || res.Observers.Len() != len(cfg.Observers)) {
 		return fmt.Errorf("result lacks the run's %d observers", len(cfg.Observers))
 	}
 	return nil
@@ -287,7 +249,7 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "worker: %v\n", err)
 		return 1
 	}
-	if err := write(workerMessage{Type: "result", Result: snapshotResult(row.Result)}); err != nil {
+	if err := write(workerMessage{Type: "result", Result: row.Result}); err != nil {
 		fmt.Fprintf(errw, "worker: writing result: %v\n", err)
 		return 1
 	}

@@ -70,18 +70,19 @@ type Config struct {
 	// UploadBudgetPerRound caps blocks uploaded per peer per round (the
 	// section 2.2.4 bandwidth bound: a worst-case repair of ~128 blocks
 	// fills about one hour on the reference DSL link). 0 = unlimited.
-	// A non-instant Bandwidth mix bounds peers by their class instead;
-	// unmetered observers keep this budget.
+	// A non-instant bandwidth mix (BandwidthSpec) bounds peers by their
+	// class instead; unmetered observers keep this budget.
 	UploadBudgetPerRound int
 
-	// Bandwidth, when non-nil, replaces instantaneous placement with
-	// bandwidth-aware transfer scheduling: peers draw a bandwidth class
-	// at join, uploads and restores flow over asymmetric links, and
-	// completions are calendar events (see internal/transfer). A nil
-	// Bandwidth — or the degenerate single instant class — keeps
-	// instant placement under UploadBudgetPerRound, bit-identical to
-	// pre-transfer runs.
-	Bandwidth *transfer.Params
+	// BandwidthSpec, when non-empty, names a bandwidth-class mix
+	// ("dsl", "mixed", "skewed" or explicit classes; see transfer.Parse)
+	// and replaces instantaneous placement with bandwidth-aware transfer
+	// scheduling: peers draw a bandwidth class at join, uploads and
+	// restores flow over asymmetric links, and completions are calendar
+	// events (see internal/transfer). "" — or "instant", the degenerate
+	// single instant class — keeps instant placement under
+	// UploadBudgetPerRound, bit-identical to pre-transfer runs.
+	BandwidthSpec string
 
 	// RedundancySpec names the per-archive redundancy policy as a spec
 	// string (see redundancy.Parse). "" or "fixed", the default, is no
@@ -94,16 +95,18 @@ type Config struct {
 	// Restores schedules restore-demand events (flash crowds): at each
 	// spec's round, included peers independently demand their archive
 	// back and download k blocks over their downlink. Restore timing
-	// uses Bandwidth's class rates (instant when Bandwidth is nil).
+	// uses BandwidthSpec's class rates (instant when it is empty).
 	Restores []RestoreSpec
 
 	// Profiles is the behaviour population (default: the paper's four).
 	// Each slot draws its profile from these proportions once; a
 	// departed peer's replacement inherits it, so the mix stays as drawn.
 	Profiles *churn.ProfileSet
-	// Avail generates online/offline sessions (default: exponential
-	// sessions with a one-day mean cycle).
-	Avail churn.AvailabilityModel
+	// AvailSpec names the model that generates online/offline sessions
+	// as a spec string (see churn.ParseAvailability): "" or "session",
+	// the default, is exponential sessions over a one-day mean cycle;
+	// "bernoulli", "always-online" and "diurnal:AMP" are the others.
+	AvailSpec string
 	// StrategySpec names the partner-selection policy as a spec string
 	// ("age:L=2160", "estimator:pareto", "monitored-availability:720";
 	// see selection.Parse), picking partners on the observable/oracle
@@ -152,14 +155,18 @@ type Config struct {
 	// reads per phase per round.
 	PhaseTimes bool
 
-	// policy and redundancy are the policies StrategySpec and
-	// RedundancySpec resolve to, filled by Validate: redundancy is bound
-	// to the code shape, and nil for the fixed shape. A package test may
-	// set policy first, to any selection.Policy, or redundancy, to a
-	// *redundancy.Adaptive that Validate then binds, to run the engine
-	// under a policy no spec string names.
+	// policy, redundancy, avail and bandwidth are what StrategySpec,
+	// RedundancySpec, AvailSpec and BandwidthSpec resolve to, filled by
+	// Validate: redundancy is bound to the code shape, and nil for the
+	// fixed shape; bandwidth is nil when BandwidthSpec is empty. A
+	// package test may set policy first, to any selection.Policy,
+	// redundancy, to a *redundancy.Adaptive that Validate then binds, or
+	// avail, to any churn.AvailabilityModel, to run the engine under a
+	// policy no spec string names.
 	policy     selection.Policy
 	redundancy *redundancy.Adaptive
+	avail      churn.AvailabilityModel
+	bandwidth  *transfer.Params
 }
 
 // DefaultConfig returns the paper's parameters at full scale.
@@ -184,13 +191,12 @@ func (c Config) Validate() (Config, error) {
 	if c.Profiles == nil {
 		c.Profiles = churn.PaperProfiles()
 	}
-	if c.Avail == nil {
-		c.Avail = churn.DefaultSessionModel()
-	}
-	if v, ok := c.Avail.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
+	if c.avail == nil {
+		m, err := churn.ParseAvailability(c.AvailSpec)
+		if err != nil {
 			return c, fmt.Errorf("sim: %w", err)
 		}
+		c.avail = m
 	}
 	if c.policy == nil {
 		pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
@@ -221,12 +227,12 @@ func (c Config) Validate() (Config, error) {
 			}
 		}
 	}
-	if c.Bandwidth != nil {
-		bw, err := c.Bandwidth.Validate()
+	if c.BandwidthSpec != "" {
+		bw, err := transfer.Parse(c.BandwidthSpec)
 		if err != nil {
 			return c, fmt.Errorf("sim: %w", err)
 		}
-		c.Bandwidth = bw
+		c.bandwidth = bw
 	}
 	if len(c.Restores) > 0 {
 		c.Restores = append([]RestoreSpec(nil), c.Restores...)

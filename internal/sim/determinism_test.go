@@ -3,9 +3,6 @@ package sim
 import (
 	"hash/fnv"
 	"testing"
-
-	"p2pbackup/internal/churn"
-	"p2pbackup/internal/transfer"
 )
 
 // The digests below pin the engine's trajectories: every churn event,
@@ -161,17 +158,13 @@ func goldenScenarios(t *testing.T) []goldenScenario {
 		{Name: "regional-kill", Rate: 0.01, Fraction: 0.3, Regions: 4, Kill: true},
 	}
 	diurnalCfg := digestConfig()
-	diurnalCfg.Avail = churn.DefaultDiurnalModel(0.6)
-	bw, err := transfer.Parse("skewed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	diurnalCfg.AvailSpec = "diurnal:0.6"
 	bwCfg := digestConfig()
-	bwCfg.Bandwidth = bw
+	bwCfg.BandwidthSpec = "skewed"
 	adaptCfg := digestConfig()
 	adaptCfg.RedundancySpec = "adaptive"
 	adaptBwCfg := digestConfig()
-	adaptBwCfg.Bandwidth = bw
+	adaptBwCfg.BandwidthSpec = "skewed"
 	adaptBwCfg.RedundancySpec = "adaptive:target=0.95,eval=12"
 	randomCfg := digestConfig()
 	randomCfg.StrategySpec = "random"

@@ -12,7 +12,6 @@ import (
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
 	"p2pbackup/internal/selection"
-	"p2pbackup/internal/transfer"
 )
 
 // TestPeerSize keeps the engine-side slot record at one cache line.
@@ -191,9 +190,9 @@ type spyAvail struct {
 	walk *callers
 }
 
-func (a spyAvail) SessionLength(r *rng.Rand, avail float64, online bool) int64 {
+func (a spyAvail) SessionLength(r *rng.Rand, avail float64, online bool, round int64) int64 {
 	a.walk.here()
-	return a.AvailabilityModel.SessionLength(r, avail, online)
+	return a.AvailabilityModel.SessionLength(r, avail, online, round)
 }
 
 // spyPolicy is the age policy reporting the planner's goroutine.
@@ -215,7 +214,11 @@ func TestOneShardRunsOnTheCaller(t *testing.T) {
 		walk, plan, me = &callers{seen: map[string]int{}}, &callers{seen: map[string]int{}}, &callers{seen: map[string]int{}}
 		cfg := digestConfig()
 		cfg.Shards = shards
-		cfg.Avail = spyAvail{churn.DefaultSessionModel(), walk}
+		session, err := churn.ParseAvailability("session")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.avail = spyAvail{session, walk}
 		if spyPlan {
 			pol, err := selection.ParseWith("age", selection.Defaults{Horizon: cfg.AcceptHorizon})
 			if err != nil {
@@ -287,26 +290,22 @@ func (p *completionProbe) OnRepair(e RepairEvent) {
 // the Maintainer's one buffer cache, which is what the race detector is
 // here to watch.
 func TestPoolBuffersFollowEpisodes(t *testing.T) {
-	bw, err := transfer.Parse("skewed")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name      string
-		bandwidth *transfer.Params
-	}{{"instant", nil}, {"bandwidth", bw}} {
+		bandwidth string
+	}{{"instant", ""}, {"bandwidth", "skewed"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := digestConfig()
 			cfg.NumPeers = 1200
 			cfg.Rounds = 160
 			cfg.Shards = 4
-			cfg.Bandwidth = tc.bandwidth
+			cfg.BandwidthSpec = tc.bandwidth
 			cfg.Shocks = []ShockSpec{
 				{Name: "blackout", Round: 60, Fraction: 0.6, Outage: 24},
 				{Name: "regional-kill", Rate: 0.02, Fraction: 0.3, Regions: 4, Kill: true},
 			}
 			completions := &completionProbe{}
-			if tc.bandwidth == nil { // metered uploads complete in the transfer drain
+			if tc.bandwidth == "" { // metered uploads complete in the transfer drain
 				cfg.Probes = []Probe{completions}
 			}
 			s, err := New(cfg)
@@ -331,7 +330,7 @@ func TestPoolBuffersFollowEpisodes(t *testing.T) {
 			if held == 0 {
 				t.Fatal("no slot ever held a pool buffer: the run exercised nothing")
 			}
-			if tc.bandwidth == nil && (completions.completed < cfg.NumPeers || completions.stillHeld > 0) {
+			if tc.bandwidth == "" && (completions.completed < cfg.NumPeers || completions.stillHeld > 0) {
 				t.Fatalf("%d of %d completing owners held a pool buffer between their plan and its apply",
 					completions.stillHeld, completions.completed)
 			}

@@ -32,7 +32,7 @@ type RepairEvent struct {
 }
 
 // TransferEvent reports a block transfer's lifecycle under bandwidth
-// scheduling (Config.Bandwidth): enqueued (start), delivered
+// scheduling (Config.BandwidthSpec): enqueued (start), delivered
 // (complete), or killed by an endpoint dying (abort). Host is -1 for
 // restores, which have a single endpoint.
 type TransferEvent struct {

@@ -7,8 +7,8 @@ package sim
 // repair outcomes, so the engine accepts them as first-class workload
 // modifiers:
 //
-//   - diurnal availability rides on Config.Avail (churn.DiurnalModel,
-//     dispatched through churn.SessionLengthAt);
+//   - diurnal availability is Config.AvailSpec "diurnal:AMP", a model
+//     whose session lengths follow the round each session starts in;
 //   - shocks are Config.Shocks, applied at the top of each round before
 //     churn and maintenance, and reported to probes via OnShock;
 //   - trace replay is Config.Replay: the recorded churn stream drives

@@ -145,10 +145,10 @@ func TestShocksIncompatibleWithReplay(t *testing.T) {
 
 func TestDiurnalAvailabilityRuns(t *testing.T) {
 	cfg := shockConfig()
-	cfg.Avail = churn.DefaultDiurnalModel(0.8)
+	cfg.AvailSpec = "diurnal:0.8"
 	a := runResult(t, cfg)
 	cfg2 := shockConfig()
-	cfg2.Avail = churn.DefaultDiurnalModel(0.8)
+	cfg2.AvailSpec = "diurnal:0.8"
 	b := runResult(t, cfg2)
 	if a.Deaths != b.Deaths || a.Collector.TotalRepairs() != b.Collector.TotalRepairs() ||
 		a.Collector.TotalLosses() != b.Collector.TotalLosses() {
@@ -161,7 +161,7 @@ func TestDiurnalAvailabilityRuns(t *testing.T) {
 	probe := &onlineCounter{}
 	cfg3 := shockConfig()
 	cfg3.Rounds = 20 * churn.Day
-	cfg3.Avail = churn.DefaultDiurnalModel(0.9)
+	cfg3.AvailSpec = "diurnal:0.9"
 	cfg3.Probes = []Probe{probe}
 	s, err := New(cfg3)
 	if err != nil {

@@ -193,7 +193,7 @@ func TestQuiescentPopulationIdles(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Profiles = profiles
-	cfg.Avail = churn.AlwaysOnline{}
+	cfg.AvailSpec = "always-online"
 	cfg.Rounds = 64
 	s, err := New(cfg)
 	if err != nil {

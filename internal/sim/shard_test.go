@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"p2pbackup/internal/churn"
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
 )
@@ -93,7 +92,7 @@ func TestShardEquivalenceRandomizedConfigs(t *testing.T) {
 			cfg.Observers = PaperObservers()
 		}
 		if r.Bool(0.3) {
-			cfg.Avail = churn.DefaultDiurnalModel(0.3 + 0.5*r.Float64())
+			cfg.AvailSpec = fmt.Sprintf("diurnal:%v", 0.3+0.5*r.Float64())
 		}
 		if r.Bool(0.5) {
 			cfg.RedundancySpec = "adaptive:eval=" + []string{"6", "24"}[r.Intn(2)]

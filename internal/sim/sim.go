@@ -113,23 +113,25 @@ type peer struct {
 	catChange int64 // next category promotion
 }
 
-// Result aggregates a finished run.
+// Result aggregates a finished run. Its JSON form, which a supervised
+// campaign's workers send and its journal keeps, leaves out Config and
+// Trace; the metrics types encode bit-exactly.
 type Result struct {
-	Config    Config
-	Collector *metrics.Collector
-	Observers *metrics.ObserverTracker
-	Trace     *churn.Trace
+	Config    Config                   `json:"-"`
+	Collector *metrics.Collector       `json:"collector"`
+	Observers *metrics.ObserverTracker `json:"observers,omitempty"`
+	Trace     *churn.Trace             `json:"-"`
 	// Deaths is the number of departures (and replacements).
-	Deaths int64
+	Deaths int64 `json:"deaths"`
 	// Cancels counts repairs aborted after visibility recovered.
-	Cancels int64
+	Cancels int64 `json:"cancels"`
 	// FinalPlacements is the block count in the system at the end.
-	FinalPlacements int
+	FinalPlacements int `json:"final_placements"`
 	// FinalIncluded is how many peers had a complete archive at the end.
-	FinalIncluded int
+	FinalIncluded int `json:"final_included"`
 	// Phases is the per-phase wall-time breakdown, non-nil only when
 	// Config.PhaseTimes asked for it.
-	Phases *PhaseTimes
+	Phases *PhaseTimes `json:"phases,omitempty"`
 }
 
 // Simulation is a configured run. Create with New, execute with Run.
@@ -291,13 +293,13 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s.phases = &PhaseTimes{}
 
-	if cfg.Bandwidth != nil || len(cfg.Restores) > 0 {
+	if cfg.bandwidth != nil || len(cfg.Restores) > 0 {
 		// The transfer machinery exists only when asked for. Restore-only
-		// configs (nil Bandwidth) schedule downloads against the instant
-		// mix and keep instant placement. Scheduler slots cover the
-		// population only: observers are unmetered instrumentation.
-		s.xfer = transfer.NewScheduler(cfg.Bandwidth, cfg.NumPeers)
-		if cfg.Bandwidth != nil && !cfg.Bandwidth.Instant() {
+		// configs (no BandwidthSpec) schedule downloads against the
+		// instant mix and keep instant placement. Scheduler slots cover
+		// the population only: observers are unmetered instrumentation.
+		s.xfer = transfer.NewScheduler(cfg.bandwidth, cfg.NumPeers)
+		if cfg.bandwidth != nil && !cfg.bandwidth.Instant() {
 			s.maint.SetTransfers(simXfer{s.xfer, s})
 		}
 	}

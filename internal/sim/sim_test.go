@@ -64,13 +64,13 @@ func TestConfigValidation(t *testing.T) {
 func TestConfigValidatesAvailabilityModel(t *testing.T) {
 	for _, amp := range []float64{-1, 5, math.NaN()} {
 		cfg := smallConfig()
-		cfg.Avail = churn.DefaultDiurnalModel(amp)
+		cfg.AvailSpec = fmt.Sprintf("diurnal:%v", amp)
 		if _, err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "diurnal amplitude") {
 			t.Errorf("amplitude %v: error %v, want one naming the diurnal amplitude", amp, err)
 		}
 	}
 	cfg := smallConfig()
-	cfg.Avail = churn.DefaultDiurnalModel(0.9)
+	cfg.AvailSpec = "diurnal:0.9"
 	if _, err := cfg.Validate(); err != nil {
 		t.Errorf("amplitude 0.9: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestImmortalHighAvailabilityNeverLoses(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Profiles = profiles
-	cfg.Avail = churn.AlwaysOnline{}
+	cfg.AvailSpec = "always-online"
 	cfg.Rounds = 200
 	s, err := New(cfg)
 	if err != nil {

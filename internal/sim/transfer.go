@@ -2,11 +2,11 @@ package sim
 
 // Transfer integration: the engine drives a transfer.Scheduler, which
 // owns every in-flight transfer and the order completions land in.
-// With Config.Bandwidth set (and not instant), maintenance enqueues
+// With Config.BandwidthSpec set (and not instant), maintenance enqueues
 // block transfers instead of placing instantly; the round lands what
 // the scheduler's PopDue hands out before its maintenance phase, and
 // session flips / deaths suspend, resume or abort the flows they
-// interrupt. Without Bandwidth (and with no Restores) there is no
+// interrupt. Without a BandwidthSpec (and with no Restores) there is no
 // scheduler and the engine byte-matches its pre-transfer behaviour.
 
 import (

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"p2pbackup/internal/transfer"
-)
+import "testing"
 
 // TestInstantModeGoldenDigests is the degenerate-mode equivalence
 // satellite: attaching the transfer subsystem in instant mode (one
@@ -12,13 +8,9 @@ import (
 // probe streams bit for bit — same digests as
 // TestGoldenScenarioDigests, rng draw order untouched.
 func TestInstantModeGoldenDigests(t *testing.T) {
-	instant, err := transfer.Parse("instant")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, sc := range goldenScenarios(t)[:3] {
 		t.Run(sc.name, func(t *testing.T) {
-			sc.cfg.Bandwidth = instant
+			sc.cfg.BandwidthSpec = "instant"
 			if got := digestRun(t, sc.cfg); got != sc.pinned {
 				t.Errorf("instant-mode digest = %#x, want %#x (transfer gate leaked into the instant path)", got, sc.pinned)
 			}
@@ -32,11 +24,7 @@ func TestInstantModeGoldenDigests(t *testing.T) {
 func bandwidthConfig(t *testing.T, spec string) Config {
 	t.Helper()
 	cfg := digestConfig()
-	bw, err := transfer.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Bandwidth = bw
+	cfg.BandwidthSpec = spec
 	return cfg
 }
 

@@ -307,7 +307,7 @@ func (s *Simulation) visitSlot(w *worker, round int64, id overlay.PeerID) {
 				s.promote(w, id, p)
 			}
 			if round >= p.toggle {
-				next := addClamped(round, churn.SessionLengthAt(s.cfg.Avail, r, p.avail, !p.online, round))
+				next := addClamped(round, s.cfg.avail.SessionLength(r, p.avail, !p.online, round))
 				s.setOnline(w, round, id, p, !p.online)
 				p.toggle = next
 			}
@@ -400,7 +400,7 @@ func (s *Simulation) initPeer(w *worker, id overlay.PeerID, round int64, profile
 	p.online = r.Bool(p.avail)
 	s.forgetHistory(id)
 	s.recordSession(round, id, p.online)
-	p.toggle = addClamped(round, churn.SessionLengthAt(s.cfg.Avail, r, p.avail, p.online, round))
+	p.toggle = addClamped(round, s.cfg.avail.SessionLength(r, p.avail, p.online, round))
 	s.effect(w, round, effect{kind: effJoin, id: int32(id), prof: int32(prof), online: p.online})
 }
 

@@ -1,7 +1,8 @@
 // Package spec is the one NAME[:PARAMS] grammar behind every policy
 // spec string the campaigns and the CLI accept: selection's strategies
-// ("age:L=2160", "estimator:pareto:alpha=1.5,xm=24") and redundancy's
-// policies ("adaptive:min=160,max=256,target=0.95").
+// ("age:L=2160", "estimator:pareto:alpha=1.5,xm=24"), redundancy's
+// policies ("adaptive:min=160,max=256,target=0.95") and churn's
+// availability models ("diurnal:0.8").
 //
 // NAME is one of the caller's table names, which may contain colons:
 // the longest name that is the whole spec, or a prefix of it followed by

@@ -43,7 +43,7 @@ func FuzzParse(f *testing.F) {
 		if p == nil {
 			t.Fatalf("Parse(%q) returned nil params without error", spec)
 		}
-		if _, err := p.Validate(); err != nil {
+		if _, err := p.validate(); err != nil {
 			t.Fatalf("Parse(%q) accepted params that fail Validate: %v", spec, err)
 		}
 		if _, err := Parse(spec); err != nil {

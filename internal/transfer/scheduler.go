@@ -116,8 +116,8 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler for a population of n slots. The
-// params must be validated (Params.Validate); nil is the instant mix,
-// what a config that only schedules restores runs on.
+// params must come from Parse, which normalises them; nil is the
+// instant mix, what a config that only schedules restores runs on.
 func NewScheduler(params *Params, n int) *Scheduler {
 	if params == nil {
 		// One class of proportion 1 is already what Validate returns.

@@ -61,7 +61,7 @@ const roundSeconds = 3600
 type Class struct {
 	// Name labels the class in specs and reports.
 	Name string
-	// Proportion is the class's population share; Params.Validate
+	// Proportion is the class's population share; Parse
 	// normalises proportions to sum to 1.
 	Proportion float64
 	// Up is the uplink rate in blocks per round (0 = infinite).
@@ -112,10 +112,9 @@ type Params struct {
 	Policy ResumePolicy
 }
 
-// Validate checks the parameters and returns a normalised copy:
-// proportions scaled to sum to 1. The receiver is not modified (the
-// same Params value may seed concurrently validated variants).
-func (p *Params) Validate() (*Params, error) {
+// validate checks the parameters and returns a normalised copy:
+// proportions scaled to sum to 1. The receiver is not modified.
+func (p *Params) validate() (*Params, error) {
 	if len(p.Classes) == 0 {
 		return nil, fmt.Errorf("transfer: no bandwidth classes")
 	}
@@ -262,14 +261,14 @@ func Parse(spec string) (*Params, error) {
 	case "":
 		return nil, fmt.Errorf("transfer: empty bandwidth spec")
 	case "instant":
-		return instantParams().Validate()
+		return instantParams().validate()
 	case "dsl":
-		return (&Params{Classes: []Class{DSLClass("dsl", 1)}}).Validate()
+		return (&Params{Classes: []Class{DSLClass("dsl", 1)}}).validate()
 	case "mixed":
 		return (&Params{Classes: []Class{
 			DSLClass("dsl", 0.5),
 			ftthClass("ftth", 0.5),
-		}}).Validate()
+		}}).validate()
 	case "skewed":
 		// The slow-uplink population: a long tail of peers whose uplink
 		// is ~4x slower than DSL dominates, with a small fast minority.
@@ -278,7 +277,7 @@ func Parse(spec string) (*Params, error) {
 			{Name: "slow", Proportion: 0.6, Up: dsl.Up / 4, Down: dsl.Down / 4, MaxInflight: defaultInflight},
 			dsl,
 			ftthClass("ftth", 0.1),
-		}}).Validate()
+		}}).validate()
 	}
 	p := &Params{}
 	parts := strings.Split(spec, ";")
@@ -303,7 +302,7 @@ func Parse(spec string) (*Params, error) {
 		}
 		p.Classes = append(p.Classes, c)
 	}
-	return p.Validate()
+	return p.validate()
 }
 
 // parseClass parses one "name:prop:up/down[:inflight]" clause.

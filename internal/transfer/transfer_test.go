@@ -14,7 +14,7 @@ func TestValidateNormalisesProportions(t *testing.T) {
 		{Name: "a", Proportion: 3},
 		{Name: "b", Proportion: 1},
 	}}
-	out, err := in.Validate()
+	out, err := in.validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestValidateRejects(t *testing.T) {
 		{Classes: []Class{{Name: "p", Proportion: 1}}, Policy: ResumePolicy(9)},
 	}
 	for i, p := range bad {
-		if _, err := p.Validate(); err == nil {
+		if _, err := p.validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid params", i)
 		}
 	}
@@ -45,7 +45,7 @@ func TestValidateRejects(t *testing.T) {
 // instant-mode golden digests rest on: attaching a one-class Params
 // must not perturb the run's rng stream.
 func TestSampleIndexSingleClassDrawsNothing(t *testing.T) {
-	p, err := instantParams().Validate()
+	p, err := instantParams().validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSampleIndexProportions(t *testing.T) {
 	p, err := (&Params{Classes: []Class{
 		{Name: "slow", Proportion: 0.7},
 		{Name: "fast", Proportion: 0.3},
-	}}).Validate()
+	}}).validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestParseSpecs(t *testing.T) {
 // given params (validated here).
 func newTestSched(t *testing.T, p *Params, n int) (*Scheduler, *overlay.Table) {
 	t.Helper()
-	vp, err := p.Validate()
+	vp, err := p.validate()
 	if err != nil {
 		t.Fatal(err)
 	}
