@@ -197,55 +197,66 @@ func TestAlwaysOnline(t *testing.T) {
 	}
 }
 
-// TestParseAvailability: every spelling the campaigns, the CLIs and the
-// name parser before the spec grammar accepted resolves to the model it
-// named, and every rejection wraps one of the two sentinels.
-func TestParseAvailability(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want AvailabilityModel
-	}{
+// TestModelByName: every plain model name the campaigns, the CLIs and the
+// name parser before the spec grammar accepted resolves through
+// ParseAvailability to the model it named, and an unknown name is rejected.
+func TestModelByName(t *testing.T) {
+	checkParseAvailability(t, []parseCase{
 		{"", sessionModel{}},
 		{"session", sessionModel{}},
 		{"bernoulli", bernoulliModel{}},
 		{"always-online", alwaysOnline{}},
-		{"diurnal", diurnalModel{amplitude: 0.6}},
-		{"diurnal:0", diurnalModel{amplitude: 0}},
-		{"diurnal:0.25", diurnalModel{amplitude: 0.25}},
-		{"diurnal:0.3", diurnalModel{amplitude: 0.3}},
-		{"diurnal:0.6", diurnalModel{amplitude: 0.6}},
-		{"diurnal:0.8", diurnalModel{amplitude: 0.8}},
-		{"diurnal:0.9", diurnalModel{amplitude: 0.9}},
-		{"diurnal:1", diurnalModel{amplitude: 1}},
-		{"diurnal:amp=0.8", diurnalModel{amplitude: 0.8}},
-	} {
+	}, []rejectCase{
+		{"nope", ErrUnknownModel},
+	})
+}
+
+// TestParseAvailability: every name AvailabilityNames lists parses, names are
+// case-sensitive, and a parameter on a model that takes none is rejected;
+// each rejection wraps one of the two sentinels. The spellings of each model
+// are in TestModelByName and TestDiurnalModelByName.
+func TestParseAvailability(t *testing.T) {
+	names := AvailabilityNames()
+	if want := []string{"session", "bernoulli", "always-online", "diurnal"}; !slices.Equal(names, want) {
+		t.Errorf("AvailabilityNames() = %v, want %v", names, want)
+	}
+	for _, name := range names {
+		if _, err := ParseAvailability(name); err != nil {
+			t.Errorf("ParseAvailability(%q): %v", name, err)
+		}
+	}
+	checkParseAvailability(t, nil, []rejectCase{
+		{"Diurnal", ErrUnknownModel},
+		{"session:3", ErrBadSpec},
+		{"bernoulli:p=0.5", ErrBadSpec},
+	})
+}
+
+type parseCase struct {
+	spec string
+	want AvailabilityModel
+}
+
+type rejectCase struct {
+	spec string
+	want error
+}
+
+// checkParseAvailability asserts that each accepted spec parses to exactly
+// its model and that each rejected spec fails with an error wrapping its
+// sentinel.
+func checkParseAvailability(t *testing.T, accept []parseCase, reject []rejectCase) {
+	t.Helper()
+	for _, tc := range accept {
 		got, err := ParseAvailability(tc.spec)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseAvailability(%q) = %#v, %v; want %#v", tc.spec, got, err, tc.want)
 		}
 	}
-	for _, tc := range []struct {
-		spec string
-		want error
-	}{
-		{"nope", ErrUnknownModel},
-		{"Diurnal", ErrUnknownModel},
-		{"session:3", ErrBadSpec},
-		{"bernoulli:p=0.5", ErrBadSpec},
-		{"diurnal:bogus", ErrBadSpec},
-		{"diurnal:1.5", ErrBadSpec},
-		{"diurnal:-0.1", ErrBadSpec},
-		{"diurnal:NaN", ErrBadSpec},
-		{"diurnal:+Inf", ErrBadSpec},
-		{"diurnal:-Inf", ErrBadSpec},
-		{"diurnal:period=12", ErrBadSpec},
-	} {
+	for _, tc := range reject {
 		if m, err := ParseAvailability(tc.spec); !errors.Is(err, tc.want) {
 			t.Errorf("ParseAvailability(%q) = %#v, %v; want an error wrapping %v", tc.spec, m, err, tc.want)
 		}
-	}
-	if got, want := AvailabilityNames(), []string{"session", "bernoulli", "always-online", "diurnal"}; !slices.Equal(got, want) {
-		t.Errorf("AvailabilityNames() = %v, want %v", got, want)
 	}
 }
 

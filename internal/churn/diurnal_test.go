@@ -87,6 +87,32 @@ func TestOnlyDiurnalReadsRound(t *testing.T) {
 	}
 }
 
+// TestDiurnalModelByName: every diurnal spelling resolves to the amplitude
+// it names (0.6 when it names none), and a malformed, out-of-range or
+// non-finite amplitude is rejected. NaN fails every comparison a range check
+// can make, so it has a case of its own.
+func TestDiurnalModelByName(t *testing.T) {
+	checkParseAvailability(t, []parseCase{
+		{"diurnal", diurnalModel{amplitude: 0.6}},
+		{"diurnal:0", diurnalModel{amplitude: 0}},
+		{"diurnal:0.25", diurnalModel{amplitude: 0.25}},
+		{"diurnal:0.3", diurnalModel{amplitude: 0.3}},
+		{"diurnal:0.6", diurnalModel{amplitude: 0.6}},
+		{"diurnal:0.8", diurnalModel{amplitude: 0.8}},
+		{"diurnal:0.9", diurnalModel{amplitude: 0.9}},
+		{"diurnal:1", diurnalModel{amplitude: 1}},
+		{"diurnal:amp=0.8", diurnalModel{amplitude: 0.8}},
+	}, []rejectCase{
+		{"diurnal:bogus", ErrBadSpec},
+		{"diurnal:1.5", ErrBadSpec},
+		{"diurnal:-0.1", ErrBadSpec},
+		{"diurnal:NaN", ErrBadSpec},
+		{"diurnal:+Inf", ErrBadSpec},
+		{"diurnal:-Inf", ErrBadSpec},
+		{"diurnal:period=12", ErrBadSpec},
+	})
+}
+
 func TestDiurnalValidate(t *testing.T) {
 	for _, amp := range []string{"0", "0.5", "1"} {
 		if _, err := ParseAvailability("diurnal:" + amp); err != nil {
