@@ -39,9 +39,10 @@
 // one test over the ledger's and the step's arrays (online, quota left,
 // not the owner, not a partner, not pooled), negotiates on two entries
 // of the policy's age table (selection.AcceptTable, over the ages
-// Env.Joins gives) and builds a View only to score a candidate it has
-// accepted. The loop it replaced lives on in oracle_test.go as the
-// reference it must match draw for draw.
+// Env.Joins gives) and scores a candidate it has accepted from the
+// policy's score table at the same age (selection.ScoreTable), building
+// a View only for a policy that has none. The loop it replaced lives on
+// in oracle_test.go as the reference it must match draw for draw.
 //
 // Memory: per-slot state is a few dozen bytes (peerState). The
 // candidate pool — up to n accepted partners waiting for a block — is
@@ -290,6 +291,11 @@ type Maintainer struct {
 	// (selection.AcceptTable), resolved once: refreshPool negotiates on
 	// two of its entries.
 	accept []float64
+	// scores is the policy's Score over the clamped age
+	// (selection.ScoreTable), nil unless the policy declares it reads
+	// nothing else: refreshPool then scores an accepted candidate by the
+	// age it negotiated with, and otherwise through a View.
+	scores []float64
 
 	// Mark epochs: refreshPool stamps the acting owner's current
 	// partners into a per-slot epoch array, turning the former O(owner
@@ -333,6 +339,7 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		own:    Workspace{marks: newMarkSet(led.NumPeers())},
 		pools:  poolCache{limit: max(minFreePools, led.NumPeers()/256)},
 		accept: selection.AcceptTable(pol),
+		scores: selection.ScoreTable(pol),
 	}
 	for i := range m.peers {
 		m.peers[i].armed = true
@@ -710,8 +717,9 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 	// they say together, the owner's mode folded into its data (an
 	// unmetered owner's quota limit is MaxInt32). The rng's state stays
 	// in registers for the length of the loop. What passes is
-	// negotiated on two entries of the age table; only what is accepted
-	// is looked at as a View, to be scored.
+	// negotiated on two entries of the age table, and what is accepted is
+	// scored from the score table at the same age, or, under a policy
+	// that reads more than that age, through a View.
 	round := m.env.Round()
 	ctx := selection.Context{Round: round}
 	// Every array the loop indexes by candidate is cut to the population,
@@ -774,7 +782,13 @@ func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, w
 			}
 		}
 		marks.setPooled(c)
-		pool = append(pool, poolEntry{ref: m.tab.Ref(c), score: m.pol.Score(ctx, m.env.View(c))})
+		var score float64
+		if m.scores != nil {
+			score = m.scores[age]
+		} else {
+			score = m.pol.Score(ctx, m.env.View(c))
+		}
+		pool = append(pool, poolEntry{ref: m.tab.Ref(c), score: score})
 	}
 	r.SetState(st)
 	p.pool = pool
@@ -788,34 +802,4 @@ func bit(b bool) uint8 {
 		return 1
 	}
 	return 0
-}
-
-// takeBestPlaceable removes and returns the highest-scored pool entry
-// that can receive a block right now (alive, online, quota available,
-// not yet a partner), or NoPeer if none qualifies. Eligibility comes
-// from the placeable flags planUpload — its sole caller — precomputed
-// for this step; the tie-breaking scan order (first entry in current
-// pool order wins among equal scores, swap-remove on take) is
-// load-bearing for reproducibility and must not change.
-func (m *Maintainer) takeBestPlaceable(id overlay.PeerID, p *peerState) overlay.PeerID {
-	bestIdx := -1
-	best := 0.0
-	for i := range p.pool {
-		e := &p.pool[i]
-		if !e.placeable {
-			continue
-		}
-		if bestIdx == -1 || e.score > best {
-			bestIdx = i
-			best = e.score
-		}
-	}
-	if bestIdx == -1 {
-		return overlay.NoPeer
-	}
-	chosen := p.pool[bestIdx].ref.ID
-	last := len(p.pool) - 1
-	p.pool[bestIdx] = p.pool[last]
-	p.pool = p.pool[:last]
-	return chosen
 }

@@ -95,6 +95,11 @@ type Workspace struct {
 	ops     []plannedOp
 	marks   markSet
 	hostBuf []overlay.PeerID
+	// group is the upload pick's current score group (takeBestPlaceable):
+	// pool indices in ascending order, of which group[head:] are still
+	// in the pool.
+	group []int32
+	head  int
 }
 
 // NewWorkspace returns a Workspace for a population of n slots.
@@ -249,8 +254,9 @@ func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws
 	// Compute each pool entry's eligibility once: nothing the flags read
 	// changes while plans are made, except that hosts this owner picks
 	// leave its pool (and gain a partner mark) at that moment.
-	// takeBestPlaceable's per-placement scans then read one precomputed
-	// flag per entry instead of four ledger lookups.
+	// takeBestPlaceable's scans then read one precomputed flag per entry
+	// instead of four ledger lookups.
+	ws.group, ws.head = ws.group[:0], 0
 	for i := range p.pool {
 		e := &p.pool[i]
 		e.placeable = m.tab.Current(e.ref) &&
@@ -270,7 +276,7 @@ func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws
 		limit = m.xfer.UploadSlots(id)
 	}
 	for deficit > 0 && limit > 0 {
-		best := m.takeBestPlaceable(id, p)
+		best := takeBestPlaceable(p, ws)
 		if best == overlay.NoPeer {
 			break
 		}
@@ -292,6 +298,78 @@ func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws
 	if pr.completed = kind == opPlace && deficit <= 0; pr.completed {
 		p.pool = p.pool[:0]
 	}
+}
+
+// takeBestPlaceable removes and returns the highest-scored placeable
+// pool entry, or NoPeer if none is placeable. Which entry that is, is
+// load-bearing for reproducibility: the first in pool order among equal
+// scores, as one fold over the pool finds it, with the taken entry's
+// place filled by the pool's last (swap-remove).
+//
+// It does not fold the pool once per pick. One scan (scoreGroup)
+// collects the score group, the placeable entries whose score equals
+// the fold's best, in ascending pool order, and picks come off its
+// front. A swap-remove moves only the pool's last entry. If that entry
+// is a member, it was the group's largest index, and at the taken
+// entry's place it is now the smallest, so it leaves the group's back
+// for its front. When the group is spent the next pick scans again.
+//
+// A NaN score breaks this: the fold takes a NaN that comes first and
+// passes over one that comes later, so a NaN that a swap moves to the
+// front would be taken next. When the scan sees a placeable NaN, the
+// group keeps only the fold's pick, and so each of that step's picks
+// scans the pool.
+func takeBestPlaceable(p *peerState, ws *Workspace) overlay.PeerID {
+	if ws.head == len(ws.group) {
+		ws.group, ws.head = scoreGroup(p.pool, ws.group[:0]), 0
+		if len(ws.group) == 0 {
+			return overlay.NoPeer
+		}
+	}
+	g := ws.group[ws.head]
+	chosen := p.pool[g].ref.ID
+	last := int32(len(p.pool) - 1)
+	p.pool[g] = p.pool[last]
+	p.pool = p.pool[:last]
+	if end := len(ws.group) - 1; g != last && ws.group[end] == last {
+		ws.group = ws.group[:end] // the moved member is the front now, at g
+	} else {
+		ws.head++
+	}
+	return chosen
+}
+
+// scoreGroup appends to group, in ascending order, the indices of the
+// placeable pool entries whose score equals the one a fold over the
+// pool picks (the first placeable entry's, replaced by any strictly
+// greater), or only the fold's pick if some placeable score is NaN.
+func scoreGroup(pool []poolEntry, group []int32) []int32 {
+	i := 0
+	for i < len(pool) && !pool[i].placeable {
+		i++
+	}
+	if i == len(pool) {
+		return group
+	}
+	best, nan := pool[i].score, false
+	group = append(group, int32(i))
+	for i++; i < len(pool); i++ {
+		e := &pool[i]
+		switch {
+		case !e.placeable || e.score < best:
+		case e.score > best:
+			group = append(group[:0], int32(i))
+			best = e.score
+		case e.score == best:
+			group = append(group, int32(i))
+		default: // a NaN, or any score after a NaN that came first
+			nan = true
+		}
+	}
+	if nan {
+		group = group[:1]
+	}
+	return group
 }
 
 // ApplyPlan executes one owner's planned ops against the live ledger

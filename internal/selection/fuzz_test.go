@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,24 @@ func FuzzParse(f *testing.F) {
 		vb := View{Observed: Observed{Age: b}, Oracle: Oracle{Remaining: a}}
 		if got, want := acceptProb(pol, va, vb), tableProb(tab, a, b); got != want {
 			t.Fatalf("%q: acceptance(ages %d, %d) = %v, its age table %v", spec, a, b, got, want)
+		}
+		// A score table, where the policy declares one, is its Score at
+		// the clamped age, whatever else the View and Context hold; a
+		// wrapper that only embeds the policy has none.
+		if ScoreTable(struct{ Policy }{pol}) != nil {
+			t.Fatalf("%q: a wrapper that embeds the policy has a score table", spec)
+		}
+		if scores := ScoreTable(pol); scores != nil {
+			L := pol.AcceptHorizon()
+			if int64(len(scores)) != L+1 {
+				t.Fatalf("%q: horizon %d, a score table of %d entries", spec, L, len(scores))
+			}
+			for _, v := range []View{va, vb} {
+				got, want := scores[min(max(v.Observed.Age, 0), L)], pol.Score(Context{Round: a ^ b}, v)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%q: age %d, its score table %v, Score %v", spec, v.Observed.Age, got, want)
+				}
+			}
 		}
 	})
 }

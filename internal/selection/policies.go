@@ -32,6 +32,10 @@ func (a agePolicy) AcceptHorizon() int64 { return a.L }
 // IgnoresHistory declares that the paper's strategy reads ages only.
 func (a agePolicy) IgnoresHistory() bool { return true }
 
+// ScoresClampedAge declares that the paper's ranking is the observed
+// age clamped at L and nothing else (ScoreTable).
+func (a agePolicy) ScoresClampedAge() bool { return true }
+
 func (a agePolicy) Score(_ Context, candidate View) float64 {
 	age := candidate.Observed.Age
 	if age > a.L {
@@ -52,6 +56,7 @@ func (randomPolicy) Name() string                { return "random" }
 func (randomPolicy) AcceptHorizon() int64        { return 0 }
 func (randomPolicy) Score(Context, View) float64 { return 0 }
 func (randomPolicy) IgnoresHistory() bool        { return true }
+func (randomPolicy) ScoresClampedAge() bool      { return true }
 
 // youngestPolicy ranks youngest first: the adversarial baseline. If the
 // age signal carries information, it must perform WORSE than random.

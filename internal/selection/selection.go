@@ -27,10 +27,12 @@
 // A Policy states everything a caller may assume about it: a name, an
 // acceptance horizon (acceptance is AcceptanceFunction of the two
 // observed ages at that horizon, or everyone when it is 0, and so a
-// table over two ages: AcceptTable) and a pure Score. The one optional
-// declaration is IgnoresHistory (Score never reads Observed.History, so
-// a caller need not record one: ReadsHistory); a policy without it is
-// taken to read histories.
+// table over two ages: AcceptTable) and a pure Score. Two declarations
+// are optional. IgnoresHistory says Score never reads Observed.History,
+// so a caller need not record one (ReadsHistory); a policy without it is
+// taken to read histories. ScoresClampedAge says Score reads only
+// Observed.Age clamped at the acceptance horizon, so it is a table over
+// that age (ScoreTable); a policy without it is scored through Score.
 //
 // Paper mapping:
 //

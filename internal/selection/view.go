@@ -114,6 +114,32 @@ func ReadsHistory(p Policy) bool {
 	return !ok || !hb.IgnoresHistory()
 }
 
+// ageScorer is the second optional marker: a Policy implements it to
+// declare that its Score reads nothing but Observed.Age clamped to
+// [0, AcceptHorizon()], so that it gives the same result, bit for bit,
+// for every View and Context whose age clamps alike (ScoreTable).
+type ageScorer interface{ ScoresClampedAge() bool }
+
+// ScoreTable returns a policy's Score as a table over the clamped age:
+// L+1 entries, L = p.AcceptHorizon(), whose entry clamp(a) — clamp as
+// in AcceptTable — is p.Score itself on a View of age a, for a policy
+// that declares (via a `ScoresClampedAge() bool` method) that its
+// Score reads that and nothing else. A policy without the declaration,
+// and any wrapper that does not forward it, gets nil: the caller scores
+// through Score. maintenance's sampling loop reads its accepted
+// candidates' scores from the table, beside the acceptance it reads
+// from AcceptTable at the same clamped ages.
+func ScoreTable(p Policy) []float64 {
+	if as, ok := p.(ageScorer); !ok || !as.ScoresClampedAge() {
+		return nil
+	}
+	tab := make([]float64, p.AcceptHorizon()+1)
+	for a := range tab {
+		tab[a] = p.Score(Context{}, View{Observed: Observed{Age: int64(a)}})
+	}
+	return tab
+}
+
 // AcceptTable returns a policy's acceptance as a table over two ages:
 // 2L+1 entries, L = p.AcceptHorizon(), whose entry
 //

@@ -3,6 +3,7 @@ package selection
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"p2pbackup/internal/monitor"
@@ -316,5 +317,64 @@ func TestAgeAccepterMatchesAcceptProb(t *testing.T) {
 	}
 	if keyed == 0 || all == 0 {
 		t.Fatalf("%d policies with a horizon, %d accepting everyone: the paper's must have one, and the baselines accept everyone", keyed, all)
+	}
+}
+
+// uptimeHistory is a history whose every query answers the same
+// fraction.
+type uptimeHistory float64
+
+func (h uptimeHistory) Uptime(int64, int64) float64 { return float64(h) }
+
+// TestScoreTableIsTheScore holds every registered spec's ScoreTable to
+// its word: a policy that declares ScoresClampedAge has a table of L+1
+// entries whose entry clamp(age) is Score itself, bit for bit, for ages
+// in [−3, L+3] on Views and Contexts that carry random Oracle truths,
+// histories and rounds beside the age. Every other policy, and a
+// wrapper that only embeds a declaring one, has no table.
+func TestScoreTableIsTheScore(t *testing.T) {
+	declares := map[string]bool{"age": true, "random": true}
+	r := rng.New(5)
+	tables := 0
+	for _, spec := range append(Names(), "age:L=1", "age:L=24") {
+		for _, d := range []Defaults{{}, {Horizon: 48}} {
+			pol, err := ParseWith(spec, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := ScoreTable(pol)
+			if wrapped := ScoreTable(struct{ Policy }{pol}); wrapped != nil {
+				t.Fatalf("%s: a wrapper that embeds the policy has a score table", pol.Name())
+			}
+			name, _, _ := strings.Cut(spec, ":")
+			if !declares[name] {
+				if tab != nil {
+					t.Fatalf("%s: a score table, but only %v declare one", pol.Name(), declares)
+				}
+				continue
+			}
+			tables++
+			L := pol.AcceptHorizon()
+			if int64(len(tab)) != L+1 {
+				t.Fatalf("%s: horizon %d, a score table of %d entries", pol.Name(), L, len(tab))
+			}
+			for age := int64(-3); age <= L+3; age++ {
+				ctx := Context{Round: int64(r.Intn(1 << 20))}
+				v := View{
+					Observed: Observed{Age: age, History: uptimeHistory(r.Float64())},
+					Oracle:   Oracle{Availability: r.Float64(), Remaining: int64(r.Intn(1<<30)) - 1<<29},
+				}
+				if r.Intn(4) == 0 {
+					v.Observed.History = nil
+				}
+				got, want := tab[min(max(age, 0), L)], pol.Score(ctx, v)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: age %d, its score table %v, Score %v", pol.Name(), age, got, want)
+				}
+			}
+		}
+	}
+	if tables == 0 {
+		t.Fatal("no registered policy has a score table")
 	}
 }

@@ -34,8 +34,8 @@ const calBuckets = 1 << 13
 
 // calNode is one scheduled wake — a slot and the round it is due —
 // linked into its bucket's list. Nodes live in the calendar's shared
-// arena and are recycled through a freelist when drained, so pushes
-// allocate only when the arena's all-time high-water mark grows
+// arena and their indices are recycled through a stack when drained, so
+// pushes allocate only when the arena's all-time high-water mark grows
 // (amortised to ~zero once the wheel is warm), where per-bucket slices
 // kept reallocating through the wheel's entire first cycle.
 type calNode struct {
@@ -46,14 +46,23 @@ type calNode struct {
 
 // calendar is the bucket queue. The zero value is unusable; use
 // newCalendar.
+//
+// Recycled nodes are kept as a stack of arena indices, not as a list
+// threaded through the nodes' next fields: a push then pops its node
+// from the stack's end, one load from a line the previous push touched,
+// where following a list loads from a node recycled anywhere in the
+// arena, and the merge pushes thousands a round one after the other.
+// drain stacks the indices in the order it recycles them, so the nodes
+// come back last in, first out, as they did from the list, and every
+// arena index and bucket list is what the list made them.
 type calendar struct {
 	head  []int32 // per bucket: arena index of the list head, -1 = empty
 	arena []calNode
-	free  int32 // freelist head, -1 = empty
+	free  []int32 // recycled arena indices; push pops the end
 }
 
 func newCalendar() *calendar {
-	c := &calendar{head: make([]int32, calBuckets), free: -1}
+	c := &calendar{head: make([]int32, calBuckets)}
 	for i := range c.head {
 		c.head[i] = -1
 	}
@@ -64,9 +73,9 @@ func newCalendar() *calendar {
 // slot are tolerated (drain drops them via the sched check).
 func (c *calendar) push(slot int32, round int64) {
 	b := round & (calBuckets - 1)
-	idx := c.free
-	if idx >= 0 {
-		c.free = c.arena[idx].next
+	var idx int32
+	if n := len(c.free) - 1; n >= 0 {
+		idx, c.free = c.free[n], c.free[:n]
 	} else {
 		idx = int32(len(c.arena))
 		c.arena = append(c.arena, calNode{})
@@ -95,8 +104,7 @@ func (c *calendar) drain(round int64, sched []int64, out []int32) []int32 {
 			if n.round == round && sched[n.slot] == round {
 				out = append(out, n.slot)
 			}
-			n.next = c.free // due or stale: recycle
-			c.free = idx
+			c.free = append(c.free, idx) // due or stale: recycle
 		}
 		idx = next
 	}

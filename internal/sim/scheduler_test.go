@@ -177,6 +177,126 @@ func TestCalendarDrainMatchesSched(t *testing.T) {
 	if len(due) != 1 || due[0] != 3 {
 		t.Fatalf("drain(%d) = %v, want [3]", 100+calBuckets, due)
 	}
+
+	// Seeded random runs over several wraps of the wheel: slots are
+	// rescheduled later (leaving stale entries), earlier, and more than
+	// a wheel's width out, as the engine does, and every round's drain
+	// must yield exactly the slots a plain scan of sched finds due.
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := rng.New(seed)
+		const n = 97
+		c := newCalendar()
+		sched := make([]int64, n)
+		later := func(round int64) int64 {
+			if r.Intn(8) == 0 {
+				return round + 1 + int64(r.Intn(3*calBuckets))
+			}
+			return round + 1 + int64(r.Intn(40))
+		}
+		for i := range sched {
+			sched[i] = later(0)
+			c.push(int32(i), sched[i])
+		}
+		var got, want []int32
+		for round := int64(1); round <= 4*calBuckets; round++ {
+			got = c.drain(round, sched, got[:0])
+			slices.Sort(got)
+			got = slices.Compact(got) // a slot moved away and back has two entries
+			want = want[:0]
+			for i, at := range sched {
+				if at == round {
+					want = append(want, int32(i))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, round %d: drained %v, sched has %v due", seed, round, got, want)
+			}
+			for _, slot := range want {
+				sched[slot] = later(round)
+				c.push(slot, sched[slot])
+			}
+			for k := r.Intn(3); k > 0; k-- { // reschedule a waiting slot
+				slot := r.Intn(n)
+				sched[slot] = later(round)
+				c.push(int32(slot), sched[slot])
+			}
+		}
+	}
+}
+
+// TestCalendarWarmAllocatesNothing: once the arena and the stack of
+// recycled nodes have reached the population's high-water mark, a
+// round's drain and the pushes that follow it allocate nothing.
+func TestCalendarWarmAllocatesNothing(t *testing.T) {
+	const n = 1000
+	c := newCalendar()
+	sched := make([]int64, n)
+	for i := range sched {
+		sched[i] = int64(1 + i%97)
+		c.push(int32(i), sched[i])
+	}
+	round := int64(0)
+	var due []int32
+	step := func() {
+		round++
+		due = c.drain(round, sched, due[:0])
+		for _, slot := range due {
+			sched[slot] = round + int64(1+slot%97)
+			c.push(slot, sched[slot])
+		}
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("a warm calendar's round allocates %v times", allocs)
+	}
+}
+
+// BenchmarkCalendar measures the calendar at the paper's scale: 25 000
+// slots, each due again 1 to 30 rounds after it wakes, so that about
+// 1 500 wake a round, except one slot in sixteen, whose timer is a
+// wheel's width or more out, so that buckets carry entries a drain
+// passes over, as long timers do. An iteration is one round: the drain
+// and the pushes that reschedule what it woke. ns/wake is the
+// iteration's cost per woken slot.
+func BenchmarkCalendar(b *testing.B) {
+	const n = 25000
+	r := rng.New(1)
+	c := newCalendar()
+	sched := make([]int64, n)
+	next := func(slot int32, round int64) int64 {
+		if slot%16 == 0 {
+			return round + calBuckets + int64(r.Intn(calBuckets))
+		}
+		return round + 1 + int64(r.Intn(30))
+	}
+	for i := range sched {
+		sched[i] = next(int32(i), 0)
+		c.push(int32(i), sched[i])
+	}
+	round := int64(0)
+	var due []int32
+	step := func() int {
+		round++
+		due = c.drain(round, sched, due[:0])
+		for _, slot := range due {
+			sched[slot] = next(slot, round)
+			c.push(slot, sched[slot])
+		}
+		return len(due)
+	}
+	for i := 0; i < 3*calBuckets; i++ { // past the long timers' first due
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	wakes := 0
+	for i := 0; i < b.N; i++ {
+		wakes += step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(wakes, 1)), "ns/wake")
+	b.ReportMetric(float64(wakes)/float64(b.N), "wakes/round")
 }
 
 // TestQuiescentPopulationIdles: with immortal always-online peers the
