@@ -207,26 +207,40 @@ func BenchmarkQuiescentRound(b *testing.B) {
 // nodes and the age policy's score table, parent → change, both built
 // in one session on the 2-core reference box, ten interleaved pairs at
 // -benchtime 2000x, medians: 3.28 → 2.97 ms/op (parent IQR 0.16, ten
-// pairs won), 3689 → 3693 B/peer, 5534 → 5649 B/op, and 1 allocs/op on
-// both: the walk re-installs the Maintainer's wake hook as a method
-// value every round, and that allocates.
+// pairs won), 3689 → 3693 B/peer, 5534 → 5649 B/op.
+//
+// The shards=2 arm times the engine on both cores. Session flips staged
+// in the walk and committed in one pass by the merge, with the wake
+// hook bound once, parent → change, both built in one session on the
+// 2-core reference box, ten interleaved pairs at -benchtime 2000x,
+// medians [quartiles]: shards=1 3.66 [3.28, 4.11] → 3.56 [3.14, 3.95]
+// ms/op (6 pairs won: at one shard the flip loop only moves from the
+// merge to the walk), 3693 → 3698 B/peer, 5649 → 5633 B/op, 1 → 0
+// allocs/op; shards=2 2.46 [2.33, 2.98] → 2.19 [2.05, 2.36] ms/op (8
+// pairs won), 3700 → 3709 B/peer, about 6500 B/op on both, 7 → 6
+// allocs/op (the rest are the goroutines eachShard starts).
 func BenchmarkChurnRound(b *testing.B) {
-	cfg := sim.DefaultConfig() // the paper's 25,000 peers
-	const warmup = 2600
-	cfg.Rounds = int64(b.N) + warmup
-	base := liveHeap()
-	s, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < warmup; i++ {
-		s.StepRound()
-	}
-	perPeer := bytesPerPeer(base, cfg.NumPeers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.ReportMetric(perPeer, "B/peer")
-	for s.StepRound() {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cfg := sim.DefaultConfig() // the paper's 25,000 peers
+			cfg.Shards = shards
+			const warmup = 2600
+			cfg.Rounds = int64(b.N) + warmup
+			base := liveHeap()
+			s, err := sim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < warmup; i++ {
+				s.StepRound()
+			}
+			perPeer := bytesPerPeer(base, cfg.NumPeers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.ReportMetric(perPeer, "B/peer")
+			for s.StepRound() {
+			}
+		})
 	}
 }
 

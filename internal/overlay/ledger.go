@@ -124,12 +124,13 @@ func (p placement) unmetered() bool { return p&unmeteredBit != 0 }
 // Watcher receives threshold-crossing notifications from the ledger's
 // incremental counters. The ledger calls it synchronously from inside
 // SetOnline, RemoveHost, RemovePeer, DropOwner and DropPlacementAt, at
-// the exact moment a counter crosses below its configured threshold —
-// this is what lets the maintenance layer keep an incrementally
-// maintained set of peers with pending work instead of polling every
-// peer every round. Callbacks must not mutate the ledger (the
-// notifying operation is still in flight) and must be cheap: one fires
-// per crossing, on the simulation hot path.
+// the exact moment a counter crosses below its configured threshold,
+// and from CommitFlips once per owner a committed batch of flips took
+// below it — this is what lets the maintenance layer keep an
+// incrementally maintained set of peers with pending work instead of
+// polling every peer every round. Callbacks must not mutate the ledger
+// (the notifying operation is still in flight) and must be cheap: one
+// fires per crossing, on the simulation hot path.
 type Watcher interface {
 	// VisibleBelow fires when owner's visible-block count crosses from
 	// >= the visible threshold to below it (the repair trigger of the
@@ -227,8 +228,11 @@ func (l *Ledger) Reserve(ownerCap, hostCap int) {
 // Watch registers the threshold-crossing watcher: VisibleBelow fires
 // when an owner's visible count crosses below visibleThr, AliveBelow
 // when its alive count crosses below aliveThr. Crossings are edge-
-// triggered per decrement (each >=thr -> <thr transition fires exactly
-// once); increments never fire. A nil watcher disables notifications.
+// triggered: a single operation fires once per decrement that takes a
+// count from >=thr to <thr, and CommitFlips fires once per owner whose
+// count the whole batch took from >=thr to <thr, net of the batch's
+// increments. Increments never fire. A nil watcher disables
+// notifications.
 func (l *Ledger) Watch(w Watcher, visibleThr, aliveThr int32) {
 	l.watcher = w
 	l.visThr = visibleThr
@@ -388,10 +392,11 @@ func (l *Ledger) DropPlacementAt(owner PeerID, idx int) error {
 }
 
 // SetOnline flips a host's session state, updating every affected
-// owner's visible counter. Cost: O(blocks hosted). This is the
-// session-churn hot loop — the threshold compare is inlined rather
-// than calling noteVisibleDec so the no-watcher and no-crossing cases
-// stay branch-only.
+// owner's visible counter. Cost: O(blocks hosted). The threshold
+// compare is inlined rather than calling noteVisibleDec so the
+// no-watcher and no-crossing cases stay branch-only. A caller flipping
+// many hosts at once from several goroutines stages them through
+// StageOnline instead.
 func (l *Ledger) SetOnline(host PeerID, online bool) {
 	if l.check(host) != nil {
 		return
@@ -423,6 +428,87 @@ func (l *Ledger) SetOnline(host PeerID, online bool) {
 			l.watcher.VisibleBelow(PeerID(o))
 		}
 	}
+}
+
+// Flips is a batch of session flips staged against a ledger that
+// nothing mutates meanwhile: the flipped hosts, and the net change the
+// flips make to each owner's visible counter. The zero value is an
+// empty batch. Goroutines stage into batches of their own at once
+// through StageOnline; CommitFlips applies them all.
+type Flips struct {
+	hosts []PeerID
+	delta []int32 // per owner, NumPeers entries once a flip is staged
+}
+
+// StageOnline stages SetOnline(host, online) into f instead of applying
+// it: +1 (online) or −1 at the owner of every block host stores. It
+// only reads the ledger. A host already in the state is not staged,
+// as SetOnline leaves it alone; a host is staged at most once over the
+// batches committed together. Cost: O(blocks hosted), the staging loop
+// of the session-churn hot path.
+func (l *Ledger) StageOnline(f *Flips, host PeerID, online bool) {
+	if !l.valid(host) || l.online[host] == online {
+		return
+	}
+	if len(f.delta) != len(l.visible) {
+		f.delta = make([]int32, len(l.visible))
+	}
+	f.hosts = append(f.hosts, host)
+	rev := l.rev[host]
+	delta := f.delta
+	sp := l.split
+	if online {
+		for _, e := range rev {
+			delta[sp.ownerSlot(e)]++
+		}
+		return
+	}
+	for _, e := range rev {
+		delta[sp.ownerSlot(e)]--
+	}
+}
+
+// CommitFlips applies staged batches as one step and empties them: each
+// staged host takes its new session state, the deltas fold into the
+// visible counters, and VisibleBelow fires once for each owner whose
+// count went from >= the threshold before the commit to below it after.
+// The counters end as the batches' flips applied one by one through
+// SetOnline would leave them. Cost: O(batches × NumPeers) when any
+// flip is staged, nothing otherwise.
+func (l *Ledger) CommitFlips(batches []Flips) {
+	var acc []int32
+	for i := range batches {
+		f := &batches[i]
+		if len(f.hosts) == 0 {
+			continue
+		}
+		for _, h := range f.hosts {
+			l.online[h] = !l.online[h]
+		}
+		f.hosts = f.hosts[:0]
+		if acc == nil {
+			acc = f.delta
+			continue
+		}
+		for o, d := range f.delta {
+			acc[o] += d
+		}
+		clear(f.delta)
+	}
+	if acc == nil {
+		return
+	}
+	vis := l.visible[:len(acc)]
+	thr := l.visThr
+	w := l.watcher
+	for o, d := range acc {
+		before := vis[o]
+		vis[o] = before + d
+		if before >= thr && before+d < thr && w != nil {
+			w.VisibleBelow(PeerID(o))
+		}
+	}
+	clear(acc)
 }
 
 // Online reports a host's session state.

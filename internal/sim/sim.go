@@ -201,6 +201,12 @@ type Simulation struct {
 	// shard (see walk.go).
 	streams []rng.Rand
 	workers []worker
+	flips   []overlay.Flips // per shard: the walk's staged session flips
+
+	// wake is the Maintainer's wake hook, s.requestVisit bound once:
+	// the walk detaches it and re-installs it every round, and a method
+	// value built there would allocate each time.
+	wake func(overlay.PeerID)
 
 	// phases accumulates the per-phase wall-time breakdown; recording
 	// is active only when Config.PhaseTimes is set (see phasetime.go).
@@ -228,7 +234,9 @@ func New(cfg Config) (*Simulation, error) {
 		visitQ:   newVisitQueue(cfg.NumPeers),
 		streams:  make([]rng.Rand, cfg.NumPeers),
 		workers:  make([]worker, max(cfg.Shards, 1)),
+		flips:    make([]overlay.Flips, max(cfg.Shards, 1)),
 	}
+	s.wake = s.requestVisit
 	// Preallocate the adjacency at its steady-state high-water mark so
 	// the placement hot path never grows a slice: n blocks per owner,
 	// quota per host plus one unmetered block per observer.
@@ -241,6 +249,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	for i := range s.workers {
 		s.workers[i].ws = maintenance.NewWorkspace(slots)
+		s.workers[i].flips = &s.flips[i]
 	}
 	names := make([]string, len(cfg.Observers))
 	for i, o := range cfg.Observers {
@@ -273,7 +282,7 @@ func New(cfg Config) (*Simulation, error) {
 		UploadBudgetPerRound: cfg.UploadBudgetPerRound,
 		RepairDelay:          cfg.RepairDelay,
 	}, s.led, s.tab, cfg.policy, (*simEnv)(s))
-	s.maint.SetWake(s.requestVisit)
+	s.maint.SetWake(s.wake)
 	if cfg.redundancy != nil {
 		// The fixed shape allocates nothing and draws nothing: fixed-n
 		// runs never see the redundancy stream

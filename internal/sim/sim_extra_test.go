@@ -269,3 +269,31 @@ func TestBlockConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestQuiescentRoundAllocatesNothing: once the initial uploads of a
+// population of immortal, always-online peers have drained, a round on
+// one shard allocates nothing. The walk re-installs the Maintainer's
+// wake hook every round; a method value built there would allocate each
+// time. (Sharded rounds that visit any slot start one goroutine per
+// busy shard, and those allocate.)
+func TestQuiescentRoundAllocatesNothing(t *testing.T) {
+	profiles, err := churn.NewProfileSet([]churn.Profile{
+		{Name: "immortal", Proportion: 1, Availability: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.Profiles = profiles
+	cfg.AvailSpec = "always-online"
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 16 { // the initial uploads complete in a few rounds
+		s.StepRound()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.StepRound() }); allocs != 0 {
+		t.Errorf("a warm quiescent round allocates %v times", allocs)
+	}
+}

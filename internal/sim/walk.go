@@ -10,14 +10,17 @@
 //     peer record and join round, availability history, timers,
 //     scheduler link class and maintenance peerState — all owned
 //     exclusively by the slot's shard. Every shared-state effect (ledger
-//     membership and session flips, transfer aborts/suspends, redundancy
-//     resets, probe events) is recorded in the shard's effect log
-//     instead.
-//   - The merge applies the effect logs at the round barrier in
-//     canonical (shard index, log order) order — which, because visits
-//     are partitioned in ascending slot order, is ascending slot order
-//     globally. Watcher crossings, quota releases and probe events
-//     therefore fire in one deterministic sequence.
+//     membership, transfer aborts/suspends, redundancy resets, probe
+//     events) is recorded in the shard's effect log instead, except a
+//     session flip's ledger half: the shard stages it into its own flip
+//     batch (Ledger.StageOnline), which only reads the ledger.
+//   - The merge commits every shard's staged flips in one pass
+//     (Ledger.CommitFlips), then applies the effect logs at the round
+//     barrier in canonical (shard index, log order) order — which,
+//     because visits are partitioned in ascending slot order, is
+//     ascending slot order globally. Watcher crossings, quota releases
+//     and probe events therefore fire in one deterministic sequence;
+//     the commit's crossings are net over the whole batch.
 //   - Maintenance splits into a plan phase (each shard plans its own
 //     online actors against the frozen post-merge round state, drawing
 //     from the owners' slot streams — see maintenance.PlanStep) and a
@@ -64,8 +67,9 @@ const (
 	// effJoin is the replacement (or initial) identity going live:
 	// ledger session state and the join/online churn events.
 	effJoin
-	// effFlip is a session toggle: ledger session state, the churn
-	// event and the transfer suspend/resume.
+	// effFlip is a session toggle: the churn event and the transfer
+	// suspend/resume. Its ledger half is staged in the worker's flip
+	// batch, which the merge commits ahead of the log.
 	effFlip
 	// effHardLoss is a detected permanent archive loss: the owner's
 	// transfer aborts, the ledger release of the surviving placements,
@@ -98,12 +102,13 @@ type calPush struct {
 }
 
 // worker is one shard's accumulator for a round: its segment of the
-// walk set, the effect log, the slots to re-visit next round, the
-// deferred calendar pushes, the shard's online actors with their
-// planning scratch, and the population deltas folded into the canonical
-// counters at the merge.
+// walk set, its staged session flips, the effect log, the slots to
+// re-visit next round, the deferred calendar pushes, the shard's online
+// actors with their planning scratch, and the population deltas folded
+// into the canonical counters at the merge.
 type worker struct {
 	seg      []int32
+	flips    *overlay.Flips // the shard's staged session flips: s.flips[i]
 	effects  []effect
 	visits   []int32
 	cal      []calPush
@@ -209,7 +214,7 @@ func (s *Simulation) stepRound() {
 	// re-installed.
 	s.maint.SetWake(nil)
 	s.eachShard((*Simulation).walkShard)
-	s.maint.SetWake(s.requestVisit)
+	s.maint.SetWake(s.wake)
 	s.phaseLap(&s.phases.Walk, &pt)
 
 	s.merge(round)
@@ -404,10 +409,17 @@ func (s *Simulation) initPeer(w *worker, id overlay.PeerID, round int64, profile
 	s.effect(w, round, effect{kind: effJoin, id: int32(id), prof: int32(prof), online: p.online})
 }
 
-// setOnline flips a population peer's session state.
+// setOnline flips a population peer's session state. A worker stages
+// the ledger half into its shard's flip batch, which the merge commits
+// before any logged effect; a sequential phase applies it at once.
 func (s *Simulation) setOnline(w *worker, round int64, id overlay.PeerID, p *peer, online bool) {
 	p.online = online
 	s.recordSession(round, id, online)
+	if w != nil {
+		s.led.StageOnline(w.flips, id, online)
+	} else {
+		s.led.SetOnline(id, online)
+	}
 	s.effect(w, round, effect{kind: effFlip, id: int32(id), prof: p.profile, online: online})
 }
 
@@ -440,11 +452,24 @@ func (s *Simulation) effect(w *worker, round int64, e effect) {
 	w.effects = append(w.effects, e)
 }
 
-// merge applies the round's deferred effects in canonical (shard, log)
-// order — ascending slot order globally, since visits are partitioned
-// ascending. Watcher crossings fired here arm slots through the
-// re-installed wake hook into next round's walk.
+// merge commits the round's staged session flips, then applies its
+// deferred effects in canonical (shard, log) order — ascending slot
+// order globally, since visits are partitioned ascending. Watcher
+// crossings fired here arm slots through the re-installed wake hook
+// into next round's walk.
+//
+// Committing every flip first leaves the ledger's counters exactly as
+// applying each flip at its place in the log would: an owner that dies
+// or loses its archive this round takes its flip deltas and then
+// DropOwner zeroes its count; a dying host never flips in the round it
+// dies, since its replacement's toggle is at least a round later; and a
+// replacement's join finds its reverse list emptied by RemoveHost.
+// Crossings are net over the batch: an owner that would have dipped
+// below k′ and recovered inside the merge is not armed, which is sound
+// because the armed set already holds every slot whose WantsStep is
+// true.
 func (s *Simulation) merge(round int64) {
+	s.led.CommitFlips(s.flips)
 	for i := range s.workers {
 		w := &s.workers[i]
 		s.deaths += w.deaths
@@ -489,7 +514,8 @@ func (s *Simulation) applyEffect(round int64, e effect) {
 			s.emitChurn(round, id, churn.EvOffline, int(e.prof))
 		}
 	case effFlip:
-		s.led.SetOnline(id, e.online)
+		// The ledger half was committed already (see merge) or, on a
+		// sequential phase, applied by setOnline.
 		kind := churn.EvOffline
 		if e.online {
 			kind = churn.EvOnline
