@@ -299,8 +299,11 @@ func BenchmarkDurability(b *testing.B) {
 // BenchmarkAdaptiveTarget measures one adaptive sizing decision: the
 // default policy bound at the paper's shape (128, 148, 256), a
 // full-size archive, availability 0.50...0.95 — the harness's
-// redundancy.target_us probe. One decision is MinBlocksFor's bisection
-// of [148, 256]: about eight tails, none of them allocating.
+// redundancy.target_us probe. One decision is two binary searches of
+// the availability bands Bind built and, at most of these availabilities,
+// no tail at all: 23 ns, median of ten pairs interleaved with the
+// bisection of [148, 256] it replaced (about eight tails, 1 059 ns), on
+// a 2-core Xeon VM. None of it allocates.
 func BenchmarkAdaptiveTarget(b *testing.B) {
 	pol, err := redundancy.Parse("adaptive")
 	if err != nil {
@@ -849,7 +852,11 @@ func uptimeHistory(b *testing.B, transitions int) *monitor.IntervalHistory {
 // BenchmarkUptime measures the windowed availability query across
 // transition densities: the prefix-summed binary search must stay flat
 // where the old segment walk grew linearly. Reported with -benchmem:
-// queries are read-only and must not allocate.
+// queries are read-only and must not allocate. Every query's now end
+// lies past the newest transition, as the simulator's do, and is
+// answered without a search: medians of ten interleaved pairs against
+// searching both ends, 2-core Xeon VM, 15.9 → 11.3 ns at 4 transitions,
+// 24.2 → 14.1 at 32, 36.1 → 21.1 at 256 and 75.8 → 52.6 at 2048.
 func BenchmarkUptime(b *testing.B) {
 	for _, transitions := range []int{4, 32, 256, 2048} {
 		h := uptimeHistory(b, transitions)

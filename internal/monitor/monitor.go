@@ -226,9 +226,15 @@ func (h *IntervalHistory) countAtOrBefore(x int64) int {
 }
 
 // onlineBefore returns the cumulative online rounds in
-// [first stored transition, x), from the prefix sums.
+// [first stored transition, x), from the prefix sums. An x at or past
+// the newest stored transition — Uptime's now end, as the simulator
+// asks it — is answered from that transition without a search. The
+// history must hold a transition.
 func (h *IntervalHistory) onlineBefore(x int64) int64 {
-	idx := h.countAtOrBefore(x)
+	idx := h.n
+	if x < h.round(h.at(h.n-1)) {
+		idx = h.countAtOrBefore(x)
+	}
 	if idx == 0 {
 		return 0
 	}

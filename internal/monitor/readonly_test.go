@@ -360,3 +360,65 @@ func TestBitHistoryPopcountMatchesBitLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestUptimeNowAtNewestTransition pins the query Uptime's now end
+// answers without a search: now at the round of the newest stored
+// transition, just after it and just before it, among them a now whose
+// round saw a flip and a flip back (the history then stores an older
+// transition as its newest). Each answer is held to the naive history
+// and, over the rounds before now, to a BitHistory fed the same states.
+func TestUptimeNowAtNewestTransition(t *testing.T) {
+	r := rng.New(53)
+	const window = 64
+	for trial := 0; trial < 200; trial++ {
+		iv := NewIntervalHistory(window)
+		ref := &naiveHistory{window: window}
+		bit := NewBitHistory(window)
+		online := r.Bool(0.5)
+		record := func(round int64, on bool) {
+			if err := iv.RecordTransition(round, on); err != nil {
+				t.Fatal(err)
+			}
+			ref.record(round, on)
+		}
+		check := func(round int64) {
+			t.Helper()
+			for _, now := range []int64{round - 1, round, round + 1} {
+				for _, n := range []int64{1, 2, 7, window / 2, window, window + 5} {
+					if now-min(n, window) < round-window {
+						continue // recording at round pruned what came before its window
+					}
+					if got, want := iv.Uptime(now, n), ref.uptime(now, n); got != want {
+						t.Fatalf("trial %d: Uptime(%d, %d) = %v, naive %v (newest transition at %d)",
+							trial, now, n, got, want, round)
+					}
+				}
+			}
+			// The bit history holds the rounds before round.
+			for _, n := range []int64{1, 3, window / 3, window} {
+				got, want := iv.Uptime(round, n), bit.Uptime(int(n))
+				if math.Abs(got-want) > 1e-12 {
+					t.Fatalf("trial %d: Uptime(%d, %d) = %v, bit history %v", trial, round, n, got, want)
+				}
+			}
+		}
+		record(0, online)
+		round := int64(0)
+		for step := 0; step < 60; step++ {
+			next := round + 1 + int64(r.Intn(9))
+			for ; round < next; round++ {
+				if err := bit.Record(round, online); err != nil {
+					t.Fatal(err)
+				}
+			}
+			online = !online
+			record(round, online)
+			if r.Bool(0.3) { // a flip back in the same round
+				record(round, !online)
+				check(round)
+				record(round, online)
+			}
+			check(round)
+		}
+	}
+}

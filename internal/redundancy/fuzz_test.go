@@ -66,12 +66,14 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzTargetMatchesLinearScan holds the bisection behind Adaptive.Target
-// and MinBlocksFor to the linear scan it replaced (oracle_test.go) on
-// arbitrary code shapes, bounds, targets and availabilities — NaN, the
-// infinities and values outside [0, 1] included. The seed below is the
-// paper's shape at its measured availability; testdata holds the rest,
-// among them targets set at a computed tail (seed-slack-*), where the
-// estimate falls inside the slack and the pinned sum decides.
+// and MinBlocksFor, and the bands Target starts it from, to the linear
+// scan it replaced (oracle_test.go) on arbitrary code shapes, bounds,
+// targets and availabilities — NaN, the infinities and values outside
+// [0, 1] included. The seed below is the paper's shape at its measured
+// availability; testdata holds the rest, among them targets set at a
+// computed tail (seed-slack-*), where the estimate falls inside the
+// slack and the pinned sum decides, and availabilities at a band edge
+// of the paper's shape and one float either side (seed-band-*).
 func FuzzTargetMatchesLinearScan(f *testing.F) {
 	f.Add(uint16(127), uint16(20), uint16(107), uint16(0), uint16(0), uint8(6), uint16(52), 0.86, 0.99999)
 	f.Fuzz(func(t *testing.T, k, slack, extra, minOff, maxOff uint16, hyst uint8, cur uint16, p, target float64) {

@@ -16,8 +16,10 @@
 // so the configured repair cushion k'-k stays intact at every n(t).
 // MinBlocksFor turns the tail into a size — the smallest n that holds a
 // target probability, found by a bisection that returns exactly what a
-// scan over n would — and the upload cost of a grow decision is priced
-// by costmodel.ParityUploadCost.
+// scan over n would; a bound Adaptive starts that search from
+// availability bands it builds once (bands.go), so a routine decision
+// compares no tail at all — and the upload cost of a grow decision is
+// priced by costmodel.ParityUploadCost.
 //
 // Policies resolve through Parse, in the spec-string grammar selection
 // shares (package spec):
@@ -174,11 +176,22 @@ func MinBlocksFor(lo, hi, k int, p, target float64) int {
 // minBlocks is MinBlocksFor, also reporting how many tails it compared
 // with a threshold and for how many of those it ran the pinned sum.
 func minBlocks(lo, hi, k int, p, target float64) (n, probes, sums int) {
+	return minBlocksSlack(lo, hi, k, p, target, tailSlack(max(hi, 0)))
+}
+
+// minBlocksSlack is minBlocks with the slack given: any slack of at
+// least tailSlack(hi) keeps the answer the scan's. Adaptive.Target
+// searches a bracket inside [Min, Max] with tailSlack(Max), the slack
+// its bands certify against, so that the bracket asks each tail the
+// same question the whole range would.
+func minBlocksSlack(lo, hi, k int, p, target, slack float64) (n, probes, sums int) {
+	if lo >= hi {
+		return lo, 0, 0 // what the scan returns without a comparison
+	}
 	if math.IsNaN(p) {
-		return max(lo, hi), 0, 0
+		return hi, 0, 0
 	}
 	lp, lq := math.Log(p), math.Log1p(-p) // once per decision, not per n
-	slack := tailSlack(max(hi, 0))
 	below := func(n int, thr float64) bool {
 		probes++
 		if k <= 0 || n < k || p <= 0 || p >= 1 {
@@ -301,6 +314,9 @@ type Adaptive struct {
 	// kprime is the code shape's repair threshold, recorded at Bind; it
 	// is what Target sizes archives against.
 	kprime int
+	// bands are the availability edges of sizing against kprime, built
+	// at Bind; nil where they do not apply (see newBands).
+	bands *bands
 }
 
 // Bind resolves the policy against a code shape (k data blocks, repair
@@ -328,6 +344,7 @@ func (a *Adaptive) Bind(k, kprime, n int) (*Adaptive, error) {
 		return nil, err
 	}
 	b.kprime = kprime
+	b.bands = newBands(b.Min, b.Max, kprime, b.TargetDurability)
 	return &b, nil
 }
 
@@ -358,7 +375,8 @@ func (a *Adaptive) validate(k, n int) error {
 
 // Target returns the archive's desired block count: the smallest n(t)
 // in [Min, Max] holding at least k' available blocks with probability
-// TargetDurability at the observed availability, with shrink
+// TargetDurability at the observed availability — what MinBlocksFor
+// answers, found from the bands Bind built (see need) — with shrink
 // hysteresis. Growing is any return above obs.Current; shrinking below
 // it. Without a measurement to size from — a policy that was never
 // bound to a code shape, or a non-finite availability — the target
@@ -371,7 +389,7 @@ func (a *Adaptive) Target(obs Observation) int {
 	if thr < obs.DataBlocks {
 		thr = obs.DataBlocks
 	}
-	need := MinBlocksFor(a.Min, a.Max, thr, obs.Availability, a.TargetDurability)
+	need, _, _ := a.need(thr, obs.Availability)
 	if need > obs.Current {
 		return need // grow immediately: durability is at stake
 	}
@@ -384,4 +402,19 @@ func (a *Adaptive) Target(obs Observation) int {
 		return need
 	}
 	return obs.Current
+}
+
+// need is MinBlocksFor(Min, Max, thr, p, TargetDurability), also
+// reporting minBlocks's counts. Where the bands apply — sizing against
+// k' at an availability in (0, 1) — the search starts from the bracket
+// they leave undecided, usually zero or one n wide, instead of [Min,
+// Max]; its answer is the same, since every n below the bracket is
+// certainly short of the target and its top certainly reaches it or is
+// Max.
+func (a *Adaptive) need(thr int, p float64) (n, probes, sums int) {
+	lo, hi := a.Min, a.Max
+	if a.bands != nil && thr == a.kprime && p > 0 && p < 1 {
+		lo, hi = a.bands.bracket(a.Min, p)
+	}
+	return minBlocksSlack(lo, hi, thr, p, a.TargetDurability, tailSlack(a.Max))
 }

@@ -277,3 +277,14 @@ func BenchmarkMinBlocksFor(b *testing.B) {
 		b.Fatal("no decision")
 	}
 }
+
+// BenchmarkBind binds the default policy to the paper's shape: almost
+// all of it is building the availability bands, 2 × 109 edges.
+func BenchmarkBind(b *testing.B) {
+	pol := &Adaptive{}
+	for b.Loop() {
+		if _, err := pol.Bind(128, 148, 256); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
