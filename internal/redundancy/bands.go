@@ -21,7 +21,9 @@ import "math"
 // lists are then lowered (lo) and raised (hi) to be non-increasing in
 // n, as the exact thresholds are, which only moves each edge further
 // into its side and lets Target find the undecided stretch of n with
-// two binary searches.
+// two binary searches. An n below k never holds k blocks, so its tail
+// is 0 at every availability: both its edges are 1, above every
+// availability the bands are consulted for.
 //
 // Built once at Bind and never written again, so concurrent simulations
 // share them without synchronisation.
@@ -46,7 +48,11 @@ func newBands(first, last, k int, target float64) *bands {
 	under, clears := target-slack-margin, target+margin
 	b := &bands{lo: make([]float64, last-first+1), hi: make([]float64, last-first+1)}
 	for i := range b.lo {
-		b.lo[i], b.hi[i] = edges(first+i, k, under, clears)
+		if n := first + i; n < k {
+			b.lo[i], b.hi[i] = 1, 1
+		} else {
+			b.lo[i], b.hi[i] = edges(n, k, under, clears)
+		}
 	}
 	for i := 1; i < len(b.lo); i++ {
 		b.lo[i] = math.Min(b.lo[i], b.lo[i-1])
@@ -68,44 +74,28 @@ const edgeULPs = 1 << 20
 // edges bisects the availabilities in [0, 1], by their bit patterns,
 // for a p at which tailEstimate(n, k, p) sits under under and one at
 // which it reaches clears, each within edgeULPs of where the estimate
-// crosses. The two searches share every probe until one lands between
-// the thresholds. An edge no p in (0, 1) certifies comes back as 0 (lo)
-// or 1 (hi), which no availability the bands are consulted for lies at
-// or beyond.
+// crosses. An edge no p in (0, 1) certifies comes back as 0 (lo) or 1
+// (hi), which no availability the bands are consulted for lies at or
+// beyond. hi's search starts at lo, where the estimate is under clears
+// too.
 func edges(n, k int, under, clears float64) (lo, hi float64) {
-	// lo's search keeps a0 certified (or 0) and a1 not; hi's keeps b1
-	// certified (or 1) and b0 not.
-	a0, a1 := uint64(0), math.Float64bits(1)
-	b0, b1 := a0, a1
-	estimate := func(bits uint64) float64 {
-		p := math.Float64frombits(bits)
-		return tailEstimate(n, k, p, math.Log(p), math.Log1p(-p))
-	}
-	for a0 == b0 && a1 == b1 && a1-a0 > edgeULPs {
-		mid := a0 + (a1-a0)/2
-		switch est := estimate(mid); {
-		case est < under:
-			a0, b0 = mid, mid
-		case est >= clears:
-			a1, b1 = mid, mid
-		default:
-			a1, b0 = mid, mid
+	// cross returns the last probe from the bit pattern from on at which
+	// the estimate is under thr, or from, and the first at which it is
+	// not, or 1.
+	cross := func(thr float64, from uint64) (below, above uint64) {
+		below, above = from, math.Float64bits(1)
+		for above-below > edgeULPs {
+			mid := below + (above-below)/2
+			if p := math.Float64frombits(mid); tailEstimate(n, k, p, math.Log(p), math.Log1p(-p)) < thr {
+				below = mid
+			} else {
+				above = mid
+			}
 		}
+		return below, above
 	}
-	for a1-a0 > edgeULPs {
-		if mid := a0 + (a1-a0)/2; estimate(mid) < under {
-			a0 = mid
-		} else {
-			a1 = mid
-		}
-	}
-	for b1-b0 > edgeULPs {
-		if mid := b0 + (b1-b0)/2; estimate(mid) >= clears {
-			b1 = mid
-		} else {
-			b0 = mid
-		}
-	}
+	a0, _ := cross(under, 0)
+	_, b1 := cross(clears, a0)
 	return math.Float64frombits(a0), math.Float64frombits(b1)
 }
 

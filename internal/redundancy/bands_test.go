@@ -13,12 +13,15 @@ import (
 	"testing"
 )
 
-// bandShapes are TestTargetMatchesLinearScan's shapes and targets.
+// bandShapes are TestTargetMatchesLinearScan's shapes and targets, and
+// one whose Min lies below k', as adaptive:min=140 puts it at the
+// paper's shape: its n below k' never hold k' blocks.
 var bandShapes = []struct{ k, kprime, n, min, max int }{
 	{16, 20, 32, 0, 0},
 	{16, 20, 32, 22, 30},
 	{128, 148, 256, 0, 0},
 	{128, 148, 256, 160, 240},
+	{128, 148, 256, 140, 0},
 }
 
 var bandTargets = []float64{0.9, 0.99999, 1 - 1e-12}
@@ -85,6 +88,12 @@ func checkBands(t *testing.T, a Adaptive) {
 		n := a.Min + i
 		if i > 0 && (lo[i] > lo[i-1] || hi[i] > hi[i-1]) {
 			t.Fatalf("n=%d: edges (%v, %v) rise from n-1's (%v, %v)", n, lo[i], hi[i], lo[i-1], hi[i-1])
+		}
+		if n < a.kprime {
+			if lo[i] != 1 || hi[i] != 1 {
+				t.Fatalf("n=%d below k'=%d: edges (%v, %v), want (1, 1)", n, a.kprime, lo[i], hi[i])
+			}
+			continue // no n below k' holds k' blocks: certified under everywhere
 		}
 		if !(lo[i] < hi[i]) {
 			t.Fatalf("n=%d: lo edge %v not under hi edge %v", n, lo[i], hi[i])
@@ -193,12 +202,14 @@ func TestBandsNeverCompareMore(t *testing.T) {
 }
 
 // FuzzBandsCertify holds the bands of arbitrary shapes 1 <= k <= k' < n
-// <= 400, bounds and targets to checkBands' certificate against the
-// pinned tail. Targets fold into [0, 1) as FuzzTargetMatchesLinearScan's
-// do; outside (0, 1) Bind refuses them.
+// <= 400, bounds (Min anywhere in (k, n], below k' too) and targets to
+// checkBands' certificate against the pinned tail. Shapes, bounds and
+// targets are drawn as FuzzTargetMatchesLinearScan draws them; outside
+// (0, 1) Bind refuses a target.
 func FuzzBandsCertify(f *testing.F) {
 	f.Add(uint16(127), uint16(20), uint16(107), uint16(0), uint16(0), 0.99999)
 	f.Add(uint16(127), uint16(20), uint16(107), uint16(12), uint16(92), 0.9)
+	f.Add(uint16(127), uint16(20), uint16(107), uint16(120), uint16(0), 0.95)
 	f.Add(uint16(15), uint16(4), uint16(11), uint16(0), uint16(0), 0.29650496574999263)
 	f.Add(uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), 1e-6)
 	f.Add(uint16(159), uint16(39), uint16(199), uint16(0), uint16(0), 1-1e-8)
@@ -211,7 +222,7 @@ func FuzzBandsCertify(f *testing.F) {
 		n := kprime + 1 + int(extra%200)
 		a := Adaptive{TargetDurability: target}
 		if minOff > 0 {
-			a.Min = kprime + int(minOff)%(n-kprime+1)
+			a.Min = shapeK + 1 + (kprime-shapeK-1+int(minOff))%(n-shapeK)
 		}
 		if maxOff > 0 {
 			a.Max = kprime + int(maxOff)%(n-kprime+1)

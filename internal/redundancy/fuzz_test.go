@@ -72,8 +72,10 @@ func FuzzParse(f *testing.F) {
 // [0, 1] included. The seed below is the paper's shape at its measured
 // availability; testdata holds the rest, among them targets set at a
 // computed tail (seed-slack-*), where the estimate falls inside the
-// slack and the pinned sum decides, and availabilities at a band edge
-// of the paper's shape and one float either side (seed-band-*).
+// slack and the pinned sum decides, availabilities at a band edge of
+// the paper's shape and one float either side (seed-band-*), and a Min
+// below k' at an availability where k' blocks of Min would hold the
+// target if Min were not below k' (seed-min-below-kprime).
 func FuzzTargetMatchesLinearScan(f *testing.F) {
 	f.Add(uint16(127), uint16(20), uint16(107), uint16(0), uint16(0), uint8(6), uint16(52), 0.86, 0.99999)
 	f.Fuzz(func(t *testing.T, k, slack, extra, minOff, maxOff uint16, hyst uint8, cur uint16, p, target float64) {
@@ -88,18 +90,23 @@ func FuzzTargetMatchesLinearScan(f *testing.F) {
 			return frac
 		}
 		p, target = fold(p), fold(target)
-		// A shape 1 <= k <= k' < n <= 400, bounds somewhere inside it.
+		// A shape 1 <= k <= k' < n <= 400, bounds somewhere inside it:
+		// Max in [k', n], Min in (k, n], k' + minOff for small offsets
+		// and wrapping round to below k' for large ones.
 		shapeK := 1 + int(k%160)
 		kprime := shapeK + int(slack%40)
 		n := kprime + 1 + int(extra%200)
 		a := Adaptive{TargetDurability: target, Hysteresis: int(hyst % 32)}
 		if minOff > 0 {
-			a.Min = kprime + int(minOff)%(n-kprime+1)
+			a.Min = shapeK + 1 + (kprime-shapeK-1+int(minOff))%(n-shapeK)
 		}
 		if maxOff > 0 {
 			a.Max = kprime + int(maxOff)%(n-kprime+1)
 		}
-		lo, hi := max(a.Min, kprime), n
+		lo, hi := kprime, n
+		if a.Min > 0 {
+			lo = a.Min
+		}
 		if a.Max > 0 {
 			hi = a.Max
 		}
