@@ -447,7 +447,7 @@ func supervisedBenchSpec() experiments.CampaignSpec {
 
 // BenchmarkSupervisedVariant measures one campaign variant executed
 // by the Runner's pool through the fault-tolerant process supervisor:
-// worker spawn, spec handshake, the simulation itself, and the JSON
+// worker spawn, config handshake, the simulation itself, and the JSON
 // result snapshot crossing the pipe. Against BenchmarkInProcessVariant the delta is the
 // full isolation overhead a supervised campaign pays per variant. The
 // worker is this test binary with -worker appended, as p2psim re-execs

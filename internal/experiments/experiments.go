@@ -15,10 +15,9 @@
 // Every built-in campaign is declared once, in the campaign table
 // (table.go): its constructor, and the data files it writes, each a
 // list of columns a row is printed through. RunCtx (the string-id
-// registry cmd/p2psim drives), CampaignSpec.Build (what a supervised
-// worker rebuilds) and Names all read it: there is one way to run a
-// campaign by id, one writer for every TSV, and Runner.Run is the way
-// to run a campaign you built.
+// registry cmd/p2psim drives), CampaignSpec.Build and Names all read
+// it: there is one way to run a campaign by id, one writer for every
+// TSV, and Runner.Run is the way to run a campaign you built.
 package experiments
 
 import (

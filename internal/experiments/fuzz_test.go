@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"p2pbackup/internal/churn"
 	"p2pbackup/internal/sim"
 )
 
@@ -47,7 +46,8 @@ func FuzzJournalLine(f *testing.F) {
 		}
 		tg := target{c: campaignByKind(spec.Kind), camp: camp}
 		for i := range camp.Variants {
-			tg.cfgs = append(tg.cfgs, materializeVariant(camp, i))
+			cfg, _ := materialize(camp, i)
+			tg.cfgs = append(tg.cfgs, cfg)
 		}
 		targets = append(targets, tg)
 	}
@@ -90,48 +90,64 @@ func FuzzJournalLine(f *testing.F) {
 
 // FuzzWorkerRequest feeds arbitrary bytes to a worker as its request,
 // through everything the worker does before it runs a simulation:
-// readRequest, then the variant's config and its validation. sim.New is
-// never called. The spec's TracePath is cleared first, so the fuzzer
-// cannot make the worker read arbitrary files (FuzzReadCSV and
-// FuzzReadJSONL cover the trace parsers). Nothing may panic, a variant
-// the campaign does not have is refused, and a config that validates
-// has an AvailSpec that parses.
+// readRequest's decoding and validation; sim.New is never called. The
+// trace path is cleared first, so the fuzzer cannot make the worker read
+// arbitrary files (FuzzReadCSV and FuzzReadJSONL cover the trace
+// parsers). Nothing may panic, and an accepted request's config passes
+// Validate. The seeds are the micro-scale config of every variant of
+// every kind in the campaign table, the trace kinds over the micro
+// trace, and a diurnal amplitude outside [0,1], which used to validate
+// (TestConfigValidatesAvailabilityModel).
 func FuzzWorkerRequest(f *testing.F) {
-	focal := microSpec()
-	focal.Kind, focal.Delays = "focal", nil
-	for _, spec := range []CampaignSpec{microSpec(), focal} {
-		for _, v := range []int{0, 3, 4, -1} {
-			raw, err := json.Marshal(workerRequest{Spec: spec, Variant: v, Attempt: 1})
-			if err != nil {
-				f.Fatal(err)
+	trace := recordMicroTrace(f)
+	add := func(cfg sim.Config, variant int) {
+		raw, err := json.Marshal(workerRequest{Config: cfg, Variant: variant, Attempt: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for i := range campaigns {
+		c := &campaigns[i]
+		if c.kind == "" {
+			continue
+		}
+		spec := microSpec()
+		spec.Kind, spec.Delays = c.kind, nil
+		if c.kind == "threshold" || c.kind == "focal" {
+			spec.Overrides = &ConfigOverrides{Rounds: 10} // thresholds 132-180 need the paper's code
+		}
+		camp, err := spec.build(c, trace)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for v := range camp.Variants {
+			cfg, pe := materialize(camp, v)
+			if pe != nil {
+				f.Fatal(pe)
 			}
-			f.Add(raw)
+			add(cfg, v)
 		}
 	}
-	// An amplitude outside [0,1] used to validate (TestConfigValidatesAvailabilityModel).
-	f.Add([]byte(`{"spec":{"kind":"diurnal","amplitudes":[5]},"variant":0}`))
+	diurnal := microConfig()
+	diurnal.AvailSpec = "diurnal:5"
+	add(diurnal, 0)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var req workerRequest
 		if json.Unmarshal(raw, &req) != nil {
 			return // the worker's decoder refuses it too, or reads past it
 		}
-		req.Spec.TracePath = ""
+		req.TracePath = ""
 		raw, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, camp, err := readRequest(bytes.NewReader(raw))
+		got, err := readRequest(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
-		if got.Variant < 0 || got.Variant >= len(camp.Variants) {
-			t.Fatalf("variant %d of %d accepted", got.Variant, len(camp.Variants))
-		}
-		cfg := materializeVariant(camp, got.Variant)
-		if _, err := cfg.Validate(); err == nil {
-			if _, err := churn.ParseAvailability(cfg.AvailSpec); err != nil {
-				t.Fatalf("config validates with an AvailSpec that does not parse: %v", err)
-			}
+		if _, err := got.Config.Validate(); err != nil {
+			t.Fatalf("request accepted with a config Validate refuses: %v", err)
 		}
 	})
 }

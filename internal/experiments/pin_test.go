@@ -301,8 +301,9 @@ func TestCampaignTableConsistent(t *testing.T) {
 			t.Errorf("kind %q builds %d variants: %v", c.kind, len(camp.Variants), err)
 		}
 		for v := range camp.Variants {
-			if _, err := materializeVariant(camp, v).Validate(); err != nil {
-				t.Errorf("kind %q variant %q: %v", c.kind, camp.Variants[v].Name, err)
+			cfg, pe := materialize(camp, v)
+			if _, err := cfg.Validate(); err != nil || pe != nil {
+				t.Errorf("kind %q variant %q: %v %v", c.kind, camp.Variants[v].Name, err, pe)
 			}
 		}
 		spec.Overrides.Rounds = min(spec.Overrides.Rounds, 50)

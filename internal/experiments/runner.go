@@ -41,8 +41,9 @@ type Campaign struct {
 	Name     string
 	Base     sim.Config
 	Variants []Variant
-	// spec is the recipe CampaignSpec.Build made the campaign from, which
-	// a supervisor's workers rebuild it by; nil for one built by hand.
+	// spec is the recipe CampaignSpec.Build made the campaign from; nil
+	// for one built by hand. A supervisor keys its journal by it and
+	// hands workers the trace it names.
 	spec *CampaignSpec
 }
 
@@ -97,8 +98,8 @@ type Runner struct {
 	Parallelism int
 	// Supervisor, when non-nil, runs each variant in a worker process it
 	// supervises instead of in this process, with bit-identical rows. The
-	// campaign must come from CampaignSpec.Build: workers rebuild it from
-	// that spec.
+	// campaign must come from CampaignSpec.Build, whose spec keys the
+	// journal.
 	Supervisor *Supervisor
 }
 
@@ -338,48 +339,36 @@ func outcome(c Campaign, errs []error, ctxErr error, emit func(Event)) error {
 	return nil
 }
 
-// materializeVariant builds the exact config variant i of c runs: the
-// base copied, then the variant's seed and mutation applied. Probes are
-// not attached — runVariant adds them from the Variant.Probes factory,
-// and a supervisor rejects campaigns with probes (they cannot cross a
-// process boundary). Every path derives a variant's config from the
-// base through apply, which is what makes supervised output
-// bit-identical to in-process output.
-func materializeVariant(c Campaign, i int) sim.Config {
-	cfg := c.Base
-	c.Variants[i].apply(&cfg)
-	return cfg
-}
-
-// apply sets the variant's seed, when it has one, on cfg and then runs
-// its mutation.
-func (v Variant) apply(cfg *sim.Config) {
-	if v.Seed != 0 {
-		cfg.Seed = v.Seed
-	}
-	if v.Mutate != nil {
-		v.Mutate(cfg)
-	}
-}
-
-// runVariant runs variant i of c in this process — the in-process pool
-// and a supervisor's worker both call it: it materialises the config,
-// attaches the variant's probes and, when onRound is set, a probe that
-// tells it every round's end, and executes the run. Panics anywhere in
-// the variant's lifecycle — config mutation, probe construction, engine
-// setup, the run itself — surface as *sim.PanicError attributing
-// whatever portion of the config had been materialised.
-func runVariant(ctx context.Context, c Campaign, i int, onRound func(done, rounds int64)) (row *Row, err error) {
+// materialize builds the config variant i of c runs, once per variant:
+// the base, then the variant's seed and mutation. A panic in the mutation
+// comes back as pe, attributing the config as far as it was built.
+func materialize(c Campaign, i int) (cfg sim.Config, pe *sim.PanicError) {
 	v := c.Variants[i]
-	cfg := c.Base
+	cfg = c.Base
 	defer func() {
 		if rec := recover(); rec != nil {
-			row, err = nil, &sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()}
+			pe = &sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	v.apply(&cfg) // materializeVariant, in place: a panic sees the config as far as it was built
-	if v.Probes != nil {
-		cfg.Probes = append(append([]sim.Probe(nil), cfg.Probes...), v.Probes()...)
+	cfg.Seed = cmp.Or(v.Seed, cfg.Seed)
+	if v.Mutate != nil {
+		v.Mutate(&cfg)
+	}
+	return cfg, nil
+}
+
+// runConfig runs cfg in this process, in the pool or in a worker, with
+// the probes the factory builds and one telling onRound every round's
+// end, each when set. A panic in probe construction, engine setup or the
+// run itself comes back as a *sim.PanicError.
+func runConfig(ctx context.Context, cfg sim.Config, probes func() []sim.Probe, onRound func(done, rounds int64)) (res *sim.Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res, err = nil, &sim.PanicError{Config: cfg, Value: rec, Stack: debug.Stack()}
+		}
+	}()
+	if probes != nil {
+		cfg.Probes = append(slices.Clip(cfg.Probes), probes()...)
 	}
 	if onRound != nil {
 		rounds := cfg.Rounds
@@ -387,23 +376,35 @@ func runVariant(ctx context.Context, c Campaign, i int, onRound func(done, round
 	}
 	s, err := sim.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("%s %q: %w", c.Name, v.Name, err)
-	}
-	res, err := s.RunContext(ctx)
-	if err != nil {
 		return nil, err
 	}
-	return &Row{Index: i, Name: v.Name, Config: cfg, Result: res}, nil
+	return s.RunContext(ctx)
 }
 
-// inProcess is the pool's variantFunc without a supervisor: runVariant,
-// a panic contained as a failure of its one attempt.
+// panicFailure is a variant's panic, contained as a failure of its one
+// attempt.
+func panicFailure(name string, pe *sim.PanicError) *variantFailure {
+	return &variantFailure{Class: failPanic, Attempts: 1, Err: pe,
+		Message: fmt.Sprintf("%s: panic contained: %v", name, pe.Value)}
+}
+
+// inProcess is the pool's variantFunc without a supervisor: variant i
+// materialised and run in this process, a panic contained as a failure
+// of its one attempt, a config sim.New refuses an error naming it.
 func inProcess(ctx context.Context, c Campaign, i int, emit func(Event)) (*Row, error) {
-	row, err := runVariant(ctx, c, i, roundReport(c, i, emit))
-	var pe *sim.PanicError
-	if errors.As(err, &pe) {
-		return nil, &variantFailure{Class: failPanic, Attempts: 1, Err: err,
-			Message: fmt.Sprintf("%s: panic contained: %v", c.Variants[i].Name, pe.Value)}
+	v := c.Variants[i]
+	cfg, pe := materialize(c, i)
+	if pe != nil {
+		return nil, panicFailure(v.Name, pe)
 	}
-	return row, err
+	res, err := runConfig(ctx, cfg, v.Probes, roundReport(c, i, emit))
+	switch {
+	case err == nil:
+		return &Row{Index: i, Name: v.Name, Config: cfg, Result: res}, nil
+	case errors.As(err, &pe):
+		return nil, panicFailure(v.Name, pe)
+	case ctx.Err() == nil:
+		return nil, fmt.Errorf("%s %q: %w", c.Name, v.Name, err)
+	}
+	return nil, err
 }

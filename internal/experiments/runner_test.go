@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -347,7 +348,9 @@ func TestRunnerPanicInMutate(t *testing.T) {
 // TestRunCtxEveryVariantPanics: a campaign whose every variant panics
 // is an error, not an empty success: the registry's driver returns it
 // and writes no data file, since a header-only table would read as a
-// result. Two fig1 thresholds whose Mutate panics, in-process.
+// result. Two fig1 thresholds whose Mutate panics, in-process and under
+// a supervisor, which contains the panic as the in-process pool does:
+// one attempt, class panic, journaled, and no worker spawned for it.
 func TestRunCtxEveryVariantPanics(t *testing.T) {
 	c := *campaignByID("fig1")
 	build := c.build
@@ -358,22 +361,46 @@ func TestRunCtxEveryVariantPanics(t *testing.T) {
 		}
 		return camp, err
 	}
-	var failed int
-	opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, Parallelism: 2, OutDir: t.TempDir(),
-		Events: func(ev Event) {
-			if ev.Kind == EventFailed {
-				failed++
+	for _, sup := range []*Supervisor{nil, testSupervisor()} {
+		var failed []Event
+		opts := Options{Knobs: Knobs{Scale: ScaleSmoke, Seed: 3}, Parallelism: 2, OutDir: t.TempDir(), Supervisor: sup,
+			Events: func(ev Event) {
+				if ev.Kind == EventFailed {
+					failed = append(failed, ev)
+				}
+			}}
+		if sup != nil {
+			sup.workerCmd = []string{filepath.Join(t.TempDir(), "no-worker")} // a spawn would abort the campaign
+			sup.JournalPath = filepath.Join(t.TempDir(), "campaign.journal")
+		}
+		spec := c.spec(opts)
+		spec.Thresholds, spec.Overrides = []int{9, 13}, microSpec().Overrides
+		if _, err := c.run(context.Background(), opts, spec); err == nil || !strings.Contains(err.Error(), "every variant failed") {
+			t.Fatalf("supervised %v: error = %v, want every variant failed", sup != nil, err)
+		}
+		if len(failed) != 2 {
+			t.Errorf("supervised %v: %d EventFailed, want 2", sup != nil, len(failed))
+		}
+		for _, ev := range failed {
+			var pe *sim.PanicError
+			if !errors.As(ev.Err, &pe) || pe.Value != "boom" || !strings.Contains(ev.Message, "panic contained: boom") {
+				t.Errorf("supervised %v: EventFailed %q, %v; want the contained panic", sup != nil, ev.Message, ev.Err)
 			}
-		}}
-	spec := c.spec(opts)
-	spec.Thresholds, spec.Overrides = []int{9, 13}, microSpec().Overrides
-	if _, err := c.run(context.Background(), opts, spec); err == nil || !strings.Contains(err.Error(), "every variant failed") {
-		t.Fatalf("error = %v, want every variant failed", err)
-	}
-	if failed != 2 {
-		t.Errorf("%d EventFailed, want 2", failed)
-	}
-	if files, err := os.ReadDir(opts.OutDir); err != nil || len(files) != 0 {
-		t.Errorf("out dir holds %v (%v), want nothing", files, err)
+		}
+		if files, err := os.ReadDir(opts.OutDir); err != nil || len(files) != 0 {
+			t.Errorf("supervised %v: out dir holds %v (%v), want nothing", sup != nil, files, err)
+		}
+		if sup == nil {
+			continue
+		}
+		entries, _, err := readJournal(sup.JournalPath)
+		if err != nil || len(entries) != 2 {
+			t.Fatalf("journal: %d entries (%v), want 2", len(entries), err)
+		}
+		for _, e := range entries {
+			if e.Status != "failed" || e.Class != "panic" || e.Attempts != 1 {
+				t.Errorf("variant %d journaled %s/%s after %d attempts, want failed/panic after 1", e.Variant, e.Status, e.Class, e.Attempts)
+			}
+		}
 	}
 }

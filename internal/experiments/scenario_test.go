@@ -82,13 +82,13 @@ func TestReplayCampaignDeterminism(t *testing.T) {
 }
 
 // recordMicroTrace captures the churn of a short micro-scale run.
-func recordMicroTrace(t *testing.T) *churn.Trace {
+func recordMicroTrace(t testing.TB) *churn.Trace {
 	return recordTrace(t, microConfig().NumPeers)
 }
 
 // recordTrace captures the churn of a short run with the given
 // population (the archive shape does not matter for trace content).
-func recordTrace(t *testing.T, peers int) *churn.Trace {
+func recordTrace(t testing.TB, peers int) *churn.Trace {
 	t.Helper()
 	cfg := microConfig()
 	cfg.NumPeers = peers

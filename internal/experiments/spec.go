@@ -14,16 +14,9 @@ import (
 	"p2pbackup/internal/transfer"
 )
 
-// CampaignSpec is the JSON-able recipe for a built-in campaign: enough
-// to rebuild the exact same Campaign — same constructors, same derived
-// variant seeds — in another process. It exists because sim.Config
-// itself cannot cross a process boundary (Profiles and Replay are built
-// objects, Probes are live ones, and the variants' Mutate funcs are
-// code), so the worker protocol ships the recipe and both sides
-// materialise variants through the same constructors. That shared
-// derivation, plus the bit-exact JSON encoding of sim.Result
-// (internal/metrics), is what makes a supervised campaign's output
-// byte-identical to the in-process run.
+// CampaignSpec is the JSON-able recipe for a built-in campaign: the
+// registry builds every campaign from one, and its fingerprint keys a
+// supervisor's checkpoint journal.
 type CampaignSpec struct {
 	// Kind names the campaign: a kind of the campaign table (table.go),
 	// e.g. "threshold", "repair-delay" or "fixed-vs-adaptive".
@@ -105,33 +98,15 @@ func (o *ConfigOverrides) apply(cfg *sim.Config) {
 	if o == nil {
 		return
 	}
-	if o.NumPeers != 0 {
-		cfg.NumPeers = o.NumPeers
-	}
-	if o.Rounds != 0 {
-		cfg.Rounds = o.Rounds
-	}
-	if o.TotalBlocks != 0 {
-		cfg.TotalBlocks = o.TotalBlocks
-	}
-	if o.DataBlocks != 0 {
-		cfg.DataBlocks = o.DataBlocks
-	}
-	if o.RepairThreshold != 0 {
-		cfg.RepairThreshold = o.RepairThreshold
-	}
-	if o.Quota != 0 {
-		cfg.Quota = o.Quota
-	}
-	if o.PoolSamplePerRound != 0 {
-		cfg.PoolSamplePerRound = o.PoolSamplePerRound
-	}
-	if o.AcceptHorizon != 0 {
-		cfg.AcceptHorizon = o.AcceptHorizon
-	}
-	if o.Warmup != 0 {
-		cfg.Warmup = o.Warmup
-	}
+	cfg.NumPeers = cmp.Or(o.NumPeers, cfg.NumPeers)
+	cfg.Rounds = cmp.Or(o.Rounds, cfg.Rounds)
+	cfg.TotalBlocks = cmp.Or(o.TotalBlocks, cfg.TotalBlocks)
+	cfg.DataBlocks = cmp.Or(o.DataBlocks, cfg.DataBlocks)
+	cfg.RepairThreshold = cmp.Or(o.RepairThreshold, cfg.RepairThreshold)
+	cfg.Quota = cmp.Or(o.Quota, cfg.Quota)
+	cfg.PoolSamplePerRound = cmp.Or(o.PoolSamplePerRound, cfg.PoolSamplePerRound)
+	cfg.AcceptHorizon = cmp.Or(o.AcceptHorizon, cfg.AcceptHorizon)
+	cfg.Warmup = cmp.Or(o.Warmup, cfg.Warmup)
 }
 
 // baseConfig is what every variant starts from: the scale preset, the
@@ -181,8 +156,7 @@ func (s CampaignSpec) Build() (Campaign, error) {
 
 // build is Build for a resolved table entry, with the campaign's trace
 // already in hand; a nil trace is read from TracePath. The campaign
-// records the spec as given, which a supervisor's workers rebuild it by
-// and its journal fingerprints.
+// records the spec as given, for a supervisor's journal and trace path.
 func (s CampaignSpec) build(c *campaign, trace *churn.Trace) (Campaign, error) {
 	if c.trace && trace == nil {
 		if s.TracePath == "" {

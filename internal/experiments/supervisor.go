@@ -95,21 +95,21 @@ func (p retryPolicy) backoff(seed uint64, variant, attempt int) time.Duration {
 }
 
 // Supervisor runs each variant of a Runner's campaign isolated in its
-// own worker process, speaking the `p2psim -worker` protocol: the spec and
-// variant index go in as JSON on stdin, heartbeats and a bit-exact
-// result snapshot come back as JSON lines on stdout. Failed attempts
-// are classified (panic / OOM-kill / hang / exit / transient) and
-// retried per policy with exponential backoff; a variant that exhausts
-// its retries becomes a typed EventFailed and the campaign continues.
-// With a JournalPath every completed variant is appended (fsynced) to a
-// checkpoint journal, and Resume replays journaled rows instead of
-// re-running them. Because both sides materialise variants through the
-// same constructors and the snapshot round-trips float bits exactly, a
-// supervised campaign — even one suffering injected crashes — produces
-// output byte-identical to the fault-free in-process run. The zero
-// Supervisor runs the current executable with -worker appended (the
-// p2psim arrangement), kills a worker silent for 30 s and tries each
-// variant 3 times; the Runner's Parallelism bounds the worker processes.
+// own worker process, speaking the `p2psim -worker` protocol: the
+// variant's materialised config goes in as JSON on stdin, heartbeats
+// and a bit-exact result snapshot come back as JSON lines on stdout.
+// Failed attempts are classified (panic / OOM-kill / hang / exit /
+// transient) and retried per policy with exponential backoff; a variant
+// that exhausts its retries becomes a typed EventFailed and the
+// campaign continues. With a JournalPath every completed variant is
+// appended (fsynced) to a checkpoint journal, and Resume replays
+// journaled rows instead of re-running them. Because the config and the
+// snapshot both round-trip exactly, a supervised campaign — even one
+// suffering injected crashes — produces output byte-identical to the
+// fault-free in-process run. The zero Supervisor runs the current
+// executable with -worker appended (the p2psim arrangement), kills a
+// worker silent for 30 s and tries each variant 3 times; the Runner's
+// Parallelism bounds the worker processes.
 type Supervisor struct {
 	// VariantTimeout kills an attempt that runs longer (0 = no limit;
 	// negative is an error).
@@ -147,31 +147,40 @@ func (s *Supervisor) checkTimeout() error {
 // attempts share.
 type supervision struct {
 	*Supervisor
-	spec      CampaignSpec
-	fp        string
+	fp        string // the spec's fingerprint, which keys the journal
+	seed      uint64 // the spec's seed, which keys the retry jitter
+	tracePath string // the spec's trace, which a replaying config crosses by
+	cfgs      []sim.Config
+	panics    []*sim.PanicError // by variant: its materialisation panicked
 	workerCmd []string
 	retry     retryPolicy
 	journal   *journalWriter
 }
 
 // start readies c to run under s, before any variant does: it refuses a
-// campaign a worker cannot rebuild (one built by hand, or with probes)
-// and a negative VariantTimeout, fills resumed (by variant) with the
-// rows the journal already holds for this spec when resuming, and opens
-// the journal for appending.
+// campaign built by hand (the journal key and the trace path are its
+// spec's), a variant whose config holds what has no wire form (probes,
+// profiles, a trace the spec does not name) and a negative
+// VariantTimeout; materialises every variant once; fills resumed (by
+// variant) with the rows the journal already holds for this spec when
+// resuming; and opens the journal for appending.
 func (s *Supervisor) start(c Campaign, resumed []*Row, emit func(Event)) (*supervision, error) {
 	if err := s.checkTimeout(); err != nil {
 		return nil, err
 	}
 	if c.spec == nil {
-		return nil, fmt.Errorf("experiments: campaign %q was not built by CampaignSpec.Build; workers cannot rebuild it", c.Name)
+		return nil, fmt.Errorf("experiments: campaign %q was not built by CampaignSpec.Build; its journal key and trace come from that spec", c.Name)
 	}
-	for _, v := range c.Variants {
-		if v.Probes != nil || len(c.Base.Probes) > 0 {
-			return nil, fmt.Errorf("experiments: campaign %q variant %q: probes cannot cross the worker process boundary; run in-process", c.Name, v.Name)
+	sv := &supervision{Supervisor: s, fp: c.spec.Fingerprint(), seed: c.spec.Seed, tracePath: c.spec.TracePath,
+		cfgs: make([]sim.Config, len(c.Variants)), panics: make([]*sim.PanicError, len(c.Variants)),
+		workerCmd: s.workerCmd, retry: s.retry.withDefaults()}
+	for i, v := range c.Variants {
+		cfg, pe := materialize(c, i)
+		if v.Probes != nil || pe == nil && (len(cfg.Probes) > 0 || cfg.Profiles != nil || cfg.Replay != nil && sv.tracePath == "") {
+			return nil, fmt.Errorf("experiments: campaign %q variant %q: probes, profiles and a trace the spec does not name cannot cross the worker process boundary; run in-process", c.Name, v.Name)
 		}
+		sv.cfgs[i], sv.panics[i] = cfg, pe
 	}
-	sv := &supervision{Supervisor: s, spec: *c.spec, fp: c.spec.Fingerprint(), workerCmd: s.workerCmd, retry: s.retry.withDefaults()}
 	if len(sv.workerCmd) == 0 {
 		exe, err := os.Executable()
 		if err != nil {
@@ -190,12 +199,11 @@ func (s *Supervisor) start(c Campaign, resumed []*Row, emit func(Event)) (*super
 		for _, e := range entries {
 			switch {
 			case e.Fingerprint != sv.fp || e.Status != "ok" || e.Variant < 0 || e.Variant >= len(c.Variants):
-			case check(e.Result, materializeVariant(c, e.Variant)) != nil:
+			case sv.panics[e.Variant] != nil || check(e.Result, sv.cfgs[e.Variant]) != nil:
 				skipped++ // no report could read it: as good as torn, the variant re-runs
 			default:
-				cfg := materializeVariant(c, e.Variant)
-				e.Result.Config = cfg
-				resumed[e.Variant] = &Row{Index: e.Variant, Name: c.Variants[e.Variant].Name, Config: cfg, Result: e.Result}
+				e.Result.Config = sv.cfgs[e.Variant]
+				resumed[e.Variant] = &Row{Index: e.Variant, Name: c.Variants[e.Variant].Name, Config: e.Result.Config, Result: e.Result}
 			}
 		}
 		if skipped > 0 {
@@ -218,26 +226,28 @@ func (sv *supervision) close() {
 // variant is the pool's variantFunc under a supervisor: it drives
 // variant i through the retry state machine, attempt → classify →
 // (success | backoff and retry | exhaust), and journals the outcome. A
-// variant out of attempts is a *variantFailure; a worker that cannot be
-// spawned or a journal that cannot be written aborts the campaign.
+// variant out of attempts, or whose materialisation panicked, is a
+// *variantFailure; a worker that cannot be spawned or a journal that
+// cannot be written aborts the campaign.
 func (sv *supervision) variant(ctx context.Context, c Campaign, i int, emit func(Event)) (*Row, error) {
-	name := c.Variants[i].Name
+	name, cfg := c.Variants[i].Name, sv.cfgs[i]
+	if pe := sv.panics[i]; pe != nil {
+		return nil, sv.failed(c, i, panicFailure(name, pe), pe)
+	}
+	var onRound func(done int64)
+	if report := roundReport(c, i, emit); report != nil {
+		onRound = func(done int64) { report(done, cfg.Rounds) }
+	}
 	var lastErr error
 	lastClass := failTransient
-	report := roundReport(c, i, emit)
 	for attempt := 1; attempt <= sv.retry.MaxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		cfg := materializeVariant(c, i)
-		var onRound func(done int64)
-		if report != nil {
-			onRound = func(done int64) { report(done, cfg.Rounds) }
-		}
 		res, class, err := sv.runAttempt(ctx, cfg, i, attempt, onRound)
 		if err == nil {
-			if report != nil {
-				report(cfg.Rounds, cfg.Rounds) // the rounds since the last heartbeat
+			if onRound != nil {
+				onRound(cfg.Rounds) // the rounds since the last heartbeat
 			}
 			if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: name, Status: "ok", Attempts: attempt, Result: res}); err != nil {
 				return nil, err
@@ -252,7 +262,7 @@ func (sv *supervision) variant(ctx context.Context, c Campaign, i int, emit func
 		}
 		lastErr, lastClass = err, class
 		if attempt < sv.retry.MaxAttempts {
-			pause := sv.retry.backoff(sv.spec.Seed, i, attempt)
+			pause := sv.retry.backoff(sv.seed, i, attempt)
 			emit(Event{Kind: EventProgress, Campaign: c.Name, Variant: i, Name: name,
 				Message: fmt.Sprintf("%s: attempt %d/%d failed (%s): %s; retrying in %s",
 					name, attempt, sv.retry.MaxAttempts, class, firstLine(err), pause.Round(time.Millisecond))})
@@ -267,13 +277,19 @@ func (sv *supervision) variant(ctx context.Context, c Campaign, i int, emit func
 	// Retries exhausted: graceful degradation. Journal the typed
 	// failure and let the campaign continue.
 	attempts := sv.retry.MaxAttempts
-	if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: name, Status: "failed", Class: lastClass.String(),
-		Attempts: attempts, Error: lastErr.Error()}); err != nil {
-		return nil, err
-	}
-	return nil, &variantFailure{Class: lastClass, Attempts: attempts,
+	return nil, sv.failed(c, i, &variantFailure{Class: lastClass, Attempts: attempts,
 		Err:     fmt.Errorf("experiments: %s %q: %s after %d attempts: %w", c.Name, name, lastClass, attempts, lastErr),
-		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %s", name, lastClass, attempts, firstLine(lastErr))}
+		Message: fmt.Sprintf("%s: failed permanently (%s) after %d attempts: %s", name, lastClass, attempts, firstLine(lastErr))}, lastErr)
+}
+
+// failed journals variant i's permanent failure vf, whose last attempt
+// died of cause, and returns vf.
+func (sv *supervision) failed(c Campaign, i int, vf *variantFailure, cause error) error {
+	if err := sv.record(journalEntry{Campaign: c.Name, Variant: i, Name: c.Variants[i].Name, Status: "failed",
+		Class: vf.Class.String(), Attempts: vf.Attempts, Error: cause.Error()}); err != nil {
+		return err
+	}
+	return vf
 }
 
 // record appends a variant's outcome to the journal, if there is one.
@@ -356,8 +372,11 @@ func (sv *supervision) runAttempt(ctx context.Context, cfg sim.Config, variant, 
 	period := max(min(time.Second, grace/4), 5*time.Millisecond)
 	go func() {
 		enc := json.NewEncoder(stdin)
-		_ = enc.Encode(workerRequest{Spec: sv.spec, Variant: variant, Attempt: attempt,
-			HeartbeatMillis: int(period / time.Millisecond)})
+		req := workerRequest{Config: cfg, Variant: variant, Attempt: attempt, HeartbeatMillis: int(period / time.Millisecond)}
+		if cfg.Replay != nil {
+			req.TracePath = sv.tracePath
+		}
+		_ = enc.Encode(req)
 		stdin.Close()
 	}()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pbackup/internal/churn"
 	"p2pbackup/internal/sim"
 )
 
@@ -113,6 +115,47 @@ func TestSupervisedMatchesInProcess(t *testing.T) {
 	}
 	if t1, t2 := ablationTSV(t, want), ablationTSV(t, got); t1 != t2 {
 		t.Errorf("supervised TSV differs from in-process TSV:\n%s\nvs\n%s", t1, t2)
+	}
+}
+
+// TestSupervisedRunsEditedVariant: a worker runs the config the parent
+// materialised, so a campaign whose variant was edited after Build runs
+// as edited under a supervisor, as it does in-process. A variant whose
+// config sets Profiles, which has no wire form, is refused before any
+// worker is spawned.
+func TestSupervisedRunsEditedVariant(t *testing.T) {
+	t.Parallel()
+	camp, err := microSpec().Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	mutate := camp.Variants[0].Mutate
+	camp.Variants[0].Mutate = func(cfg *sim.Config) {
+		mutate(cfg)
+		cfg.RepairDelay = 24
+	}
+	want, err := collectRows(context.Background(), Runner{Parallelism: 2}, camp, nil)
+	if err != nil {
+		t.Fatalf("in-process run: %v", err)
+	}
+	got, err := collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: testSupervisor()}, camp, nil)
+	if err != nil {
+		t.Fatalf("supervised run: %v", err)
+	}
+	if d1, d2 := rowsDigest(t, want), rowsDigest(t, got); d1 != d2 {
+		t.Errorf("the edited variant ran differently under the supervisor:\nin-process:\n%s\nsupervised:\n%s", d1, d2)
+	}
+
+	camp.Variants[1].Mutate = func(cfg *sim.Config) { cfg.Profiles = churn.PaperProfiles() }
+	sup := testSupervisor()
+	sup.workerCmd = []string{filepath.Join(t.TempDir(), "no-worker")} // a spawn would fail the campaign
+	sup.JournalPath = filepath.Join(t.TempDir(), "journal")
+	_, err = collectRows(context.Background(), Runner{Parallelism: 2, Supervisor: sup}, camp, nil)
+	if err == nil || errors.Is(err, errSpawn) || !strings.Contains(err.Error(), "profiles") {
+		t.Fatalf("variant with profiles: error = %v, want a refusal naming them", err)
+	}
+	if _, err := os.Stat(sup.JournalPath); !os.IsNotExist(err) {
+		t.Errorf("refused campaign opened its journal (%v)", err)
 	}
 }
 
@@ -668,14 +711,24 @@ func TestWorkerMainRejectsBadInput(t *testing.T) {
 	if code := WorkerMain(strings.NewReader("{"), &out, &errw); code != 1 {
 		t.Errorf("truncated request: exit %d, want 1", code)
 	}
-	req, _ := json.Marshal(workerRequest{Spec: microSpec(), Variant: 99, Attempt: 1})
-	out.Reset()
-	errw.Reset()
-	if code := WorkerMain(bytes.NewReader(req), &out, &errw); code != 1 {
-		t.Errorf("out-of-range variant: exit %d, want 1", code)
-	}
-	if !strings.Contains(errw.String(), "out of range") {
-		t.Errorf("stderr %q, want out-of-range complaint", errw.String())
+	cfg := microConfig()
+	cfg.NumPeers = 1
+	for _, tc := range []struct {
+		name, want string
+		req        workerRequest
+	}{
+		{"invalid config", "NumPeers = 1 too small", workerRequest{Config: cfg, Attempt: 1}},
+		{"missing trace", "no such file", workerRequest{Config: microConfig(), TracePath: filepath.Join(t.TempDir(), "none.jsonl"), Attempt: 1}},
+	} {
+		req, _ := json.Marshal(tc.req)
+		out.Reset()
+		errw.Reset()
+		if code := WorkerMain(bytes.NewReader(req), &out, &errw); code != 1 || out.Len() != 0 {
+			t.Errorf("%s: exit %d with %d bytes out, want exit 1 and nothing", tc.name, code, out.Len())
+		}
+		if !strings.Contains(errw.String(), tc.want) {
+			t.Errorf("%s: stderr %q, want %q", tc.name, errw.String(), tc.want)
+		}
 	}
 }
 

@@ -332,8 +332,8 @@ func (c *campaign) run(ctx context.Context, opts Options, spec CampaignSpec) ([]
 				return nil, err
 			}
 			if opts.Supervisor != nil {
-				// Workers rebuild the campaign from the spec: hand them
-				// the recorded churn as a file.
+				// Workers replay the recorded churn from a file the spec
+				// names.
 				path, cleanup, err := materializeTraceFile(trace, c.record.prefix)
 				if err != nil {
 					return nil, err

@@ -13,12 +13,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2pbackup/internal/churn"
 	"p2pbackup/internal/sim"
 )
 
 // The worker protocol. A worker process (`p2psim -worker`, or a test
 // binary re-exec'd through its TestMain hook) receives exactly one
-// workerRequest as JSON on stdin, runs the requested variant, and
+// workerRequest as JSON on stdin, runs the config it carries, and
 // writes newline-delimited JSON messages on stdout: heartbeats while
 // the simulation advances, then a single result message. Classification
 // happens on the supervisor side from the exit status, stderr and the
@@ -26,12 +27,17 @@ import (
 // success, "panic: ..." on stderr with exit code 2 on a contained
 // panic, and a nonzero exit otherwise.
 
-// workerRequest is the supervisor→worker handshake.
+// workerRequest is the supervisor→worker handshake: one variant's
+// config, as the parent materialised it.
 type workerRequest struct {
-	Spec    CampaignSpec `json:"spec"`
-	Variant int          `json:"variant"`
-	// Attempt is 1-based; the fault injector uses it so an injected
-	// fault can clear after N attempts.
+	Config sim.Config `json:"config"`
+	// TracePath names the churn trace Config replays, which the config's
+	// wire form leaves out; "" when it replays none.
+	TracePath string `json:"trace_path,omitempty"`
+	// Variant is the variant's index and Attempt the 1-based attempt;
+	// only the fault injector reads them, so an injected fault can hit
+	// one variant and clear after N attempts.
+	Variant int `json:"variant"`
 	Attempt int `json:"attempt"`
 	// HeartbeatMillis is the requested heartbeat period (0 = 1000).
 	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
@@ -41,9 +47,9 @@ type workerRequest struct {
 type workerMessage struct {
 	Type  string `json:"type"` // "heartbeat" or "result"
 	Round int64  `json:"round,omitempty"`
-	// Result is the finished run. Its wire form leaves out Config,
-	// which the supervisor rebuilds from the shared spec, and Trace,
-	// which only the parent-side trace recorder uses, in-process.
+	// Result is the finished run. Its wire form leaves out Config, which
+	// the supervisor sent, and Trace, which only the parent-side trace
+	// recorder uses, in-process.
 	Result *sim.Result `json:"result,omitempty"`
 }
 
@@ -166,35 +172,33 @@ func injectFault(spec string, variant, attempt int) error {
 	return nil
 }
 
-// readRequest decodes one request from in and builds the campaign its
-// spec describes, refusing a variant the campaign does not have: all a
-// worker does before it runs anything. FuzzWorkerRequest holds it to
-// that on arbitrary input.
-func readRequest(in io.Reader) (workerRequest, Campaign, error) {
+// readRequest decodes one request from in and attaches the trace it
+// names, refusing a config that Validate refuses: all a worker does
+// before it runs anything. FuzzWorkerRequest holds it to that on
+// arbitrary input.
+func readRequest(in io.Reader) (workerRequest, error) {
 	var req workerRequest
 	if err := json.NewDecoder(in).Decode(&req); err != nil {
-		return req, Campaign{}, fmt.Errorf("bad request: %v", err)
+		return req, fmt.Errorf("bad request: %v", err)
 	}
-	camp, err := req.Spec.Build()
-	if err != nil {
-		return req, Campaign{}, err
+	if req.TracePath != "" {
+		var err error
+		if req.Config.Replay, err = churn.ReadTraceFile(req.TracePath); err != nil {
+			return req, err
+		}
 	}
-	if req.Variant < 0 || req.Variant >= len(camp.Variants) {
-		return req, Campaign{}, fmt.Errorf("variant %d out of range (campaign %q has %d)",
-			req.Variant, camp.Name, len(camp.Variants))
-	}
-	return req, camp, nil
+	_, err := req.Config.Validate()
+	return req, err
 }
 
 // WorkerMain implements the worker side of the supervisor protocol:
-// decode one request from in, rebuild the campaign from its spec, run
-// the requested variant, stream heartbeats and the final result
-// snapshot to out. The returned value is the process exit code: 0 on
-// success, 2 for a contained panic (reported as "panic: ..." plus the
-// stack on errw), 1 for anything else. `p2psim -worker` and the test
-// binaries' TestMain hooks are the two callers.
+// decode one request from in, run its config, stream heartbeats and the
+// final result snapshot to out. The returned value is the process exit
+// code: 0 on success, 2 for a contained panic (reported as "panic: ..."
+// plus the stack on errw), 1 for anything else. `p2psim -worker` and
+// the test binaries' TestMain hooks are the two callers.
 func WorkerMain(in io.Reader, out, errw io.Writer) int {
-	req, camp, err := readRequest(in)
+	req, err := readRequest(in)
 	if err == nil {
 		err = injectFault(os.Getenv(faultEnv), req.Variant, req.Attempt)
 	}
@@ -239,7 +243,7 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 		hb.Wait()
 	}()
 
-	row, err := runVariant(context.Background(), camp, req.Variant, func(done, _ int64) { round.Store(done) })
+	res, err := runConfig(context.Background(), req.Config, nil, func(done, _ int64) { round.Store(done) })
 	var pe *sim.PanicError
 	switch {
 	case errors.As(err, &pe):
@@ -249,7 +253,7 @@ func WorkerMain(in io.Reader, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "worker: %v\n", err)
 		return 1
 	}
-	if err := write(workerMessage{Type: "result", Result: row.Result}); err != nil {
+	if err := write(workerMessage{Type: "result", Result: res}); err != nil {
 		fmt.Fprintf(errw, "worker: writing result: %v\n", err)
 		return 1
 	}

@@ -247,7 +247,8 @@ func (h *IntervalHistory) onlineBefore(x int64) int64 {
 }
 
 // Uptime returns the online fraction over [now-n, now), clamped to the
-// observed span. now is exclusive. Read-only; cost O(log transitions).
+// observed span: the rounds from the oldest stored transition on. now
+// is exclusive. Read-only; cost O(log transitions).
 func (h *IntervalHistory) Uptime(now int64, n int64) float64 {
 	if h.n == 0 || n <= 0 {
 		return 0
@@ -255,10 +256,7 @@ func (h *IntervalHistory) Uptime(now int64, n int64) float64 {
 	if n > h.window {
 		n = h.window
 	}
-	from := now - n
-	if from < h.start {
-		from = h.start
-	}
+	from := max(now-n, h.round(h.at(0)))
 	if from >= now {
 		return 0
 	}

@@ -385,10 +385,13 @@ func TestUptimeNowAtNewestTransition(t *testing.T) {
 			t.Helper()
 			for _, now := range []int64{round - 1, round, round + 1} {
 				for _, n := range []int64{1, 2, 7, window / 2, window, window + 5} {
-					if now-min(n, window) < round-window {
-						continue // recording at round pruned what came before its window
+					want := ref.uptime(now, n)
+					if oldest := iv.round(iv.at(0)); now-min(n, window) < oldest {
+						// Recording at round pruned what came before oldest:
+						// the span is clamped to the rounds still stored.
+						want = ref.uptime(now, now-oldest)
 					}
-					if got, want := iv.Uptime(now, n), ref.uptime(now, n); got != want {
+					if got := iv.Uptime(now, n); got != want {
 						t.Fatalf("trial %d: Uptime(%d, %d) = %v, naive %v (newest transition at %d)",
 							trial, now, n, got, want, round)
 					}

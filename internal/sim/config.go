@@ -30,7 +30,9 @@ func PaperObservers() []ObserverSpec {
 	}
 }
 
-// Config parameterises one simulation run.
+// Config parameterises one simulation run. Its JSON form, which a
+// supervised campaign sends its workers, is every exported field but
+// Profiles, Replay and Probes: built or live objects, tagged `json:"-"`.
 type Config struct {
 	// NumPeers is the population size (constant; departures are
 	// replaced immediately). Paper: 25,000.
@@ -101,7 +103,7 @@ type Config struct {
 	// Profiles is the behaviour population (default: the paper's four).
 	// Each slot draws its profile from these proportions once; a
 	// departed peer's replacement inherits it, so the mix stays as drawn.
-	Profiles *churn.ProfileSet
+	Profiles *churn.ProfileSet `json:"-"`
 	// AvailSpec names the model that generates online/offline sessions
 	// as a spec string (see churn.ParseAvailability): "" or "session",
 	// the default, is exponential sessions over a one-day mean cycle;
@@ -130,7 +132,7 @@ type Config struct {
 	// (same churn, different strategy). NumPeers is derived from the
 	// trace; Profiles is still used to map the trace's profile indices
 	// to availabilities for the oracle strategies.
-	Replay *churn.Trace
+	Replay *churn.Trace `json:"-"`
 
 	// Observers to instantiate (may be empty).
 	Observers []ObserverSpec
@@ -138,7 +140,7 @@ type Config struct {
 	// Probes are custom event observers attached after the built-in
 	// metrics/trace probes. Probes are stateful: never share one
 	// instance between concurrently running simulations.
-	Probes []Probe
+	Probes []Probe `json:"-"`
 
 	// Warmup rounds excluded from rate metrics (series still cover the
 	// full run, like the paper's figures, sampled once a day).
